@@ -12,16 +12,14 @@ parse error.
 """
 
 import argparse
-import math
 import sys
 
 from . import face_minimum as fm
 from . import states as st
 from . import symmetric_curve as sc
+from .entropy import LN2
 from .roof import roof_upper_bound
 from .verify import SUITE_NAMES, run_suite
-
-LN2 = math.log(2.0)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

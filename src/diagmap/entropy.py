@@ -13,6 +13,9 @@ NEG_CLAMP = 1e-12
 SUM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 
+LN2 = math.log(2.0)
+LN3 = math.log(3.0)
+
 
 def eta(x: float) -> float:
     """-x*log(x) for x > 0, and 0 at x = 0.
@@ -20,7 +23,7 @@ def eta(x: float) -> float:
     Accepts x in [-1e-12, 1 + 1e-12]; the tiny windows around 0 and 1
     absorb eigenvalue round-off and are clamped before evaluation.
     """
-    if x < -NEG_CLAMP or x > 1.0 + NEG_CLAMP:
+    if not -NEG_CLAMP <= x <= 1.0 + NEG_CLAMP:
         raise ValueError(f"eta argument {x!r} outside [0, 1]")
     if x <= 0.0:
         return 0.0
@@ -41,17 +44,17 @@ def eta_array(x: np.ndarray) -> np.ndarray:
 def clamp_probabilities(p, *, neg_tol: float = NEG_CLAMP, sum_tol: float = SUM_TOL) -> np.ndarray:
     """Validate and clean a probability vector.
 
-    Entries in [-neg_tol, 0] are clamped to 0; more negative entries or a
-    total mass off 1 by more than sum_tol raise ValueError.
+    Entries in [-neg_tol, 0] are clamped to 0; more negative or NaN entries
+    or a total mass off 1 by more than sum_tol raise ValueError.
     """
     p = np.asarray(p, dtype=float).copy()
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probability vector must be a non-empty 1-D array")
-    if p.min() < -neg_tol:
+    if not p.min() >= -neg_tol:
         raise ValueError(f"negative probability {p.min()!r} below -{neg_tol}")
     p[p < 0.0] = 0.0
     total = p.sum()
-    if abs(total - 1.0) > sum_tol:
+    if not abs(total - 1.0) <= sum_tol:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return p
 
@@ -72,7 +75,7 @@ def check_hermitian(H, *, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     dev = np.max(np.abs(H - H.conj().T))
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"matrix is not hermitian (deviation {dev:.3e})")
     return H
 

@@ -9,21 +9,22 @@ coordinate-descent search provides an independent numerical check.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .entropy import eta_array
+from .entropy import LN2, eta_array
 from .lambert import lambert_w0, lambert_wm1
+from .linesearch import golden_vec
 
-LN2 = math.log(2.0)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_E = math.exp(-1.0)
 
 
 def min_face_entropy(N: int) -> float:
     """Closed-form minimal output entropy on the zero-sum face."""
+    N = operator.index(N)
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     if N <= 6:
@@ -65,6 +66,7 @@ def two_value_entropy(N: int, n: int) -> float:
     Symmetric under n <-> N-n and concave in n, so its minimum over n sits
     at the edges n = 1 and n = N-1.
     """
+    N, n = operator.index(N), operator.index(n)
     if not 1 <= n <= N - 1:
         raise ValueError(f"need 1 <= n <= N-1, got n={n}, N={N}")
     return math.log(N) - (1.0 - 2.0 * n / N) * math.log(N / n - 1.0)
@@ -188,7 +190,7 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
                 )
                 coarse = eta_array(cand * cand).sum(axis=2)
                 best = np.argmin(coarse, axis=1)
-                t = _golden_vec(obj, scan[best] - step, scan[best] + step)
+                t = golden_vec(obj, scan[best] - step, scan[best] + step)
                 At = base + (np.cos(t) - 1.0)[:, None] * U + np.sin(t)[:, None] * V
                 ft = _face_objective(At)
                 improved = ft < f[idx]
@@ -207,25 +209,3 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     best = int(np.argmin(f))
     a = A[best]
     return float(_face_objective(a[None, :])[0]), a
-
-
-def _golden_vec(obj, lo, hi, iters: int = 45) -> np.ndarray:
-    """Vectorized golden-section minimization on per-row brackets."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = obj(c)
-    fd = obj(d)
-    for _ in range(iters):
-        shrink_right = fc < fd
-        hi = np.where(shrink_right, d, hi)
-        lo = np.where(shrink_right, lo, c)
-        c_new = hi - _INVPHI * (hi - lo)
-        d_new = lo + _INVPHI * (hi - lo)
-        probe = np.where(shrink_right, c_new, d_new)
-        fp = obj(probe)
-        c_next = np.where(shrink_right, c_new, d)
-        fc_next = np.where(shrink_right, fp, fd)
-        d_next = np.where(shrink_right, c, d_new)
-        fd_next = np.where(shrink_right, fc, fp)
-        c, d, fc, fd = c_next, d_next, fc_next, fd_next
-    return 0.5 * (lo + hi)

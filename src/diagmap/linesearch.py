@@ -1,0 +1,35 @@
+"""Vectorized golden-section line search of the roof and face-minimum
+searches.
+
+The symmetric-curve angle minimization takes only INVPHI: it keeps its own
+scalar loop, whose stopping rule and bracket differ from golden_vec's fixed
+step count, so routing it through golden_vec would change its results.
+"""
+
+import math
+
+import numpy as np
+
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_vec(obj, lo, hi, iters: int = 45) -> np.ndarray:
+    """Vectorized golden-section minimization on per-row brackets."""
+    c = hi - INVPHI * (hi - lo)
+    d = lo + INVPHI * (hi - lo)
+    fc = obj(c)
+    fd = obj(d)
+    for _ in range(iters):
+        shrink_right = fc < fd
+        hi = np.where(shrink_right, d, hi)
+        lo = np.where(shrink_right, lo, c)
+        c_new = hi - INVPHI * (hi - lo)
+        d_new = lo + INVPHI * (hi - lo)
+        probe = np.where(shrink_right, c_new, d_new)
+        fp = obj(probe)
+        c_next = np.where(shrink_right, c_new, d)
+        fc_next = np.where(shrink_right, fp, fd)
+        d_next = np.where(shrink_right, c, d_new)
+        fd_next = np.where(shrink_right, fc, fp)
+        c, d, fc, fd = c_next, d_next, fc_next, fd_next
+    return 0.5 * (lo + hi)

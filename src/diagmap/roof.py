@@ -16,9 +16,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .entropy import eta_array
+from .linesearch import golden_vec
 from .states import Decomposition, check_density_matrix
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 RANK_TOL = 1e-10
 WEIGHT_TOL = 1e-12
@@ -57,11 +56,7 @@ def decomposition_from_isometry(omega, U) -> Decomposition:
     dev = np.max(np.abs(U.conj().T @ U - np.eye(r)))
     if dev > 1e-10:
         raise ValueError(f"columns are not orthonormal (deviation {dev:.3e})")
-    vectors = U.conj() @ M.T
-    weights = np.einsum("ij,ij->i", vectors, vectors.conj()).real
-    keep = weights > WEIGHT_TOL
-    states = [vectors[j] / math.sqrt(weights[j]) for j in np.nonzero(keep)[0]]
-    return Decomposition(weights=weights[keep], states=states)
+    return _decomposition_from_vectors(U.conj() @ M.T)
 
 
 def _row_entropy_parts(sq: np.ndarray) -> np.ndarray:
@@ -115,7 +110,7 @@ def _descend(T, W, f, moves, max_sweeps: int):
 
             coarse = pair_obj(scan[None, :], X[:, None, :], Y[:, None, :])
             best = np.argmin(coarse, axis=1)
-            t = _golden_vec(pair_obj, scan[best] - step, scan[best] + step)
+            t = golden_vec(pair_obj, scan[best] - step, scan[best] + step)
             ft = rest + pair_obj(t)
             improved = ft < f[idx]
             gidx = idx[improved]
@@ -133,27 +128,6 @@ def _descend(T, W, f, moves, max_sweeps: int):
         if not active.any():
             break
     return T, W, f
-
-
-def _golden_vec(obj, lo, hi, iters: int = 45) -> np.ndarray:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = obj(c)
-    fd = obj(d)
-    for _ in range(iters):
-        shrink_right = fc < fd
-        hi = np.where(shrink_right, d, hi)
-        lo = np.where(shrink_right, lo, c)
-        c_new = hi - _INVPHI * (hi - lo)
-        d_new = lo + _INVPHI * (hi - lo)
-        probe = np.where(shrink_right, c_new, d_new)
-        fp = obj(probe)
-        c_next = np.where(shrink_right, c_new, d)
-        fc_next = np.where(shrink_right, fp, fd)
-        d_next = np.where(shrink_right, c, d_new)
-        fd_next = np.where(shrink_right, fc, fp)
-        c, d, fc, fd = c_next, d_next, fc_next, fd_next
-    return 0.5 * (lo + hi)
 
 
 def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_sweeps: int):

@@ -26,7 +26,7 @@ def check_pure_state(psi) -> np.ndarray:
     """Return psi as a complex vector, raising unless it is normalized."""
     psi = np.asarray(psi, dtype=complex).ravel()
     norm2 = float(np.vdot(psi, psi).real)
-    if abs(norm2 - 1.0) > NORM_TOL:
+    if not abs(norm2 - 1.0) <= NORM_TOL:
         raise ValueError(f"pure state has squared norm {norm2!r}, not 1")
     return psi
 
@@ -35,10 +35,10 @@ def check_density_matrix(omega) -> np.ndarray:
     """Return omega as a complex array, raising unless it is a valid state."""
     omega = check_hermitian(omega)
     tr = float(np.trace(omega).real)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix has trace {tr!r}, not 1")
     evals = np.linalg.eigvalsh(omega)
-    if evals[0] < -PSD_TOL:
+    if not evals[0] >= -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals[0]!r}")
     return omega
 
@@ -72,11 +72,12 @@ def von_neumann_entropy(omega) -> float:
 
 
 def real_projection(omega) -> np.ndarray:
-    """Average of omega with its transpose; idempotent, fixes real states."""
+    """Average of omega with its transpose; idempotent, fixes real states.
+
+    The transpose of a state is a state, so the average is one too.
+    """
     omega = check_density_matrix(omega)
     proj = 0.5 * (omega + omega.T)
-    evals = np.linalg.eigvalsh(proj)
-    assert evals[0] >= -PSD_TOL, "projection of a valid state left the state space"
     if np.max(np.abs(proj.imag)) == 0.0:
         return proj.real.astype(complex)
     return proj
@@ -112,7 +113,7 @@ def twirl_s3(omega) -> float:
 def check_z(z: float) -> float:
     """Validate the symmetric-family parameter z in [-1/2, 1]."""
     z = float(z)
-    if z < Z_MIN - 1e-12 or z > Z_MAX + 1e-12:
+    if not Z_MIN - 1e-12 <= z <= Z_MAX + 1e-12:
         raise ValueError(f"z = {z!r} outside [-1/2, 1]")
     return min(max(z, Z_MIN), Z_MAX)
 

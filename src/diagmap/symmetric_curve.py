@@ -16,18 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import eta
+from .entropy import LN2, LN3, eta
 from .hull import tangent_from_point
+from .linesearch import INVPHI
 from .states import Decomposition, check_pure_state, check_z
-
-LN2 = math.log(2.0)
-LN3 = math.log(3.0)
 
 UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 
 THETA_PERIOD = math.pi / 3.0  # fundamental theta domain after symmetry
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 REGION_LOWER_LINEAR = "lower_linear"
 REGION_ROOF = "roof_equals_epsilon"
@@ -62,13 +59,18 @@ def _alpha_beta(z: float):
     return math.sqrt(max(2.0 * z + 1.0, 0.0)), math.sqrt(max(1.0 - z, 0.0))
 
 
-def abc_from_theta(z: float, theta: float) -> ThetaPoint:
-    """Amplitudes with a^2+b^2+c^2 = 1 and ab+bc+ca = z at angle theta."""
-    z = check_z(z)
+def _amplitudes(z: float, theta: float):
     alpha, beta = _alpha_beta(z)
     a = (alpha + 2.0 * beta * math.cos(theta)) / 3.0
     b = (alpha - 2.0 * beta * math.cos(theta - math.pi / 3.0)) / 3.0
     c = (alpha - 2.0 * beta * math.cos(theta + math.pi / 3.0)) / 3.0
+    return a, b, c
+
+
+def abc_from_theta(z: float, theta: float) -> ThetaPoint:
+    """Amplitudes with a^2+b^2+c^2 = 1 and ab+bc+ca = z at angle theta."""
+    z = check_z(z)
+    a, b, c = _amplitudes(z, theta)
     return ThetaPoint(z=z, theta=theta, a=a, b=b, c=c)
 
 
@@ -81,10 +83,7 @@ def theta0_entropy(z: float) -> float:
 
 
 def _entropy_at(z: float, theta: float) -> float:
-    alpha, beta = _alpha_beta(z)
-    a = (alpha + 2.0 * beta * math.cos(theta)) / 3.0
-    b = (alpha - 2.0 * beta * math.cos(theta - math.pi / 3.0)) / 3.0
-    c = (alpha - 2.0 * beta * math.cos(theta + math.pi / 3.0)) / 3.0
+    a, b, c = _amplitudes(z, theta)
     out = 0.0
     for v in (a * a, b * b, c * c):
         if v > 1e-300:
@@ -116,18 +115,18 @@ def min_pure_output_entropy(z: float, *, coarse: int = 256):
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, coarse - 1)]
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
+    c = hi - INVPHI * (hi - lo)
+    d = lo + INVPHI * (hi - lo)
     fc = _entropy_at(z, c)
     fd = _entropy_at(z, d)
     while hi - lo > 1e-12:
         if fc < fd:
             hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
+            c = hi - INVPHI * (hi - lo)
             fc = _entropy_at(z, c)
         else:
             lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
+            d = lo + INVPHI * (hi - lo)
             fd = _entropy_at(z, d)
     theta = float(0.5 * (lo + hi))
     value = _entropy_at(z, theta)
@@ -171,12 +170,7 @@ def lower_tangent_z() -> float:
 @lru_cache(maxsize=1)
 def _curve_params():
     zstar = lower_tangent_z()
-    s_star = theta0_entropy(zstar)
-    # the closed form is only stated piecewise; both junctions must meet
-    p = (zstar - zstar) / (zstar + 0.5)
-    assert abs((p * LN2 + (1.0 - p) * s_star) - s_star) < 1e-10
-    assert abs(theta0_entropy(UPPER_KNEE) - UPPER_KNEE_VALUE) < 1e-10
-    return zstar, s_star
+    return zstar, theta0_entropy(zstar)
 
 
 def entanglement_entropy(z: float) -> float:

@@ -1,326 +1,103 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance criteria: the checks of `diagmap verify`, grouped by criterion.
 
-Run with `pytest -s tests/test_acceptance.py` to see the lines, or use the
-`diagmap verify all` command for the equivalent report.
+Every acceptance check, with its inputs and tolerances, is written once in
+`diagmap.verify`. This file only assigns each function of `verify.SUITES` to
+one of ten criteria, runs each criterion within its time budget and prints
+one PASS/FAIL line per criterion: run `pytest -s tests/test_acceptance.py`
+to see them. `diagmap verify all` runs the same checks through the CLI.
 """
 
-import math
 import time
+from collections import Counter
 
-import numpy as np
-from numpy.random import Generator, Philox
+from diagmap import verify
 
-from diagmap.face_minimum import (
-    brute_force_min_face,
-    lagrange_roots,
-    min_face_entropy,
-    root_square_sum,
-    two_value_entropy,
-)
-from diagmap.hull import SampledCurve, lower_convex_hull
-from diagmap.lambert import lambert_w0, lambert_wm1
-from diagmap.roof import real_roof_upper_bound, roof_upper_bound
-from diagmap.states import (
-    diagonal_channel,
-    symmetric_state,
-    twirl_s3,
-)
-from diagmap.symmetric_curve import (
-    UPPER_KNEE,
-    entanglement_entropy,
-    lower_tangent_z,
-    min_pure_output_entropy,
-    optimal_decomposition,
-    rank2_entanglement,
-    rank2_state,
-    theta0_entropy,
-    theta_transition,
-)
-
-LN2 = math.log(2.0)
-LN3 = math.log(3.0)
-INV_E = math.exp(-1.0)
+# criterion -> (checks, time budget in seconds); test_criterion_<criterion> runs it
+CRITERIA = {
+    "01_curve_anchors": ((verify.check_curve_anchors,), 1.0),
+    "02_lower_tangency": ((verify.check_lower_tangency,), 1.0),
+    "03_theta_transition": ((verify.check_theta_transition,), 10.0),
+    "04_junctions": ((verify.check_junctions,), 5.0),
+    "05_face_minimum_table": ((verify.check_face_table,), 180.0),
+    "06_bifurcation": ((verify.check_bifurcation, verify.check_minimizer_states), 1.0),
+    "07_lambert_machinery": ((verify.check_lambert, verify.check_three_root_entropy), 5.0),
+    "08_oracle_agreement": (
+        (
+            verify.check_oracle_curve,
+            verify.check_oracle_rank2,
+            verify.check_flat_leaf,
+            verify.check_m_monotonicity,
+        ),
+        300.0,
+    ),
+    "09_decomposition_validity": ((verify.check_decompositions, verify.check_curve_hull_agreement), 10.0),
+    "10_property_suites": (
+        (
+            verify.check_hull_properties,
+            verify.check_twirl_and_channel,
+            verify.check_two_value_concavity,
+            verify.check_projection_inequality,
+        ),
+        120.0,
+    ),
+}
 
 
-def _report(number, passed, detail, started):
-    elapsed = time.perf_counter() - started
-    tag = "PASS" if passed else "FAIL"
-    print(f"{tag} criterion {number:2d}: {detail} [{elapsed:.1f}s]")
-    assert passed, f"criterion {number}: {detail}"
-    return elapsed
+def _run_criterion(name):
+    checks, budget = CRITERIA[name]
+    t0 = time.perf_counter()
+    results = [check() for check in checks]
+    elapsed = time.perf_counter() - t0
+    passed = all(res.passed for res in results)
+    detail = "; ".join(f"{res.name}: {res.detail}" for res in results)
+    print(f"{'PASS' if passed else 'FAIL'} criterion {name[:2]}: {detail} [{elapsed:.1f}s]")
+    assert passed, detail
+    assert elapsed < budget, f"took {elapsed:.1f}s, budget {budget:.0f}s"
 
 
 def test_criterion_01_curve_anchors():
-    t0 = time.perf_counter()
-    errs = (
-        abs(entanglement_entropy(-0.5) - LN2),
-        abs(entanglement_entropy(0.0)),
-        abs(entanglement_entropy(1.0) - LN3),
-    )
-    elapsed = _report(
-        1,
-        max(errs) < 1e-9,
-        f"anchors log2/0/log3 deviate by at most {max(errs):.2e} (tol 1e-9)",
-        t0,
-    )
-    assert elapsed < 1.0
+    _run_criterion("01_curve_anchors")
 
 
 def test_criterion_02_lower_tangency():
-    t0 = time.perf_counter()
-    zstar = lower_tangent_z()
-    s_star = theta0_entropy(zstar)
-    ok = abs(zstar - (-0.4079496711)) < 1e-6 and abs(s_star - 0.470016) < 1e-5
-    elapsed = _report(
-        2,
-        ok,
-        f"z* = {zstar:.10f} (tol 1e-6), value {s_star:.6f} (tol 1e-5)",
-        t0,
-    )
-    assert elapsed < 1.0
+    _run_criterion("02_lower_tangency")
 
 
 def test_criterion_03_theta_transition():
-    t0 = time.perf_counter()
-    zt = theta_transition()
-    _, theta_edge = min_pure_output_entropy(-0.5)
-    ok = abs(zt - (-0.4150234)) < 1e-4 and abs(theta_edge - math.pi / 6.0) < 1e-6
-    elapsed = _report(
-        3,
-        ok,
-        f"transition {zt:.7f} (tol 1e-4), theta_min(-1/2) = {theta_edge:.9f} (tol 1e-6)",
-        t0,
-    )
-    assert elapsed < 10.0
+    _run_criterion("03_theta_transition")
 
 
 def test_criterion_04_junctions():
-    t0 = time.perf_counter()
-    eps_knee, _ = min_pure_output_entropy(UPPER_KNEE)
-    knee_err = abs(eps_knee - (LN3 - LN2 / 3.0))
-    assert abs((LN3 - LN2 / 3.0) - 0.867563) < 1e-6
-    zstar = lower_tangent_z()
-    jumps = max(
-        abs(entanglement_entropy(zstar - 1e-12) - entanglement_entropy(zstar + 1e-12)),
-        abs(entanglement_entropy(UPPER_KNEE - 1e-12) - entanglement_entropy(UPPER_KNEE + 1e-12)),
-    )
-    elapsed = _report(
-        4,
-        knee_err < 1e-6 and jumps < 1e-10,
-        f"epsilon(5/6) off by {knee_err:.2e} (tol 1e-6), junction jumps {jumps:.2e} (tol 1e-10)",
-        t0,
-    )
-    assert elapsed < 5.0
+    _run_criterion("04_junctions")
 
 
 def test_criterion_05_face_minimum_table():
-    t0 = time.perf_counter()
-    for n in range(2, 7):
-        assert abs(min_face_entropy(n) - LN2) < 1e-15
-    for n in range(7, 13):
-        direct = math.log(n) - (1.0 - 2.0 / n) * math.log(n - 1.0)
-        assert abs(min_face_entropy(n) - direct) < 1e-13
-    worst_gap = 0.0
-    worst_under = 0.0
-    for n in range(2, 11):
-        value, _ = brute_force_min_face(n, restarts=50 * n, seed=5)
-        closed = min_face_entropy(n)
-        worst_gap = max(worst_gap, abs(value - closed))
-        worst_under = max(worst_under, closed - value)
-    elapsed = _report(
-        5,
-        worst_gap < 1e-6 and worst_under < 1e-9,
-        f"search gap {worst_gap:.2e} (tol 1e-6), undercut {worst_under:.2e} (tol 1e-9) for N = 2..10",
-        t0,
-    )
-    assert elapsed < 180.0
+    _run_criterion("05_face_minimum_table")
 
 
 def test_criterion_06_bifurcation():
-    t0 = time.perf_counter()
-    at6 = math.log(6.0) - (1.0 - 2.0 / 6.0) * math.log(5.0)
-    at7 = math.log(7.0) - (1.0 - 2.0 / 7.0) * math.log(6.0)
-    ok = (
-        at6 > LN2
-        and at7 < LN2
-        and abs(at7 - 0.666082) < 1e-6
-        and abs(min_face_entropy(6) - LN2) < 1e-15
-        and abs(min_face_entropy(7) - at7) < 1e-15
-    )
-    elapsed = _report(
-        6,
-        ok,
-        f"one-vs-rest value {at6:.6f} > log2 at N=6 and {at7:.6f} < log2 at N=7",
-        t0,
-    )
-    assert elapsed < 1.0
+    _run_criterion("06_bifurcation")
 
 
 def test_criterion_07_lambert_machinery():
-    t0 = time.perf_counter()
-    xs0 = np.concatenate(
-        [
-            np.logspace(-300, 6, 400),
-            -INV_E + np.logspace(-15, math.log10(INV_E) - 1e-9, 300),
-            -np.logspace(-300, math.log10(INV_E) - 1e-6, 300),
-        ]
-    )
-    worst0 = max(
-        abs(lambert_w0(float(x)) * math.exp(lambert_w0(float(x))) - x) / max(1.0, abs(x))
-        for x in xs0
-    )
-    us = np.logspace(math.log10(1.0 + 1e-9), math.log10(690.0), 500)
-    xsm = np.concatenate([-np.exp(-us), -INV_E + np.logspace(-15, math.log10(INV_E) - 0.05, 500)])
-    worstm = max(
-        abs(lambert_wm1(float(x)) * math.exp(lambert_wm1(float(x))) - x) / max(1.0, abs(x))
-        for x in xsm
-    )
-    g = Generator(Philox(key=np.array([17, 0], dtype=np.uint64)))
-    worst_root = 0.0
-    checked = 0
-    while checked < 200:
-        lam = float(g.uniform(-2.0, 2.0))
-        if abs(lam) < 1e-3:
-            continue
-        mu = float(g.uniform(-3.0, 3.0))
-        for x in lagrange_roots(lam, mu).roots:
-            worst_root = max(worst_root, abs(lam + mu * x - x * math.log(x * x)))
-        checked += 1
-    zetas = np.linspace(INV_E / 1000.0, INV_E, 1000)
-    gvals = np.array([root_square_sum(float(zz)) for zz in zetas])
-    g_ok = bool(np.all(gvals > 2.0) and np.all(np.diff(gvals) > 0.0))
-    ok = worst0 <= 1e-12 and worstm <= 1e-12 and worst_root <= 1e-9 and g_ok
-    elapsed = _report(
-        7,
-        ok,
-        f"W residuals {worst0:.1e}/{worstm:.1e} (tol 1e-12), root residual {worst_root:.1e} (tol 1e-9), "
-        f"square-sum monotone above 2: {g_ok}",
-        t0,
-    )
-    assert elapsed < 5.0
-
-
-_CURVE_SAMPLES = (
-    -0.5, -0.48, -0.46, -0.44, -0.42, -0.41,
-    -0.35, -0.25, -0.1, 0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 5.0 / 6.0,
-    0.87, 0.92, 0.96, 1.0,
-)
+    _run_criterion("07_lambert_machinery")
 
 
 def test_criterion_08_oracle_agreement():
-    t0 = time.perf_counter()
-    worst_curve = 0.0
-    for z in _CURVE_SAMPLES:
-        res = real_roof_upper_bound(symmetric_state(z).real, m=6, restarts=200, seed=7)
-        worst_curve = max(worst_curve, abs(res.value - entanglement_entropy(z)))
-    g = Generator(Philox(key=np.array([13, 1], dtype=np.uint64)))
-    worst_rank2 = 0.0
-    for _ in range(10):
-        z = float(g.uniform(0.15, 0.85))
-        phi = float(g.uniform(0.0, 2.0 * math.pi))
-        a, b = math.cos(phi), math.sin(phi)
-        x = float(g.uniform(-0.95, 0.95)) * math.sqrt(z * (1.0 - z))
-        omega = rank2_state(z, x, a, b).real
-        res = real_roof_upper_bound(omega, m=4, restarts=80, seed=13)
-        worst_rank2 = max(worst_rank2, abs(res.value - rank2_entanglement(z, x, a, b)))
-    elapsed = _report(
-        8,
-        worst_curve < 1e-5 and worst_rank2 < 1e-5,
-        f"search vs curve {worst_curve:.2e} at {len(_CURVE_SAMPLES)} points, "
-        f"vs rank-2 closed form {worst_rank2:.2e} (tol 1e-5)",
-        t0,
-    )
-    assert elapsed < 300.0
+    _run_criterion("08_oracle_agreement")
 
 
 def test_criterion_09_decomposition_validity():
-    t0 = time.perf_counter()
-    zstar = lower_tangent_z()
-    worst_recon = 0.0
-    worst_avg = 0.0
-    lengths = set()
-    for z in np.linspace(-0.5, 1.0, 50):
-        dec = optimal_decomposition(float(z))
-        lengths.add(len(dec))
-        worst_recon = max(
-            worst_recon, float(np.max(np.abs(dec.mixture() - symmetric_state(float(z)))))
-        )
-        worst_avg = max(worst_avg, abs(dec.average_output_entropy() - entanglement_entropy(float(z))))
-    two_orbit = optimal_decomposition(0.5 * (zstar - 0.5))
-    orbit_plus_pure = optimal_decomposition(0.95)
-    ok = (
-        worst_recon < 1e-9
-        and worst_avg < 1e-8
-        and len(two_orbit) == 6
-        and len(orbit_plus_pure) == 4
-    )
-    elapsed = _report(
-        9,
-        ok,
-        f"reconstruction {worst_recon:.2e} (tol 1e-9), entropy average {worst_avg:.2e} (tol 1e-8), "
-        f"lengths seen {sorted(lengths)}",
-        t0,
-    )
-    assert elapsed < 10.0
+    _run_criterion("09_decomposition_validity")
 
 
 def test_criterion_10_property_suites():
-    t0 = time.perf_counter()
-    g = Generator(Philox(key=np.array([23, 0], dtype=np.uint64)))
-    # hull: idempotence, monotonicity, brute-force epigraph agreement
-    for _ in range(10):
-        n = int(g.integers(5, 21))
-        xs = np.cumsum(g.uniform(0.05, 1.0, size=n))
-        ys = g.standard_normal(n)
-        res = lower_convex_hull(SampledCurve(xs=xs, ys=ys))
-        again = lower_convex_hull(SampledCurve(xs=xs, ys=res.hull_ys))
-        assert np.max(np.abs(again.hull_ys - res.hull_ys)) < 1e-12
-        raised = ys.copy()
-        raised[int(g.integers(0, n))] += 0.7
-        res2 = lower_convex_hull(SampledCurve(xs=xs, ys=raised))
-        assert np.all(res2.hull_ys >= res.hull_ys - 1e-12)
-        for i in range(n):
-            best = ys[i]
-            for j in range(i + 1):
-                for k in range(i, n):
-                    if j == k:
-                        val = ys[j]
-                    else:
-                        w = (xs[i] - xs[j]) / (xs[k] - xs[j])
-                        val = (1.0 - w) * ys[j] + w * ys[k]
-                    best = min(best, val)
-            assert abs(res.hull_ys[i] - best) < 1e-9
-    # diagonal channel: idempotence and trace preservation, exactly
-    for _ in range(20):
-        a = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
-        omega = a @ a.conj().T
-        omega /= np.trace(omega).real
-        once = diagonal_channel(omega)
-        assert np.array_equal(diagonal_channel(once), once)
-        assert np.trace(once) == np.trace(omega)
-    # twirl inverts the symmetric family
-    for z in np.linspace(-0.5, 1.0, 101):
-        assert abs(twirl_s3(symmetric_state(float(z))) - float(z)) < 1e-12
-    # two-value entropy concavity up to N = 50
-    for n_dim in range(3, 51):
-        vals = [two_value_entropy(n_dim, n) for n in range(1, n_dim)]
-        assert np.all(np.diff(vals, 2) <= 1e-12)
-    # projection inequality on 100 random complex states; the bound is the
-    # average of an explicit decomposition, so any search budget is sound
-    worst_short = -math.inf
-    for i in range(100):
-        gi = Generator(Philox(key=np.array([29, i], dtype=np.uint64)))
-        a = gi.standard_normal((3, 3)) + 1j * gi.standard_normal((3, 3))
-        omega = a @ a.conj().T
-        omega /= np.trace(omega).real
-        bound = roof_upper_bound(omega, m=3, restarts=2, seed=29, max_sweeps=40).value
-        ref = entanglement_entropy(twirl_s3(omega))
-        worst_short = max(worst_short, ref - bound)
-        assert bound >= ref - 1e-6
-    elapsed = _report(
-        10,
-        True,
-        f"hull/channel/twirl/concavity properties hold; worst projection shortfall {worst_short:.2e} (tol 1e-6)",
-        t0,
-    )
-    assert elapsed < 120.0
+    _run_criterion("10_property_suites")
+
+
+def test_every_check_runs_in_exactly_one_criterion():
+    in_criteria = Counter(check.__name__ for checks, _ in CRITERIA.values() for check in checks)
+    in_suites = {check.__name__ for checks in verify.SUITES.values() for check in checks}
+    assert in_criteria == Counter(in_suites)
+    # and every criterion has its test
+    assert {f"test_criterion_{name}" for name in CRITERIA} <= set(globals())

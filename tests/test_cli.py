@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from diagmap import verify
+from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from diagmap.states import symmetric_state, write_density_matrix
 
 LN2 = math.log(2.0)
@@ -149,6 +150,29 @@ def test_roof_estimate_parse_errors(tmp_path, capsys):
     code, _, err = _run(capsys, ["roof-estimate", str(bad)])
     assert code == EXIT_PARSE
     assert "trace" in err
+    nan = tmp_path / "nan.txt"
+    nan.write_text("2\nnan+0j nan+0j\nnan+0j nan+0j\n")
+    code, out, _ = _run(capsys, ["roof-estimate", str(nan)])
+    assert code == EXIT_PARSE
+    assert "upper bound" not in out
+
+
+def test_verify_suite_passes(capsys):
+    code, out, _ = _run(capsys, ["verify", "edcurve"])
+    assert code == EXIT_OK
+    assert out.count("PASS  ") == 7
+    assert out.splitlines()[-1] == "7/7 checks passed"
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    def failing_check():
+        return verify.CheckResult(name="forced failure", passed=False, detail="always fails")
+
+    monkeypatch.setitem(verify.SUITES, "rank2", (failing_check,))
+    code, out, _ = _run(capsys, ["verify", "rank2"])
+    assert code == EXIT_VERIFY_FAILED
+    assert "FAIL  forced failure: always fails" in out
+    assert out.splitlines()[-1] == "0/1 checks passed"
 
 
 def test_verify_rejects_unknown_suite():

@@ -32,6 +32,9 @@ def test_eta_domain_errors():
         eta(-1e-11)
     with pytest.raises(ValueError):
         eta(1.1)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            eta(x)
 
 
 def test_eta_concavity():
@@ -64,6 +67,9 @@ def test_shannon_entropy_rejects_bad_vectors():
         shannon_entropy([0.5, 0.4])
     with pytest.raises(ValueError):
         shannon_entropy([1.1, -0.1])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            shannon_entropy([bad, 1.0])
 
 
 def test_clamp_probabilities():
@@ -71,6 +77,9 @@ def test_clamp_probabilities():
     assert p[1] == 0.0
     with pytest.raises(ValueError):
         clamp_probabilities([1.0, -1e-11])
+    for bad in ([math.nan, 1.0], [1.0, math.inf], [1.0, -math.inf]):
+        with pytest.raises(ValueError):
+            clamp_probabilities(bad)
 
 
 def test_eigenvalues_scalar_matrix():
@@ -120,3 +129,6 @@ def test_eigenvalues_characteristic_residual():
 def test_eigenvalues_reject_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            hermitian_eigenvalues(bad)

@@ -46,6 +46,9 @@ def test_closed_form_vanishes_at_large_n():
 def test_closed_form_domain():
     with pytest.raises(ValueError):
         min_face_entropy(1)
+    with pytest.raises(TypeError):
+        min_face_entropy(7.5)
+    assert min_face_entropy(np.int64(7)) == min_face_entropy(7)
 
 
 def test_bifurcation_between_six_and_seven():
@@ -119,6 +122,10 @@ def test_two_value_entropy_domain():
         two_value_entropy(5, 0)
     with pytest.raises(ValueError):
         two_value_entropy(5, 5)
+    with pytest.raises(TypeError):
+        two_value_entropy(7.5, 2)
+    with pytest.raises(TypeError):
+        two_value_entropy(7, 2.5)
 
 
 def test_lagrange_roots_single_root_regime():

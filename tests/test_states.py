@@ -62,6 +62,9 @@ def test_pure_to_density_is_projector():
 def test_pure_to_density_rejects_unnormalized():
     with pytest.raises(ValueError):
         pure_to_density([1.0, 1.0, 0.0])
+    for bad in ([math.nan, 1.0], [math.inf, 0.0]):
+        with pytest.raises(ValueError):
+            pure_to_density(bad)
 
 
 def test_diagonal_channel_on_symmetric_family():
@@ -174,6 +177,9 @@ def test_symmetric_state_domain():
         symmetric_state(-0.6)
     with pytest.raises(ValueError):
         symmetric_state(1.01)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            symmetric_state(bad)
 
 
 def test_uniform_fidelity():
@@ -239,6 +245,9 @@ def test_check_density_matrix_tolerances():
     bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         check_density_matrix(bad)
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            check_density_matrix(bad)
 
 
 def test_format_density_matrix_roundtrips_small_imaginaries():

@@ -1,0 +1,60 @@
+"""A NaN from the code under test fails the acceptance check that reads it."""
+
+import types
+
+import numpy as np
+import pytest
+
+from diagmap import face_minimum as fm
+from diagmap import states as st
+from diagmap import symmetric_curve as sc
+from diagmap import verify
+
+
+@pytest.mark.parametrize(
+    "check, module, attr, nan_call",
+    [
+        ("check_curve_anchors", sc, "entanglement_entropy", 2),
+        ("check_decompositions", sc, "entanglement_entropy", 2),
+        ("check_minimizer_states", fm, "_face_objective", 2),
+        # the second call feeds no second difference; the fourth does
+        ("check_two_value_concavity", fm, "two_value_entropy", 4),
+        ("check_lambert", verify, "lambert_w0", 2),
+        ("check_three_root_entropy", fm, "root_square_sum", 2),
+        ("check_twirl_and_channel", st, "twirl_s3", 2),
+        ("check_twirl_and_channel", st, "diagonal_channel", 2),
+        ("check_twirl_and_channel", st, "diagonal_output_entropy", 2),
+        ("check_twirl_and_channel", st, "von_neumann_entropy", 2),
+    ],
+)
+def test_check_fails_on_one_nan(monkeypatch, check, module, attr, nan_call):
+    fn = getattr(module, attr)
+    calls = []
+
+    def with_nan(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return out * np.nan if len(calls) == nan_call else out
+
+    monkeypatch.setattr(module, attr, with_nan)
+    assert not getattr(verify, check)().passed
+
+
+@pytest.mark.parametrize(
+    "check, search, value",
+    [
+        ("check_flat_leaf", "roof_upper_bound", 0.0),
+        ("check_projection_inequality", "roof_upper_bound", 10.0),
+        ("check_m_monotonicity", "real_roof_upper_bound", 1.0),
+    ],
+)
+def test_search_check_fails_on_one_nan(monkeypatch, check, search, value):
+    # a search that passes the check except for one NaN value
+    calls = []
+
+    def fake_search(omega, m=3, **kwargs):
+        calls.append(None)
+        return types.SimpleNamespace(value=np.nan if len(calls) == 2 else value, isometry=np.zeros((m, 3)))
+
+    monkeypatch.setattr(verify, search, fake_search)
+    assert not getattr(verify, check)().passed
