@@ -33,12 +33,14 @@ def eta(x: float) -> float:
 
 
 def eta_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized -x*log(x) with eta(0) = 0. No domain validation."""
+    """Vectorized -x*log(x) with eta(0) = 0. No domain validation.
+
+    Entries at or below 1e-300 (zeros, subnormals and round-off negatives)
+    give a signed zero; NaN propagates.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 1e-300
-    out[pos] = -x[pos] * np.log(x[pos])
-    return out
+    lg = np.log(x, out=np.zeros(x.shape), where=x > 1e-300)
+    return -x * lg
 
 
 def clamp_probabilities(p, *, neg_tol: float = NEG_CLAMP, sum_tol: float = SUM_TOL) -> np.ndarray:
@@ -74,6 +76,8 @@ def check_hermitian(H, *, tol: float = HERMITIAN_TOL) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise ValueError("matrix has non-finite entries")
     dev = np.max(np.abs(H - H.conj().T))
     if not dev <= tol:
         raise ValueError(f"matrix is not hermitian (deviation {dev:.3e})")

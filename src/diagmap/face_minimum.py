@@ -96,6 +96,8 @@ def lagrange_roots(lam: float, mu: float) -> StationaryRoots:
     """Classify the stationary amplitudes for multipliers (lam, mu)."""
     lam = float(lam)
     mu = float(mu)
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise ValueError(f"multipliers must be finite, got lam={lam!r}, mu={mu!r}")
     if lam == 0.0:
         raise ValueError("lam must be nonzero (zero gives the pair-state family)")
     zeta = 0.5 * abs(lam) * math.exp(-0.5 * mu)

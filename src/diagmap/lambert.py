@@ -37,12 +37,12 @@ def _halley(x: float, w: float) -> float:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal real branch W0(x), defined for x >= -1/e."""
-    if x < BRANCH_POINT:
-        if x > BRANCH_POINT - 1e-15:
+    """Principal real branch W0(x), defined for finite x >= -1/e."""
+    if not BRANCH_POINT <= x < math.inf:
+        if BRANCH_POINT - 1e-15 < x < BRANCH_POINT:
             x = BRANCH_POINT
         else:
-            raise ValueError(f"lambert_w0 argument {x!r} below -1/e")
+            raise ValueError(f"lambert_w0 argument {x!r} outside [-1/e, inf)")
     if x == 0.0:
         return 0.0
     p = math.sqrt(max(2.0 * (1.0 + math.e * x), 0.0))
@@ -61,7 +61,7 @@ def lambert_w0(x: float) -> float:
 
 def lambert_wm1(x: float) -> float:
     """Secondary real branch W-1(x), defined for -1/e <= x < 0."""
-    if x >= 0.0:
+    if not x < 0.0:
         raise ValueError(f"lambert_wm1 argument {x!r} not negative")
     if x < BRANCH_POINT:
         if x > BRANCH_POINT - 1e-15:

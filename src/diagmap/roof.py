@@ -7,6 +7,13 @@ search walks that matrix with Givens rotations (plus phase rotations in
 the complex case), which keep it exactly orthonormal, and minimizes the
 weighted output entropy of the resulting decomposition by cyclic
 coordinate descent over rotation angles with restarts.
+
+Under a rotation of two rows by t every squared modulus is exactly
+A + B cos 2t + C sin 2t (the Jacobi-angle structure of Cardoso and
+Souloumiac, SIAM J. Matrix Anal. Appl. 17, 161 (1996)), so each line-search
+probe evaluates the pair's terms from three coefficient arrays without
+rotating the rows.  The objective is a sum of row terms, so the disjoint
+pairs of one round-robin round are searched as one batch.
 """
 
 import math
@@ -78,52 +85,106 @@ def _rotate(X, Y, t, phase: bool):
     return c * X - s * Y, s * X + c * Y
 
 
-def _descend(T, W, f, moves, max_sweeps: int):
+# The 24-point scan of the pair line search over [-pi, pi) and the golden
+# bracket of one scan step on either side of its best point.
+_SCAN = np.linspace(-math.pi, math.pi, 24, endpoint=False)
+_STEP = _SCAN[1] - _SCAN[0]
+_COS2 = np.cos(2.0 * _SCAN)[:, None]
+_SIN2 = np.sin(2.0 * _SCAN)[:, None]
+
+
+def _sweep_schedule(m: int, complex_moves: bool):
+    """One sweep's moves as batches (I, J, phase) of disjoint row pairs
+    (I[p], J[p]).
+
+    The circle-method round robin gives m - 1 rounds of m/2 pairs for even
+    m and m rounds of (m - 1)/2 pairs for odd m, which together cover every
+    pair once.  Each round is one batch of Givens moves and, in a complex
+    search, one more batch of phase moves.
+    """
+    seats = list(range(m)) + [-1] * (m % 2)  # -1 is the bye of odd m
+    half = len(seats) // 2
+    batches = []
+    for _ in range(len(seats) - 1):
+        pairs = [(min(a, b), max(a, b)) for a, b in zip(seats[:half], seats[::-1][:half]) if a >= 0 and b >= 0]
+        if pairs:
+            I, J = (np.array(col) for col in zip(*pairs))
+            batches.append((I, J, False))
+            if complex_moves:
+                batches.append((I, J, True))
+        seats = [seats[0], seats[-1]] + seats[1:-1]
+    return batches
+
+
+def _pair_coefficients(X, Y, phase: bool):
+    """Return K0, K1, K2 and w for the rows X and Y (stacked over leading
+    axes) such that after _rotate(X, Y, t, phase) the squared moduli of the
+    columns [|x_k|^2, |y_k|^2, |x|^2, |y|^2] are exactly
+    K0 + K1 cos 2t + K2 sin 2t, and the two rows' objective terms are
+    _pair_terms(K0 + K1 cos 2t + K2 sin 2t, w)."""
+    ax = (X * X.conj()).real
+    ay = (Y * Y.conj()).real
+    xy = X * Y.conj()
+    # |x_k'|^2 = P + Q cos 2t + R sin 2t, and |y_k'|^2 = 2P - |x_k'|^2
+    P = 0.5 * (ax + ay)
+    Q = 0.5 * (ax - ay)
+    R = -(xy.imag if phase else xy.real)
+
+    def columns(A, y_sign):
+        total = A.sum(axis=-1, keepdims=True)
+        return np.concatenate([A, y_sign * A, total, y_sign * total], axis=-1)
+
+    w = np.ones(2 * X.shape[-1] + 2)
+    w[-2:] = -1.0
+    return columns(P, 1.0), columns(Q, -1.0), columns(R, -1.0), w
+
+
+def _pair_terms(sq, w):
+    # eta_array(sq) @ w, summed by einsum: matmul picks its BLAS kernel by
+    # shape, so a pair's value would depend on which others share its batch
+    return np.einsum("...c,c->...", eta_array(sq), w)
+
+
+def _round(T, W, f, idx, I, J, phase: bool):
+    """Line-search the rotation angle of every disjoint row pair
+    (I[p], J[p]) of the restarts idx as one batch, and apply each angle
+    that lowers its pair's terms to T and W.  The objective is a sum of
+    row terms, so the pairs do not interact.  Returns the angles and the
+    accepted mask, both of shape (len(idx), len(I))."""
+    rows = idx[:, None]
+    K0, K1, K2, w = _pair_coefficients(T[rows, I], T[rows, J], phase)
+
+    def probe(t):
+        t2 = 2.0 * t[..., None]
+        return _pair_terms(K0 + K1 * np.cos(t2) + K2 * np.sin(t2), w)
+
+    current = _pair_terms(K0 + K1, w)  # t = 0
+    coarse = _pair_terms(K0[..., None, :] + K1[..., None, :] * _COS2 + K2[..., None, :] * _SIN2, w)
+    best = _SCAN[np.argmin(coarse, axis=-1)]
+    t = golden_vec(probe, best - _STEP, best + _STEP)
+    new = probe(t)
+    improved = new < current
+    b, p = np.nonzero(improved)
+    r, i, j, tb = idx[b], I[p], J[p], t[b, p]
+    T[r, i], T[r, j] = _rotate(T[r, i], T[r, j], tb, phase)
+    W[r, i], W[r, j] = _rotate(W[r, i], W[r, j], tb, phase)
+    f[idx] += np.where(improved, new - current, 0.0).sum(axis=-1)
+    return t, improved
+
+
+def _descend(T, W, f, batches, max_sweeps: int):
     """Cyclic coordinate descent over rotation angles, vectorized across
-    restarts.  T holds the unnormalized decomposition vectors as rows and
-    W the isometry generating them; both receive the same rotations."""
-    n_restarts, m, _ = T.shape
-    scan = np.linspace(-math.pi, math.pi, 24, endpoint=False)
-    step = scan[1] - scan[0]
-    active = np.ones(n_restarts, dtype=bool)
+    restarts and across the disjoint pairs of each batch of
+    _sweep_schedule.  T holds the unnormalized decomposition vectors as
+    rows and W the isometry generating them; both receive the same
+    rotations.  f is recomputed from T after every sweep."""
+    active = np.ones(T.shape[0], dtype=bool)
     for _ in range(max_sweeps):
+        idx = np.nonzero(active)[0]
         f_before = f.copy()
-        for i, j, phase in moves:
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
-                break
-            X = T[idx, i, :]
-            Y = T[idx, j, :]
-            rest = (
-                f[idx]
-                - _row_entropy_parts((X * X.conj()).real)
-                - _row_entropy_parts((Y * Y.conj()).real)
-            )
-
-            def pair_obj(t, Xb=X, Yb=Y):
-                Xp, Yp = _rotate(Xb, Yb, t, phase)
-                sq_x = (Xp * Xp.conj()).real
-                sq_y = (Yp * Yp.conj()).real
-                ent = eta_array(np.concatenate([sq_x, sq_y], axis=-1)).sum(axis=-1)
-                norms = np.stack([sq_x.sum(axis=-1), sq_y.sum(axis=-1)], axis=-1)
-                return ent - eta_array(norms).sum(axis=-1)
-
-            coarse = pair_obj(scan[None, :], X[:, None, :], Y[:, None, :])
-            best = np.argmin(coarse, axis=1)
-            t = golden_vec(pair_obj, scan[best] - step, scan[best] + step)
-            ft = rest + pair_obj(t)
-            improved = ft < f[idx]
-            gidx = idx[improved]
-            if gidx.size:
-                tb = t[improved]
-                Xn, Yn = _rotate(X[improved], Y[improved], tb, phase)
-                T[gidx, i, :] = Xn
-                T[gidx, j, :] = Yn
-                Wi, Wj = _rotate(W[gidx, i, :], W[gidx, j, :], tb, phase)
-                W[gidx, i, :] = Wi
-                W[gidx, j, :] = Wj
-                f[gidx] = ft[improved]
-        f[active] = _objective(T[active])
+        for I, J, phase in batches:
+            _round(T, W, f, idx, I, J, phase)
+        f[idx] = _objective(T[idx])
         active &= (f_before - f) > SWEEP_TOL
         if not active.any():
             break
@@ -157,13 +218,7 @@ def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_swee
     W = np.stack(inits)
     T = W @ M.T
     f = _objective(T)
-    moves = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            moves.append((i, j, False))
-            if complex_moves:
-                moves.append((i, j, True))
-    T, W, f = _descend(T, W, f, moves, max_sweeps)
+    T, W, f = _descend(T, W, f, _sweep_schedule(m, complex_moves), max_sweeps)
     best = int(np.argmin(f))
     decomp = _decomposition_from_vectors(T[best])
     return RoofResult(

@@ -259,13 +259,13 @@ def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:
     together make the matrix a valid density matrix.
     """
     a, b, x = complex(a), complex(b), complex(x)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:
         raise ValueError("amplitudes must satisfy |a|^2 + |b|^2 = 1")
     z = float(z)
-    if z < -1e-12 or z > 1.0 + 1e-12:
+    if not -1e-12 <= z <= 1.0 + 1e-12:
         raise ValueError(f"z = {z!r} outside [0, 1]")
     z = min(max(z, 0.0), 1.0)
-    if abs(x) ** 2 > z * (1.0 - z) + 1e-12:
+    if not abs(x) ** 2 <= z * (1.0 - z) + 1e-12:
         raise ValueError("|x|^2 exceeds z(1-z); matrix would not be positive")
     omega = np.array(
         [

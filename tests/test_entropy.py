@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.random import Generator, Philox
 from diagmap.entropy import (
     clamp_probabilities,
     eta,
+    eta_array,
     hermitian_eigenvalues,
     shannon_entropy,
 )
@@ -44,6 +46,16 @@ def test_eta_concavity():
         lhs = eta(t * x + (1.0 - t) * y)
         rhs = t * eta(x) + (1.0 - t) * eta(y)
         assert lhs >= rhs - 1e-12
+
+
+def test_eta_array_kernel():
+    g = Generator(Philox(key=np.array([7, 0], dtype=np.uint64)))
+    x = np.concatenate([g.uniform(0.0, 1.0, 500), 10.0 ** g.uniform(-300.0, 0.0, 500), [np.nextafter(1e-300, 1.0), 1.0]])
+    x = x.reshape(2, 3, -1)
+    assert np.array_equal(eta_array(x), -x * np.log(x))  # bit for bit
+    tiny = np.array([-1e-12, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 2.2e-308, 1e-300])
+    assert np.all(eta_array(tiny) == 0.0)
+    assert np.isnan(eta_array(np.array([0.5, np.nan]))[1])
 
 
 def test_shannon_entropy_values():
@@ -130,5 +142,6 @@ def test_eigenvalues_reject_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("error")
             hermitian_eigenvalues(bad)

@@ -186,6 +186,9 @@ def test_lagrange_roots_residuals_random():
 def test_lagrange_roots_rejects_zero_lambda():
     with pytest.raises(ValueError):
         lagrange_roots(0.0, 1.0)
+    for lam, mu in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError):
+            lagrange_roots(lam, mu)
 
 
 def test_root_square_sum_limits():

@@ -44,6 +44,12 @@ def test_domain_errors():
         lambert_wm1(0.0)
     with pytest.raises(ValueError):
         lambert_wm1(0.5)
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            lambert_w0(x)
+    for x in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            lambert_wm1(x)
 
 
 def test_w0_identity_residual():

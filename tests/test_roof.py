@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from diagmap import roof
 from diagmap.roof import decomposition_from_isometry, real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (
     diagonal_output_entropy,
@@ -186,3 +187,58 @@ def test_roof_default_m_escalates_for_symmetric_family():
     res = roof_upper_bound(symmetric_state(z), restarts=60, seed=8)
     assert res.value == pytest.approx(entanglement_entropy(z), abs=1e-5)
     assert res.isometry.shape[0] > 4
+
+
+@pytest.mark.parametrize("complex_rows, phase", [(False, False), (True, False), (True, True)])
+def test_pair_coefficients_match_explicit_rotation(complex_rows, phase):
+    g = Generator(Philox(key=np.array([55, 0], dtype=np.uint64)))
+    shape = (40, 3)
+    X = g.standard_normal(shape) + (1j * g.standard_normal(shape) if complex_rows else 0.0)
+    Y = g.standard_normal(shape) + (1j * g.standard_normal(shape) if complex_rows else 0.0)
+    X *= 0.6 / np.linalg.norm(X, axis=1, keepdims=True)
+    Y *= g.uniform(0.0, 0.8, (40, 1)) / np.linalg.norm(Y, axis=1, keepdims=True)
+    K0, K1, K2, w = roof._pair_coefficients(X, Y, phase)
+    for t in (np.zeros(40), g.uniform(-math.pi, math.pi, 40)):
+        Xr, Yr = roof._rotate(X, Y, t, phase)
+        explicit = roof._row_entropy_parts(abs(Xr) ** 2) + roof._row_entropy_parts(abs(Yr) ** 2)
+        probe = roof._pair_terms(K0 + K1 * np.cos(2 * t)[:, None] + K2 * np.sin(2 * t)[:, None], w)
+        assert np.max(np.abs(probe - explicit)) < 1e-13
+
+
+@pytest.mark.parametrize("m, complex_moves", [(6, False), (6, True), (5, False), (5, True)])
+def test_round_batch_matches_pairs_one_at_a_time(m, complex_moves):
+    g = Generator(Philox(key=np.array([56, m], dtype=np.uint64)))
+    omega = symmetric_state(-0.3)
+    M = roof._eigen_factor(omega if complex_moves else omega.real)
+    raw = g.standard_normal((7, m, 3)) + (1j * g.standard_normal((7, m, 3)) if complex_moves else 0.0)
+    W = np.stack([np.linalg.qr(a)[0] for a in raw])
+    T = W @ M.T
+    f = roof._objective(T)
+    idx = np.array([0, 2, 3, 6])
+    for I, J, phase in roof._sweep_schedule(m, complex_moves):
+        Tb, Wb, fb = T.copy(), W.copy(), f.copy()
+        t_batch, ok_batch = roof._round(Tb, Wb, fb, idx, I, J, phase)
+        Ts, Ws, fs = T.copy(), W.copy(), f.copy()
+        singles = [roof._round(Ts, Ws, fs, idx, I[p : p + 1], J[p : p + 1], phase) for p in range(len(I))]
+        assert np.array_equal(t_batch, np.hstack([t for t, _ in singles]))
+        assert np.array_equal(ok_batch, np.hstack([ok for _, ok in singles]))
+        assert ok_batch.any()
+        assert np.array_equal(Tb, Ts) and np.array_equal(Wb, Ws)
+        assert np.max(np.abs(fb - fs)) < 1e-14
+        assert np.max(np.abs(fb - roof._objective(Tb))) < 1e-13
+        T, W, f = Tb, Wb, fb
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_sweep_schedule_covers_every_move_once(m):
+    for complex_moves in (False, True):
+        batches = roof._sweep_schedule(m, complex_moves)
+        assert len(batches) == (m - 1 if m % 2 == 0 else m) * (2 if complex_moves else 1)
+        moves = []
+        for I, J, phase in batches:
+            assert len(I) == m // 2 and np.all(I < J)
+            assert len(set(I) | set(J)) == 2 * len(I)  # disjoint pairs
+            moves += [(i, j, phase) for i, j in zip(I.tolist(), J.tolist())]
+        phases = (False, True) if complex_moves else (False,)
+        expected = [(i, j, ph) for i in range(m) for j in range(i + 1, m) for ph in phases]
+        assert sorted(moves) == sorted(expected)

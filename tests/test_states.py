@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,7 +247,8 @@ def test_check_density_matrix_tolerances():
     with pytest.raises(ValueError):
         check_density_matrix(bad)
     for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("error")
             check_density_matrix(bad)
 
 

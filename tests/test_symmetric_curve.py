@@ -277,6 +277,11 @@ def test_rank2_state_validation():
         rank2_state(0.5, 0.6, 1.0, 0.0)  # |x|^2 > z(1-z)
     with pytest.raises(ValueError):
         rank2_state(1.4, 0.0, 1.0, 0.0)
+    for z, x, a in ((math.nan, 0.0, 1.0), (0.5, math.nan, 1.0), (0.5, complex(0.0, math.inf), 1.0), (0.5, 0.0, math.nan)):
+        with pytest.raises(ValueError):
+            rank2_state(z, x, a, 0.0)
+        with pytest.raises(ValueError):
+            rank2_entanglement(z, x, a, 0.0)
 
 
 def test_rank2_phases_are_irrelevant():
