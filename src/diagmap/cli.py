@@ -121,7 +121,11 @@ def cmd_min_output(args) -> int:
         print(f"  ... {len(states) - len(shown)} more by permutation")
     if args.oracle:
         restarts = args.restarts if args.restarts is not None else 50 * n
-        value, argmin = fm.brute_force_min_face(n, restarts=restarts, seed=args.seed)
+        try:
+            value, argmin = fm.brute_force_min_face(n, restarts=restarts, seed=args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"search minimum ({restarts} restarts, seed {args.seed}): {_fmt(value * scale)} {args.units}")
         print(f"gap to closed form: {_fmt((value - closed) * scale)}")
         print("argmin: (" + ", ".join(_fmt(x) for x in argmin) + ")")

@@ -17,7 +17,7 @@ from numpy.random import Generator, Philox
 
 from .entropy import LN2, eta_array
 from .lambert import lambert_w0, lambert_wm1
-from .linesearch import golden_vec
+from .linesearch import check_count, check_seed, golden_vec
 
 _INV_E = math.exp(-1.0)
 
@@ -153,8 +153,8 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    restarts = check_count("restarts", restarts)
+    seed = check_seed(seed)
     H = zero_sum_basis(N)
     Y = np.empty((restarts, N - 1))
     for k in range(restarts):

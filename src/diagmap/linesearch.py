@@ -1,5 +1,5 @@
-"""Vectorized golden-section line search of the roof and face-minimum
-searches.
+"""Pieces shared by the roof and face-minimum searches: the vectorized
+golden-section line search and the checks of their seed and budgets.
 
 The symmetric-curve angle minimization takes only INVPHI: it keeps its own
 scalar loop, whose stopping rule and bracket differ from golden_vec's fixed
@@ -7,6 +7,7 @@ step count, so routing it through golden_vec would change its results.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -33,3 +34,19 @@ def golden_vec(obj, lo, hi, iters: int = 45) -> np.ndarray:
         fd_next = np.where(shrink_right, fc, fp)
         c, d, fc, fd = c_next, d_next, fc_next, fd_next
     return 0.5 * (lo + hi)
+
+
+def check_seed(seed) -> int:
+    """An integer seed in [0, 2^64), the range of a Philox key word."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
+    return seed
+
+
+def check_count(name: str, value) -> int:
+    """A search budget (restarts, sweeps): an integer of at least 1."""
+    value = operator.index(value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .entropy import eta_array
-from .linesearch import golden_vec
+from .linesearch import check_count, check_seed, golden_vec
 from .states import Decomposition, check_density_matrix
 
 RANK_TOL = 1e-10
@@ -192,6 +192,9 @@ def _descend(T, W, f, batches, max_sweeps: int):
 
 
 def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_sweeps: int):
+    restarts = check_count("restarts", restarts)
+    max_sweeps = check_count("max_sweeps", max_sweeps)
+    seed = check_seed(seed)
     if not complex_moves:
         omega = np.asarray(omega).real.astype(float)
     M = _eigen_factor(omega)

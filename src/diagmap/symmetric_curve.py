@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import LN2, LN3, eta
+from .entropy import LN2, LN3, eta, eta_array
 from .hull import tangent_from_point
 from .linesearch import INVPHI
 from .states import Decomposition, check_pure_state, check_z
@@ -59,8 +59,7 @@ def _alpha_beta(z: float):
     return math.sqrt(max(2.0 * z + 1.0, 0.0)), math.sqrt(max(1.0 - z, 0.0))
 
 
-def _amplitudes(z: float, theta: float):
-    alpha, beta = _alpha_beta(z)
+def _amplitudes(alpha: float, beta: float, theta: float):
     a = (alpha + 2.0 * beta * math.cos(theta)) / 3.0
     b = (alpha - 2.0 * beta * math.cos(theta - math.pi / 3.0)) / 3.0
     c = (alpha - 2.0 * beta * math.cos(theta + math.pi / 3.0)) / 3.0
@@ -70,7 +69,7 @@ def _amplitudes(z: float, theta: float):
 def abc_from_theta(z: float, theta: float) -> ThetaPoint:
     """Amplitudes with a^2+b^2+c^2 = 1 and ab+bc+ca = z at angle theta."""
     z = check_z(z)
-    a, b, c = _amplitudes(z, theta)
+    a, b, c = _amplitudes(*_alpha_beta(z), theta)
     return ThetaPoint(z=z, theta=theta, a=a, b=b, c=c)
 
 
@@ -82,20 +81,28 @@ def theta0_entropy(z: float) -> float:
     return 2.0 * eta((alpha - beta) ** 2 / 9.0) + eta((alpha + 2.0 * beta) ** 2 / 9.0)
 
 
-def _entropy_at(z: float, theta: float) -> float:
-    a, b, c = _amplitudes(z, theta)
+def _output_entropy(alpha: float, beta: float, theta: float) -> float:
     out = 0.0
-    for v in (a * a, b * b, c * c):
+    for amp in _amplitudes(alpha, beta, theta):
+        v = amp * amp
         if v > 1e-300:
             out -= v * math.log(v)
     return out
 
 
-def min_pure_output_entropy(z: float, *, coarse: int = 256):
+# the coarse angle scan of min_pure_output_entropy: 256 equally spaced angles
+# on [0, pi/3] and the three cosines of _amplitudes on them
+_SCAN = np.linspace(0.0, THETA_PERIOD, 256)
+_SCAN_COS_A = np.cos(_SCAN)
+_SCAN_COS_B = np.cos(_SCAN - math.pi / 3.0)
+_SCAN_COS_C = np.cos(_SCAN + math.pi / 3.0)
+
+
+def min_pure_output_entropy(z: float):
     """Minimum over theta of the output entropy at fixed z.
 
     Returns (value, theta_min) with theta_min in [0, pi/6].  The search
-    scans `coarse` equally spaced angles on [0, pi/3] and refines the best
+    scans 256 equally spaced angles on [0, pi/3] and refines the best
     bracket by golden section to width 1e-12.
     """
     z = check_z(z)
@@ -103,36 +110,31 @@ def min_pure_output_entropy(z: float, *, coarse: int = 256):
     if beta == 0.0:
         # z = 1: the orbit degenerates to a single state
         return LN3, 0.0
-    grid = np.linspace(0.0, THETA_PERIOD, coarse)
-    ca = (alpha + 2.0 * beta * np.cos(grid)) / 3.0
-    cb = (alpha - 2.0 * beta * np.cos(grid - math.pi / 3.0)) / 3.0
-    cc = (alpha - 2.0 * beta * np.cos(grid + math.pi / 3.0)) / 3.0
-    vals = np.zeros_like(grid)
-    for comp in (ca, cb, cc):
-        sq = comp * comp
-        pos = sq > 1e-300
-        vals[pos] -= sq[pos] * np.log(sq[pos])
+    ca = (alpha + 2.0 * beta * _SCAN_COS_A) / 3.0
+    cb = (alpha - 2.0 * beta * _SCAN_COS_B) / 3.0
+    cc = (alpha - 2.0 * beta * _SCAN_COS_C) / 3.0
+    vals = eta_array(ca * ca) + eta_array(cb * cb) + eta_array(cc * cc)
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, coarse - 1)]
+    lo = _SCAN[max(i - 1, 0)]
+    hi = _SCAN[min(i + 1, _SCAN.size - 1)]
     c = hi - INVPHI * (hi - lo)
     d = lo + INVPHI * (hi - lo)
-    fc = _entropy_at(z, c)
-    fd = _entropy_at(z, d)
+    fc = _output_entropy(alpha, beta, c)
+    fd = _output_entropy(alpha, beta, d)
     while hi - lo > 1e-12:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - INVPHI * (hi - lo)
-            fc = _entropy_at(z, c)
+            fc = _output_entropy(alpha, beta, c)
         else:
             lo, c, fc = c, d, fd
             d = lo + INVPHI * (hi - lo)
-            fd = _entropy_at(z, d)
+            fd = _output_entropy(alpha, beta, d)
     theta = float(0.5 * (lo + hi))
-    value = _entropy_at(z, theta)
+    value = _output_entropy(alpha, beta, theta)
     # theta = 0 is always stationary; report it unless the found minimum
     # beats it beyond round-off (dips shallower than ~1e-13 are unresolvable)
-    value0 = _entropy_at(z, 0.0)
+    value0 = _output_entropy(alpha, beta, 0.0)
     if value0 <= value + 1e-13:
         return value0, 0.0
     if theta < 1e-9:
@@ -140,7 +142,7 @@ def min_pure_output_entropy(z: float, *, coarse: int = 256):
     elif theta > THETA_PERIOD / 2.0:
         # fold a degenerate mirror minimum back into [0, pi/6]
         mirror = THETA_PERIOD - theta
-        if _entropy_at(z, mirror) <= value + 1e-12:
+        if _output_entropy(alpha, beta, mirror) <= value + 1e-12:
             theta = mirror
     return value, theta
 
@@ -201,18 +203,28 @@ def curve_record(z: float) -> EDCurveRecord:
     return EDCurveRecord(z=z, epsilon=epsilon, theta_min=theta_min, ed=ed, region=region)
 
 
+_PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
+
+
 def _orbit_projectors(amps: np.ndarray):
     """Distinct pure states in the S3 orbit of a real amplitude vector.
 
     Permuted vectors that agree up to overall sign describe the same state
-    and are deduplicated, so the orbit has length 3 or 6.
+    and are deduplicated, so the orbit has length 3 or 6.  A permutation is
+    kept, in itertools.permutations order, unless it matches a kept one u
+    by np.allclose(v, +-u, atol=1e-12): |v -+ u| <= 1e-12 + 1e-5 |u| in
+    every component.
     """
-    vecs = []
-    for perm in itertools.permutations(range(3)):
-        v = amps[list(perm)]
-        if not any(np.allclose(v, u, atol=1e-12) or np.allclose(v, -u, atol=1e-12) for u in vecs):
-            vecs.append(v)
-    return vecs
+    vecs = amps[_PERMUTATIONS]
+    tol = 1e-12 + 1e-5 * np.abs(vecs)
+    same = (np.abs(vecs[:, None] - vecs) <= tol).all(axis=-1)
+    same |= (np.abs(vecs[:, None] + vecs) <= tol).all(axis=-1)
+    same = same.tolist()
+    kept = []
+    for j in range(len(vecs)):
+        if not any(same[j][i] for i in kept):
+            kept.append(j)
+    return list(vecs[kept])
 
 
 def optimal_decomposition(z: float) -> Decomposition:

@@ -91,6 +91,14 @@ def test_min_output_rejects_small_n(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("option", [["--seed", "-1"], ["--seed", str(2**64)], ["--restarts", "0"]])
+def test_min_output_oracle_rejects_bad_seed_or_restarts(capsys, option):
+    code, out, err = _run(capsys, ["min-output", "--n", "5", "--oracle", *option])
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+    assert "search minimum" not in out
+
+
 def test_min_output_bits(capsys):
     code, out, _ = _run(capsys, ["min-output", "--n", "4", "--units", "bits"])
     assert code == EXIT_OK
@@ -154,6 +162,18 @@ def test_roof_estimate_parse_errors(tmp_path, capsys):
     nan.write_text("2\nnan+0j nan+0j\nnan+0j nan+0j\n")
     code, out, _ = _run(capsys, ["roof-estimate", str(nan)])
     assert code == EXIT_PARSE
+    assert "upper bound" not in out
+
+
+@pytest.mark.parametrize(
+    "option", [["--seed", "-1"], ["--seed", str(2**64)], ["--restarts", "0"], ["--restarts", "-4"]]
+)
+def test_roof_estimate_rejects_bad_seed_or_restarts(tmp_path, capsys, option):
+    path = tmp_path / "state.txt"
+    write_density_matrix(path, symmetric_state(0.3))
+    code, out, err = _run(capsys, ["roof-estimate", str(path), "--m", "3", *option])
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
     assert "upper bound" not in out
 
 

@@ -272,3 +272,19 @@ def test_brute_force_never_undercuts():
         for seed in (0, 1, 2):
             value, _ = brute_force_min_face(n, restarts=10, seed=seed)
             assert value >= min_face_entropy(n) - 1e-9
+
+
+def test_brute_force_seed_and_budget_validation():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            brute_force_min_face(4, restarts=2, seed=seed)
+    for restarts in (0, -2):
+        with pytest.raises(ValueError, match="restarts"):
+            brute_force_min_face(4, restarts=restarts)
+    with pytest.raises(TypeError):
+        brute_force_min_face(4, restarts=2, seed=1.5)
+    with pytest.raises(TypeError):
+        brute_force_min_face(4, restarts=2.0)
+    for seed in (2**64 - 1, np.uint64(7)):
+        value, _ = brute_force_min_face(4, restarts=2, seed=seed)
+        assert value >= min_face_entropy(4) - 1e-9

@@ -1,0 +1,80 @@
+"""High-precision references for the headline constants, computed with
+mpmath at 40 significant digits."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from diagmap.face_minimum import min_face_entropy
+from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
+from diagmap.symmetric_curve import lower_tangent_z
+
+DPS = 40
+
+# 40-digit tangency abscissa of the chord from (-1/2, log 2) to the theta = 0
+# curve; test_zstar_reference_value recomputes it
+ZSTAR_REF = "-0.40794967106988114064"
+
+
+@pytest.fixture(autouse=True)
+def _precision():
+    with mpmath.workdps(DPS):
+        yield
+
+
+def _relative_error(got: float, ref) -> float:
+    return float(abs((mpmath.mpf(got) - ref) / ref))
+
+
+def _near_branch_point():
+    # x >= -1/e + 1e-6, log-spaced in the distance to the branch point
+    return [BRANCH_POINT + float(d) for d in np.logspace(-6, math.log10(-BRANCH_POINT), 300)]
+
+
+def test_lambert_w0_against_mpmath():
+    xs = _near_branch_point() + [float(x) for x in np.logspace(-300, 300, 300)]
+    xs += [-float(x) for x in np.logspace(-300, -1, 100)]
+    worst = max(_relative_error(lambert_w0(x), mpmath.lambertw(x, 0).real) for x in xs if x != 0.0)
+    assert worst <= 1e-13
+
+
+def test_lambert_wm1_against_mpmath():
+    xs = [x for x in _near_branch_point() if x < 0.0]
+    xs += [-float(x) for x in np.logspace(-300, -1, 100)]
+    worst = max(_relative_error(lambert_wm1(x), mpmath.lambertw(x, -1).real) for x in xs)
+    assert worst <= 1e-13
+
+
+def test_min_face_entropy_against_mpmath():
+    for n in range(2, 65):
+        if n <= 6:
+            ref = mpmath.log(2)
+        else:
+            ref = mpmath.log(n) - (1 - mpmath.mpf(2) / n) * mpmath.log(n - 1)
+        assert abs(mpmath.mpf(min_face_entropy(n)) - ref) <= 1e-15, n
+
+
+def _theta0_entropy(z):
+    alpha = mpmath.sqrt(2 * z + 1)
+    beta = mpmath.sqrt(1 - z)
+
+    def eta(x):
+        return -x * mpmath.log(x)
+
+    return 2 * eta((alpha - beta) ** 2 / 9) + eta((alpha + 2 * beta) ** 2 / 9)
+
+
+def test_zstar_reference_value():
+    # tangency: s'(t) (t + 1/2) = s(t) - log 2
+    def g(t):
+        return mpmath.diff(_theta0_entropy, t) * (t + mpmath.mpf(1) / 2) - (_theta0_entropy(t) - mpmath.log(2))
+
+    zstar = mpmath.findroot(g, mpmath.mpf(ZSTAR_REF))
+    assert abs(zstar - mpmath.mpf(ZSTAR_REF)) < mpmath.mpf(10) ** -19
+
+
+def test_lower_tangent_z_against_mpmath():
+    # central differences in hull.tangent_from_point leave z* off by 1.03e-11
+    assert abs(mpmath.mpf(lower_tangent_z()) - mpmath.mpf(ZSTAR_REF)) <= 2e-11

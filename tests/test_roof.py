@@ -127,6 +127,24 @@ def test_roof_m_validation():
         roof_upper_bound(omega, m=10, restarts=3, seed=0)  # above N^2
 
 
+@pytest.mark.parametrize("search", [roof_upper_bound, real_roof_upper_bound])
+def test_roof_seed_and_budget_validation(search):
+    omega = symmetric_state(0.3)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            search(omega, m=3, restarts=2, seed=seed)
+    for budget in ({"restarts": 0}, {"restarts": -3}, {"max_sweeps": 0}, {"max_sweeps": -5}):
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            search(omega, m=3, **{"restarts": 2, **budget})
+    for bad in ({"seed": 1.5}, {"restarts": 2.0}, {"max_sweeps": 1.5}):
+        with pytest.raises(TypeError):
+            search(omega, m=3, **{"restarts": 2, **bad})
+    # the ends of the ranges and numpy integers are accepted
+    for seed in (0, 2**64 - 1, np.uint64(7)):
+        res = search(omega, m=3, restarts=np.int64(2), seed=seed, max_sweeps=1)
+        assert res.value >= entanglement_entropy(0.3) - 1e-9
+
+
 def test_roof_monotone_in_m_with_nested_starts():
     omega = symmetric_state(-0.45).real
     prev = real_roof_upper_bound(omega, m=3, restarts=20, seed=2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap.states import diagonal_output_entropy, pure_to_density, symmetric_state, twirl_s3
+from diagmap.linesearch import INVPHI
 from diagmap.symmetric_curve import (
     REGION_LOWER_LINEAR,
     REGION_ROOF,
     REGION_UPPER_LINEAR,
     UPPER_KNEE,
+    _orbit_projectors,
     abc_from_theta,
     curve_grid,
     curve_record,
@@ -300,3 +303,147 @@ def test_rank2_phases_are_irrelevant():
             b * np.exp(0.4j),
         )
         assert phased == pytest.approx(base, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised curve kernels against their former scalar spellings
+# ---------------------------------------------------------------------------
+
+def _reference_orbit(amps):
+    # one np.allclose pair per kept vector, in itertools.permutations order
+    vecs = []
+    for perm in itertools.permutations(range(3)):
+        v = amps[list(perm)]
+        if not any(np.allclose(v, u, atol=1e-12) or np.allclose(v, -u, atol=1e-12) for u in vecs):
+            vecs.append(v)
+    return vecs
+
+
+def _assert_same_orbit(amps):
+    got = _orbit_projectors(amps)
+    want = _reference_orbit(amps)
+    assert len(got) == len(want), amps
+    for g_vec, w_vec in zip(got, want):
+        assert np.array_equal(g_vec, w_vec), amps
+    return len(got)
+
+
+def test_orbit_matches_allclose_reference_on_the_curve():
+    for z in curve_grid():
+        z = float(z)
+        assert _assert_same_orbit(abc_from_theta(z, 0.0).amps) in (1, 3, 6)
+        _, theta = min_pure_output_entropy(z)
+        _assert_same_orbit(abc_from_theta(z, theta).amps)
+    zstar = lower_tangent_z()
+    for z, theta in ((-0.5, math.pi / 6.0), (zstar, 0.0), (UPPER_KNEE, 0.0)):
+        assert _assert_same_orbit(abc_from_theta(z, theta).amps) in (3, 6)
+
+
+def test_orbit_matches_allclose_reference_on_random_vectors():
+    g = Generator(Philox(key=np.array([41, 0], dtype=np.uint64)))
+    for _ in range(200):
+        v = g.standard_normal(3)
+        _assert_same_orbit(v / np.linalg.norm(v))
+
+
+def test_orbit_matches_allclose_reference_on_near_ties():
+    x, y = 0.6, 0.3
+    cases = [
+        [x, x, y],  # two equal entries
+        [0.0, x, y],  # a zero entry
+        [0.0, x, -x],  # a sign flip maps the orbit onto itself
+        [x, -x, y],
+        [-x, -y, -0.2],
+        [1.0, 1.0, 1.0],
+        [1.0, -1.0, 0.0],
+        [1e-13, x, y],
+        [0.0, 1e-12, y],  # |v - u| equals atol exactly
+        [0.0, 0.0, 1.0],
+    ]
+    # relative distances inside rtol = 1e-5 (merged) and outside (kept),
+    # each with and without a sign flip
+    for rel in (5e-6, 5e-5):
+        cases += [[x, x * (1.0 + rel), y], [x, -x * (1.0 + rel), y], [x * (1.0 + rel), x, -y]]
+        cases += [[0.0, x, -x * (1.0 + rel)]]
+    # three entries within a few rtol of each other: ties that are not
+    # transitive and whose tolerance depends on which vector was kept
+    for k1, k2 in itertools.product(np.linspace(-2.2, 2.2, 23), repeat=2):
+        cases += [[1.0, 1.0 + k1 * 1e-5, 1.0 + k2 * 1e-5], [1.0, -1.0 - k1 * 1e-5, 1.0 + k2 * 1e-5]]
+    for amps in cases:
+        _assert_same_orbit(np.array(amps, dtype=float))
+    merged = _orbit_projectors(np.array([x, x * (1.0 + 5e-6), y]))
+    kept = _orbit_projectors(np.array([x, x * (1.0 + 5e-5), y]))
+    assert (len(merged), len(kept)) == (3, 6)
+
+
+def _reference_min_entropy(z):
+    # the former min_pure_output_entropy: grid set up per call, a masked
+    # eta loop and a per-probe recomputation of alpha and beta
+    def amplitudes(z, theta):
+        alpha = math.sqrt(max(2.0 * z + 1.0, 0.0))
+        beta = math.sqrt(max(1.0 - z, 0.0))
+        return (
+            (alpha + 2.0 * beta * math.cos(theta)) / 3.0,
+            (alpha - 2.0 * beta * math.cos(theta - math.pi / 3.0)) / 3.0,
+            (alpha - 2.0 * beta * math.cos(theta + math.pi / 3.0)) / 3.0,
+        )
+
+    def entropy_at(z, theta):
+        out = 0.0
+        for v in (c * c for c in amplitudes(z, theta)):
+            if v > 1e-300:
+                out -= v * math.log(v)
+        return out
+
+    period = math.pi / 3.0
+    alpha = math.sqrt(max(2.0 * z + 1.0, 0.0))
+    beta = math.sqrt(max(1.0 - z, 0.0))
+    if beta == 0.0:
+        return LN3, 0.0
+    grid = np.linspace(0.0, period, 256)
+    ca = (alpha + 2.0 * beta * np.cos(grid)) / 3.0
+    cb = (alpha - 2.0 * beta * np.cos(grid - math.pi / 3.0)) / 3.0
+    cc = (alpha - 2.0 * beta * np.cos(grid + math.pi / 3.0)) / 3.0
+    vals = np.zeros_like(grid)
+    for comp in (ca, cb, cc):
+        sq = comp * comp
+        pos = sq > 1e-300
+        vals[pos] -= sq[pos] * np.log(sq[pos])
+    i = int(np.argmin(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, 255)]
+    c = hi - INVPHI * (hi - lo)
+    d = lo + INVPHI * (hi - lo)
+    fc = entropy_at(z, c)
+    fd = entropy_at(z, d)
+    while hi - lo > 1e-12:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - INVPHI * (hi - lo)
+            fc = entropy_at(z, c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + INVPHI * (hi - lo)
+            fd = entropy_at(z, d)
+    theta = float(0.5 * (lo + hi))
+    value = entropy_at(z, theta)
+    value0 = entropy_at(z, 0.0)
+    if value0 <= value + 1e-13:
+        return value0, 0.0
+    if theta < 1e-9:
+        theta = 0.0
+    elif theta > period / 2.0:
+        mirror = period - theta
+        if entropy_at(z, mirror) <= value + 1e-12:
+            theta = mirror
+    return value, theta
+
+
+def test_min_entropy_bit_identical_to_former_scan():
+    zs = [-0.5, -0.45, -0.40, lower_tangent_z(), UPPER_KNEE, 1.0, 0.0, -0.41, -0.4150234]
+    zs += [float(z) for z in np.linspace(-0.45, -0.40, 15)]
+    zs += [float(z) for z in np.linspace(-0.5, 1.0, 26)]
+    for z in zs:
+        value, theta = min_pure_output_entropy(z)
+        ref_value, ref_theta = _reference_min_entropy(z)
+        assert (float(value).hex(), float(theta).hex()) == (ref_value.hex(), ref_theta.hex()), z
