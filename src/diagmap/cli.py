@@ -12,12 +12,14 @@ parse error.
 """
 
 import argparse
+import itertools
 import sys
 
 from . import face_minimum as fm
 from . import states as st
 from . import symmetric_curve as sc
 from .entropy import LN2
+from .linesearch import check_count, check_seed
 from .roof import roof_upper_bound
 from .verify import SUITE_NAMES, run_suite
 
@@ -57,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_roof = sub.add_parser("roof-estimate", help="decomposition-search upper bound for a state file")
     p_roof.add_argument("input_path", metavar="FILE")
-    p_roof.add_argument("--m", type=int, default=None, help="decomposition length (default rank+1)")
+    p_roof.add_argument(
+        "--m", type=int, default=None, help="decomposition length (default rank^2, or rank(rank+1)/2 for a real state)"
+    )
     p_roof.add_argument("--restarts", type=int, default=100)
     p_roof.add_argument("--seed", type=int, default=0)
     p_roof.add_argument("--units", choices=("nats", "bits"), default="nats")
@@ -106,27 +110,30 @@ def cmd_min_output(args) -> int:
         print("error: --n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
     n = args.n
-    scale = _unit_scale(args.units)
-    closed = fm.min_face_entropy(n)
-    family = "pair states" if n <= 6 else "one-vs-rest"
-    print(f"N = {n}")
-    print(f"closed-form minimum: {_fmt(closed * scale)} {args.units}")
-    print(f"winning family: {family}")
-    states = fm.minimizer_states(n)
-    print(f"minimizer states ({len(states)}):")
-    shown = states if len(states) <= 10 else states[:10]
-    for v in shown:
-        print("  (" + ", ".join(_fmt(x) for x in v) + ")")
-    if len(states) > len(shown):
-        print(f"  ... {len(states) - len(shown)} more by permutation")
     if args.oracle:
-        restarts = args.restarts if args.restarts is not None else 50 * n
         try:
-            value, argmin = fm.brute_force_min_face(n, restarts=restarts, seed=args.seed)
+            restarts = check_count("restarts", args.restarts if args.restarts is not None else 50 * n)
+            seed = check_seed(args.seed)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        print(f"search minimum ({restarts} restarts, seed {args.seed}): {_fmt(value * scale)} {args.units}")
+    scale = _unit_scale(args.units)
+    closed = fm.min_face_entropy(n)
+    pairs = n <= 6
+    family = "pair states" if pairs else "one-vs-rest"
+    count = n * (n - 1) // 2 if pairs else n
+    print(f"N = {n}")
+    print(f"closed-form minimum: {_fmt(closed * scale)} {args.units}")
+    print(f"winning family: {family}")
+    print(f"minimizer states ({count}):")
+    # only the printed states are built: there are O(N) of length N
+    for v in itertools.islice(fm._minimizers(n), 10):
+        print("  (" + ", ".join(_fmt(x) for x in v) + ")")
+    if count > 10:
+        print(f"  ... {count - 10} more by permutation")
+    if args.oracle:
+        value, argmin = fm.brute_force_min_face(n, restarts=restarts, seed=seed)
+        print(f"search minimum ({restarts} restarts, seed {seed}): {_fmt(value * scale)} {args.units}")
         print(f"gap to closed form: {_fmt((value - closed) * scale)}")
         print("argmin: (" + ", ".join(_fmt(x) for x in argmin) + ")")
     return EXIT_OK

@@ -17,9 +17,12 @@ from numpy.random import Generator, Philox
 
 from .entropy import LN2, eta_array
 from .lambert import lambert_w0, lambert_wm1
-from .linesearch import check_count, check_seed, golden_vec
+from .linesearch import SCAN, SCAN_STEP, check_count, check_seed, golden_vec
 
 _INV_E = math.exp(-1.0)
+# The face line search moves the amplitudes themselves, which depend on t.
+_COS = np.cos(SCAN)
+_SIN = np.sin(SCAN)
 
 
 def min_face_entropy(N: int) -> float:
@@ -42,21 +45,24 @@ def minimizer_states(N: int):
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    out = []
+    return list(_minimizers(N))
+
+
+def _minimizers(N: int):
+    """The states of minimizer_states(N), in its order, one at a time."""
     if N <= 6:
         for j in range(N):
             for k in range(j + 1, N):
                 v = np.zeros(N)
                 v[j] = 1.0 / math.sqrt(2.0)
                 v[k] = -1.0 / math.sqrt(2.0)
-                out.append(v)
+                yield v
     else:
         a = 1.0 / math.sqrt(N * (N - 1.0))
         for j in range(N):
             v = np.full(N, -a)
             v[j] = (N - 1.0) * a
-            out.append(v)
-    return out
+            yield v
 
 
 def two_value_entropy(N: int, n: int) -> float:
@@ -165,10 +171,6 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     f = _face_objective(A)
     pairs = [(p, q) for p in range(N - 1) for q in range(p + 1, N - 1)]
     if pairs:
-        scan = np.linspace(-math.pi, math.pi, 24, endpoint=False)
-        cos_scan = np.cos(scan)
-        sin_scan = np.sin(scan)
-        step = scan[1] - scan[0]
         active = np.ones(restarts, dtype=bool)
         for _ in range(200):
             f_before = f.copy()
@@ -187,12 +189,12 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
 
                 cand = (
                     base[:, None, :]
-                    + (cos_scan - 1.0)[None, :, None] * U[:, None, :]
-                    + sin_scan[None, :, None] * V[:, None, :]
+                    + (_COS - 1.0)[None, :, None] * U[:, None, :]
+                    + _SIN[None, :, None] * V[:, None, :]
                 )
                 coarse = eta_array(cand * cand).sum(axis=2)
                 best = np.argmin(coarse, axis=1)
-                t = golden_vec(obj, scan[best] - step, scan[best] + step)
+                t = golden_vec(obj, SCAN[best] - SCAN_STEP, SCAN[best] + SCAN_STEP)
                 At = base + (np.cos(t) - 1.0)[:, None] * U + np.sin(t)[:, None] * V
                 ft = _face_objective(At)
                 improved = ft < f[idx]

@@ -1,5 +1,6 @@
-"""Pieces shared by the roof and face-minimum searches: the vectorized
-golden-section line search and the checks of their seed and budgets.
+"""Pieces shared by the roof and face-minimum searches: the angle scan that
+brackets each line search, the vectorized golden-section search that
+refines it, and the checks of their seed and budgets.
 
 The symmetric-curve angle minimization takes only INVPHI: it keeps its own
 scalar loop, whose stopping rule and bracket differ from golden_vec's fixed
@@ -12,6 +13,11 @@ import operator
 import numpy as np
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# The 24-point angle scan over [-pi, pi); a search refines its best point
+# by golden_vec on the bracket of one SCAN_STEP on either side.
+SCAN = np.linspace(-math.pi, math.pi, 24, endpoint=False)
+SCAN_STEP = SCAN[1] - SCAN[0]
 
 
 def golden_vec(obj, lo, hi, iters: int = 45) -> np.ndarray:

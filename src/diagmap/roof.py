@@ -8,6 +8,12 @@ the complex case), which keep it exactly orthonormal, and minimizes the
 weighted output entropy of the resulting decomposition by cyclic
 coordinate descent over rotation angles with restarts.
 
+With m omitted the length is the Caratheodory bound of the search space,
+which depends only on the rank r and on whether the search is real: some
+optimal decomposition has at most r^2 members, or r(r+1)/2 when the state
+and its members are real (Uhlmann, "Roofs and convexity", Entropy 12, 1799
+(2010)).  The search never reads a closed form of the roof.
+
 Under a rotation of two rows by t every squared modulus is exactly
 A + B cos 2t + C sin 2t (the Jacobi-angle structure of Cardoso and
 Souloumiac, SIAM J. Matrix Anal. Appl. 17, 161 (1996)), so each line-search
@@ -23,7 +29,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .entropy import eta_array
-from .linesearch import check_count, check_seed, golden_vec
+from .linesearch import SCAN, SCAN_STEP, check_count, check_seed, golden_vec
 from .states import Decomposition, check_density_matrix
 
 RANK_TOL = 1e-10
@@ -85,12 +91,9 @@ def _rotate(X, Y, t, phase: bool):
     return c * X - s * Y, s * X + c * Y
 
 
-# The 24-point scan of the pair line search over [-pi, pi) and the golden
-# bracket of one scan step on either side of its best point.
-_SCAN = np.linspace(-math.pi, math.pi, 24, endpoint=False)
-_STEP = _SCAN[1] - _SCAN[0]
-_COS2 = np.cos(2.0 * _SCAN)[:, None]
-_SIN2 = np.sin(2.0 * _SCAN)[:, None]
+# The pair line search scans the squared moduli, which depend on 2t.
+_COS2 = np.cos(2.0 * SCAN)[:, None]
+_SIN2 = np.sin(2.0 * SCAN)[:, None]
 
 
 def _sweep_schedule(m: int, complex_moves: bool):
@@ -160,8 +163,8 @@ def _round(T, W, f, idx, I, J, phase: bool):
 
     current = _pair_terms(K0 + K1, w)  # t = 0
     coarse = _pair_terms(K0[..., None, :] + K1[..., None, :] * _COS2 + K2[..., None, :] * _SIN2, w)
-    best = _SCAN[np.argmin(coarse, axis=-1)]
-    t = golden_vec(probe, best - _STEP, best + _STEP)
+    best = SCAN[np.argmin(coarse, axis=-1)]
+    t = golden_vec(probe, best - SCAN_STEP, best + SCAN_STEP)
     new = probe(t)
     improved = new < current
     b, p = np.nonzero(improved)
@@ -201,7 +204,7 @@ def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_swee
     N = omega.shape[0]
     r = M.shape[1]
     if m is None:
-        m = r + 1
+        m = r * r if complex_moves else r * (r + 1) // 2
     if not r <= m <= N * N:
         raise ValueError(f"decomposition length m={m} outside [{r}, {N * N}]")
     dtype = complex if complex_moves else float
@@ -246,24 +249,13 @@ def roof_upper_bound(
     The reported value is the weighted average output entropy of an
     explicit decomposition, so it is a valid upper bound regardless of how
     well the search converged; it is deterministic given (m, restarts,
-    seed).  With m omitted, rank+1 is tried first and, when the state
-    belongs to the symmetric family and misses its known curve value, the
-    length is escalated to min(rank^2, N^2).
+    seed).  A state with a nonzero imaginary part is searched with complex
+    moves, any other with real ones.  With m omitted the decomposition
+    length is rank^2 for a complex search and rank(rank+1)/2 for a real one.
     """
     omega = check_density_matrix(omega)
     complex_moves = bool(np.max(np.abs(omega.imag)) > 0.0)
-    result = _search(omega, m, restarts, seed, complex_moves, extra_inits, max_sweeps)
-    if m is None:
-        reference = _symmetric_family_reference(omega)
-        if reference is not None and result.value > reference + 1e-6:
-            N = omega.shape[0]
-            r = result.isometry.shape[1]
-            m_big = min(r * r, N * N)
-            if m_big > result.isometry.shape[0]:
-                retry = _search(omega, m_big, restarts, seed, complex_moves, None, max_sweeps)
-                if retry.value < result.value:
-                    result = retry
-    return result
+    return _search(omega, m, restarts, seed, complex_moves, extra_inits, max_sweeps)
 
 
 def real_roof_upper_bound(
@@ -271,25 +263,9 @@ def real_roof_upper_bound(
 ) -> RoofResult:
     """roof_upper_bound restricted to real orthogonal search; requires a
     real symmetric input, for which an optimal decomposition of real
-    states exists."""
+    states exists.  With m omitted the length is rank(rank+1)/2."""
     omega = check_density_matrix(omega)
     if np.max(np.abs(omega.imag)) > 1e-12 or np.max(np.abs(omega - omega.T)) > 1e-12:
         raise ValueError("real_roof_upper_bound requires a real symmetric state")
     omega = omega.real.astype(float)
     return _search(omega, m, restarts, seed, False, extra_inits, max_sweeps)
-
-
-def _symmetric_family_reference(omega):
-    """Known curve value when omega is (numerically) a symmetric-family
-    member; None otherwise."""
-    if omega.shape != (3, 3):
-        return None
-    from .states import symmetric_state, twirl_s3
-    from .symmetric_curve import entanglement_entropy
-
-    z = twirl_s3(omega)
-    if not -0.5 <= z <= 1.0:
-        return None
-    if np.max(np.abs(omega - symmetric_state(z))) > 1e-10:
-        return None
-    return entanglement_entropy(z)

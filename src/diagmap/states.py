@@ -210,7 +210,11 @@ def parse_density_matrix(text: str) -> np.ndarray:
 
 def read_density_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_density_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StateFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_density_matrix(text)
 
 
 def write_density_matrix(path, omega) -> None:

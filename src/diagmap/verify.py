@@ -96,10 +96,9 @@ def check_theta_transition() -> CheckResult:
 
 def check_junctions() -> CheckResult:
     knee = sc.UPPER_KNEE
-    knee_value = LN3 - LN2 / 3.0
     eps_val, _ = sc.min_pure_output_entropy(knee)
-    knee_err = abs(eps_val - knee_value)
-    ref_err = abs(knee_value - KNEE_VALUE_REF)
+    knee_err = abs(eps_val - sc.UPPER_KNEE_VALUE)
+    ref_err = abs(sc.UPPER_KNEE_VALUE - KNEE_VALUE_REF)
     # the closed form joins its upper chord at the theta = 0 entropy
     identity_err = abs(sc.theta0_entropy(knee) - sc.UPPER_KNEE_VALUE)
     zstar = sc.lower_tangent_z()
@@ -109,7 +108,7 @@ def check_junctions() -> CheckResult:
     return _result(
         "junction values and continuity",
         ok,
-        f"epsilon(5/6) off by {knee_err:.3e} (tol 1e-6); log3 - log2/3 off {KNEE_VALUE_REF} by {ref_err:.3e} "
+        f"epsilon(5/6) off by {knee_err:.3e} (tol 1e-6); knee value off {KNEE_VALUE_REF} by {ref_err:.3e} "
         f"(tol 1e-6); theta0 entropy at 5/6 off by {identity_err:.3e} (tol 1e-10); "
         f"jumps {jump1:.3e}, {jump2:.3e} (tol 1e-10)",
     )
@@ -252,8 +251,9 @@ def check_face_table() -> CheckResult:
 
 
 def check_bifurcation() -> CheckResult:
-    at6 = math.log(6.0) - (1.0 - 2.0 / 6.0) * math.log(5.0)
-    at7 = math.log(7.0) - (1.0 - 2.0 / 7.0) * math.log(6.0)
+    # the one-vs-rest family's value on either side of the crossover
+    at6 = fm.two_value_entropy(6, 1)
+    at7 = fm.two_value_entropy(7, 1)
     err6 = abs(fm.min_face_entropy(6) - LN2)
     err7 = abs(fm.min_face_entropy(7) - at7)
     large = fm.min_face_entropy(10**6)

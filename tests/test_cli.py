@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,7 +97,23 @@ def test_min_output_oracle_rejects_bad_seed_or_restarts(capsys, option):
     code, out, err = _run(capsys, ["min-output", "--n", "5", "--oracle", *option])
     assert code == EXIT_USAGE
     assert err.startswith("error:")
-    assert "search minimum" not in out
+    assert out == ""
+
+
+def test_min_output_memory_does_not_grow_with_the_state_count(capsys):
+    # N = 3000 has 3000 minimizer states of length 3000 (72 MB), of which ten
+    # are printed
+    tracemalloc.start()
+    try:
+        code = main(["min-output", "--n", "3000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "minimizer states (3000):" in out
+    assert "  ... 2990 more by permutation" in out
+    assert peak < 5e6
 
 
 def test_min_output_bits(capsys):
@@ -163,6 +180,15 @@ def test_roof_estimate_parse_errors(tmp_path, capsys):
     code, out, _ = _run(capsys, ["roof-estimate", str(nan)])
     assert code == EXIT_PARSE
     assert "upper bound" not in out
+
+
+def test_roof_estimate_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"3\n\xff\xfe\n")
+    code, out, err = _run(capsys, ["roof-estimate", str(path)])
+    assert code == EXIT_PARSE
+    assert err.startswith("error:") and "UTF-8" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap import roof
+from diagmap import roof, symmetric_curve
 from diagmap.roof import decomposition_from_isometry, real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (
     diagonal_output_entropy,
@@ -198,13 +198,37 @@ def test_roof_upper_bounds_twirled_curve():
         assert bound >= entanglement_entropy(twirl_s3(omega)) - 1e-6
 
 
-def test_roof_default_m_escalates_for_symmetric_family():
-    # in the two-orbit region rank+1 = 4 states cannot reach the curve;
-    # the default-m path must escalate and land on it
+def test_roof_default_m_is_caratheodory_length_in_two_orbit_region():
+    # below z* the curve needs two permutation orbits, six states; the
+    # default real length rank(rank+1)/2 = 6 reaches it in one search
     z = -0.46
     res = roof_upper_bound(symmetric_state(z), restarts=60, seed=8)
     assert res.value == pytest.approx(entanglement_entropy(z), abs=1e-5)
-    assert res.isometry.shape[0] > 4
+    assert res.isometry.shape[0] == 6
+
+
+def test_roof_does_not_read_the_closed_form(monkeypatch):
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the search read the closed form")
+
+    monkeypatch.setattr(symmetric_curve, "entanglement_entropy", closed_form)
+    monkeypatch.setattr(symmetric_curve, "lower_tangent_z", closed_form)
+    res = roof_upper_bound(symmetric_state(-0.46), restarts=4, seed=0)
+    assert res.isometry.shape == (6, 3)
+
+
+def test_roof_default_m_for_complex_rank2_and_rank1():
+    g = Generator(Philox(key=np.array([57, 0], dtype=np.uint64)))
+    psi = g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    omega = 0.7 * pure_to_density(psi[0]) + 0.3 * pure_to_density(psi[1])
+    res = roof_upper_bound(omega, restarts=3, seed=0)
+    assert res.isometry.shape == (4, 2)  # rank^2 for a complex search
+    assert np.max(np.abs(res.decomposition.mixture() - omega)) < 1e-9
+    pure = pure_to_density(psi[0])
+    res = roof_upper_bound(pure, restarts=3, seed=0)
+    assert res.isometry.shape == (1, 1)
+    assert res.value == pytest.approx(diagonal_output_entropy(pure), abs=1e-12)
 
 
 @pytest.mark.parametrize("complex_rows, phase", [(False, False), (True, False), (True, True)])

@@ -17,6 +17,8 @@ from diagmap import verify
         ("check_curve_anchors", sc, "entanglement_entropy", 2),
         ("check_decompositions", sc, "entanglement_entropy", 2),
         ("check_minimizer_states", fm, "_face_objective", 2),
+        ("check_bifurcation", fm, "two_value_entropy", 1),
+        ("check_bifurcation", fm, "two_value_entropy", 2),
         # the second call feeds no second difference; the fourth does
         ("check_two_value_concavity", fm, "two_value_entropy", 4),
         ("check_lambert", verify, "lambert_w0", 2),
