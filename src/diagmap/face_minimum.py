@@ -4,8 +4,9 @@ supported orthogonally to the uniform vector.
 Real pure states on that face are unit vectors with zero component sum.
 The closed-form minimum is log 2 (pair states) up to N = 6 and switches to
 the one-vs-rest family for N > 6; a Lagrange analysis via the Lambert W
-function classifies the stationary amplitude values, and a projected
-coordinate-descent search provides an independent numerical check.
+function classifies the stationary amplitude values, and a conjugate-gradient
+search along great circles of the sphere provides an independent numerical
+check.
 """
 
 import math
@@ -17,12 +18,9 @@ from numpy.random import Generator, Philox
 
 from .entropy import LN2, eta_array
 from .lambert import lambert_w0, lambert_wm1
-from .linesearch import SCAN, SCAN_STEP, check_count, check_seed, golden_vec
+from .linesearch import check_count, check_seed, rotation_line_search
 
 _INV_E = math.exp(-1.0)
-# The face line search moves the amplitudes themselves, which depend on t.
-_COS = np.cos(SCAN)
-_SIN = np.sin(SCAN)
 
 
 def min_face_entropy(N: int) -> float:
@@ -143,73 +141,67 @@ def zero_sum_basis(N: int) -> np.ndarray:
     return H
 
 
-def _face_objective(A: np.ndarray) -> np.ndarray:
-    return eta_array(A * A).sum(axis=-1)
+def _face_objective(sq: np.ndarray) -> np.ndarray:
+    # the output entropy, read from each row of squared amplitudes
+    return eta_array(sq).sum(axis=-1)
+
+
+def _descend(Y: np.ndarray, H: np.ndarray):
+    """Conjugate-gradient descent of the output entropy of each row of
+    A = YH over the unit sphere of its row of Y; returns A and the values.
+
+    The tangent part of the gradient -2a(log a^2 + 1) gives Polak-Ribiere+
+    directions d.  On the circle y cos t + e sin t, with e = d/|d| and
+    b = eH, each a_k^2 is P + Q cos 2t + R sin 2t, so the rotation line
+    search finds t.  A row steps only when that lowers its value, and stops
+    once a step gains at most 1e-12, or after 200 steps.  Products with H
+    are einsums, so a row's path does not depend on its batch.
+    """
+    A = np.einsum("bk,kn->bn", Y, H)
+    f = _face_objective(A * A)
+    D, G = np.zeros_like(Y), np.ones_like(Y)  # D = 0 makes the first direction -g
+    active = np.full(Y.shape[0], Y.shape[1] > 1)  # N = 2: the sphere is two points
+    for _ in range(200):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        y, a, sq = Y[idx], A[idx], A[idx] * A[idx]
+        grad = -2.0 * a * (np.log(sq, out=np.zeros(sq.shape), where=sq > 1e-300) + 1.0)
+        g = np.einsum("bn,kn->bk", grad, H)
+        g -= np.einsum("bk,bk->b", g, y)[:, None] * y
+        beta = np.einsum("bk,bk->b", g, g - G[idx]) / np.einsum("bk,bk->b", G[idx], G[idx])
+        d = -g + np.maximum(beta, 0.0)[:, None] * D[idx]
+        d = np.where((np.einsum("bk,bk->b", d, g) >= 0.0)[:, None], -g, d)
+        size = np.sqrt(np.einsum("bk,bk->b", d, d))[:, None]
+        e = d / size
+        b = np.einsum("bk,kn->bn", e, H)
+        t, new, current = rotation_line_search(0.5 * (sq + b * b), 0.5 * (sq - b * b), a * b, _face_objective)
+        c, s = np.cos(t)[:, None], np.sin(t)[:, None]
+        step = new < current
+        y_new = c * y + s * e
+        Y[idx[step]] = y_new[step] / np.sqrt(np.einsum("bk,bk->b", y_new[step], y_new[step]))[:, None]
+        A[idx] = np.einsum("bk,kn->bn", Y[idx], H)
+        f_new = _face_objective(A[idx] * A[idx])
+        active[idx] = step & (f[idx] - f_new > 1e-12)
+        f[idx], D[idx], G[idx] = f_new, (c * e - s * y) * size, g
+    return A, f
 
 
 def brute_force_min_face(N: int, restarts: int, seed: int = 0):
-    """Minimize the output entropy over the zero-sum unit sphere by random
-    restarts and coordinate descent.
-
-    Each restart draws an independent start from a sub-seeded counter
-    generator.  The descent rotates pairs of coordinates of the reduced
-    (in-hyperplane) representation, so both constraints hold exactly at
-    every step; each rotation angle comes from a scanned and golden-refined
-    line search.  Returns (value, argmin vector).
-    """
+    """Minimize the output entropy over the zero-sum unit sphere from random
+    restarts, each drawn by a sub-seeded counter generator, by the descent
+    of _descend: it turns the reduced (in-hyperplane) coordinates y of
+    a = yH along great circles, so both constraints hold at every step.
+    Returns (value, argmin vector)."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     restarts = check_count("restarts", restarts)
     seed = check_seed(seed)
-    H = zero_sum_basis(N)
     Y = np.empty((restarts, N - 1))
     for k in range(restarts):
         g = Generator(Philox(key=np.array([seed, k], dtype=np.uint64)))
         y = g.standard_normal(N - 1)
         Y[k] = y / np.linalg.norm(y)
-    A = Y @ H
-    f = _face_objective(A)
-    pairs = [(p, q) for p in range(N - 1) for q in range(p + 1, N - 1)]
-    if pairs:
-        active = np.ones(restarts, dtype=bool)
-        for _ in range(200):
-            f_before = f.copy()
-            for p, q in pairs:
-                idx = np.nonzero(active)[0]
-                if idx.size == 0:
-                    break
-                yp, yq = Y[idx, p], Y[idx, q]
-                U = yp[:, None] * H[p][None, :] + yq[:, None] * H[q][None, :]
-                V = yp[:, None] * H[q][None, :] - yq[:, None] * H[p][None, :]
-                base = A[idx]
-
-                def obj(t):
-                    At = base + (np.cos(t) - 1.0)[:, None] * U + np.sin(t)[:, None] * V
-                    return _face_objective(At)
-
-                cand = (
-                    base[:, None, :]
-                    + (_COS - 1.0)[None, :, None] * U[:, None, :]
-                    + _SIN[None, :, None] * V[:, None, :]
-                )
-                coarse = eta_array(cand * cand).sum(axis=2)
-                best = np.argmin(coarse, axis=1)
-                t = golden_vec(obj, SCAN[best] - SCAN_STEP, SCAN[best] + SCAN_STEP)
-                At = base + (np.cos(t) - 1.0)[:, None] * U + np.sin(t)[:, None] * V
-                ft = _face_objective(At)
-                improved = ft < f[idx]
-                gidx = idx[improved]
-                if gidx.size:
-                    tb = t[improved]
-                    cb, sb = np.cos(tb), np.sin(tb)
-                    y_new_p = cb * Y[gidx, p] - sb * Y[gidx, q]
-                    y_new_q = sb * Y[gidx, p] + cb * Y[gidx, q]
-                    Y[gidx, p], Y[gidx, q] = y_new_p, y_new_q
-                    A[gidx] = At[improved]
-                    f[gidx] = ft[improved]
-            active &= (f_before - f) > 1e-12
-            if not active.any():
-                break
+    A, f = _descend(Y, zero_sum_basis(N))
     best = int(np.argmin(f))
-    a = A[best]
-    return float(_face_objective(a[None, :])[0]), a
+    return float(f[best]), A[best]

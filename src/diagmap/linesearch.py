@@ -1,10 +1,13 @@
-"""Pieces shared by the roof and face-minimum searches: the angle scan that
-brackets each line search, the vectorized golden-section search that
-refines it, and the checks of their seed and budgets.
+"""The rotation line search shared by the roof and face-minimum searches,
+and the checks of their seed and budgets.
 
-The symmetric-curve angle minimization takes only INVPHI: it keeps its own
-scalar loop, whose stopping rule and bracket differ from golden_vec's fixed
-step count, so routing it through golden_vec would change its results.
+Both searches turn unit vectors by an angle t (two rows by a Givens or
+phase rotation for the roof, a point along a great circle for the face),
+and under such a turn every squared modulus is exactly
+K0 + K1 cos 2t + K2 sin 2t (Cardoso and Souloumiac, SIAM J. Matrix Anal.
+Appl. 17, 161 (1996)), so the search probes squared moduli and rotates
+nothing.  The symmetric-curve angle minimization takes only INVPHI: its
+scalar loop has its own stopping rule and bracket.
 """
 
 import math
@@ -13,33 +16,46 @@ import operator
 import numpy as np
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_STEPS = 45
 
-# The 24-point angle scan over [-pi, pi); a search refines its best point
-# by golden_vec on the bracket of one SCAN_STEP on either side.
+# The 24-point angle scan over [-pi, pi), tabulated at 2t for the squared
+# moduli; a search refines its best point on one SCAN_STEP either side.
 SCAN = np.linspace(-math.pi, math.pi, 24, endpoint=False)
 SCAN_STEP = SCAN[1] - SCAN[0]
+_COS2 = np.cos(2.0 * SCAN)[:, None]
+_SIN2 = np.sin(2.0 * SCAN)[:, None]
 
 
-def golden_vec(obj, lo, hi, iters: int = 45) -> np.ndarray:
+def golden_vec(obj, lo, hi) -> np.ndarray:
     """Vectorized golden-section minimization on per-row brackets."""
     c = hi - INVPHI * (hi - lo)
     d = lo + INVPHI * (hi - lo)
-    fc = obj(c)
-    fd = obj(d)
-    for _ in range(iters):
-        shrink_right = fc < fd
-        hi = np.where(shrink_right, d, hi)
-        lo = np.where(shrink_right, lo, c)
-        c_new = hi - INVPHI * (hi - lo)
-        d_new = lo + INVPHI * (hi - lo)
-        probe = np.where(shrink_right, c_new, d_new)
+    fc, fd = obj(c), obj(d)
+    for _ in range(GOLDEN_STEPS):
+        left = fc < fd  # the minimum lies in [lo, d]
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        probe = np.where(left, hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo))
         fp = obj(probe)
-        c_next = np.where(shrink_right, c_new, d)
-        fc_next = np.where(shrink_right, fp, fd)
-        d_next = np.where(shrink_right, c, d_new)
-        fd_next = np.where(shrink_right, fc, fp)
-        c, d, fc, fd = c_next, d_next, fc_next, fd_next
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
     return 0.5 * (lo + hi)
+
+
+def rotation_line_search(K0, K1, K2, terms):
+    """Minimize terms(K0 + K1 cos 2t + K2 sin 2t), with terms mapping
+    (..., C) to (...), over t for every leading index at once: the angle
+    scan, then golden_vec on the bracket around its best point.  Returns
+    the angles, the values at them and the values at t = 0."""
+
+    def probe(t):
+        t2 = 2.0 * t[..., None]
+        return terms(K0 + K1 * np.cos(t2) + K2 * np.sin(t2))
+
+    coarse = terms(K0[..., None, :] + K1[..., None, :] * _COS2 + K2[..., None, :] * _SIN2)
+    best = SCAN[np.argmin(coarse, axis=-1)]
+    t = golden_vec(probe, best - SCAN_STEP, best + SCAN_STEP)
+    return t, probe(t), terms(K0 + K1)
 
 
 def check_seed(seed) -> int:

@@ -14,12 +14,9 @@ optimal decomposition has at most r^2 members, or r(r+1)/2 when the state
 and its members are real (Uhlmann, "Roofs and convexity", Entropy 12, 1799
 (2010)).  The search never reads a closed form of the roof.
 
-Under a rotation of two rows by t every squared modulus is exactly
-A + B cos 2t + C sin 2t (the Jacobi-angle structure of Cardoso and
-Souloumiac, SIAM J. Matrix Anal. Appl. 17, 161 (1996)), so each line-search
-probe evaluates the pair's terms from three coefficient arrays without
-rotating the rows.  The objective is a sum of row terms, so the disjoint
-pairs of one round-robin round are searched as one batch.
+Each rotation angle comes from linesearch.rotation_line_search on the
+pair's squared moduli.  The objective is a sum of row terms, so the
+disjoint pairs of one round-robin round are searched as one batch.
 """
 
 import math
@@ -29,7 +26,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .entropy import eta_array
-from .linesearch import SCAN, SCAN_STEP, check_count, check_seed, golden_vec
+from .linesearch import check_count, check_seed, rotation_line_search
 from .states import Decomposition, check_density_matrix
 
 RANK_TOL = 1e-10
@@ -64,12 +61,17 @@ def decomposition_from_isometry(omega, U) -> Decomposition:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[1] != r:
         raise ValueError(f"isometry must have {r} columns (state rank), got shape {U.shape}")
-    if U.shape[0] < r:
-        raise ValueError("isometry needs at least as many rows as columns")
-    dev = np.max(np.abs(U.conj().T @ U - np.eye(r)))
-    if dev > 1e-10:
+    return _decomposition_from_vectors(_check_orthonormal(U).conj() @ M.T)
+
+
+def _check_orthonormal(U: np.ndarray) -> np.ndarray:
+    """U, raising unless it is finite and column-orthonormal within 1e-10."""
+    if not np.isfinite(U).all():
+        raise ValueError("isometry has non-finite entries")
+    dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1])))
+    if not dev <= 1e-10:  # an overflow in the product reads as NaN
         raise ValueError(f"columns are not orthonormal (deviation {dev:.3e})")
-    return _decomposition_from_vectors(U.conj() @ M.T)
+    return U
 
 
 def _row_entropy_parts(sq: np.ndarray) -> np.ndarray:
@@ -89,11 +91,6 @@ def _rotate(X, Y, t, phase: bool):
     if phase:
         return c * X - 1j * s * Y, -1j * s * X + c * Y
     return c * X - s * Y, s * X + c * Y
-
-
-# The pair line search scans the squared moduli, which depend on 2t.
-_COS2 = np.cos(2.0 * SCAN)[:, None]
-_SIN2 = np.sin(2.0 * SCAN)[:, None]
 
 
 def _sweep_schedule(m: int, complex_moves: bool):
@@ -156,16 +153,7 @@ def _round(T, W, f, idx, I, J, phase: bool):
     accepted mask, both of shape (len(idx), len(I))."""
     rows = idx[:, None]
     K0, K1, K2, w = _pair_coefficients(T[rows, I], T[rows, J], phase)
-
-    def probe(t):
-        t2 = 2.0 * t[..., None]
-        return _pair_terms(K0 + K1 * np.cos(t2) + K2 * np.sin(t2), w)
-
-    current = _pair_terms(K0 + K1, w)  # t = 0
-    coarse = _pair_terms(K0[..., None, :] + K1[..., None, :] * _COS2 + K2[..., None, :] * _SIN2, w)
-    best = SCAN[np.argmin(coarse, axis=-1)]
-    t = golden_vec(probe, best - SCAN_STEP, best + SCAN_STEP)
-    new = probe(t)
+    t, new, current = rotation_line_search(K0, K1, K2, lambda sq: _pair_terms(sq, w))
     improved = new < current
     b, p = np.nonzero(improved)
     r, i, j, tb = idx[b], I[p], J[p], t[b, p]
@@ -220,7 +208,7 @@ def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_swee
         U = np.asarray(U).conj()
         if U.shape != (m, r):
             raise ValueError(f"extra init has shape {U.shape}, expected {(m, r)}")
-        inits.append(U.real.astype(dtype) if not complex_moves else U.astype(dtype))
+        inits.append(_check_orthonormal(U.real.astype(dtype) if not complex_moves else U.astype(dtype)))
     W = np.stack(inits)
     T = W @ M.T
     f = _objective(T)

@@ -58,17 +58,19 @@ def diagonal_channel(omega) -> np.ndarray:
 def diagonal_output_entropy(omega) -> float:
     """Entropy of the diagonal of omega, i.e. S(diagonal_channel(omega))."""
     omega = check_density_matrix(omega)
-    d = np.sort(np.real(np.diag(omega)))
-    d = np.clip(d, 0.0, 1.0)
-    return float(sum(eta(float(x)) for x in d))
+    return _entropy_sum(np.real(np.diag(omega)))
 
 
 def von_neumann_entropy(omega) -> float:
     """S(omega) = -Tr omega log omega in nats."""
     omega = check_density_matrix(omega)
-    evals = hermitian_eigenvalues(omega)
-    evals = np.clip(evals, 0.0, 1.0)
-    return float(sum(eta(float(x)) for x in evals))
+    return _entropy_sum(hermitian_eigenvalues(omega))
+
+
+def _entropy_sum(values) -> float:
+    """Sum of eta over values clipped to [0, 1], smallest first, so the
+    result does not depend on their order."""
+    return float(sum(eta(float(x)) for x in np.sort(np.clip(values, 0.0, 1.0))))
 
 
 def real_projection(omega) -> np.ndarray:
@@ -161,8 +163,7 @@ class Decomposition:
         """Weighted average of the diagonal output entropy of the members."""
         total = 0.0
         for p, s in zip(self.weights, self.states):
-            probs = np.clip(np.abs(np.asarray(s)) ** 2, 0.0, 1.0)
-            total += p * float(sum(eta(float(x)) for x in np.sort(probs)))
+            total += p * _entropy_sum(np.abs(np.asarray(s)) ** 2)
         return total
 
 

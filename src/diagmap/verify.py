@@ -238,13 +238,13 @@ def check_face_table() -> CheckResult:
         direct = math.log(n) - (1.0 - 2.0 / n) * math.log(n - 1.0)
         if not abs(fm.min_face_entropy(n) - direct) < 1e-13:
             return _result("face-minimum table", False, f"N={n} closed form mismatch (tol 1e-13)")
-    values = np.array([fm.brute_force_min_face(n, restarts=50 * n, seed=5)[0] for n in range(2, 11)])
-    closed = np.array([fm.min_face_entropy(n) for n in range(2, 11)])
+    values = np.array([fm.brute_force_min_face(n, restarts=50 * n, seed=5)[0] for n in range(2, 33)])
+    closed = np.array([fm.min_face_entropy(n) for n in range(2, 33)])
     worst_gap = np.max(np.abs(values - closed))
     worst_under = np.max(closed - values, initial=0.0)
     ok = worst_gap < 1e-6 and worst_under < 1e-9
     return _result(
-        "face-minimum table, search N = 2..10",
+        "face-minimum table, search N = 2..32",
         ok,
         f"worst |search - closed| = {worst_gap:.3e} (tol 1e-6), worst undercut {worst_under:.3e} (tol 1e-9)",
     )
@@ -285,7 +285,7 @@ def check_minimizer_states() -> CheckResult:
         for v in states:
             if not (abs(v.sum()) <= 1e-12 and abs(v @ v - 1.0) <= 1e-12):
                 return _result("minimizer states", False, f"N={n}: constraint violation")
-            entro = float(fm._face_objective(v[None, :])[0])
+            entro = float(fm._face_objective(v * v))
             entropy_errs.append(abs(entro - closed))
             # stationarity: x log x^2 = lam + mu x for some multipliers
             rhs = np.where(np.abs(v) > 0, v * np.log(np.maximum(v * v, 1e-300)), 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from diagmap import face_minimum
 from diagmap.face_minimum import (
     brute_force_min_face,
     lagrange_roots,
@@ -252,12 +253,27 @@ def test_brute_force_qubit_is_exact():
 
 
 def test_brute_force_matches_closed_form_small():
-    for n in (3, 4, 7):
+    for n in (3, 4, 7, 16, 32):
         value, argmin = brute_force_min_face(n, restarts=50 * n, seed=1)
         assert value == pytest.approx(min_face_entropy(n), abs=1e-6)
         assert value >= min_face_entropy(n) - 1e-9
         assert abs(argmin.sum()) < 1e-10
         assert abs(argmin @ argmin - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n", [5, 7, 12])
+def test_descent_batch_matches_rows_one_at_a_time(n):
+    g = Generator(Philox(key=np.array([57, n], dtype=np.uint64)))
+    Y = g.standard_normal((40, n - 1))
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    H = zero_sum_basis(n)
+    Yb = Y.copy()
+    A_batch, f_batch = face_minimum._descend(Yb, H)
+    singles = [face_minimum._descend(Y[k : k + 1].copy(), H) for k in range(len(Y))]
+    assert np.array_equal(A_batch, np.vstack([A for A, _ in singles]))
+    assert np.array_equal(f_batch, np.hstack([f for _, f in singles]))
+    assert np.all(f_batch < face_minimum._face_objective((Y @ H) ** 2))
+    assert np.max(np.abs(np.linalg.norm(Yb, axis=1) - 1.0)) < 1e-14
 
 
 def test_brute_force_deterministic():

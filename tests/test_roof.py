@@ -71,6 +71,8 @@ def test_isometry_rank_mismatch_rejected():
         decomposition_from_isometry(omega, np.eye(3))
     with pytest.raises(ValueError):
         decomposition_from_isometry(symmetric_state(0.0), np.ones((3, 3)))
+    with pytest.raises(ValueError, match="orthonormal"):  # fewer rows than the rank
+        decomposition_from_isometry(symmetric_state(0.0), np.eye(2, 3))
 
 
 def test_roof_pure_state_is_exact():
@@ -155,6 +157,19 @@ def test_roof_monotone_in_m_with_nested_starts():
         res = real_roof_upper_bound(omega, m=m, restarts=20, seed=2, extra_inits=[pad])
         assert res.value <= prev.value + 1e-12
         prev = res
+
+
+def test_roof_rejects_extra_inits_that_are_not_isometries():
+    # each of these once gave a bound of 0.0 or 0.0496, far below E(0.3) = 0.1986
+    omega = symmetric_state(0.3).real
+    for U in (np.zeros((3, 3)), np.full((3, 3), np.nan), 0.5 * np.eye(3)):
+        with pytest.raises(ValueError, match="orthonormal|non-finite"):
+            real_roof_upper_bound(omega, m=3, restarts=1, seed=0, extra_inits=[U])
+    for bad in (np.full((3, 3), np.inf), np.eye(3) + 1e-9):
+        with pytest.raises(ValueError, match="orthonormal|non-finite"):
+            roof_upper_bound(symmetric_state(0.3), m=3, restarts=1, seed=0, extra_inits=[bad])
+        with pytest.raises(ValueError, match="orthonormal|non-finite"):
+            decomposition_from_isometry(symmetric_state(0.3), bad)
 
 
 def test_real_roof_requires_real_symmetric():
