@@ -153,9 +153,10 @@ def _descend(Y: np.ndarray, H: np.ndarray):
     The tangent part of the gradient -2a(log a^2 + 1) gives Polak-Ribiere+
     directions d.  On the circle y cos t + e sin t, with e = d/|d| and
     b = eH, each a_k^2 is P + Q cos 2t + R sin 2t, so the rotation line
-    search finds t.  A row steps only when that lowers its value, and stops
-    once a step gains at most 1e-12, or after 200 steps.  Products with H
-    are einsums, so a row's path does not depend on its batch.
+    search finds t over the period pi.  A row steps only when that lowers
+    its value, and stops once a step gains at most 1e-12, once its tangent
+    gradient is exactly 0, or after 200 steps.  Products with H are
+    einsums, so a row's path does not depend on its batch.
     """
     A = np.einsum("bk,kn->bn", Y, H)
     f = _face_objective(A * A)
@@ -173,9 +174,17 @@ def _descend(Y: np.ndarray, H: np.ndarray):
         d = -g + np.maximum(beta, 0.0)[:, None] * D[idx]
         d = np.where((np.einsum("bk,bk->b", d, g) >= 0.0)[:, None], -g, d)
         size = np.sqrt(np.einsum("bk,bk->b", d, d))[:, None]
+        stationary = size[:, 0] == 0.0  # the tangent gradient is exactly 0
+        if stationary.any():
+            active[idx[stationary]] = False
+            keep = ~stationary
+            idx, y, a, sq, g, d, size = idx[keep], y[keep], a[keep], sq[keep], g[keep], d[keep], size[keep]
         e = d / size
         b = np.einsum("bk,kn->bn", e, H)
-        t, new, current = rotation_line_search(0.5 * (sq + b * b), 0.5 * (sq - b * b), a * b, _face_objective)
+        # y and -y have the same squared amplitudes: the period is pi
+        t, new, current = rotation_line_search(
+            0.5 * (sq + b * b), 0.5 * (sq - b * b), a * b, np.ones(H.shape[1]), math.pi
+        )
         c, s = np.cos(t)[:, None], np.sin(t)[:, None]
         step = new < current
         y_new = c * y + s * e

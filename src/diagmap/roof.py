@@ -15,7 +15,9 @@ and its members are real (Uhlmann, "Roofs and convexity", Entropy 12, 1799
 (2010)).  The search never reads a closed form of the roof.
 
 Each rotation angle comes from linesearch.rotation_line_search on the
-pair's squared moduli.  The objective is a sum of row terms, so the
+pair's squared moduli: a scan of one period, pi/2 since swapping the two
+rows leaves their terms unchanged, then safeguarded Newton steps on the
+analytic slope and curvature.  The objective is a sum of row terms, so the
 disjoint pairs of one round-robin round are searched as one batch.
 """
 
@@ -121,7 +123,7 @@ def _pair_coefficients(X, Y, phase: bool):
     axes) such that after _rotate(X, Y, t, phase) the squared moduli of the
     columns [|x_k|^2, |y_k|^2, |x|^2, |y|^2] are exactly
     K0 + K1 cos 2t + K2 sin 2t, and the two rows' objective terms are
-    _pair_terms(K0 + K1 cos 2t + K2 sin 2t, w)."""
+    sum_c w_c eta(K0 + K1 cos 2t + K2 sin 2t)."""
     ax = (X * X.conj()).real
     ay = (Y * Y.conj()).real
     xy = X * Y.conj()
@@ -139,12 +141,6 @@ def _pair_coefficients(X, Y, phase: bool):
     return columns(P, 1.0), columns(Q, -1.0), columns(R, -1.0), w
 
 
-def _pair_terms(sq, w):
-    # eta_array(sq) @ w, summed by einsum: matmul picks its BLAS kernel by
-    # shape, so a pair's value would depend on which others share its batch
-    return np.einsum("...c,c->...", eta_array(sq), w)
-
-
 def _round(T, W, f, idx, I, J, phase: bool):
     """Line-search the rotation angle of every disjoint row pair
     (I[p], J[p]) of the restarts idx as one batch, and apply each angle
@@ -153,7 +149,7 @@ def _round(T, W, f, idx, I, J, phase: bool):
     accepted mask, both of shape (len(idx), len(I))."""
     rows = idx[:, None]
     K0, K1, K2, w = _pair_coefficients(T[rows, I], T[rows, J], phase)
-    t, new, current = rotation_line_search(K0, K1, K2, lambda sq: _pair_terms(sq, w))
+    t, new, current = rotation_line_search(K0, K1, K2, w, 0.5 * math.pi)
     improved = new < current
     b, p = np.nonzero(improved)
     r, i, j, tb = idx[b], I[p], J[p], t[b, p]

@@ -6,6 +6,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap.entropy import (
+    check_hermitian,
     clamp_probabilities,
     eta,
     eta_array,
@@ -145,3 +146,13 @@ def test_eigenvalues_reject_non_hermitian():
         with pytest.raises(ValueError), warnings.catch_warnings():
             warnings.simplefilter("error")
             hermitian_eigenvalues(bad)
+
+
+def test_validators_reject_huge_finite_input_without_warnings():
+    # H - H^H and the sum of p overflow to inf; that must read as a failed
+    # check, not as a RuntimeWarning first
+    huge = ((check_hermitian, [[0.0, 1e308], [-1e308, 0.0]]), (clamp_probabilities, [1e308, 1e308]))
+    for check, bad in huge:
+        with pytest.raises(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check(bad)
