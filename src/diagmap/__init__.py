@@ -28,7 +28,6 @@ from .states import (
     real_projection,
     symmetric_state,
     twirl_s3,
-    uniform_fidelity,
     von_neumann_entropy,
     write_density_matrix,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "theta_transition",
     "twirl_s3",
     "two_value_entropy",
-    "uniform_fidelity",
     "von_neumann_entropy",
     "write_density_matrix",
 ]

@@ -168,6 +168,10 @@ def cmd_roof_estimate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"upper bound: {_fmt(result.value * scale)} {args.units}")
+    print(
+        f"search: {result.sweeps} sweeps, {result.polish_steps} polish steps, "
+        f"capped: {'yes' if result.capped else 'no'}"
+    )
     dec = result.decomposition
     print(f"decomposition ({len(dec)} states):")
     for w, s in zip(dec.weights, dec.states):

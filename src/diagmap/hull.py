@@ -2,13 +2,9 @@
 from an external anchor point (the two operations behind the linear pieces
 of the entanglement curve)."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# hull strictly below the curve by more than this counts as a replaced
-# (linear) region rather than round-off
-SEGMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -30,7 +26,6 @@ class SampledCurve:
 @dataclass(frozen=True)
 class HullResult:
     hull_ys: np.ndarray
-    segments: list = field(default_factory=list)
 
 
 def _cross(ax, ay, bx, by, cx, cy) -> float:
@@ -41,8 +36,7 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
     """Largest convex function not above the samples, evaluated back on xs.
 
     Vertices come from an Andrew monotone chain over the sample points;
-    between vertices the hull is linear.  segments lists the x-intervals
-    where the hull lies strictly below the curve.
+    between vertices the hull is linear.
     """
     xs, ys = curve.xs, curve.ys
     n = xs.size
@@ -57,36 +51,21 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
         stack.append(i)
     hx = xs[stack]
     hy = ys[stack]
-    hull_ys = np.interp(xs, hx, hy)
-    below = (ys - hull_ys) > SEGMENT_TOL
-    segments = []
-    i = 0
-    while i < n:
-        if below[i]:
-            j = i
-            while j + 1 < n and below[j + 1]:
-                j += 1
-            segments.append((float(xs[max(i - 1, 0)]), float(xs[min(j + 1, n - 1)])))
-            i = j + 1
-        else:
-            i += 1
-    return HullResult(hull_ys=hull_ys, segments=segments)
+    return HullResult(hull_ys=np.interp(xs, hx, hy))
 
 
-def tangent_from_point(f, x0: float, f0: float, bracket, *, tol: float = 1e-12) -> float:
+def tangent_from_point(f, x0: float, f0: float, bracket, *, df, tol: float = 1e-12) -> float:
     """Abscissa t where the line through (x0, f0) touches f tangentially.
 
-    Solves g(t) = f'(t) (t - x0) - (f(t) - f0) = 0 by bisection on the
-    bracket followed by a few Newton steps; f' uses central differences.
-    Raises ValueError when g does not change sign on the bracket.
+    Solves g(t) = f'(t) (t - x0) - (f(t) - f0) = 0, with f' given as df,
+    by bisection on the bracket followed by a few Newton steps whose slope
+    g' is a central difference (it steers the steps; the root is as
+    accurate as g).  Raises ValueError when g does not change sign on the
+    bracket.
     """
 
-    def deriv(t: float) -> float:
-        h = 1e-6 * (1.0 + abs(t))
-        return (f(t + h) - f(t - h)) / (2.0 * h)
-
     def g(t: float) -> float:
-        return deriv(t) * (t - x0) - (f(t) - f0)
+        return df(t) * (t - x0) - (f(t) - f0)
 
     lo, hi = float(bracket[0]), float(bracket[1])
     glo, ghi = g(lo), g(hi)

@@ -19,6 +19,19 @@ pair's squared moduli: a scan of one period, pi/2 since swapping the two
 rows leaves their terms unchanged, then safeguarded Newton steps on the
 analytic slope and curvature.  The objective is a sum of row terms, so the
 disjoint pairs of one round-robin round are searched as one batch.
+
+Coordinate descent finds the basin quickly but crawls at a linear rate
+along an ill-conditioned valley, as it does just above the tangency point
+z* of the symmetric curve.  Once the median, over the restarts still
+descending, of a sweep's gain over the previous sweep's reaches
+HANDOVER_RATIO, every restart is handed to a Riemannian L-BFGS polish on
+the Stiefel manifold of isometries
+(Edelman, Arias and Smith, SIAM J. Matrix Anal. Appl. 20, 303 (1998); for
+convex roofs, Roethlisberger, Lehmann and Loss, PRA 80, 042301 (2009)):
+the analytic gradient projected to the tangent space, polar retraction
+and Armijo backtracking, which runs to convergence.  A search that
+converges or reaches max_sweeps before the handover ends as the descent
+left it.
 """
 
 import math
@@ -28,19 +41,44 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .entropy import eta_array
-from .linesearch import check_count, check_seed, rotation_line_search
+from .linesearch import TINY, check_count, check_seed, rotation_line_search
 from .states import Decomposition, check_density_matrix
 
 RANK_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 SWEEP_TOL = 1e-11
+# The descent hands over to the polish once the median, over the restarts
+# still descending, of a sweep's gain over the previous sweep's gain
+# reaches HANDOVER_RATIO.  Measured on real searches with m = 6 and 32
+# restarts: at z = -0.41 the ratio passes 0.5 by sweep 6 and 0.7 at sweep
+# 11-13, at z = -0.44 it is 0.6-0.7 at sweep 4 and 0.84-0.88 at sweep 5,
+# and at z = 0.3 and 0.92 it stays at or below 0.35.  At 0.5 one of twelve
+# seeds at z = -0.41 (1005) was polished into a competing local minimum
+# 1.58e-6 above E; at 0.7 all twelve (1-6, 1001-1006) end within 1.1e-15.
+HANDOVER_RATIO = 0.7
+# At z = -0.41 (seeds 1-6) the polish converges in 110-156 iterations with
+# 20 curvature pairs; with 6 it takes 612-796 and ends up to 3.7e-13 high.
+POLISH_MEMORY = 20
+POLISH_ITERS = 400
+# a restart stops once its step predicts a gain of at most POLISH_TOL
+POLISH_TOL = 1e-15
+ARMIJO = 1e-4
+BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
 class RoofResult:
+    """A search's bound, the decomposition and isometry that attain it, and
+    how the search ended: the descent sweeps run, the polish iterations run
+    (0 when the descent never handed over) and whether max_sweeps or
+    POLISH_ITERS stopped it."""
+
     value: float
     decomposition: Decomposition
     isometry: np.ndarray
+    sweeps: int
+    polish_steps: int
+    capped: bool
 
 
 def _eigen_factor(omega: np.ndarray):
@@ -159,23 +197,149 @@ def _round(T, W, f, idx, I, J, phase: bool):
     return t, improved
 
 
-def _descend(T, W, f, batches, max_sweeps: int):
+def _inner(A, B):
+    """Real inner product Re tr(A^H B) of each pair of stacked matrices."""
+    return np.einsum("bij,bij->b", A.conj(), B).real
+
+
+def _project(W, G):
+    """G - W sym(W^H G): each G projected to the tangent space of the
+    Stiefel manifold at W."""
+    WG = np.einsum("bji,bjl->bil", W.conj(), G)
+    return G - np.einsum("bji,bil->bjl", W, 0.5 * (WG + WG.conj().swapaxes(-1, -2)))
+
+
+def _retract(A):
+    """Polar factor A (A^H A)^(-1/2) of each full-rank matrix A."""
+    lam, V = np.linalg.eigh(np.einsum("bji,bjl->bil", A.conj(), A))
+    AV = np.einsum("bji,bil->bjl", A, V) / np.sqrt(lam)[:, None, :]
+    return np.einsum("bjl,bil->bji", AV, V.conj())
+
+
+def _gradient(W, T, M):
+    """Riemannian gradient of _objective at W, where T = W M^T:
+    G_T = 2 T (log rownorm^2 - log |T|^2) and G_W = G_T conj(M),
+    projected to the tangent space."""
+    sq = np.maximum((T * T.conj()).real, TINY)
+    GT = 2.0 * T * (np.log(sq.sum(axis=-1, keepdims=True)) - np.log(sq))
+    return _project(W, np.einsum("bjk,kl->bjl", GT, M.conj()))
+
+
+def _two_loop(g, S, Y, rho, gamma, order):
+    """-H g for the L-BFGS inverse-Hessian estimate H built from gamma I
+    and the curvature pairs (S[k], Y[k]), k in order, newest first.  A slot
+    with rho = 0 is empty and changes nothing."""
+    q = -g
+    alpha = {}
+    for k in order:
+        alpha[k] = rho[k] * _inner(S[k], q)
+        q = q - alpha[k][:, None, None] * Y[k]
+    q = gamma[:, None, None] * q
+    for k in reversed(order):
+        q = q + (alpha[k] - rho[k] * _inner(Y[k], q))[:, None, None] * S[k]
+    return q
+
+
+def _armijo(T, W, f, M, d, slope, pending):
+    """Backtrack from step 1 along the tangent direction d, halving up to
+    BACKTRACKS times, for the restarts marked pending.  A step is taken
+    when it lowers f by at least ARMIJO times its predicted gain, and in
+    any case lowers it.  Returns the new T, W and f, the steps and which
+    restarts took one."""
+    T, W, f = T.copy(), W.copy(), f.copy()
+    step = np.ones(len(f))
+    took = np.zeros(len(f), dtype=bool)
+    for _ in range(BACKTRACKS):
+        idx = np.nonzero(pending)[0]
+        if idx.size == 0:
+            break
+        Wc = _retract(W[idx] + step[idx, None, None] * d[idx])
+        Tc = Wc @ M.T
+        fc = _objective(Tc)
+        ok = (fc < f[idx]) & (fc <= f[idx] + ARMIJO * step[idx] * slope[idx])
+        T[idx[ok]], W[idx[ok]], f[idx[ok]] = Tc[ok], Wc[ok], fc[ok]
+        took[idx[ok]] = True
+        pending = pending & ~took
+        step[idx[~ok]] *= 0.5
+    return T, W, f, step, took
+
+
+def _polish(T, W, f, M):
+    """Riemannian L-BFGS on the Stiefel manifold of W, batched over
+    restarts: the analytic gradient (_gradient), a two-loop recursion
+    over the last POLISH_MEMORY curvature pairs (transported to the new
+    point by projection), polar retraction and Armijo backtracking.  A
+    step is taken only if it lowers f, so no restart ends above where it
+    was handed over.  A restart stops once the predicted gain of its step
+    is at most POLISH_TOL or no step lowers f; POLISH_ITERS caps the
+    iterations.  Every restart follows its own path, whatever shares its
+    batch.  Returns T, W, f, the iterations run and whether the cap
+    stopped a restart."""
+    g = _gradient(W, T, M)
+    S = np.zeros((POLISH_MEMORY,) + W.shape, dtype=W.dtype)
+    Y = np.zeros_like(S)
+    rho = np.zeros((POLISH_MEMORY, len(f)))
+    gamma = np.ones(len(f))
+    done = np.zeros(len(f), dtype=bool)
+    for it in range(POLISH_ITERS):
+        order = [(it - 1 - k) % POLISH_MEMORY for k in range(min(it, POLISH_MEMORY))]
+        d = _project(W, _two_loop(g, S, Y, rho, gamma, order))
+        slope = _inner(g, d)
+        # where the estimate gives no descent, forget it and step along -g
+        reset = ~(slope < 0.0)
+        rho[:, reset] = 0.0
+        d[reset] = -gamma[reset, None, None] * g[reset]
+        slope = _inner(g, d)
+        done |= -slope <= POLISH_TOL
+        if done.all():
+            return T, W, f, it, False
+        Tn, Wn, f, step, took = _armijo(T, W, f, M, d, slope, ~done)
+        done |= ~took
+        gn = _gradient(Wn, Tn, M)
+        s = _project(Wn, step[:, None, None] * d)
+        y = gn - _project(Wn, g)
+        sy, yy = _inner(s, y), _inner(y, y)
+        # a pair is kept only with positive curvature, and only where
+        # 1 / sy and sy / yy are finite
+        keep = took & (sy > TINY) & (yy > TINY)
+        slot = it % POLISH_MEMORY
+        S[slot] = np.where(keep[:, None, None], s, 0.0)
+        Y[slot] = np.where(keep[:, None, None], y, 0.0)
+        rho[slot] = np.where(keep, 1.0 / np.where(keep, sy, 1.0), 0.0)
+        gamma = np.where(keep, sy / np.where(keep, yy, 1.0), gamma)
+        T, W, g = Tn, Wn, gn
+    return T, W, f, POLISH_ITERS, not done.all()
+
+
+def _descend(T, W, f, M, batches, max_sweeps: int):
     """Cyclic coordinate descent over rotation angles, vectorized across
     restarts and across the disjoint pairs of each batch of
     _sweep_schedule.  T holds the unnormalized decomposition vectors as
     rows and W the isometry generating them; both receive the same
-    rotations.  f is recomputed from T after every sweep."""
+    rotations.  f is recomputed from T after every sweep.  Once the descent
+    has slowed to a linear rate of HANDOVER_RATIO, every restart goes to
+    _polish.  Returns T, W, f, the sweeps run, the polish iterations run
+    and whether a cap stopped the search."""
     active = np.ones(T.shape[0], dtype=bool)
-    for _ in range(max_sweeps):
+    gain = None
+    for sweep in range(1, max_sweeps + 1):
         idx = np.nonzero(active)[0]
         f_before = f.copy()
         for I, J, phase in batches:
             _round(T, W, f, idx, I, J, phase)
         f[idx] = _objective(T[idx])
-        active &= (f_before - f) > SWEEP_TOL
+        last, gain = gain, f_before - f
+        active &= gain > SWEEP_TOL
         if not active.any():
-            break
-    return T, W, f
+            return T, W, f, sweep, 0, False
+        if last is not None:
+            # the median from a sort: np.median imports numpy.ma on its
+            # first call, 1.6 MB of resident memory
+            ratio = np.sort(gain[idx] / last[idx])
+            if ratio[(idx.size - 1) // 2] + ratio[idx.size // 2] >= 2.0 * HANDOVER_RATIO:
+                T, W, f, steps, capped = _polish(T, W, f, M)
+                return T, W, f, sweep, steps, capped
+    return T, W, f, max_sweeps, 0, True
 
 
 def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_sweeps: int):
@@ -208,13 +372,16 @@ def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_swee
     W = np.stack(inits)
     T = W @ M.T
     f = _objective(T)
-    T, W, f = _descend(T, W, f, _sweep_schedule(m, complex_moves), max_sweeps)
+    T, W, f, sweeps, polish_steps, capped = _descend(T, W, f, M, _sweep_schedule(m, complex_moves), max_sweeps)
     best = int(np.argmin(f))
     decomp = _decomposition_from_vectors(T[best])
     return RoofResult(
         value=decomp.average_output_entropy(),
         decomposition=decomp,
         isometry=W[best].conj(),
+        sweeps=sweeps,
+        polish_steps=polish_steps,
+        capped=capped,
     )
 
 

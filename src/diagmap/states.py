@@ -129,13 +129,6 @@ def symmetric_state(z: float) -> np.ndarray:
     return m
 
 
-def uniform_fidelity(z: float) -> float:
-    """Fidelity of symmetric_state(z) with the uniform superposition,
-    F = (2z + 1)/3."""
-    z = check_z(z)
-    return (2.0 * z + 1.0) / 3.0
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """A convex mixture of pure states: sum_j weights[j] |s_j><s_j|."""

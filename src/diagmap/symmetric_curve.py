@@ -81,6 +81,17 @@ def theta0_entropy(z: float) -> float:
     return 2.0 * eta((alpha - beta) ** 2 / 9.0) + eta((alpha + 2.0 * beta) ** 2 / 9.0)
 
 
+def _theta0_slope(z: float) -> float:
+    """d theta0_entropy / dz for z in (-1/2, 1) other than 0.  With
+    u = (alpha-beta)^2/9 and v = (alpha+2 beta)^2/9, 2u + v = 1, so the
+    slope is 2 u' log(v/u) with u' = 2 (alpha-beta)(1/alpha + 1/(2 beta))/9."""
+    alpha, beta = _alpha_beta(z)
+    u = (alpha - beta) ** 2 / 9.0
+    v = (alpha + 2.0 * beta) ** 2 / 9.0
+    du = 2.0 * (alpha - beta) * (1.0 / alpha + 0.5 / beta) / 9.0
+    return 2.0 * du * math.log(v / u)
+
+
 def _output_entropy(alpha: float, beta: float, theta: float) -> float:
     out = 0.0
     for amp in _amplitudes(alpha, beta, theta):
@@ -166,7 +177,7 @@ def theta_transition(*, bracket=(-0.45, -0.40), tol: float = 1e-9) -> float:
 def lower_tangent_z() -> float:
     """Tangency abscissa z* of the chord anchored at (-1/2, log 2) against
     the theta = 0 entropy curve."""
-    return tangent_from_point(theta0_entropy, -0.5, LN2, (-0.45, -0.30))
+    return tangent_from_point(theta0_entropy, -0.5, LN2, (-0.45, -0.30), df=_theta0_slope)
 
 
 @lru_cache(maxsize=1)

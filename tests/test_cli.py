@@ -6,6 +6,7 @@ import pytest
 
 from diagmap import verify
 from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from diagmap.roof import roof_upper_bound
 from diagmap.states import symmetric_state, write_density_matrix
 
 LN2 = math.log(2.0)
@@ -146,6 +147,18 @@ def test_roof_estimate_on_symmetric_state(tmp_path, capsys):
     bound = float([ln for ln in out.splitlines() if ln.startswith("upper bound")][0].split(":")[1].split()[0])
     assert bound == pytest.approx(LN2, abs=1e-5)
     assert "twirl parameter z = -0.5" in out
+
+
+def test_roof_estimate_reports_how_the_search_ended(tmp_path, capsys):
+    path = tmp_path / "state.txt"
+    write_density_matrix(path, symmetric_state(-0.41))
+    code, out, _ = _run(capsys, ["roof-estimate", str(path), "--m", "6", "--restarts", "32", "--seed", "1"])
+    assert code == EXIT_OK
+    lines = [ln for ln in out.splitlines() if ln.startswith("search:")]
+    res = roof_upper_bound(symmetric_state(-0.41), m=6, restarts=32, seed=1)
+    capped = "yes" if res.capped else "no"
+    assert lines == [f"search: {res.sweeps} sweeps, {res.polish_steps} polish steps, capped: {capped}"]
+    assert res.polish_steps > 0
 
 
 def test_roof_estimate_on_basis_state(tmp_path, capsys):

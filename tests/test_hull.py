@@ -5,7 +5,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap.hull import HullResult, SampledCurve, lower_convex_hull, tangent_from_point
-from diagmap.symmetric_curve import min_pure_output_entropy, theta0_entropy
+from diagmap.symmetric_curve import _theta0_slope, min_pure_output_entropy, theta0_entropy
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -16,7 +16,6 @@ def test_convex_samples_are_their_own_hull():
     curve = SampledCurve(xs=xs, ys=xs**2)
     res = lower_convex_hull(curve)
     assert np.allclose(res.hull_ys, xs**2, atol=1e-12)
-    assert res.segments == []
 
 
 def test_concave_samples_hull_is_the_chord():
@@ -25,17 +24,18 @@ def test_concave_samples_hull_is_the_chord():
     res = lower_convex_hull(SampledCurve(xs=xs, ys=ys))
     chord = ys[0] + (ys[-1] - ys[0]) * (xs - xs[0]) / (xs[-1] - xs[0])
     assert np.allclose(res.hull_ys, chord, atol=1e-12)
-    assert len(res.segments) == 1
-    lo, hi = res.segments[0]
-    assert lo == xs[0] and hi == xs[-1]
 
 
 def test_hull_of_sampled_curve_finds_both_linear_regions():
     zs = np.linspace(-0.5, 1.0, 1501)
     eps = np.array([min_pure_output_entropy(float(z))[0] for z in zs])
     res = lower_convex_hull(SampledCurve(xs=zs, ys=eps))
-    assert len(res.segments) == 2
-    (a0, a1), (b0, b1) = res.segments
+    # the hull leaves the curve on two runs of samples: the lower chord up
+    # to z* and the upper chord from 5/6
+    below = np.flatnonzero(eps - res.hull_ys > 1e-9)
+    runs = np.split(zs[below], np.flatnonzero(np.diff(below) > 1) + 1)
+    assert len(runs) == 2
+    (a0, a1), (b0, b1) = ((run[0], run[-1]) for run in runs)
     assert a0 == pytest.approx(-0.5, abs=2e-3)
     assert a1 == pytest.approx(-0.40795, abs=2e-3)
     assert b0 == pytest.approx(5.0 / 6.0, abs=2e-3)
@@ -104,19 +104,19 @@ def test_sampled_curve_validation():
 
 def test_tangent_on_parabola():
     # from (0, -1) the tangent to x^2 touches at t = 1 (line y = 2x - 1)
-    t = tangent_from_point(lambda x: x * x, 0.0, -1.0, (0.5, 2.0))
+    t = tangent_from_point(lambda x: x * x, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
     assert t == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tangent_reproduces_curve_junctions():
-    t_low = tangent_from_point(theta0_entropy, -0.5, LN2, (-0.45, -0.3))
+    t_low = tangent_from_point(theta0_entropy, -0.5, LN2, (-0.45, -0.3), df=_theta0_slope)
     assert t_low == pytest.approx(-0.4079496711, abs=1e-6)
-    t_high = tangent_from_point(theta0_entropy, 1.0, LN3, (0.7, 0.95))
+    t_high = tangent_from_point(theta0_entropy, 1.0, LN3, (0.7, 0.95), df=_theta0_slope)
     assert t_high == pytest.approx(5.0 / 6.0, abs=1e-6)
 
 
 def test_tangent_slope_consistency():
-    t = tangent_from_point(lambda x: x * x, 0.0, -1.0, (0.5, 2.0))
+    t = tangent_from_point(lambda x: x * x, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
     h = 1e-6 * (1.0 + abs(t))
     slope_curve = ((t + h) ** 2 - (t - h) ** 2) / (2.0 * h)
     slope_line = (t * t - (-1.0)) / (t - 0.0)
@@ -125,7 +125,7 @@ def test_tangent_slope_consistency():
 
 def test_tangent_requires_sign_change():
     with pytest.raises(ValueError):
-        tangent_from_point(lambda x: x * x, 0.0, -1.0, (2.0, 3.0))
+        tangent_from_point(lambda x: x * x, 0.0, -1.0, (2.0, 3.0), df=lambda x: 2.0 * x)
 
 
 def test_hull_result_shape():
@@ -133,4 +133,3 @@ def test_hull_result_shape():
     res = lower_convex_hull(SampledCurve(xs=xs, ys=np.array([0.0, 2.0, 0.0])))
     assert isinstance(res, HullResult)
     assert np.allclose(res.hull_ys, [0.0, 0.0, 0.0])
-    assert res.segments == [(0.0, 2.0)]

@@ -9,13 +9,16 @@ import pytest
 
 from diagmap.face_minimum import min_face_entropy
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
-from diagmap.symmetric_curve import lower_tangent_z
+from diagmap.symmetric_curve import _theta0_slope, lower_tangent_z, theta0_entropy
 
 DPS = 40
 
 # 40-digit tangency abscissa of the chord from (-1/2, log 2) to the theta = 0
 # curve; test_zstar_reference_value recomputes it
 ZSTAR_REF = "-0.40794967106988114064"
+# 40-digit theta = 0 entropy s(z*) at the tangency point;
+# test_curve_value_at_zstar_reference recomputes it
+S_STAR_REF = "0.47001639914469718632727067935"
 
 
 @pytest.fixture(autouse=True)
@@ -76,5 +79,19 @@ def test_zstar_reference_value():
 
 
 def test_lower_tangent_z_against_mpmath():
-    # central differences in hull.tangent_from_point leave z* off by 1.03e-11
-    assert abs(mpmath.mpf(lower_tangent_z()) - mpmath.mpf(ZSTAR_REF)) <= 2e-11
+    # the analytic slope of theta0_entropy puts z* within 2.6e-17 of the
+    # reference (central differences left it 1.03e-11 off)
+    assert abs(mpmath.mpf(lower_tangent_z()) - mpmath.mpf(ZSTAR_REF)) <= 1e-16
+
+
+def test_curve_value_at_zstar_reference():
+    # ZSTAR_REF carries 20 digits, so s(ZSTAR_REF) is good to about 1e-20
+    assert abs(_theta0_entropy(mpmath.mpf(ZSTAR_REF)) - mpmath.mpf(S_STAR_REF)) < mpmath.mpf(10) ** -19
+    # measured 1.8e-16
+    assert abs(mpmath.mpf(theta0_entropy(lower_tangent_z())) - mpmath.mpf(S_STAR_REF)) <= 5e-16
+
+
+def test_theta0_slope_against_mpmath():
+    zs = [float(z) for z in np.linspace(-0.49, 0.99, 149) if abs(z) > 1e-3]
+    worst = max(_relative_error(_theta0_slope(z), mpmath.diff(_theta0_entropy, mpmath.mpf(z))) for z in zs)
+    assert worst <= 1e-12

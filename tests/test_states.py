@@ -18,7 +18,6 @@ from diagmap.states import (
     real_projection,
     symmetric_state,
     twirl_s3,
-    uniform_fidelity,
     von_neumann_entropy,
     write_density_matrix,
 )
@@ -181,17 +180,6 @@ def test_symmetric_state_domain():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             symmetric_state(bad)
-
-
-def test_uniform_fidelity():
-    assert uniform_fidelity(1.0) == pytest.approx(1.0, abs=1e-15)
-    assert uniform_fidelity(-0.5) == pytest.approx(0.0, abs=1e-15)
-    assert uniform_fidelity(0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    # agrees with the overlap definition
-    psi = np.full(3, 1.0 / math.sqrt(3.0))
-    for z in (-0.3, 0.2, 0.9):
-        direct = float((psi @ symmetric_state(z) @ psi).real)
-        assert uniform_fidelity(z) == pytest.approx(direct, abs=1e-12)
 
 
 def test_decomposition_mixture_and_average():
