@@ -12,6 +12,9 @@ import numpy as np
 NEG_CLAMP = 1e-12
 SUM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
+# The floor of every logarithm of a squared modulus: eta_array reads entries
+# at or below TINY as zeros, and the searches take the log at max(s, TINY).
+TINY = 1e-300
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -35,11 +38,11 @@ def eta(x: float) -> float:
 def eta_array(x: np.ndarray) -> np.ndarray:
     """Vectorized -x*log(x) with eta(0) = 0. No domain validation.
 
-    Entries at or below 1e-300 (zeros, subnormals and round-off negatives)
+    Entries at or below TINY (zeros, subnormals and round-off negatives)
     give a signed zero; NaN propagates.
     """
     x = np.asarray(x, dtype=float)
-    lg = np.log(x, out=np.zeros(x.shape), where=x > 1e-300)
+    lg = np.log(x, out=np.zeros(x.shape), where=x > TINY)
     return -x * lg
 
 

@@ -14,11 +14,10 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
-from .entropy import LN2, eta_array
+from .entropy import LN2, TINY, eta_array
 from .lambert import lambert_w0, lambert_wm1
-from .linesearch import check_count, check_seed, rotation_line_search
+from .linesearch import check_count, check_seed, rotation_line_search, stream_rng
 
 _INV_E = math.exp(-1.0)
 
@@ -167,7 +166,7 @@ def _descend(Y: np.ndarray, H: np.ndarray):
         if idx.size == 0:
             break
         y, a, sq = Y[idx], A[idx], A[idx] * A[idx]
-        grad = -2.0 * a * (np.log(sq, out=np.zeros(sq.shape), where=sq > 1e-300) + 1.0)
+        grad = -2.0 * a * (np.log(sq, out=np.zeros(sq.shape), where=sq > TINY) + 1.0)
         g = np.einsum("bn,kn->bk", grad, H)
         g -= np.einsum("bk,bk->b", g, y)[:, None] * y
         beta = np.einsum("bk,bk->b", g, g - G[idx]) / np.einsum("bk,bk->b", G[idx], G[idx])
@@ -208,8 +207,7 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     seed = check_seed(seed)
     Y = np.empty((restarts, N - 1))
     for k in range(restarts):
-        g = Generator(Philox(key=np.array([seed, k], dtype=np.uint64)))
-        y = g.standard_normal(N - 1)
+        y = stream_rng(seed, k).standard_normal(N - 1)
         Y[k] = y / np.linalg.norm(y)
     A, f = _descend(Y, zero_sum_basis(N))
     best = int(np.argmin(f))

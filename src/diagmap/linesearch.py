@@ -1,5 +1,5 @@
 """The rotation line search shared by the roof and face-minimum searches,
-and the checks of their seed and budgets.
+the checks of their seed and budgets, and their random streams.
 
 Both searches turn unit vectors by an angle t (two rows by a Givens or
 phase rotation for the roof, a point along a great circle for the face),
@@ -19,8 +19,9 @@ import math
 import operator
 
 import numpy as np
+from numpy.random import Generator, Philox
 
-from .entropy import eta_array
+from .entropy import TINY, eta_array
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -29,10 +30,6 @@ NEWTON_STEPS = 40
 # A row stops once a Newton step would gain at most GAIN_TOL, or once no
 # quadratic with its slope and curvature could gain more across its bracket.
 GAIN_TOL = 1e-14
-# The logarithm is taken at max(s, TINY): where a modulus touches zero its
-# log stays very negative, so the slope keeps its sign and the curvature
-# grows, rather than reading log s = 0 as eta_array does.
-TINY = 1e-300
 
 
 def _eta_sum(sq, w):
@@ -46,6 +43,9 @@ def _taylor(K0, K1, K2, R, w, t):
     c = np.cos(2.0 * t)[..., None]
     s = np.sin(2.0 * t)[..., None]
     u = K1 * c + K2 * s
+    # the log is taken at max(s, TINY): where a modulus touches zero its log
+    # stays very negative, so the slope keeps its sign and the curvature
+    # grows, rather than reading log s = 0 as eta_array does
     sq = np.maximum(K0 + u, TINY)
     lg = np.log(sq)
     lg1 = lg + 1.0
@@ -123,6 +123,12 @@ def check_seed(seed) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
     return seed
+
+
+def stream_rng(seed: int, stream: int) -> Generator:
+    """The generator of one stream of a seed: Philox keyed by (seed, stream).
+    The seed must have passed check_seed."""
+    return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def check_count(name: str, value) -> int:

@@ -38,14 +38,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
-from .entropy import eta_array
-from .linesearch import TINY, check_count, check_seed, rotation_line_search
+from .entropy import TINY, eta_array
+from .linesearch import check_count, check_seed, rotation_line_search, stream_rng
 from .states import Decomposition, check_density_matrix
 
 RANK_TOL = 1e-10
-WEIGHT_TOL = 1e-12
 SWEEP_TOL = 1e-11
 # The descent hands over to the polish once the median, over the restarts
 # still descending, of a sweep's gain over the previous sweep's gain
@@ -83,7 +81,11 @@ class RoofResult:
 
 def _eigen_factor(omega: np.ndarray):
     """Return M with M M^H = omega, columns scaled eigenvectors of the
-    positive part of the spectrum."""
+    positive part of the spectrum.  A state with no imaginary part is
+    factored as a real matrix, so the search and decomposition_from_isometry
+    pick the same basis of a degenerate eigenspace."""
+    if not np.any(omega.imag):
+        omega = omega.real.astype(float)
     evals, vecs = np.linalg.eigh(omega)
     keep = evals > RANK_TOL
     lam = evals[keep]
@@ -346,8 +348,6 @@ def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_swee
     restarts = check_count("restarts", restarts)
     max_sweeps = check_count("max_sweeps", max_sweeps)
     seed = check_seed(seed)
-    if not complex_moves:
-        omega = np.asarray(omega).real.astype(float)
     M = _eigen_factor(omega)
     N = omega.shape[0]
     r = M.shape[1]
@@ -358,7 +358,7 @@ def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_swee
     dtype = complex if complex_moves else float
     inits = [np.eye(m, r, dtype=dtype)]
     for k in range(1, restarts):
-        g = Generator(Philox(key=np.array([seed, k], dtype=np.uint64)))
+        g = stream_rng(seed, k)
         raw = g.standard_normal((m, r))
         if complex_moves:
             raw = raw + 1j * g.standard_normal((m, r))
@@ -386,8 +386,10 @@ def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_swee
 
 
 def _decomposition_from_vectors(vectors: np.ndarray) -> Decomposition:
+    # only members of zero weight are dropped: any other, however light,
+    # carries part of the mixture and of its average entropy
     weights = np.einsum("ij,ij->i", vectors, vectors.conj()).real
-    keep = weights > WEIGHT_TOL
+    keep = weights > 0.0
     states = [vectors[j] / math.sqrt(weights[j]) for j in np.nonzero(keep)[0]]
     return Decomposition(weights=weights[keep], states=states)
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import LN2, LN3, eta, eta_array
+from .entropy import LN2, LN3, TINY, eta, eta_array
 from .hull import tangent_from_point
 from .linesearch import INVPHI
 from .states import Decomposition, check_pure_state, check_z
@@ -96,7 +96,7 @@ def _output_entropy(alpha: float, beta: float, theta: float) -> float:
     out = 0.0
     for amp in _amplitudes(alpha, beta, theta):
         v = amp * amp
-        if v > 1e-300:
+        if v > TINY:
             out -= v * math.log(v)
     return out
 

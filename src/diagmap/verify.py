@@ -1,11 +1,17 @@
 """Named verification suites behind the `verify` CLI command.
 
-Each check pins the tolerances of one acceptance-level claim: the anchor
-constants and junctions of the entanglement curve, the face-minimum table
-and its bifurcation, the Lambert-W machinery, oracle/closed-form
-agreement, and the structural property suites.  This is the only place an
-acceptance check is written: the acceptance tests run every function in
-SUITES, each under one criterion.
+Each check pins one acceptance-level claim: the anchor constants and
+junctions of the entanglement curve, the face-minimum table and its
+bifurcation, the Lambert-W machinery, oracle/closed-form agreement, and the
+structural property suites.  A check only computes numbers: it returns a
+CheckResult holding one Measure (label, measured value, tolerance) for each
+quantity it bounds, and a boolean condition enters as a count of its
+violations with tolerance 0.  One rule, Measure.passed, decides every
+measurement: value < tol, or value == tol == 0, so a tolerance of 0 demands
+an exact zero and NaN fails.  A check passes when all its measurements do,
+and its report prints each value with its tolerance and margin.  This is the
+only place an acceptance check is written: the acceptance tests run every
+function in SUITES, each under one criterion.
 """
 
 import itertools
@@ -13,37 +19,64 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from . import face_minimum as fm
 from . import hull as hl
 from . import states as st
 from . import symmetric_curve as sc
-from .entropy import LN2, LN3
+from .entropy import LN2, LN3, TINY
 from .lambert import lambert_w0, lambert_wm1
+from .linesearch import stream_rng
 from .roof import real_roof_upper_bound, roof_upper_bound
 
 # values quoted with the curve (location of the lower tangency, its height,
-# the angle-transition point and the value at the upper knee)
+# the angle-transition point and the value at the upper knee), and the
+# one-vs-rest face value at N = 7
 ZSTAR_REF = -0.4079496711
 S_ZSTAR_REF = 0.470016
 THETA_TRANSITION_REF = -0.4150234
 KNEE_VALUE_REF = 0.867563
+ONE_VS_REST_7_REF = 0.666082
+
+
+def _num(x) -> str:
+    return str(x) if isinstance(x, (int, np.integer)) else f"{x:.2e}"
+
+
+@dataclass(frozen=True)
+class Measure:
+    """One measured value and its tolerance.  It passes when value < tol, or
+    when value == tol == 0: a tolerance of 0 makes an exact check, as for a
+    count of violations.  NaN fails."""
+
+    label: str
+    value: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value < self.tol or self.value == self.tol == 0)
+
+    def __str__(self) -> str:
+        return f"{self.label} {_num(self.value)} (tol {self.tol:g}, margin {_num(self.tol - self.value)})"
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's name and measurements; it passes when it has measurements
+    and every one passes, and its detail lists them all."""
+
     name: str
-    passed: bool
-    detail: str
+    measures: tuple
 
+    @property
+    def passed(self) -> bool:
+        return bool(self.measures) and all(m.passed for m in self.measures)
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def _rng(seed: int, stream: int) -> Generator:
-    return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    @property
+    def detail(self) -> str:
+        return "; ".join(map(str, self.measures))
 
 
 def _random_qutrit(g: Generator) -> np.ndarray:
@@ -64,53 +97,46 @@ def check_curve_anchors() -> CheckResult:
             abs(sc.entanglement_entropy(1.0) - LN3),
         ]
     )
-    return _result(
-        "curve anchors at z = -1/2, 0, 1",
-        worst < 1e-9,
-        f"max deviation {worst:.3e} (tol 1e-9)",
-    )
+    return CheckResult("curve anchors at z = -1/2, 0, 1", (Measure("max |E - anchor|", worst, 1e-9),))
 
 
 def check_lower_tangency() -> CheckResult:
     zstar = sc.lower_tangent_z()
-    s_star = sc.theta0_entropy(zstar)
-    ok = abs(zstar - ZSTAR_REF) < 1e-6 and abs(s_star - S_ZSTAR_REF) < 1e-5
-    return _result(
+    return CheckResult(
         "lower tangency point",
-        ok,
-        f"z* = {zstar:.10f} (ref {ZSTAR_REF}, tol 1e-6), value {s_star:.6f} (ref {S_ZSTAR_REF}, tol 1e-5)",
+        (
+            Measure("|z* - ref|", abs(zstar - ZSTAR_REF), 1e-6),
+            Measure("|s(z*) - ref|", abs(sc.theta0_entropy(zstar) - S_ZSTAR_REF), 1e-5),
+        ),
     )
 
 
 def check_theta_transition() -> CheckResult:
     zt = sc.theta_transition()
     _, theta_end = sc.min_pure_output_entropy(-0.5)
-    ok = abs(zt - THETA_TRANSITION_REF) < 1e-4 and abs(theta_end - math.pi / 6.0) < 1e-6
-    return _result(
+    return CheckResult(
         "angle transition",
-        ok,
-        f"transition {zt:.7f} (ref {THETA_TRANSITION_REF}, tol 1e-4), "
-        f"theta_min(-1/2) = {theta_end:.9f} (ref pi/6, tol 1e-6)",
+        (
+            Measure("|transition - ref|", abs(zt - THETA_TRANSITION_REF), 1e-4),
+            Measure("|theta_min(-1/2) - pi/6|", abs(theta_end - math.pi / 6.0), 1e-6),
+        ),
     )
 
 
 def check_junctions() -> CheckResult:
     knee = sc.UPPER_KNEE
     eps_val, _ = sc.min_pure_output_entropy(knee)
-    knee_err = abs(eps_val - sc.UPPER_KNEE_VALUE)
-    ref_err = abs(sc.UPPER_KNEE_VALUE - KNEE_VALUE_REF)
-    # the closed form joins its upper chord at the theta = 0 entropy
-    identity_err = abs(sc.theta0_entropy(knee) - sc.UPPER_KNEE_VALUE)
-    zstar = sc.lower_tangent_z()
-    jump1 = abs(sc.entanglement_entropy(zstar - 1e-12) - sc.entanglement_entropy(zstar + 1e-12))
-    jump2 = abs(sc.entanglement_entropy(knee - 1e-12) - sc.entanglement_entropy(knee + 1e-12))
-    ok = knee_err < 1e-6 and ref_err < 1e-6 and identity_err < 1e-10 and jump1 < 1e-10 and jump2 < 1e-10
-    return _result(
+    jumps = [abs(sc.entanglement_entropy(z - 1e-12) - sc.entanglement_entropy(z + 1e-12))
+             for z in (sc.lower_tangent_z(), knee)]
+    return CheckResult(
         "junction values and continuity",
-        ok,
-        f"epsilon(5/6) off by {knee_err:.3e} (tol 1e-6); knee value off {KNEE_VALUE_REF} by {ref_err:.3e} "
-        f"(tol 1e-6); theta0 entropy at 5/6 off by {identity_err:.3e} (tol 1e-10); "
-        f"jumps {jump1:.3e}, {jump2:.3e} (tol 1e-10)",
+        (
+            Measure("|epsilon(5/6) - knee value|", abs(eps_val - sc.UPPER_KNEE_VALUE), 1e-6),
+            Measure("|knee value - ref|", abs(sc.UPPER_KNEE_VALUE - KNEE_VALUE_REF), 1e-6),
+            # the closed form joins its upper chord at the theta = 0 entropy
+            Measure("|theta0 entropy(5/6) - knee value|", abs(sc.theta0_entropy(knee) - sc.UPPER_KNEE_VALUE), 1e-10),
+            Measure("max jump at z*, 5/6", np.max(jumps), 1e-10),
+        ),
     )
 
 
@@ -124,23 +150,17 @@ def check_decompositions() -> CheckResult:
         lengths.add(len(dec))
         recon.append(np.max(np.abs(dec.mixture() - st.symmetric_state(float(z)))))
         avg.append(abs(dec.average_output_entropy() - sc.entanglement_entropy(float(z))))
-    worst_recon = np.max(recon)
-    worst_avg = np.max(avg)
-    # one point on each linear piece: two orbits below z*, orbit plus pure state above 5/6
-    two_orbit = len(sc.optimal_decomposition(0.5 * (sc.lower_tangent_z() - 0.5)))
-    orbit_plus_pure = len(sc.optimal_decomposition(0.95))
-    ok = (
-        worst_recon < 1e-9
-        and worst_avg < 1e-8
-        and {3, 6} <= lengths
-        and two_orbit == 6
-        and orbit_plus_pure == 4
-    )
-    return _result(
+    # the grid meets lengths 3 and 6; one point on each linear piece: two
+    # orbits (6 states) below z*, an orbit plus a pure state (4) above 5/6
+    pieces = ((0.5 * (sc.lower_tangent_z() - 0.5), 6), (0.95, 4))
+    misses = len({3, 6} - lengths) + sum(len(sc.optimal_decomposition(z)) != n for z, n in pieces)
+    return CheckResult(
         f"optimal decompositions on {n_grid} grid points",
-        ok,
-        f"reconstruction {worst_recon:.3e} (tol 1e-9), entropy average {worst_avg:.3e} (tol 1e-8), "
-        f"lengths {sorted(lengths)}, {two_orbit} below z* (expect 6), {orbit_plus_pure} at 0.95 (expect 4)",
+        (
+            Measure("max reconstruction error", np.max(recon), 1e-9),
+            Measure("max |entropy average - E|", np.max(avg), 1e-8),
+            Measure("missing or wrong lengths", misses, 0),
+        ),
     )
 
 
@@ -149,12 +169,12 @@ def check_curve_hull_agreement() -> CheckResult:
     eps = np.array([sc.min_pure_output_entropy(float(z))[0] for z in zs])
     hull = hl.lower_convex_hull(hl.SampledCurve(xs=zs, ys=eps))
     ed = np.array([sc.entanglement_entropy(float(z)) for z in zs])
-    worst = float(np.max(np.abs(hull.hull_ys - ed)))
-    lower_ok = bool(np.all(eps >= ed - 1e-9))
-    return _result(
+    return CheckResult(
         "curve equals hull of sampled minima",
-        worst < 2e-4 and lower_ok,
-        f"max |hull - curve| = {worst:.3e} (tol 2e-4), epsilon >= curve: {lower_ok}",
+        (
+            Measure("max |hull - curve|", np.max(np.abs(hull.hull_ys - ed)), 2e-4),
+            Measure("max (curve - epsilon)", np.max(ed - eps), 1e-9),
+        ),
     )
 
 
@@ -168,7 +188,7 @@ def _hull_curves_and_states():
     the twenty qutrit states that check_twirl_and_channel runs next to its
     own.
     """
-    g = _rng(11, 0)
+    g = stream_rng(11, 0)
     curves = []
     for _ in range(20):
         n = int(g.integers(5, 21))
@@ -177,7 +197,7 @@ def _hull_curves_and_states():
             xs = np.sort(g.uniform(-2.0, 2.0, size=n))
         ys = g.uniform(-1.0, 1.0, size=n)
         curves.append((xs, ys, int(g.integers(0, n)), abs(g.uniform(0.1, 1.0))))
-    g = _rng(23, 0)
+    g = stream_rng(23, 0)
     for _ in range(10):
         n = int(g.integers(5, 21))
         xs = np.cumsum(g.uniform(0.05, 1.0, size=n))
@@ -188,14 +208,12 @@ def _hull_curves_and_states():
 
 def check_hull_properties() -> CheckResult:
     curves, _ = _hull_curves_and_states()
-    notes = []
+    idem, epi, drops = [], [], []
     for xs, ys, idx, lift in curves:
         n = xs.size
         res = hl.lower_convex_hull(hl.SampledCurve(xs=xs, ys=ys))
         again = hl.lower_convex_hull(hl.SampledCurve(xs=xs, ys=res.hull_ys))
-        if not np.max(np.abs(again.hull_ys - res.hull_ys)) < 1e-12:
-            notes.append("idempotence failed")
-            break
+        idem.append(np.max(np.abs(again.hull_ys - res.hull_ys)))
         # brute-force epigraph value: best chord over every straddling pair
         brute = np.empty(n)
         for i in range(n):
@@ -209,20 +227,18 @@ def check_hull_properties() -> CheckResult:
                         val = (1 - w) * ys[j] + w * ys[k]
                     best = min(best, val)
             brute[i] = best
-        if not np.max(np.abs(brute - res.hull_ys)) < 1e-9:
-            notes.append("epigraph equivalence failed")
-            break
+        epi.append(np.max(np.abs(brute - res.hull_ys)))
         # raising one sample never lowers the hull
         raised = ys.copy()
         raised[idx] += lift
-        res2 = hl.lower_convex_hull(hl.SampledCurve(xs=xs, ys=raised))
-        if not np.all(res2.hull_ys >= res.hull_ys - 1e-12):
-            notes.append("monotonicity failed")
-            break
-    return _result(
+        drops.append(np.max(res.hull_ys - hl.lower_convex_hull(hl.SampledCurve(xs=xs, ys=raised)).hull_ys))
+    return CheckResult(
         "hull idempotence, monotonicity, epigraph equivalence",
-        not notes,
-        "; ".join(notes) if notes else f"{len(curves)} random curves",
+        (
+            Measure("idempotence deviation", np.max(idem), 1e-12),
+            Measure("epigraph deviation", np.max(epi), 1e-9),
+            Measure("hull drop on raising a sample", np.max(drops), 1e-12),
+        ),
     )
 
 
@@ -231,22 +247,17 @@ def check_hull_properties() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_face_table() -> CheckResult:
-    for n in range(2, 7):
-        if not abs(fm.min_face_entropy(n) - LN2) < 1e-15:
-            return _result("face-minimum table", False, f"N={n} closed form is not log 2 (tol 1e-15)")
-    for n in range(7, 13):
-        direct = math.log(n) - (1.0 - 2.0 / n) * math.log(n - 1.0)
-        if not abs(fm.min_face_entropy(n) - direct) < 1e-13:
-            return _result("face-minimum table", False, f"N={n} closed form mismatch (tol 1e-13)")
-    values = np.array([fm.brute_force_min_face(n, restarts=50 * n, seed=5)[0] for n in range(2, 33)])
     closed = np.array([fm.min_face_entropy(n) for n in range(2, 33)])
-    worst_gap = np.max(np.abs(values - closed))
-    worst_under = np.max(closed - values, initial=0.0)
-    ok = worst_gap < 1e-6 and worst_under < 1e-9
-    return _result(
+    direct = np.array([math.log(n) - (1.0 - 2.0 / n) * math.log(n - 1.0) for n in range(7, 13)])
+    values = np.array([fm.brute_force_min_face(n, restarts=50 * n, seed=5)[0] for n in range(2, 33)])
+    return CheckResult(
         "face-minimum table, search N = 2..32",
-        ok,
-        f"worst |search - closed| = {worst_gap:.3e} (tol 1e-6), worst undercut {worst_under:.3e} (tol 1e-9)",
+        (
+            Measure("|closed - log 2|, N = 2..6", np.max(np.abs(closed[:5] - LN2)), 1e-15),
+            Measure("|closed - direct|, N = 7..12", np.max(np.abs(closed[5:11] - direct)), 1e-13),
+            Measure("max |search - closed|", np.max(np.abs(values - closed)), 1e-6),
+            Measure("max undercut", np.max(closed - values, initial=0.0), 1e-9),
+        ),
     )
 
 
@@ -254,68 +265,65 @@ def check_bifurcation() -> CheckResult:
     # the one-vs-rest family's value on either side of the crossover
     at6 = fm.two_value_entropy(6, 1)
     at7 = fm.two_value_entropy(7, 1)
-    err6 = abs(fm.min_face_entropy(6) - LN2)
-    err7 = abs(fm.min_face_entropy(7) - at7)
-    large = fm.min_face_entropy(10**6)
-    ok = (
-        at6 > LN2
-        and at7 < LN2
-        and abs(at7 - 0.666082) < 1e-6
-        and err6 < 1e-15
-        and err7 < 1e-15
-        and abs(large) < 3e-5
-    )
-    return _result(
+    closed_errs = [abs(fm.min_face_entropy(6) - LN2), abs(fm.min_face_entropy(7) - at7)]
+    return CheckResult(
         "family crossover between N = 6 and N = 7",
-        ok,
-        f"one-vs-rest value {at6:.6f} > log2 at N=6, {at7:.6f} < log2 at N=7, "
-        f"closed form off by {err6:.1e}/{err7:.1e} (tol 1e-15), value({10**6}) = {large:.2e} (tol 3e-5)",
+        (
+            Measure("one-vs-rest on the wrong side of log 2", int(not at6 > LN2) + int(not at7 < LN2), 0),
+            Measure("|one-vs-rest(7) - ref|", abs(at7 - ONE_VS_REST_7_REF), 1e-6),
+            Measure("max |closed - family|, N = 6, 7", np.max(closed_errs), 1e-15),
+            Measure("|closed(10^6)|", abs(fm.min_face_entropy(10**6)), 3e-5),
+        ),
     )
 
 
 def check_minimizer_states() -> CheckResult:
+    miscounts = 0
+    constraint_errs = []
     entropy_errs = []
     resids = []
     for n in range(2, 13):
         closed = fm.min_face_entropy(n)
         states = fm.minimizer_states(n)
-        expected = n * (n - 1) // 2 if n <= 6 else n
-        if len(states) != expected:
-            return _result("minimizer states", False, f"N={n}: {len(states)} states, expected {expected}")
+        miscounts += len(states) != (n * (n - 1) // 2 if n <= 6 else n)
         for v in states:
-            if not (abs(v.sum()) <= 1e-12 and abs(v @ v - 1.0) <= 1e-12):
-                return _result("minimizer states", False, f"N={n}: constraint violation")
-            entro = float(fm._face_objective(v * v))
-            entropy_errs.append(abs(entro - closed))
+            constraint_errs += [abs(v.sum()), abs(v @ v - 1.0)]
+            entropy_errs.append(abs(float(fm._face_objective(v * v)) - closed))
             # stationarity: x log x^2 = lam + mu x for some multipliers
-            rhs = np.where(np.abs(v) > 0, v * np.log(np.maximum(v * v, 1e-300)), 0.0)
+            rhs = np.where(np.abs(v) > 0, v * np.log(np.maximum(v * v, TINY)), 0.0)
             design = np.stack([np.ones_like(v), v], axis=1)
             coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
             resids.append(np.max(np.abs(design @ coef - rhs)))
-    worst_entropy = np.max(entropy_errs)
-    worst_resid = np.max(resids)
-    ok = worst_entropy < 1e-12 and worst_resid < 1e-8
-    return _result(
+    return CheckResult(
         "minimizer states: entropy and stationarity",
-        ok,
-        f"entropy deviation {worst_entropy:.3e} (tol 1e-12), stationarity residual {worst_resid:.3e} (tol 1e-8)",
+        (
+            Measure("state-count mismatches", miscounts, 0),
+            Measure("max |sum|, |norm^2 - 1|", np.max(constraint_errs), 1e-12),
+            Measure("max entropy deviation", np.max(entropy_errs), 1e-12),
+            Measure("max stationarity residual", np.max(resids), 1e-8),
+        ),
     )
 
 
 def check_two_value_concavity() -> CheckResult:
     second = [np.diff([fm.two_value_entropy(n_dim, n) for n in range(1, n_dim)], 2) for n_dim in range(3, 51)]
-    worst = np.max(np.concatenate(second))
-    sym_ok = all(
-        abs(fm.two_value_entropy(n_dim, n) - fm.two_value_entropy(n_dim, n_dim - n)) < 1e-12
+    asym = [
+        abs(fm.two_value_entropy(n_dim, n) - fm.two_value_entropy(n_dim, n_dim - n))
         for n_dim in range(3, 51)
         for n in range(1, n_dim)
-    )
-    ok = worst <= 1e-12 and sym_ok
-    return _result(
+    ]
+    return CheckResult(
         "two-value entropy concave and symmetric, N <= 50",
-        ok,
-        f"max second difference {worst:.3e} (<= 0), symmetry {sym_ok}",
+        (
+            Measure("max second difference", np.max(np.concatenate(second)), 1e-12),
+            Measure("max asymmetry", np.max(asym), 1e-12),
+        ),
     )
+
+
+def _w_residual(branch, x) -> float:
+    w = branch(float(x))
+    return abs(w * math.exp(w) - x) / max(1.0, abs(x))
 
 
 def check_lambert() -> CheckResult:
@@ -327,17 +335,10 @@ def check_lambert() -> CheckResult:
             -np.logspace(-300, math.log10(inv_e) - 1e-6, 300),
         ]
     )
-    resid0 = []
-    for x in xs0:
-        w = lambert_w0(float(x))
-        resid0.append(abs(w * math.exp(w) - x) / max(1.0, abs(x)))
     us = np.logspace(math.log10(1.0 + 1e-9), math.log10(690.0), 500)
     xsm = np.concatenate([-np.exp(-us), -inv_e + np.logspace(-15, math.log10(inv_e) - 0.05, 500)])
-    residm = []
-    for x in xsm:
-        w = lambert_wm1(float(x))
-        residm.append(abs(w * math.exp(w) - x) / max(1.0, abs(x)))
-    g = _rng(17, 0)
+    identity = [_w_residual(lambert_w0, x) for x in xs0] + [_w_residual(lambert_wm1, x) for x in xsm]
+    g = stream_rng(17, 0)
     root_resids = []
     count = 0
     while count < 200:
@@ -349,22 +350,22 @@ def check_lambert() -> CheckResult:
         for x in roots.roots:
             root_resids.append(abs(lam + mu * x - x * math.log(x * x)))
         count += 1
-    worst0, worstm, worst_root = np.max(resid0), np.max(residm), np.max(root_resids, initial=0.0)
     zetas = np.linspace(inv_e / 1000.0, inv_e, 1000)
     gvals = np.array([fm.root_square_sum(float(zz)) for zz in zetas])
-    g_ok = bool(np.all(gvals > 2.0) and np.all(np.diff(gvals) > 0.0))
-    ok = worst0 <= 1e-12 and worstm <= 1e-12 and worst_root <= 1e-9 and g_ok
-    return _result(
+    g_misses = np.count_nonzero(~(gvals > 2.0)) + np.count_nonzero(~(np.diff(gvals) > 0.0))
+    return CheckResult(
         "Lambert branches, stationary roots, branch square sum",
-        ok,
-        f"identity residuals {worst0:.2e}/{worstm:.2e} (tol 1e-12), root residual {worst_root:.2e} (tol 1e-9), "
-        f"sum > 2 and increasing: {g_ok}",
+        (
+            Measure("max identity residual, both branches", np.max(identity), 1e-12),
+            Measure("max root residual", np.max(root_resids, initial=0.0), 1e-9),
+            Measure("square sum not above 2 or not increasing", g_misses, 0),
+        ),
     )
 
 
 def check_three_root_entropy() -> CheckResult:
     inv_e = math.exp(-1.0)
-    g = _rng(23, 0)
+    g = stream_rng(23, 0)
     checked = 0
     violations = 0
     while checked < 200:
@@ -380,10 +381,9 @@ def check_three_root_entropy() -> CheckResult:
         if not (scaled > 1.0 or (scaled <= 1.0 and -mu > LN2)):
             violations += 1
         checked += 1
-    return _result(
+    return CheckResult(
         "three-root solutions always exceed log 2",
-        violations == 0,
-        f"{checked} multiplier pairs, {violations} violations",
+        (Measure("violations in 200 multiplier pairs", violations, 0),),
     )
 
 
@@ -402,19 +402,18 @@ def check_oracle_curve() -> CheckResult:
     values = np.array([real_roof_upper_bound(st.symmetric_state(z).real, m=6, restarts=200, seed=7).value
                        for z in _CURVE_SAMPLES])
     ed = np.array([sc.entanglement_entropy(z) for z in _CURVE_SAMPLES])
-    worst = np.max(np.abs(values - ed))
-    worst_under = np.max(ed - values, initial=0.0)
-    ok = worst < 1e-5 and worst_under < 1e-9
-    return _result(
+    return CheckResult(
         f"decomposition search matches the curve at {len(_CURVE_SAMPLES)} points",
-        ok,
-        f"worst |search - curve| = {worst:.3e} (tol 1e-5), worst undercut {worst_under:.3e} (tol 1e-9)",
+        (
+            Measure("max |search - curve|", np.max(np.abs(values - ed)), 1e-5),
+            Measure("max undercut", np.max(ed - values, initial=0.0), 1e-9),
+        ),
     )
 
 
 def check_oracle_rank2() -> CheckResult:
     n_states = 10
-    g = _rng(13, 1)
+    g = stream_rng(13, 1)
     devs = []
     for _ in range(n_states):
         z = float(g.uniform(0.15, 0.85))
@@ -425,12 +424,9 @@ def check_oracle_rank2() -> CheckResult:
         closed = sc.rank2_entanglement(z, x, a, b)
         res = real_roof_upper_bound(omega, m=4, restarts=80, seed=13)
         devs.append(abs(res.value - closed))
-    worst = np.max(devs)
-    ok = worst < 1e-5
-    return _result(
+    return CheckResult(
         f"decomposition search matches the rank-2 closed form on {n_states} states",
-        ok,
-        f"worst deviation {worst:.3e} (tol 1e-5)",
+        (Measure("max |search - closed|", np.max(devs), 1e-5),),
     )
 
 
@@ -440,16 +436,12 @@ def check_projection_inequality() -> CheckResult:
     n_states = 100
     shortfalls = []
     for i in range(n_states):
-        omega = _random_qutrit(_rng(29, i))
+        omega = _random_qutrit(stream_rng(29, i))
         bound = roof_upper_bound(omega, m=3, restarts=2, seed=29, max_sweeps=40).value
         shortfalls.append(sc.entanglement_entropy(st.twirl_s3(omega)) - bound)
-    # a NaN shortfall counts as a violation
-    violations = sum(not s <= 1e-6 for s in shortfalls)
-    worst = np.max(shortfalls)
-    return _result(
+    return CheckResult(
         f"search bound never beats the twirled curve on {n_states} random states",
-        violations == 0,
-        f"{violations} violations, worst shortfall {worst:.3e} (tol 1e-6)",
+        (Measure("max (twirled curve - search)", np.max(shortfalls), 1e-6),),
     )
 
 
@@ -458,7 +450,7 @@ def check_twirl_and_channel() -> CheckResult:
         [abs(st.twirl_s3(st.symmetric_state(float(z))) - float(z)) for z in np.linspace(-0.5, 1.0, 101)]
     )
     _, states = _hull_curves_and_states()
-    states += [_random_qutrit(_rng(31, i)) for i in range(50)]
+    states += [_random_qutrit(stream_rng(31, i)) for i in range(50)]
     chan = []
     proj = []
     drops = []
@@ -472,48 +464,39 @@ def check_twirl_and_channel() -> CheckResult:
             abs(s - st.diagonal_output_entropy(st.real_projection(omega))),
         ]
         drops.append(st.von_neumann_entropy(omega) - st.von_neumann_entropy(st.diagonal_channel(omega)))
-    worst_chan, worst_proj, entropy_drop = np.max(chan), np.max(proj), np.max(drops)
-    ok = worst_twirl < 1e-12 and worst_chan == 0.0 and worst_proj == 0.0 and entropy_drop < 1e-9
-    return _result(
+    return CheckResult(
         "twirl identity, channel idempotence, projection invariance",
-        ok,
-        f"twirl {worst_twirl:.2e} at 101 points (tol 1e-12); on {len(states)} random states: "
-        f"channel {worst_chan:.2e} (exact), projection {worst_proj:.2e} (exact), "
-        f"measurement entropy drop {entropy_drop:.2e} (tol 1e-9)",
+        (
+            Measure("twirl deviation at 101 points", worst_twirl, 1e-12),
+            Measure("channel idempotence and trace", np.max(chan), 0),
+            Measure("projection invariance", np.max(proj), 0),
+            Measure("measurement entropy drop", np.max(drops), 1e-9),
+        ),
     )
 
 
 def check_flat_leaf() -> CheckResult:
     values = []
     for i in range(20):
-        p = _rng(37, i).uniform(0.05, 1.0, size=3)
+        p = stream_rng(37, i).uniform(0.05, 1.0, size=3)
         p /= p.sum()
         values.append(roof_upper_bound(np.diag(p).astype(complex), restarts=4, seed=37).value)
-    worst = np.max(values)
-    return _result(
-        "zero roof on the diagonal-state leaf",
-        worst < 1e-9,
-        f"worst value {worst:.3e} (tol 1e-9)",
-    )
+    return CheckResult("zero roof on the diagonal-state leaf", (Measure("max value", np.max(values), 1e-9),))
 
 
 def check_m_monotonicity() -> CheckResult:
-    ok = True
-    notes = []
+    rises = []
     for z in (-0.45, 0.3, 0.9):
         omega = st.symmetric_state(z).real
         prev = real_roof_upper_bound(omega, m=3, restarts=30, seed=41)
         for m in (4, 5, 6):
             pad = np.vstack([prev.isometry, np.zeros((m - prev.isometry.shape[0], prev.isometry.shape[1]))])
             nxt = real_roof_upper_bound(omega, m=m, restarts=30, seed=41, extra_inits=[pad])
-            if not nxt.value <= prev.value + 1e-12:
-                ok = False
-                notes.append(f"z={z}, m={m}: {nxt.value:.9f} > {prev.value:.9f}")
+            rises.append(nxt.value - prev.value)
             prev = nxt
-    return _result(
+    return CheckResult(
         "search value non-increasing in decomposition length",
-        ok,
-        "; ".join(notes) if notes else "nested starts at m = 3..6, three states",
+        (Measure("max rise from m - 1 to m, m = 4..6, three states", np.max(rises), 1e-12),),
     )
 
 

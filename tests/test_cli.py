@@ -225,12 +225,12 @@ def test_verify_suite_passes(capsys):
 
 def test_verify_reports_a_failing_check(capsys, monkeypatch):
     def failing_check():
-        return verify.CheckResult(name="forced failure", passed=False, detail="always fails")
+        return verify.CheckResult("forced failure", (verify.Measure("error", 2e-9, 1e-9),))
 
     monkeypatch.setitem(verify.SUITES, "rank2", (failing_check,))
     code, out, _ = _run(capsys, ["verify", "rank2"])
     assert code == EXIT_VERIFY_FAILED
-    assert "FAIL  forced failure: always fails" in out
+    assert "FAIL  forced failure: error 2.00e-09 (tol 1e-09, margin -1.00e-09)" in out
     assert out.splitlines()[-1] == "0/1 checks passed"
 
 

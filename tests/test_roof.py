@@ -107,11 +107,28 @@ def test_roof_value_matches_its_own_decomposition():
     assert np.max(np.abs(dec.mixture() - symmetric_state(0.6))) < 1e-9
 
 
-def test_roof_isometry_reproduces_decomposition():
-    omega = symmetric_state(0.4)
-    res = roof_upper_bound(omega, m=4, restarts=10, seed=5)
+@pytest.mark.parametrize("z", [-0.41, 0.3, 0.4, 0.75, pytest.param(None, id="complex")])
+def test_roof_isometry_reproduces_decomposition(z):
+    # symmetric states are searched with real moves, and their degenerate
+    # eigenspace must be factored the same way on the way back; None is a
+    # complex state
+    if z is None:
+        omega = _random_density(Generator(Philox(key=np.array([51, 1], dtype=np.uint64))))
+    else:
+        omega = symmetric_state(z)
+    res = roof_upper_bound(omega, m=6, restarts=10, seed=5)
     dec = decomposition_from_isometry(omega, res.isometry)
-    assert dec.average_output_entropy() == pytest.approx(res.value, abs=1e-10)
+    assert dec.average_output_entropy() == pytest.approx(res.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("z", [0.75, 0.87])
+def test_roof_keeps_light_members(z):
+    # members far below 1e-12 in weight still carry part of the mixture, and
+    # without them the value can read below the roof it bounds
+    omega = symmetric_state(z)
+    res = real_roof_upper_bound(omega.real, m=6, restarts=200, seed=7)
+    assert np.max(np.abs(res.decomposition.mixture() - omega)) < 1e-14
+    assert res.value >= entanglement_entropy(z) - 1e-14
 
 
 def test_roof_deterministic():

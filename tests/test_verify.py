@@ -1,5 +1,7 @@
-"""A NaN from the code under test fails the acceptance check that reads it."""
+"""One rule decides every measurement, and a NaN from the code under test
+fails the acceptance check that reads it."""
 
+import math
 import types
 
 import numpy as np
@@ -60,3 +62,34 @@ def test_search_check_fails_on_one_nan(monkeypatch, check, search, value):
 
     monkeypatch.setattr(verify, search, fake_search)
     assert not getattr(verify, check)().passed
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9, math.inf])
+def test_nan_fails_every_measurement(tol):
+    assert not verify.Measure("x", math.nan, tol).passed
+    assert not verify.CheckResult("c", (verify.Measure("y", 0.0, 1.0), verify.Measure("x", math.nan, tol))).passed
+
+
+def test_exact_measurement_accepts_only_zero():
+    assert verify.Measure("count", 0, 0).passed
+    assert verify.Measure("worst", 0.0, 0).passed
+    assert not verify.Measure("worst", 5e-324, 0).passed
+    assert not verify.Measure("count", 1, 0).passed
+
+
+def test_measurement_is_strict():
+    assert verify.Measure("x", np.nextafter(1e-9, 0.0), 1e-9).passed
+    assert not verify.Measure("x", 1e-9, 1e-9).passed
+
+
+def test_check_without_measurements_fails():
+    assert not verify.CheckResult("c", ()).passed
+
+
+def test_detail_prints_each_measurement_once():
+    measures = (verify.Measure("alpha", 2.5e-13, 1e-12), verify.Measure("beta count", 3, 0))
+    res = verify.CheckResult("c", measures)
+    assert not res.passed
+    assert res.detail == "alpha 2.50e-13 (tol 1e-12, margin 7.50e-13); beta count 3 (tol 0, margin -3)"
+    for m in measures:
+        assert res.detail.count(m.label) == 1
