@@ -46,21 +46,21 @@ def eta_array(x: np.ndarray) -> np.ndarray:
     return -x * lg
 
 
-def clamp_probabilities(p, *, neg_tol: float = NEG_CLAMP, sum_tol: float = SUM_TOL) -> np.ndarray:
+def clamp_probabilities(p) -> np.ndarray:
     """Validate and clean a probability vector.
 
-    Entries in [-neg_tol, 0] are clamped to 0; more negative or NaN entries
-    or a total mass off 1 by more than sum_tol raise ValueError.
+    Entries in [-NEG_CLAMP, 0] are clamped to 0; more negative or NaN
+    entries or a total mass off 1 by more than SUM_TOL raise ValueError.
     """
     p = np.asarray(p, dtype=float).copy()
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probability vector must be a non-empty 1-D array")
-    if not p.min() >= -neg_tol:
-        raise ValueError(f"negative probability {p.min()!r} below -{neg_tol}")
+    if not p.min() >= -NEG_CLAMP:
+        raise ValueError(f"negative probability {p.min()!r} below -{NEG_CLAMP}")
     p[p < 0.0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow to inf fails the test below
         total = p.sum()
-    if not abs(total - 1.0) <= sum_tol:
+    if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return p
 
@@ -75,7 +75,7 @@ def shannon_entropy(p) -> float:
     return float(sum(eta(float(x)) for x in np.sort(p)))
 
 
-def check_hermitian(H, *, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def check_hermitian(H) -> np.ndarray:
     """Return H as a complex square array, raising if it is not hermitian."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -84,7 +84,7 @@ def check_hermitian(H, *, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow to inf or NaN fails the test below
         dev = np.max(np.abs(H - H.conj().T))
-    if not dev <= tol:
+    if not dev <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not hermitian (deviation {dev:.3e})")
     return H
 

@@ -4,9 +4,9 @@ supported orthogonally to the uniform vector.
 Real pure states on that face are unit vectors with zero component sum.
 The closed-form minimum is log 2 (pair states) up to N = 6 and switches to
 the one-vs-rest family for N > 6; a Lagrange analysis via the Lambert W
-function classifies the stationary amplitude values, and a conjugate-gradient
-search along great circles of the sphere provides an independent numerical
-check.
+function classifies the stationary amplitude values, and linesearch's
+L-BFGS engine (the roof search's polish), run on the zero-sum unit sphere,
+provides an independent numerical check.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 
 from .entropy import LN2, TINY, eta_array
 from .lambert import lambert_w0, lambert_wm1
-from .linesearch import check_count, check_seed, rotation_line_search, stream_rng
+from .linesearch import check_count, check_seed, stiefel_lbfgs, stream_rng
 
 _INV_E = math.exp(-1.0)
 
@@ -145,62 +145,35 @@ def _face_objective(sq: np.ndarray) -> np.ndarray:
     return eta_array(sq).sum(axis=-1)
 
 
-def _descend(Y: np.ndarray, H: np.ndarray):
-    """Conjugate-gradient descent of the output entropy of each row of
-    A = YH over the unit sphere of its row of Y; returns A and the values.
+def _minimize(Y: np.ndarray, H: np.ndarray):
+    """Minimize the output entropy of each row of A = YH over the unit sphere
+    of its row y, an (N-1) x 1 column on the Stiefel manifold V(N-1, 1), by
+    linesearch.stiefel_lbfgs with the Euclidean gradient H (-2a (log a^2 + 1));
+    returns A and the values.  For N = 2 the sphere is two points and the
+    engine stops at once.  Products with H are einsums, so a row's path does
+    not depend on its batch."""
 
-    The tangent part of the gradient -2a(log a^2 + 1) gives Polak-Ribiere+
-    directions d.  On the circle y cos t + e sin t, with e = d/|d| and
-    b = eH, each a_k^2 is P + Q cos 2t + R sin 2t, so the rotation line
-    search finds t over the period pi.  A row steps only when that lowers
-    its value, and stops once a step gains at most 1e-12, once its tangent
-    gradient is exactly 0, or after 200 steps.  Products with H are
-    einsums, so a row's path does not depend on its batch.
-    """
-    A = np.einsum("bk,kn->bn", Y, H)
-    f = _face_objective(A * A)
-    D, G = np.zeros_like(Y), np.ones_like(Y)  # D = 0 makes the first direction -g
-    active = np.full(Y.shape[0], Y.shape[1] > 1)  # N = 2: the sphere is two points
-    for _ in range(200):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        y, a, sq = Y[idx], A[idx], A[idx] * A[idx]
-        grad = -2.0 * a * (np.log(sq, out=np.zeros(sq.shape), where=sq > TINY) + 1.0)
-        g = np.einsum("bn,kn->bk", grad, H)
-        g -= np.einsum("bk,bk->b", g, y)[:, None] * y
-        beta = np.einsum("bk,bk->b", g, g - G[idx]) / np.einsum("bk,bk->b", G[idx], G[idx])
-        d = -g + np.maximum(beta, 0.0)[:, None] * D[idx]
-        d = np.where((np.einsum("bk,bk->b", d, g) >= 0.0)[:, None], -g, d)
-        size = np.sqrt(np.einsum("bk,bk->b", d, d))[:, None]
-        stationary = size[:, 0] == 0.0  # the tangent gradient is exactly 0
-        if stationary.any():
-            active[idx[stationary]] = False
-            keep = ~stationary
-            idx, y, a, sq, g, d, size = idx[keep], y[keep], a[keep], sq[keep], g[keep], d[keep], size[keep]
-        e = d / size
-        b = np.einsum("bk,kn->bn", e, H)
-        # y and -y have the same squared amplitudes: the period is pi
-        t, new, current = rotation_line_search(
-            0.5 * (sq + b * b), 0.5 * (sq - b * b), a * b, np.ones(H.shape[1]), math.pi
-        )
-        c, s = np.cos(t)[:, None], np.sin(t)[:, None]
-        step = new < current
-        y_new = c * y + s * e
-        Y[idx[step]] = y_new[step] / np.sqrt(np.einsum("bk,bk->b", y_new[step], y_new[step]))[:, None]
-        A[idx] = np.einsum("bk,kn->bn", Y[idx], H)
-        f_new = _face_objective(A[idx] * A[idx])
-        active[idx] = step & (f[idx] - f_new > 1e-12)
-        f[idx], D[idx], G[idx] = f_new, (c * e - s * y) * size, g
-    return A, f
+    def amplitudes(W):
+        return np.einsum("bk,kn->bn", W[:, :, 0], H)
+
+    def value(W):
+        return _face_objective(amplitudes(W) ** 2)
+
+    def egrad(W):
+        a = amplitudes(W)
+        lg = np.log(a * a, out=np.zeros(a.shape), where=a * a > TINY)
+        return np.einsum("bn,kn->bk", -2.0 * a * (lg + 1.0), H)[:, :, None]
+
+    W, f, _, _ = stiefel_lbfgs(Y[:, :, None], value, egrad)
+    return amplitudes(W), f
 
 
 def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     """Minimize the output entropy over the zero-sum unit sphere from random
-    restarts, each drawn by a sub-seeded counter generator, by the descent
-    of _descend: it turns the reduced (in-hyperplane) coordinates y of
-    a = yH along great circles, so both constraints hold at every step.
-    Returns (value, argmin vector)."""
+    restarts, each drawn by a sub-seeded counter generator, by _minimize:
+    it moves the reduced (in-hyperplane) coordinates y of a = yH on their
+    unit sphere, so both constraints hold at every step.  Returns (value,
+    argmin vector)."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     restarts = check_count("restarts", restarts)
@@ -209,6 +182,6 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     for k in range(restarts):
         y = stream_rng(seed, k).standard_normal(N - 1)
         Y[k] = y / np.linalg.norm(y)
-    A, f = _descend(Y, zero_sum_basis(N))
+    A, f = _minimize(Y, zero_sum_basis(N))
     best = int(np.argmin(f))
     return float(f[best]), A[best]

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TANGENT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SampledCurve:
@@ -17,6 +19,8 @@ class SampledCurve:
         ys = np.asarray(self.ys, dtype=float)
         if xs.ndim != 1 or xs.size < 2 or ys.shape != xs.shape:
             raise ValueError("need at least two (x, y) samples of equal length")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("samples must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("xs must be strictly increasing")
         object.__setattr__(self, "xs", xs)
@@ -54,14 +58,14 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
     return HullResult(hull_ys=np.interp(xs, hx, hy))
 
 
-def tangent_from_point(f, x0: float, f0: float, bracket, *, df, tol: float = 1e-12) -> float:
+def tangent_from_point(f, x0: float, f0: float, bracket, *, df) -> float:
     """Abscissa t where the line through (x0, f0) touches f tangentially.
 
     Solves g(t) = f'(t) (t - x0) - (f(t) - f0) = 0, with f' given as df,
-    by bisection on the bracket followed by a few Newton steps whose slope
-    g' is a central difference (it steers the steps; the root is as
-    accurate as g).  Raises ValueError when g does not change sign on the
-    bracket.
+    by bisection on the bracket to width TANGENT_TOL followed by a few
+    Newton steps whose slope g' is a central difference (it steers the
+    steps; the root is as accurate as g).  Raises ValueError when g does
+    not change sign on the bracket.
     """
 
     def g(t: float) -> float:
@@ -75,7 +79,7 @@ def tangent_from_point(f, x0: float, f0: float, bracket, *, df, tol: float = 1e-
         return hi
     if glo * ghi > 0.0:
         raise ValueError(f"tangency condition has no sign change on {bracket!r}")
-    while hi - lo > tol:
+    while hi - lo > TANGENT_TOL:
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if gm == 0.0:

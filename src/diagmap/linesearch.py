@@ -1,9 +1,9 @@
-"""The rotation line search shared by the roof and face-minimum searches,
-the checks of their seed and budgets, and their random streams.
+"""What the roof and face-minimum searches share: the Riemannian L-BFGS
+engine both run (stiefel_lbfgs), the checks of their seed and budgets and
+their random streams; and the rotation line search of the roof's descent.
 
-Both searches turn unit vectors by an angle t (two rows by a Givens or
-phase rotation for the roof, a point along a great circle for the face),
-and under such a turn every squared modulus is exactly
+The roof's descent turns two rows by a Givens or phase rotation through an
+angle t, and under such a turn every squared modulus is exactly
 s = K0 + K1 cos 2t + K2 sin 2t (Cardoso and Souloumiac, SIAM J. Matrix
 Anal. Appl. 17, 161 (1996)), so the search probes squared moduli and
 rotates nothing.  With u = s - K0, s' = 2 (K2 cos 2t - K1 sin 2t) and
@@ -25,11 +25,22 @@ from .entropy import TINY, eta_array
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# swapping the two rows of a pair leaves their terms unchanged: t -> t + pi/2
+PERIOD = 0.5 * math.pi
 SCAN_POINTS = 24
 NEWTON_STEPS = 40
 # A row stops once a Newton step would gain at most GAIN_TOL, or once no
 # quadratic with its slope and curvature could gain more across its bracket.
 GAIN_TOL = 1e-14
+
+# At z = -0.41 (seeds 1-6) the roof's polish converges in 110-156 iterations
+# with 20 curvature pairs; with 6 it takes 612-796 and ends up to 3.7e-13 high.
+POLISH_MEMORY = 20
+POLISH_ITERS = 400
+# a row stops once its step predicts a gain of at most POLISH_TOL
+POLISH_TOL = 1e-15
+ARMIJO = 1e-4
+BACKTRACKS = 40
 
 
 def _eta_sum(sq, w):
@@ -66,10 +77,10 @@ def _newton(x, g, h, lo, hi):
     return (h > 0.0) & (lo < xn) & (xn < hi), xn
 
 
-def rotation_line_search(K0, K1, K2, w, period):
+def rotation_line_search(K0, K1, K2, w):
     """Minimize F(t) = sum_c w_c eta(K0 + K1 cos 2t + K2 sin 2t) over t for
     every leading index of the (..., C) coefficients at once; F must have
-    the given period.
+    the period PERIOD.
 
     A scan of SCAN_POINTS angles over one period picks the best point x and
     a bracket one scan step either side.  Each iteration probes the Newton
@@ -84,8 +95,8 @@ def rotation_line_search(K0, K1, K2, w, period):
 
     Returns the angles, F at them and F(0), both from eta_array.
     """
-    step = period / SCAN_POINTS
-    scan = step * np.arange(SCAN_POINTS) - 0.5 * period
+    step = PERIOD / SCAN_POINTS
+    scan = step * np.arange(SCAN_POINTS) - 0.5 * PERIOD
     c2, s2 = np.cos(2.0 * scan)[:, None], np.sin(2.0 * scan)[:, None]
     x = scan[np.argmin(_eta_sum(K0[..., None, :] + K1[..., None, :] * c2 + K2[..., None, :] * s2, w), axis=-1)]
     lo, hi = x - step, x + step
@@ -115,6 +126,117 @@ def rotation_line_search(K0, K1, K2, w, period):
     t = np.where(done & newton, xn, x)
     t2 = 2.0 * t[..., None]
     return t, _eta_sum(K0 + K1 * np.cos(t2) + K2 * np.sin(t2), w), _eta_sum(K0 + K1, w)
+
+
+def _inner(A, B):
+    """Real inner product Re tr(A^H B) of each pair of stacked matrices."""
+    return np.einsum("bij,bij->b", A.conj(), B).real
+
+
+def _project(W, G):
+    """G - W sym(W^H G): each G projected to the tangent space of the
+    Stiefel manifold at W."""
+    WG = np.einsum("bji,bjl->bil", W.conj(), G)
+    return G - np.einsum("bji,bil->bjl", W, 0.5 * (WG + WG.conj().swapaxes(-1, -2)))
+
+
+def _retract(A):
+    """Polar factor A (A^H A)^(-1/2) of each full-rank matrix A."""
+    lam, V = np.linalg.eigh(np.einsum("bji,bjl->bil", A.conj(), A))
+    AV = np.einsum("bji,bil->bjl", A, V) / np.sqrt(lam)[:, None, :]
+    return np.einsum("bjl,bil->bji", AV, V.conj())
+
+
+def _two_loop(g, S, Y, rho, gamma, order):
+    """-H g for the L-BFGS inverse-Hessian estimate H built from gamma I
+    and the curvature pairs (S[k], Y[k]), k in order, newest first.  A slot
+    with rho = 0 is empty and changes nothing."""
+    q = -g
+    alpha = {}
+    for k in order:
+        alpha[k] = rho[k] * _inner(S[k], q)
+        q = q - alpha[k][:, None, None] * Y[k]
+    q = gamma[:, None, None] * q
+    for k in reversed(order):
+        q = q + (alpha[k] - rho[k] * _inner(Y[k], q))[:, None, None] * S[k]
+    return q
+
+
+def _armijo(W, f, value, d, slope):
+    """Backtrack from step 1 along the tangent direction d, halving up to
+    BACKTRACKS times.  A step is taken when it lowers f by at least ARMIJO
+    times its predicted gain, and in any case lowers it.  Returns the new
+    W and f, the steps and which rows took one."""
+    W, f = W.copy(), f.copy()
+    step, took = np.ones(len(f)), np.zeros(len(f), dtype=bool)
+    for _ in range(BACKTRACKS):
+        idx = np.nonzero(~took)[0]
+        if idx.size == 0:
+            break
+        Wc = _retract(W[idx] + step[idx, None, None] * d[idx])
+        fc = value(Wc)
+        ok = (fc < f[idx]) & (fc <= f[idx] + ARMIJO * step[idx] * slope[idx])
+        W[idx[ok]], f[idx[ok]] = Wc[ok], fc[ok]
+        took[idx[ok]] = True
+        step[idx[~ok]] *= 0.5
+    return W, f, step, took
+
+
+def stiefel_lbfgs(W, value, egrad):
+    """Riemannian L-BFGS on the Stiefel manifold (Edelman, Arias and Smith,
+    SIAM J. Matrix Anal. Appl. 20, 303 (1998)), batched over the leading
+    axis of W (column-orthonormal matrices), from each row's objective
+    value(W) and Euclidean gradient egrad(W): the gradient projected to the
+    tangent space, a two-loop recursion over the last POLISH_MEMORY
+    curvature pairs (transported to the new point by projection), polar
+    retraction and Armijo backtracking.  A step is taken only if it lowers
+    the value, so no row ends above where it started.  A row stops once the
+    predicted gain of its step is at most POLISH_TOL or no step lowers the
+    value, and then leaves the batch; POLISH_ITERS caps the iterations.
+    Every row follows its own path, whatever shares its batch, provided
+    value and egrad treat rows independently.  Returns W, the values, the
+    iterations run and whether the cap stopped a row."""
+    W, f = W.copy(), value(W)
+    # the rows still running: idx, and their w, fw, g and curvature memory
+    idx, w, fw = np.arange(len(f)), W, f
+    g = _project(w, egrad(w))
+    S, Y = np.zeros((2, POLISH_MEMORY) + w.shape, dtype=w.dtype)
+    rho, gamma = np.zeros((POLISH_MEMORY, len(f))), np.ones(len(f))
+    stuck = np.zeros(len(f), dtype=bool)  # no step lowered the value
+    for it in range(POLISH_ITERS):
+        order = [(it - 1 - k) % POLISH_MEMORY for k in range(min(it, POLISH_MEMORY))]
+        d = _project(w, _two_loop(g, S, Y, rho, gamma, order))
+        slope = _inner(g, d)
+        # where the estimate gives no descent, forget it and step along -g
+        reset = ~(slope < 0.0)
+        rho[:, reset] = 0.0
+        d[reset] = -gamma[reset, None, None] * g[reset]
+        slope = _inner(g, d)
+        stop = stuck | (-slope <= POLISH_TOL)
+        if stop.any():
+            W[idx[stop]], f[idx[stop]] = w[stop], fw[stop]
+            if stop.all():
+                return W, f, it, False
+            run = ~stop
+            idx, w, fw, g, d, slope, gamma = (x[run] for x in (idx, w, fw, g, d, slope, gamma))
+            S, Y, rho = S[:, run], Y[:, run], rho[:, run]
+        wn, fw, step, took = _armijo(w, fw, value, d, slope)
+        stuck = ~took
+        gn = _project(wn, egrad(wn))
+        s = _project(wn, step[:, None, None] * d)
+        y = gn - _project(wn, g)
+        sy, yy = _inner(s, y), _inner(y, y)
+        # a pair is kept only with positive curvature, and only where
+        # 1 / sy and sy / yy are finite
+        keep = took & (sy > TINY) & (yy > TINY)
+        slot = it % POLISH_MEMORY
+        S[slot] = np.where(keep[:, None, None], s, 0.0)
+        Y[slot] = np.where(keep[:, None, None], y, 0.0)
+        rho[slot] = np.where(keep, 1.0 / np.where(keep, sy, 1.0), 0.0)
+        gamma = np.where(keep, sy / np.where(keep, yy, 1.0), gamma)
+        w, g = wn, gn
+    W[idx], f[idx] = w, fw
+    return W, f, POLISH_ITERS, not stuck.all()
 
 
 def check_seed(seed) -> int:

@@ -24,12 +24,10 @@ Coordinate descent finds the basin quickly but crawls at a linear rate
 along an ill-conditioned valley, as it does just above the tangency point
 z* of the symmetric curve.  Once the median, over the restarts still
 descending, of a sweep's gain over the previous sweep's reaches
-HANDOVER_RATIO, every restart is handed to a Riemannian L-BFGS polish on
-the Stiefel manifold of isometries
-(Edelman, Arias and Smith, SIAM J. Matrix Anal. Appl. 20, 303 (1998); for
-convex roofs, Roethlisberger, Lehmann and Loss, PRA 80, 042301 (2009)):
-the analytic gradient projected to the tangent space, polar retraction
-and Armijo backtracking, which runs to convergence.  A search that
+HANDOVER_RATIO, every restart is polished to convergence by the
+Riemannian L-BFGS on the Stiefel manifold of isometries that the face
+search runs too, linesearch.stiefel_lbfgs (for convex roofs,
+Roethlisberger, Lehmann and Loss, PRA 80, 042301 (2009)).  A search that
 converges or reaches max_sweeps before the handover ends as the descent
 left it.
 """
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import TINY, eta_array
-from .linesearch import check_count, check_seed, rotation_line_search, stream_rng
+from .linesearch import check_count, check_seed, rotation_line_search, stiefel_lbfgs, stream_rng
 from .states import Decomposition, check_density_matrix
 
 RANK_TOL = 1e-10
@@ -54,14 +52,9 @@ SWEEP_TOL = 1e-11
 # seeds at z = -0.41 (1005) was polished into a competing local minimum
 # 1.58e-6 above E; at 0.7 all twelve (1-6, 1001-1006) end within 1.1e-15.
 HANDOVER_RATIO = 0.7
-# At z = -0.41 (seeds 1-6) the polish converges in 110-156 iterations with
-# 20 curvature pairs; with 6 it takes 612-796 and ends up to 3.7e-13 high.
-POLISH_MEMORY = 20
-POLISH_ITERS = 400
-# a restart stops once its step predicts a gain of at most POLISH_TOL
-POLISH_TOL = 1e-15
-ARMIJO = 1e-4
-BACKTRACKS = 40
+# A state whose imaginary part is at most REAL_TOL is real: it is factored,
+# searched and rebuilt from an isometry as its real part.
+REAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class RoofResult:
     """A search's bound, the decomposition and isometry that attain it, and
     how the search ended: the descent sweeps run, the polish iterations run
     (0 when the descent never handed over) and whether max_sweeps or
-    POLISH_ITERS stopped it."""
+    linesearch.POLISH_ITERS stopped it."""
 
     value: float
     decomposition: Decomposition
@@ -79,18 +72,20 @@ class RoofResult:
     capped: bool
 
 
+def _is_real(omega: np.ndarray) -> bool:
+    return bool(np.max(np.abs(omega.imag)) <= REAL_TOL)
+
+
 def _eigen_factor(omega: np.ndarray):
     """Return M with M M^H = omega, columns scaled eigenvectors of the
-    positive part of the spectrum.  A state with no imaginary part is
-    factored as a real matrix, so the search and decomposition_from_isometry
-    pick the same basis of a degenerate eigenspace."""
-    if not np.any(omega.imag):
+    positive part of the spectrum.  A real state (_is_real) is factored as
+    its real part, so the search and decomposition_from_isometry pick the
+    same basis of a degenerate eigenspace."""
+    if _is_real(omega):
         omega = omega.real.astype(float)
     evals, vecs = np.linalg.eigh(omega)
     keep = evals > RANK_TOL
-    lam = evals[keep]
-    V = vecs[:, keep]
-    return V * np.sqrt(lam)
+    return vecs[:, keep] * np.sqrt(evals[keep])
 
 
 def decomposition_from_isometry(omega, U) -> Decomposition:
@@ -181,7 +176,7 @@ def _pair_coefficients(X, Y, phase: bool):
     return columns(P, 1.0), columns(Q, -1.0), columns(R, -1.0), w
 
 
-def _round(T, W, f, idx, I, J, phase: bool):
+def _round(T, W, idx, I, J, phase: bool):
     """Line-search the rotation angle of every disjoint row pair
     (I[p], J[p]) of the restarts idx as one batch, and apply each angle
     that lowers its pair's terms to T and W.  The objective is a sum of
@@ -189,128 +184,29 @@ def _round(T, W, f, idx, I, J, phase: bool):
     accepted mask, both of shape (len(idx), len(I))."""
     rows = idx[:, None]
     K0, K1, K2, w = _pair_coefficients(T[rows, I], T[rows, J], phase)
-    t, new, current = rotation_line_search(K0, K1, K2, w, 0.5 * math.pi)
+    t, new, current = rotation_line_search(K0, K1, K2, w)
     improved = new < current
     b, p = np.nonzero(improved)
     r, i, j, tb = idx[b], I[p], J[p], t[b, p]
     T[r, i], T[r, j] = _rotate(T[r, i], T[r, j], tb, phase)
     W[r, i], W[r, j] = _rotate(W[r, i], W[r, j], tb, phase)
-    f[idx] += np.where(improved, new - current, 0.0).sum(axis=-1)
     return t, improved
 
 
-def _inner(A, B):
-    """Real inner product Re tr(A^H B) of each pair of stacked matrices."""
-    return np.einsum("bij,bij->b", A.conj(), B).real
+def _polish_functions(M):
+    """The polish's objective of W, through T = W M^T, and its Euclidean
+    gradient G_T conj(M), where G_T = 2 T (log rownorm^2 - log |T|^2)."""
 
+    def value(W):
+        return _objective(W @ M.T)
 
-def _project(W, G):
-    """G - W sym(W^H G): each G projected to the tangent space of the
-    Stiefel manifold at W."""
-    WG = np.einsum("bji,bjl->bil", W.conj(), G)
-    return G - np.einsum("bji,bil->bjl", W, 0.5 * (WG + WG.conj().swapaxes(-1, -2)))
+    def egrad(W):
+        T = W @ M.T
+        sq = np.maximum((T * T.conj()).real, TINY)
+        GT = 2.0 * T * (np.log(sq.sum(axis=-1, keepdims=True)) - np.log(sq))
+        return np.einsum("bjk,kl->bjl", GT, M.conj())
 
-
-def _retract(A):
-    """Polar factor A (A^H A)^(-1/2) of each full-rank matrix A."""
-    lam, V = np.linalg.eigh(np.einsum("bji,bjl->bil", A.conj(), A))
-    AV = np.einsum("bji,bil->bjl", A, V) / np.sqrt(lam)[:, None, :]
-    return np.einsum("bjl,bil->bji", AV, V.conj())
-
-
-def _gradient(W, T, M):
-    """Riemannian gradient of _objective at W, where T = W M^T:
-    G_T = 2 T (log rownorm^2 - log |T|^2) and G_W = G_T conj(M),
-    projected to the tangent space."""
-    sq = np.maximum((T * T.conj()).real, TINY)
-    GT = 2.0 * T * (np.log(sq.sum(axis=-1, keepdims=True)) - np.log(sq))
-    return _project(W, np.einsum("bjk,kl->bjl", GT, M.conj()))
-
-
-def _two_loop(g, S, Y, rho, gamma, order):
-    """-H g for the L-BFGS inverse-Hessian estimate H built from gamma I
-    and the curvature pairs (S[k], Y[k]), k in order, newest first.  A slot
-    with rho = 0 is empty and changes nothing."""
-    q = -g
-    alpha = {}
-    for k in order:
-        alpha[k] = rho[k] * _inner(S[k], q)
-        q = q - alpha[k][:, None, None] * Y[k]
-    q = gamma[:, None, None] * q
-    for k in reversed(order):
-        q = q + (alpha[k] - rho[k] * _inner(Y[k], q))[:, None, None] * S[k]
-    return q
-
-
-def _armijo(T, W, f, M, d, slope, pending):
-    """Backtrack from step 1 along the tangent direction d, halving up to
-    BACKTRACKS times, for the restarts marked pending.  A step is taken
-    when it lowers f by at least ARMIJO times its predicted gain, and in
-    any case lowers it.  Returns the new T, W and f, the steps and which
-    restarts took one."""
-    T, W, f = T.copy(), W.copy(), f.copy()
-    step = np.ones(len(f))
-    took = np.zeros(len(f), dtype=bool)
-    for _ in range(BACKTRACKS):
-        idx = np.nonzero(pending)[0]
-        if idx.size == 0:
-            break
-        Wc = _retract(W[idx] + step[idx, None, None] * d[idx])
-        Tc = Wc @ M.T
-        fc = _objective(Tc)
-        ok = (fc < f[idx]) & (fc <= f[idx] + ARMIJO * step[idx] * slope[idx])
-        T[idx[ok]], W[idx[ok]], f[idx[ok]] = Tc[ok], Wc[ok], fc[ok]
-        took[idx[ok]] = True
-        pending = pending & ~took
-        step[idx[~ok]] *= 0.5
-    return T, W, f, step, took
-
-
-def _polish(T, W, f, M):
-    """Riemannian L-BFGS on the Stiefel manifold of W, batched over
-    restarts: the analytic gradient (_gradient), a two-loop recursion
-    over the last POLISH_MEMORY curvature pairs (transported to the new
-    point by projection), polar retraction and Armijo backtracking.  A
-    step is taken only if it lowers f, so no restart ends above where it
-    was handed over.  A restart stops once the predicted gain of its step
-    is at most POLISH_TOL or no step lowers f; POLISH_ITERS caps the
-    iterations.  Every restart follows its own path, whatever shares its
-    batch.  Returns T, W, f, the iterations run and whether the cap
-    stopped a restart."""
-    g = _gradient(W, T, M)
-    S = np.zeros((POLISH_MEMORY,) + W.shape, dtype=W.dtype)
-    Y = np.zeros_like(S)
-    rho = np.zeros((POLISH_MEMORY, len(f)))
-    gamma = np.ones(len(f))
-    done = np.zeros(len(f), dtype=bool)
-    for it in range(POLISH_ITERS):
-        order = [(it - 1 - k) % POLISH_MEMORY for k in range(min(it, POLISH_MEMORY))]
-        d = _project(W, _two_loop(g, S, Y, rho, gamma, order))
-        slope = _inner(g, d)
-        # where the estimate gives no descent, forget it and step along -g
-        reset = ~(slope < 0.0)
-        rho[:, reset] = 0.0
-        d[reset] = -gamma[reset, None, None] * g[reset]
-        slope = _inner(g, d)
-        done |= -slope <= POLISH_TOL
-        if done.all():
-            return T, W, f, it, False
-        Tn, Wn, f, step, took = _armijo(T, W, f, M, d, slope, ~done)
-        done |= ~took
-        gn = _gradient(Wn, Tn, M)
-        s = _project(Wn, step[:, None, None] * d)
-        y = gn - _project(Wn, g)
-        sy, yy = _inner(s, y), _inner(y, y)
-        # a pair is kept only with positive curvature, and only where
-        # 1 / sy and sy / yy are finite
-        keep = took & (sy > TINY) & (yy > TINY)
-        slot = it % POLISH_MEMORY
-        S[slot] = np.where(keep[:, None, None], s, 0.0)
-        Y[slot] = np.where(keep[:, None, None], y, 0.0)
-        rho[slot] = np.where(keep, 1.0 / np.where(keep, sy, 1.0), 0.0)
-        gamma = np.where(keep, sy / np.where(keep, yy, 1.0), gamma)
-        T, W, g = Tn, Wn, gn
-    return T, W, f, POLISH_ITERS, not done.all()
+    return value, egrad
 
 
 def _descend(T, W, f, M, batches, max_sweeps: int):
@@ -319,16 +215,16 @@ def _descend(T, W, f, M, batches, max_sweeps: int):
     _sweep_schedule.  T holds the unnormalized decomposition vectors as
     rows and W the isometry generating them; both receive the same
     rotations.  f is recomputed from T after every sweep.  Once the descent
-    has slowed to a linear rate of HANDOVER_RATIO, every restart goes to
-    _polish.  Returns T, W, f, the sweeps run, the polish iterations run
-    and whether a cap stopped the search."""
+    has slowed to a linear rate of HANDOVER_RATIO, every restart's W goes
+    to the polish and T is rebuilt from it.  Returns T, W, f, the sweeps
+    run, the polish iterations run and whether a cap stopped the search."""
     active = np.ones(T.shape[0], dtype=bool)
     gain = None
     for sweep in range(1, max_sweeps + 1):
         idx = np.nonzero(active)[0]
         f_before = f.copy()
         for I, J, phase in batches:
-            _round(T, W, f, idx, I, J, phase)
+            _round(T, W, idx, I, J, phase)
         f[idx] = _objective(T[idx])
         last, gain = gain, f_before - f
         active &= gain > SWEEP_TOL
@@ -339,8 +235,8 @@ def _descend(T, W, f, M, batches, max_sweeps: int):
             # first call, 1.6 MB of resident memory
             ratio = np.sort(gain[idx] / last[idx])
             if ratio[(idx.size - 1) // 2] + ratio[idx.size // 2] >= 2.0 * HANDOVER_RATIO:
-                T, W, f, steps, capped = _polish(T, W, f, M)
-                return T, W, f, sweep, steps, capped
+                W, f, steps, capped = stiefel_lbfgs(W, *_polish_functions(M))
+                return W @ M.T, W, f, sweep, steps, capped
     return T, W, f, max_sweeps, 0, True
 
 
@@ -402,12 +298,13 @@ def roof_upper_bound(
     The reported value is the weighted average output entropy of an
     explicit decomposition, so it is a valid upper bound regardless of how
     well the search converged; it is deterministic given (m, restarts,
-    seed).  A state with a nonzero imaginary part is searched with complex
-    moves, any other with real ones.  With m omitted the decomposition
+    seed).  A state with an imaginary part above REAL_TOL is searched with
+    complex moves, any other as its real part with real ones.  With m
+    omitted the decomposition
     length is rank^2 for a complex search and rank(rank+1)/2 for a real one.
     """
     omega = check_density_matrix(omega)
-    complex_moves = bool(np.max(np.abs(omega.imag)) > 0.0)
+    complex_moves = not _is_real(omega)
     return _search(omega, m, restarts, seed, complex_moves, extra_inits, max_sweeps)
 
 
@@ -415,10 +312,11 @@ def real_roof_upper_bound(
     omega, m=None, restarts: int = 40, seed: int = 0, extra_inits=None, max_sweeps: int = 200
 ) -> RoofResult:
     """roof_upper_bound restricted to real orthogonal search; requires a
-    real symmetric input, for which an optimal decomposition of real
-    states exists.  With m omitted the length is rank(rank+1)/2."""
+    real (_is_real) symmetric input, for which an optimal decomposition of
+    real states exists, and searches its real part.  With m omitted the
+    length is rank(rank+1)/2."""
     omega = check_density_matrix(omega)
-    if np.max(np.abs(omega.imag)) > 1e-12 or np.max(np.abs(omega - omega.T)) > 1e-12:
+    if not _is_real(omega) or np.max(np.abs(omega - omega.T)) > 1e-12:
         raise ValueError("real_roof_upper_bound requires a real symmetric state")
     omega = omega.real.astype(float)
     return _search(omega, m, restarts, seed, False, extra_inits, max_sweeps)

@@ -25,6 +25,8 @@ UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 
 THETA_PERIOD = math.pi / 3.0  # fundamental theta domain after symmetry
+TRANSITION_BRACKET = (-0.45, -0.40)
+TRANSITION_TOL = 1e-9
 
 REGION_LOWER_LINEAR = "lower_linear"
 REGION_ROOF = "roof_equals_epsilon"
@@ -158,13 +160,13 @@ def min_pure_output_entropy(z: float):
     return value, theta
 
 
-def theta_transition(*, bracket=(-0.45, -0.40), tol: float = 1e-9) -> float:
-    """Largest z at which the minimizing angle departs from zero, located
-    by bisection on the indicator theta_min(z) > 1e-6."""
-    lo, hi = bracket
+def theta_transition() -> float:
+    """Largest z at which the minimizing angle departs from zero, located by
+    bisection of TRANSITION_BRACKET on the indicator theta_min(z) > 1e-6."""
+    lo, hi = TRANSITION_BRACKET
     if min_pure_output_entropy(lo)[1] <= 1e-6 or min_pure_output_entropy(hi)[1] > 1e-6:
         raise RuntimeError("transition bracket does not straddle the indicator")
-    while hi - lo > tol:
+    while hi - lo > TRANSITION_TOL:
         mid = 0.5 * (lo + hi)
         if min_pure_output_entropy(mid)[1] > 1e-6:
             lo = mid
@@ -312,8 +314,8 @@ def rank2_entanglement(z: float, x: complex, a: complex, b: complex) -> float:
 
 def curve_grid(z_min: float = -0.5, z_max: float = 1.0, z_step: float = 1e-3) -> np.ndarray:
     """Inclusive evaluation grid used by the curve export."""
-    if z_step <= 0.0:
-        raise ValueError("z_step must be positive")
+    if not 0.0 < z_step < math.inf:
+        raise ValueError(f"z_step must be positive and finite, got {z_step!r}")
     if not (z_min < z_max):
         raise ValueError("need z_min < z_max")
     check_z(z_min)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ def test_ed_curve_bad_range_is_usage_error(capsys):
     assert code == EXIT_USAGE
     code, _, _ = _run(capsys, ["ed-curve", "--z-min", "-0.7"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_ed_curve_non_finite_step_is_usage_error(capsys, step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["ed-curve", "--z-step", step])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: z_step must be positive and finite")
 
 
 def test_min_output_small_dimension(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,13 +268,33 @@ def test_descent_batch_matches_rows_one_at_a_time(n):
     Y = g.standard_normal((40, n - 1))
     Y /= np.linalg.norm(Y, axis=1, keepdims=True)
     H = zero_sum_basis(n)
-    Yb = Y.copy()
-    A_batch, f_batch = face_minimum._descend(Yb, H)
-    singles = [face_minimum._descend(Y[k : k + 1].copy(), H) for k in range(len(Y))]
+    A_batch, f_batch = face_minimum._minimize(Y, H)
+    singles = [face_minimum._minimize(Y[k : k + 1], H) for k in range(len(Y))]
     assert np.array_equal(A_batch, np.vstack([A for A, _ in singles]))
     assert np.array_equal(f_batch, np.hstack([f for _, f in singles]))
     assert np.all(f_batch < face_minimum._face_objective((Y @ H) ** 2))
-    assert np.max(np.abs(np.linalg.norm(Yb, axis=1) - 1.0)) < 1e-14
+    # every returned row stays a zero-sum unit vector
+    assert np.max(np.abs(np.linalg.norm(A_batch, axis=1) - 1.0)) < 1e-14
+    assert np.max(np.abs(A_batch.sum(axis=1))) < 1e-14
+
+
+def test_qubit_search_stops_at_once_without_warnings(monkeypatch):
+    # for N = 2 the zero-sum unit sphere is two points: the engine finds a
+    # zero tangent gradient and stops at iteration 0
+    runs = []
+    engine = face_minimum.stiefel_lbfgs
+
+    def recorded(*args):
+        runs.append(engine(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(face_minimum, "stiefel_lbfgs", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, argmin = brute_force_min_face(2, restarts=5, seed=3)
+    (W, f, iterations, capped), = runs
+    assert iterations == 0 and not capped
+    assert np.all(f == value) and value == pytest.approx(LN2, abs=1e-15)
 
 
 def test_brute_force_deterministic():

@@ -11,6 +11,13 @@ LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sampled_curve_rejects_non_finite_samples(bad):
+    for xs, ys in (([0.0, bad, 1.0], [0.0, 1.0, 0.0]), ([0.0, 0.5, 1.0], [0.0, bad, 0.0])):
+        with pytest.raises(ValueError, match="finite"):
+            SampledCurve(xs=np.array(xs), ys=np.array(ys))
+
+
 def test_convex_samples_are_their_own_hull():
     xs = np.linspace(-1.0, 1.0, 101)
     curve = SampledCurve(xs=xs, ys=xs**2)

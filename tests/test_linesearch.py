@@ -15,29 +15,27 @@ def _eta_sum(K0, K1, K2, w, t):
     return np.einsum("...c,c->...", eta_array(K0 + K1 * np.cos(t2) + K2 * np.sin(t2)), w)
 
 
-@pytest.mark.parametrize("shape", [(30, 40, 1), (2000, 1), (20, 1)])
+@pytest.mark.parametrize("shape", [(30, 40), (2000,), (20,)])
 def test_rotation_line_search_matches_closed_form(shape):
-    # s = K0 + R cos(2t - phi) sweeps [K0 - R, K0 + R] and eta is concave,
-    # so the minimum over t of eta(s) sits at an end: 2t = phi + pi or phi
+    # with u = R cos(2t - phi), F = eta(K0 + u) + eta(K0 - u) has period
+    # pi/2 in t and is concave and even in u, so its minimum over t is
+    # eta(K0 + R) + eta(K0 - R), at cos(2t - phi) = +-1
     g = Generator(Philox(key=np.array([58, 10 * len(shape) + shape[0]], dtype=np.uint64)))
     R = g.uniform(0.0, 0.5, shape)
     K0 = R + g.uniform(0.05, 0.5, shape)
     phi = g.uniform(-math.pi, math.pi, shape)
     K1, K2 = R * np.cos(phi), R * np.sin(phi)
-    w = np.ones(1)
-    t, values, current = rotation_line_search(K0, K1, K2, w, math.pi)
-    assert t.shape == values.shape == current.shape == shape[:-1]
-    low, high = eta_array(K0 - R)[..., 0], eta_array(K0 + R)[..., 0]
-    # the best of the 24 scan points lies within pi/48 of the deeper end's
-    # angle, where eta is at most |eta'| R (1 - cos(pi/24)) <= 0.0086 above
-    # its minimum (K0 - R >= 0.05, R <= 0.5); so where the ends differ by
-    # more, the scan cannot pick the other end's well
-    clear = np.abs(low - high) > 1e-2
-    assert clear.mean() > 0.5
-    assert np.max(np.abs(values - np.minimum(low, high))[clear]) < 1e-12
-    target = np.where(low < high, phi[..., 0] + math.pi, phi[..., 0])
-    assert np.max(np.abs(np.cos(2.0 * t - target) - 1.0)[clear]) < 1e-12
-    assert np.array_equal(current, _eta_sum(K0, K1, K2, w, 0.0))
+    w = np.ones(2)
+    coefficients = (np.stack([K0, K0], -1), np.stack([K1, -K1], -1), np.stack([K2, -K2], -1))
+    t, values, current = rotation_line_search(*coefficients, w)
+    assert t.shape == values.shape == current.shape == shape
+    closed = eta_array(K0 + R) + eta_array(K0 - R)
+    assert np.max(np.abs(values - closed)) < 1e-12
+    # where R is not small the minimum is sharp enough to pin the angle
+    sharp = R > 0.05
+    assert sharp.mean() > 0.5
+    assert np.max(np.abs(np.cos(4.0 * t - 2.0 * phi) - 1.0)[sharp]) < 1e-12
+    assert np.array_equal(current, _eta_sum(*coefficients, w, 0.0))
 
 
 @pytest.mark.parametrize("complex_rows, phase", [(False, False), (True, False), (True, True)])
@@ -49,7 +47,7 @@ def test_rotation_line_search_ends_in_a_local_minimum(complex_rows, phase):
     X *= g.uniform(0.1, 0.8, (400, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
     Y *= g.uniform(0.1, 0.8, (400, 1)) / np.linalg.norm(Y, axis=1, keepdims=True)
     K0, K1, K2, w = roof._pair_coefficients(X, Y, phase)
-    t, values, current = rotation_line_search(K0, K1, K2, w, 0.5 * math.pi)
+    t, values, current = rotation_line_search(K0, K1, K2, w)
     assert np.array_equal(values, _eta_sum(K0, K1, K2, w, t))
     assert np.array_equal(current, _eta_sum(K0, K1, K2, w, 0.0))
     assert np.all(values <= current)
@@ -74,11 +72,11 @@ def test_rotation_line_search_stops_on_degenerate_rows(monkeypatch):
         return taylor(*args)
 
     monkeypatch.setattr(linesearch, "_taylor", counted)
-    for coefficients, weights, period in (((K0, K1, K2), w, 0.5 * math.pi), (flat, np.ones(4), math.pi)):
+    for coefficients, weights in (((K0, K1, K2), w), (flat, np.ones(4))):
         evaluations.append(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            t, values, current = rotation_line_search(*coefficients, weights, period)
+            t, values, current = rotation_line_search(*coefficients, weights)
         assert evaluations[-1] <= linesearch.NEWTON_STEPS  # stopped before the cap
         assert np.all(np.isfinite(t))
         assert np.max(np.abs(values - current)) < 1e-14

@@ -185,8 +185,9 @@ def test_curve_grid():
     assert zs.size == 1501
     assert zs[0] == -0.5
     assert zs[-1] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        curve_grid(-0.5, 1.0, 0.0)
+    for step in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="z_step"):
+            curve_grid(-0.5, 1.0, step)
     with pytest.raises(ValueError):
         curve_grid(0.5, 0.4, 1e-3)
 
