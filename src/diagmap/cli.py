@@ -5,7 +5,7 @@ Subcommands:
   min-output     face-minimum report for a given dimension
   zstar          tangency point, its value and the angle transition
   roof-estimate  decomposition-search upper bound for a state read from file
-  verify         run the named verification suites
+  verify         run the named verification suites (--json: one record per check)
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 input
 parse error.
@@ -13,6 +13,7 @@ parse error.
 
 import argparse
 import itertools
+import json
 import sys
 
 from . import face_minimum as fm
@@ -68,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", nargs="?", default="all", choices=SUITE_NAMES)
+    p_verify.add_argument("--json", action="store_true", help="print one JSON record per check and line")
     return parser
 
 
@@ -187,12 +189,12 @@ def cmd_roof_estimate(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_suite(args.suite)
-    failed = 0
+    failed = sum(not res.passed for res in results)
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
-        print(f"{tag}  {res.name}: {res.detail}")
-        failed += 0 if res.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+        print(json.dumps(res.record()) if args.json else f"{tag}  {res.name}: {res.detail}")
+    if not args.json:
+        print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 

@@ -5,8 +5,8 @@ Real pure states on that face are unit vectors with zero component sum.
 The closed-form minimum is log 2 (pair states) up to N = 6 and switches to
 the one-vs-rest family for N > 6; a Lagrange analysis via the Lambert W
 function classifies the stationary amplitude values, and linesearch's
-L-BFGS engine (the roof search's polish), run on the zero-sum unit sphere,
-provides an independent numerical check.
+Riemannian BFGS engine (the roof search's polish), run on the zero-sum unit
+sphere, provides an independent numerical check.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 
 from .entropy import LN2, TINY, eta_array
 from .lambert import lambert_w0, lambert_wm1
-from .linesearch import check_count, check_seed, stiefel_lbfgs, stream_rng
+from .linesearch import check_count, check_seed, stiefel_bfgs, stream_rng
 
 _INV_E = math.exp(-1.0)
 
@@ -148,7 +148,7 @@ def _face_objective(sq: np.ndarray) -> np.ndarray:
 def _minimize(Y: np.ndarray, H: np.ndarray):
     """Minimize the output entropy of each row of A = YH over the unit sphere
     of its row y, an (N-1) x 1 column on the Stiefel manifold V(N-1, 1), by
-    linesearch.stiefel_lbfgs with the Euclidean gradient H (-2a (log a^2 + 1));
+    linesearch.stiefel_bfgs with the Euclidean gradient H (-2a (log a^2 + 1));
     returns A and the values.  For N = 2 the sphere is two points and the
     engine stops at once.  Products with H are einsums, so a row's path does
     not depend on its batch."""
@@ -164,7 +164,7 @@ def _minimize(Y: np.ndarray, H: np.ndarray):
         lg = np.log(a * a, out=np.zeros(a.shape), where=a * a > TINY)
         return np.einsum("bn,kn->bk", -2.0 * a * (lg + 1.0), H)[:, :, None]
 
-    W, f, _, _ = stiefel_lbfgs(Y[:, :, None], value, egrad)
+    W, f, _, _ = stiefel_bfgs(Y[:, :, None], value, egrad)
     return amplitudes(W), f
 
 

@@ -1,5 +1,5 @@
-"""What the roof and face-minimum searches share: the Riemannian L-BFGS
-engine both run (stiefel_lbfgs), the checks of their seed and budgets and
+"""What the roof and face-minimum searches share: the Riemannian BFGS
+engine both run (stiefel_bfgs), the checks of their seed and budgets and
 their random streams; and the rotation line search of the roof's descent.
 
 The roof's descent turns two rows by a Givens or phase rotation through an
@@ -33,9 +33,6 @@ NEWTON_STEPS = 40
 # quadratic with its slope and curvature could gain more across its bracket.
 GAIN_TOL = 1e-14
 
-# At z = -0.41 (seeds 1-6) the roof's polish converges in 110-156 iterations
-# with 20 curvature pairs; with 6 it takes 612-796 and ends up to 3.7e-13 high.
-POLISH_MEMORY = 20
 POLISH_ITERS = 400
 # a row stops once its step predicts a gain of at most POLISH_TOL
 POLISH_TOL = 1e-15
@@ -147,96 +144,84 @@ def _retract(A):
     return np.einsum("bjl,bil->bji", AV, V.conj())
 
 
-def _two_loop(g, S, Y, rho, gamma, order):
-    """-H g for the L-BFGS inverse-Hessian estimate H built from gamma I
-    and the curvature pairs (S[k], Y[k]), k in order, newest first.  A slot
-    with rho = 0 is empty and changes nothing."""
-    q = -g
-    alpha = {}
-    for k in order:
-        alpha[k] = rho[k] * _inner(S[k], q)
-        q = q - alpha[k][:, None, None] * Y[k]
-    q = gamma[:, None, None] * q
-    for k in reversed(order):
-        q = q + (alpha[k] - rho[k] * _inner(Y[k], q))[:, None, None] * S[k]
-    return q
+def _flat(X):
+    """Each row of X as a real vector, a complex entry as a float pair."""
+    return np.ascontiguousarray(X).reshape(len(X), -1).view(float)
 
 
-def _armijo(W, f, value, d, slope):
-    """Backtrack from step 1 along the tangent direction d, halving up to
-    BACKTRACKS times.  A step is taken when it lowers f by at least ARMIJO
-    times its predicted gain, and in any case lowers it.  Returns the new
-    W and f, the steps and which rows took one."""
-    W, f = W.copy(), f.copy()
-    step, took = np.ones(len(f)), np.zeros(len(f), dtype=bool)
-    for _ in range(BACKTRACKS):
-        idx = np.nonzero(~took)[0]
-        if idx.size == 0:
-            break
-        Wc = _retract(W[idx] + step[idx, None, None] * d[idx])
-        fc = value(Wc)
-        ok = (fc < f[idx]) & (fc <= f[idx] + ARMIJO * step[idx] * slope[idx])
-        W[idx[ok]], f[idx[ok]] = Wc[ok], fc[ok]
-        took[idx[ok]] = True
-        step[idx[~ok]] *= 0.5
-    return W, f, step, took
+def _armijo(W, f, value, d, slope, step):
+    """One try of each row's step along the tangent direction d, taken where
+    f drops by at least ARMIJO times the predicted gain; returns W, f and the
+    step, each the new one where taken (else the step halves), and where."""
+    Wc = _retract(W + step[:, None, None] * d)
+    fc = value(Wc)
+    ok = (fc < f) & (fc <= f + ARMIJO * step * slope)
+    return np.where(ok[:, None, None], Wc, W), np.where(ok, fc, f), np.where(ok, step, 0.5 * step), ok
 
 
-def stiefel_lbfgs(W, value, egrad):
-    """Riemannian L-BFGS on the Stiefel manifold (Edelman, Arias and Smith,
+def stiefel_bfgs(W, value, egrad):
+    """Riemannian BFGS on the Stiefel manifold (Edelman, Arias and Smith,
     SIAM J. Matrix Anal. Appl. 20, 303 (1998)), batched over the leading
     axis of W (column-orthonormal matrices), from each row's objective
-    value(W) and Euclidean gradient egrad(W): the gradient projected to the
-    tangent space, a two-loop recursion over the last POLISH_MEMORY
-    curvature pairs (transported to the new point by projection), polar
-    retraction and Armijo backtracking.  A step is taken only if it lowers
-    the value, so no row ends above where it started.  A row stops once the
-    predicted gain of its step is at most POLISH_TOL or no step lowers the
-    value, and then leaves the batch; POLISH_ITERS caps the iterations.
-    Every row follows its own path, whatever shares its batch, provided
-    value and egrad treat rows independently.  Returns W, the values, the
-    iterations run and whether the cap stopped a row."""
+    value(W) and Euclidean gradient egrad(W).  A row steps along the tangent
+    part of -H g, g its projected gradient and H its dense inverse-Hessian
+    estimate over the n real coordinates of W.  With H = 0 (at the start,
+    or once H gives no descent) it steps along -gamma g, and its next
+    curvature pair (s, y) sets H = (s.y / y.y) I; each pair with s.y and
+    y.y above TINY makes a BFGS update.  Each iteration tries the step on a
+    polar retraction and, where that fails, its half (_armijo); a row where
+    both fail keeps its point, H and g and goes on from the halved step.  A
+    row stops after BACKTRACKS failed tries in a row, or once its unit step
+    predicts a gain of at most POLISH_TOL, and leaves the batch;
+    POLISH_ITERS caps the iterations.  No row ends above its start, and
+    every product is an einsum, so a row's path does not depend on its
+    batch, provided value and egrad treat rows independently.  H holds n^2
+    floats per row (the 20 pairs it replaced held 40 n), slower past n of
+    about 30: on a 2-core Xeon, 40 starts on random complex 4 x 4 and 5 x 5
+    states (n = 128, 250) took 0.58 and 3.6 s against 0.24 and 0.74 s, and
+    39 MB against 7 MB at 5 x 5; the face search (n = N - 1) took 0.68
+    times as long for N <= 16 and 1.07 times for N = 17..32.  Returns W,
+    the values, the iterations run and whether the cap stopped a row."""
     W, f = W.copy(), value(W)
-    # the rows still running: idx, and their w, fw, g and curvature memory
+    # the rows still running: idx, and their w, fw, g, H, gamma and next step
     idx, w, fw = np.arange(len(f)), W, f
     g = _project(w, egrad(w))
-    S, Y = np.zeros((2, POLISH_MEMORY) + w.shape, dtype=w.dtype)
-    rho, gamma = np.zeros((POLISH_MEMORY, len(f))), np.ones(len(f))
-    stuck = np.zeros(len(f), dtype=bool)  # no step lowered the value
+    n = _flat(g).shape[1]
+    H, gamma, step = np.zeros((len(f), n, n)), np.ones(len(f)), np.ones(len(f))
     for it in range(POLISH_ITERS):
-        order = [(it - 1 - k) % POLISH_MEMORY for k in range(min(it, POLISH_MEMORY))]
-        d = _project(w, _two_loop(g, S, Y, rho, gamma, order))
+        d = _project(w, -np.einsum("bij,bj->bi", H, _flat(g)).view(w.dtype).reshape(w.shape))
+        fresh = ~(_inner(g, d) < 0.0)
+        H[fresh], d[fresh] = 0.0, -gamma[fresh, None, None] * g[fresh]
         slope = _inner(g, d)
-        # where the estimate gives no descent, forget it and step along -g
-        reset = ~(slope < 0.0)
-        rho[:, reset] = 0.0
-        d[reset] = -gamma[reset, None, None] * g[reset]
-        slope = _inner(g, d)
-        stop = stuck | (-slope <= POLISH_TOL)
+        stop = (step < 2.0 ** (1 - BACKTRACKS)) | (-slope <= POLISH_TOL)
         if stop.any():
             W[idx[stop]], f[idx[stop]] = w[stop], fw[stop]
             if stop.all():
                 return W, f, it, False
             run = ~stop
-            idx, w, fw, g, d, slope, gamma = (x[run] for x in (idx, w, fw, g, d, slope, gamma))
-            S, Y, rho = S[:, run], Y[:, run], rho[:, run]
-        wn, fw, step, took = _armijo(w, fw, value, d, slope)
-        stuck = ~took
-        gn = _project(wn, egrad(wn))
-        s = _project(wn, step[:, None, None] * d)
-        y = gn - _project(wn, g)
-        sy, yy = _inner(s, y), _inner(y, y)
-        # a pair is kept only with positive curvature, and only where
-        # 1 / sy and sy / yy are finite
+            idx, w, fw, g, H, gamma = idx[run], w[run], fw[run], g[run], H[run], gamma[run]
+            step, d, slope, fresh = step[run], d[run], slope[run], fresh[run]
+        # the step, then its half; a row that took neither keeps w and g
+        w, fw, step, took = _armijo(w, fw, value, d, slope, step)
+        i = np.nonzero(~took)[0]
+        if i.size:
+            w[i], fw[i], step[i], took[i] = _armijo(w[i], fw[i], value, d[i], slope[i], step[i])
+        gn = _project(w, egrad(w))
+        s, y = _flat(_project(w, step[:, None, None] * d)), _flat(gn - _project(w, g))
+        g, step = gn, np.where(took, 1.0, step)
+        sy, yy = np.einsum("bi,bi->b", s, y), np.einsum("bi,bi->b", y, y)
+        # a pair is kept with positive curvature, where 1 / sy and sy / yy are finite
         keep = took & (sy > TINY) & (yy > TINY)
-        slot = it % POLISH_MEMORY
-        S[slot] = np.where(keep[:, None, None], s, 0.0)
-        Y[slot] = np.where(keep[:, None, None], y, 0.0)
-        rho[slot] = np.where(keep, 1.0 / np.where(keep, sy, 1.0), 0.0)
+        rho = np.where(keep, 1.0 / np.where(keep, sy, 1.0), 0.0)
         gamma = np.where(keep, sy / np.where(keep, yy, 1.0), gamma)
-        w, g = wn, gn
+        H[keep & fresh] = gamma[keep & fresh, None, None] * np.eye(n)
+        # (I - rho s y^T) H (I - rho y s^T) + rho s s^T = H + s t^T + t s^T; t = 0 at rho = 0
+        u = np.einsum("bij,bj->bi", H, y)
+        t = (0.5 * rho * (rho * np.einsum("bi,bi->b", y, u) + 1.0))[:, None] * s - rho[:, None] * u
+        H += np.einsum("bi,bj->bij", s, t)
+        H += np.einsum("bi,bj->bij", t, s)
     W[idx], f[idx] = w, fw
-    return W, f, POLISH_ITERS, not stuck.all()
+    return W, f, POLISH_ITERS, not (step < 2.0 ** (1 - BACKTRACKS)).all()
 
 
 def check_seed(seed) -> int:

@@ -24,12 +24,11 @@ Coordinate descent finds the basin quickly but crawls at a linear rate
 along an ill-conditioned valley, as it does just above the tangency point
 z* of the symmetric curve.  Once the median, over the restarts still
 descending, of a sweep's gain over the previous sweep's reaches
-HANDOVER_RATIO, every restart is polished to convergence by the
-Riemannian L-BFGS on the Stiefel manifold of isometries that the face
-search runs too, linesearch.stiefel_lbfgs (for convex roofs,
-Roethlisberger, Lehmann and Loss, PRA 80, 042301 (2009)).  A search that
-converges or reaches max_sweeps before the handover ends as the descent
-left it.
+HANDOVER_RATIO, every restart is polished to convergence on the Stiefel
+manifold of isometries by the Riemannian BFGS engine the face search runs
+too, linesearch.stiefel_bfgs (for convex roofs, Roethlisberger, Lehmann
+and Loss, PRA 80, 042301 (2009)).  A search that converges or reaches
+max_sweeps before the handover ends as the descent left it.
 """
 
 import math
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import TINY, eta_array
-from .linesearch import check_count, check_seed, rotation_line_search, stiefel_lbfgs, stream_rng
+from .linesearch import check_count, check_seed, rotation_line_search, stiefel_bfgs, stream_rng
 from .states import Decomposition, check_density_matrix
 
 RANK_TOL = 1e-10
@@ -60,9 +59,9 @@ REAL_TOL = 1e-12
 @dataclass(frozen=True)
 class RoofResult:
     """A search's bound, the decomposition and isometry that attain it, and
-    how the search ended: the descent sweeps run, the polish iterations run
-    (0 when the descent never handed over) and whether max_sweeps or
-    linesearch.POLISH_ITERS stopped it."""
+    how the search ended: the descent sweeps run, the polish iterations,
+    failed Armijo retries included (0 without a handover), and whether
+    max_sweeps or linesearch.POLISH_ITERS stopped it."""
 
     value: float
     decomposition: Decomposition
@@ -235,7 +234,7 @@ def _descend(T, W, f, M, batches, max_sweeps: int):
             # first call, 1.6 MB of resident memory
             ratio = np.sort(gain[idx] / last[idx])
             if ratio[(idx.size - 1) // 2] + ratio[idx.size // 2] >= 2.0 * HANDOVER_RATIO:
-                W, f, steps, capped = stiefel_lbfgs(W, *_polish_functions(M))
+                W, f, steps, capped = stiefel_bfgs(W, *_polish_functions(M))
                 return W @ M.T, W, f, sweep, steps, capped
     return T, W, f, max_sweeps, 0, True
 

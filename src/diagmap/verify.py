@@ -16,7 +16,8 @@ function in SUITES, each under one criterion.
 
 import itertools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator
@@ -30,14 +31,13 @@ from .lambert import lambert_w0, lambert_wm1
 from .linesearch import stream_rng
 from .roof import real_roof_upper_bound, roof_upper_bound
 
-# values quoted with the curve (location of the lower tangency, its height,
-# the angle-transition point and the value at the upper knee), and the
-# one-vs-rest face value at N = 7
-ZSTAR_REF = -0.4079496711
-S_ZSTAR_REF = 0.470016
-THETA_TRANSITION_REF = -0.4150234
-KNEE_VALUE_REF = 0.867563
-ONE_VS_REST_7_REF = 0.666082
+# z*, s(z*), the upper knee's log 3 - (log 2)/3 and the one-vs-rest value
+# log 7 - (5/7) log 6 at N = 7 to 20 digits, pinned in tests/test_references.py
+ZSTAR_REF = "-0.40794967106988114064"
+S_ZSTAR_REF = "0.47001639914469718633"
+KNEE_VALUE_REF = "0.86756322848146125492"
+ONE_VS_REST_7_REF = "0.66608195674955973310"
+THETA_TRANSITION_REF = -0.4150234  # as quoted with the curve
 
 
 def _num(x) -> str:
@@ -61,14 +61,20 @@ class Measure:
     def __str__(self) -> str:
         return f"{self.label} {_num(self.value)} (tol {self.tol:g}, margin {_num(self.tol - self.value)})"
 
+    def record(self) -> dict:
+        numbers = (float(x) if math.isfinite(x) else None for x in (self.value, self.tol, self.tol - self.value))
+        return dict(zip(("label", "value", "tolerance", "margin"), (self.label, *numbers)))
+
 
 @dataclass(frozen=True)
 class CheckResult:
-    """A check's name and measurements; it passes when it has measurements
-    and every one passes, and its detail lists them all."""
+    """A check's name, measurements and seconds taken (set by run_suite); it
+    passes when it has measurements and every one passes.  In its record,
+    the JSON form, NaN and the infinities, which JSON lacks, are None."""
 
     name: str
     measures: tuple
+    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -77,6 +83,10 @@ class CheckResult:
     @property
     def detail(self) -> str:
         return "; ".join(map(str, self.measures))
+
+    def record(self) -> dict:
+        measures = [m.record() for m in self.measures]
+        return dict(name=self.name, passed=self.passed, elapsed=self.elapsed, measures=measures)
 
 
 def _random_qutrit(g: Generator) -> np.ndarray:
@@ -105,8 +115,8 @@ def check_lower_tangency() -> CheckResult:
     return CheckResult(
         "lower tangency point",
         (
-            Measure("|z* - ref|", abs(zstar - ZSTAR_REF), 1e-6),
-            Measure("|s(z*) - ref|", abs(sc.theta0_entropy(zstar) - S_ZSTAR_REF), 1e-5),
+            Measure("|z* - ref|", abs(zstar - float(ZSTAR_REF)), 1e-15),
+            Measure("|s(z*) - ref|", abs(sc.theta0_entropy(zstar) - float(S_ZSTAR_REF)), 1e-15),
         ),
     )
 
@@ -132,7 +142,7 @@ def check_junctions() -> CheckResult:
         "junction values and continuity",
         (
             Measure("|epsilon(5/6) - knee value|", abs(eps_val - sc.UPPER_KNEE_VALUE), 1e-6),
-            Measure("|knee value - ref|", abs(sc.UPPER_KNEE_VALUE - KNEE_VALUE_REF), 1e-6),
+            Measure("|knee value - ref|", abs(sc.UPPER_KNEE_VALUE - float(KNEE_VALUE_REF)), 1e-15),
             # the closed form joins its upper chord at the theta = 0 entropy
             Measure("|theta0 entropy(5/6) - knee value|", abs(sc.theta0_entropy(knee) - sc.UPPER_KNEE_VALUE), 1e-10),
             Measure("max jump at z*, 5/6", np.max(jumps), 1e-10),
@@ -270,7 +280,7 @@ def check_bifurcation() -> CheckResult:
         "family crossover between N = 6 and N = 7",
         (
             Measure("one-vs-rest on the wrong side of log 2", int(not at6 > LN2) + int(not at7 < LN2), 0),
-            Measure("|one-vs-rest(7) - ref|", abs(at7 - ONE_VS_REST_7_REF), 1e-6),
+            Measure("|one-vs-rest(7) - ref|", abs(at7 - float(ONE_VS_REST_7_REF)), 1e-15),
             Measure("max |closed - family|, N = 6, 7", np.max(closed_errs), 1e-15),
             Measure("|closed(10^6)|", abs(fm.min_face_entropy(10**6)), 3e-5),
         ),
@@ -545,4 +555,8 @@ def run_suite(name: str):
         checks = list(SUITES[name])
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return [fn() for fn in checks]
+    results = []
+    for check in checks:
+        t0 = time.perf_counter()
+        results.append(replace(check(), elapsed=time.perf_counter() - t0))
+    return results

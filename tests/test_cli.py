@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -242,6 +243,28 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     assert code == EXIT_VERIFY_FAILED
     assert "FAIL  forced failure: error 2.00e-09 (tol 1e-09, margin -1.00e-09)" in out
     assert out.splitlines()[-1] == "0/1 checks passed"
+
+
+def test_verify_json_records(capsys, monkeypatch):
+    def passing_check():
+        return verify.CheckResult("exact", (verify.Measure("count", 0, 0), verify.Measure("error", 1e-12, 1e-9)))
+
+    def nan_check():
+        return verify.CheckResult("undefined", (verify.Measure("error", math.nan, 1e-9),))
+
+    monkeypatch.setitem(verify.SUITES, "rank2", (passing_check, nan_check))
+    code, out, _ = _run(capsys, ["verify", "rank2", "--json"])
+    assert code == EXIT_VERIFY_FAILED
+    first, second = (json.loads(line) for line in out.splitlines())
+    assert [first["name"], first["passed"], second["name"], second["passed"]] == ["exact", True, "undefined", False]
+    assert all(r["elapsed"] >= 0.0 for r in (first, second))
+    assert first["measures"] == [
+        {"label": "count", "value": 0, "tolerance": 0, "margin": 0},
+        {"label": "error", "value": 1e-12, "tolerance": 1e-9, "margin": 1e-9 - 1e-12},
+    ]
+    assert second["measures"] == [{"label": "error", "value": None, "tolerance": 1e-9, "margin": None}]
+    monkeypatch.setitem(verify.SUITES, "rank2", (passing_check,))
+    assert _run(capsys, ["verify", "rank2", "--json"])[0] == EXIT_OK
 
 
 def test_verify_rejects_unknown_suite():

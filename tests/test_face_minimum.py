@@ -282,13 +282,13 @@ def test_qubit_search_stops_at_once_without_warnings(monkeypatch):
     # for N = 2 the zero-sum unit sphere is two points: the engine finds a
     # zero tangent gradient and stops at iteration 0
     runs = []
-    engine = face_minimum.stiefel_lbfgs
+    engine = face_minimum.stiefel_bfgs
 
     def recorded(*args):
         runs.append(engine(*args))
         return runs[-1]
 
-    monkeypatch.setattr(face_minimum, "stiefel_lbfgs", recorded)
+    monkeypatch.setattr(face_minimum, "stiefel_bfgs", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, argmin = brute_force_min_face(2, restarts=5, seed=3)

@@ -81,3 +81,32 @@ def test_rotation_line_search_stops_on_degenerate_rows(monkeypatch):
         assert np.all(np.isfinite(t))
         assert np.max(np.abs(values - current)) < 1e-14
     assert evaluations[1] == 1
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_stiefel_bfgs_reaches_the_ky_fan_minimum(complex_entries):
+    # min Re tr(W^H A W) over V(n, k) is the sum of the k smallest
+    # eigenvalues of A (Ky Fan); the objective has no other local minimum
+    g = Generator(Philox(key=np.array([61, int(complex_entries)], dtype=np.uint64)))
+    n, k, rows = 6, 2, 8
+    raw = g.standard_normal((n, n)) + (1j * g.standard_normal((n, n)) if complex_entries else 0.0)
+    Q, _ = np.linalg.qr(raw)
+    evals = np.array([-1.0, -0.8, 0.5, 0.9, 1.3, 2.0])  # a gap of 1.3 after the second
+    A = np.einsum("ij,j,lj->il", Q, evals, Q.conj())
+    starts = g.standard_normal((rows, n, k)) + (1j * g.standard_normal((rows, n, k)) if complex_entries else 0.0)
+    W = np.stack([np.linalg.qr(x)[0] for x in starts])
+
+    def value(W):
+        return np.einsum("bji,jl,bli->b", W.conj(), A, W).real
+
+    def egrad(W):
+        return 2.0 * np.einsum("jl,bli->bji", A, W)
+
+    Wb, fb, iterations, capped = linesearch.stiefel_bfgs(W, value, egrad)
+    assert not capped and iterations < linesearch.POLISH_ITERS
+    assert np.max(np.abs(fb - evals[:k].sum())) < 1e-12
+    assert np.array_equal(fb, value(Wb))
+    for i in range(rows):
+        Ws, fs, _, capped = linesearch.stiefel_bfgs(W[i : i + 1], value, egrad)
+        assert not capped
+        assert np.array_equal(Ws[0], Wb[i]) and fs[0] == fb[i]

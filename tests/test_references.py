@@ -10,15 +10,11 @@ import pytest
 from diagmap.face_minimum import min_face_entropy
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from diagmap.symmetric_curve import _theta0_slope, lower_tangent_z, theta0_entropy
+from diagmap.verify import KNEE_VALUE_REF, ONE_VS_REST_7_REF, S_ZSTAR_REF, ZSTAR_REF
 
 DPS = 40
-
-# 40-digit tangency abscissa of the chord from (-1/2, log 2) to the theta = 0
-# curve; test_zstar_reference_value recomputes it
-ZSTAR_REF = "-0.40794967106988114064"
-# 40-digit theta = 0 entropy s(z*) at the tangency point;
-# test_curve_value_at_zstar_reference recomputes it
-S_STAR_REF = "0.47001639914469718632727067935"
+# the references carry 20 digits, so each is within 5e-21 of its value
+REF_TOL = mpmath.mpf(10) ** -20
 
 
 @pytest.fixture(autouse=True)
@@ -75,7 +71,7 @@ def test_zstar_reference_value():
         return mpmath.diff(_theta0_entropy, t) * (t + mpmath.mpf(1) / 2) - (_theta0_entropy(t) - mpmath.log(2))
 
     zstar = mpmath.findroot(g, mpmath.mpf(ZSTAR_REF))
-    assert abs(zstar - mpmath.mpf(ZSTAR_REF)) < mpmath.mpf(10) ** -19
+    assert abs(zstar - mpmath.mpf(ZSTAR_REF)) < REF_TOL
 
 
 def test_lower_tangent_z_against_mpmath():
@@ -85,10 +81,19 @@ def test_lower_tangent_z_against_mpmath():
 
 
 def test_curve_value_at_zstar_reference():
-    # ZSTAR_REF carries 20 digits, so s(ZSTAR_REF) is good to about 1e-20
-    assert abs(_theta0_entropy(mpmath.mpf(ZSTAR_REF)) - mpmath.mpf(S_STAR_REF)) < mpmath.mpf(10) ** -19
+    # ZSTAR_REF is 3.7e-22 from z* and s' = -2.42 there, so with the 2.7e-21
+    # rounding of S_ZSTAR_REF the two differ by 3.6e-21
+    assert abs(_theta0_entropy(mpmath.mpf(ZSTAR_REF)) - mpmath.mpf(S_ZSTAR_REF)) < REF_TOL
     # measured 1.8e-16
-    assert abs(mpmath.mpf(theta0_entropy(lower_tangent_z())) - mpmath.mpf(S_STAR_REF)) <= 5e-16
+    assert abs(mpmath.mpf(theta0_entropy(lower_tangent_z())) - mpmath.mpf(S_ZSTAR_REF)) <= 5e-16
+
+
+def test_knee_value_reference():
+    assert abs(mpmath.log(3) - mpmath.log(2) / 3 - mpmath.mpf(KNEE_VALUE_REF)) < REF_TOL
+
+
+def test_one_vs_rest_7_reference():
+    assert abs(mpmath.log(7) - mpmath.mpf(5) / 7 * mpmath.log(6) - mpmath.mpf(ONE_VS_REST_7_REF)) < REF_TOL
 
 
 def test_theta0_slope_against_mpmath():

@@ -364,10 +364,10 @@ def test_polish_batch_matches_restarts_one_at_a_time(complex_moves):
     W, M = _descended(omega, m, 5, 4, complex_moves, int(complex_moves))
     value, egrad = roof._polish_functions(M)
     f = value(W)
-    Wb, fb, steps, capped = linesearch.stiefel_lbfgs(W, value, egrad)
+    Wb, fb, steps, capped = linesearch.stiefel_bfgs(W, value, egrad)
     assert 0 < steps < linesearch.POLISH_ITERS and not capped
     for i in range(len(f)):
-        Ws, fs, _, _ = linesearch.stiefel_lbfgs(W[i : i + 1], value, egrad)
+        Ws, fs, _, _ = linesearch.stiefel_bfgs(W[i : i + 1], value, egrad)
         assert np.array_equal(Ws[0], Wb[i]) and fs[0] == fb[i]
     # the polish never ends above where it was handed over, keeps W on the
     # Stiefel manifold and f in step with it
