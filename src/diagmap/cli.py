@@ -171,7 +171,7 @@ def cmd_roof_estimate(args) -> int:
         return EXIT_USAGE
     print(f"upper bound: {_fmt(result.value * scale)} {args.units}")
     print(
-        f"search: {result.sweeps} sweeps, {result.polish_steps} polish steps, "
+        f"search: {result.sweeps} sweeps, {result.insertions} insertions, "
         f"capped: {'yes' if result.capped else 'no'}"
     )
     dec = result.decomposition

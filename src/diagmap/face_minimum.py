@@ -5,7 +5,7 @@ Real pure states on that face are unit vectors with zero component sum.
 The closed-form minimum is log 2 (pair states) up to N = 6 and switches to
 the one-vs-rest family for N > 6; a Lagrange analysis via the Lambert W
 function classifies the stationary amplitude values, and linesearch's
-Riemannian BFGS engine (the roof search's polish), run on the zero-sum unit
+Riemannian BFGS engine (the roof search's engine), run on the zero-sum unit
 sphere, provides an independent numerical check.
 """
 

@@ -2,11 +2,12 @@
 map's output entropy.
 
 Every length-m pure-state decomposition of a rank-r state arises from an
-m x r column-orthonormal matrix applied to the scaled eigenbasis.  The
-search walks that matrix with Givens rotations (plus phase rotations in
-the complex case), which keep it exactly orthonormal, and minimizes the
-weighted output entropy of the resulting decomposition by cyclic
-coordinate descent over rotation angles with restarts.
+m x r column-orthonormal matrix W applied to the scaled eigenbasis M: its
+unnormalized members are the rows of W M^T.  The search minimizes their
+weighted output entropy over the Stiefel manifold of such W, from every
+restart at once, with the Riemannian BFGS engine the face search runs too,
+linesearch.stiefel_bfgs (for convex roofs, Roethlisberger, Lehmann and
+Loss, PRA 80, 042301 (2009)).
 
 With m omitted the length is the Caratheodory bound of the search space,
 which depends only on the rank r and on whether the search is real: some
@@ -14,21 +15,16 @@ optimal decomposition has at most r^2 members, or r(r+1)/2 when the state
 and its members are real (Uhlmann, "Roofs and convexity", Entropy 12, 1799
 (2010)).  The search never reads a closed form of the roof.
 
-Each rotation angle comes from linesearch.rotation_line_search on the
-pair's squared moduli: a scan of one period, pi/2 since swapping the two
-rows leaves their terms unchanged, then safeguarded Newton steps on the
-analytic slope and curvature.  The objective is a sum of row terms, so the
-disjoint pairs of one round-robin round are searched as one batch.
-
-Coordinate descent finds the basin quickly but crawls at a linear rate
-along an ill-conditioned valley, as it does just above the tangency point
-z* of the symmetric curve.  Once the median, over the restarts still
-descending, of a sweep's gain over the previous sweep's reaches
-HANDOVER_RATIO, every restart is polished to convergence on the Stiefel
-manifold of isometries by the Riemannian BFGS engine the face search runs
-too, linesearch.stiefel_bfgs (for convex roofs, Roethlisberger, Lehmann
-and Loss, PRA 80, 042301 (2009)).  A search that converges or reaches
-max_sweeps before the handover ends as the descent left it.
+A converged decomposition can still sit in a stalled basin that lacks one
+member, as happens just above the tangency point z* of the symmetric
+curve.  At a stationary decomposition {v_k} the KKT multiplier X satisfies
+X v_k = y_k, half the gradient, and every unit psi in the range of the
+state prices at h(psi) = S(D(psi)) - psi^H X psi, zero at the members:
+E >= tr(X omega) + min h, the Legendre bound of Guehne, Reimpell and
+Werner, PRL 98, 110502 (2007).  While the best restart's polish converged
+and some psi prices below -PRICE_TOL, psi is inserted as a member of
+weight about EPS and the decomposition polished again, at most INSERTIONS
+times; each insertion lowers the value, to first order by EPS |h(psi)|.
 """
 
 import math
@@ -37,37 +33,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import TINY, eta_array
-from .linesearch import check_count, check_seed, rotation_line_search, stiefel_bfgs, stream_rng
+from .linesearch import _retract, check_count, check_seed, stiefel_bfgs, stream_rng
 from .states import Decomposition, check_density_matrix
 
 RANK_TOL = 1e-10
-SWEEP_TOL = 1e-11
-# The descent hands over to the polish once the median, over the restarts
-# still descending, of a sweep's gain over the previous sweep's gain
-# reaches HANDOVER_RATIO.  Measured on real searches with m = 6 and 32
-# restarts: at z = -0.41 the ratio passes 0.5 by sweep 6 and 0.7 at sweep
-# 11-13, at z = -0.44 it is 0.6-0.7 at sweep 4 and 0.84-0.88 at sweep 5,
-# and at z = 0.3 and 0.92 it stays at or below 0.35.  At 0.5 one of twelve
-# seeds at z = -0.41 (1005) was polished into a competing local minimum
-# 1.58e-6 above E; at 0.7 all twelve (1-6, 1001-1006) end within 1.1e-15.
-HANDOVER_RATIO = 0.7
 # A state whose imaginary part is at most REAL_TOL is real: it is factored,
 # searched and rebuilt from an isometry as its real part.
 REAL_TOL = 1e-12
+# Pricing: PRICE_SCREEN random unit points of the range, their face copies
+# and the members are scored, the best PRICE_STARTS polished; a state priced
+# below -PRICE_TOL is inserted with weight about EPS, at most INSERTIONS times.
+PRICE_SCREEN = 512
+PRICE_STARTS = 16
+PRICE_TOL = 1e-7
+EPS = 1e-3
+INSERTIONS = 4
 
 
 @dataclass(frozen=True)
 class RoofResult:
     """A search's bound, the decomposition and isometry that attain it, and
-    how the search ended: the descent sweeps run, the polish iterations,
-    failed Armijo retries included (0 without a handover), and whether
-    max_sweeps or linesearch.POLISH_ITERS stopped it."""
+    how the search ended: the engine iterations over all its polishes,
+    failed Armijo retries included, the members inserted, and whether
+    max_sweeps stopped the best restart's last polish."""
 
     value: float
     decomposition: Decomposition
     isometry: np.ndarray
     sweeps: int
-    polish_steps: int
+    insertions: int
     capped: bool
 
 
@@ -121,141 +115,93 @@ def _objective(T: np.ndarray) -> np.ndarray:
     return _row_entropy_parts(sq).sum(axis=-1)
 
 
-def _rotate(X, Y, t, phase: bool):
-    c = np.cos(t)[..., None]
-    s = np.sin(t)[..., None]
-    if phase:
-        return c * X - 1j * s * Y, -1j * s * X + c * Y
-    return c * X - s * Y, s * X + c * Y
-
-
-def _sweep_schedule(m: int, complex_moves: bool):
-    """One sweep's moves as batches (I, J, phase) of disjoint row pairs
-    (I[p], J[p]).
-
-    The circle-method round robin gives m - 1 rounds of m/2 pairs for even
-    m and m rounds of (m - 1)/2 pairs for odd m, which together cover every
-    pair once.  Each round is one batch of Givens moves and, in a complex
-    search, one more batch of phase moves.
-    """
-    seats = list(range(m)) + [-1] * (m % 2)  # -1 is the bye of odd m
-    half = len(seats) // 2
-    batches = []
-    for _ in range(len(seats) - 1):
-        pairs = [(min(a, b), max(a, b)) for a, b in zip(seats[:half], seats[::-1][:half]) if a >= 0 and b >= 0]
-        if pairs:
-            I, J = (np.array(col) for col in zip(*pairs))
-            batches.append((I, J, False))
-            if complex_moves:
-                batches.append((I, J, True))
-        seats = [seats[0], seats[-1]] + seats[1:-1]
-    return batches
-
-
-def _pair_coefficients(X, Y, phase: bool):
-    """Return K0, K1, K2 and w for the rows X and Y (stacked over leading
-    axes) such that after _rotate(X, Y, t, phase) the squared moduli of the
-    columns [|x_k|^2, |y_k|^2, |x|^2, |y|^2] are exactly
-    K0 + K1 cos 2t + K2 sin 2t, and the two rows' objective terms are
-    sum_c w_c eta(K0 + K1 cos 2t + K2 sin 2t)."""
-    ax = (X * X.conj()).real
-    ay = (Y * Y.conj()).real
-    xy = X * Y.conj()
-    # |x_k'|^2 = P + Q cos 2t + R sin 2t, and |y_k'|^2 = 2P - |x_k'|^2
-    P = 0.5 * (ax + ay)
-    Q = 0.5 * (ax - ay)
-    R = -(xy.imag if phase else xy.real)
-
-    def columns(A, y_sign):
-        total = A.sum(axis=-1, keepdims=True)
-        return np.concatenate([A, y_sign * A, total, y_sign * total], axis=-1)
-
-    w = np.ones(2 * X.shape[-1] + 2)
-    w[-2:] = -1.0
-    return columns(P, 1.0), columns(Q, -1.0), columns(R, -1.0), w
-
-
-def _round(T, W, idx, I, J, phase: bool):
-    """Line-search the rotation angle of every disjoint row pair
-    (I[p], J[p]) of the restarts idx as one batch, and apply each angle
-    that lowers its pair's terms to T and W.  The objective is a sum of
-    row terms, so the pairs do not interact.  Returns the angles and the
-    accepted mask, both of shape (len(idx), len(I))."""
-    rows = idx[:, None]
-    K0, K1, K2, w = _pair_coefficients(T[rows, I], T[rows, J], phase)
-    t, new, current = rotation_line_search(K0, K1, K2, w)
-    improved = new < current
-    b, p = np.nonzero(improved)
-    r, i, j, tb = idx[b], I[p], J[p], t[b, p]
-    T[r, i], T[r, j] = _rotate(T[r, i], T[r, j], tb, phase)
-    W[r, i], W[r, j] = _rotate(W[r, i], W[r, j], tb, phase)
-    return t, improved
+def _half_gradient(T: np.ndarray) -> np.ndarray:
+    """Y = T (log rownorm^2 - log |T|^2), half the objective's gradient in T;
+    an entry of T at zero gives zero."""
+    sq = np.maximum((T * T.conj()).real, TINY)
+    return T * (np.log(sq.sum(axis=-1, keepdims=True)) - np.log(sq))
 
 
 def _polish_functions(M):
     """The polish's objective of W, through T = W M^T, and its Euclidean
-    gradient G_T conj(M), where G_T = 2 T (log rownorm^2 - log |T|^2)."""
+    gradient G_T conj(M), where G_T = 2 _half_gradient(T)."""
 
     def value(W):
         return _objective(W @ M.T)
 
     def egrad(W):
-        T = W @ M.T
-        sq = np.maximum((T * T.conj()).real, TINY)
-        GT = 2.0 * T * (np.log(sq.sum(axis=-1, keepdims=True)) - np.log(sq))
-        return np.einsum("bjk,kl->bjl", GT, M.conj())
+        return np.einsum("bjk,kl->bjl", 2.0 * _half_gradient(W @ M.T), M.conj())
 
     return value, egrad
 
 
-def _descend(T, W, f, M, batches, max_sweeps: int):
-    """Cyclic coordinate descent over rotation angles, vectorized across
-    restarts and across the disjoint pairs of each batch of
-    _sweep_schedule.  T holds the unnormalized decomposition vectors as
-    rows and W the isometry generating them; both receive the same
-    rotations.  f is recomputed from T after every sweep.  Once the descent
-    has slowed to a linear rate of HANDOVER_RATIO, every restart's W goes
-    to the polish and T is rebuilt from it.  Returns T, W, f, the sweeps
-    run, the polish iterations run and whether a cap stopped the search."""
-    active = np.ones(T.shape[0], dtype=bool)
-    gain = None
-    for sweep in range(1, max_sweeps + 1):
-        idx = np.nonzero(active)[0]
-        f_before = f.copy()
-        for I, J, phase in batches:
-            _round(T, W, idx, I, J, phase)
-        f[idx] = _objective(T[idx])
-        last, gain = gain, f_before - f
-        active &= gain > SWEEP_TOL
-        if not active.any():
-            return T, W, f, sweep, 0, False
-        if last is not None:
-            # the median from a sort: np.median imports numpy.ma on its
-            # first call, 1.6 MB of resident memory
-            ratio = np.sort(gain[idx] / last[idx])
-            if ratio[(idx.size - 1) // 2] + ratio[idx.size // 2] >= 2.0 * HANDOVER_RATIO:
-                W, f, steps, capped = stiefel_bfgs(W, *_polish_functions(M))
-                return W @ M.T, W, f, sweep, steps, capped
-    return T, W, f, max_sweeps, 0, True
+def _price_functions(B, X):
+    """h(c) = S(D(Bc)) - c^H X c of unit columns c, each of shape (r, 1), and
+    its Euclidean gradient B^H (-2 psi (log |psi|^2 + 1)) - 2 X c with
+    psi = Bc."""
+
+    def value(C):
+        psi = np.einsum("ij,bj->bi", B, C[:, :, 0])
+        quad = np.einsum("bi,ij,bj->b", C[:, :, 0].conj(), X, C[:, :, 0]).real
+        return eta_array((psi * psi.conj()).real).sum(axis=-1) - quad
+
+    def egrad(C):
+        psi = np.einsum("ij,bj->bi", B, C[:, :, 0])
+        sq = (psi * psi.conj()).real
+        lg = np.log(sq, out=np.zeros(sq.shape), where=sq > TINY)
+        g = np.einsum("ij,bi->bj", B.conj(), -2.0 * psi * (lg + 1.0)) - 2.0 * np.einsum("ij,bj->bi", X, C[:, :, 0])
+        return g[:, :, None]
+
+    return value, egrad
 
 
-def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_sweeps: int):
-    restarts = check_count("restarts", restarts)
-    max_sweeps = check_count("max_sweeps", max_sweeps)
-    seed = check_seed(seed)
-    M = _eigen_factor(omega)
-    N = omega.shape[0]
+def _face_copies(C, B):
+    """Each row c of C (shape (k, r)) with one entry of Bc zeroed, projected
+    back onto the range and left unnormalized: k N points near the
+    coordinate faces, where the output entropy has a log cusp and a
+    minimizer's basin can be narrow."""
+    psi = np.einsum("ij,bj->bi", B, C)
+    faces = np.repeat(psi[:, None, :], B.shape[0], axis=1)
+    faces[:, np.arange(B.shape[0]), np.arange(B.shape[0])] = 0.0
+    return np.einsum("ij,bni->bnj", B.conj(), faces).reshape(-1, B.shape[1])
+
+
+def _price(T, M, g):
+    """The unit c in the range coordinates of M's eigenbasis B whose state
+    Bc prices lowest against the decomposition T, and its price h.
+
+    The KKT multiplier of T in the range is X_r = B^H (Y^T conj(T)) B / lam,
+    Hermitian part, Y = _half_gradient(T), lam the eigenvalues.  PRICE_SCREEN
+    points drawn from g, their _face_copies and the members are scored, and
+    the best PRICE_STARTS are polished by stiefel_bfgs."""
+    scale = np.linalg.norm(M, axis=0)
+    B = M / scale
+    X = np.einsum("ik,ji,jl,lm->km", B.conj(), _half_gradient(T), T.conj(), B) / scale**2
+    X = 0.5 * (X + X.conj().T)
+    raw = g.standard_normal((PRICE_SCREEN, B.shape[1]))
+    if np.iscomplexobj(M):
+        raw = raw + 1j * g.standard_normal(raw.shape)
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    C = np.concatenate([raw, _face_copies(raw, B), np.einsum("ij,ki->kj", B.conj(), T)])
+    norm = np.linalg.norm(C, axis=1)
+    C = C[norm > RANK_TOL] / norm[norm > RANK_TOL, None]
+    value, egrad = _price_functions(B, X)
+    starts = C[np.argsort(value(C[:, :, None]), kind="stable")[:PRICE_STARTS]]
+    C, h, _, _ = stiefel_bfgs(starts[:, :, None], value, egrad)
+    best = int(np.argmin(h))
+    return float(h[best]), C[best, :, 0]
+
+
+def _starts(M, m, restarts, seed, complex_search: bool, extra_inits):
+    """The isometries the search starts from: the identity, restarts - 1
+    random ones, each from its stream of the seed, and the extra inits."""
     r = M.shape[1]
-    if m is None:
-        m = r * r if complex_moves else r * (r + 1) // 2
-    if not r <= m <= N * N:
-        raise ValueError(f"decomposition length m={m} outside [{r}, {N * N}]")
-    dtype = complex if complex_moves else float
+    dtype = complex if complex_search else float
     inits = [np.eye(m, r, dtype=dtype)]
     for k in range(1, restarts):
         g = stream_rng(seed, k)
         raw = g.standard_normal((m, r))
-        if complex_moves:
+        if complex_search:
             raw = raw + 1j * g.standard_normal((m, r))
         Q, _ = np.linalg.qr(raw)
         inits.append(Q)
@@ -263,20 +209,47 @@ def _search(omega, m, restarts, seed, complex_moves: bool, extra_inits, max_swee
         U = np.asarray(U).conj()
         if U.shape != (m, r):
             raise ValueError(f"extra init has shape {U.shape}, expected {(m, r)}")
-        inits.append(_check_orthonormal(U.real.astype(dtype) if not complex_moves else U.astype(dtype)))
-    W = np.stack(inits)
-    T = W @ M.T
-    f = _objective(T)
-    T, W, f, sweeps, polish_steps, capped = _descend(T, W, f, M, _sweep_schedule(m, complex_moves), max_sweeps)
+        inits.append(_check_orthonormal(U.real.astype(dtype) if not complex_search else U.astype(dtype)))
+    return np.stack(inits)
+
+
+def _search(omega, m, restarts, seed, complex_search: bool, extra_inits, max_sweeps: int):
+    restarts = check_count("restarts", restarts)
+    max_sweeps = check_count("max_sweeps", max_sweeps)
+    seed = check_seed(seed)
+    M = _eigen_factor(omega)
+    N = omega.shape[0]
+    r = M.shape[1]
+    if m is None:
+        m = r * r if complex_search else r * (r + 1) // 2
+    if not r <= m <= N * N:
+        raise ValueError(f"decomposition length m={m} outside [{r}, {N * N}]")
+    value, egrad = _polish_functions(M)
+    W, f, sweeps, capped = stiefel_bfgs(_starts(M, m, restarts, seed, complex_search, extra_inits), value, egrad,
+                                        max_sweeps)
     best = int(np.argmin(f))
-    decomp = _decomposition_from_vectors(T[best])
+    # stream 0 draws no start: the first start is the identity
+    w, fw, capped, insertions, g = W[best : best + 1], f[best], capped[best], 0, stream_rng(seed, 0)
+    while not capped and insertions < INSERTIONS:
+        h, c = _price(w[0] @ M.T, M, g)
+        if not h < -PRICE_TOL:
+            break
+        # the member sqrt(EPS) Bc is the row sqrt(EPS) c / sqrt(lam) of W
+        row = math.sqrt(EPS) * c / np.linalg.norm(M, axis=0)
+        wn, fn, steps, cn = stiefel_bfgs(_retract(np.concatenate([w, row[None, None]], axis=1)), value, egrad,
+                                         max_sweeps)
+        sweeps += steps
+        if not fn[0] < fw:  # an insertion that does not lower the value is dropped
+            break
+        w, fw, capped, insertions = wn, fn[0], cn[0], insertions + 1
+    decomp = _decomposition_from_vectors(w[0] @ M.T)
     return RoofResult(
         value=decomp.average_output_entropy(),
         decomposition=decomp,
-        isometry=W[best].conj(),
+        isometry=w[0].conj(),
         sweeps=sweeps,
-        polish_steps=polish_steps,
-        capped=capped,
+        insertions=insertions,
+        capped=bool(capped),
     )
 
 
@@ -296,21 +269,23 @@ def roof_upper_bound(
 
     The reported value is the weighted average output entropy of an
     explicit decomposition, so it is a valid upper bound regardless of how
-    well the search converged; it is deterministic given (m, restarts,
-    seed).  A state with an imaginary part above REAL_TOL is searched with
-    complex moves, any other as its real part with real ones.  With m
-    omitted the decomposition
-    length is rank^2 for a complex search and rank(rank+1)/2 for a real one.
+    well the search converged or how long the decomposition grew; it is
+    deterministic given (m, restarts, seed).  A state with an imaginary part
+    above REAL_TOL is searched over complex isometries, any other as its
+    real part over real ones.  m is the starting length; with m omitted it
+    is rank^2 for a complex search and rank(rank+1)/2 for a real one, and
+    each insertion adds one member.  max_sweeps is the engine's iterations
+    per polish.
     """
     omega = check_density_matrix(omega)
-    complex_moves = not _is_real(omega)
-    return _search(omega, m, restarts, seed, complex_moves, extra_inits, max_sweeps)
+    complex_search = not _is_real(omega)
+    return _search(omega, m, restarts, seed, complex_search, extra_inits, max_sweeps)
 
 
 def real_roof_upper_bound(
     omega, m=None, restarts: int = 40, seed: int = 0, extra_inits=None, max_sweeps: int = 200
 ) -> RoofResult:
-    """roof_upper_bound restricted to real orthogonal search; requires a
+    """roof_upper_bound restricted to a real search; requires a
     real (_is_real) symmetric input, for which an optimal decomposition of
     real states exists, and searches its real part.  With m omitted the
     length is rank(rank+1)/2."""

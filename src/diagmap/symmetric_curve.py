@@ -18,15 +18,14 @@ import numpy as np
 
 from .entropy import LN2, LN3, TINY, eta, eta_array
 from .hull import tangent_from_point
-from .linesearch import INVPHI
 from .states import Decomposition, check_pure_state, check_z
 
 UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio of the angle search
 THETA_PERIOD = math.pi / 3.0  # fundamental theta domain after symmetry
 TRANSITION_BRACKET = (-0.45, -0.40)
-TRANSITION_TOL = 1e-9
 
 REGION_LOWER_LINEAR = "lower_linear"
 REGION_ROOF = "roof_equals_epsilon"
@@ -160,19 +159,36 @@ def min_pure_output_entropy(z: float):
     return value, theta
 
 
+def _theta0_curvature(z: float) -> float:
+    """d^2/dtheta^2 of the output entropy at theta = 0.  An amplitude x adds
+    -2 ((x'^2 + x x'') (log x^2 + 1) + 2 x'^2); at theta = 0,
+    a = (alpha + 2 beta)/3 with a' = 0, a'' = -2 beta/3, and
+    b = c = (alpha - beta)/3 with b'^2 = beta^2/3, b'' = beta/3."""
+    alpha, beta = _alpha_beta(z)
+    a = (alpha + 2.0 * beta) / 3.0
+    b = (alpha - beta) / 3.0
+    a_term = (4.0 / 3.0) * a * beta * (math.log(a * a) + 1.0)
+    b_term = (beta * beta + b * beta) / 3.0 * (math.log(b * b) + 1.0) + 2.0 * beta * beta / 3.0
+    return a_term - 4.0 * b_term
+
+
 def theta_transition() -> float:
-    """Largest z at which the minimizing angle departs from zero, located by
-    bisection of TRANSITION_BRACKET on the indicator theta_min(z) > 1e-6."""
+    """Largest z at which the minimizing angle departs from zero: the zero of
+    the theta-curvature at theta = 0 (_theta0_curvature), located by
+    bisection of TRANSITION_BRACKET down to adjacent doubles.  The
+    transition is a pitchfork: below it the curvature is negative and
+    theta_min grows like sqrt(z_t - z)."""
     lo, hi = TRANSITION_BRACKET
-    if min_pure_output_entropy(lo)[1] <= 1e-6 or min_pure_output_entropy(hi)[1] > 1e-6:
-        raise RuntimeError("transition bracket does not straddle the indicator")
-    while hi - lo > TRANSITION_TOL:
+    if not _theta0_curvature(lo) < 0.0 < _theta0_curvature(hi):
+        raise RuntimeError("transition bracket does not straddle the curvature's zero")
+    while True:
         mid = 0.5 * (lo + hi)
-        if min_pure_output_entropy(mid)[1] > 1e-6:
+        if mid in (lo, hi):
+            return mid
+        if _theta0_curvature(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=1)

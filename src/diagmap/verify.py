@@ -31,13 +31,14 @@ from .lambert import lambert_w0, lambert_wm1
 from .linesearch import stream_rng
 from .roof import real_roof_upper_bound, roof_upper_bound
 
-# z*, s(z*), the upper knee's log 3 - (log 2)/3 and the one-vs-rest value
-# log 7 - (5/7) log 6 at N = 7 to 20 digits, pinned in tests/test_references.py
+# z*, s(z*), the upper knee's log 3 - (log 2)/3, the one-vs-rest value
+# log 7 - (5/7) log 6 at N = 7 and the angle transition (the zero of the
+# theta-curvature at theta = 0) to 20 digits, pinned in tests/test_references.py
 ZSTAR_REF = "-0.40794967106988114064"
 S_ZSTAR_REF = "0.47001639914469718633"
 KNEE_VALUE_REF = "0.86756322848146125492"
 ONE_VS_REST_7_REF = "0.66608195674955973310"
-THETA_TRANSITION_REF = -0.4150234  # as quoted with the curve
+THETA_TRANSITION_REF = "-0.41502277550100712185"
 
 
 def _num(x) -> str:
@@ -127,7 +128,7 @@ def check_theta_transition() -> CheckResult:
     return CheckResult(
         "angle transition",
         (
-            Measure("|transition - ref|", abs(zt - THETA_TRANSITION_REF), 1e-4),
+            Measure("|transition - ref|", abs(zt - float(THETA_TRANSITION_REF)), 1e-15),
             Measure("|theta_min(-1/2) - pi/6|", abs(theta_end - math.pi / 6.0), 1e-6),
         ),
     )
@@ -415,7 +416,7 @@ def check_oracle_curve() -> CheckResult:
     return CheckResult(
         f"decomposition search matches the curve at {len(_CURVE_SAMPLES)} points",
         (
-            Measure("max |search - curve|", np.max(np.abs(values - ed)), 1e-5),
+            Measure("max |search - curve|", np.max(np.abs(values - ed)), 1e-10),
             Measure("max undercut", np.max(ed - values, initial=0.0), 1e-9),
         ),
     )
@@ -436,7 +437,7 @@ def check_oracle_rank2() -> CheckResult:
         devs.append(abs(res.value - closed))
     return CheckResult(
         f"decomposition search matches the rank-2 closed form on {n_states} states",
-        (Measure("max |search - closed|", np.max(devs), 1e-5),),
+        (Measure("max |search - closed|", np.max(devs), 1e-10),),
     )
 
 
@@ -500,13 +501,15 @@ def check_m_monotonicity() -> CheckResult:
         omega = st.symmetric_state(z).real
         prev = real_roof_upper_bound(omega, m=3, restarts=30, seed=41)
         for m in (4, 5, 6):
+            # an insertion can make the returned isometry longer than the m asked for
+            m = max(m, prev.isometry.shape[0] + 1)
             pad = np.vstack([prev.isometry, np.zeros((m - prev.isometry.shape[0], prev.isometry.shape[1]))])
             nxt = real_roof_upper_bound(omega, m=m, restarts=30, seed=41, extra_inits=[pad])
             rises.append(nxt.value - prev.value)
             prev = nxt
     return CheckResult(
         "search value non-increasing in decomposition length",
-        (Measure("max rise from m - 1 to m, m = 4..6, three states", np.max(rises), 1e-12),),
+        (Measure("max rise from a nested start one member longer, three states", np.max(rises), 1e-12),),
     )
 
 

@@ -168,8 +168,8 @@ def test_roof_estimate_reports_how_the_search_ended(tmp_path, capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith("search:")]
     res = roof_upper_bound(symmetric_state(-0.41), m=6, restarts=32, seed=1)
     capped = "yes" if res.capped else "no"
-    assert lines == [f"search: {res.sweeps} sweeps, {res.polish_steps} polish steps, capped: {capped}"]
-    assert res.polish_steps > 0
+    assert lines == [f"search: {res.sweeps} sweeps, {res.insertions} insertions, capped: {capped}"]
+    assert res.insertions > 0
 
 
 def test_roof_estimate_on_basis_state(tmp_path, capsys):

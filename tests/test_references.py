@@ -9,8 +9,8 @@ import pytest
 
 from diagmap.face_minimum import min_face_entropy
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
-from diagmap.symmetric_curve import _theta0_slope, lower_tangent_z, theta0_entropy
-from diagmap.verify import KNEE_VALUE_REF, ONE_VS_REST_7_REF, S_ZSTAR_REF, ZSTAR_REF
+from diagmap.symmetric_curve import _theta0_slope, lower_tangent_z, theta0_entropy, theta_transition
+from diagmap.verify import KNEE_VALUE_REF, ONE_VS_REST_7_REF, S_ZSTAR_REF, THETA_TRANSITION_REF, ZSTAR_REF
 
 DPS = 40
 # the references carry 20 digits, so each is within 5e-21 of its value
@@ -100,3 +100,29 @@ def test_theta0_slope_against_mpmath():
     zs = [float(z) for z in np.linspace(-0.49, 0.99, 149) if abs(z) > 1e-3]
     worst = max(_relative_error(_theta0_slope(z), mpmath.diff(_theta0_entropy, mpmath.mpf(z))) for z in zs)
     assert worst <= 1e-12
+
+
+def _output_entropy(z, theta):
+    # min_pure_output_entropy's parametrisation of the pure states at z
+    alpha = mpmath.sqrt(2 * z + 1)
+    beta = mpmath.sqrt(1 - z)
+    third = mpmath.pi / 3
+    amps = (alpha + 2 * beta * mpmath.cos(theta), alpha - 2 * beta * mpmath.cos(theta - third),
+            alpha - 2 * beta * mpmath.cos(theta + third))
+    return -sum((a / 3) ** 2 * mpmath.log((a / 3) ** 2) for a in amps)
+
+
+def _theta_curvature(z):
+    return mpmath.diff(lambda t: _output_entropy(z, t), 0, 2)
+
+
+def test_theta_transition_reference_value():
+    # the transition is the zero of the theta-curvature at theta = 0
+    zt = mpmath.findroot(_theta_curvature, mpmath.mpf(THETA_TRANSITION_REF))
+    assert abs(zt - mpmath.mpf(THETA_TRANSITION_REF)) < REF_TOL
+
+
+def test_theta_transition_against_mpmath():
+    # bisection on the analytic curvature ends within one double of the
+    # reference; measured 4.2e-17
+    assert abs(mpmath.mpf(theta_transition()) - mpmath.mpf(THETA_TRANSITION_REF)) <= 1e-16

@@ -6,8 +6,8 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap.states import diagonal_output_entropy, pure_to_density, symmetric_state, twirl_s3
-from diagmap.linesearch import INVPHI
 from diagmap.symmetric_curve import (
+    INVPHI,
     REGION_LOWER_LINEAR,
     REGION_ROOF,
     REGION_UPPER_LINEAR,
@@ -118,6 +118,16 @@ def test_theta_transition_location():
     assert -0.41503 < zt < -0.41502
     assert min_pure_output_entropy(-0.40)[1] == 0.0
     assert min_pure_output_entropy(-0.45)[1] > 1e-6
+
+
+def test_theta_min_grows_like_a_square_root_below_the_transition():
+    # a pitchfork: theta = 0 turns from a minimum into a maximum at z_t, and
+    # theta_min^2 / (z_t - z) tends to 6 |dK/dz| / K4 = 1.859 (K the
+    # theta-curvature at theta = 0, K4 the fourth theta-derivative)
+    zt = theta_transition()
+    ratios = [min_pure_output_entropy(zt - d)[1] ** 2 / d for d in (1e-3, 1e-4, 1e-5)]
+    assert ratios == pytest.approx([1.859] * 3, rel=3e-3)
+    assert min_pure_output_entropy(zt + 1e-4)[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
