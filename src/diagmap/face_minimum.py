@@ -5,8 +5,8 @@ Real pure states on that face are unit vectors with zero component sum.
 The closed-form minimum is log 2 (pair states) up to N = 6 and switches to
 the one-vs-rest family for N > 6; a Lagrange analysis via the Lambert W
 function classifies the stationary amplitude values, and linesearch's
-Riemannian BFGS engine (the roof search's engine), run on the zero-sum unit
-sphere, provides an independent numerical check.
+Riemannian BFGS engine and unit-sphere objective (the roof's pricing runs
+both too), on the zero-sum unit sphere, provide an independent check.
 """
 
 import math
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import LN2, TINY, eta_array
+from .entropy import LN2
 from .lambert import lambert_w0, lambert_wm1
-from .linesearch import check_count, check_seed, stiefel_bfgs, stream_rng
+from .linesearch import check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
 
 _INV_E = math.exp(-1.0)
 
@@ -140,40 +140,12 @@ def zero_sum_basis(N: int) -> np.ndarray:
     return H
 
 
-def _face_objective(sq: np.ndarray) -> np.ndarray:
-    # the output entropy, read from each row of squared amplitudes
-    return eta_array(sq).sum(axis=-1)
-
-
-def _minimize(Y: np.ndarray, H: np.ndarray):
-    """Minimize the output entropy of each row of A = YH over the unit sphere
-    of its row y, an (N-1) x 1 column on the Stiefel manifold V(N-1, 1), by
-    linesearch.stiefel_bfgs with the Euclidean gradient H (-2a (log a^2 + 1));
-    returns A and the values.  For N = 2 the sphere is two points and the
-    engine stops at once.  Products with H are einsums, so a row's path does
-    not depend on its batch."""
-
-    def amplitudes(W):
-        return np.einsum("bk,kn->bn", W[:, :, 0], H)
-
-    def value(W):
-        return _face_objective(amplitudes(W) ** 2)
-
-    def egrad(W):
-        a = amplitudes(W)
-        lg = np.log(a * a, out=np.zeros(a.shape), where=a * a > TINY)
-        return np.einsum("bn,kn->bk", -2.0 * a * (lg + 1.0), H)[:, :, None]
-
-    W, f, _, _ = stiefel_bfgs(Y[:, :, None], value, egrad)
-    return amplitudes(W), f
-
-
 def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     """Minimize the output entropy over the zero-sum unit sphere from random
-    restarts, each drawn by a sub-seeded counter generator, by _minimize:
-    it moves the reduced (in-hyperplane) coordinates y of a = yH on their
-    unit sphere, so both constraints hold at every step.  Returns (value,
-    argmin vector)."""
+    restarts, each drawn by a sub-seeded counter generator, by stiefel_bfgs
+    on sphere_functions(B), B the zero_sum_basis as columns: it moves the
+    reduced (in-hyperplane) coordinates y of a = By on their unit sphere,
+    so both constraints hold at every step.  Returns (value, argmin)."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     restarts = check_count("restarts", restarts)
@@ -182,6 +154,8 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     for k in range(restarts):
         y = stream_rng(seed, k).standard_normal(N - 1)
         Y[k] = y / np.linalg.norm(y)
-    A, f = _minimize(Y, zero_sum_basis(N))
+    B = zero_sum_basis(N).T
+    value, egrad = sphere_functions(B)
+    W, f, _, _ = stiefel_bfgs(Y[:, :, None], value, egrad)
     best = int(np.argmin(f))
-    return float(f[best]), A[best]
+    return float(f[best]), B @ W[best, :, 0]

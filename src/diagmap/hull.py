@@ -1,12 +1,11 @@
 """Lower convex envelope of a sampled 1-D function, plus tangent location
 from an external anchor point (the two operations behind the linear pieces
-of the entanglement curve)."""
+of the entanglement curve), and the one bisection the curve layer runs:
+_bisect finds both the tangency point and the angle transition."""
 
 from dataclasses import dataclass
 
 import numpy as np
-
-TANGENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,43 +57,40 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
     return HullResult(hull_ys=np.interp(xs, hx, hy))
 
 
+def _bisect(g, lo: float, hi: float) -> float:
+    """A zero of g on [lo, hi], lo < hi, found by bisection down to adjacent
+    doubles; returns the end of the last bracket with the smaller |g| (a
+    midpoint where g is exactly zero at once).  Raises ValueError unless
+    g(lo) and g(hi) differ in sign or one is zero (a NaN does not count)."""
+    glo, ghi = g(lo), g(hi)
+    if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: g = {glo!r}, {ghi!r}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo if abs(glo) <= abs(ghi) else hi
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (gm < 0.0) == (glo < 0.0):
+            lo, glo = mid, gm
+        else:
+            hi, ghi = mid, gm
+
+
 def tangent_from_point(f, x0: float, f0: float, bracket, *, df) -> float:
     """Abscissa t where the line through (x0, f0) touches f tangentially.
 
-    Solves g(t) = f'(t) (t - x0) - (f(t) - f0) = 0, with f' given as df,
-    by bisection on the bracket to width TANGENT_TOL followed by a few
-    Newton steps whose slope g' is a central difference (it steers the
-    steps; the root is as accurate as g).  Raises ValueError when g does
-    not change sign on the bracket.
+    Solves g(t) = f'(t) (t - x0) - (f(t) - f0) = 0, with f' given as df, by
+    _bisect on the bracket, so t is as accurate as g.  Raises ValueError
+    unless x0, f0 and the bracket (lo, hi) are finite with lo < hi, and
+    when g does not change sign on the bracket.
     """
+    x0, f0, lo, hi = float(x0), float(f0), float(bracket[0]), float(bracket[1])
+    if not (np.isfinite([x0, f0, lo, hi]).all() and lo < hi):
+        raise ValueError(f"need a finite anchor and bracket lo < hi, got ({x0!r}, {f0!r}), {bracket!r}")
 
     def g(t: float) -> float:
         return df(t) * (t - x0) - (f(t) - f0)
 
-    lo, hi = float(bracket[0]), float(bracket[1])
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0.0:
-        raise ValueError(f"tangency condition has no sign change on {bracket!r}")
-    while hi - lo > TANGENT_TOL:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if glo * gm < 0.0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    t = 0.5 * (lo + hi)
-    for _ in range(3):
-        h = 1e-6 * (1.0 + abs(t))
-        gp = (g(t + h) - g(t - h)) / (2.0 * h)
-        if gp == 0.0:
-            break
-        step = g(t) / gp
-        t -= step
-    return t
+    return _bisect(g, lo, hi)

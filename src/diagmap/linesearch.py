@@ -1,6 +1,7 @@
 """What the roof and face-minimum searches share: the Riemannian BFGS
-engine both run (stiefel_bfgs), the checks of their seed and budgets and
-their random streams.
+engine both run (stiefel_bfgs), the unit-sphere objective both minimize
+(sphere_functions; the roof's pricing adds a quadratic term), the checks
+of their seed and budgets and their random streams.
 """
 
 import operator
@@ -8,7 +9,7 @@ import operator
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .entropy import TINY
+from .entropy import TINY, eta_array
 
 POLISH_ITERS = 400
 # a row stops once its step predicts a gain of at most POLISH_TOL
@@ -117,6 +118,26 @@ def stiefel_bfgs(W, value, egrad, max_iters: int = POLISH_ITERS):
     W[idx], f[idx] = w, fw
     capped[idx] = ~(step < 2.0 ** (1 - BACKTRACKS))
     return W, f, max_iters, capped
+
+
+def sphere_functions(B):
+    """The output entropy S(D(psi)) of psi = Bc, B (N x r) with orthonormal
+    columns, for unit columns c of shape (r, 1) on V(r, 1), and its
+    Euclidean gradient B^H (-2 psi (log |psi|^2 + 1)), zero entries of psi
+    adding nothing.  Products with B are einsums, so a row's values do not
+    depend on its batch."""
+
+    def value(C):
+        psi = np.einsum("ij,bj->bi", B, C[:, :, 0])
+        return eta_array((psi * psi.conj()).real).sum(axis=-1)
+
+    def egrad(C):
+        psi = np.einsum("ij,bj->bi", B, C[:, :, 0])
+        sq = (psi * psi.conj()).real
+        lg = np.log(sq, out=np.zeros(sq.shape), where=sq > TINY)
+        return np.einsum("ij,bi->bj", B.conj(), -2.0 * psi * (lg + 1.0))[:, :, None]
+
+    return value, egrad
 
 
 def check_seed(seed) -> int:

@@ -13,7 +13,8 @@ With m omitted the length is the Caratheodory bound of the search space,
 which depends only on the rank r and on whether the search is real: some
 optimal decomposition has at most r^2 members, or r(r+1)/2 when the state
 and its members are real (Uhlmann, "Roofs and convexity", Entropy 12, 1799
-(2010)).  The search never reads a closed form of the roof.
+(2010)).  The search is real where M is (for _is_real states); it never
+reads a closed form of the roof.
 
 A converged decomposition can still sit in a stalled basin that lacks one
 member, as happens just above the tangency point z* of the symmetric
@@ -25,6 +26,7 @@ Werner, PRL 98, 110502 (2007).  While the best restart's polish converged
 and some psi prices below -PRICE_TOL, psi is inserted as a member of
 weight about EPS and the decomposition polished again, at most INSERTIONS
 times; each insertion lowers the value, to first order by EPS |h(psi)|.
+The pricing minimizes h as linesearch.sphere_functions less psi^H X psi.
 """
 
 import math
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import TINY, eta_array
-from .linesearch import _retract, check_count, check_seed, stiefel_bfgs, stream_rng
+from .linesearch import _retract, check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
 from .states import Decomposition, check_density_matrix
 
 RANK_TOL = 1e-10
@@ -135,26 +137,6 @@ def _polish_functions(M):
     return value, egrad
 
 
-def _price_functions(B, X):
-    """h(c) = S(D(Bc)) - c^H X c of unit columns c, each of shape (r, 1), and
-    its Euclidean gradient B^H (-2 psi (log |psi|^2 + 1)) - 2 X c with
-    psi = Bc."""
-
-    def value(C):
-        psi = np.einsum("ij,bj->bi", B, C[:, :, 0])
-        quad = np.einsum("bi,ij,bj->b", C[:, :, 0].conj(), X, C[:, :, 0]).real
-        return eta_array((psi * psi.conj()).real).sum(axis=-1) - quad
-
-    def egrad(C):
-        psi = np.einsum("ij,bj->bi", B, C[:, :, 0])
-        sq = (psi * psi.conj()).real
-        lg = np.log(sq, out=np.zeros(sq.shape), where=sq > TINY)
-        g = np.einsum("ij,bi->bj", B.conj(), -2.0 * psi * (lg + 1.0)) - 2.0 * np.einsum("ij,bj->bi", X, C[:, :, 0])
-        return g[:, :, None]
-
-    return value, egrad
-
-
 def _face_copies(C, B):
     """Each row c of C (shape (k, r)) with one entry of Bc zeroed, projected
     back onto the range and left unnormalized: k N points near the
@@ -171,9 +153,10 @@ def _price(T, M, g):
     Bc prices lowest against the decomposition T, and its price h.
 
     The KKT multiplier of T in the range is X_r = B^H (Y^T conj(T)) B / lam,
-    Hermitian part, Y = _half_gradient(T), lam the eigenvalues.  PRICE_SCREEN
-    points drawn from g, their _face_copies and the members are scored, and
-    the best PRICE_STARTS are polished by stiefel_bfgs."""
+    Hermitian part, Y = _half_gradient(T), lam the eigenvalues, and h is
+    sphere_functions(B) less c^H X_r c.  PRICE_SCREEN points drawn from g,
+    their _face_copies and the members are scored, and the best
+    PRICE_STARTS are polished by stiefel_bfgs."""
     scale = np.linalg.norm(M, axis=0)
     B = M / scale
     X = np.einsum("ik,ji,jl,lm->km", B.conj(), _half_gradient(T), T.conj(), B) / scale**2
@@ -185,19 +168,27 @@ def _price(T, M, g):
     C = np.concatenate([raw, _face_copies(raw, B), np.einsum("ij,ki->kj", B.conj(), T)])
     norm = np.linalg.norm(C, axis=1)
     C = C[norm > RANK_TOL] / norm[norm > RANK_TOL, None]
-    value, egrad = _price_functions(B, X)
+    entropy, entropy_grad = sphere_functions(B)
+
+    def value(C):
+        return entropy(C) - np.einsum("bi,ij,bj->b", C[:, :, 0].conj(), X, C[:, :, 0]).real
+
+    def egrad(C):
+        return entropy_grad(C) - 2.0 * np.einsum("ij,bjk->bik", X, C)
+
     starts = C[np.argsort(value(C[:, :, None]), kind="stable")[:PRICE_STARTS]]
     C, h, _, _ = stiefel_bfgs(starts[:, :, None], value, egrad)
     best = int(np.argmin(h))
     return float(h[best]), C[best, :, 0]
 
 
-def _starts(M, m, restarts, seed, complex_search: bool, extra_inits):
+def _starts(M, m, restarts, seed, extra_inits):
     """The isometries the search starts from: the identity, restarts - 1
-    random ones, each from its stream of the seed, and the extra inits."""
+    random ones, each from its stream of the seed, and the extra inits, of
+    the eigenfactor M's dtype: a real M is searched over real isometries."""
     r = M.shape[1]
-    dtype = complex if complex_search else float
-    inits = [np.eye(m, r, dtype=dtype)]
+    complex_search = np.iscomplexobj(M)
+    inits = [np.eye(m, r, dtype=M.dtype)]
     for k in range(1, restarts):
         g = stream_rng(seed, k)
         raw = g.standard_normal((m, r))
@@ -209,11 +200,11 @@ def _starts(M, m, restarts, seed, complex_search: bool, extra_inits):
         U = np.asarray(U).conj()
         if U.shape != (m, r):
             raise ValueError(f"extra init has shape {U.shape}, expected {(m, r)}")
-        inits.append(_check_orthonormal(U.real.astype(dtype) if not complex_search else U.astype(dtype)))
+        inits.append(_check_orthonormal((U if complex_search else U.real).astype(M.dtype)))
     return np.stack(inits)
 
 
-def _search(omega, m, restarts, seed, complex_search: bool, extra_inits, max_sweeps: int):
+def _search(omega, m, restarts, seed, extra_inits, max_sweeps: int):
     restarts = check_count("restarts", restarts)
     max_sweeps = check_count("max_sweeps", max_sweeps)
     seed = check_seed(seed)
@@ -221,12 +212,11 @@ def _search(omega, m, restarts, seed, complex_search: bool, extra_inits, max_swe
     N = omega.shape[0]
     r = M.shape[1]
     if m is None:
-        m = r * r if complex_search else r * (r + 1) // 2
+        m = r * r if np.iscomplexobj(M) else r * (r + 1) // 2
     if not r <= m <= N * N:
         raise ValueError(f"decomposition length m={m} outside [{r}, {N * N}]")
     value, egrad = _polish_functions(M)
-    W, f, sweeps, capped = stiefel_bfgs(_starts(M, m, restarts, seed, complex_search, extra_inits), value, egrad,
-                                        max_sweeps)
+    W, f, sweeps, capped = stiefel_bfgs(_starts(M, m, restarts, seed, extra_inits), value, egrad, max_sweeps)
     best = int(np.argmin(f))
     # stream 0 draws no start: the first start is the identity
     w, fw, capped, insertions, g = W[best : best + 1], f[best], capped[best], 0, stream_rng(seed, 0)
@@ -277,20 +267,16 @@ def roof_upper_bound(
     each insertion adds one member.  max_sweeps is the engine's iterations
     per polish.
     """
-    omega = check_density_matrix(omega)
-    complex_search = not _is_real(omega)
-    return _search(omega, m, restarts, seed, complex_search, extra_inits, max_sweeps)
+    return _search(check_density_matrix(omega), m, restarts, seed, extra_inits, max_sweeps)
 
 
 def real_roof_upper_bound(
     omega, m=None, restarts: int = 40, seed: int = 0, extra_inits=None, max_sweeps: int = 200
 ) -> RoofResult:
-    """roof_upper_bound restricted to a real search; requires a
-    real (_is_real) symmetric input, for which an optimal decomposition of
-    real states exists, and searches its real part.  With m omitted the
-    length is rank(rank+1)/2."""
+    """roof_upper_bound, bit for bit, of a real (_is_real) state, for which
+    an optimal decomposition of real states exists; raises ValueError for
+    any other state."""
     omega = check_density_matrix(omega)
-    if not _is_real(omega) or np.max(np.abs(omega - omega.T)) > 1e-12:
-        raise ValueError("real_roof_upper_bound requires a real symmetric state")
-    omega = omega.real.astype(float)
-    return _search(omega, m, restarts, seed, False, extra_inits, max_sweeps)
+    if not _is_real(omega):
+        raise ValueError("real_roof_upper_bound requires a real state")
+    return _search(omega, m, restarts, seed, extra_inits, max_sweeps)

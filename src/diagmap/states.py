@@ -3,7 +3,6 @@ two symmetry projections used throughout: transposition averaging and the
 S3 permutation twirl.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,25 +84,15 @@ def real_projection(omega) -> np.ndarray:
     return proj
 
 
-_PERM_MATRICES = [
-    np.eye(3)[list(p)] for p in itertools.permutations(range(3))
-]
-
-
 def twirl_s3(omega) -> float:
-    """Average omega over all six basis permutations and report the common
-    off-diagonal parameter z of the result (times 3, after projecting onto
-    real matrices)."""
+    """The parameter z of omega averaged over all six basis permutations and
+    projected onto real matrices.  Every off-diagonal entry of that average
+    is the mean of the real parts of omega's six, which is z/3 for
+    symmetric_state(z), so z = (Re sum_ij omega_ij - Re tr omega) / 2."""
     omega = check_density_matrix(omega)
     if omega.shape != (3, 3):
         raise ValueError("twirl_s3 expects a 3x3 state")
-    avg = np.zeros((3, 3), dtype=complex)
-    for perm in _PERM_MATRICES:
-        avg += perm @ omega @ perm.T
-    avg /= len(_PERM_MATRICES)
-    avg = 0.5 * (avg + avg.T)
-    off = [avg[0, 1], avg[0, 2], avg[1, 2], avg[1, 0], avg[2, 0], avg[2, 1]]
-    z = 3.0 * float(np.mean([v.real for v in off]))
+    z = 0.5 * float(omega.sum().real - np.trace(omega).real)
     # round-off guard at the ends of the admissible range
     if Z_MAX < z < Z_MAX + 1e-9:
         z = Z_MAX

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .entropy import LN2, LN3, TINY, eta, eta_array
-from .hull import tangent_from_point
+from .hull import _bisect, tangent_from_point
 from .states import Decomposition, check_pure_state, check_z
 
 UPPER_KNEE = 5.0 / 6.0
@@ -68,8 +68,11 @@ def _amplitudes(alpha: float, beta: float, theta: float):
 
 
 def abc_from_theta(z: float, theta: float) -> ThetaPoint:
-    """Amplitudes with a^2+b^2+c^2 = 1 and ab+bc+ca = z at angle theta."""
+    """Amplitudes with a^2+b^2+c^2 = 1 and ab+bc+ca = z at finite theta."""
     z = check_z(z)
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta = {theta!r} is not finite")
     a, b, c = _amplitudes(*_alpha_beta(z), theta)
     return ThetaPoint(z=z, theta=theta, a=a, b=b, c=c)
 
@@ -175,20 +178,10 @@ def _theta0_curvature(z: float) -> float:
 def theta_transition() -> float:
     """Largest z at which the minimizing angle departs from zero: the zero of
     the theta-curvature at theta = 0 (_theta0_curvature), located by
-    bisection of TRANSITION_BRACKET down to adjacent doubles.  The
-    transition is a pitchfork: below it the curvature is negative and
-    theta_min grows like sqrt(z_t - z)."""
-    lo, hi = TRANSITION_BRACKET
-    if not _theta0_curvature(lo) < 0.0 < _theta0_curvature(hi):
-        raise RuntimeError("transition bracket does not straddle the curvature's zero")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if _theta0_curvature(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    hull._bisect on TRANSITION_BRACKET.  The transition is a pitchfork:
+    below it the curvature is negative and theta_min grows like
+    sqrt(z_t - z)."""
+    return _bisect(_theta0_curvature, *TRANSITION_BRACKET)
 
 
 @lru_cache(maxsize=1)

@@ -299,7 +299,7 @@ def check_minimizer_states() -> CheckResult:
         miscounts += len(states) != (n * (n - 1) // 2 if n <= 6 else n)
         for v in states:
             constraint_errs += [abs(v.sum()), abs(v @ v - 1.0)]
-            entropy_errs.append(abs(float(fm._face_objective(v * v)) - closed))
+            entropy_errs.append(abs(st.diagonal_output_entropy(np.outer(v, v)) - closed))
             # stationarity: x log x^2 = lam + mu x for some multipliers
             rhs = np.where(np.abs(v) > 0, v * np.log(np.maximum(v * v, TINY)), 0.0)
             design = np.stack([np.ones_like(v), v], axis=1)

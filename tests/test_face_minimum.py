@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap import face_minimum
+from diagmap import face_minimum, linesearch
 from diagmap.face_minimum import (
     brute_force_min_face,
     lagrange_roots,
@@ -262,20 +262,43 @@ def test_brute_force_matches_closed_form_small():
         assert abs(argmin @ argmin - 1.0) < 1e-10
 
 
+def _sphere_search(B, C):
+    """The engine on linesearch.sphere_functions(B) from the unit rows of C:
+    the states Bc and the values it ends at."""
+    value, egrad = linesearch.sphere_functions(B)
+    W, f, _, _ = linesearch.stiefel_bfgs(C[:, :, None], value, egrad)
+    return np.einsum("ij,bj->bi", B, W[:, :, 0]), f, value(C[:, :, None])
+
+
 @pytest.mark.parametrize("n", [5, 7, 12])
 def test_descent_batch_matches_rows_one_at_a_time(n):
     g = Generator(Philox(key=np.array([57, n], dtype=np.uint64)))
     Y = g.standard_normal((40, n - 1))
     Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-    H = zero_sum_basis(n)
-    A_batch, f_batch = face_minimum._minimize(Y, H)
-    singles = [face_minimum._minimize(Y[k : k + 1], H) for k in range(len(Y))]
-    assert np.array_equal(A_batch, np.vstack([A for A, _ in singles]))
-    assert np.array_equal(f_batch, np.hstack([f for _, f in singles]))
-    assert np.all(f_batch < face_minimum._face_objective((Y @ H) ** 2))
+    B = zero_sum_basis(n).T
+    A_batch, f_batch, start = _sphere_search(B, Y)
+    singles = [_sphere_search(B, Y[k : k + 1]) for k in range(len(Y))]
+    assert np.array_equal(A_batch, np.vstack([A for A, _, _ in singles]))
+    assert np.array_equal(f_batch, np.hstack([f for _, f, _ in singles]))
+    assert np.all(f_batch < start)
     # every returned row stays a zero-sum unit vector
     assert np.max(np.abs(np.linalg.norm(A_batch, axis=1) - 1.0)) < 1e-14
     assert np.max(np.abs(A_batch.sum(axis=1))) < 1e-14
+
+
+def test_complex_descent_batch_matches_rows_one_at_a_time():
+    # the pricing runs the same kernel on the complex eigenbasis of a state
+    g = Generator(Philox(key=np.array([57, 0], dtype=np.uint64)))
+    a = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+    B = np.linalg.eigh(a @ a.conj().T)[1]
+    C = g.standard_normal((24, 4)) + 1j * g.standard_normal((24, 4))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    A_batch, f_batch, start = _sphere_search(B, C)
+    singles = [_sphere_search(B, C[k : k + 1]) for k in range(len(C))]
+    assert np.array_equal(A_batch, np.vstack([A for A, _, _ in singles]))
+    assert np.array_equal(f_batch, np.hstack([f for _, f, _ in singles]))
+    assert np.all(f_batch < start)
+    assert np.max(np.abs(np.linalg.norm(A_batch, axis=1) - 1.0)) < 1e-14
 
 
 def test_qubit_search_stops_at_once_without_warnings(monkeypatch):

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap.hull import HullResult, SampledCurve, lower_convex_hull, tangent_from_point
+from diagmap.hull import HullResult, SampledCurve, _bisect, lower_convex_hull, tangent_from_point
 from diagmap.symmetric_curve import _theta0_slope, min_pure_output_entropy, theta0_entropy
 
 LN2 = math.log(2.0)
@@ -133,6 +134,41 @@ def test_tangent_slope_consistency():
 def test_tangent_requires_sign_change():
     with pytest.raises(ValueError):
         tangent_from_point(lambda x: x * x, 0.0, -1.0, (2.0, 3.0), df=lambda x: 2.0 * x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["x0", "f0", "lo", "hi"])
+def test_tangent_rejects_non_finite_anchor_and_bracket(slot, bad):
+    # a NaN anywhere, or an infinite bracket end, once came back as a NaN
+    # tangency point, and lo = -inf bisected forever
+    args = {"x0": 0.0, "f0": -1.0, "lo": 0.5, "hi": 2.0, slot: bad}
+    with pytest.raises(ValueError, match="finite"):
+        tangent_from_point(
+            lambda x: x * x, args["x0"], args["f0"], (args["lo"], args["hi"]), df=lambda x: 2.0 * x
+        )
+
+
+def test_tangent_rejects_reversed_bracket():
+    with pytest.raises(ValueError, match="lo < hi"):
+        tangent_from_point(lambda x: x * x, 0.0, -1.0, (2.0, 0.5), df=lambda x: 2.0 * x)
+
+
+def test_tangent_rejects_a_nan_tangency_condition():
+    # a function that is NaN at an end of the bracket gives no sign change
+    with pytest.raises(ValueError, match="sign change"):
+        tangent_from_point(lambda x: math.nan if x > 1.5 else x * x, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
+
+
+@pytest.mark.parametrize("root", [Fraction(1, 3), Fraction(1, 10), Fraction(-7, 9)])
+def test_bisect_returns_the_nearest_double(root):
+    # g exact up to one rounding: the root lies between adjacent doubles, and
+    # the one returned is the nearer (below 1/3 and -7/9, above 1/10)
+    assert _bisect(lambda x: float(Fraction(x) - root), -1.0, 1.0) == float(root)
+    assert _bisect(lambda x: float(root - Fraction(x)), -1.0, 1.0) == float(root)
+
+
+def test_bisect_stops_at_an_exact_zero():
+    assert _bisect(lambda x: x - 0.5, 0.0, 1.0) == 0.5
 
 
 def test_hull_result_shape():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap import linesearch
+from diagmap import linesearch, roof
+from diagmap.face_minimum import zero_sum_basis
 
 
 def _ky_fan_problem(g, complex_entries, rows):
@@ -50,3 +51,53 @@ def test_stiefel_bfgs_reports_the_cap_per_row():
     assert iterations == 3
     assert capped.tolist() == [False, True, True, True]
     assert abs(f[0] - minimum) < 1e-12
+
+
+def _sphere_problem(basis, priced, monkeypatch):
+    """Unit starts, the basis B and (value, egrad) on V(r, 1): the face
+    objective sphere_functions(B) or, priced, the h(c) = S(D(Bc)) - c^H X c
+    that roof._price hands the engine, caught on its way there."""
+    g = Generator(Philox(key=np.array([62, int(priced)], dtype=np.uint64)))
+    if basis == "real":
+        B = zero_sum_basis(7).T
+        lam = g.uniform(0.5, 1.5, B.shape[1])
+        M = B * np.sqrt(lam / lam.sum())
+    else:
+        a = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
+        M = roof._eigen_factor(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        B = M / np.linalg.norm(M, axis=0)
+    shape = (6, B.shape[1])
+    C = g.standard_normal(shape) + (1j * g.standard_normal(shape) if basis == "complex" else 0.0)
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    if not priced:
+        return C, B, linesearch.sphere_functions(B)
+    caught = []
+
+    def engine(W, value, egrad, *args):
+        caught.append((value, egrad))
+        return linesearch.stiefel_bfgs(W, value, egrad, *args)
+
+    monkeypatch.setattr(roof, "stiefel_bfgs", engine)
+    raw = g.standard_normal((8, M.shape[1]))
+    U = np.linalg.qr(raw + (1j * g.standard_normal(raw.shape) if basis == "complex" else 0.0))[0]
+    roof._price(U @ M.T, M, g)
+    return C, B, caught[0]
+
+
+@pytest.mark.parametrize("priced", [False, True])
+@pytest.mark.parametrize("basis", ["real", "complex"])
+def test_sphere_gradient_matches_finite_differences(basis, priced, monkeypatch):
+    C, B, (value, egrad) = _sphere_problem(basis, priced, monkeypatch)
+    W = C[:, :, None]
+    g = Generator(Philox(key=np.array([63, 0], dtype=np.uint64)))
+    noise = g.standard_normal(W.shape) + (1j * g.standard_normal(W.shape) if basis == "complex" else 0.0)
+    D = linesearch._project(W, noise)
+    h = 1e-6
+    plus, minus = linesearch._retract(W + h * D), linesearch._retract(W - h * D)
+    slope = (value(plus) - value(minus)) / (2.0 * h)
+    assert np.max(np.abs(slope - linesearch._inner(linesearch._project(W, egrad(W)), D))) < 1e-7
+    if not priced:
+        # the value is the output entropy of the unit state Bc
+        psi = np.einsum("ij,bj->bi", B, C)
+        sq = (psi * psi.conj()).real
+        assert np.max(np.abs(value(W) + (sq * np.log(sq)).sum(axis=1))) < 1e-14

@@ -208,8 +208,21 @@ def test_roof_rejects_extra_inits_that_are_not_isometries():
 def test_real_roof_requires_real_symmetric():
     g = Generator(Philox(key=np.array([52, 0], dtype=np.uint64)))
     omega = _random_density(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="real state"):
         real_roof_upper_bound(omega)
+
+
+def test_real_roof_accepts_every_state_searched_as_real():
+    # the imaginary parts pass _is_real, but omega - omega^T reaches 1.8e-12:
+    # a state that roof_upper_bound searches as real is one real_roof_upper_bound
+    # accepts, with the same result bit for bit
+    omega = symmetric_state(0.3)
+    omega[0, 1] += 0.9e-12j
+    omega[1, 0] -= 0.9e-12j
+    real, generic = (search(omega, m=6, restarts=8, seed=3) for search in (real_roof_upper_bound, roof_upper_bound))
+    assert real.value == generic.value
+    assert np.array_equal(real.isometry, generic.isometry) and not np.iscomplexobj(real.isometry)
+    assert (real.sweeps, real.insertions, real.capped) == (generic.sweeps, generic.insertions, generic.capped)
 
 
 def test_real_roof_matches_curve_on_sample():
@@ -372,7 +385,7 @@ def _stalled_search():
     z, seed = -0.41, 1207409298
     M = roof._eigen_factor(symmetric_state(z).real)
     value, egrad = roof._polish_functions(M)
-    W, f, _, capped = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, seed, False, None), value, egrad, 150)
+    W, f, _, capped = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, seed, None), value, egrad, 150)
     best = int(np.argmin(f))
     assert not capped[best]
     assert 1.5e-6 < f[best] - entanglement_entropy(z) < 1.7e-6

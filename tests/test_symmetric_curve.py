@@ -67,6 +67,13 @@ def test_abc_domain_error():
         abc_from_theta(-0.6, 0.0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_abc_rejects_non_finite_theta(theta):
+    # a NaN angle once gave a ThetaPoint of NaNs
+    with pytest.raises(ValueError, match="finite"):
+        abc_from_theta(0.3, theta)
+
+
 # ---------------------------------------------------------------------------
 # theta = 0 entropy and the pointwise minimum
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from diagmap import verify
     [
         ("check_curve_anchors", sc, "entanglement_entropy", 2),
         ("check_decompositions", sc, "entanglement_entropy", 2),
-        ("check_minimizer_states", fm, "_face_objective", 2),
+        ("check_minimizer_states", st, "diagonal_output_entropy", 2),
         ("check_bifurcation", fm, "two_value_entropy", 1),
         ("check_bifurcation", fm, "two_value_entropy", 2),
         # the second call feeds no second difference; the fourth does
