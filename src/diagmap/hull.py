@@ -58,13 +58,15 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
 
 
 def _bisect(g, lo: float, hi: float) -> float:
-    """A zero of g on [lo, hi], lo < hi, found by bisection down to adjacent
-    doubles; returns the end of the last bracket with the smaller |g| (a
-    midpoint where g is exactly zero at once).  Raises ValueError unless
-    g(lo) and g(hi) differ in sign or one is zero (a NaN does not count)."""
+    """A zero of g on [lo, hi], lo < hi: an end or a midpoint where g is
+    exactly zero, else, after bisection down to adjacent doubles, the end of
+    the last bracket with the smaller |g|.  Raises ValueError unless g(lo)
+    and g(hi) differ in sign or one is zero (a NaN does not count)."""
     glo, ghi = g(lo), g(hi)
     if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
         raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: g = {glo!r}, {ghi!r}")
+    if 0.0 in (glo, ghi):  # the loop below would bisect away from a zero at lo
+        return lo if glo == 0.0 else hi
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

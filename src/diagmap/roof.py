@@ -187,12 +187,11 @@ def _starts(M, m, restarts, seed, extra_inits):
     random ones, each from its stream of the seed, and the extra inits, of
     the eigenfactor M's dtype: a real M is searched over real isometries."""
     r = M.shape[1]
-    complex_search = np.iscomplexobj(M)
     inits = [np.eye(m, r, dtype=M.dtype)]
     for k in range(1, restarts):
         g = stream_rng(seed, k)
         raw = g.standard_normal((m, r))
-        if complex_search:
+        if np.iscomplexobj(M):
             raw = raw + 1j * g.standard_normal((m, r))
         Q, _ = np.linalg.qr(raw)
         inits.append(Q)
@@ -200,7 +199,7 @@ def _starts(M, m, restarts, seed, extra_inits):
         U = np.asarray(U).conj()
         if U.shape != (m, r):
             raise ValueError(f"extra init has shape {U.shape}, expected {(m, r)}")
-        inits.append(_check_orthonormal((U if complex_search else U.real).astype(M.dtype)))
+        inits.append(_check_orthonormal((U if np.iscomplexobj(M) else U.real).astype(M.dtype)))
     return np.stack(inits)
 
 
@@ -209,8 +208,7 @@ def _search(omega, m, restarts, seed, extra_inits, max_sweeps: int):
     max_sweeps = check_count("max_sweeps", max_sweeps)
     seed = check_seed(seed)
     M = _eigen_factor(omega)
-    N = omega.shape[0]
-    r = M.shape[1]
+    N, r = omega.shape[0], M.shape[1]
     if m is None:
         m = r * r if np.iscomplexobj(M) else r * (r + 1) // 2
     if not r <= m <= N * N:

@@ -270,35 +270,39 @@ def _sphere_search(B, C):
     return np.einsum("ij,bj->bi", B, W[:, :, 0]), f, value(C[:, :, None])
 
 
-@pytest.mark.parametrize("n", [5, 7, 12])
-def test_descent_batch_matches_rows_one_at_a_time(n):
+def _unit_rows(Y):
+    return Y / np.linalg.norm(Y, axis=1, keepdims=True)
+
+
+def _zero_sum_case(n):
     g = Generator(Philox(key=np.array([57, n], dtype=np.uint64)))
-    Y = g.standard_normal((40, n - 1))
-    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-    B = zero_sum_basis(n).T
-    A_batch, f_batch, start = _sphere_search(B, Y)
-    singles = [_sphere_search(B, Y[k : k + 1]) for k in range(len(Y))]
-    assert np.array_equal(A_batch, np.vstack([A for A, _, _ in singles]))
-    assert np.array_equal(f_batch, np.hstack([f for _, f, _ in singles]))
-    assert np.all(f_batch < start)
-    # every returned row stays a zero-sum unit vector
-    assert np.max(np.abs(np.linalg.norm(A_batch, axis=1) - 1.0)) < 1e-14
-    assert np.max(np.abs(A_batch.sum(axis=1))) < 1e-14
+    return zero_sum_basis(n).T, _unit_rows(g.standard_normal((40, n - 1)))
 
 
-def test_complex_descent_batch_matches_rows_one_at_a_time():
-    # the pricing runs the same kernel on the complex eigenbasis of a state
+def _eigenbasis_case():
     g = Generator(Philox(key=np.array([57, 0], dtype=np.uint64)))
     a = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))
     B = np.linalg.eigh(a @ a.conj().T)[1]
-    C = g.standard_normal((24, 4)) + 1j * g.standard_normal((24, 4))
-    C /= np.linalg.norm(C, axis=1, keepdims=True)
-    A_batch, f_batch, start = _sphere_search(B, C)
-    singles = [_sphere_search(B, C[k : k + 1]) for k in range(len(C))]
+    return B, _unit_rows(g.standard_normal((24, 4)) + 1j * g.standard_normal((24, 4)))
+
+
+@pytest.mark.parametrize(
+    "B, starts",
+    [_zero_sum_case(5), _zero_sum_case(7), _zero_sum_case(12), _eigenbasis_case()],
+    ids=["5", "7", "12", "complex"],
+)
+def test_descent_batch_matches_rows_one_at_a_time(B, starts):
+    # the face search runs the kernel on the zero-sum basis, the pricing on
+    # the complex eigenbasis of a state
+    A_batch, f_batch, start = _sphere_search(B, starts)
+    singles = [_sphere_search(B, starts[k : k + 1]) for k in range(len(starts))]
     assert np.array_equal(A_batch, np.vstack([A for A, _, _ in singles]))
     assert np.array_equal(f_batch, np.hstack([f for _, f, _ in singles]))
     assert np.all(f_batch < start)
+    # every returned row stays a unit vector, and a zero-sum one on the face
     assert np.max(np.abs(np.linalg.norm(A_batch, axis=1) - 1.0)) < 1e-14
+    if np.isrealobj(B):
+        assert np.max(np.abs(A_batch.sum(axis=1))) < 1e-14
 
 
 def test_qubit_search_stops_at_once_without_warnings(monkeypatch):

@@ -169,6 +169,15 @@ def test_bisect_returns_the_nearest_double(root):
 
 def test_bisect_stops_at_an_exact_zero():
     assert _bisect(lambda x: x - 0.5, 0.0, 1.0) == 0.5
+    # a zero at either end is returned as it is, not bisected away from
+    assert _bisect(lambda x: x, 0.0, 1.0) == 0.0
+    assert _bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+
+def test_tangent_at_an_end_of_the_bracket():
+    # g(t) = t^2 - 1 is zero at the lower end
+    assert tangent_from_point(lambda x: x * x, 0.0, -1.0, (1.0, 2.0), df=lambda x: 2.0 * x) == 1.0
+    assert tangent_from_point(lambda x: x * x, 0.0, -1.0, (0.5, 1.0), df=lambda x: 2.0 * x) == 1.0
 
 
 def test_hull_result_shape():
