@@ -65,14 +65,16 @@ def clamp_probabilities(p) -> np.ndarray:
     return p
 
 
-def shannon_entropy(p) -> float:
-    """Shannon entropy sum(eta(p_i)) in nats.
+def _entropy_sum(values) -> float:
+    """Sum of eta over values clipped to [0, 1], smallest first, so the
+    result does not depend on their order."""
+    return float(sum(eta(float(x)) for x in np.sort(np.clip(values, 0.0, 1.0))))
 
-    Entries are sorted before summation so the result is exactly invariant
-    under permutations of the input.
-    """
-    p = clamp_probabilities(p)
-    return float(sum(eta(float(x)) for x in np.sort(p)))
+
+def shannon_entropy(p) -> float:
+    """Shannon entropy sum(eta(p_i)) in nats of any vector that
+    clamp_probabilities accepts, exactly invariant under permutations."""
+    return _entropy_sum(clamp_probabilities(p))
 
 
 def check_hermitian(H) -> np.ndarray:

@@ -61,7 +61,8 @@ def _bisect(g, lo: float, hi: float) -> float:
     """A zero of g on [lo, hi], lo < hi: an end or a midpoint where g is
     exactly zero, else, after bisection down to adjacent doubles, the end of
     the last bracket with the smaller |g|.  Raises ValueError unless g(lo)
-    and g(hi) differ in sign or one is zero (a NaN does not count)."""
+    and g(hi) differ in sign or one is zero (a NaN does not count), and
+    when g is NaN at a midpoint."""
     glo, ghi = g(lo), g(hi)
     if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
         raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: g = {glo!r}, {ghi!r}")
@@ -74,6 +75,8 @@ def _bisect(g, lo: float, hi: float) -> float:
         gm = g(mid)
         if gm == 0.0:
             return mid
+        if np.isnan(gm):
+            raise ValueError(f"g is NaN at {mid!r} inside [{lo!r}, {hi!r}]")
         if (gm < 0.0) == (glo < 0.0):
             lo, glo = mid, gm
         else:
@@ -86,7 +89,7 @@ def tangent_from_point(f, x0: float, f0: float, bracket, *, df) -> float:
     Solves g(t) = f'(t) (t - x0) - (f(t) - f0) = 0, with f' given as df, by
     _bisect on the bracket, so t is as accurate as g.  Raises ValueError
     unless x0, f0 and the bracket (lo, hi) are finite with lo < hi, and
-    when g does not change sign on the bracket.
+    when g does not change sign on the bracket or is NaN inside it.
     """
     x0, f0, lo, hi = float(x0), float(f0), float(bracket[0]), float(bracket[1])
     if not (np.isfinite([x0, f0, lo, hi]).all() and lo < hi):

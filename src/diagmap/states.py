@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import check_hermitian, eta, hermitian_eigenvalues
+from .entropy import _entropy_sum, check_hermitian, hermitian_eigenvalues
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -64,12 +64,6 @@ def von_neumann_entropy(omega) -> float:
     """S(omega) = -Tr omega log omega in nats."""
     omega = check_density_matrix(omega)
     return _entropy_sum(hermitian_eigenvalues(omega))
-
-
-def _entropy_sum(values) -> float:
-    """Sum of eta over values clipped to [0, 1], smallest first, so the
-    result does not depend on their order."""
-    return float(sum(eta(float(x)) for x in np.sort(np.clip(values, 0.0, 1.0))))
 
 
 def real_projection(omega) -> np.ndarray:

@@ -2,14 +2,15 @@
 real qutrit family.
 
 The family is parametrized by the off-diagonal entry z in [-1/2, 1].  Pure
-states compatible with a given z form a one-parameter orbit in an angle
+states compatible with a given z form a one-parameter family in an angle
 theta; minimizing the diagonal output entropy over theta gives the curve
 epsilon(z), whose lower convex envelope is the entanglement entropy.  The
-envelope replaces epsilon by straight chords on two intervals: from the
-left endpoint to a tangency point z*, and from 5/6 to the right endpoint.
+envelope replaces epsilon by straight chords from the left endpoint to a
+tangency point z*, and from 5/6 to the right endpoint.  The three cyclic
+shifts of real (a, b, c) mix to the member at z = ab + bc + ca, so one
+cyclic orbit, or two mixed along a chord, attain the envelope.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -197,93 +198,58 @@ def _curve_params():
     return zstar, theta0_entropy(zstar)
 
 
-def entanglement_entropy(z: float) -> float:
-    """The piecewise closed form for the entanglement entropy at z."""
-    z = check_z(z)
+def _piece(z: float):
+    """The curve's piece at a checked z as (region, points): it mixes the
+    orbits of the states at (z_end, theta) of its points (weight, z_end,
+    theta, value), with weights summing to 1 and output entropies value."""
     zstar, s_star = _curve_params()
     if z < zstar:
         p = (zstar - z) / (zstar + 0.5)
-        return p * LN2 + (1.0 - p) * s_star
+        return REGION_LOWER_LINEAR, ((p, -0.5, math.pi / 6.0, LN2), (1.0 - p, zstar, 0.0, s_star))
     if z <= UPPER_KNEE:
-        return theta0_entropy(z)
+        return REGION_ROOF, ((1.0, z, 0.0, theta0_entropy(z)),)
     p = (1.0 - z) / (1.0 - UPPER_KNEE)
-    return p * UPPER_KNEE_VALUE + (1.0 - p) * LN3
+    return REGION_UPPER_LINEAR, ((p, UPPER_KNEE, 0.0, UPPER_KNEE_VALUE), (1.0 - p, 1.0, 0.0, LN3))
+
+
+def entanglement_entropy(z: float) -> float:
+    """The piecewise closed form for the entanglement entropy at z."""
+    _, points = _piece(check_z(z))
+    return sum(w * v for w, _, _, v in points)
 
 
 def curve_record(z: float) -> EDCurveRecord:
     """Full per-z record: epsilon, minimizing angle, envelope value, region."""
     z = check_z(z)
-    zstar, _ = _curve_params()
-    epsilon, theta_min = min_pure_output_entropy(z)
-    ed = entanglement_entropy(z)
-    if z < zstar:
-        region = REGION_LOWER_LINEAR
-    elif z <= UPPER_KNEE:
-        region = REGION_ROOF
-    else:
-        region = REGION_UPPER_LINEAR
-    return EDCurveRecord(z=z, epsilon=epsilon, theta_min=theta_min, ed=ed, region=region)
+    region, points = _piece(z)
+    return EDCurveRecord(z, *min_pure_output_entropy(z), sum(w * v for w, _, _, v in points), region)
 
 
-_PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
+_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
-def _orbit_projectors(amps: np.ndarray):
-    """Distinct pure states in the S3 orbit of a real amplitude vector.
-
-    Permuted vectors that agree up to overall sign describe the same state
-    and are deduplicated, so the orbit has length 3 or 6.  A permutation is
-    kept, in itertools.permutations order, unless it matches a kept one u
-    by np.allclose(v, +-u, atol=1e-12): |v -+ u| <= 1e-12 + 1e-5 |u| in
-    every component.
-    """
-    vecs = amps[_PERMUTATIONS]
-    tol = 1e-12 + 1e-5 * np.abs(vecs)
-    same = (np.abs(vecs[:, None] - vecs) <= tol).all(axis=-1)
-    same |= (np.abs(vecs[:, None] + vecs) <= tol).all(axis=-1)
-    same = same.tolist()
-    kept = []
-    for j in range(len(vecs)):
-        if not any(same[j][i] for i in kept):
-            kept.append(j)
-    return list(vecs[kept])
+def _orbit(amps: np.ndarray) -> np.ndarray:
+    """The cyclic shifts of a real amplitude vector, one per row: three
+    states that mix to symmetric_state(ab + bc + ca), or the single state
+    when all three amplitudes are equal."""
+    if amps[0] == amps[1] == amps[2]:
+        return amps[None]
+    return amps[_SHIFTS]
 
 
 def optimal_decomposition(z: float) -> Decomposition:
-    """A decomposition of symmetric_state(z) whose average output entropy
-    attains entanglement_entropy(z).
-
-    Inside [z*, 5/6] this is the length-3 orbit of the theta = 0 state; on
-    the linear pieces it mixes the orbits at the two chord endpoints.
-    """
-    z = check_z(z)
-    zstar, _ = _curve_params()
-    weights = []
-    states = []
-    if z < zstar:
-        p = (zstar - z) / (zstar + 0.5)
-        for v in _orbit_projectors(abc_from_theta(-0.5, math.pi / 6.0).amps):
-            weights.append(p / 3.0)
-            states.append(v)
-        for v in _orbit_projectors(abc_from_theta(zstar, 0.0).amps):
-            weights.append((1.0 - p) / 3.0)
-            states.append(v)
-    elif z <= UPPER_KNEE:
-        for v in _orbit_projectors(abc_from_theta(z, 0.0).amps):
-            weights.append(1.0 / 3.0)
-            states.append(v)
-    else:
-        p = (1.0 - z) / (1.0 - UPPER_KNEE)
-        for v in _orbit_projectors(abc_from_theta(UPPER_KNEE, 0.0).amps):
-            weights.append(p / 3.0)
-            states.append(v)
-        weights.append(1.0 - p)
-        states.append(np.full(3, 1.0 / math.sqrt(3.0)))
-    keep = [(w, s) for w, s in zip(weights, states) if w > 1e-12]
-    return Decomposition(
-        weights=np.array([w for w, _ in keep]),
-        states=[check_pure_state(s) for _, s in keep],
-    )
+    """A decomposition of symmetric_state(z) attaining entanglement_entropy(z):
+    the cyclic orbit of each point of z's piece, sharing the point's weight.
+    Inside [z*, 5/6] it is the orbit of the theta = 0 state; on the linear
+    pieces it mixes the orbits at the two chord endpoints."""
+    _, points = _piece(check_z(z))
+    weights, states = [], []
+    for w, z_end, theta, _ in points:
+        orbit = _orbit(np.array(_amplitudes(*_alpha_beta(z_end), theta)))
+        if w / len(orbit) > 1e-12:
+            weights += [w / len(orbit)] * len(orbit)
+            states += [check_pure_state(v) for v in orbit]
+    return Decomposition(weights=np.array(weights), states=states)
 
 
 def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:

@@ -65,6 +65,13 @@ def test_shannon_entropy_values():
     assert shannon_entropy([0.5, 0.5, 0.0]) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
+def test_shannon_entropy_accepts_what_clamp_probabilities_accepts():
+    # a total mass within SUM_TOL of 1 passes clamp_probabilities; an entry
+    # above 1 once reached eta unclipped and raised
+    assert shannon_entropy([1.0 + 5e-11]) == 0.0
+    assert shannon_entropy([0.5 + 5e-11, 0.5]) == pytest.approx(math.log(2.0), abs=1e-10)
+
+
 def test_shannon_entropy_bounds_and_permutation_invariance():
     g = Generator(Philox(key=np.array([4, 0], dtype=np.uint64)))
     for _ in range(100):

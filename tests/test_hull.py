@@ -159,6 +159,16 @@ def test_tangent_rejects_a_nan_tangency_condition():
         tangent_from_point(lambda x: math.nan if x > 1.5 else x * x, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
 
 
+def test_tangent_rejects_a_nan_inside_the_bracket():
+    # a NaN of g at a midpoint once counted as a sign change, and the
+    # bisection returned 0.9000000000000001, where g = -0.38
+    def f(x):
+        return math.nan if 0.9 < x < 1.1 else x * x
+
+    with pytest.raises(ValueError, match="NaN"):
+        tangent_from_point(f, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
+
+
 @pytest.mark.parametrize("root", [Fraction(1, 3), Fraction(1, 10), Fraction(-7, 9)])
 def test_bisect_returns_the_nearest_double(root):
     # g exact up to one rounding: the root lies between adjacent doubles, and

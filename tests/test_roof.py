@@ -274,7 +274,7 @@ def test_roof_upper_bounds_twirled_curve():
 
 
 def test_roof_default_m_is_caratheodory_length_in_two_orbit_region():
-    # below z* the curve needs two permutation orbits, six states; the
+    # below z* the curve needs two cyclic orbits, six states; the
     # default real length rank(rank+1)/2 = 6 reaches it in one search
     z = -0.46
     res = roof_upper_bound(symmetric_state(z), restarts=60, seed=8)

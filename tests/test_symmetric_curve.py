@@ -12,7 +12,8 @@ from diagmap.symmetric_curve import (
     REGION_ROOF,
     REGION_UPPER_LINEAR,
     UPPER_KNEE,
-    _orbit_projectors,
+    _orbit,
+    _piece,
     abc_from_theta,
     curve_grid,
     curve_record,
@@ -337,61 +338,41 @@ def _reference_orbit(amps):
     return vecs
 
 
-def _assert_same_orbit(amps):
-    got = _orbit_projectors(amps)
-    want = _reference_orbit(amps)
-    assert len(got) == len(want), amps
-    for g_vec, w_vec in zip(got, want):
-        assert np.array_equal(g_vec, w_vec), amps
-    return len(got)
-
-
 def test_orbit_matches_allclose_reference_on_the_curve():
-    for z in curve_grid():
-        z = float(z)
-        assert _assert_same_orbit(abc_from_theta(z, 0.0).amps) in (1, 3, 6)
-        _, theta = min_pure_output_entropy(z)
-        _assert_same_orbit(abc_from_theta(z, theta).amps)
-    zstar = lower_tangent_z()
-    for z, theta in ((-0.5, math.pi / 6.0), (zstar, 0.0), (UPPER_KNEE, 0.0)):
-        assert _assert_same_orbit(abc_from_theta(z, theta).amps) in (3, 6)
+    # every state _piece mixes, chord ends included: the cyclic shifts are
+    # the reference's de-duplicated permutations up to sign and order
+    points = set()
+    for z in [*curve_grid(), lower_tangent_z(), UPPER_KNEE]:
+        points.update((z_end, theta) for _, z_end, theta, _ in _piece(float(z))[1])
+    assert {-0.5, lower_tangent_z(), UPPER_KNEE, 1.0} <= {z_end for z_end, _ in points}
+    for z_end, theta in points:
+        amps = abc_from_theta(z_end, theta).amps
+        got = _orbit(amps)
+        want = _reference_orbit(amps)
+        assert len(got) == len(want) == (1 if z_end == 1.0 else 3), amps
+        matches = []
+        for w_vec in want:
+            dist = np.minimum(np.abs(got - w_vec).max(axis=1), np.abs(got + w_vec).max(axis=1))
+            assert np.count_nonzero(dist <= 1e-12) == 1, amps
+            matches.append(int(np.argmin(dist)))
+        assert sorted(matches) == list(range(len(got))), amps
 
 
-def test_orbit_matches_allclose_reference_on_random_vectors():
+def test_cyclic_shifts_mix_to_the_symmetric_state():
+    # the identity _orbit relies on: the shifts of a real unit (a, b, c) mix
+    # to symmetric_state(ab + bc + ca), each with the same output entropy
     g = Generator(Philox(key=np.array([41, 0], dtype=np.uint64)))
     for _ in range(200):
         v = g.standard_normal(3)
-        _assert_same_orbit(v / np.linalg.norm(v))
-
-
-def test_orbit_matches_allclose_reference_on_near_ties():
-    x, y = 0.6, 0.3
-    cases = [
-        [x, x, y],  # two equal entries
-        [0.0, x, y],  # a zero entry
-        [0.0, x, -x],  # a sign flip maps the orbit onto itself
-        [x, -x, y],
-        [-x, -y, -0.2],
-        [1.0, 1.0, 1.0],
-        [1.0, -1.0, 0.0],
-        [1e-13, x, y],
-        [0.0, 1e-12, y],  # |v - u| equals atol exactly
-        [0.0, 0.0, 1.0],
-    ]
-    # relative distances inside rtol = 1e-5 (merged) and outside (kept),
-    # each with and without a sign flip
-    for rel in (5e-6, 5e-5):
-        cases += [[x, x * (1.0 + rel), y], [x, -x * (1.0 + rel), y], [x * (1.0 + rel), x, -y]]
-        cases += [[0.0, x, -x * (1.0 + rel)]]
-    # three entries within a few rtol of each other: ties that are not
-    # transitive and whose tolerance depends on which vector was kept
-    for k1, k2 in itertools.product(np.linspace(-2.2, 2.2, 23), repeat=2):
-        cases += [[1.0, 1.0 + k1 * 1e-5, 1.0 + k2 * 1e-5], [1.0, -1.0 - k1 * 1e-5, 1.0 + k2 * 1e-5]]
-    for amps in cases:
-        _assert_same_orbit(np.array(amps, dtype=float))
-    merged = _orbit_projectors(np.array([x, x * (1.0 + 5e-6), y]))
-    kept = _orbit_projectors(np.array([x, x * (1.0 + 5e-5), y]))
-    assert (len(merged), len(kept)) == (3, 6)
+        v /= np.linalg.norm(v)
+        a, b, c = v
+        rows = _orbit(v)
+        assert rows.shape == (3, 3)
+        mixture = sum(np.outer(r, r) for r in rows) / 3.0
+        assert np.max(np.abs(mixture - symmetric_state(a * b + b * c + c * a))) <= 1e-15
+        entropies = {diagonal_output_entropy(pure_to_density(r)) for r in rows}
+        assert len(entropies) == 1
+    assert _orbit(np.full(3, 1.0 / math.sqrt(3.0))).shape == (1, 3)
 
 
 def _reference_min_entropy(z):
