@@ -80,7 +80,7 @@ def _unit_scale(units: str) -> float:
 def cmd_ed_curve(args) -> int:
     try:
         zs = sc.curve_grid(args.z_min, args.z_max, args.z_step)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a step too fine to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     scale = _unit_scale(args.units)

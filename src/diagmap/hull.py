@@ -1,7 +1,7 @@
 """Lower convex envelope of a sampled 1-D function, plus tangent location
 from an external anchor point (the two operations behind the linear pieces
-of the entanglement curve), and the one bisection the curve layer runs:
-_bisect finds both the tangency point and the angle transition."""
+of the entanglement curve), and _bisect, the one bisection of the curve
+layer: the tangency point, the angle transition and the minimizing angle."""
 
 from dataclasses import dataclass
 

@@ -95,9 +95,16 @@ def twirl_s3(omega) -> float:
     return z
 
 
+def _number(x, kind=float):
+    """kind(x), refusing the str and bytes that float() and complex() parse."""
+    if isinstance(x, (str, bytes)):
+        raise TypeError(f"expected a number, got {x!r}")
+    return kind(x)
+
+
 def check_z(z: float) -> float:
     """Validate the symmetric-family parameter z in [-1/2, 1]."""
-    z = float(z)
+    z = _number(z)
     if not Z_MIN - 1e-12 <= z <= Z_MAX + 1e-12:
         raise ValueError(f"z = {z!r} outside [-1/2, 1]")
     return min(max(z, Z_MIN), Z_MAX)
@@ -123,6 +130,8 @@ class Decomposition:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if len(self.states) != self.weights.size:
             raise ValueError("weights and states have different lengths")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0.0).all()):
+            raise ValueError(f"weights must be finite and non-negative, got {self.weights!r}")
 
     def __len__(self) -> int:
         return self.weights.size

@@ -19,12 +19,11 @@ import numpy as np
 
 from .entropy import LN2, LN3, TINY, eta, eta_array
 from .hull import _bisect, tangent_from_point
-from .states import Decomposition, check_pure_state, check_z
+from .states import Decomposition, _number, check_pure_state, check_z
 
 UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio of the angle search
 THETA_PERIOD = math.pi / 3.0  # fundamental theta domain after symmetry
 TRANSITION_BRACKET = (-0.45, -0.40)
 
@@ -71,7 +70,7 @@ def _amplitudes(alpha: float, beta: float, theta: float):
 def abc_from_theta(z: float, theta: float) -> ThetaPoint:
     """Amplitudes with a^2+b^2+c^2 = 1 and ab+bc+ca = z at finite theta."""
     z = check_z(z)
-    theta = float(theta)
+    theta = _number(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta = {theta!r} is not finite")
     a, b, c = _amplitudes(*_alpha_beta(z), theta)
@@ -98,12 +97,18 @@ def _theta0_slope(z: float) -> float:
 
 
 def _output_entropy(alpha: float, beta: float, theta: float) -> float:
-    out = 0.0
-    for amp in _amplitudes(alpha, beta, theta):
-        v = amp * amp
-        if v > TINY:
-            out -= v * math.log(v)
-    return out
+    return sum(eta(x * x) for x in _amplitudes(alpha, beta, theta))
+
+
+def _theta_slope(alpha: float, beta: float, theta: float) -> float:
+    """d/dtheta of _output_entropy: an amplitude x adds -2 x x' (log x^2 + 1),
+    with a' = -2 beta sin(theta)/3 and b', c' = 2 beta sin(theta -+ pi/3)/3.
+    At theta = 0, b = c and b' = -c', so the slope is exactly zero there."""
+    a, b, c = _amplitudes(alpha, beta, theta)
+    da = -2.0 * beta * math.sin(theta) / 3.0
+    db = 2.0 * beta * math.sin(theta - math.pi / 3.0) / 3.0
+    dc = 2.0 * beta * math.sin(theta + math.pi / 3.0) / 3.0
+    return sum(-2.0 * x * dx * (math.log(max(x * x, TINY)) + 1.0) for x, dx in ((a, da), (b, db), (c, dc)))
 
 
 # the coarse angle scan of min_pure_output_entropy: 256 equally spaced angles
@@ -117,9 +122,13 @@ _SCAN_COS_C = np.cos(_SCAN + math.pi / 3.0)
 def min_pure_output_entropy(z: float):
     """Minimum over theta of the output entropy at fixed z.
 
-    Returns (value, theta_min) with theta_min in [0, pi/6].  The search
-    scans 256 equally spaced angles on [0, pi/3] and refines the best
-    bracket by golden section to width 1e-12.
+    Returns (value, theta_min) with theta_min in [0, pi/6] up to the last
+    bit.  The search scans 256 equally spaced angles on [0, pi/3] and
+    refines the best one by hull._bisect on the analytic slope _theta_slope
+    between its two neighbours.  The slope is exactly zero at theta = 0, so
+    there the bisection reads the sign it takes just above 0, that of
+    _theta0_curvature(z), and theta_min = 0 when that is not negative.
+    Raises ValueError when the slope does not change sign on the bracket.
     """
     z = check_z(z)
     alpha, beta = _alpha_beta(z)
@@ -130,49 +139,28 @@ def min_pure_output_entropy(z: float):
     cb = (alpha - 2.0 * beta * _SCAN_COS_B) / 3.0
     cc = (alpha - 2.0 * beta * _SCAN_COS_C) / 3.0
     vals = eta_array(ca * ca) + eta_array(cb * cb) + eta_array(cc * cc)
-    i = int(np.argmin(vals))
-    lo = _SCAN[max(i - 1, 0)]
-    hi = _SCAN[min(i + 1, _SCAN.size - 1)]
-    c = hi - INVPHI * (hi - lo)
-    d = lo + INVPHI * (hi - lo)
-    fc = _output_entropy(alpha, beta, c)
-    fd = _output_entropy(alpha, beta, d)
-    while hi - lo > 1e-12:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - INVPHI * (hi - lo)
-            fc = _output_entropy(alpha, beta, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + INVPHI * (hi - lo)
-            fd = _output_entropy(alpha, beta, d)
-    theta = float(0.5 * (lo + hi))
-    value = _output_entropy(alpha, beta, theta)
-    # theta = 0 is always stationary; report it unless the found minimum
-    # beats it beyond round-off (dips shallower than ~1e-13 are unresolvable)
-    value0 = _output_entropy(alpha, beta, 0.0)
-    if value0 <= value + 1e-13:
-        return value0, 0.0
-    if theta < 1e-9:
-        theta = 0.0
-    elif theta > THETA_PERIOD / 2.0:
-        # fold a degenerate mirror minimum back into [0, pi/6]
-        mirror = THETA_PERIOD - theta
-        if _output_entropy(alpha, beta, mirror) <= value + 1e-12:
-            theta = mirror
-    return value, theta
+    # the first value within 8 eps (round-off of two such sums) of the least:
+    # near z = 1 the theta-dependence, ~(1 - z)^1.5, is below the round-off
+    i = int(np.argmax(vals <= vals.min() + 8.0 * np.finfo(float).eps))
+
+    def g(theta: float) -> float:
+        return _theta0_curvature(z) if theta == 0.0 else _theta_slope(alpha, beta, theta)
+
+    lo, hi = float(_SCAN[max(i - 1, 0)]), float(_SCAN[min(i + 1, _SCAN.size - 1)])
+    theta = 0.0 if lo == 0.0 and g(0.0) >= 0.0 else _bisect(g, lo, hi)
+    return _output_entropy(alpha, beta, theta), theta
 
 
 def _theta0_curvature(z: float) -> float:
     """d^2/dtheta^2 of the output entropy at theta = 0.  An amplitude x adds
     -2 ((x'^2 + x x'') (log x^2 + 1) + 2 x'^2); at theta = 0,
     a = (alpha + 2 beta)/3 with a' = 0, a'' = -2 beta/3, and
-    b = c = (alpha - beta)/3 with b'^2 = beta^2/3, b'' = beta/3."""
+    b = c = (alpha - beta)/3 with b'^2 = beta^2/3, b'' = beta/3 (b = 0 at z = 0)."""
     alpha, beta = _alpha_beta(z)
     a = (alpha + 2.0 * beta) / 3.0
     b = (alpha - beta) / 3.0
     a_term = (4.0 / 3.0) * a * beta * (math.log(a * a) + 1.0)
-    b_term = (beta * beta + b * beta) / 3.0 * (math.log(b * b) + 1.0) + 2.0 * beta * beta / 3.0
+    b_term = (beta * beta + b * beta) / 3.0 * (math.log(max(b * b, TINY)) + 1.0) + 2.0 * beta * beta / 3.0
     return a_term - 4.0 * b_term
 
 
@@ -258,10 +246,10 @@ def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:
     Requires |a|^2 + |b|^2 = 1, 0 <= z <= 1 and |x|^2 <= z(1-z), which
     together make the matrix a valid density matrix.
     """
-    a, b, x = complex(a), complex(b), complex(x)
+    a, b, x = (_number(v, complex) for v in (a, b, x))
     if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:
         raise ValueError("amplitudes must satisfy |a|^2 + |b|^2 = 1")
-    z = float(z)
+    z = _number(z)
     if not -1e-12 <= z <= 1.0 + 1e-12:
         raise ValueError(f"z = {z!r} outside [0, 1]")
     z = min(max(z, 0.0), 1.0)

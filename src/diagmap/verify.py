@@ -129,7 +129,7 @@ def check_theta_transition() -> CheckResult:
         "angle transition",
         (
             Measure("|transition - ref|", abs(zt - float(THETA_TRANSITION_REF)), 1e-15),
-            Measure("|theta_min(-1/2) - pi/6|", abs(theta_end - math.pi / 6.0), 1e-6),
+            Measure("|theta_min(-1/2) - pi/6|", abs(theta_end - math.pi / 6.0), 1e-15),
         ),
     )
 

@@ -81,6 +81,13 @@ def test_ed_curve_non_finite_step_is_usage_error(capsys, step):
     assert err.startswith("error: z_step must be positive and finite")
 
 
+def test_ed_curve_step_too_fine_to_allocate_is_usage_error(capsys):
+    # 1.5e12 grid points: numpy refuses the allocation at once
+    code, out, err = _run(capsys, ["ed-curve", "--z-step", "1e-12"])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ")
+
+
 def test_min_output_small_dimension(capsys):
     code, out, _ = _run(capsys, ["min-output", "--n", "6"])
     assert code == EXIT_OK

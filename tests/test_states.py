@@ -191,6 +191,16 @@ def test_decomposition_mixture_and_average():
     assert dec.average_output_entropy() == pytest.approx(LN2, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_decomposition_rejects_non_finite_or_negative_weights(bad):
+    # a NaN weight once gave a NaN average, and -1 a mixture with -1 on its diagonal
+    states = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    with pytest.raises(ValueError, match="weights"):
+        Decomposition(weights=np.array([bad, 0.5]), states=states)
+    # a subnormal weight stays allowed, as the roof search can leave one
+    assert len(Decomposition(weights=np.array([5e-324, 1.0]), states=states)) == 2
+
+
 def test_density_matrix_file_roundtrip(tmp_path):
     g = Generator(Philox(key=np.array([15, 0], dtype=np.uint64)))
     omega = _random_density(g)
