@@ -85,8 +85,7 @@ def cmd_ed_curve(args) -> int:
         return EXIT_USAGE
     scale = _unit_scale(args.units)
     lines = ["z,epsilon,theta_min,ed,region"]
-    for z in zs:
-        rec = sc.curve_record(float(z))
+    for rec in sc.curve_records(zs):
         lines.append(
             ",".join(
                 (

@@ -24,15 +24,21 @@ def _branch_series(p: float) -> float:
 
 
 def _halley(x: float, w: float) -> float:
+    last = math.inf
     for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         dw = f / denom
+        if not abs(dw) < last:
+            # a step no shorter than the last is round-off, which can
+            # alternate between two neighbouring points: keep this one
+            break
         w -= dw
         if abs(dw) < _STEP_TOL * (1.0 + abs(w)):
             break
+        last = abs(dw)
     return w
 
 

@@ -216,9 +216,10 @@ def _search(omega, m, restarts, seed, extra_inits, max_sweeps: int):
     value, egrad = _polish_functions(M)
     W, f, sweeps, capped = stiefel_bfgs(_starts(M, m, restarts, seed, extra_inits), value, egrad, max_sweeps)
     best = int(np.argmin(f))
-    # stream 0 draws no start: the first start is the identity
-    w, fw, capped, insertions, g = W[best : best + 1], f[best], capped[best], 0, stream_rng(seed, 0)
+    w, fw, capped, insertions, g = W[best : best + 1], f[best], capped[best], 0, None
     while not capped and insertions < INSERTIONS:
+        if g is None:  # stream 0 draws no start: the first start is the identity
+            g = stream_rng(seed, 0)
         h, c = _price(w[0] @ M.T, M, g)
         if not h < -PRICE_TOL:
             break

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diagmap import lambert
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 
 INV_E = math.exp(-1.0)
@@ -33,6 +34,23 @@ def test_wm1_against_bisection():
             lo = mid
     assert lambert_wm1(target) == pytest.approx(0.5 * (lo + hi), abs=1e-12)
     assert lambert_wm1(target) < -1.0
+
+
+# arguments at which Halley steps of W-1 once alternated between two points
+# 2e-15 apart until the iteration cap
+TWO_CYCLE_XS = (-0.36682133436016323, -0.36726775161323877, -0.3671979948527273)
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5, 6])
+def test_halley_stops_when_steps_stop_shrinking(monkeypatch, cap):
+    # a cycle left by the cap returns either point by the cap's parity; the
+    # iteration ends by its third step, so every cap from 3 on agrees
+    full = [(lambert_w0(x), lambert_wm1(x)) for x in TWO_CYCLE_XS]
+    monkeypatch.setattr(lambert, "_MAX_ITER", cap)
+    assert [(lambert_w0(x), lambert_wm1(x)) for x in TWO_CYCLE_XS] == full
+    for x, (w0, wm1) in zip(TWO_CYCLE_XS, full):
+        for w in (w0, wm1):
+            assert abs(w * math.exp(w) - x) <= 1e-16
 
 
 def test_domain_errors():

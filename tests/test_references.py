@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from diagmap.face_minimum import min_face_entropy
+from diagmap.face_minimum import min_face_entropy, two_value_entropy
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from diagmap.symmetric_curve import _theta0_slope, lower_tangent_z, theta0_entropy, theta_transition
 from diagmap.verify import KNEE_VALUE_REF, ONE_VS_REST_7_REF, S_ZSTAR_REF, THETA_TRANSITION_REF, ZSTAR_REF
@@ -53,6 +53,16 @@ def test_min_face_entropy_against_mpmath():
         else:
             ref = mpmath.log(n) - (1 - mpmath.mpf(2) / n) * mpmath.log(n - 1)
         assert abs(mpmath.mpf(min_face_entropy(n)) - ref) <= 1e-15, n
+
+
+@pytest.mark.parametrize("n", [10**6, 10**12, 10**15])
+def test_face_closed_forms_at_large_n_against_mpmath(n):
+    # log N - log(N-1) taken as a difference of logs read 6.4e-12 (relative)
+    # off at N = 10^6 and 1.4e-2 at 10^15
+    ref = mpmath.log(n) - (1 - mpmath.mpf(2) / n) * mpmath.log(n - 1)
+    assert _relative_error(min_face_entropy(n), ref) <= 1e-15
+    assert _relative_error(two_value_entropy(n, 1), ref) <= 1e-15
+    assert _relative_error(two_value_entropy(n, n - 1), ref) <= 1e-15
 
 
 def _theta0_entropy(z):
