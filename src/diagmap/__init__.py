@@ -12,6 +12,7 @@ from .face_minimum import (
     lagrange_roots,
     min_face_entropy,
     minimizer_states,
+    pair_states_minimize,
     root_square_sum,
     two_value_entropy,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "min_pure_output_entropy",
     "minimizer_states",
     "optimal_decomposition",
+    "pair_states_minimize",
     "pure_to_density",
     "rank2_entanglement",
     "rank2_state",

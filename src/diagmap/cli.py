@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_curve = sub.add_parser("ed-curve", help="emit the curve as CSV (z, epsilon, theta_min, ed, region)")
-    p_curve.add_argument("--z-min", type=float, default=-0.5)
-    p_curve.add_argument("--z-max", type=float, default=1.0)
+    p_curve.add_argument("--z-min", type=float, default=st.Z_MIN)
+    p_curve.add_argument("--z-max", type=float, default=st.Z_MAX)
     p_curve.add_argument("--z-step", type=float, default=1e-3)
     p_curve.add_argument("--units", choices=("nats", "bits"), default="nats")
     p_curve.add_argument("--out", metavar="FILE", default=None)
@@ -99,8 +99,12 @@ def cmd_ed_curve(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -120,7 +124,7 @@ def cmd_min_output(args) -> int:
             return EXIT_USAGE
     scale = _unit_scale(args.units)
     closed = fm.min_face_entropy(n)
-    pairs = n <= 6
+    pairs = fm.pair_states_minimize(n)
     family = "pair states" if pairs else "one-vs-rest"
     count = n * (n - 1) // 2 if pairs else n
     print(f"N = {n}")

@@ -2,11 +2,12 @@
 supported orthogonally to the uniform vector.
 
 Real pure states on that face are unit vectors with zero component sum.
-The closed-form minimum is log 2 (pair states) up to N = 6 and switches to
-the one-vs-rest family for N > 6; a Lagrange analysis via the Lambert W
-function classifies the stationary amplitude values, and linesearch's
-Riemannian BFGS engine and unit-sphere objective (the roof's pricing runs
-both too), on the zero-sum unit sphere, provide an independent check.
+The closed-form minimum is the lesser of log 2 (pair states) and the
+one-vs-rest value two_value_entropy(N, 1), which crosses below log 2
+between N = 6 and N = 7; a Lagrange analysis via the Lambert W function
+classifies the stationary amplitude values, and linesearch's Riemannian
+BFGS engine and unit-sphere objective (the roof's pricing runs both too),
+on the zero-sum unit sphere, provide an independent check.
 """
 
 import math
@@ -16,39 +17,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import LN2
-from .lambert import lambert_w0, lambert_wm1
+from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from .linesearch import check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
 
-_INV_E = math.exp(-1.0)
 
-
-def min_face_entropy(N: int) -> float:
-    """Closed-form minimal output entropy on the zero-sum face."""
+def _check_dimension(N) -> int:
+    """N as an int, raising unless it is an integer N >= 2."""
     N = operator.index(N)
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    if N <= 6:
-        return LN2
-    # log N - (1 - 2/N) log(N-1) as a sum of two positive terms; log N - log(N-1)
-    # taken as a difference of logs cancels, to 1.4e-2 relative at N = 10^15
-    return -math.log1p(-1.0 / N) + (2.0 / N) * math.log(N - 1)
+    return N
+
+
+def min_face_entropy(N: int) -> float:
+    """Closed-form minimal output entropy on the zero-sum face: the lesser of
+    the one-vs-rest value two_value_entropy(N, 1) and the pairs' log 2."""
+    return min(two_value_entropy(_check_dimension(N), 1), LN2)
+
+
+def pair_states_minimize(N: int) -> bool:
+    """Whether the pair states attain min_face_entropy(N), which holds for
+    N = 2..6; otherwise the one-vs-rest states do."""
+    return min_face_entropy(N) == LN2
 
 
 def minimizer_states(N: int):
     """All pure states attaining min_face_entropy(N).
 
-    For N <= 6 these are the N(N-1)/2 pair states (e_j - e_k)/sqrt(2); for
-    N > 6 the N placements of the large component in
-    ((N-1)a, -a, ..., -a) with a = (N(N-1))^{-1/2}.
+    Where pair_states_minimize(N) these are the N(N-1)/2 pair states
+    (e_j - e_k)/sqrt(2); otherwise the N placements of the large component
+    in ((N-1)a, -a, ..., -a) with a = (N(N-1))^{-1/2}.
     """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    return list(_minimizers(N))
+    return list(_minimizers(_check_dimension(N)))
 
 
 def _minimizers(N: int):
     """The states of minimizer_states(N), in its order, one at a time."""
-    if N <= 6:
+    if pair_states_minimize(N):
         for j in range(N):
             for k in range(j + 1, N):
                 v = np.zeros(N)
@@ -74,7 +79,7 @@ def two_value_entropy(N: int, n: int) -> float:
     if not 1 <= n <= N - 1:
         raise ValueError(f"need 1 <= n <= N-1, got n={n}, N={N}")
     # with n <= N/2 by the symmetry, log n - log(1 - n/N) + (2n/N) log(N/n - 1)
-    # sums three non-negative terms; at n = 1 it is min_face_entropy's sum
+    # sums three non-negative terms
     n = min(n, N - n)
     return math.log(n) - math.log1p(-n / N) + (2.0 * n / N) * math.log((N - n) / n)
 
@@ -110,7 +115,7 @@ def lagrange_roots(lam: float, mu: float) -> StationaryRoots:
     zeta = 0.5 * abs(lam) * math.exp(-0.5 * mu)
     x1 = lam / (2.0 * lambert_w0(zeta))
     x2 = x3 = None
-    if zeta <= _INV_E:
+    if -zeta >= BRANCH_POINT:
         x2 = lam / (2.0 * lambert_w0(-zeta))
         x3 = lam / (2.0 * lambert_wm1(-zeta))
     return StationaryRoots(lam=lam, mu=mu, zeta=zeta, x1=x1, x2=x2, x3=x3)
@@ -124,9 +129,9 @@ def root_square_sum(zeta: float) -> float:
     increases on the domain.
     """
     zeta = float(zeta)
-    if not 0.0 < zeta <= _INV_E * (1.0 + 1e-12):
+    if not 0.0 < zeta <= -BRANCH_POINT * (1.0 + 1e-12):
         raise ValueError(f"zeta = {zeta!r} outside (0, 1/e]")
-    zeta = min(zeta, _INV_E)
+    zeta = min(zeta, -BRANCH_POINT)
     return (
         math.exp(2.0 * lambert_w0(zeta))
         + math.exp(2.0 * lambert_w0(-zeta))
@@ -150,8 +155,7 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     on sphere_functions(B), B the zero_sum_basis as columns: it moves the
     reduced (in-hyperplane) coordinates y of a = By on their unit sphere,
     so both constraints hold at every step.  Returns (value, argmin)."""
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
+    N = _check_dimension(N)
     restarts = check_count("restarts", restarts)
     seed = check_seed(seed)
     Y = np.empty((restarts, N - 1))

@@ -69,13 +69,8 @@ def stiefel_bfgs(W, value, egrad, max_iters: int = POLISH_ITERS):
     max_iters caps the iterations.  No row ends above its start, and
     every product is an einsum, so a row's path does not depend on its
     batch, provided value and egrad treat rows independently.  H holds n^2
-    floats per row (the 20 pairs it replaced held 40 n), slower past n of
-    about 30: on a 2-core Xeon, 40 starts on random complex 4 x 4 and 5 x 5
-    states (n = 128, 250) took 0.58 and 3.6 s against 0.24 and 0.74 s, and
-    39 MB against 7 MB at 5 x 5; the face search (n = N - 1) took 0.68
-    times as long for N <= 16 and 1.07 times for N = 17..32.  Returns W,
-    the values, the iterations run and, for each row, whether the cap
-    stopped it."""
+    floats per row.  Returns W, the values, the iterations run and, for
+    each row, whether the cap stopped it."""
     W, f = W.copy(), value(W)
     # the rows still running: idx, and their w, fw, g, H, gamma and next step
     idx, w, fw = np.arange(len(f)), W, f

@@ -72,10 +72,7 @@ def real_projection(omega) -> np.ndarray:
     The transpose of a state is a state, so the average is one too.
     """
     omega = check_density_matrix(omega)
-    proj = 0.5 * (omega + omega.T)
-    if np.max(np.abs(proj.imag)) == 0.0:
-        return proj.real.astype(complex)
-    return proj
+    return 0.5 * (omega + omega.T)
 
 
 def twirl_s3(omega) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .entropy import LN2, LN3, TINY, eta, eta_array
 from .hull import _bisect, tangent_from_point
-from .states import Decomposition, _number, check_pure_state, check_z
+from .states import Z_MAX, Z_MIN, Decomposition, _number, check_pure_state, check_z
 
 UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
@@ -206,7 +206,7 @@ def theta_transition() -> float:
 def lower_tangent_z() -> float:
     """Tangency abscissa z* of the chord anchored at (-1/2, log 2) against
     the theta = 0 entropy curve."""
-    return tangent_from_point(theta0_entropy, -0.5, LN2, (-0.45, -0.30), df=_theta0_slope)
+    return tangent_from_point(theta0_entropy, Z_MIN, LN2, (-0.45, -0.30), df=_theta0_slope)
 
 
 @lru_cache(maxsize=1)
@@ -221,12 +221,12 @@ def _piece(z: float):
     theta, value), with weights summing to 1 and output entropies value."""
     zstar, s_star = _curve_params()
     if z < zstar:
-        p = (zstar - z) / (zstar + 0.5)
-        return REGION_LOWER_LINEAR, ((p, -0.5, math.pi / 6.0, LN2), (1.0 - p, zstar, 0.0, s_star))
+        p = (zstar - z) / (zstar - Z_MIN)
+        return REGION_LOWER_LINEAR, ((p, Z_MIN, math.pi / 6.0, LN2), (1.0 - p, zstar, 0.0, s_star))
     if z <= UPPER_KNEE:
         return REGION_ROOF, ((1.0, z, 0.0, theta0_entropy(z)),)
-    p = (1.0 - z) / (1.0 - UPPER_KNEE)
-    return REGION_UPPER_LINEAR, ((p, UPPER_KNEE, 0.0, UPPER_KNEE_VALUE), (1.0 - p, 1.0, 0.0, LN3))
+    p = (Z_MAX - z) / (Z_MAX - UPPER_KNEE)
+    return REGION_UPPER_LINEAR, ((p, UPPER_KNEE, 0.0, UPPER_KNEE_VALUE), (1.0 - p, Z_MAX, 0.0, LN3))
 
 
 def entanglement_entropy(z: float) -> float:
@@ -313,7 +313,7 @@ def rank2_entanglement(z: float, x: complex, a: complex, b: complex) -> float:
     return val
 
 
-def curve_grid(z_min: float = -0.5, z_max: float = 1.0, z_step: float = 1e-3) -> np.ndarray:
+def curve_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3) -> np.ndarray:
     """Inclusive evaluation grid used by the curve export."""
     if not 0.0 < z_step < math.inf:
         raise ValueError(f"z_step must be positive and finite, got {z_step!r}")
@@ -323,5 +323,5 @@ def curve_grid(z_min: float = -0.5, z_max: float = 1.0, z_step: float = 1e-3) ->
     check_z(z_max)
     count = int(math.floor((z_max - z_min) / z_step + 1e-9)) + 1
     zs = z_min + z_step * np.arange(count)
-    zs = np.clip(zs, -0.5, 1.0)
+    zs = np.clip(zs, Z_MIN, Z_MAX)
     return zs

@@ -27,7 +27,7 @@ from . import hull as hl
 from . import states as st
 from . import symmetric_curve as sc
 from .entropy import LN2, LN3, TINY
-from .lambert import lambert_w0, lambert_wm1
+from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from .linesearch import stream_rng
 from .roof import real_roof_upper_bound, roof_upper_bound
 
@@ -137,16 +137,21 @@ def check_theta_transition() -> CheckResult:
 def check_junctions() -> CheckResult:
     knee = sc.UPPER_KNEE
     eps_val, _ = sc.min_pure_output_entropy(knee)
-    jumps = [abs(sc.entanglement_entropy(z - 1e-12) - sc.entanglement_entropy(z + 1e-12))
-             for z in (sc.lower_tangent_z(), knee)]
+    zstar = sc.lower_tangent_z()
+    # each chord meets the theta = 0 curve with that curve's slope
+    chords = (
+        (zstar, (sc.theta0_entropy(zstar) - LN2) / (zstar - st.Z_MIN)),
+        (knee, (LN3 - sc.UPPER_KNEE_VALUE) / (st.Z_MAX - knee)),
+    )
+    tangency = [abs(slope - sc._theta0_slope(z)) for z, slope in chords]
     return CheckResult(
-        "junction values and continuity",
+        "junction values and tangency",
         (
             Measure("|epsilon(5/6) - knee value|", abs(eps_val - sc.UPPER_KNEE_VALUE), 1e-6),
             Measure("|knee value - ref|", abs(sc.UPPER_KNEE_VALUE - float(KNEE_VALUE_REF)), 1e-15),
             # the closed form joins its upper chord at the theta = 0 entropy
             Measure("|theta0 entropy(5/6) - knee value|", abs(sc.theta0_entropy(knee) - sc.UPPER_KNEE_VALUE), 1e-10),
-            Measure("max jump at z*, 5/6", np.max(jumps), 1e-10),
+            Measure("max |chord slope - curve slope| at z*, 5/6", np.max(tangency), 1e-12),
         ),
     )
 
@@ -277,7 +282,6 @@ def check_bifurcation() -> CheckResult:
     # the one-vs-rest family's value on either side of the crossover
     at6 = fm.two_value_entropy(6, 1)
     at7 = fm.two_value_entropy(7, 1)
-    closed_errs = [abs(fm.min_face_entropy(6) - LN2), abs(fm.min_face_entropy(7) - at7)]
     # the closed form vanishes like (2 ln N + 1)/N - 3/(2N^2), whose
     # truncation is 2/(3N^3): 2.3e-14 relative at N = 10^6
     large_errs = [
@@ -288,7 +292,6 @@ def check_bifurcation() -> CheckResult:
         (
             Measure("one-vs-rest on the wrong side of log 2", int(not at6 > LN2) + int(not at7 < LN2), 0),
             Measure("|one-vs-rest(7) - ref|", abs(at7 - float(ONE_VS_REST_7_REF)), 1e-15),
-            Measure("max |closed - family|, N = 6, 7", np.max(closed_errs), 1e-15),
             Measure("max rel. |closed - expansion|, N = 10^6, 10^12", np.max(large_errs), 1e-12),
         ),
     )
@@ -323,17 +326,20 @@ def check_minimizer_states() -> CheckResult:
 
 
 def check_two_value_concavity() -> CheckResult:
-    second = [np.diff([fm.two_value_entropy(n_dim, n) for n in range(1, n_dim)], 2) for n_dim in range(3, 51)]
-    asym = [
-        abs(fm.two_value_entropy(n_dim, n) - fm.two_value_entropy(n_dim, n_dim - n))
-        for n_dim in range(3, 51)
-        for n in range(1, n_dim)
-    ]
+    rows = [(n_dim, np.arange(1, n_dim)) for n_dim in range(3, 51)]
+    values = [np.array([fm.two_value_entropy(n_dim, int(n)) for n in ns]) for n_dim, ns in rows]
+    second = [np.diff(v, 2) for v in values]
+    # the formula of the two-value states, unfolded: log N - (1 - 2n/N) log(N/n - 1)
+    direct = [np.log(n_dim) - (1.0 - 2.0 * ns / n_dim) * np.log(n_dim / ns - 1.0) for n_dim, ns in rows]
     return CheckResult(
-        "two-value entropy concave and symmetric, N <= 50",
+        "two-value entropy concave and equal to its formula, N <= 50",
         (
             Measure("max second difference", np.max(np.concatenate(second)), 1e-12),
-            Measure("max asymmetry", np.max(asym), 1e-12),
+            Measure(
+                "max |value - formula|",
+                np.max(np.abs(np.concatenate(values) - np.concatenate(direct))),
+                1e-13,
+            ),
         ),
     )
 
@@ -344,7 +350,7 @@ def _w_residual(branch, x) -> float:
 
 
 def check_lambert() -> CheckResult:
-    inv_e = math.exp(-1.0)
+    inv_e = -BRANCH_POINT
     xs0 = np.concatenate(
         [
             np.logspace(-300, 6, 400),
@@ -381,7 +387,7 @@ def check_lambert() -> CheckResult:
 
 
 def check_three_root_entropy() -> CheckResult:
-    inv_e = math.exp(-1.0)
+    inv_e = -BRANCH_POINT
     g = stream_rng(23, 0)
     checked = 0
     violations = 0

@@ -48,6 +48,14 @@ def test_ed_curve_deterministic_output(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("target", ["missing/a.csv", "."])
+def test_ed_curve_unwritable_out_is_usage_error(tmp_path, capsys, target):
+    # a missing directory or a directory: exit 1 would read as a failed verification
+    code, out, err = _run(capsys, ["ed-curve", "--z-step", "0.25", "--out", str(tmp_path / target)])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
 def test_ed_curve_bits_rescales_entropy_columns_only(capsys):
     code, out_nats, _ = _run(capsys, ["ed-curve", "--z-step", "0.5"])
     assert code == EXIT_OK

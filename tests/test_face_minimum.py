@@ -11,6 +11,7 @@ from diagmap.face_minimum import (
     lagrange_roots,
     min_face_entropy,
     minimizer_states,
+    pair_states_minimize,
     root_square_sum,
     two_value_entropy,
     zero_sum_basis,
@@ -51,12 +52,27 @@ def test_closed_form_domain():
     with pytest.raises(TypeError):
         min_face_entropy(7.5)
     assert min_face_entropy(np.int64(7)) == min_face_entropy(7)
+    for fn in (minimizer_states, lambda n: brute_force_min_face(n, restarts=1)):
+        with pytest.raises(ValueError):
+            fn(1)
+        with pytest.raises(TypeError):
+            fn(7.0)
+
+
+def test_closed_form_propagates_nan(monkeypatch):
+    monkeypatch.setattr(face_minimum, "two_value_entropy", lambda N, n: math.nan)
+    assert math.isnan(min_face_entropy(7))
 
 
 def test_bifurcation_between_six_and_seven():
     one_vs_rest_6 = math.log(6.0) - (2.0 / 3.0) * math.log(5.0)
     assert one_vs_rest_6 > LN2
     assert min_face_entropy(7) < LN2
+    # the family switch is computed, not written down
+    assert [pair_states_minimize(n) for n in range(2, 13)] == [True] * 5 + [False] * 6
+    assert [len(minimizer_states(n)) for n in (5, 6, 7, 8)] == [10, 15, 7, 8]
+    for n in range(2, 200):
+        assert min_face_entropy(n) == min(two_value_entropy(n, 1), LN2)
 
 
 def test_minimizer_states_pair_family():

@@ -7,6 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from diagmap import lambert
+from diagmap.entropy import LN2
 from diagmap.face_minimum import min_face_entropy, two_value_entropy
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from diagmap.symmetric_curve import _theta0_slope, lower_tangent_z, theta0_entropy, theta_transition
@@ -28,22 +30,33 @@ def _relative_error(got: float, ref) -> float:
 
 
 def _near_branch_point():
-    # x >= -1/e + 1e-6, log-spaced in the distance to the branch point
-    return [BRANCH_POINT + float(d) for d in np.logspace(-6, math.log10(-BRANCH_POINT), 300)]
+    # x from 1e-16 to 0.3 above -1/e, log-spaced in the distance
+    return [BRANCH_POINT + float(d) for d in np.logspace(-16, math.log10(0.3), 400)]
+
+
+def _worst(branch, k, xs) -> float:
+    return max(_relative_error(branch(x), mpmath.lambertw(x, k).real) for x in xs if x != 0.0)
+
+
+def test_branch_point_rounding_against_mpmath():
+    # the distance to the branch point is (x - BRANCH_POINT) plus this
+    assert lambert._BRANCH_POINT_ROUNDING == float(mpmath.mpf(BRANCH_POINT) + 1 / mpmath.e)
+
+
+# near the branch point 1 + e x taken as written cancels: 2.7e-9 relative
+# at 1e-16 from -1/e, 4.5e-11 at 1e-12 and 4.8e-13 at 1e-8; measured 4.6e-15
 
 
 def test_lambert_w0_against_mpmath():
-    xs = _near_branch_point() + [float(x) for x in np.logspace(-300, 300, 300)]
+    assert _worst(lambert_w0, 0, _near_branch_point()) <= 1e-14
+    xs = [float(x) for x in np.logspace(-300, 300, 300)]
     xs += [-float(x) for x in np.logspace(-300, -1, 100)]
-    worst = max(_relative_error(lambert_w0(x), mpmath.lambertw(x, 0).real) for x in xs if x != 0.0)
-    assert worst <= 1e-13
+    assert _worst(lambert_w0, 0, xs) <= 1e-13
 
 
 def test_lambert_wm1_against_mpmath():
-    xs = [x for x in _near_branch_point() if x < 0.0]
-    xs += [-float(x) for x in np.logspace(-300, -1, 100)]
-    worst = max(_relative_error(lambert_wm1(x), mpmath.lambertw(x, -1).real) for x in xs)
-    assert worst <= 1e-13
+    assert _worst(lambert_wm1, -1, _near_branch_point()) <= 1e-14
+    assert _worst(lambert_wm1, -1, [-float(x) for x in np.logspace(-300, -1, 100)]) <= 1e-13
 
 
 def test_min_face_entropy_against_mpmath():
@@ -61,6 +74,7 @@ def test_face_closed_forms_at_large_n_against_mpmath(n):
     # off at N = 10^6 and 1.4e-2 at 10^15
     ref = mpmath.log(n) - (1 - mpmath.mpf(2) / n) * mpmath.log(n - 1)
     assert _relative_error(min_face_entropy(n), ref) <= 1e-15
+    assert min_face_entropy(n) == min(two_value_entropy(n, 1), LN2)
     assert _relative_error(two_value_entropy(n, 1), ref) <= 1e-15
     assert _relative_error(two_value_entropy(n, n - 1), ref) <= 1e-15
 

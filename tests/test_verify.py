@@ -93,3 +93,19 @@ def test_detail_prints_each_measurement_once():
     assert res.detail == "alpha 2.50e-13 (tol 1e-12, margin 7.50e-13); beta count 3 (tol 0, margin -3)"
     for m in measures:
         assert res.detail.count(m.label) == 1
+
+
+def test_junction_check_reads_the_tangency(monkeypatch):
+    # a chord end 1e-9 off z* keeps every junction value within its
+    # tolerance; only the slope mismatch, about 1e-9 |s''|, shows it
+    zstar = sc.lower_tangent_z()
+    sc.entanglement_entropy(0.0)  # fills the curve's cache from the true z*
+    monkeypatch.setattr(sc, "lower_tangent_z", lambda: zstar + 1e-9)
+    assert not verify.check_junctions().passed
+
+
+def test_two_value_check_reads_the_formula(monkeypatch):
+    # an error of 1e-12 at one n keeps the values concave and symmetric
+    fn = fm.two_value_entropy
+    monkeypatch.setattr(fm, "two_value_entropy", lambda N, n: fn(N, n) + (1e-12 if (N, n) == (20, 10) else 0.0))
+    assert not verify.check_two_value_concavity().passed
