@@ -12,6 +12,7 @@ on the zero-sum unit sphere, provide an independent check.
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +113,21 @@ def lagrange_roots(lam: float, mu: float) -> StationaryRoots:
         raise ValueError(f"multipliers must be finite, got lam={lam!r}, mu={mu!r}")
     if lam == 0.0:
         raise ValueError("lam must be nonzero (zero gives the pair-state family)")
-    zeta = 0.5 * abs(lam) * math.exp(-0.5 * mu)
+    try:
+        zeta = 0.5 * abs(lam) * math.exp(-0.5 * mu)
+    except OverflowError:
+        zeta = math.inf
+    if not sys.float_info.min <= zeta < math.inf:  # a subnormal zeta has lost bits
+        raise ValueError(f"zeta = |lam| exp(-mu/2)/2 = {zeta!r} at lam={lam!r}, mu={mu!r} is not a normal positive float")
     x1 = lam / (2.0 * lambert_w0(zeta))
     x2 = x3 = None
     if -zeta >= BRANCH_POINT:
         x2 = lam / (2.0 * lambert_w0(-zeta))
         x3 = lam / (2.0 * lambert_wm1(-zeta))
-    return StationaryRoots(lam=lam, mu=mu, zeta=zeta, x1=x1, x2=x2, x3=x3)
+    out = StationaryRoots(lam=lam, mu=mu, zeta=zeta, x1=x1, x2=x2, x3=x3)
+    if not all(x != 0.0 and math.isfinite(x) for x in out.roots):
+        raise ValueError(f"a root at lam={lam!r}, mu={mu!r} is zero or not finite: {out.roots!r}")
+    return out
 
 
 def root_square_sum(zeta: float) -> float:

@@ -17,14 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import LN2, LN3, TINY, eta, eta_array
+from .entropy import LN2, LN3, TINY, eta
 from .hull import _bisect, tangent_from_point
 from .states import Z_MAX, Z_MIN, Decomposition, _number, check_pure_state, check_z
 
 UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 
-THETA_PERIOD = math.pi / 3.0  # fundamental theta domain after symmetry
 TRANSITION_BRACKET = (-0.45, -0.40)
 
 REGION_LOWER_LINEAR = "lower_linear"
@@ -111,73 +110,27 @@ def _theta_slope(alpha: float, beta: float, theta: float) -> float:
     return sum(-2.0 * x * dx * (math.log(max(x * x, TINY)) + 1.0) for x, dx in ((a, da), (b, db), (c, dc)))
 
 
-# the coarse angle scan of _minimize_theta: 256 equally spaced angles on
-# [0, pi/3] and the three cosines of _amplitudes on them
-_SCAN = np.linspace(0.0, THETA_PERIOD, 256)
-_SCAN_COS_A = np.cos(_SCAN)
-_SCAN_COS_B = np.cos(_SCAN - math.pi / 3.0)
-_SCAN_COS_C = np.cos(_SCAN + math.pi / 3.0)
-# z values per scan pass: each (SCAN_BLOCK, 256) float temporary takes 64 KB,
-# below glibc's 128 KB mmap threshold, so the temporaries reuse heap memory;
-# one block for the whole 1501-point grid raised the peak RSS by 21 MB
-SCAN_BLOCK = 32
+def min_pure_output_entropy(z: float):
+    """Minimum over theta of the output entropy at fixed z, as (value,
+    theta_min) with theta_min in [0, pi/6] up to the last bit.
 
-
-def _minimize_theta(zs):
-    """(value, theta_min) of min_pure_output_entropy for each checked z of zs.
-
-    The angle scan runs on SCAN_BLOCK z at a time as one (block, 256) array
-    pass; every operation in it is elementwise or per row, so a z's result
-    does not depend on the block it shares.  Each z then refines its own
-    best scan angle (_refine).
+    theta = 0 is stationary, and it is the minimum wherever the
+    theta-curvature there (_theta0_curvature) is not negative: above
+    theta_transition.  Below it, theta_min is the one sign change of
+    _theta_slope on (0, pi/3), found by hull._bisect on [0, pi/4]; the
+    bracket ends past pi/6, where at z = -1/2 the slope is zero only up to
+    round-off.  Raises ValueError when the slope keeps its sign there.
     """
-    out = []
-    for k in range(0, len(zs), SCAN_BLOCK):
-        block = zs[k : k + SCAN_BLOCK]
-        ab = np.array([_alpha_beta(z) for z in block])
-        alpha, beta = ab[:, :1], ab[:, 1:]
-        ca = (alpha + 2.0 * beta * _SCAN_COS_A) / 3.0
-        cb = (alpha - 2.0 * beta * _SCAN_COS_B) / 3.0
-        cc = (alpha - 2.0 * beta * _SCAN_COS_C) / 3.0
-        vals = eta_array(ca * ca) + eta_array(cb * cb) + eta_array(cc * cc)
-        # the first value within 8 eps (round-off of two such sums) of the
-        # row's least: near z = 1 the theta-dependence, ~(1 - z)^1.5, is
-        # below the round-off
-        best = np.argmax(vals <= vals.min(axis=1, keepdims=True) + 8.0 * np.finfo(float).eps, axis=1)
-        out += [_refine(z, a, b, int(i)) for z, (a, b), i in zip(block, ab.tolist(), best)]
-    return out
-
-
-def _refine(z: float, alpha: float, beta: float, i: int):
-    """(value, theta_min) at z from its best scan index i: hull._bisect on
-    the analytic slope _theta_slope between the scan angles either side of i.
-    The slope is exactly zero at theta = 0, so there the bisection reads the
-    sign it takes just above 0, that of _theta0_curvature(z), and
-    theta_min = 0 when that is not negative."""
+    z = check_z(z)
+    alpha, beta = _alpha_beta(z)
     if beta == 0.0:
         # z = 1: the orbit degenerates to a single state
         return LN3, 0.0
-
-    def g(theta: float) -> float:
-        return _theta0_curvature(z) if theta == 0.0 else _theta_slope(alpha, beta, theta)
-
-    lo, hi = float(_SCAN[max(i - 1, 0)]), float(_SCAN[min(i + 1, _SCAN.size - 1)])
-    theta = 0.0 if lo == 0.0 and g(0.0) >= 0.0 else _bisect(g, lo, hi)
+    k = _theta0_curvature(z)
+    theta = 0.0
+    if k < 0.0:
+        theta = _bisect(lambda t: k if t == 0.0 else _theta_slope(alpha, beta, t), 0.0, math.pi / 4.0)
     return _output_entropy(alpha, beta, theta), theta
-
-
-def min_pure_output_entropy(z: float):
-    """Minimum over theta of the output entropy at fixed z.
-
-    Returns (value, theta_min) with theta_min in [0, pi/6] up to the last
-    bit.  The search scans 256 equally spaced angles on [0, pi/3] and
-    refines the best one by hull._bisect on the analytic slope _theta_slope
-    between its two neighbours; theta_min = 0 where the theta-curvature at
-    0 is not negative.  This is the one-z call of _minimize_theta, so it
-    equals curve_records' epsilon and theta_min bit for bit.  Raises
-    ValueError when the slope does not change sign on the bracket.
-    """
-    return _minimize_theta([check_z(z)])[0]
 
 
 def _theta0_curvature(z: float) -> float:
@@ -209,20 +162,14 @@ def lower_tangent_z() -> float:
     return tangent_from_point(theta0_entropy, Z_MIN, LN2, (-0.45, -0.30), df=_theta0_slope)
 
 
-@lru_cache(maxsize=1)
-def _curve_params():
-    zstar = lower_tangent_z()
-    return zstar, theta0_entropy(zstar)
-
-
 def _piece(z: float):
     """The curve's piece at a checked z as (region, points): it mixes the
     orbits of the states at (z_end, theta) of its points (weight, z_end,
     theta, value), with weights summing to 1 and output entropies value."""
-    zstar, s_star = _curve_params()
+    zstar = lower_tangent_z()
     if z < zstar:
         p = (zstar - z) / (zstar - Z_MIN)
-        return REGION_LOWER_LINEAR, ((p, Z_MIN, math.pi / 6.0, LN2), (1.0 - p, zstar, 0.0, s_star))
+        return REGION_LOWER_LINEAR, ((p, Z_MIN, math.pi / 6.0, LN2), (1.0 - p, zstar, 0.0, theta0_entropy(zstar)))
     if z <= UPPER_KNEE:
         return REGION_ROOF, ((1.0, z, 0.0, theta0_entropy(z)),)
     p = (Z_MAX - z) / (Z_MAX - UPPER_KNEE)
@@ -235,20 +182,16 @@ def entanglement_entropy(z: float) -> float:
     return sum(w * v for w, _, _, v in points)
 
 
-def curve_records(zs) -> list[EDCurveRecord]:
-    """curve_record of each z of zs, in order: epsilon and theta_min from
-    _minimize_theta, which scans SCAN_BLOCK z at a time."""
-    zs = [check_z(z) for z in zs]
-    records = []
-    for z, minimum in zip(zs, _minimize_theta(zs)):
-        region, points = _piece(z)
-        records.append(EDCurveRecord(z, *minimum, sum(w * v for w, _, _, v in points), region))
-    return records
-
-
 def curve_record(z: float) -> EDCurveRecord:
     """Full per-z record: epsilon, minimizing angle, envelope value, region."""
-    return curve_records([z])[0]
+    z = check_z(z)
+    region, points = _piece(z)
+    return EDCurveRecord(z, *min_pure_output_entropy(z), sum(w * v for w, _, _, v in points), region)
+
+
+def curve_records(zs) -> list[EDCurveRecord]:
+    """curve_record of each z of zs, in order."""
+    return [curve_record(z) for z in zs]
 
 
 _SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
@@ -321,7 +264,10 @@ def curve_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3)
         raise ValueError("need z_min < z_max")
     check_z(z_min)
     check_z(z_max)
-    count = int(math.floor((z_max - z_min) / z_step + 1e-9)) + 1
+    steps = (z_max - z_min) / z_step + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"z_step = {z_step!r} is too fine for [{z_min!r}, {z_max!r}]")
+    count = int(math.floor(steps)) + 1
     zs = z_min + z_step * np.arange(count)
     zs = np.clip(zs, Z_MIN, Z_MAX)
     return zs

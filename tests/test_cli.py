@@ -90,10 +90,12 @@ def test_ed_curve_non_finite_step_is_usage_error(capsys, step):
 
 
 def test_ed_curve_step_too_fine_to_allocate_is_usage_error(capsys):
-    # 1.5e12 grid points: numpy refuses the allocation at once
-    code, out, err = _run(capsys, ["ed-curve", "--z-step", "1e-12"])
-    assert code == EXIT_USAGE and out == ""
-    assert err.startswith("error: ")
+    # 1e-12 asks for 1.5e12 grid points, which numpy refuses at once; at
+    # 5e-324 the point count overflows and curve_grid raises before allocating
+    for step in ("1e-12", "5e-324"):
+        code, out, err = _run(capsys, ["ed-curve", "--z-step", step])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ")
 
 
 def test_min_output_small_dimension(capsys):

@@ -202,7 +202,11 @@ def test_lagrange_roots_residuals_random():
 def test_lagrange_roots_rejects_zero_lambda():
     with pytest.raises(ValueError):
         lagrange_roots(0.0, 1.0)
-    for lam, mu in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf)):
+    # from (1.0, 1420.0) on: zeta is subnormal (its roots overflow to +-inf),
+    # zeta underflows to 0, exp(-mu/2) overflows, and a normal zeta whose
+    # roots overflow
+    bad = ((math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf))
+    for lam, mu in bad + ((1.0, 1420.0), (1.0, 1489.0), (1.0, -1420.0), (1e10, 1420.0)):
         with pytest.raises(ValueError):
             lagrange_roots(lam, mu)
 

@@ -10,8 +10,6 @@ from diagmap.symmetric_curve import (
     REGION_LOWER_LINEAR,
     REGION_ROOF,
     REGION_UPPER_LINEAR,
-    SCAN_BLOCK,
-    THETA_PERIOD,
     UPPER_KNEE,
     _alpha_beta,
     _orbit,
@@ -126,17 +124,17 @@ def test_min_entropy_examples():
 
 
 def test_min_entropy_agrees_with_direct_scan():
-    # independent check: dense scan over the full period
-    g = Generator(Philox(key=np.array([31, 0], dtype=np.uint64)))
-    for _ in range(10):
-        z = float(g.uniform(-0.5, 1.0))
-        value, _ = min_pure_output_entropy(z)
-        thetas = np.linspace(0.0, 2.0 * math.pi, 20001)
-        best = min(
-            diagonal_output_entropy(pure_to_density(abc_from_theta(z, float(t)).amps))
-            for t in thetas[:: 400]
-        )
-        assert value <= best + 1e-9
+    # independent check on the export grid: no angle of a dense scan over
+    # the fundamental period [0, pi/3] beats the curvature-decided minimum
+    thetas = np.linspace(0.0, math.pi / 3.0, 4097)
+    for z in curve_grid():
+        value, _ = min_pure_output_entropy(float(z))
+        alpha, beta = math.sqrt(2.0 * z + 1.0), math.sqrt(1.0 - z)
+        # the amplitudes are (alpha + 2 beta cos(theta + 2 pi k / 3)) / 3, k = 0, 1, 2
+        amps = (alpha + 2.0 * beta * np.cos(thetas + np.array([[0.0], [1.0], [2.0]]) * (2.0 * math.pi / 3.0))) / 3.0
+        p = amps * amps
+        best = np.min(-np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=0))
+        assert value <= best + 1e-15
 
 
 def test_min_entropy_matches_theta0_on_roof_region():
@@ -173,7 +171,7 @@ def test_theta_slope_matches_finite_differences():
     g = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
     for _ in range(200):
         alpha, beta = _alpha_beta(float(g.uniform(-0.5, 1.0)))
-        theta = float(g.uniform(0.01, THETA_PERIOD - 0.01))
+        theta = float(g.uniform(0.01, math.pi / 3.0 - 0.01))
         h = 1e-6
         fd = (_output_entropy(alpha, beta, theta + h) - _output_entropy(alpha, beta, theta - h)) / (2.0 * h)
         assert _theta_slope(alpha, beta, theta) == pytest.approx(fd, abs=1e-8)
@@ -182,8 +180,8 @@ def test_theta_slope_matches_finite_differences():
 
 
 def test_theta_min_is_zero_next_to_z_equal_1():
-    # the scan cannot resolve the angle dependence, of order (1 - z)^1.5,
-    # within ~1e-10 of z = 1: ties go to theta = 0, which the curvature confirms
+    # the theta-curvature at 0 stays positive up to z = 1, so theta_min = 0
+    # where the angle dependence, of order (1 - z)^1.5, is below round-off
     z = 1.0
     for _ in range(1000):
         z = float(np.nextafter(z, 0.0))
@@ -255,16 +253,16 @@ def _bits(records):
     return [(r.region, *(float(v).hex() for v in (r.z, r.epsilon, r.theta_min, r.ed))) for r in records]
 
 
-def test_curve_records_do_not_depend_on_the_block():
-    # a z computed alone, inside a block of SCAN_BLOCK or next to a block
-    # boundary gives the same record, bit for bit
+def test_curve_records_are_curve_record_of_each_z():
+    # a z computed alone or in any position of a list gives the same
+    # record, bit for bit
     g = Generator(Philox(key=np.array([43, 0], dtype=np.uint64)))
     zs = [-0.5, lower_tangent_z(), theta_transition(), UPPER_KNEE, 1.0, 0.0, -0.45]
     zs += [float(z) for z in g.uniform(-0.5, 1.0, 93)]
     alone = _bits(curve_record(z) for z in zs)
     assert [(r[2], r[3]) for r in alone] == [tuple(float(v).hex() for v in min_pure_output_entropy(z)) for z in zs]
     assert _bits(curve_records(zs)) == alone
-    for shift in (1, SCAN_BLOCK - 3, 2 * SCAN_BLOCK + 1):
+    for shift in (1, 29, 65):
         assert _bits(curve_records(zs[shift:] + zs[:shift])) == alone[shift:] + alone[:shift]
     assert curve_records([]) == []
 
