@@ -12,8 +12,7 @@ import numpy as np
 NEG_CLAMP = 1e-12
 SUM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
-# The floor of every logarithm of a squared modulus: eta_array reads entries
-# at or below TINY as zeros, and the searches take the log at max(s, TINY).
+# the floor of every logarithm of a squared modulus (floored_log)
 TINY = 1e-300
 
 LN2 = math.log(2.0)
@@ -35,6 +34,11 @@ def eta(x: float) -> float:
     return -x * math.log(x)
 
 
+def floored_log(x: np.ndarray) -> np.ndarray:
+    """log x, 0 at or below TINY or at NaN: eta_array's and the searches' log."""
+    return np.log(x, out=np.zeros(x.shape), where=x > TINY)
+
+
 def eta_array(x: np.ndarray) -> np.ndarray:
     """Vectorized -x*log(x) with eta(0) = 0. No domain validation.
 
@@ -42,8 +46,7 @@ def eta_array(x: np.ndarray) -> np.ndarray:
     give a signed zero; NaN propagates.
     """
     x = np.asarray(x, dtype=float)
-    lg = np.log(x, out=np.zeros(x.shape), where=x > TINY)
-    return -x * lg
+    return -x * floored_log(x)
 
 
 def clamp_probabilities(p) -> np.ndarray:

@@ -172,7 +172,6 @@ def brute_force_min_face(N: int, restarts: int, seed: int = 0):
         y = stream_rng(seed, k).standard_normal(N - 1)
         Y[k] = y / np.linalg.norm(y)
     B = zero_sum_basis(N).T
-    value, egrad = sphere_functions(B)
-    W, f, _, _ = stiefel_bfgs(Y[:, :, None], value, egrad)
+    W, f, _, _ = stiefel_bfgs(Y[:, :, None], sphere_functions(B))
     best = int(np.argmin(f))
     return float(f[best]), B @ W[best, :, 0]

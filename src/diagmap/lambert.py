@@ -16,6 +16,9 @@ _BRANCH_POINT_ROUNDING = -1.2428753672788363e-17
 
 _MAX_ITER = 30
 _STEP_TOL = 1e-15
+# Below this |x| exp(W-1(x)) = x / W-1(x) nears the subnormal range and loses
+# bits (at x = -5e-324 it is 0), so W-1 is refined on w + log(-w) = log(-x).
+_LOG_FORM_BELOW = 1e-300
 # Below this |p| the series through p^8 is within 1.2e-16 relative of W;
 # beyond it Halley's steps, round-off of relative size eps/|p|, refine the
 # series start.
@@ -51,14 +54,15 @@ def _branch_series(p: float) -> float:
     return w
 
 
-def _halley(x: float, w: float) -> float:
+def _halley(x: float, w: float, log_form: bool = False) -> float:
     last = math.inf
     for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        dw = f / denom
+        if log_form:  # Newton on w + log(-w) = log(-x), which takes no exp
+            dw = (w + math.log(-w) - math.log(-x)) / (1.0 + 1.0 / w)
+        else:
+            ew = math.exp(w)
+            f = w * ew - x
+            dw = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)))
         if not abs(dw) < last:
             # a step no shorter than the last is round-off, which can
             # alternate between two neighbouring points: keep this one
@@ -110,4 +114,4 @@ def lambert_wm1(x: float) -> float:
     else:
         l1 = math.log(-x)
         w = l1 - math.log(-l1)
-    return _halley(x, w)
+    return _halley(x, w, x > -_LOG_FORM_BELOW)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import TINY, eta_array
+from .entropy import floored_log
 from .linesearch import _retract, check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
 from .states import Decomposition, check_density_matrix
 
@@ -106,35 +106,24 @@ def _check_orthonormal(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _row_entropy_parts(sq: np.ndarray) -> np.ndarray:
-    # sum_i eta(|v_i|^2) - eta(|v|^2) for each row: the weighted output
-    # entropy contribution p * S_D(v/|v|) of an unnormalized vector v
-    return eta_array(sq).sum(axis=-1) - eta_array(sq.sum(axis=-1))
-
-
-def _objective(T: np.ndarray) -> np.ndarray:
+def _entropy_parts(T: np.ndarray):
+    """The weighted output entropy of the unnormalized members, the rows of T,
+    and Y = T (log rownorm^2 - log |T|^2), half its gradient in T."""
     sq = (T * T.conj()).real
-    return _row_entropy_parts(sq).sum(axis=-1)
-
-
-def _half_gradient(T: np.ndarray) -> np.ndarray:
-    """Y = T (log rownorm^2 - log |T|^2), half the objective's gradient in T;
-    an entry of T at zero gives zero."""
-    sq = np.maximum((T * T.conj()).real, TINY)
-    return T * (np.log(sq.sum(axis=-1, keepdims=True)) - np.log(sq))
+    rn = sq.sum(axis=-1)
+    lg, lr = floored_log(sq), floored_log(rn)
+    return (rn * lr - (sq * lg).sum(axis=-1)).sum(axis=-1), T * (lr[..., None] - lg)
 
 
 def _polish_functions(M):
-    """The polish's objective of W, through T = W M^T, and its Euclidean
-    gradient G_T conj(M), where G_T = 2 _half_gradient(T)."""
+    """funcs(W) of stiefel_bfgs for the polish: the weighted output entropy
+    of T = W M^T and its Euclidean gradient 2 Y conj(M) (_entropy_parts)."""
 
-    def value(W):
-        return _objective(W @ M.T)
+    def funcs(W):
+        f, Y = _entropy_parts(W @ M.T)
+        return f, Y @ (2.0 * M.conj())
 
-    def egrad(W):
-        return np.einsum("bjk,kl->bjl", 2.0 * _half_gradient(W @ M.T), M.conj())
-
-    return value, egrad
+    return funcs
 
 
 def _face_copies(C, B):
@@ -153,13 +142,13 @@ def _price(T, M, g):
     Bc prices lowest against the decomposition T, and its price h.
 
     The KKT multiplier of T in the range is X_r = B^H (Y^T conj(T)) B / lam,
-    Hermitian part, Y = _half_gradient(T), lam the eigenvalues, and h is
+    Hermitian part, Y of _entropy_parts(T), lam the eigenvalues, and h is
     sphere_functions(B) less c^H X_r c.  PRICE_SCREEN points drawn from g,
     their _face_copies and the members are scored, and the best
     PRICE_STARTS are polished by stiefel_bfgs."""
     scale = np.linalg.norm(M, axis=0)
     B = M / scale
-    X = np.einsum("ik,ji,jl,lm->km", B.conj(), _half_gradient(T), T.conj(), B) / scale**2
+    X = np.einsum("ik,ji,jl,lm->km", B.conj(), _entropy_parts(T)[1], T.conj(), B) / scale**2
     X = 0.5 * (X + X.conj().T)
     raw = g.standard_normal((PRICE_SCREEN, B.shape[1]))
     if np.iscomplexobj(M):
@@ -168,16 +157,15 @@ def _price(T, M, g):
     C = np.concatenate([raw, _face_copies(raw, B), np.einsum("ij,ki->kj", B.conj(), T)])
     norm = np.linalg.norm(C, axis=1)
     C = C[norm > RANK_TOL] / norm[norm > RANK_TOL, None]
-    entropy, entropy_grad = sphere_functions(B)
+    entropy = sphere_functions(B)
 
-    def value(C):
-        return entropy(C) - np.einsum("bi,ij,bj->b", C[:, :, 0].conj(), X, C[:, :, 0]).real
+    def funcs(C):
+        f, G = entropy(C)
+        XC = np.einsum("ij,bjk->bik", X, C)
+        return f - np.einsum("bik,bik->b", C.conj(), XC).real, G - 2.0 * XC
 
-    def egrad(C):
-        return entropy_grad(C) - 2.0 * np.einsum("ij,bjk->bik", X, C)
-
-    starts = C[np.argsort(value(C[:, :, None]), kind="stable")[:PRICE_STARTS]]
-    C, h, _, _ = stiefel_bfgs(starts[:, :, None], value, egrad)
+    starts = C[np.argsort(funcs(C[:, :, None])[0], kind="stable")[:PRICE_STARTS]]
+    C, h, _, _ = stiefel_bfgs(starts[:, :, None], funcs)
     best = int(np.argmin(h))
     return float(h[best]), C[best, :, 0]
 
@@ -193,8 +181,7 @@ def _starts(M, m, restarts, seed, extra_inits):
         raw = g.standard_normal((m, r))
         if np.iscomplexobj(M):
             raw = raw + 1j * g.standard_normal((m, r))
-        Q, _ = np.linalg.qr(raw)
-        inits.append(Q)
+        inits.append(np.linalg.qr(raw)[0])
     for U in extra_inits or ():
         U = np.asarray(U).conj()
         if U.shape != (m, r):
@@ -213,8 +200,8 @@ def _search(omega, m, restarts, seed, extra_inits, max_sweeps: int):
         m = r * r if np.iscomplexobj(M) else r * (r + 1) // 2
     if not r <= m <= N * N:
         raise ValueError(f"decomposition length m={m} outside [{r}, {N * N}]")
-    value, egrad = _polish_functions(M)
-    W, f, sweeps, capped = stiefel_bfgs(_starts(M, m, restarts, seed, extra_inits), value, egrad, max_sweeps)
+    funcs = _polish_functions(M)
+    W, f, sweeps, capped = stiefel_bfgs(_starts(M, m, restarts, seed, extra_inits), funcs, max_sweeps)
     best = int(np.argmin(f))
     w, fw, capped, insertions, g = W[best : best + 1], f[best], capped[best], 0, None
     while not capped and insertions < INSERTIONS:
@@ -225,8 +212,7 @@ def _search(omega, m, restarts, seed, extra_inits, max_sweeps: int):
             break
         # the member sqrt(EPS) Bc is the row sqrt(EPS) c / sqrt(lam) of W
         row = math.sqrt(EPS) * c / np.linalg.norm(M, axis=0)
-        wn, fn, steps, cn = stiefel_bfgs(_retract(np.concatenate([w, row[None, None]], axis=1)), value, egrad,
-                                         max_sweeps)
+        wn, fn, steps, cn = stiefel_bfgs(_retract(np.concatenate([w, row[None, None]], axis=1)), funcs, max_sweeps)
         sweeps += steps
         if not fn[0] < fw:  # an insertion that does not lower the value is dropped
             break

@@ -283,18 +283,18 @@ def test_brute_force_matches_closed_form_small():
 def _sphere_search(B, C):
     """The engine on linesearch.sphere_functions(B) from the unit rows of C:
     the states Bc and the values it ends at."""
-    value, egrad = linesearch.sphere_functions(B)
-    W, f, _, _ = linesearch.stiefel_bfgs(C[:, :, None], value, egrad)
-    return np.einsum("ij,bj->bi", B, W[:, :, 0]), f, value(C[:, :, None])
+    funcs = linesearch.sphere_functions(B)
+    W, f, _, _ = linesearch.stiefel_bfgs(C[:, :, None], funcs)
+    return np.einsum("ij,bj->bi", B, W[:, :, 0]), f, funcs(C[:, :, None])[0]
 
 
 def _unit_rows(Y):
     return Y / np.linalg.norm(Y, axis=1, keepdims=True)
 
 
-def _zero_sum_case(n):
+def _zero_sum_case(n, rows=40):
     g = Generator(Philox(key=np.array([57, n], dtype=np.uint64)))
-    return zero_sum_basis(n).T, _unit_rows(g.standard_normal((40, n - 1)))
+    return zero_sum_basis(n).T, _unit_rows(g.standard_normal((rows, n - 1)))
 
 
 def _eigenbasis_case():
@@ -305,17 +305,24 @@ def _eigenbasis_case():
 
 
 @pytest.mark.parametrize(
-    "B, starts",
-    [_zero_sum_case(5), _zero_sum_case(7), _zero_sum_case(12), _eigenbasis_case()],
-    ids=["5", "7", "12", "complex"],
+    "B, starts, every",
+    [
+        (*_zero_sum_case(5), 1),
+        (*_zero_sum_case(7), 1),
+        (*_zero_sum_case(12), 1),
+        (*_eigenbasis_case(), 1),
+        (*_zero_sum_case(12, 600), 25),
+    ],
+    ids=["5", "7", "12", "complex", "12-600-rows"],
 )
-def test_descent_batch_matches_rows_one_at_a_time(B, starts):
-    # the face search runs the kernel on the zero-sum basis, the pricing on
-    # the complex eigenbasis of a state
+def test_descent_batch_matches_rows_one_at_a_time(B, starts, every):
+    # the face search runs the kernel on the zero-sum basis, at N = 12 on 600
+    # rows, the pricing on the complex eigenbasis of a state; every row
+    # alone, or every 25th of the 600, ends where it ends in the batch
     A_batch, f_batch, start = _sphere_search(B, starts)
-    singles = [_sphere_search(B, starts[k : k + 1]) for k in range(len(starts))]
-    assert np.array_equal(A_batch, np.vstack([A for A, _, _ in singles]))
-    assert np.array_equal(f_batch, np.hstack([f for _, f, _ in singles]))
+    singles = [_sphere_search(B, starts[k : k + 1]) for k in range(0, len(starts), every)]
+    assert np.array_equal(A_batch[::every], np.vstack([A for A, _, _ in singles]))
+    assert np.array_equal(f_batch[::every], np.hstack([f for _, f, _ in singles]))
     assert np.all(f_batch < start)
     # every returned row stays a unit vector, and a zero-sum one on the face
     assert np.max(np.abs(np.linalg.norm(A_batch, axis=1) - 1.0)) < 1e-14

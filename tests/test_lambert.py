@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -93,6 +94,20 @@ def test_wm1_identity_residual():
         w = lambert_wm1(float(x))
         assert w <= -1.0 + 1e-12
         assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+
+
+# -1e-280 ... -1e-323, then the smallest subnormals 5e-324 ... 4e-323
+TINY_XS = [float(f"-1e-{k}") for k in range(280, 324)] + [-j * 5e-324 for j in range(1, 9)]
+
+
+def test_wm1_at_tiny_and_subnormal_arguments_against_mpmath():
+    # once exp(w) = x / w nears the subnormal range, Halley's steps on
+    # w exp(w) = x lose bits (1.8e-6 relative at -1e-318, 4.0e-3 at
+    # -1.5e-323) and divide by zero at -5e-324
+    with mpmath.workdps(40):
+        for x in TINY_XS:
+            ref = mpmath.lambertw(mpmath.mpf(x), -1).real
+            assert float(abs((lambert_wm1(x) - ref) / ref)) <= 1e-14, x
 
 
 def test_branch_monotonicity():

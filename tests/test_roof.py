@@ -322,19 +322,19 @@ def test_polish_batch_matches_restarts_one_at_a_time(complex_moves):
     else:
         omega, m = symmetric_state(-0.41).real, 6
     W, M = _random_isometries(omega, m, 5, complex_moves, int(complex_moves))
-    value, egrad = roof._polish_functions(M)
-    f = value(W)
-    Wb, fb, steps, capped = linesearch.stiefel_bfgs(W, value, egrad)
+    funcs = roof._polish_functions(M)
+    f = funcs(W)[0]
+    Wb, fb, steps, capped = linesearch.stiefel_bfgs(W, funcs)
     assert 0 < steps < linesearch.POLISH_ITERS and not capped.any()
     for i in range(len(f)):
-        Ws, fs, _, _ = linesearch.stiefel_bfgs(W[i : i + 1], value, egrad)
+        Ws, fs, _, _ = linesearch.stiefel_bfgs(W[i : i + 1], funcs)
         assert np.array_equal(Ws[0], Wb[i]) and fs[0] == fb[i]
     # the polish never ends above its start, keeps W on the Stiefel manifold
     # and f in step with it
     assert np.all(fb <= f) and np.any(fb < f - 1e-9)
     gram = np.einsum("bji,bjl->bil", Wb.conj(), Wb)
     assert np.max(np.abs(gram - np.eye(W.shape[2]))) <= 1e-12
-    assert np.array_equal(fb, value(Wb))
+    assert np.array_equal(fb, funcs(Wb)[0])
 
 
 @pytest.mark.parametrize("complex_moves", [False, True])
@@ -342,13 +342,13 @@ def test_gradient_matches_finite_differences(complex_moves):
     g = Generator(Philox(key=np.array([59, 1], dtype=np.uint64)))
     omega = _random_density(g) if complex_moves else symmetric_state(-0.41).real
     W, M = _random_isometries(omega, 4, 2, complex_moves, 2)
-    value, egrad = roof._polish_functions(M)
-    G = linesearch._project(W, egrad(W))
+    funcs = roof._polish_functions(M)
+    G = linesearch._project(W, funcs(W)[1])
     noise = g.standard_normal(W.shape) + (1j * g.standard_normal(W.shape) if complex_moves else 0.0)
     D = linesearch._project(W, noise)
     h = 1e-6
     plus, minus = linesearch._retract(W + h * D), linesearch._retract(W - h * D)
-    slope = (value(plus) - value(minus)) / (2.0 * h)
+    slope = (funcs(plus)[0] - funcs(minus)[0]) / (2.0 * h)
     assert np.max(np.abs(slope - linesearch._inner(G, D))) < 1e-7
 
 
@@ -384,8 +384,7 @@ def _stalled_search():
     1.58e-6 above E."""
     z, seed = -0.41, 1207409298
     M = roof._eigen_factor(symmetric_state(z).real)
-    value, egrad = roof._polish_functions(M)
-    W, f, _, capped = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, seed, None), value, egrad, 150)
+    W, f, _, capped = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, seed, None), roof._polish_functions(M), 150)
     best = int(np.argmin(f))
     assert not capped[best]
     assert 1.5e-6 < f[best] - entanglement_entropy(z) < 1.7e-6
