@@ -37,7 +37,6 @@ from .symmetric_curve import (
     ThetaPoint,
     abc_from_theta,
     curve_record,
-    curve_records,
     entanglement_entropy,
     lower_tangent_z,
     min_pure_output_entropy,
@@ -62,7 +61,6 @@ __all__ = [
     "abc_from_theta",
     "brute_force_min_face",
     "curve_record",
-    "curve_records",
     "decomposition_from_isometry",
     "diagonal_channel",
     "diagonal_output_entropy",

@@ -85,7 +85,7 @@ def cmd_ed_curve(args) -> int:
         return EXIT_USAGE
     scale = _unit_scale(args.units)
     lines = ["z,epsilon,theta_min,ed,region"]
-    for rec in sc.curve_records(zs):
+    for rec in map(sc.curve_record, zs):
         lines.append(
             ",".join(
                 (

@@ -119,15 +119,13 @@ def lagrange_roots(lam: float, mu: float) -> StationaryRoots:
         zeta = math.inf
     if not sys.float_info.min <= zeta < math.inf:  # a subnormal zeta has lost bits
         raise ValueError(f"zeta = |lam| exp(-mu/2)/2 = {zeta!r} at lam={lam!r}, mu={mu!r} is not a normal positive float")
-    x1 = lam / (2.0 * lambert_w0(zeta))
-    x2 = x3 = None
+    roots = [lam / (2.0 * lambert_w0(zeta))]
     if -zeta >= BRANCH_POINT:
-        x2 = lam / (2.0 * lambert_w0(-zeta))
-        x3 = lam / (2.0 * lambert_wm1(-zeta))
-    out = StationaryRoots(lam=lam, mu=mu, zeta=zeta, x1=x1, x2=x2, x3=x3)
-    if not all(x != 0.0 and math.isfinite(x) for x in out.roots):
-        raise ValueError(f"a root at lam={lam!r}, mu={mu!r} is zero or not finite: {out.roots!r}")
-    return out
+        roots += [lam / (2.0 * lambert_w0(-zeta)), lam / (2.0 * lambert_wm1(-zeta))]
+    for x in roots:
+        if x == 0.0 or not math.isfinite(x):
+            raise ValueError(f"a root at lam={lam!r}, mu={mu!r} is zero or not finite: {roots!r}")
+    return StationaryRoots(lam, mu, zeta, *roots)
 
 
 def root_square_sum(zeta: float) -> float:
@@ -160,17 +158,16 @@ def zero_sum_basis(N: int) -> np.ndarray:
 
 def brute_force_min_face(N: int, restarts: int, seed: int = 0):
     """Minimize the output entropy over the zero-sum unit sphere from random
-    restarts, each drawn by a sub-seeded counter generator, by stiefel_bfgs
+    restarts, the rows of one draw of stream 0 of the seed (numpy fills them
+    in order, so restart k's start does not depend on the count), by stiefel_bfgs
     on sphere_functions(B), B the zero_sum_basis as columns: it moves the
     reduced (in-hyperplane) coordinates y of a = By on their unit sphere,
     so both constraints hold at every step.  Returns (value, argmin)."""
     N = _check_dimension(N)
     restarts = check_count("restarts", restarts)
     seed = check_seed(seed)
-    Y = np.empty((restarts, N - 1))
-    for k in range(restarts):
-        y = stream_rng(seed, k).standard_normal(N - 1)
-        Y[k] = y / np.linalg.norm(y)
+    Y = stream_rng(seed, 0).standard_normal((restarts, N - 1))
+    Y /= np.sqrt(Y[:, None, :] @ Y[:, :, None])[:, 0]  # sqrt(y @ y) per row, as np.linalg.norm(y)
     B = zero_sum_basis(N).T
     W, f, _, _ = stiefel_bfgs(Y[:, :, None], sphere_functions(B))
     best = int(np.argmin(f))

@@ -2,10 +2,13 @@
 
 W(x) solves w * exp(w) = x.  For x >= -1/e the principal branch W0 takes
 values >= -1; for -1/e <= x < 0 the secondary branch W-1 takes values <= -1.
-Initial guesses (branch-point series near -1/e, log-based asymptotics
-elsewhere) are refined by Halley iteration.  The branch-point series is
-that of Corless et al., "On the Lambert W function", Adv. Comput. Math. 5,
-329 (1996).
+Next to -1/e the branch-point series of Corless et al., Adv. Comput. Math.
+5, 329 (1996), is W; farther out (W0 for x < -0.25, W-1 for |p| <= 0.6) it
+starts Halley's iteration.  Elsewhere two exp-free steps of Fritsch, Shafer
+& Crowley, Commun. ACM 16, 123 (1973), from Winitzki's start (W0) or the
+asymptotic series (W-1) reach double precision with no convergence loop
+(Veberič, Comput. Phys. Commun. 183, 2622 (2012)), also where w exp(w)
+overflows or exp(w) is subnormal.
 """
 
 import math
@@ -16,13 +19,15 @@ _BRANCH_POINT_ROUNDING = -1.2428753672788363e-17
 
 _MAX_ITER = 30
 _STEP_TOL = 1e-15
-# Below this |x| exp(W-1(x)) = x / W-1(x) nears the subnormal range and loses
-# bits (at x = -5e-324 it is 0), so W-1 is refined on w + log(-w) = log(-x).
-_LOG_FORM_BELOW = 1e-300
 # Below this |p| the series through p^8 is within 1.2e-16 relative of W;
 # beyond it Halley's steps, round-off of relative size eps/|p|, refine the
 # series start.
 _SERIES_CUTOFF = 3e-2
+# beyond this |p| (x > -0.302) W-1's asymptotic start is close enough for Fritsch
+_FRITSCH_P = 0.6
+# fdlibm's ln 2 = _LN2_HI + _LN2_LO: k * _LN2_HI is exact for |k| < 2^21
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 def _branch_p(x: float) -> float:
@@ -54,15 +59,12 @@ def _branch_series(p: float) -> float:
     return w
 
 
-def _halley(x: float, w: float, log_form: bool = False) -> float:
+def _halley(x: float, w: float) -> float:
     last = math.inf
     for _ in range(_MAX_ITER):
-        if log_form:  # Newton on w + log(-w) = log(-x), which takes no exp
-            dw = (w + math.log(-w) - math.log(-x)) / (1.0 + 1.0 / w)
-        else:
-            ew = math.exp(w)
-            f = w * ew - x
-            dw = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)))
+        ew = math.exp(w)
+        f = w * ew - x
+        dw = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)))
         if not abs(dw) < last:
             # a step no shorter than the last is round-off, which can
             # alternate between two neighbouring points: keep this one
@@ -74,6 +76,28 @@ def _halley(x: float, w: float, log_form: bool = False) -> float:
     return w
 
 
+def _fritsch(w: float, z: float) -> float:
+    """w after one Fritsch step, given its z = log(x / w) - w (0 at W(x))."""
+    q = 2.0 * (1.0 + w) * (1.0 + w + 2.0 * z / 3.0)
+    return w + w * (z / (1.0 + w) * (q - z) / (q - 2.0 * z))
+
+
+def _accurate_residual(x: float, w: float) -> float:
+    """z = log(x / w) - w to about eps, not eps (1 + |w|): log(s) - (w - k ln 2)
+    with k the integer nearest w / ln 2 and s = x 2^-k / w in [0.7, 1.4],
+    plus the rounding of s, from Dekker's exact product s w = p + e."""
+    k = math.floor(w / _LN2_HI + 0.5)
+    xk = math.ldexp(x, -k)
+    s = xk / w
+    p = s * w
+    c = 134217729.0 * s  # Veltkamp's split into 26-bit halves
+    sh = c - (c - s)
+    c = 134217729.0 * w
+    wh = c - (c - w)
+    e = ((sh * wh - p) + sh * (w - wh) + (s - sh) * wh) + (s - sh) * (w - wh)
+    return math.log(s) + ((xk - p) - e) / xk - ((w - k * _LN2_HI) - k * _LN2_LO)
+
+
 def lambert_w0(x: float) -> float:
     """Principal real branch W0(x), defined for finite x >= -1/e."""
     if not BRANCH_POINT <= x < math.inf:
@@ -83,18 +107,16 @@ def lambert_w0(x: float) -> float:
             raise ValueError(f"lambert_w0 argument {x!r} outside [-1/e, inf)")
     if x == 0.0:
         return 0.0
+    if x >= -0.25:
+        L = math.log1p(x)
+        w = L * (1.0 - math.log1p(L) / (2.0 + L))  # Winitzki's start
+        w = _fritsch(w, math.log(x / w) - w)
+        # the plain z leaves W within 2.2e-16 relative for x > 0, 3.5e-16 below
+        return _fritsch(w, math.log(x / w) - w if x > 0.0 else _accurate_residual(x, w))
     p = _branch_p(x)
     if p < _SERIES_CUTOFF:
         return _branch_series(p)
-    if x < -0.25:
-        w = _branch_series(p)
-    elif x < 2.0:
-        # crude but inside the Halley basin
-        w = math.log1p(x) if x > -0.2 else x
-    else:
-        l1 = math.log(x)
-        w = l1 - math.log(l1)
-    return _halley(x, w)
+    return _halley(x, _branch_series(p))
 
 
 def lambert_wm1(x: float) -> float:
@@ -109,9 +131,11 @@ def lambert_wm1(x: float) -> float:
     p = -_branch_p(x)
     if -p < _SERIES_CUTOFF:
         return _branch_series(p)
-    if x < -0.25:
-        w = _branch_series(p)
-    else:
-        l1 = math.log(-x)
-        w = l1 - math.log(-l1)
-    return _halley(x, w, x > -_LOG_FORM_BELOW)
+    if -p <= _FRITSCH_P:
+        return _halley(x, _branch_series(p))
+    l1 = math.log(-x)
+    l2 = math.log(-l1)
+    w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
+    # log(-x) - log(-w), as x / w = exp(w) would be subnormal or 0 near x = 0
+    w = _fritsch(w, l1 - math.log(-w) - w)
+    return _fritsch(w, _accurate_residual(x, w))

@@ -189,11 +189,6 @@ def curve_record(z: float) -> EDCurveRecord:
     return EDCurveRecord(z, *min_pure_output_entropy(z), sum(w * v for w, _, _, v in points), region)
 
 
-def curve_records(zs) -> list[EDCurveRecord]:
-    """curve_record of each z of zs, in order."""
-    return [curve_record(z) for z in zs]
-
-
 _SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 

@@ -182,7 +182,7 @@ def check_decompositions() -> CheckResult:
 
 def check_curve_hull_agreement() -> CheckResult:
     zs = np.linspace(-0.5, 1.0, 1351)
-    records = sc.curve_records(zs)
+    records = [sc.curve_record(z) for z in zs]
     eps = np.array([r.epsilon for r in records])
     hull = hl.lower_convex_hull(hl.SampledCurve(xs=zs, ys=eps))
     ed = np.array([r.ed for r in records])

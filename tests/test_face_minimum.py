@@ -211,6 +211,14 @@ def test_lagrange_roots_rejects_zero_lambda():
             lagrange_roots(lam, mu)
 
 
+def test_lagrange_roots_at_huge_zeta():
+    # zeta = 1.36e308: W0 once stayed at its start here, 1.3e-5 off, and
+    # x1 came back wrong without an error
+    lam, mu = 1e308, -2.0
+    (x1,) = lagrange_roots(lam, mu).roots
+    assert abs(2.0 * x1 * math.log(x1) - mu * x1 - lam) <= 1e-15 * lam
+
+
 def test_root_square_sum_limits():
     assert root_square_sum(1e-12) == pytest.approx(2.0, abs=1e-9)
     # at the branch point both negative-branch terms equal e^{-2}
@@ -347,6 +355,44 @@ def test_qubit_search_stops_at_once_without_warnings(monkeypatch):
     (W, f, iterations, capped), = runs
     assert iterations == 0 and not capped.any()
     assert np.all(f == value) and value == pytest.approx(LN2, abs=1e-15)
+
+
+def _face_search_draws(monkeypatch, N, restarts, seed):
+    """The starts (reduced coordinates, one row each) that
+    brute_force_min_face hands the engine, and its stream_rng calls."""
+    starts, streams = [], []
+    engine, rng = linesearch.stiefel_bfgs, linesearch.stream_rng
+
+    def recorded(W, *args):
+        starts.append(W[:, :, 0].copy())
+        return engine(W, *args)
+
+    def counted(*args):
+        streams.append(args)
+        return rng(*args)
+
+    monkeypatch.setattr(face_minimum, "stiefel_bfgs", recorded)
+    monkeypatch.setattr(face_minimum, "stream_rng", counted)
+    brute_force_min_face(N, restarts, seed)
+    (Y,) = starts
+    return Y, streams
+
+
+@pytest.mark.parametrize("N, restarts, more, seed", [(2, 3, 5, 0), (7, 20, 350, 4), (12, 1, 600, 9)])
+def test_face_search_draws_every_start_at_once(monkeypatch, N, restarts, more, seed):
+    Y, streams = _face_search_draws(monkeypatch, N, restarts, seed)
+    Y_more, streams_more = _face_search_draws(monkeypatch, N, more, seed)
+    # one generator per search, and restart k's start does not depend on
+    # the number of restarts
+    assert streams == [(seed, 0)] and streams_more == [(seed, 0)]
+    assert Y.shape == (restarts, N - 1) and Y_more.shape == (more, N - 1)
+    assert np.array_equal(Y, Y_more[:restarts])
+    y = linesearch.stream_rng(seed, 0).standard_normal(N - 1)
+    assert np.array_equal(Y[0], y / np.linalg.norm(y))
+    # every start is a unit vector of the zero-sum hyperplane
+    A = Y_more @ zero_sum_basis(N)
+    assert np.max(np.abs(np.linalg.norm(A, axis=1) - 1.0)) < 1e-14
+    assert np.max(np.abs(A.sum(axis=1))) < 1e-14
 
 
 def test_brute_force_deterministic():

@@ -6,7 +6,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap.hull import HullResult, SampledCurve, _bisect, lower_convex_hull, tangent_from_point
-from diagmap.symmetric_curve import _theta0_slope, curve_records, theta0_entropy
+from diagmap.symmetric_curve import _theta0_slope, curve_record, theta0_entropy
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -36,7 +36,7 @@ def test_concave_samples_hull_is_the_chord():
 
 def test_hull_of_sampled_curve_finds_both_linear_regions():
     zs = np.linspace(-0.5, 1.0, 1501)
-    eps = np.array([r.epsilon for r in curve_records(zs)])
+    eps = np.array([curve_record(z).epsilon for z in zs])
     res = lower_convex_hull(SampledCurve(xs=zs, ys=eps))
     # the hull leaves the curve on two runs of samples: the lower chord up
     # to z* and the upper chord from 5/6

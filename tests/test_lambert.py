@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -117,3 +118,64 @@ def test_branch_monotonicity():
     xs = np.linspace(-INV_E + 1e-12, -1e-6, 2000)
     w = np.array([lambert_wm1(float(x)) for x in xs])
     assert np.all(np.diff(w) < 0.0)
+
+
+def test_w0_at_huge_arguments_against_mpmath():
+    # Halley's w exp(w) overflows from x = 2.76e307 on, which once left W0
+    # at its start: 702.6321 at 1e308 against 702.6414
+    with mpmath.workdps(40):
+        for x in [float(f"1e{k}") for k in range(300, 309)] + [sys.float_info.max]:
+            ref = mpmath.lambertw(mpmath.mpf(x)).real
+            assert float(abs((lambert_w0(x) - ref) / ref)) <= 1e-15, x
+
+
+def _doubles(x, count, direction):
+    out = [x]
+    for _ in range(count - 1):
+        out.append(math.nextafter(out[-1], direction))
+    return out
+
+
+def _first_fritsch_wm1_argument():
+    # the least x whose |p| exceeds lambert._FRITSCH_P
+    x = (0.5 * lambert._FRITSCH_P**2 - 1.0) / math.e
+    while lambert._branch_p(x) > lambert._FRITSCH_P:
+        x = math.nextafter(x, -math.inf)
+    while not lambert._branch_p(x) > lambert._FRITSCH_P:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize(
+    "branch, k, first", [(lambert_w0, 0, -0.25), (lambert_wm1, -1, _first_fritsch_wm1_argument())], ids=["w0", "wm1"]
+)
+def test_both_sides_of_each_fritsch_switch(branch, k, first):
+    # 200 consecutive doubles on the Halley side, then 200 from the first
+    # argument that takes Fritsch steps
+    xs = _doubles(math.nextafter(first, -math.inf), 200, -math.inf)[::-1] + _doubles(first, 200, math.inf)
+    ws = np.array([branch(x) for x in xs])
+    with mpmath.workdps(40):
+        for x, w in zip(xs, ws):
+            ref = mpmath.lambertw(mpmath.mpf(x), k).real
+            assert float(abs((w - ref) / ref)) <= 1e-15, x
+    # W moves by one or two ulps from one double to the next, as much as
+    # either method's round-off, so W is strictly monotone on every second
+    # double; from the last Halley value on it never steps back
+    sign = 1.0 if k == 0 else -1.0
+    assert np.all(sign * np.diff(ws[::2]) > 0.0)
+    assert np.all(sign * np.diff(ws[199:]) >= 0.0)
+
+
+def test_fritsch_regions_against_mpmath():
+    # dense seeded grids of the regions that take Fritsch steps; two steps
+    # on the plain z = log(x / w) - w read 3.8e-16 near x = -0.265 (W-1)
+    # and 2.6e-16 near x = -0.248 (W0)
+    g = np.random.default_rng(21)
+    w0_xs = np.concatenate([g.uniform(-0.25, 0.0, 1000), g.uniform(0.0, 10.0, 1000), 10.0 ** g.uniform(-20, 308.2, 1000)])
+    wm1_xs = np.concatenate([g.uniform(-0.3016, -0.2, 1000), -(10.0 ** g.uniform(-323.3, math.log10(0.3016), 1000))])
+    with mpmath.workdps(30):
+        for branch, k, xs in ((lambert_w0, 0, w0_xs), (lambert_wm1, -1, wm1_xs)):
+            for x in map(float, xs):
+                if x != 0.0:
+                    ref = mpmath.lambertw(mpmath.mpf(x), k).real
+                    assert float(abs((branch(x) - ref) / ref)) <= 2.5e-16, x

@@ -19,7 +19,6 @@ from diagmap.symmetric_curve import (
     abc_from_theta,
     curve_grid,
     curve_record,
-    curve_records,
     entanglement_entropy,
     lower_tangent_z,
     min_pure_output_entropy,
@@ -226,7 +225,7 @@ def test_curve_is_hull_of_sampled_minima():
     from diagmap.hull import SampledCurve, lower_convex_hull
 
     zs = np.linspace(-0.5, 1.0, 1351)
-    records = curve_records(zs)
+    records = [curve_record(z) for z in zs]
     eps = np.array([r.epsilon for r in records])
     hull = lower_convex_hull(SampledCurve(xs=zs, ys=eps))
     ed = np.array([r.ed for r in records])
@@ -247,24 +246,6 @@ def test_curve_record_regions():
     assert rec.ed == pytest.approx(LN2, abs=1e-9)
     assert rec.theta_min == pytest.approx(math.pi / 6.0, abs=1e-6)
     assert rec.ed <= rec.epsilon + 1e-9
-
-
-def _bits(records):
-    return [(r.region, *(float(v).hex() for v in (r.z, r.epsilon, r.theta_min, r.ed))) for r in records]
-
-
-def test_curve_records_are_curve_record_of_each_z():
-    # a z computed alone or in any position of a list gives the same
-    # record, bit for bit
-    g = Generator(Philox(key=np.array([43, 0], dtype=np.uint64)))
-    zs = [-0.5, lower_tangent_z(), theta_transition(), UPPER_KNEE, 1.0, 0.0, -0.45]
-    zs += [float(z) for z in g.uniform(-0.5, 1.0, 93)]
-    alone = _bits(curve_record(z) for z in zs)
-    assert [(r[2], r[3]) for r in alone] == [tuple(float(v).hex() for v in min_pure_output_entropy(z)) for z in zs]
-    assert _bits(curve_records(zs)) == alone
-    for shift in (1, 29, 65):
-        assert _bits(curve_records(zs[shift:] + zs[:shift])) == alone[shift:] + alone[:shift]
-    assert curve_records([]) == []
 
 
 def test_curve_grid():
