@@ -1,8 +1,10 @@
 """Lower convex envelope of a sampled 1-D function, plus tangent location
 from an external anchor point (the two operations behind the linear pieces
-of the entanglement curve), and _bisect, the one bisection of the curve
-layer: the tangency point, the angle transition and the minimizing angle."""
+of the entanglement curve), and _bisect, the one root finder of the curve
+layer: bisection for the tangency point and the angle transition,
+safeguarded Newton steps for the minimizing angle."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,30 +59,58 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
     return HullResult(hull_ys=np.interp(xs, hx, hy))
 
 
-def _bisect(g, lo: float, hi: float) -> float:
-    """A zero of g on [lo, hi], lo < hi: an end or a midpoint where g is
-    exactly zero, else, after bisection down to adjacent doubles, the end of
-    the last bracket with the smaller |g|.  Raises ValueError unless g(lo)
-    and g(hi) differ in sign or one is zero (a NaN does not count), and
-    when g is NaN at a midpoint."""
+# Newton steps may fall this many halvings behind bisection before _bisect
+# takes bisection steps to catch up.
+_NEWTON_GRACE = 16
+
+
+def _bisect(g, lo: float, hi: float, dg=None) -> float:
+    """A zero of g on [lo, hi], lo < hi: an end or an iterate where g is
+    exactly zero, else, once the bracket is closed to adjacent doubles, the
+    end of it with the smaller |g|.  Raises ValueError unless g(lo) and g(hi)
+    differ in sign or one is zero (a NaN does not count), and when g is NaN
+    at an iterate.
+
+    Without dg every step bisects.  With dg, the derivative of g, each step
+    after the first is a Newton step from the last iterate, which is an end
+    of the bracket, safeguarded as in rtsafe (Numerical Recipes section 9.4):
+    a step that leaves the bracket, or a zero or NaN derivative, bisects
+    instead, and so does every step while the bracket is wider than
+    bisection, _NEWTON_GRACE steps behind, would have left it.  A step shorter
+    than the spacing of doubles goes to the next double toward the far end
+    instead, so that end closes in once Newton has converged from one side.
+    """
     glo, ghi = g(lo), g(hi)
     if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
         raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: g = {glo!r}, {ghi!r}")
     if 0.0 in (glo, ghi):  # the loop below would bisect away from a zero at lo
         return lo if glo == 0.0 else hi
+    budget = (hi - lo) * 2.0**_NEWTON_GRACE
+    x = None  # the last iterate, where the next Newton step starts
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return lo if abs(glo) <= abs(ghi) else hi
-        gm = g(mid)
+        budget *= 0.5
+        t = mid
+        if x is not None and hi - lo <= budget:
+            dgx = dg(x)
+            step = -gx / dgx if dgx else math.nan
+            nearest = math.nextafter(x, hi if x == lo else lo)
+            newton = nearest if abs(step) < abs(nearest - x) else x + step
+            if lo < newton < hi:
+                t = newton
+        gm = g(t)
         if gm == 0.0:
-            return mid
+            return t
         if np.isnan(gm):
-            raise ValueError(f"g is NaN at {mid!r} inside [{lo!r}, {hi!r}]")
+            raise ValueError(f"g is NaN at {t!r} inside [{lo!r}, {hi!r}]")
         if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
+            lo, glo = t, gm
         else:
-            hi, ghi = mid, gm
+            hi, ghi = t, gm
+        if dg is not None:
+            x, gx = t, gm
 
 
 def tangent_from_point(f, x0: float, f0: float, bracket, *, df) -> float:

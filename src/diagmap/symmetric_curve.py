@@ -110,6 +110,23 @@ def _theta_slope(alpha: float, beta: float, theta: float) -> float:
     return sum(-2.0 * x * dx * (math.log(max(x * x, TINY)) + 1.0) for x, dx in ((a, da), (b, db), (c, dc)))
 
 
+def _theta_curvature(alpha: float, beta: float, theta: float) -> float:
+    """d/dtheta of _theta_slope: an amplitude x adds
+    -2 ((x'^2 + x x'') (log x^2 + 1) + 2 x'^2), with x' as in _theta_slope
+    and a'' = -2 beta cos(theta)/3, b'', c'' = 2 beta cos(theta -+ pi/3)/3,
+    that is x'' = alpha/3 - x.  At theta = 0 it is _theta0_curvature up to
+    round-off, except at z = 0, where b = c = 0 and log b^2 is round-off."""
+    a, b, c = _amplitudes(alpha, beta, theta)
+    da = -2.0 * beta * math.sin(theta) / 3.0
+    db = 2.0 * beta * math.sin(theta - math.pi / 3.0) / 3.0
+    dc = 2.0 * beta * math.sin(theta + math.pi / 3.0) / 3.0
+    third = alpha / 3.0
+    return sum(
+        -2.0 * ((dx * dx + x * (third - x)) * (math.log(max(x * x, TINY)) + 1.0) + 2.0 * dx * dx)
+        for x, dx in ((a, da), (b, db), (c, dc))
+    )
+
+
 def min_pure_output_entropy(z: float):
     """Minimum over theta of the output entropy at fixed z, as (value,
     theta_min) with theta_min in [0, pi/6] up to the last bit.
@@ -117,9 +134,10 @@ def min_pure_output_entropy(z: float):
     theta = 0 is stationary, and it is the minimum wherever the
     theta-curvature there (_theta0_curvature) is not negative: above
     theta_transition.  Below it, theta_min is the one sign change of
-    _theta_slope on (0, pi/3), found by hull._bisect on [0, pi/4]; the
-    bracket ends past pi/6, where at z = -1/2 the slope is zero only up to
-    round-off.  Raises ValueError when the slope keeps its sign there.
+    _theta_slope on (0, pi/3), found by hull._bisect's Newton steps on
+    [0, pi/4] with _theta_curvature as the derivative; the bracket ends past
+    pi/6, where at z = -1/2 the slope is zero only up to round-off.  Raises
+    ValueError when the slope keeps its sign there.
     """
     z = check_z(z)
     alpha, beta = _alpha_beta(z)
@@ -129,7 +147,12 @@ def min_pure_output_entropy(z: float):
     k = _theta0_curvature(z)
     theta = 0.0
     if k < 0.0:
-        theta = _bisect(lambda t: k if t == 0.0 else _theta_slope(alpha, beta, t), 0.0, math.pi / 4.0)
+        theta = _bisect(
+            lambda t: k if t == 0.0 else _theta_slope(alpha, beta, t),
+            0.0,
+            math.pi / 4.0,
+            lambda t: _theta_curvature(alpha, beta, t),
+        )
     return _output_entropy(alpha, beta, theta), theta
 
 
@@ -165,37 +188,44 @@ def lower_tangent_z() -> float:
 def _piece(z: float):
     """The curve's piece at a checked z as (region, points): it mixes the
     orbits of the states at (z_end, theta) of its points (weight, z_end,
-    theta, value), with weights summing to 1 and output entropies value."""
+    theta, value), with weights summing to 1 and output entropies value.
+    A value None is theta0_entropy(z_end), left to _envelope, so that
+    optimal_decomposition does not evaluate it."""
     zstar = lower_tangent_z()
     if z < zstar:
         p = (zstar - z) / (zstar - Z_MIN)
-        return REGION_LOWER_LINEAR, ((p, Z_MIN, math.pi / 6.0, LN2), (1.0 - p, zstar, 0.0, theta0_entropy(zstar)))
+        return REGION_LOWER_LINEAR, ((p, Z_MIN, math.pi / 6.0, LN2), (1.0 - p, zstar, 0.0, None))
     if z <= UPPER_KNEE:
-        return REGION_ROOF, ((1.0, z, 0.0, theta0_entropy(z)),)
+        return REGION_ROOF, ((1.0, z, 0.0, None),)
     p = (Z_MAX - z) / (Z_MAX - UPPER_KNEE)
     return REGION_UPPER_LINEAR, ((p, UPPER_KNEE, 0.0, UPPER_KNEE_VALUE), (1.0 - p, Z_MAX, 0.0, LN3))
+
+
+def _envelope(points) -> float:
+    """The weighted output entropy of a piece's points."""
+    return sum(w * (theta0_entropy(z_end) if v is None else v) for w, z_end, _, v in points)
 
 
 def entanglement_entropy(z: float) -> float:
     """The piecewise closed form for the entanglement entropy at z."""
     _, points = _piece(check_z(z))
-    return sum(w * v for w, _, _, v in points)
+    return _envelope(points)
 
 
 def curve_record(z: float) -> EDCurveRecord:
     """Full per-z record: epsilon, minimizing angle, envelope value, region."""
     z = check_z(z)
     region, points = _piece(z)
-    return EDCurveRecord(z, *min_pure_output_entropy(z), sum(w * v for w, _, _, v in points), region)
+    return EDCurveRecord(z, *min_pure_output_entropy(z), _envelope(points), region)
 
 
 _SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 def _orbit(amps: np.ndarray) -> np.ndarray:
-    """The cyclic shifts of a real amplitude vector, one per row: three
-    states that mix to symmetric_state(ab + bc + ca), or the single state
-    when all three amplitudes are equal."""
+    """The cyclic shifts of an amplitude vector with real entries, one per
+    row: three states that mix to symmetric_state(ab + bc + ca), or the
+    single state when all three amplitudes are equal."""
     if amps[0] == amps[1] == amps[2]:
         return amps[None]
     return amps[_SHIFTS]
@@ -205,14 +235,15 @@ def optimal_decomposition(z: float) -> Decomposition:
     """A decomposition of symmetric_state(z) attaining entanglement_entropy(z):
     the cyclic orbit of each point of z's piece, sharing the point's weight.
     Inside [z*, 5/6] it is the orbit of the theta = 0 state; on the linear
-    pieces it mixes the orbits at the two chord endpoints."""
+    pieces it mixes the orbits at the two chord endpoints.  Each orbit's
+    amplitudes are validated once: its members are permutations of them."""
     _, points = _piece(check_z(z))
     weights, states = [], []
     for w, z_end, theta, _ in points:
-        orbit = _orbit(np.array(_amplitudes(*_alpha_beta(z_end), theta)))
+        orbit = _orbit(check_pure_state(_amplitudes(*_alpha_beta(z_end), theta)))
         if w / len(orbit) > 1e-12:
             weights += [w / len(orbit)] * len(orbit)
-            states += [check_pure_state(v) for v in orbit]
+            states += list(orbit)
     return Decomposition(weights=np.array(weights), states=states)
 
 

@@ -147,7 +147,7 @@ def check_junctions() -> CheckResult:
     return CheckResult(
         "junction values and tangency",
         (
-            Measure("|epsilon(5/6) - knee value|", abs(eps_val - sc.UPPER_KNEE_VALUE), 1e-6),
+            Measure("|epsilon(5/6) - knee value|", abs(eps_val - sc.UPPER_KNEE_VALUE), 2e-15),
             Measure("|knee value - ref|", abs(sc.UPPER_KNEE_VALUE - float(KNEE_VALUE_REF)), 1e-15),
             # the closed form joins its upper chord at the theta = 0 entropy
             Measure("|theta0 entropy(5/6) - knee value|", abs(sc.theta0_entropy(knee) - sc.UPPER_KNEE_VALUE), 1e-10),
@@ -320,7 +320,7 @@ def check_minimizer_states() -> CheckResult:
             Measure("state-count mismatches", miscounts, 0),
             Measure("max |sum|, |norm^2 - 1|", np.max(constraint_errs), 1e-12),
             Measure("max entropy deviation", np.max(entropy_errs), 1e-12),
-            Measure("max stationarity residual", np.max(resids), 1e-8),
+            Measure("max stationarity residual", np.max(resids), 1e-14),
         ),
     )
 
@@ -379,7 +379,7 @@ def check_lambert() -> CheckResult:
     return CheckResult(
         "Lambert branches, stationary roots, branch square sum",
         (
-            Measure("max identity residual, both branches", np.max(identity), 1e-12),
+            Measure("max identity residual, both branches", np.max(identity), 1e-14),
             Measure("max root residual", np.max(root_resids, initial=0.0), 1e-9),
             Measure("square sum not above 2 or not increasing", g_misses, 0),
         ),

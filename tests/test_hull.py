@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap.hull import HullResult, SampledCurve, _bisect, lower_convex_hull, tangent_from_point
+from diagmap.hull import _NEWTON_GRACE, HullResult, SampledCurve, _bisect, lower_convex_hull, tangent_from_point
 from diagmap.symmetric_curve import _theta0_slope, curve_record, theta0_entropy
 
 LN2 = math.log(2.0)
@@ -169,19 +169,90 @@ def test_tangent_rejects_a_nan_inside_the_bracket():
         tangent_from_point(f, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
 
 
+def _counted(g):
+    """g, and the list of points it is evaluated at; past 1000 points it
+    raises, so a root finder that crawls fails instead of hanging."""
+    points = []
+
+    def counted(x):
+        points.append(x)
+        assert len(points) <= 1000
+        return g(x)
+
+    return counted, points
+
+
 @pytest.mark.parametrize("root", [Fraction(1, 3), Fraction(1, 10), Fraction(-7, 9)])
 def test_bisect_returns_the_nearest_double(root):
     # g exact up to one rounding: the root lies between adjacent doubles, and
-    # the one returned is the nearer (below 1/3 and -7/9, above 1/10)
-    assert _bisect(lambda x: float(Fraction(x) - root), -1.0, 1.0) == float(root)
-    assert _bisect(lambda x: float(root - Fraction(x)), -1.0, 1.0) == float(root)
+    # the one returned is the nearer (below 1/3 and -7/9, above 1/10), by
+    # bisection and by Newton steps alike
+    for up, down in ((None, None), (lambda x: 1.0, lambda x: -1.0)):
+        assert _bisect(lambda x: float(Fraction(x) - root), -1.0, 1.0, up) == float(root)
+        assert _bisect(lambda x: float(root - Fraction(x)), -1.0, 1.0, down) == float(root)
 
 
 def test_bisect_stops_at_an_exact_zero():
-    assert _bisect(lambda x: x - 0.5, 0.0, 1.0) == 0.5
-    # a zero at either end is returned as it is, not bisected away from
-    assert _bisect(lambda x: x, 0.0, 1.0) == 0.0
-    assert _bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    for dg in (None, lambda x: 1.0):
+        assert _bisect(lambda x: x - 0.5, 0.0, 1.0, dg) == 0.5
+        # a zero at either end is returned as it is, not bisected away from
+        assert _bisect(lambda x: x, 0.0, 1.0, dg) == 0.0
+        assert _bisect(lambda x: x - 1.0, 0.0, 1.0, dg) == 1.0
+
+
+def test_newton_step_stops_at_an_exact_zero():
+    # the midpoint 1/2 misses the root; the Newton step from it lands on it
+    g, points = _counted(lambda x: x - 0.25)
+    assert _bisect(g, 0.0, 1.0, lambda x: 1.0) == 0.25
+    assert points == [0.0, 1.0, 0.5, 0.25]
+
+
+def test_newton_closes_the_bracket_in_few_steps():
+    # the Newton steps converge from one side of sqrt(2); a step to the next
+    # double then closes the far end to adjacent doubles around it
+    g, points = _counted(lambda x: float(Fraction(x) ** 2 - 2))
+    assert _bisect(g, 1.0, 2.0, lambda x: 2.0 * x) == math.sqrt(2.0)
+    assert len(points) <= 10
+    g, plain = _counted(lambda x: float(Fraction(x) ** 2 - 2))
+    assert _bisect(g, 1.0, 2.0) == math.sqrt(2.0)
+    assert len(plain) >= 50
+
+
+@pytest.mark.parametrize("slope", [0.0, math.nan, -1e-9], ids=["zero", "nan", "outward"])
+def test_newton_falls_back_to_bisection(slope):
+    # a zero or NaN derivative, and one whose Newton steps leave the bracket,
+    # give bisection's evaluation points exactly
+    root = Fraction(1, 3)
+    g, points = _counted(lambda x: float(Fraction(x) - root))
+    assert _bisect(g, -1.0, 1.0, lambda x: slope) == float(root)
+    g, plain = _counted(lambda x: float(Fraction(x) - root))
+    _bisect(g, -1.0, 1.0)
+    assert points == plain
+
+
+def test_newton_falls_behind_bisection_by_at_most_the_grace():
+    # a derivative 1e30 times too steep makes the Newton steps from the
+    # midpoint 0 crawl by 3.3e-31; bisection takes over once the bracket is
+    # wider than bisection, _NEWTON_GRACE steps behind, would have left it
+    root = Fraction(1, 3)
+    g, points = _counted(lambda x: float(Fraction(x) - root))
+    assert _bisect(g, -1.0, 1.0, lambda x: 1e30) == float(root)
+    g, plain = _counted(lambda x: float(Fraction(x) - root))
+    _bisect(g, -1.0, 1.0)
+    assert len(points) <= len(plain) + _NEWTON_GRACE + 1
+
+
+def test_bisect_raises_as_before_with_a_derivative():
+    def dg(x):
+        return 1.0
+
+    with pytest.raises(ValueError, match="sign change"):
+        _bisect(lambda x: x + 1.0, 0.0, 1.0, dg)
+    with pytest.raises(ValueError, match="sign change"):
+        _bisect(lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0, dg)
+    # a NaN at the Newton iterate 0.35, reached from the midpoint 0.5
+    with pytest.raises(ValueError, match="NaN"):
+        _bisect(lambda x: math.nan if 0.3 < x < 0.4 else x - 0.35, 0.0, 1.0, dg)
 
 
 def test_tangent_at_an_end_of_the_bracket():

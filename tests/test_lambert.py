@@ -84,7 +84,7 @@ def test_w0_identity_residual():
     for x in xs:
         w = lambert_w0(float(x))
         assert w >= -1.0 - 1e-12
-        assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+        assert abs(w * math.exp(w) - x) <= 1e-14 * max(1.0, abs(x))
 
 
 def test_wm1_identity_residual():
@@ -94,7 +94,7 @@ def test_wm1_identity_residual():
     for x in xs:
         w = lambert_wm1(float(x))
         assert w <= -1.0 + 1e-12
-        assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+        assert abs(w * math.exp(w) - x) <= 1e-14 * max(1.0, abs(x))
 
 
 # -1e-280 ... -1e-323, then the smallest subnormals 5e-324 ... 4e-323

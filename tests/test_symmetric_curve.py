@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from diagmap import symmetric_curve
+from diagmap.hull import _bisect
 from diagmap.states import diagonal_output_entropy, pure_to_density, symmetric_state, twirl_s3
 from diagmap.symmetric_curve import (
     REGION_LOWER_LINEAR,
@@ -15,6 +17,8 @@ from diagmap.symmetric_curve import (
     _orbit,
     _output_entropy,
     _piece,
+    _theta0_curvature,
+    _theta_curvature,
     _theta_slope,
     abc_from_theta,
     curve_grid,
@@ -176,6 +180,66 @@ def test_theta_slope_matches_finite_differences():
         assert _theta_slope(alpha, beta, theta) == pytest.approx(fd, abs=1e-8)
         # b = c and b' = -c' at theta = 0 cancel bit for bit
         assert _theta_slope(alpha, beta, 0.0) == 0.0
+
+
+def test_theta_curvature_matches_finite_differences():
+    g = Generator(Philox(key=np.array([43, 0], dtype=np.uint64)))
+    for _ in range(200):
+        alpha, beta = _alpha_beta(float(g.uniform(-0.5, 1.0)))
+        theta = float(g.uniform(0.01, math.pi / 3.0 - 0.01))
+        h = 1e-6
+        fd = (_theta_slope(alpha, beta, theta + h) - _theta_slope(alpha, beta, theta - h)) / (2.0 * h)
+        assert _theta_curvature(alpha, beta, theta) == pytest.approx(fd, abs=1e-6)
+    # at theta = 0 it is the curvature that decides the angle; z = 0, where
+    # b = c = 0 and log b^2 is round-off, is left out
+    for z in np.linspace(-0.5, 1.0, 301):
+        if z != 0.0:
+            curvature = _theta_curvature(*_alpha_beta(float(z)), 0.0)
+            assert curvature == pytest.approx(_theta0_curvature(float(z)), rel=1e-13, abs=1e-13)
+
+
+def _bisection_min_entropy(z):
+    """min_pure_output_entropy below the transition with the angle found by
+    plain bisection on the slope, the reference for the Newton steps."""
+    alpha, beta = _alpha_beta(z)
+    k = _theta0_curvature(z)
+    theta = _bisect(lambda t: k if t == 0.0 else _theta_slope(alpha, beta, t), 0.0, math.pi / 4.0)
+    return _output_entropy(alpha, beta, theta), theta
+
+
+def test_min_entropy_matches_the_bisection_reference_below_the_transition():
+    zt = theta_transition()
+    for z in np.linspace(-0.5, zt, 2001)[:-1]:
+        value, theta = min_pure_output_entropy(float(z))
+        ref_value, ref_theta = _bisection_min_entropy(float(z))
+        assert abs(value - ref_value) <= 1e-15, z
+        assert abs(theta - ref_theta) <= 1e-5, z
+
+
+def test_newton_angle_takes_few_slope_evaluations(monkeypatch):
+    # bisection on [0, pi/4] takes about 54 slope evaluations per z; the
+    # Newton steps take at most 12 on average, and never more than it
+    calls = [0]
+
+    def counted(alpha, beta, theta):
+        calls[0] += 1
+        return _theta_slope(alpha, beta, theta)
+
+    monkeypatch.setattr(symmetric_curve, "_theta_slope", counted)
+    zs = [float(z) for z in curve_grid() if z < theta_transition()]
+    assert len(zs) == 85
+    newton, plain = [], []
+    for z in zs:
+        calls[0] = 0
+        min_pure_output_entropy(z)
+        newton.append(calls[0])
+        alpha, beta = _alpha_beta(z)
+        k = _theta0_curvature(z)
+        calls[0] = 0
+        _bisect(lambda t: k if t == 0.0 else counted(alpha, beta, t), 0.0, math.pi / 4.0)
+        plain.append(calls[0])
+    assert np.mean(newton) <= 12.0
+    assert all(n <= p for n, p in zip(newton, plain))
 
 
 def test_theta_min_is_zero_next_to_z_equal_1():
@@ -492,7 +556,7 @@ def _reference_min_entropy(z):
 
 
 def test_min_entropy_not_above_the_golden_section_reference():
-    # the bisection on the slope is never worse than golden section, and
+    # the root of the slope is never worse than golden section, and
     # finds the same angle wherever the reference finds one off zero
     zs = [-0.5, -0.45, -0.40, lower_tangent_z(), UPPER_KNEE, 1.0, 0.0, -0.41, -0.4150234]
     zs += [float(z) for z in np.linspace(-0.45, -0.40, 15)]
