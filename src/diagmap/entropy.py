@@ -35,18 +35,9 @@ def eta(x: float) -> float:
 
 
 def floored_log(x: np.ndarray) -> np.ndarray:
-    """log x, 0 at or below TINY or at NaN: eta_array's and the searches' log."""
+    """Elementwise log of an array, with 0 at or below TINY and at NaN: the
+    log of the squared moduli in every search objective."""
     return np.log(x, out=np.zeros(x.shape), where=x > TINY)
-
-
-def eta_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized -x*log(x) with eta(0) = 0. No domain validation.
-
-    Entries at or below TINY (zeros, subnormals and round-off negatives)
-    give a signed zero; NaN propagates.
-    """
-    x = np.asarray(x, dtype=float)
-    return -x * floored_log(x)
 
 
 def clamp_probabilities(p) -> np.ndarray:

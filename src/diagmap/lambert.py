@@ -3,12 +3,13 @@
 W(x) solves w * exp(w) = x.  For x >= -1/e the principal branch W0 takes
 values >= -1; for -1/e <= x < 0 the secondary branch W-1 takes values <= -1.
 Next to -1/e the branch-point series of Corless et al., Adv. Comput. Math.
-5, 329 (1996), is W; farther out (W0 for x < -0.25, W-1 for |p| <= 0.6) it
-starts Halley's iteration.  Elsewhere two exp-free steps of Fritsch, Shafer
-& Crowley, Commun. ACM 16, 123 (1973), from Winitzki's start (W0) or the
-asymptotic series (W-1) reach double precision with no convergence loop
-(Veberič, Comput. Phys. Commun. 183, 2622 (2012)), also where w exp(w)
-overflows or exp(w) is subnormal.
+5, 329 (1996), is W.  Everywhere else W is a start plus two exp-free steps
+of Fritsch, Shafer & Crowley, Commun. ACM 16, 123 (1973), which reach
+double precision with no convergence loop (Veberič, Comput. Phys. Commun.
+183, 2622 (2012)), also where w exp(w) overflows or exp(w) is subnormal.
+The start is the branch-point series for W0 at x < -0.25 and W-1 at
+|p| <= 0.6, Winitzki's approximation for W0 beyond, and the asymptotic
+series for W-1 beyond.
 """
 
 import math
@@ -17,14 +18,14 @@ BRANCH_POINT = -math.exp(-1.0)
 # BRANCH_POINT + 1/e: the double lies this far below -1/e
 _BRANCH_POINT_ROUNDING = -1.2428753672788363e-17
 
-_MAX_ITER = 30
-_STEP_TOL = 1e-15
+# arguments this far below -1/e are round-off and taken as -1/e
+_DOMAIN_SLACK = 1e-15
 # Below this |p| the series through p^8 is within 1.2e-16 relative of W;
-# beyond it Halley's steps, round-off of relative size eps/|p|, refine the
-# series start.
+# beyond it the series is a start for Fritsch steps, whose round-off is
+# eps/|p| relative, as is W's conditioning there.
 _SERIES_CUTOFF = 3e-2
-# beyond this |p| (x > -0.302) W-1's asymptotic start is close enough for Fritsch
-_FRITSCH_P = 0.6
+# beyond this |p| (x > -0.302) W-1 starts from its asymptotic series
+_ASYMPTOTIC_P = 0.6
 # fdlibm's ln 2 = _LN2_HI + _LN2_LO: k * _LN2_HI is exact for |k| < 2^21
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
@@ -59,23 +60,6 @@ def _branch_series(p: float) -> float:
     return w
 
 
-def _halley(x: float, w: float) -> float:
-    last = math.inf
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        dw = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)))
-        if not abs(dw) < last:
-            # a step no shorter than the last is round-off, which can
-            # alternate between two neighbouring points: keep this one
-            break
-        w -= dw
-        if abs(dw) < _STEP_TOL * (1.0 + abs(w)):
-            break
-        last = abs(dw)
-    return w
-
-
 def _fritsch(w: float, z: float) -> float:
     """w after one Fritsch step, given its z = log(x / w) - w (0 at W(x))."""
     q = 2.0 * (1.0 + w) * (1.0 + w + 2.0 * z / 3.0)
@@ -98,10 +82,18 @@ def _accurate_residual(x: float, w: float) -> float:
     return math.log(s) + ((xk - p) - e) / xk - ((w - k * _LN2_HI) - k * _LN2_LO)
 
 
+def _refine(x: float, w: float) -> float:
+    """Two Fritsch steps from the start w: the first on the plain z, the
+    last on the accurate one for x < 0.  The plain z leaves W within
+    2.2e-16 relative for x > 0."""
+    w = _fritsch(w, math.log(x / w) - w)
+    return _fritsch(w, math.log(x / w) - w if x > 0.0 else _accurate_residual(x, w))
+
+
 def lambert_w0(x: float) -> float:
     """Principal real branch W0(x), defined for finite x >= -1/e."""
     if not BRANCH_POINT <= x < math.inf:
-        if BRANCH_POINT - 1e-15 < x < BRANCH_POINT:
+        if BRANCH_POINT - _DOMAIN_SLACK < x < BRANCH_POINT:
             x = BRANCH_POINT
         else:
             raise ValueError(f"lambert_w0 argument {x!r} outside [-1/e, inf)")
@@ -109,14 +101,11 @@ def lambert_w0(x: float) -> float:
         return 0.0
     if x >= -0.25:
         L = math.log1p(x)
-        w = L * (1.0 - math.log1p(L) / (2.0 + L))  # Winitzki's start
-        w = _fritsch(w, math.log(x / w) - w)
-        # the plain z leaves W within 2.2e-16 relative for x > 0, 3.5e-16 below
-        return _fritsch(w, math.log(x / w) - w if x > 0.0 else _accurate_residual(x, w))
+        return _refine(x, L * (1.0 - math.log1p(L) / (2.0 + L)))  # Winitzki's start
     p = _branch_p(x)
     if p < _SERIES_CUTOFF:
         return _branch_series(p)
-    return _halley(x, _branch_series(p))
+    return _refine(x, _branch_series(p))
 
 
 def lambert_wm1(x: float) -> float:
@@ -124,15 +113,15 @@ def lambert_wm1(x: float) -> float:
     if not x < 0.0:
         raise ValueError(f"lambert_wm1 argument {x!r} not negative")
     if x < BRANCH_POINT:
-        if x > BRANCH_POINT - 1e-15:
+        if x > BRANCH_POINT - _DOMAIN_SLACK:
             x = BRANCH_POINT
         else:
             raise ValueError(f"lambert_wm1 argument {x!r} below -1/e")
     p = -_branch_p(x)
     if -p < _SERIES_CUTOFF:
         return _branch_series(p)
-    if -p <= _FRITSCH_P:
-        return _halley(x, _branch_series(p))
+    if -p <= _ASYMPTOTIC_P:
+        return _refine(x, _branch_series(p))
     l1 = math.log(-x)
     l2 = math.log(-l1)
     w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)

@@ -6,10 +6,11 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap.entropy import (
+    TINY,
     check_hermitian,
     clamp_probabilities,
     eta,
-    eta_array,
+    floored_log,
     hermitian_eigenvalues,
     shannon_entropy,
 )
@@ -49,14 +50,13 @@ def test_eta_concavity():
         assert lhs >= rhs - 1e-12
 
 
-def test_eta_array_kernel():
+def test_floored_log():
     g = Generator(Philox(key=np.array([7, 0], dtype=np.uint64)))
-    x = np.concatenate([g.uniform(0.0, 1.0, 500), 10.0 ** g.uniform(-300.0, 0.0, 500), [np.nextafter(1e-300, 1.0), 1.0]])
+    x = np.concatenate([g.uniform(0.0, 1.0, 500), 10.0 ** g.uniform(-300.0, 300.0, 500), [np.nextafter(TINY, 1.0), 1.0]])
     x = x.reshape(2, 3, -1)
-    assert np.array_equal(eta_array(x), -x * np.log(x))  # bit for bit
-    tiny = np.array([-1e-12, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 2.2e-308, 1e-300])
-    assert np.all(eta_array(tiny) == 0.0)
-    assert np.isnan(eta_array(np.array([0.5, np.nan]))[1])
+    assert np.array_equal(floored_log(x), np.log(x))  # bit for bit above TINY
+    floor = np.array([-np.inf, -1.0, -1e-12, -5e-324, -0.0, 0.0, 5e-324, 1e-310, 2.2e-308, TINY, np.nan])
+    assert np.array_equal(floored_log(floor), np.zeros(floor.size))
 
 
 def test_shannon_entropy_values():

@@ -38,23 +38,6 @@ def test_wm1_against_bisection():
     assert lambert_wm1(target) < -1.0
 
 
-# arguments at which Halley steps of W-1 once alternated between two points
-# 2e-15 apart until the iteration cap
-TWO_CYCLE_XS = (-0.36682133436016323, -0.36726775161323877, -0.3671979948527273)
-
-
-@pytest.mark.parametrize("cap", [3, 4, 5, 6])
-def test_halley_stops_when_steps_stop_shrinking(monkeypatch, cap):
-    # a cycle left by the cap returns either point by the cap's parity; the
-    # iteration ends by its third step, so every cap from 3 on agrees
-    full = [(lambert_w0(x), lambert_wm1(x)) for x in TWO_CYCLE_XS]
-    monkeypatch.setattr(lambert, "_MAX_ITER", cap)
-    assert [(lambert_w0(x), lambert_wm1(x)) for x in TWO_CYCLE_XS] == full
-    for x, (w0, wm1) in zip(TWO_CYCLE_XS, full):
-        for w in (w0, wm1):
-            assert abs(w * math.exp(w) - x) <= 1e-16
-
-
 def test_domain_errors():
     with pytest.raises(ValueError):
         lambert_w0(BRANCH_POINT - 1e-9)
@@ -102,7 +85,7 @@ TINY_XS = [float(f"-1e-{k}") for k in range(280, 324)] + [-j * 5e-324 for j in r
 
 
 def test_wm1_at_tiny_and_subnormal_arguments_against_mpmath():
-    # once exp(w) = x / w nears the subnormal range, Halley's steps on
+    # once exp(w) = x / w nears the subnormal range, Halley steps on
     # w exp(w) = x lose bits (1.8e-6 relative at -1e-318, 4.0e-3 at
     # -1.5e-323) and divide by zero at -5e-324
     with mpmath.workdps(40):
@@ -121,8 +104,8 @@ def test_branch_monotonicity():
 
 
 def test_w0_at_huge_arguments_against_mpmath():
-    # Halley's w exp(w) overflows from x = 2.76e307 on, which once left W0
-    # at its start: 702.6321 at 1e308 against 702.6414
+    # Halley steps on w exp(w) = x overflow from x = 2.76e307 on, which once
+    # left W0 at its start: 702.6321 at 1e308 against 702.6414
     with mpmath.workdps(40):
         for x in [float(f"1e{k}") for k in range(300, 309)] + [sys.float_info.max]:
             ref = mpmath.lambertw(mpmath.mpf(x)).real
@@ -136,38 +119,69 @@ def _doubles(x, count, direction):
     return out
 
 
-def _first_fritsch_wm1_argument():
-    # the least x whose |p| exceeds lambert._FRITSCH_P
-    x = (0.5 * lambert._FRITSCH_P**2 - 1.0) / math.e
-    while lambert._branch_p(x) > lambert._FRITSCH_P:
+def _first_argument_from(p):
+    # the least x whose |p| is at least p
+    x = (0.5 * p**2 - 1.0) / math.e
+    while lambert._branch_p(x) >= p:
         x = math.nextafter(x, -math.inf)
-    while not lambert._branch_p(x) > lambert._FRITSCH_P:
+    while not lambert._branch_p(x) >= p:
         x = math.nextafter(x, math.inf)
     return x
 
 
 @pytest.mark.parametrize(
-    "branch, k, first", [(lambert_w0, 0, -0.25), (lambert_wm1, -1, _first_fritsch_wm1_argument())], ids=["w0", "wm1"]
+    "branch, k, first",
+    [
+        (lambert_w0, 0, -0.25),
+        (lambert_wm1, -1, _first_argument_from(math.nextafter(lambert._ASYMPTOTIC_P, math.inf))),
+        (lambert_w0, 0, _first_argument_from(lambert._SERIES_CUTOFF)),
+        (lambert_wm1, -1, _first_argument_from(lambert._SERIES_CUTOFF)),
+    ],
+    ids=["w0", "wm1", "w0_series", "wm1_series"],
 )
 def test_both_sides_of_each_fritsch_switch(branch, k, first):
-    # 200 consecutive doubles on the Halley side, then 200 from the first
-    # argument that takes Fritsch steps
+    # 200 consecutive doubles below a switch of W's start, then 200 from
+    # the first argument past it
     xs = _doubles(math.nextafter(first, -math.inf), 200, -math.inf)[::-1] + _doubles(first, 200, math.inf)
     ws = np.array([branch(x) for x in xs])
     with mpmath.workdps(40):
         for x, w in zip(xs, ws):
             ref = mpmath.lambertw(mpmath.mpf(x), k).real
-            assert float(abs((w - ref) / ref)) <= 1e-15, x
-    # W moves by one or two ulps from one double to the next, as much as
-    # either method's round-off, so W is strictly monotone on every second
-    # double; from the last Halley value on it never steps back
+            # W's relative condition number is about 1/|p| near -1/e
+            assert float(abs((w - ref) / ref)) * lambert._branch_p(x) <= 2e-16, x
+    # W never steps back from one double to the next, and moves on over any
+    # two (next to x = -0.25 it moves by one or two ulps per double)
     sign = 1.0 if k == 0 else -1.0
-    assert np.all(sign * np.diff(ws[::2]) > 0.0)
-    assert np.all(sign * np.diff(ws[199:]) >= 0.0)
+    assert np.all(sign * np.diff(ws) >= 0.0)
+    assert np.all(sign * (ws[2:] - ws[:-2]) > 0.0)
+
+
+# arguments at which Halley steps of W-1 once alternated between two points
+# 2e-15 apart
+TWO_CYCLE_XS = (-0.36682133436016323, -0.36726775161323877, -0.3671979948527273)
+
+
+def test_series_started_regions_against_mpmath():
+    # W0 on x < -0.25 and W-1 on |p| <= 0.6, beyond the series cutoff: the
+    # branch-point series plus two Fritsch steps.  W's relative condition
+    # number there is about 1/|p|, so the error is measured times |p|.  On
+    # these points it reads 1.4e-16 (W0) and 7.7e-17 (W-1)
+    g = np.random.default_rng(23)
+    ps = {
+        0: g.uniform(lambert._SERIES_CUTOFF, math.sqrt(2.0 - 0.5 * math.e), 1500),
+        -1: g.uniform(lambert._SERIES_CUTOFF, lambert._ASYMPTOTIC_P, 1500),
+    }
+    with mpmath.workdps(40):
+        for branch, k in ((lambert_w0, 0), (lambert_wm1, -1)):
+            xs = [(0.5 * p * p - 1.0) / math.e for p in ps[k]] + list(TWO_CYCLE_XS)
+            for x in xs:
+                ref = mpmath.lambertw(mpmath.mpf(x), k).real
+                assert float(abs((branch(x) - ref) / ref)) * lambert._branch_p(x) <= 2e-16, x
 
 
 def test_fritsch_regions_against_mpmath():
-    # dense seeded grids of the regions that take Fritsch steps; two steps
+    # dense seeded grids of the regions that start from Winitzki's
+    # approximation (W0) or the asymptotic series (W-1); two steps
     # on the plain z = log(x / w) - w read 3.8e-16 near x = -0.265 (W-1)
     # and 2.6e-16 near x = -0.248 (W0)
     g = np.random.default_rng(21)
