@@ -43,10 +43,9 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
     Vertices come from an Andrew monotone chain over the sample points;
     between vertices the hull is linear.
     """
-    xs, ys = curve.xs, curve.ys
-    n = xs.size
+    xs, ys = curve.xs.tolist(), curve.ys.tolist()
     stack = []
-    for i in range(n):
+    for i in range(len(xs)):
         while len(stack) >= 2:
             j, k = stack[-2], stack[-1]
             if _cross(xs[j], ys[j], xs[k], ys[k], xs[i], ys[i]) <= 0.0:
@@ -54,9 +53,7 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
             else:
                 break
         stack.append(i)
-    hx = xs[stack]
-    hy = ys[stack]
-    return HullResult(hull_ys=np.interp(xs, hx, hy))
+    return HullResult(hull_ys=np.interp(curve.xs, curve.xs[stack], curve.ys[stack]))
 
 
 # Newton steps may fall this many halvings behind bisection before _bisect
@@ -64,21 +61,23 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
 _NEWTON_GRACE = 16
 
 
-def _bisect(g, lo: float, hi: float, dg=None) -> float:
+def _bisect(g, lo: float, hi: float, gdg=None) -> float:
     """A zero of g on [lo, hi], lo < hi: an end or an iterate where g is
     exactly zero, else, once the bracket is closed to adjacent doubles, the
     end of it with the smaller |g|.  Raises ValueError unless g(lo) and g(hi)
     differ in sign or one is zero (a NaN does not count), and when g is NaN
     at an iterate.
 
-    Without dg every step bisects.  With dg, the derivative of g, each step
-    after the first is a Newton step from the last iterate, which is an end
-    of the bracket, safeguarded as in rtsafe (Numerical Recipes section 9.4):
-    a step that leaves the bracket, or a zero or NaN derivative, bisects
-    instead, and so does every step while the bracket is wider than
-    bisection, _NEWTON_GRACE steps behind, would have left it.  A step shorter
-    than the spacing of doubles goes to the next double toward the far end
-    instead, so that end closes in once Newton has converged from one side.
+    Without gdg every step bisects.  With gdg, which maps t to the pair
+    (g(t), g'(t)) in one evaluation, the iterates are evaluated by gdg (the
+    ends still by g), and each step after the first is a Newton step from
+    the last iterate, which is an end of the bracket, safeguarded as in
+    rtsafe (Numerical Recipes section 9.4): a step that leaves the bracket,
+    or a zero or NaN derivative, bisects instead, and so does every step
+    while the bracket is wider than bisection, _NEWTON_GRACE steps behind,
+    would have left it.  A step shorter than the spacing of doubles goes to
+    the next double toward the far end instead, so that end closes in once
+    Newton has converged from one side.
     """
     glo, ghi = g(lo), g(hi)
     if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
@@ -94,23 +93,25 @@ def _bisect(g, lo: float, hi: float, dg=None) -> float:
         budget *= 0.5
         t = mid
         if x is not None and hi - lo <= budget:
-            dgx = dg(x)
             step = -gx / dgx if dgx else math.nan
             nearest = math.nextafter(x, hi if x == lo else lo)
             newton = nearest if abs(step) < abs(nearest - x) else x + step
             if lo < newton < hi:
                 t = newton
-        gm = g(t)
+        if gdg is None:
+            gm = g(t)
+        else:
+            gm, dgm = gdg(t)
         if gm == 0.0:
             return t
-        if np.isnan(gm):
+        if math.isnan(gm):
             raise ValueError(f"g is NaN at {t!r} inside [{lo!r}, {hi!r}]")
         if (gm < 0.0) == (glo < 0.0):
             lo, glo = t, gm
         else:
             hi, ghi = t, gm
-        if dg is not None:
-            x, gx = t, gm
+        if gdg is not None:
+            x, gx, dgx = t, gm, dgm
 
 
 def tangent_from_point(f, x0: float, f0: float, bracket, *, df) -> float:

@@ -127,7 +127,8 @@ class Decomposition:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if len(self.states) != self.weights.size:
             raise ValueError("weights and states have different lengths")
-        if not (np.isfinite(self.weights).all() and (self.weights >= 0.0).all()):
+        # NaN fails both comparisons; an empty mixture has nothing to check
+        if self.weights.size and not (self.weights.min() >= 0.0 and self.weights.max() < np.inf):
             raise ValueError(f"weights must be finite and non-negative, got {self.weights!r}")
 
     def __len__(self) -> int:

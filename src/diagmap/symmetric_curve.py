@@ -79,8 +79,10 @@ def abc_from_theta(z: float, theta: float) -> ThetaPoint:
 def theta0_entropy(z: float) -> float:
     """Diagonal output entropy of the theta = 0 state:
     2*eta((alpha-beta)^2/9) + eta((alpha+2*beta)^2/9)."""
-    z = check_z(z)
-    alpha, beta = _alpha_beta(z)
+    return _theta0_entropy(*_alpha_beta(check_z(z)))
+
+
+def _theta0_entropy(alpha: float, beta: float) -> float:
     return 2.0 * eta((alpha - beta) ** 2 / 9.0) + eta((alpha + 2.0 * beta) ** 2 / 9.0)
 
 
@@ -99,69 +101,66 @@ def _output_entropy(alpha: float, beta: float, theta: float) -> float:
     return sum(eta(x * x) for x in _amplitudes(alpha, beta, theta))
 
 
-def _theta_slope(alpha: float, beta: float, theta: float) -> float:
-    """d/dtheta of _output_entropy: an amplitude x adds -2 x x' (log x^2 + 1),
-    with a' = -2 beta sin(theta)/3 and b', c' = 2 beta sin(theta -+ pi/3)/3.
-    At theta = 0, b = c and b' = -c', so the slope is exactly zero there."""
-    a, b, c = _amplitudes(alpha, beta, theta)
-    da = -2.0 * beta * math.sin(theta) / 3.0
-    db = 2.0 * beta * math.sin(theta - math.pi / 3.0) / 3.0
-    dc = 2.0 * beta * math.sin(theta + math.pi / 3.0) / 3.0
-    return sum(-2.0 * x * dx * (math.log(max(x * x, TINY)) + 1.0) for x, dx in ((a, da), (b, db), (c, dc)))
-
-
-def _theta_curvature(alpha: float, beta: float, theta: float) -> float:
-    """d/dtheta of _theta_slope: an amplitude x adds
-    -2 ((x'^2 + x x'') (log x^2 + 1) + 2 x'^2), with x' as in _theta_slope
-    and a'' = -2 beta cos(theta)/3, b'', c'' = 2 beta cos(theta -+ pi/3)/3,
-    that is x'' = alpha/3 - x.  At theta = 0 it is _theta0_curvature up to
+def _theta_derivatives(alpha: float, beta: float, theta: float):
+    """The first two theta-derivatives of _output_entropy, as (slope,
+    curvature).  An amplitude x adds -2 x x' (log x^2 + 1) to the slope and
+    -2 ((x'^2 + x x'') (log x^2 + 1) + 2 x'^2) to the curvature, with
+    a' = -2 beta sin(theta)/3, b', c' = 2 beta sin(theta -+ pi/3)/3 and
+    x'' = alpha/3 - x.  At theta = 0, b = c and b' = -c', so the slope is
+    exactly zero there, and the curvature is _theta0_curvature up to
     round-off, except at z = 0, where b = c = 0 and log b^2 is round-off."""
     a, b, c = _amplitudes(alpha, beta, theta)
     da = -2.0 * beta * math.sin(theta) / 3.0
     db = 2.0 * beta * math.sin(theta - math.pi / 3.0) / 3.0
     dc = 2.0 * beta * math.sin(theta + math.pi / 3.0) / 3.0
     third = alpha / 3.0
-    return sum(
-        -2.0 * ((dx * dx + x * (third - x)) * (math.log(max(x * x, TINY)) + 1.0) + 2.0 * dx * dx)
-        for x, dx in ((a, da), (b, db), (c, dc))
-    )
+    slope = curvature = 0.0
+    for x, dx in ((a, da), (b, db), (c, dc)):
+        log1 = math.log(max(x * x, TINY)) + 1.0
+        slope += -2.0 * x * dx * log1
+        curvature += -2.0 * ((dx * dx + x * (third - x)) * log1 + 2.0 * dx * dx)
+    return slope, curvature
 
 
 def min_pure_output_entropy(z: float):
     """Minimum over theta of the output entropy at fixed z, as (value,
-    theta_min) with theta_min in [0, pi/6] up to the last bit.
+    theta_min) with theta_min in [0, pi/6].
 
     theta = 0 is stationary, and it is the minimum wherever the
     theta-curvature there (_theta0_curvature) is not negative: above
-    theta_transition.  Below it, theta_min is the one sign change of
-    _theta_slope on (0, pi/3), found by hull._bisect's Newton steps on
-    [0, pi/4] with _theta_curvature as the derivative; the bracket ends past
-    pi/6, where at z = -1/2 the slope is zero only up to round-off.  Raises
-    ValueError when the slope keeps its sign there.
+    theta_transition.  Below it, theta_min is the one sign change of the
+    slope on (0, pi/3), found by hull._bisect's Newton steps on [0, pi/4],
+    each from one evaluation of _theta_derivatives.  At z = -1/2 it is
+    pi/6 exactly, where the amplitude c is zero.  Raises ValueError when
+    the slope keeps its sign on [0, pi/4].
     """
-    z = check_z(z)
-    alpha, beta = _alpha_beta(z)
+    return _min_output_entropy(*_alpha_beta(check_z(z)))
+
+
+def _min_output_entropy(alpha: float, beta: float):
     if beta == 0.0:
         # z = 1: the orbit degenerates to a single state
         return LN3, 0.0
-    k = _theta0_curvature(z)
+    if alpha == 0.0:
+        # z = -1/2: c = 0 at theta = pi/6, and (a, b) = (1, -1)/sqrt(2)
+        return LN2, math.pi / 6.0
+    k = _theta0_curvature(alpha, beta)
     theta = 0.0
     if k < 0.0:
         theta = _bisect(
-            lambda t: k if t == 0.0 else _theta_slope(alpha, beta, t),
+            lambda t: k if t == 0.0 else _theta_derivatives(alpha, beta, t)[0],
             0.0,
             math.pi / 4.0,
-            lambda t: _theta_curvature(alpha, beta, t),
+            lambda t: _theta_derivatives(alpha, beta, t),
         )
     return _output_entropy(alpha, beta, theta), theta
 
 
-def _theta0_curvature(z: float) -> float:
+def _theta0_curvature(alpha: float, beta: float) -> float:
     """d^2/dtheta^2 of the output entropy at theta = 0.  An amplitude x adds
     -2 ((x'^2 + x x'') (log x^2 + 1) + 2 x'^2); at theta = 0,
     a = (alpha + 2 beta)/3 with a' = 0, a'' = -2 beta/3, and
     b = c = (alpha - beta)/3 with b'^2 = beta^2/3, b'' = beta/3 (b = 0 at z = 0)."""
-    alpha, beta = _alpha_beta(z)
     a = (alpha + 2.0 * beta) / 3.0
     b = (alpha - beta) / 3.0
     a_term = (4.0 / 3.0) * a * beta * (math.log(a * a) + 1.0)
@@ -175,7 +174,7 @@ def theta_transition() -> float:
     hull._bisect on TRANSITION_BRACKET.  The transition is a pitchfork:
     below it the curvature is negative and theta_min grows like
     sqrt(z_t - z)."""
-    return _bisect(_theta0_curvature, *TRANSITION_BRACKET)
+    return _bisect(lambda z: _theta0_curvature(*_alpha_beta(z)), *TRANSITION_BRACKET)
 
 
 @lru_cache(maxsize=1)
@@ -203,7 +202,7 @@ def _piece(z: float):
 
 def _envelope(points) -> float:
     """The weighted output entropy of a piece's points."""
-    return sum(w * (theta0_entropy(z_end) if v is None else v) for w, z_end, _, v in points)
+    return sum(w * (_theta0_entropy(*_alpha_beta(z_end)) if v is None else v) for w, z_end, _, v in points)
 
 
 def entanglement_entropy(z: float) -> float:
@@ -215,8 +214,10 @@ def entanglement_entropy(z: float) -> float:
 def curve_record(z: float) -> EDCurveRecord:
     """Full per-z record: epsilon, minimizing angle, envelope value, region."""
     z = check_z(z)
+    alpha, beta = _alpha_beta(z)
     region, points = _piece(z)
-    return EDCurveRecord(z, *min_pure_output_entropy(z), _envelope(points), region)
+    ed = _theta0_entropy(alpha, beta) if region == REGION_ROOF else _envelope(points)
+    return EDCurveRecord(z, *_min_output_entropy(alpha, beta), ed, region)
 
 
 _SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
@@ -241,9 +242,10 @@ def optimal_decomposition(z: float) -> Decomposition:
     weights, states = [], []
     for w, z_end, theta, _ in points:
         orbit = _orbit(check_pure_state(_amplitudes(*_alpha_beta(z_end), theta)))
-        if w / len(orbit) > 1e-12:
-            weights += [w / len(orbit)] * len(orbit)
-            states += list(orbit)
+        w /= len(orbit)
+        if w > 1e-12:
+            weights += [w] * len(orbit)
+            states.extend(orbit)
     return Decomposition(weights=np.array(weights), states=states)
 
 

@@ -6,7 +6,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap.hull import _NEWTON_GRACE, HullResult, SampledCurve, _bisect, lower_convex_hull, tangent_from_point
-from diagmap.symmetric_curve import _theta0_slope, curve_record, theta0_entropy
+from diagmap.symmetric_curve import _theta0_slope, curve_grid, curve_record, theta0_entropy
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -101,6 +101,37 @@ def test_hull_matches_bruteforce_epigraph():
             assert res.hull_ys[i] == pytest.approx(best, abs=1e-10)
 
 
+def _indexed_hull(curve):
+    """The monotone chain indexing the numpy arrays one element at a time,
+    as lower_convex_hull once did: the reference for its float-list loop."""
+    xs, ys = curve.xs, curve.ys
+    stack = []
+    for i in range(xs.size):
+        while len(stack) >= 2:
+            j, k = stack[-2], stack[-1]
+            if (xs[k] - xs[j]) * (ys[i] - ys[j]) - (ys[k] - ys[j]) * (xs[i] - xs[j]) <= 0.0:
+                stack.pop()
+            else:
+                break
+        stack.append(i)
+    return np.interp(xs, xs[stack], ys[stack])
+
+
+def test_hull_matches_the_indexed_reference_bit_for_bit():
+    zs = curve_grid()
+    curves = [SampledCurve(xs=zs, ys=np.array([curve_record(float(z)).epsilon for z in zs]))]
+    g = Generator(Philox(key=np.array([24, 0], dtype=np.uint64)))
+    for _ in range(200):
+        n = int(g.integers(2, 300))
+        xs = np.cumsum(g.uniform(0.01, 1.0, size=n))
+        # random samples, and nearly collinear ones, where the sign of the
+        # cross product is round-off
+        ys = g.standard_normal(n) if g.integers(2) else 0.3 * xs + 1e-15 * g.standard_normal(n)
+        curves.append(SampledCurve(xs=xs, ys=ys))
+    for curve in curves:
+        assert lower_convex_hull(curve).hull_ys.tobytes() == _indexed_hull(curve).tobytes()
+
+
 def test_sampled_curve_validation():
     with pytest.raises(ValueError):
         SampledCurve(xs=np.array([0.0]), ys=np.array([1.0]))
@@ -182,36 +213,51 @@ def _counted(g):
     return counted, points
 
 
+def _fused(g, dg):
+    """The fused evaluation t -> (g(t), g'(t)) that _bisect takes, with the
+    derivative dg given as a function or a constant."""
+    return lambda x: (g(x), dg(x) if callable(dg) else dg)
+
+
 @pytest.mark.parametrize("root", [Fraction(1, 3), Fraction(1, 10), Fraction(-7, 9)])
 def test_bisect_returns_the_nearest_double(root):
     # g exact up to one rounding: the root lies between adjacent doubles, and
     # the one returned is the nearer (below 1/3 and -7/9, above 1/10), by
     # bisection and by Newton steps alike
-    for up, down in ((None, None), (lambda x: 1.0, lambda x: -1.0)):
-        assert _bisect(lambda x: float(Fraction(x) - root), -1.0, 1.0, up) == float(root)
-        assert _bisect(lambda x: float(root - Fraction(x)), -1.0, 1.0, down) == float(root)
+    def up(x):
+        return float(Fraction(x) - root)
+
+    def down(x):
+        return float(root - Fraction(x))
+
+    for up_gdg, down_gdg in ((None, None), (_fused(up, 1.0), _fused(down, -1.0))):
+        assert _bisect(up, -1.0, 1.0, up_gdg) == float(root)
+        assert _bisect(down, -1.0, 1.0, down_gdg) == float(root)
 
 
 def test_bisect_stops_at_an_exact_zero():
-    for dg in (None, lambda x: 1.0):
-        assert _bisect(lambda x: x - 0.5, 0.0, 1.0, dg) == 0.5
-        # a zero at either end is returned as it is, not bisected away from
-        assert _bisect(lambda x: x, 0.0, 1.0, dg) == 0.0
-        assert _bisect(lambda x: x - 1.0, 0.0, 1.0, dg) == 1.0
+    # at an iterate, and at either end, which is returned as it is, not
+    # bisected away from
+    for g, zero in ((lambda x: x - 0.5, 0.5), (lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)):
+        assert _bisect(g, 0.0, 1.0) == zero
+        assert _bisect(g, 0.0, 1.0, _fused(g, 1.0)) == zero
 
 
 def test_newton_step_stops_at_an_exact_zero():
-    # the midpoint 1/2 misses the root; the Newton step from it lands on it
+    # the midpoint 1/2 misses the root; the Newton step from it lands on it.
+    # g is evaluated at the ends only, and each iterate once, by gdg
     g, points = _counted(lambda x: x - 0.25)
-    assert _bisect(g, 0.0, 1.0, lambda x: 1.0) == 0.25
-    assert points == [0.0, 1.0, 0.5, 0.25]
+    gdg, iterates = _counted(_fused(lambda x: x - 0.25, 1.0))
+    assert _bisect(g, 0.0, 1.0, gdg) == 0.25
+    assert points == [0.0, 1.0]
+    assert iterates == [0.5, 0.25]
 
 
 def test_newton_closes_the_bracket_in_few_steps():
     # the Newton steps converge from one side of sqrt(2); a step to the next
     # double then closes the far end to adjacent doubles around it
     g, points = _counted(lambda x: float(Fraction(x) ** 2 - 2))
-    assert _bisect(g, 1.0, 2.0, lambda x: 2.0 * x) == math.sqrt(2.0)
+    assert _bisect(g, 1.0, 2.0, _fused(g, lambda x: 2.0 * x)) == math.sqrt(2.0)
     assert len(points) <= 10
     g, plain = _counted(lambda x: float(Fraction(x) ** 2 - 2))
     assert _bisect(g, 1.0, 2.0) == math.sqrt(2.0)
@@ -224,7 +270,7 @@ def test_newton_falls_back_to_bisection(slope):
     # give bisection's evaluation points exactly
     root = Fraction(1, 3)
     g, points = _counted(lambda x: float(Fraction(x) - root))
-    assert _bisect(g, -1.0, 1.0, lambda x: slope) == float(root)
+    assert _bisect(g, -1.0, 1.0, _fused(g, slope)) == float(root)
     g, plain = _counted(lambda x: float(Fraction(x) - root))
     _bisect(g, -1.0, 1.0)
     assert points == plain
@@ -236,23 +282,21 @@ def test_newton_falls_behind_bisection_by_at_most_the_grace():
     # wider than bisection, _NEWTON_GRACE steps behind, would have left it
     root = Fraction(1, 3)
     g, points = _counted(lambda x: float(Fraction(x) - root))
-    assert _bisect(g, -1.0, 1.0, lambda x: 1e30) == float(root)
+    assert _bisect(g, -1.0, 1.0, _fused(g, 1e30)) == float(root)
     g, plain = _counted(lambda x: float(Fraction(x) - root))
     _bisect(g, -1.0, 1.0)
     assert len(points) <= len(plain) + _NEWTON_GRACE + 1
 
 
 def test_bisect_raises_as_before_with_a_derivative():
-    def dg(x):
-        return 1.0
-
-    with pytest.raises(ValueError, match="sign change"):
-        _bisect(lambda x: x + 1.0, 0.0, 1.0, dg)
-    with pytest.raises(ValueError, match="sign change"):
-        _bisect(lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0, dg)
-    # a NaN at the Newton iterate 0.35, reached from the midpoint 0.5
-    with pytest.raises(ValueError, match="NaN"):
-        _bisect(lambda x: math.nan if 0.3 < x < 0.4 else x - 0.35, 0.0, 1.0, dg)
+    for g, match in (
+        (lambda x: x + 1.0, "sign change"),
+        (lambda x: math.nan if x == 1.0 else x - 0.5, "sign change"),
+        # a NaN at the Newton iterate 0.35, reached from the midpoint 0.5
+        (lambda x: math.nan if 0.3 < x < 0.4 else x - 0.35, "NaN"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            _bisect(g, 0.0, 1.0, _fused(g, 1.0))
 
 
 def test_tangent_at_an_end_of_the_bracket():

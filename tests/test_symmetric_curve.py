@@ -7,7 +7,7 @@ from numpy.random import Generator, Philox
 
 from diagmap import symmetric_curve
 from diagmap.hull import _bisect
-from diagmap.states import diagonal_output_entropy, pure_to_density, symmetric_state, twirl_s3
+from diagmap.states import check_z, diagonal_output_entropy, pure_to_density, symmetric_state, twirl_s3
 from diagmap.symmetric_curve import (
     REGION_LOWER_LINEAR,
     REGION_ROOF,
@@ -18,8 +18,7 @@ from diagmap.symmetric_curve import (
     _output_entropy,
     _piece,
     _theta0_curvature,
-    _theta_curvature,
-    _theta_slope,
+    _theta_derivatives,
     abc_from_theta,
     curve_grid,
     curve_record,
@@ -121,9 +120,10 @@ def test_min_entropy_examples():
     value, theta = min_pure_output_entropy(5.0 / 6.0)
     assert value == pytest.approx(0.867563, abs=1e-6)
     assert theta == 0.0
-    value, theta = min_pure_output_entropy(-0.5)
-    assert value == pytest.approx(LN2, abs=1e-15)
-    assert theta == pytest.approx(math.pi / 6.0, abs=1e-15)
+    # at z = -1/2 the amplitude c is zero at theta = pi/6, where the slope
+    # behaves like c log c^2; Newton steps there once took 24 slope
+    # evaluations and returned pi/6 + 1 ulp
+    assert min_pure_output_entropy(-0.5) == (LN2, math.pi / 6.0)
 
 
 def test_min_entropy_agrees_with_direct_scan():
@@ -170,6 +170,10 @@ def test_theta_min_grows_like_a_square_root_below_the_transition():
     assert min_pure_output_entropy(zt + 1e-9)[1] == 0.0
 
 
+def _theta_slope(alpha, beta, theta):
+    return _theta_derivatives(alpha, beta, theta)[0]
+
+
 def test_theta_slope_matches_finite_differences():
     g = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
     for _ in range(200):
@@ -189,20 +193,21 @@ def test_theta_curvature_matches_finite_differences():
         theta = float(g.uniform(0.01, math.pi / 3.0 - 0.01))
         h = 1e-6
         fd = (_theta_slope(alpha, beta, theta + h) - _theta_slope(alpha, beta, theta - h)) / (2.0 * h)
-        assert _theta_curvature(alpha, beta, theta) == pytest.approx(fd, abs=1e-6)
+        assert _theta_derivatives(alpha, beta, theta)[1] == pytest.approx(fd, abs=1e-6)
     # at theta = 0 it is the curvature that decides the angle; z = 0, where
     # b = c = 0 and log b^2 is round-off, is left out
     for z in np.linspace(-0.5, 1.0, 301):
         if z != 0.0:
-            curvature = _theta_curvature(*_alpha_beta(float(z)), 0.0)
-            assert curvature == pytest.approx(_theta0_curvature(float(z)), rel=1e-13, abs=1e-13)
+            alpha, beta = _alpha_beta(float(z))
+            curvature = _theta_derivatives(alpha, beta, 0.0)[1]
+            assert curvature == pytest.approx(_theta0_curvature(alpha, beta), rel=1e-13, abs=1e-13)
 
 
 def _bisection_min_entropy(z):
     """min_pure_output_entropy below the transition with the angle found by
     plain bisection on the slope, the reference for the Newton steps."""
     alpha, beta = _alpha_beta(z)
-    k = _theta0_curvature(z)
+    k = _theta0_curvature(alpha, beta)
     theta = _bisect(lambda t: k if t == 0.0 else _theta_slope(alpha, beta, t), 0.0, math.pi / 4.0)
     return _output_entropy(alpha, beta, theta), theta
 
@@ -218,14 +223,16 @@ def test_min_entropy_matches_the_bisection_reference_below_the_transition():
 
 def test_newton_angle_takes_few_slope_evaluations(monkeypatch):
     # bisection on [0, pi/4] takes about 54 slope evaluations per z; the
-    # Newton steps take at most 12 on average, and never more than it
+    # Newton steps take at most 12 evaluations of _theta_derivatives (the
+    # slope at pi/4 included) on average, and never more than it.  z = -1/2
+    # takes none: its angle is pi/6 exactly
     calls = [0]
 
     def counted(alpha, beta, theta):
         calls[0] += 1
-        return _theta_slope(alpha, beta, theta)
+        return _theta_derivatives(alpha, beta, theta)
 
-    monkeypatch.setattr(symmetric_curve, "_theta_slope", counted)
+    monkeypatch.setattr(symmetric_curve, "_theta_derivatives", counted)
     zs = [float(z) for z in curve_grid() if z < theta_transition()]
     assert len(zs) == 85
     newton, plain = [], []
@@ -234,10 +241,11 @@ def test_newton_angle_takes_few_slope_evaluations(monkeypatch):
         min_pure_output_entropy(z)
         newton.append(calls[0])
         alpha, beta = _alpha_beta(z)
-        k = _theta0_curvature(z)
+        k = _theta0_curvature(alpha, beta)
         calls[0] = 0
-        _bisect(lambda t: k if t == 0.0 else counted(alpha, beta, t), 0.0, math.pi / 4.0)
+        _bisect(lambda t: k if t == 0.0 else counted(alpha, beta, t)[0], 0.0, math.pi / 4.0)
         plain.append(calls[0])
+    assert newton[0] == 0 and min(newton[1:]) >= 2
     assert np.mean(newton) <= 12.0
     assert all(n <= p for n, p in zip(newton, plain))
 
@@ -308,8 +316,41 @@ def test_curve_record_regions():
     assert curve_record(0.9).region == REGION_UPPER_LINEAR
     rec = curve_record(-0.5)
     assert rec.ed == pytest.approx(LN2, abs=1e-9)
-    assert rec.theta_min == pytest.approx(math.pi / 6.0, abs=1e-6)
+    assert (rec.epsilon, rec.theta_min) == (LN2, math.pi / 6.0)
     assert rec.ed <= rec.epsilon + 1e-9
+
+
+def test_curve_record_matches_its_parts_bit_for_bit():
+    # curve_record shares one check and one (alpha, beta) among epsilon,
+    # theta_min and E; each must be what the public functions return
+    g = Generator(Philox(key=np.array([24, 0], dtype=np.uint64)))
+    zs = [float(z) for z in np.concatenate([curve_grid(), g.uniform(-0.5, 1.0, 10000)])]
+    records = np.array([(r.epsilon, r.theta_min, r.ed) for r in map(curve_record, zs)])
+    parts = np.array([(*min_pure_output_entropy(z), entanglement_entropy(z)) for z in zs])
+    assert records.tobytes() == parts.tobytes()
+
+
+def test_curve_record_checks_z_and_takes_alpha_beta_once(monkeypatch):
+    checks, alpha_betas = [], []
+
+    def counted_check(z):
+        checks.append(z)
+        return check_z(z)
+
+    def counted_alpha_beta(z):
+        alpha_betas.append(z)
+        return _alpha_beta(z)
+
+    monkeypatch.setattr(symmetric_curve, "check_z", counted_check)
+    monkeypatch.setattr(symmetric_curve, "_alpha_beta", counted_alpha_beta)
+    # below the angle transition, on the lower chord above it, on the roof,
+    # on the upper chord, and at both ends
+    for z in (-0.5, -0.45, -0.41, 0.0, 0.3, 0.9, 1.0):
+        checks.clear()
+        alpha_betas.clear()
+        curve_record(z)
+        assert checks == [z]
+        assert alpha_betas.count(z) == 1
 
 
 def test_curve_grid():
