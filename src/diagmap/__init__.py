@@ -5,7 +5,7 @@ minimal output entropy on the zero-sum face in any dimension, each paired
 with an independent decomposition-search oracle.
 """
 
-from .entropy import eta, hermitian_eigenvalues, shannon_entropy
+from .entropy import eta
 from .face_minimum import (
     StationaryRoots,
     brute_force_min_face,
@@ -18,7 +18,7 @@ from .face_minimum import (
 )
 from .hull import HullResult, SampledCurve, lower_convex_hull, tangent_from_point
 from .lambert import lambert_w0, lambert_wm1
-from .roof import RoofResult, decomposition_from_isometry, real_roof_upper_bound, roof_upper_bound
+from .roof import RoofResult, real_roof_upper_bound, roof_upper_bound
 from .states import (
     Decomposition,
     StateFormatError,
@@ -34,8 +34,6 @@ from .states import (
 )
 from .symmetric_curve import (
     EDCurveRecord,
-    ThetaPoint,
-    abc_from_theta,
     curve_record,
     entanglement_entropy,
     lower_tangent_z,
@@ -57,16 +55,12 @@ __all__ = [
     "SampledCurve",
     "StateFormatError",
     "StationaryRoots",
-    "ThetaPoint",
-    "abc_from_theta",
     "brute_force_min_face",
     "curve_record",
-    "decomposition_from_isometry",
     "diagonal_channel",
     "diagonal_output_entropy",
     "entanglement_entropy",
     "eta",
-    "hermitian_eigenvalues",
     "lagrange_roots",
     "lambert_w0",
     "lambert_wm1",
@@ -85,7 +79,6 @@ __all__ = [
     "real_roof_upper_bound",
     "roof_upper_bound",
     "root_square_sum",
-    "shannon_entropy",
     "symmetric_state",
     "tangent_from_point",
     "theta0_entropy",

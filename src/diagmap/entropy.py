@@ -1,4 +1,5 @@
-"""Scalar entropy primitives: eta, Shannon entropy, hermitian eigenvalues.
+"""Scalar entropy primitives: eta, the entropy of a spectrum, the hermitian
+check, and the floored log of every search objective.
 
 All entropies are in nats (natural logarithm).
 """
@@ -10,7 +11,6 @@ import numpy as np
 # Values in [-NEG_CLAMP, 0] are treated as exact zeros; anything more
 # negative is a hard error rather than silent rounding.
 NEG_CLAMP = 1e-12
-SUM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
 # the floor of every logarithm of a squared modulus (floored_log)
 TINY = 1e-300
@@ -40,35 +40,10 @@ def floored_log(x: np.ndarray) -> np.ndarray:
     return np.log(x, out=np.zeros(x.shape), where=x > TINY)
 
 
-def clamp_probabilities(p) -> np.ndarray:
-    """Validate and clean a probability vector.
-
-    Entries in [-NEG_CLAMP, 0] are clamped to 0; more negative or NaN
-    entries or a total mass off 1 by more than SUM_TOL raise ValueError.
-    """
-    p = np.asarray(p, dtype=float).copy()
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability vector must be a non-empty 1-D array")
-    if not p.min() >= -NEG_CLAMP:
-        raise ValueError(f"negative probability {p.min()!r} below -{NEG_CLAMP}")
-    p[p < 0.0] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow to inf fails the test below
-        total = p.sum()
-    if not abs(total - 1.0) <= SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return p
-
-
 def _entropy_sum(values) -> float:
     """Sum of eta over values clipped to [0, 1], smallest first, so the
     result does not depend on their order."""
     return float(sum(eta(float(x)) for x in np.sort(np.clip(values, 0.0, 1.0))))
-
-
-def shannon_entropy(p) -> float:
-    """Shannon entropy sum(eta(p_i)) in nats of any vector that
-    clamp_probabilities accepts, exactly invariant under permutations."""
-    return _entropy_sum(clamp_probabilities(p))
 
 
 def check_hermitian(H) -> np.ndarray:
@@ -83,9 +58,3 @@ def check_hermitian(H) -> np.ndarray:
     if not dev <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not hermitian (deviation {dev:.3e})")
     return H
-
-
-def hermitian_eigenvalues(H) -> np.ndarray:
-    """Real eigenvalues of a hermitian matrix, ascending."""
-    H = check_hermitian(H)
-    return np.linalg.eigvalsh(H)

@@ -81,13 +81,14 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
     BACKTRACKS failed tries in a row, or once its unit step predicts a gain
     of at most POLISH_TOL, and leaves the batch; max_iters caps the
     iterations.  No row ends above its start.  H holds n^2 floats per row.
-    Returns W, the values, the iterations run and, for each row, whether
-    the cap stopped it."""
+    Returns W, the values, and for each row the iterations it ran (max_iters
+    for a row still running at the cap) and whether the cap stopped it."""
     W, (f, G) = W.copy(), funcs(W)
     # the rows still running: idx, and their w, fw, G, g, H, gamma and next step
     idx, w, fw, g = np.arange(len(f)), W, f, _project(W, G)
     n = _flat(g).shape[1]
     H, gamma, step, capped = np.zeros((len(f), n, n)), np.ones(len(f)), np.ones(len(f)), np.zeros(len(f), dtype=bool)
+    iters = np.full(len(f), max_iters)
     for it in range(max_iters):
         d = _project(w, -(H @ _flat(g)[:, :, None])[:, :, 0].view(w.dtype).reshape(w.shape))
         slope = _inner(g, d)
@@ -97,9 +98,9 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
             slope[fresh] = _inner(g[fresh], d[fresh])
         stop = (step < 2.0 ** (1 - BACKTRACKS)) | (slope >= -POLISH_TOL)
         if stop.any():
-            W[idx[stop]], f[idx[stop]] = w[stop], fw[stop]
+            W[idx[stop]], f[idx[stop]], iters[idx[stop]] = w[stop], fw[stop], it
             if stop.all():
-                return W, f, it, capped
+                return W, f, iters, capped
             run = ~stop
             idx, w, fw, G, g, H, gamma = idx[run], w[run], fw[run], G[run], g[run], H[run], gamma[run]
             step, d, slope, fresh = step[run], d[run], slope[run], fresh[run]
@@ -125,7 +126,7 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
         H += np.array([s, t]).transpose(1, 2, 0) @ np.array([t, s]).transpose(1, 0, 2)
     W[idx], f[idx] = w, fw
     capped[idx] = ~(step < 2.0 ** (1 - BACKTRACKS))
-    return W, f, max_iters, capped
+    return W, f, iters, capped
 
 
 def sphere_functions(B):

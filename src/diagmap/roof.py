@@ -55,9 +55,9 @@ INSERTIONS = 4
 @dataclass(frozen=True)
 class RoofResult:
     """A search's bound, the decomposition and isometry that attain it, and
-    how the search ended: the engine iterations over all its polishes,
-    failed Armijo retries included, the members inserted, and whether
-    max_sweeps stopped the best restart's last polish."""
+    how the search ended: the engine iterations of the best restart's polish
+    and of each insertion polish after it, the members inserted, and
+    whether max_sweeps stopped the best restart's last polish."""
 
     value: float
     decomposition: Decomposition
@@ -74,26 +74,13 @@ def _is_real(omega: np.ndarray) -> bool:
 def _eigen_factor(omega: np.ndarray):
     """Return M with M M^H = omega, columns scaled eigenvectors of the
     positive part of the spectrum.  A real state (_is_real) is factored as
-    its real part, so the search and decomposition_from_isometry pick the
-    same basis of a degenerate eigenspace."""
+    its real part and searched over real isometries.  The members of a
+    search's decomposition are the rows of conj(U) M^T, U its isometry."""
     if _is_real(omega):
         omega = omega.real.astype(float)
     evals, vecs = np.linalg.eigh(omega)
     keep = evals > RANK_TOL
     return vecs[:, keep] * np.sqrt(evals[keep])
-
-
-def decomposition_from_isometry(omega, U) -> Decomposition:
-    """Decomposition whose unnormalized vectors are M conj(U[j]) for the
-    eigenfactor M of omega; U must be column-orthonormal with exactly
-    rank(omega) columns."""
-    omega = check_density_matrix(omega)
-    M = _eigen_factor(omega)
-    r = M.shape[1]
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[1] != r:
-        raise ValueError(f"isometry must have {r} columns (state rank), got shape {U.shape}")
-    return _decomposition_from_vectors(_check_orthonormal(U).conj() @ M.T)
 
 
 def _check_orthonormal(U: np.ndarray) -> np.ndarray:
@@ -201,9 +188,9 @@ def _search(omega, m, restarts, seed, extra_inits, max_sweeps: int):
     if not r <= m <= N * N:
         raise ValueError(f"decomposition length m={m} outside [{r}, {N * N}]")
     funcs = _polish_functions(M)
-    W, f, sweeps, capped = stiefel_bfgs(_starts(M, m, restarts, seed, extra_inits), funcs, max_sweeps)
+    W, f, iters, capped = stiefel_bfgs(_starts(M, m, restarts, seed, extra_inits), funcs, max_sweeps)
     best = int(np.argmin(f))
-    w, fw, capped, insertions, g = W[best : best + 1], f[best], capped[best], 0, None
+    w, fw, capped, sweeps, insertions, g = W[best : best + 1], f[best], capped[best], int(iters[best]), 0, None
     while not capped and insertions < INSERTIONS:
         if g is None:  # stream 0 draws no start: the first start is the identity
             g = stream_rng(seed, 0)
@@ -213,7 +200,7 @@ def _search(omega, m, restarts, seed, extra_inits, max_sweeps: int):
         # the member sqrt(EPS) Bc is the row sqrt(EPS) c / sqrt(lam) of W
         row = math.sqrt(EPS) * c / np.linalg.norm(M, axis=0)
         wn, fn, steps, cn = stiefel_bfgs(_retract(np.concatenate([w, row[None, None]], axis=1)), funcs, max_sweeps)
-        sweeps += steps
+        sweeps += int(steps[0])
         if not fn[0] < fw:  # an insertion that does not lower the value is dropped
             break
         w, fw, capped, insertions = wn, fn[0], cn[0], insertions + 1

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _entropy_sum, check_hermitian, hermitian_eigenvalues
+from .entropy import _entropy_sum, check_hermitian
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -62,8 +62,7 @@ def diagonal_output_entropy(omega) -> float:
 
 def von_neumann_entropy(omega) -> float:
     """S(omega) = -Tr omega log omega in nats."""
-    omega = check_density_matrix(omega)
-    return _entropy_sum(hermitian_eigenvalues(omega))
+    return _entropy_sum(np.linalg.eigvalsh(check_density_matrix(omega)))
 
 
 def real_projection(omega) -> np.ndarray:

@@ -32,21 +32,6 @@ REGION_UPPER_LINEAR = "upper_linear"
 
 
 @dataclass(frozen=True)
-class ThetaPoint:
-    """Real amplitudes (a, b, c) on the constraint sphere for a given z."""
-
-    z: float
-    theta: float
-    a: float
-    b: float
-    c: float
-
-    @property
-    def amps(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
-
-
-@dataclass(frozen=True)
 class EDCurveRecord:
     z: float
     epsilon: float
@@ -64,16 +49,6 @@ def _amplitudes(alpha: float, beta: float, theta: float):
     b = (alpha - 2.0 * beta * math.cos(theta - math.pi / 3.0)) / 3.0
     c = (alpha - 2.0 * beta * math.cos(theta + math.pi / 3.0)) / 3.0
     return a, b, c
-
-
-def abc_from_theta(z: float, theta: float) -> ThetaPoint:
-    """Amplitudes with a^2+b^2+c^2 = 1 and ab+bc+ca = z at finite theta."""
-    z = check_z(z)
-    theta = _number(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta = {theta!r} is not finite")
-    a, b, c = _amplitudes(*_alpha_beta(z), theta)
-    return ThetaPoint(z=z, theta=theta, a=a, b=b, c=c)
 
 
 def theta0_entropy(z: float) -> float:

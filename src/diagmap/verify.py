@@ -108,7 +108,7 @@ def check_curve_anchors() -> CheckResult:
             abs(sc.entanglement_entropy(1.0) - LN3),
         ]
     )
-    return CheckResult("curve anchors at z = -1/2, 0, 1", (Measure("max |E - anchor|", worst, 1e-9),))
+    return CheckResult("curve anchors at z = -1/2, 0, 1", (Measure("max |E - anchor|", worst, 1e-15),))
 
 
 def check_lower_tangency() -> CheckResult:
@@ -150,7 +150,7 @@ def check_junctions() -> CheckResult:
             Measure("|epsilon(5/6) - knee value|", abs(eps_val - sc.UPPER_KNEE_VALUE), 2e-15),
             Measure("|knee value - ref|", abs(sc.UPPER_KNEE_VALUE - float(KNEE_VALUE_REF)), 1e-15),
             # the closed form joins its upper chord at the theta = 0 entropy
-            Measure("|theta0 entropy(5/6) - knee value|", abs(sc.theta0_entropy(knee) - sc.UPPER_KNEE_VALUE), 1e-10),
+            Measure("|theta0 entropy(5/6) - knee value|", abs(sc.theta0_entropy(knee) - sc.UPPER_KNEE_VALUE), 1e-15),
             Measure("max |chord slope - curve slope| at z*, 5/6", np.max(tangency), 1e-12),
         ),
     )
@@ -191,70 +191,6 @@ def check_curve_hull_agreement() -> CheckResult:
         (
             Measure("max |hull - curve|", np.max(np.abs(hull.hull_ys - ed)), 2e-4),
             Measure("max (curve - epsilon)", np.max(ed - eps), 1e-9),
-        ),
-    )
-
-
-def _hull_curves_and_states():
-    """Random inputs of the property checks.
-
-    Returns the curves of check_hull_properties as (xs, ys, index, lift):
-    raising ys[index] by lift must not lower the hull.  Twenty curves have
-    sorted uniform abscissae (seed 11); ten more have cumulative-sum
-    abscissae and normal ordinates (seed 23).  The seed-23 stream then draws
-    the twenty qutrit states that check_twirl_and_channel runs next to its
-    own.
-    """
-    g = stream_rng(11, 0)
-    curves = []
-    for _ in range(20):
-        n = int(g.integers(5, 21))
-        xs = np.sort(g.uniform(-2.0, 2.0, size=n))
-        while np.any(np.diff(xs) < 1e-9):
-            xs = np.sort(g.uniform(-2.0, 2.0, size=n))
-        ys = g.uniform(-1.0, 1.0, size=n)
-        curves.append((xs, ys, int(g.integers(0, n)), abs(g.uniform(0.1, 1.0))))
-    g = stream_rng(23, 0)
-    for _ in range(10):
-        n = int(g.integers(5, 21))
-        xs = np.cumsum(g.uniform(0.05, 1.0, size=n))
-        ys = g.standard_normal(n)
-        curves.append((xs, ys, int(g.integers(0, n)), 0.7))
-    return curves, [_random_qutrit(g) for _ in range(20)]
-
-
-def check_hull_properties() -> CheckResult:
-    curves, _ = _hull_curves_and_states()
-    idem, epi, drops = [], [], []
-    for xs, ys, idx, lift in curves:
-        n = xs.size
-        res = hl.lower_convex_hull(hl.SampledCurve(xs=xs, ys=ys))
-        again = hl.lower_convex_hull(hl.SampledCurve(xs=xs, ys=res.hull_ys))
-        idem.append(np.max(np.abs(again.hull_ys - res.hull_ys)))
-        # brute-force epigraph value: best chord over every straddling pair
-        brute = np.empty(n)
-        for i in range(n):
-            best = ys[i]
-            for j in range(i + 1):
-                for k in range(i, n):
-                    if j == k:
-                        val = ys[j]
-                    else:
-                        w = (xs[i] - xs[j]) / (xs[k] - xs[j])
-                        val = (1 - w) * ys[j] + w * ys[k]
-                    best = min(best, val)
-            brute[i] = best
-        epi.append(np.max(np.abs(brute - res.hull_ys)))
-        # raising one sample never lowers the hull
-        raised = ys.copy()
-        raised[idx] += lift
-        drops.append(np.max(res.hull_ys - hl.lower_convex_hull(hl.SampledCurve(xs=xs, ys=raised)).hull_ys))
-    return CheckResult(
-        "hull idempotence, monotonicity, epigraph equivalence",
-        (
-            Measure("idempotence deviation", np.max(idem), 1e-12),
-            Measure("epigraph deviation", np.max(epi), 1e-9),
-            Measure("hull drop on raising a sample", np.max(drops), 1e-12),
         ),
     )
 
@@ -449,7 +385,7 @@ def check_oracle_rank2() -> CheckResult:
         devs.append(abs(res.value - closed))
     return CheckResult(
         f"decomposition search matches the rank-2 closed form on {n_states} states",
-        (Measure("max |search - closed|", np.max(devs), 1e-10),),
+        (Measure("max |search - closed|", np.max(devs), 5e-15),),
     )
 
 
@@ -472,8 +408,7 @@ def check_twirl_and_channel() -> CheckResult:
     worst_twirl = np.max(
         [abs(st.twirl_s3(st.symmetric_state(float(z))) - float(z)) for z in np.linspace(-0.5, 1.0, 101)]
     )
-    _, states = _hull_curves_and_states()
-    states += [_random_qutrit(stream_rng(31, i)) for i in range(50)]
+    states = [_random_qutrit(stream_rng(31, i)) for i in range(70)]
     chan = []
     proj = []
     drops = []
@@ -504,7 +439,7 @@ def check_flat_leaf() -> CheckResult:
         p = stream_rng(37, i).uniform(0.05, 1.0, size=3)
         p /= p.sum()
         values.append(roof_upper_bound(np.diag(p).astype(complex), restarts=4, seed=37).value)
-    return CheckResult("zero roof on the diagonal-state leaf", (Measure("max value", np.max(values), 1e-9),))
+    return CheckResult("zero roof on the diagonal-state leaf", (Measure("max value", np.max(values), 1e-15),))
 
 
 def check_m_monotonicity() -> CheckResult:
@@ -545,7 +480,6 @@ SUITES = {
         check_junctions,
         check_decompositions,
         check_curve_hull_agreement,
-        check_hull_properties,
     ),
     "rank2": (
         check_oracle_curve,

@@ -33,7 +33,6 @@ CRITERIA = {
     "09_decomposition_validity": ((verify.check_decompositions, verify.check_curve_hull_agreement), 10.0),
     "10_property_suites": (
         (
-            verify.check_hull_properties,
             verify.check_twirl_and_channel,
             verify.check_two_value_concavity,
             verify.check_projection_inequality,

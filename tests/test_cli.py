@@ -247,8 +247,8 @@ def test_roof_estimate_rejects_bad_seed_or_restarts(tmp_path, capsys, option):
 def test_verify_suite_passes(capsys):
     code, out, _ = _run(capsys, ["verify", "edcurve"])
     assert code == EXIT_OK
-    assert out.count("PASS  ") == 7
-    assert out.splitlines()[-1] == "7/7 checks passed"
+    assert out.count("PASS  ") == 6
+    assert out.splitlines()[-1] == "6/6 checks passed"
 
 
 def test_verify_reports_a_failing_check(capsys, monkeypatch):

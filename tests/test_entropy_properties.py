@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from diagmap.entropy import HERMITIAN_TOL, NEG_CLAMP, SUM_TOL, check_hermitian, clamp_probabilities, eta
+from diagmap.entropy import HERMITIAN_TOL, NEG_CLAMP, check_hermitian, eta
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -29,28 +29,6 @@ def test_eta_returns_entropy_or_raises(x):
         assert not -NEG_CLAMP <= x <= 1.0 + NEG_CLAMP
         return
     assert math.isfinite(value) and 0.0 <= value <= math.exp(-1.0)
-
-
-_NEAR_DISTRIBUTIONS = hs.lists(hs.floats(0.0, 1.0), min_size=1, max_size=6).map(
-    lambda p: [x / sum(p) for x in p] if sum(p) > 0.0 else p
-)
-
-
-@PROPERTY
-@given(hs.one_of(hs.lists(_FLOATS, max_size=6), _NEAR_DISTRIBUTIONS), hs.sampled_from(["vector", "row", "scalar"]))
-def test_clamp_probabilities_returns_distribution_or_raises(entries, layout):
-    p = np.array(entries, dtype=float)
-    if layout == "row":
-        p = p[None, :]
-    elif layout == "scalar" and p.size:
-        p = p[0]
-    try:
-        out = clamp_probabilities(p)
-    except ValueError:
-        return
-    assert layout == "vector" and out.shape == p.shape
-    assert np.isfinite(out).all() and out.min() >= 0.0
-    assert abs(out.sum() - 1.0) <= SUM_TOL
 
 
 _COMPLEX = hs.one_of(

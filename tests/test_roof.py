@@ -5,7 +5,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap import linesearch, roof, symmetric_curve
-from diagmap.roof import decomposition_from_isometry, real_roof_upper_bound, roof_upper_bound
+from diagmap.roof import real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (
     diagonal_output_entropy,
     pure_to_density,
@@ -29,15 +29,21 @@ def _random_density(g, n=3):
     return omega / np.trace(omega).real
 
 
+def _decomposition(omega, U):
+    """The decomposition an isometry U stands for in a search of omega: the
+    rows of conj(U) M^T, M the eigenfactor the search uses."""
+    return roof._decomposition_from_vectors(np.asarray(U).conj() @ roof._eigen_factor(omega).T)
+
+
 def test_identity_isometry_gives_spectral_decomposition():
     omega = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    dec = decomposition_from_isometry(omega, np.eye(3))
+    dec = _decomposition(omega, np.eye(3))
     assert sorted(np.round(dec.weights, 12)) == [0.2, 0.3, 0.5]
     assert np.allclose(dec.mixture(), omega, atol=1e-12)
 
 
 def test_isometry_decomposition_of_maximally_mixed():
-    dec = decomposition_from_isometry(symmetric_state(0.0), np.eye(3))
+    dec = _decomposition(symmetric_state(0.0), np.eye(3))
     assert np.allclose(dec.weights, 1.0 / 3.0)
     assert np.allclose(dec.mixture(), np.eye(3) / 3.0, atol=1e-12)
 
@@ -47,7 +53,7 @@ def test_isometry_decomposition_pure_state():
     omega = pure_to_density(psi)
     u = np.array([[1.0], [0.0], [0.0]])  # length-3 decomposition of rank 1
     u = np.array([[0.6], [0.8], [0.0]])
-    dec = decomposition_from_isometry(omega, u / np.linalg.norm(u))
+    dec = _decomposition(omega, u / np.linalg.norm(u))
     for s in dec.states:
         overlap = abs(np.vdot(s, psi))
         assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -59,20 +65,10 @@ def test_isometry_decomposition_always_reconstructs():
         omega = _random_density(g)
         raw = g.standard_normal((5, 3)) + 1j * g.standard_normal((5, 3))
         u, _ = np.linalg.qr(raw)
-        dec = decomposition_from_isometry(omega, u)
+        dec = _decomposition(omega, u)
         assert np.max(np.abs(dec.mixture() - omega)) < 1e-9
         assert np.all(dec.weights > 0.0)
         assert dec.weights.sum() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_isometry_rank_mismatch_rejected():
-    omega = symmetric_state(-0.5)  # rank 2
-    with pytest.raises(ValueError):
-        decomposition_from_isometry(omega, np.eye(3))
-    with pytest.raises(ValueError):
-        decomposition_from_isometry(symmetric_state(0.0), np.ones((3, 3)))
-    with pytest.raises(ValueError, match="orthonormal"):  # fewer rows than the rank
-        decomposition_from_isometry(symmetric_state(0.0), np.eye(2, 3))
 
 
 def test_roof_pure_state_is_exact():
@@ -116,7 +112,7 @@ def test_roof_isometry_reproduces_decomposition(z):
     else:
         omega = symmetric_state(z)
     res = roof_upper_bound(omega, m=6, restarts=10, seed=5)
-    dec = decomposition_from_isometry(omega, res.isometry)
+    dec = _decomposition(omega, res.isometry)
     assert dec.average_output_entropy() == pytest.approx(res.value, abs=1e-12)
 
 
@@ -130,7 +126,7 @@ def test_near_real_state_round_trips(z):
     for search in (real_roof_upper_bound, roof_upper_bound):
         res = search(omega, m=6, restarts=10, seed=7)
         assert not np.iscomplexobj(res.isometry)
-        dec = decomposition_from_isometry(omega, res.isometry)
+        dec = _decomposition(omega, res.isometry)
         assert dec.average_output_entropy() == pytest.approx(res.value, abs=1e-12)
 
 
@@ -201,8 +197,6 @@ def test_roof_rejects_extra_inits_that_are_not_isometries():
     for bad in (np.full((3, 3), np.inf), np.eye(3) + 1e-9):
         with pytest.raises(ValueError, match="orthonormal|non-finite"):
             roof_upper_bound(symmetric_state(0.3), m=3, restarts=1, seed=0, extra_inits=[bad])
-        with pytest.raises(ValueError, match="orthonormal|non-finite"):
-            decomposition_from_isometry(symmetric_state(0.3), bad)
 
 
 def test_real_roof_requires_real_symmetric():
@@ -325,10 +319,10 @@ def test_polish_batch_matches_restarts_one_at_a_time(complex_moves):
     funcs = roof._polish_functions(M)
     f = funcs(W)[0]
     Wb, fb, steps, capped = linesearch.stiefel_bfgs(W, funcs)
-    assert 0 < steps < linesearch.POLISH_ITERS and not capped.any()
+    assert 0 < steps.min() and steps.max() < linesearch.POLISH_ITERS and not capped.any()
     for i in range(len(f)):
-        Ws, fs, _, _ = linesearch.stiefel_bfgs(W[i : i + 1], funcs)
-        assert np.array_equal(Ws[0], Wb[i]) and fs[0] == fb[i]
+        Ws, fs, its, _ = linesearch.stiefel_bfgs(W[i : i + 1], funcs)
+        assert np.array_equal(Ws[0], Wb[i]) and fs[0] == fb[i] and its[0] == steps[i]
     # the polish never ends above its start, keeps W on the Stiefel manifold
     # and f in step with it
     assert np.all(fb <= f) and np.any(fb < f - 1e-9)
@@ -366,6 +360,33 @@ def test_polish_cap_is_reported():
     res = real_roof_upper_bound(symmetric_state(-0.41).real, m=6, restarts=32, max_sweeps=3, seed=1)
     assert res.sweeps == 3 and res.capped and res.insertions == 0
     assert res.value >= entanglement_entropy(-0.41) - 1e-12
+
+
+def test_sweeps_count_the_best_restart():
+    # the batch runs 27 iterations, until its slowest restart stops; the
+    # restart that gives the value stops at 19
+    omega = symmetric_state(0.3).real
+    res = real_roof_upper_bound(omega, m=6, restarts=32, max_sweeps=150, seed=1)
+    M = roof._eigen_factor(omega)
+    _, f, iters, _ = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, 1, None), roof._polish_functions(M), 150)
+    assert (res.insertions, res.sweeps, iters[np.argmin(f)], iters.max()) == (0, 19, 19, 27)
+
+
+def test_sweeps_add_each_insertion_polish(monkeypatch):
+    engine, polishes = roof.stiefel_bfgs, []
+
+    def recorded(W, funcs, *args):
+        out = engine(W, funcs, *args)
+        if W.shape[2] > 1:  # a polish; the pricing runs on single columns
+            polishes.append(out)
+        return out
+
+    monkeypatch.setattr(roof, "stiefel_bfgs", recorded)
+    res = real_roof_upper_bound(symmetric_state(-0.41).real, m=6, restarts=32, max_sweeps=150, seed=1)
+    (_, f, iters, _), *inserted = polishes
+    # a polish whose insertion is dropped counts too
+    assert res.insertions >= 1 and len(inserted) >= res.insertions
+    assert res.sweeps == iters[np.argmin(f)] + sum(its[0] for _, _, its, _ in inserted)
 
 
 def test_capped_reports_the_best_restart():

@@ -106,6 +106,18 @@ def test_diagonal_output_entropy_projection_invariance():
         assert diagonal_output_entropy(real_projection(omega)) == s
 
 
+def test_diagonal_output_entropy_bounds_and_permutation_invariance():
+    # the entropy sum runs smallest first, so the order of the diagonal does
+    # not change it by a single bit
+    g = Generator(Philox(key=np.array([4, 0], dtype=np.uint64)))
+    for _ in range(100):
+        p = g.uniform(0.0, 1.0, size=5)
+        p /= p.sum()
+        s = diagonal_output_entropy(np.diag(p))
+        assert 0.0 <= s <= math.log(p.size) + 1e-12
+        assert diagonal_output_entropy(np.diag(g.permutation(p))) == s
+
+
 def test_von_neumann_entropy_values():
     g = Generator(Philox(key=np.array([11, 0], dtype=np.uint64)))
     psi = g.standard_normal(3) + 1j * g.standard_normal(3)
