@@ -85,18 +85,9 @@ def cmd_ed_curve(args) -> int:
         return EXIT_USAGE
     scale = _unit_scale(args.units)
     lines = ["z,epsilon,theta_min,ed,region"]
-    for rec in map(sc.curve_record, zs):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(rec.z),
-                    _fmt(rec.epsilon * scale),
-                    _fmt(rec.theta_min),
-                    _fmt(rec.ed * scale),
-                    rec.region,
-                )
-            )
-        )
+    for rec in map(sc.curve_record, zs.tolist()):
+        # _fmt's format, in one f-string per row
+        lines.append(f"{rec.z:.9g},{rec.epsilon * scale:.9g},{rec.theta_min:.9g},{rec.ed * scale:.9g},{rec.region}")
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

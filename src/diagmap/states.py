@@ -3,6 +3,7 @@ two symmetry projections used throughout: transposition averaging and the
 S3 permutation twirl.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,23 @@ class StateFormatError(ValueError):
 def check_pure_state(psi) -> np.ndarray:
     """Return psi as a complex vector, raising unless it is normalized."""
     psi = np.asarray(psi, dtype=complex).ravel()
-    norm2 = float(np.vdot(psi, psi).real)
+    _check_norm2(float(np.vdot(psi, psi).real))
+    return psi
+
+
+def _check_norm2(norm2: float) -> None:
+    """Raise unless a pure state's squared norm is 1 within NORM_TOL."""
     if not abs(norm2 - 1.0) <= NORM_TOL:
         raise ValueError(f"pure state has squared norm {norm2!r}, not 1")
-    return psi
 
 
 def check_density_matrix(omega) -> np.ndarray:
     """Return omega as a complex array, raising unless it is a valid state."""
+    return _checked_spectrum(omega)[0]
+
+
+def _checked_spectrum(omega):
+    """check_density_matrix's state together with its ascending eigenvalues."""
     omega = check_hermitian(omega)
     tr = float(np.trace(omega).real)
     if not abs(tr - 1.0) <= TRACE_TOL:
@@ -39,7 +49,7 @@ def check_density_matrix(omega) -> np.ndarray:
     evals = np.linalg.eigvalsh(omega)
     if not evals[0] >= -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals[0]!r}")
-    return omega
+    return omega, evals
 
 
 def pure_to_density(psi) -> np.ndarray:
@@ -62,7 +72,7 @@ def diagonal_output_entropy(omega) -> float:
 
 def von_neumann_entropy(omega) -> float:
     """S(omega) = -Tr omega log omega in nats."""
-    return _entropy_sum(np.linalg.eigvalsh(check_density_matrix(omega)))
+    return _entropy_sum(_checked_spectrum(omega)[1])
 
 
 def real_projection(omega) -> np.ndarray:
@@ -123,12 +133,15 @@ class Decomposition:
     states: list
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if len(self.states) != self.weights.size:
+        weights = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", weights)
+        if len(self.states) != weights.size:
             raise ValueError("weights and states have different lengths")
-        # NaN fails both comparisons; an empty mixture has nothing to check
-        if self.weights.size and not (self.weights.min() >= 0.0 and self.weights.max() < np.inf):
-            raise ValueError(f"weights must be finite and non-negative, got {self.weights!r}")
+        # one pass over Python floats: two numpy reductions cost more on a few
+        # entries; NaN fails both comparisons
+        for w in weights.ravel().tolist():
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"weights must be finite and non-negative, got {weights!r}")
 
     def __len__(self) -> int:
         return self.weights.size

@@ -19,7 +19,7 @@ import numpy as np
 
 from .entropy import LN2, LN3, TINY, eta
 from .hull import _bisect, tangent_from_point
-from .states import Z_MAX, Z_MIN, Decomposition, _number, check_pure_state, check_z
+from .states import Z_MAX, Z_MIN, Decomposition, _check_norm2, _number, check_z
 
 UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
@@ -73,7 +73,8 @@ def _theta0_slope(z: float) -> float:
 
 
 def _output_entropy(alpha: float, beta: float, theta: float) -> float:
-    return sum(eta(x * x) for x in _amplitudes(alpha, beta, theta))
+    a, b, c = _amplitudes(alpha, beta, theta)
+    return eta(a * a) + eta(b * b) + eta(c * c)
 
 
 def _theta_derivatives(alpha: float, beta: float, theta: float):
@@ -195,16 +196,13 @@ def curve_record(z: float) -> EDCurveRecord:
     return EDCurveRecord(z, *_min_output_entropy(alpha, beta), ed, region)
 
 
-_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-
-
-def _orbit(amps: np.ndarray) -> np.ndarray:
-    """The cyclic shifts of an amplitude vector with real entries, one per
-    row: three states that mix to symmetric_state(ab + bc + ca), or the
-    single state when all three amplitudes are equal."""
-    if amps[0] == amps[1] == amps[2]:
-        return amps[None]
-    return amps[_SHIFTS]
+def _orbit(a: float, b: float, c: float) -> list:
+    """The cyclic shifts of real amplitudes (a, b, c), one tuple per state:
+    three states that mix to symmetric_state(ab + bc + ca), or the single
+    state when all three amplitudes are equal."""
+    if a == b == c:
+        return [(a, b, c)]
+    return [(a, b, c), (b, c, a), (c, a, b)]
 
 
 def optimal_decomposition(z: float) -> Decomposition:
@@ -214,14 +212,16 @@ def optimal_decomposition(z: float) -> Decomposition:
     pieces it mixes the orbits at the two chord endpoints.  Each orbit's
     amplitudes are validated once: its members are permutations of them."""
     _, points = _piece(check_z(z))
-    weights, states = [], []
+    weights, rows = [], []
     for w, z_end, theta, _ in points:
-        orbit = _orbit(check_pure_state(_amplitudes(*_alpha_beta(z_end), theta)))
+        a, b, c = _amplitudes(*_alpha_beta(z_end), theta)
+        _check_norm2(a * a + b * b + c * c)
+        orbit = _orbit(a, b, c)
         w /= len(orbit)
         if w > 1e-12:
             weights += [w] * len(orbit)
-            states.extend(orbit)
-    return Decomposition(weights=np.array(weights), states=states)
+            rows += orbit
+    return Decomposition(weights=np.array(weights), states=list(np.array(rows, dtype=complex)))
 
 
 def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from diagmap import verify
-from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from diagmap import symmetric_curve, verify
+from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
 from diagmap.states import symmetric_state, write_density_matrix
 
@@ -68,6 +68,48 @@ def test_ed_curve_bits_rescales_entropy_columns_only(capsys):
         # CSV carries 9 significant digits, so compare at that resolution
         assert float(eb) == pytest.approx(float(en) / LN2, rel=1e-7, abs=1e-8)
         assert float(edb) == pytest.approx(float(edn) / LN2, rel=1e-7, abs=1e-8)
+
+
+def _reference_csv(zs, scale):
+    # the earlier row writer: _fmt on each field of curve_record(np.float64 z)
+    lines = ["z,epsilon,theta_min,ed,region"]
+    for rec in map(symmetric_curve.curve_record, zs):
+        fields = (_fmt(rec.z), _fmt(rec.epsilon * scale), _fmt(rec.theta_min), _fmt(rec.ed * scale), rec.region)
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, grid, scale",
+    [
+        ([], (-0.5, 1.0, 1e-3), 1.0),
+        (["--z-min", "-0.3", "--z-max", "0.9", "--z-step", "0.013", "--units", "bits"], (-0.3, 0.9, 0.013), 1.0 / LN2),
+    ],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_ed_curve_matches_fmt_reference_rows(tmp_path, capsys, argv, grid, scale, to_file):
+    path = tmp_path / "curve.csv"
+    code, out, err = _run(capsys, ["ed-curve", *argv, *(["--out", str(path)] if to_file else [])])
+    assert code == EXIT_OK and err == ""
+    text = path.read_text(encoding="utf-8") if to_file else out
+    want = _reference_csv(symmetric_curve.curve_grid(*grid), scale)
+    assert text.splitlines() == want.splitlines()
+    assert text == want
+
+
+def test_ed_curve_records_each_grid_point_once(capsys, monkeypatch):
+    zs = []
+    curve_record = symmetric_curve.curve_record
+
+    def counted(z):
+        zs.append(z)
+        return curve_record(z)
+
+    monkeypatch.setattr(symmetric_curve, "curve_record", counted)
+    code, out, _ = _run(capsys, ["ed-curve", "--z-step", "0.01"])
+    assert code == EXIT_OK
+    assert zs == symmetric_curve.curve_grid(z_step=0.01).tolist()
+    assert len(out.splitlines()) == len(zs) + 1
 
 
 def test_ed_curve_bad_range_is_usage_error(capsys):

@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from numpy.random import Generator, Philox
 
+from diagmap.entropy import _entropy_sum
 from diagmap.states import (
     Decomposition,
     StateFormatError,
@@ -127,6 +130,25 @@ def test_von_neumann_entropy_values():
     assert von_neumann_entropy(symmetric_state(-0.5)) == pytest.approx(LN2, abs=1e-12)
 
 
+def test_von_neumann_entropy_decomposes_its_state_once(monkeypatch):
+    # the validity check's spectrum is the one summed, bit for bit
+    eigvalsh = np.linalg.eigvalsh
+    g = Generator(Philox(key=np.array([42, 0], dtype=np.uint64)))
+    omegas = [_random_density(g), _random_density(g, 4), symmetric_state(0.3), np.eye(4) / 4.0]
+    want = [_entropy_sum(eigvalsh(check_density_matrix(omega))) for omega in omegas]
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for omega, value in zip(omegas, want):
+        calls.clear()
+        assert von_neumann_entropy(omega) == value
+        assert len(calls) == 1
+
+
 def test_measurement_increases_entropy():
     g = Generator(Philox(key=np.array([12, 0], dtype=np.uint64)))
     for _ in range(30):
@@ -211,6 +233,61 @@ def test_decomposition_rejects_non_finite_or_negative_weights(bad):
         Decomposition(weights=np.array([bad, 0.5]), states=states)
     # a subnormal weight stays allowed, as the roof search can leave one
     assert len(Decomposition(weights=np.array([5e-324, 1.0]), states=states)) == 2
+
+
+def _reference_weights_ok(weights) -> bool:
+    # the earlier check: two numpy reductions, skipped for an empty mixture
+    w = np.asarray(weights, dtype=float)
+    return not w.size or bool(w.min() >= 0.0 and w.max() < np.inf)
+
+
+def _assert_weight_check_matches_reference(weights):
+    states = [np.array([1.0, 0.0])] * np.asarray(weights).size
+    if _reference_weights_ok(weights):
+        dec = Decomposition(weights=weights, states=states)
+        want = np.asarray(weights, dtype=float)
+        assert dec.weights.dtype == np.float64 and dec.weights.shape == want.shape
+        assert dec.weights.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match="weights"):
+            Decomposition(weights=weights, states=states)
+
+
+_WEIGHTS = hs.one_of(
+    hs.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    hs.floats(0.0, 1.0),
+    hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(hs.lists(_WEIGHTS, max_size=6))
+def test_decomposition_weight_check_matches_two_reduction_reference(values):
+    _assert_weight_check_matches_reference(np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        np.array([]),
+        [],
+        np.array(0.5),
+        np.array(-0.0),
+        np.array(math.nan),
+        np.array(-1.0),
+        [0.25, 0.75],
+        [0.25, -0.75],
+        [0.25, math.inf],
+        np.array([1, 2]),
+        np.array([1, -2]),
+        np.array([[0.25, 0.75], [0.0, -0.0]]),
+        np.array([[0.25, math.nan]]),
+        np.array([0.5, 5e-324], dtype=np.float32),
+    ],
+    ids=repr,
+)
+def test_decomposition_weight_check_matches_reference_on_other_inputs(weights):
+    _assert_weight_check_matches_reference(weights)
 
 
 def test_density_matrix_file_roundtrip(tmp_path):

@@ -7,7 +7,15 @@ from numpy.random import Generator, Philox
 
 from diagmap import symmetric_curve
 from diagmap.hull import _bisect
-from diagmap.states import check_z, diagonal_output_entropy, pure_to_density, symmetric_state, twirl_s3
+from diagmap.states import (
+    Decomposition,
+    check_pure_state,
+    check_z,
+    diagonal_output_entropy,
+    pure_to_density,
+    symmetric_state,
+    twirl_s3,
+)
 from diagmap.symmetric_curve import (
     REGION_LOWER_LINEAR,
     REGION_ROOF,
@@ -493,7 +501,7 @@ def test_orbit_matches_allclose_reference_on_the_curve():
     assert {-0.5, lower_tangent_z(), UPPER_KNEE, 1.0} <= {z_end for z_end, _ in points}
     for z_end, theta in points:
         amps = _abc(z_end, theta)
-        got = _orbit(amps)
+        got = np.array(_orbit(*amps.tolist()))
         want = _reference_orbit(amps)
         assert len(got) == len(want) == (1 if z_end == 1.0 else 3), amps
         matches = []
@@ -511,14 +519,74 @@ def test_cyclic_shifts_mix_to_the_symmetric_state():
     for _ in range(200):
         v = g.standard_normal(3)
         v /= np.linalg.norm(v)
-        a, b, c = v
-        rows = _orbit(v)
+        a, b, c = v.tolist()
+        rows = np.array(_orbit(a, b, c))
         assert rows.shape == (3, 3)
         mixture = sum(np.outer(r, r) for r in rows) / 3.0
         assert np.max(np.abs(mixture - symmetric_state(a * b + b * c + c * a))) <= 1e-15
         entropies = {diagonal_output_entropy(pure_to_density(r)) for r in rows}
         assert len(entropies) == 1
-    assert _orbit(np.full(3, 1.0 / math.sqrt(3.0))).shape == (1, 3)
+    assert len(_orbit(*[1.0 / math.sqrt(3.0)] * 3)) == 1
+
+
+_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def _reference_decomposition(z):
+    # the earlier optimal_decomposition: check_pure_state on each orbit's
+    # amplitudes, then its shifts gathered by fancy indexing
+    _, points = _piece(check_z(z))
+    weights, states = [], []
+    for w, z_end, theta, _ in points:
+        amps = check_pure_state(_amplitudes(*_alpha_beta(z_end), theta))
+        orbit = amps[None] if amps[0] == amps[1] == amps[2] else amps[_SHIFTS]
+        w /= len(orbit)
+        if w > 1e-12:
+            weights += [w] * len(orbit)
+            states.extend(orbit)
+    return np.array(weights), states
+
+
+def test_optimal_decomposition_is_bit_identical_to_reference():
+    g = Generator(Philox(key=np.array([43, 0], dtype=np.uint64)))
+    zs = [*curve_grid().tolist(), *g.uniform(-0.5, 1.0, 10_000).tolist(), -0.5, lower_tangent_z(), UPPER_KNEE, 1.0]
+    for z in zs:
+        dec = optimal_decomposition(z)
+        weights, states = _reference_decomposition(z)
+        assert dec.weights.dtype == np.float64 and dec.weights.tobytes() == weights.tobytes(), z
+        assert len(dec.states) == len(states), z
+        for got, want in zip(dec.states, states):
+            assert got.dtype == np.complex128 and got.shape == (3,), z
+            assert got.tobytes() == want.tobytes(), z
+
+
+def test_optimal_decomposition_call_counts(monkeypatch):
+    # one Decomposition per call and one norm check per orbit, a dropped one
+    # included: -1/2, the double below z*, the double below 1 and 1 each drop
+    # an orbit of weight <= 1e-12
+    built, norms = [], []
+    check_norm2 = symmetric_curve._check_norm2
+
+    def counted_norm(norm2):
+        norms.append(norm2)
+        return check_norm2(norm2)
+
+    def counted_decomposition(*args, **kwargs):
+        built.append(1)
+        return Decomposition(*args, **kwargs)
+
+    monkeypatch.setattr(symmetric_curve, "_check_norm2", counted_norm)
+    monkeypatch.setattr(symmetric_curve, "Decomposition", counted_decomposition)
+    zstar = lower_tangent_z()
+    zs = [-0.5, -0.47, math.nextafter(zstar, -1.0), zstar, 0.0, 0.3, UPPER_KNEE, 0.9, math.nextafter(1.0, 0.0), 1.0]
+    for z in zs:
+        built.clear()
+        norms.clear()
+        dec = optimal_decomposition(z)
+        assert len(built) == 1, z
+        assert len(norms) == len(_piece(z)[1]), z
+    # at 1 the knee's orbit has weight 0: dropped, yet checked above
+    assert len(dec) == 1 and len(_piece(1.0)[1]) == 2
 
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
