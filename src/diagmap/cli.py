@@ -139,7 +139,7 @@ def cmd_zstar(args) -> int:
     scale = _unit_scale(args.units)
     zstar = sc.lower_tangent_z()
     s_star = sc.theta0_entropy(zstar)
-    slope = (s_star - LN2) / (zstar + 0.5)
+    slope = (s_star - LN2) / (zstar - st.Z_MIN)
     transition = sc.theta_transition()
     print(f"tangency point z* = {_fmt(zstar)}")
     print(f"curve value at z*: {_fmt(s_star * scale)} {args.units}")

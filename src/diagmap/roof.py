@@ -220,8 +220,7 @@ def _decomposition_from_vectors(vectors: np.ndarray) -> Decomposition:
     # carries part of the mixture and of its average entropy
     weights = np.einsum("ij,ij->i", vectors, vectors.conj()).real
     keep = weights > 0.0
-    states = [vectors[j] / math.sqrt(weights[j]) for j in np.nonzero(keep)[0]]
-    return Decomposition(weights=weights[keep], states=states)
+    return Decomposition(weights=weights[keep], states=vectors[keep] / np.sqrt(weights[keep])[:, None])
 
 
 def roof_upper_bound(

@@ -29,10 +29,10 @@ def check_pure_state(psi) -> np.ndarray:
     return psi
 
 
-def _check_norm2(norm2: float) -> None:
+def _check_norm2(norm2: float, name: str = "pure state") -> None:
     """Raise unless a pure state's squared norm is 1 within NORM_TOL."""
     if not abs(norm2 - 1.0) <= NORM_TOL:
-        raise ValueError(f"pure state has squared norm {norm2!r}, not 1")
+        raise ValueError(f"{name} has squared norm {norm2!r}, not 1")
 
 
 def check_density_matrix(omega) -> np.ndarray:
@@ -127,16 +127,23 @@ def symmetric_state(z: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A convex mixture of pure states: sum_j weights[j] |s_j><s_j|."""
+    """A convex mixture of pure states: sum_j weights[j] |s_j><s_j|, one
+    member s_j per row of states, of the dtype it was given."""
 
     weights: np.ndarray
-    states: list
+    states: np.ndarray
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", weights)
-        if len(self.states) != weights.size:
-            raise ValueError("weights and states have different lengths")
+        try:
+            states = np.asarray(self.states)
+        except ValueError:  # numpy refuses ragged rows
+            raise ValueError("members have different lengths") from None
+        states = states.reshape(0, 0) if states.shape == (0,) else states  # the empty mixture
+        if states.ndim != 2 or len(states) != weights.size:
+            raise ValueError(f"members of shape {states.shape} are not one row for each of {weights.size} weights")
+        object.__setattr__(self, "states", states)
         # one pass over Python floats: two numpy reductions cost more on a few
         # entries; NaN fails both comparisons
         for w in weights.ravel().tolist():
@@ -146,19 +153,23 @@ class Decomposition:
     def __len__(self) -> int:
         return self.weights.size
 
+    def _squared_moduli(self) -> np.ndarray:
+        """|s_jk|^2, raising unless every member is a unit vector: both readers' check."""
+        sq = np.abs(self.states) ** 2
+        for j, norm2 in enumerate(sq.sum(axis=1).tolist()):
+            _check_norm2(norm2, f"member {j}")
+        return sq
+
     def mixture(self) -> np.ndarray:
-        """Reassemble sum_j p_j |s_j><s_j|."""
-        dim = len(self.states[0])
-        out = np.zeros((dim, dim), dtype=complex)
-        for p, s in zip(self.weights, self.states):
-            out += p * np.outer(s, np.conj(s))
-        return out
+        """Reassemble sum_j p_j |s_j><s_j| as a complex matrix."""
+        self._squared_moduli()
+        return ((self.states.T * self.weights.ravel()) @ self.states.conj()).astype(complex)
 
     def average_output_entropy(self) -> float:
         """Weighted average of the diagonal output entropy of the members."""
         total = 0.0
-        for p, s in zip(self.weights, self.states):
-            total += p * _entropy_sum(np.abs(np.asarray(s)) ** 2)
+        for p, sq in zip(self.weights.ravel(), self._squared_moduli()):
+            total += p * _entropy_sum(sq)
         return total
 
 

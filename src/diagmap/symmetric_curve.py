@@ -19,7 +19,7 @@ import numpy as np
 
 from .entropy import LN2, LN3, TINY, eta
 from .hull import _bisect, tangent_from_point
-from .states import Z_MAX, Z_MIN, Decomposition, _check_norm2, _number, check_z
+from .states import NORM_TOL, Z_MAX, Z_MIN, Decomposition, _number, check_z
 
 UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
@@ -209,19 +209,16 @@ def optimal_decomposition(z: float) -> Decomposition:
     """A decomposition of symmetric_state(z) attaining entanglement_entropy(z):
     the cyclic orbit of each point of z's piece, sharing the point's weight.
     Inside [z*, 5/6] it is the orbit of the theta = 0 state; on the linear
-    pieces it mixes the orbits at the two chord endpoints.  Each orbit's
-    amplitudes are validated once: its members are permutations of them."""
+    pieces it mixes the orbits at the two chord endpoints."""
     _, points = _piece(check_z(z))
     weights, rows = [], []
     for w, z_end, theta, _ in points:
-        a, b, c = _amplitudes(*_alpha_beta(z_end), theta)
-        _check_norm2(a * a + b * b + c * c)
-        orbit = _orbit(a, b, c)
+        orbit = _orbit(*_amplitudes(*_alpha_beta(z_end), theta))
         w /= len(orbit)
         if w > 1e-12:
             weights += [w] * len(orbit)
             rows += orbit
-    return Decomposition(weights=np.array(weights), states=list(np.array(rows, dtype=complex)))
+    return Decomposition(weights=np.array(weights), states=np.array(rows, dtype=complex))
 
 
 def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:
@@ -231,7 +228,7 @@ def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:
     together make the matrix a valid density matrix.
     """
     a, b, x = (_number(v, complex) for v in (a, b, x))
-    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_TOL:
         raise ValueError("amplitudes must satisfy |a|^2 + |b|^2 = 1")
     z = _number(z)
     if not -1e-12 <= z <= 1.0 + 1e-12:

@@ -103,9 +103,9 @@ def _random_qutrit(g: Generator) -> np.ndarray:
 def check_curve_anchors() -> CheckResult:
     worst = np.max(
         [
-            abs(sc.entanglement_entropy(-0.5) - LN2),
+            abs(sc.entanglement_entropy(st.Z_MIN) - LN2),
             abs(sc.entanglement_entropy(0.0) - 0.0),
-            abs(sc.entanglement_entropy(1.0) - LN3),
+            abs(sc.entanglement_entropy(st.Z_MAX) - LN3),
         ]
     )
     return CheckResult("curve anchors at z = -1/2, 0, 1", (Measure("max |E - anchor|", worst, 1e-15),))
@@ -124,7 +124,7 @@ def check_lower_tangency() -> CheckResult:
 
 def check_theta_transition() -> CheckResult:
     zt = sc.theta_transition()
-    _, theta_end = sc.min_pure_output_entropy(-0.5)
+    _, theta_end = sc.min_pure_output_entropy(st.Z_MIN)
     return CheckResult(
         "angle transition",
         (
@@ -161,14 +161,14 @@ def check_decompositions() -> CheckResult:
     recon = []
     avg = []
     lengths = set()
-    for z in np.linspace(-0.5, 1.0, n_grid):
+    for z in np.linspace(st.Z_MIN, st.Z_MAX, n_grid):
         dec = sc.optimal_decomposition(float(z))
         lengths.add(len(dec))
         recon.append(np.max(np.abs(dec.mixture() - st.symmetric_state(float(z)))))
         avg.append(abs(dec.average_output_entropy() - sc.entanglement_entropy(float(z))))
     # the grid meets lengths 3 and 6; one point on each linear piece: two
     # orbits (6 states) below z*, an orbit plus a pure state (4) above 5/6
-    pieces = ((0.5 * (sc.lower_tangent_z() - 0.5), 6), (0.95, 4))
+    pieces = ((0.5 * (sc.lower_tangent_z() + st.Z_MIN), 6), (0.95, 4))
     misses = len({3, 6} - lengths) + sum(len(sc.optimal_decomposition(z)) != n for z, n in pieces)
     return CheckResult(
         f"optimal decompositions on {n_grid} grid points",
@@ -181,7 +181,7 @@ def check_decompositions() -> CheckResult:
 
 
 def check_curve_hull_agreement() -> CheckResult:
-    zs = np.linspace(-0.5, 1.0, 1351)
+    zs = np.linspace(st.Z_MIN, st.Z_MAX, 1351)
     records = [sc.curve_record(z) for z in zs]
     eps = np.array([r.epsilon for r in records])
     hull = hl.lower_convex_hull(hl.SampledCurve(xs=zs, ys=eps))
@@ -352,7 +352,7 @@ def check_three_root_entropy() -> CheckResult:
 
 _CURVE_SAMPLES = (
     -0.5, -0.48, -0.46, -0.44, -0.42, -0.41,
-    -0.35, -0.25, -0.1, 0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 5.0 / 6.0,
+    -0.35, -0.25, -0.1, 0.0, 0.15, 0.3, 0.45, 0.6, 0.75, sc.UPPER_KNEE,
     0.87, 0.92, 0.96, 1.0,
 )
 
@@ -406,7 +406,7 @@ def check_projection_inequality() -> CheckResult:
 
 def check_twirl_and_channel() -> CheckResult:
     worst_twirl = np.max(
-        [abs(st.twirl_s3(st.symmetric_state(float(z))) - float(z)) for z in np.linspace(-0.5, 1.0, 101)]
+        [abs(st.twirl_s3(st.symmetric_state(float(z))) - float(z)) for z in np.linspace(st.Z_MIN, st.Z_MAX, 101)]
     )
     states = [_random_qutrit(stream_rng(31, i)) for i in range(70)]
     chan = []

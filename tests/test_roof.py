@@ -5,6 +5,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap import linesearch, roof, symmetric_curve
+from diagmap.entropy import _entropy_sum
 from diagmap.roof import real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (
     diagonal_output_entropy,
@@ -114,6 +115,47 @@ def test_roof_isometry_reproduces_decomposition(z):
     res = roof_upper_bound(omega, m=6, restarts=10, seed=5)
     dec = _decomposition(omega, res.isometry)
     assert dec.average_output_entropy() == pytest.approx(res.value, abs=1e-12)
+
+
+def _reference_members(vectors):
+    # the earlier member list: each kept row divided by math.sqrt of its
+    # weight, and the average of its per-member entropies
+    weights = np.einsum("ij,ij->i", vectors, vectors.conj()).real
+    keep = weights > 0.0
+    states = [vectors[j] / math.sqrt(weights[j]) for j in np.nonzero(keep)[0]]
+    value = 0.0
+    for p, s in zip(weights[keep], states):
+        value += p * _entropy_sum(np.abs(np.asarray(s)) ** 2)
+    return weights[keep], states, value
+
+
+@pytest.mark.parametrize(
+    "omega, m, restarts, dtype",
+    [
+        (symmetric_state(-0.44), 6, 4, np.float64),
+        (symmetric_state(0.3), 4, 4, np.float64),
+        # rank 1 from the identity start alone: two rows of zero weight are dropped
+        (symmetric_state(1.0), 3, 1, np.float64),
+        (_random_density(Generator(Philox(key=np.array([52, 0], dtype=np.uint64)))), 9, 4, np.complex128),
+        (rank2_state(0.6, 0.3 + 0.1j, 0.6, 0.8j), 4, 4, np.complex128),
+    ],
+    ids=["real-lower-chord", "real-interior", "real-rank1", "complex", "complex-rank2"],
+)
+def test_roof_result_is_bit_identical_to_member_list_reference(omega, m, restarts, dtype, monkeypatch):
+    seen = []
+    build = roof._decomposition_from_vectors
+    monkeypatch.setattr(roof, "_decomposition_from_vectors", lambda v: seen.append(v) or build(v))
+    res = roof_upper_bound(omega, m=m, restarts=restarts, seed=11, max_sweeps=60)
+    (vectors,) = seen
+    assert res.isometry.dtype == dtype
+    assert (res.isometry.conj() @ roof._eigen_factor(omega).T).tobytes() == vectors.tobytes()
+    weights, states, value = _reference_members(vectors)
+    dec = res.decomposition
+    assert dec.weights.dtype == np.float64 and dec.weights.tobytes() == weights.tobytes()
+    assert dec.states.dtype == dtype and len(dec.states) == len(states)
+    for got, want in zip(dec.states, states):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert res.value == value
 
 
 @pytest.mark.parametrize("z", [-0.41, 0.3, 0.75])

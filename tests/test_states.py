@@ -290,6 +290,74 @@ def test_decomposition_weight_check_matches_reference_on_other_inputs(weights):
     _assert_weight_check_matches_reference(weights)
 
 
+@pytest.mark.parametrize("member", [[0.9, 0.9], [2.0, 0.0], [0.0, 0.0], [math.nan, 1.0], [0.6j, 0.8 + 1e-11]])
+def test_decomposition_rejects_members_off_unit_norm_where_they_are_read(member):
+    # (0.9, 0.9) once averaged to 0.341 nats and (2, 0) to 0: the entropy
+    # of a member's squared moduli assumes they sum to 1
+    dec = Decomposition(weights=[0.5, 0.5], states=[[1.0, 0.0], member])
+    with pytest.raises(ValueError, match="member 1 has squared norm"):
+        dec.average_output_entropy()
+    with pytest.raises(ValueError, match="member 1 has squared norm"):
+        dec.mixture()
+
+
+def test_decomposition_accepts_members_within_norm_tol():
+    dec = Decomposition(weights=[1.0], states=[[math.sqrt(0.5 + 4e-13), math.sqrt(0.5)]])
+    assert dec.average_output_entropy() == pytest.approx(LN2, abs=1e-12)
+    assert dec.mixture().dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "weights, states",
+    [
+        ([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0, 0.0]]),  # ragged: once a broadcast error in mixture()
+        ([0.5, 0.5], [[1.0, 0.0]]),
+        ([1.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([1.0], [1.0, 0.0]),
+        ([1.0], [[[1.0, 0.0]]]),
+        ([], [[1.0, 0.0]]),
+    ],
+    ids=repr,
+)
+def test_decomposition_refuses_members_that_are_not_one_row_per_weight(weights, states):
+    with pytest.raises(ValueError, match="members"):
+        Decomposition(weights=weights, states=states)
+
+
+def test_empty_decomposition_is_accepted():
+    for states in ([], np.zeros((0, 3))):
+        dec = Decomposition(weights=[], states=states)
+        assert len(dec) == 0 and dec.states.ndim == 2
+        assert dec.average_output_entropy() == 0.0
+
+
+@pytest.mark.parametrize("complex_members", [False, True])
+def test_decomposition_readers_match_the_member_list_reference(complex_members):
+    # the earlier readers: a loop of outer products and of per-member entropies
+    g = Generator(Philox(key=np.array([28, int(complex_members)], dtype=np.uint64)))
+    for n, dim in [(1, 2), (3, 3), (6, 3), (9, 3), (16, 4), (5, 6)]:
+        members = g.standard_normal((n, dim))
+        if complex_members:
+            members = members + 1j * g.standard_normal((n, dim))
+        members /= np.linalg.norm(members, axis=1, keepdims=True)
+        weights = g.dirichlet(np.ones(n))
+        dec = Decomposition(weights=weights, states=members)
+        assert dec.states.dtype == members.dtype and dec.states.tobytes() == members.tobytes()
+        want = np.zeros((dim, dim), dtype=complex)
+        average = 0.0
+        for p, s in zip(weights, list(members)):
+            want += p * np.outer(s, np.conj(s))
+            average += p * _entropy_sum(np.abs(np.asarray(s)) ** 2)
+        got = dec.mixture()
+        assert got.dtype == np.complex128
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert dec.average_output_entropy() == average
+        # 2-d weights hold the same mixture
+        dec = Decomposition(weights=weights[None, :], states=members)
+        assert np.max(np.abs(dec.mixture() - want)) <= 1e-15
+        assert dec.average_output_entropy() == average
+
+
 def test_density_matrix_file_roundtrip(tmp_path):
     g = Generator(Philox(key=np.array([15, 0], dtype=np.uint64)))
     omega = _random_density(g)

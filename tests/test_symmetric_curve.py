@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 from numpy.random import Generator, Philox
 
 from diagmap import symmetric_curve
@@ -554,39 +556,52 @@ def test_optimal_decomposition_is_bit_identical_to_reference():
         dec = optimal_decomposition(z)
         weights, states = _reference_decomposition(z)
         assert dec.weights.dtype == np.float64 and dec.weights.tobytes() == weights.tobytes(), z
-        assert len(dec.states) == len(states), z
+        assert dec.states.dtype == np.complex128 and dec.states.shape == (len(states), 3), z
         for got, want in zip(dec.states, states):
-            assert got.dtype == np.complex128 and got.shape == (3,), z
             assert got.tobytes() == want.tobytes(), z
 
 
 def test_optimal_decomposition_call_counts(monkeypatch):
-    # one Decomposition per call and one norm check per orbit, a dropped one
-    # included: -1/2, the double below z*, the double below 1 and 1 each drop
-    # an orbit of weight <= 1e-12
-    built, norms = [], []
-    check_norm2 = symmetric_curve._check_norm2
-
-    def counted_norm(norm2):
-        norms.append(norm2)
-        return check_norm2(norm2)
+    # one Decomposition per call: -1/2, the double below z*, the double
+    # below 1 and 1 each drop an orbit of weight <= 1e-12
+    built = []
 
     def counted_decomposition(*args, **kwargs):
         built.append(1)
         return Decomposition(*args, **kwargs)
 
-    monkeypatch.setattr(symmetric_curve, "_check_norm2", counted_norm)
     monkeypatch.setattr(symmetric_curve, "Decomposition", counted_decomposition)
     zstar = lower_tangent_z()
     zs = [-0.5, -0.47, math.nextafter(zstar, -1.0), zstar, 0.0, 0.3, UPPER_KNEE, 0.9, math.nextafter(1.0, 0.0), 1.0]
     for z in zs:
         built.clear()
-        norms.clear()
         dec = optimal_decomposition(z)
         assert len(built) == 1, z
-        assert len(norms) == len(_piece(z)[1]), z
-    # at 1 the knee's orbit has weight 0: dropped, yet checked above
+    # at 1 the knee's orbit has weight 0 and is dropped
     assert len(dec) == 1 and len(_piece(1.0)[1]) == 2
+
+
+_EPS = np.finfo(float).eps
+
+
+def _assert_unit_amplitudes(z, theta):
+    a, b, c = _amplitudes(*_alpha_beta(z), theta)
+    assert abs(a * a + b * b + c * c - 1.0) <= 4.0 * _EPS, (z, theta)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(hs.floats(-0.5, 1.0), hs.floats(0.0, math.pi / 6.0))
+@example(-0.48894637120478357, math.pi / 6.0)  # 4 eps: the worst of 8e5 seeded draws
+def test_amplitudes_have_unit_norm_within_4_eps(z, theta):
+    # optimal_decomposition hands these triples over unchecked, and
+    # Decomposition's readers allow NORM_TOL = 1e-12
+    _assert_unit_amplitudes(z, theta)
+
+
+def test_amplitudes_have_unit_norm_within_4_eps_on_the_curve_grid():
+    for z in curve_grid().tolist():
+        for theta in (0.0, math.pi / 6.0, min_pure_output_entropy(z)[1]):
+            _assert_unit_amplitudes(z, theta)
 
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
