@@ -21,11 +21,8 @@ POLISH_ITERS = 400
 POLISH_TOL = 1e-15
 ARMIJO = 1e-4
 BACKTRACKS = 40
-
-
-def _inner(A, B):
-    """Real inner product Re tr(A^H B) of each pair of stacked matrices."""
-    return np.einsum("bi,bi->b", _flat(A), _flat(B))
+# a row whose step fell below STEP_FLOOR has failed BACKTRACKS tries in a row
+STEP_FLOOR = 2.0 ** (1 - BACKTRACKS)
 
 
 def _project(W, G):
@@ -58,7 +55,7 @@ def _armijo(W, f, G, funcs, d, slope, step):
     Wc = _retract(W + step[:, None, None] * d)
     fc, Gc = funcs(Wc)
     ok = (fc < f) & (fc <= f + ARMIJO * step * slope)
-    if ok.all():
+    if np.count_nonzero(ok) == len(ok):
         return Wc, fc, Gc, step, ok
     at = ok[:, None, None]
     return np.where(at, Wc, W), np.where(ok, fc, f), np.where(at, Gc, G), np.where(ok, step, 0.5 * step), ok
@@ -84,22 +81,25 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
     Returns W, the values, and for each row the iterations it ran (max_iters
     for a row still running at the cap) and whether the cap stopped it."""
     W, (f, G) = W.copy(), funcs(W)
-    # the rows still running: idx, and their w, fw, G, g, H, gamma and next step
+    # the rows still running: idx, and their w, fw, G, g, H, gamma and next
+    # step; gf, g as real vectors, is read only before the rows are compacted
     idx, w, fw, g = np.arange(len(f)), W, f, _project(W, G)
-    n = _flat(g).shape[1]
+    gf = _flat(g)
+    n = gf.shape[1]
     H, gamma, step, capped = np.zeros((len(f), n, n)), np.ones(len(f)), np.ones(len(f)), np.zeros(len(f), dtype=bool)
     iters = np.full(len(f), max_iters)
     for it in range(max_iters):
-        d = _project(w, -(H @ _flat(g)[:, :, None])[:, :, 0].view(w.dtype).reshape(w.shape))
-        slope = _inner(g, d)
+        d = _project(w, -(H @ gf[:, :, None])[:, :, 0].view(w.dtype).reshape(w.shape))
+        slope = np.einsum("bi,bi->b", gf, _flat(d))
         fresh = ~(slope < 0.0)
-        if fresh.any():
+        if np.count_nonzero(fresh):
             H[fresh], d[fresh] = 0.0, -gamma[fresh, None, None] * g[fresh]
-            slope[fresh] = _inner(g[fresh], d[fresh])
-        stop = (step < 2.0 ** (1 - BACKTRACKS)) | (slope >= -POLISH_TOL)
-        if stop.any():
+            slope[fresh] = np.einsum("bi,bi->b", gf[fresh], _flat(d[fresh]))
+        stop = (step < STEP_FLOOR) | (slope >= -POLISH_TOL)
+        stops = np.count_nonzero(stop)
+        if stops:
             W[idx[stop]], f[idx[stop]], iters[idx[stop]] = w[stop], fw[stop], it
-            if stop.all():
+            if stops == len(stop):
                 return W, f, iters, capped
             run = ~stop
             idx, w, fw, G, g, H, gamma = idx[run], w[run], fw[run], G[run], g[run], H[run], gamma[run]
@@ -111,21 +111,22 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
             w[i], fw[i], G[i], step[i], took[i] = _armijo(w[i], fw[i], G[i], funcs, d[i], slope[i], step[i])
         P = _project(w, np.array([G, step[:, None, None] * d, g]))
         gn, s, gp = P.reshape(3, len(w), -1).view(float)
-        g, y = P[0], gn - gp
+        g, gf, y = P[0], gn, gn - gp
         step = np.where(took, 1.0, step)
         sy, yy = np.einsum("bi,bi->b", s, y), np.einsum("bi,bi->b", y, y)
         # a pair is kept with positive curvature, where 1 / sy and sy / yy are finite
         keep = took & (sy > TINY) & (yy > TINY)
         rho = np.divide(1.0, sy, out=np.zeros(len(sy)), where=keep)
         np.divide(sy, yy, out=gamma, where=keep)
-        if (keep & fresh).any():
-            H[keep & fresh] = gamma[keep & fresh, None, None] * np.eye(n)
+        reset = keep & fresh
+        if np.count_nonzero(reset):
+            H[reset] = gamma[reset, None, None] * np.eye(n)
         # (I - rho s y^T) H (I - rho y s^T) + rho s s^T = H + [s t] [t s]^T; t = 0 at rho = 0
         u = (H @ y[:, :, None])[:, :, 0]
         t = (0.5 * rho * (rho * np.einsum("bi,bi->b", y, u) + 1.0))[:, None] * s - rho[:, None] * u
         H += np.array([s, t]).transpose(1, 2, 0) @ np.array([t, s]).transpose(1, 0, 2)
     W[idx], f[idx] = w, fw
-    capped[idx] = ~(step < 2.0 ** (1 - BACKTRACKS))
+    capped[idx] = ~(step < STEP_FLOOR)
     return W, f, iters, capped
 
 

@@ -105,10 +105,11 @@ def _entropy_parts(T: np.ndarray):
 def _polish_functions(M):
     """funcs(W) of stiefel_bfgs for the polish: the weighted output entropy
     of T = W M^T and its Euclidean gradient 2 Y conj(M) (_entropy_parts)."""
+    MT, M2 = M.T, 2.0 * M.conj()
 
     def funcs(W):
-        f, Y = _entropy_parts(W @ M.T)
-        return f, Y @ (2.0 * M.conj())
+        f, Y = _entropy_parts(W @ MT)
+        return f, Y @ M2
 
     return funcs
 

@@ -104,11 +104,12 @@ def min_pure_output_entropy(z: float):
 
     theta = 0 is stationary, and it is the minimum wherever the
     theta-curvature there (_theta0_curvature) is not negative: above
-    theta_transition.  Below it, theta_min is the one sign change of the
-    slope on (0, pi/3), found by hull._bisect's Newton steps on [0, pi/4],
-    each from one evaluation of _theta_derivatives.  At z = -1/2 it is
-    pi/6 exactly, where the amplitude c is zero.  Raises ValueError when
-    the slope keeps its sign on [0, pi/4].
+    theta_transition, where the value is theta0_entropy(z).  Below it,
+    theta_min is the one sign change of the slope on (0, pi/3), found by
+    hull._bisect's Newton steps on [0, pi/4], each from one evaluation of
+    _theta_derivatives.  At z = -1/2 it is pi/6 exactly, where the
+    amplitude c is zero.  Raises ValueError when the slope keeps its sign
+    on [0, pi/4].
     """
     return _min_output_entropy(*_alpha_beta(check_z(z)))
 
@@ -121,14 +122,14 @@ def _min_output_entropy(alpha: float, beta: float):
         # z = -1/2: c = 0 at theta = pi/6, and (a, b) = (1, -1)/sqrt(2)
         return LN2, math.pi / 6.0
     k = _theta0_curvature(alpha, beta)
-    theta = 0.0
-    if k < 0.0:
-        theta = _bisect(
-            lambda t: k if t == 0.0 else _theta_derivatives(alpha, beta, t)[0],
-            0.0,
-            math.pi / 4.0,
-            lambda t: _theta_derivatives(alpha, beta, t),
-        )
+    if not k < 0.0:
+        return _theta0_entropy(alpha, beta), 0.0
+    theta = _bisect(
+        lambda t: k if t == 0.0 else _theta_derivatives(alpha, beta, t)[0],
+        0.0,
+        math.pi / 4.0,
+        lambda t: _theta_derivatives(alpha, beta, t),
+    )
     return _output_entropy(alpha, beta, theta), theta
 
 
@@ -188,12 +189,17 @@ def entanglement_entropy(z: float) -> float:
 
 
 def curve_record(z: float) -> EDCurveRecord:
-    """Full per-z record: epsilon, minimizing angle, envelope value, region."""
+    """Full per-z record: epsilon, minimizing angle, envelope value, region.
+    On the roof [z*, 5/6] the theta-curvature at 0 is positive (at least
+    0.11), so epsilon is the theta = 0 entropy, which is also E: one
+    evaluation serves both."""
     z = check_z(z)
     alpha, beta = _alpha_beta(z)
     region, points = _piece(z)
-    ed = _theta0_entropy(alpha, beta) if region == REGION_ROOF else _envelope(points)
-    return EDCurveRecord(z, *_min_output_entropy(alpha, beta), ed, region)
+    if region == REGION_ROOF:
+        value = _theta0_entropy(alpha, beta)
+        return EDCurveRecord(z, value, 0.0, value, region)
+    return EDCurveRecord(z, *_min_output_entropy(alpha, beta), _envelope(points), region)
 
 
 def _orbit(a: float, b: float, c: float) -> list:

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap import linesearch, roof
-from diagmap.face_minimum import zero_sum_basis
+from diagmap import face_minimum, linesearch, roof
+from diagmap.entropy import TINY
+from diagmap.face_minimum import brute_force_min_face, zero_sum_basis
+from diagmap.roof import roof_upper_bound
+from diagmap.states import symmetric_state
 
 
 def _ky_fan_problem(g, complex_entries, rows):
@@ -92,7 +95,8 @@ def test_sphere_gradient_matches_finite_differences(basis, priced, monkeypatch):
     h = 1e-6
     plus, minus = linesearch._retract(W + h * D), linesearch._retract(W - h * D)
     slope = (funcs(plus)[0] - funcs(minus)[0]) / (2.0 * h)
-    assert np.max(np.abs(slope - linesearch._inner(linesearch._project(W, funcs(W)[1]), D))) < 1e-7
+    g = linesearch._project(W, funcs(W)[1])
+    assert np.max(np.abs(slope - np.einsum("bi,bi->b", linesearch._flat(g), linesearch._flat(D)))) < 1e-7
     if not priced:
         # the value is the output entropy of the unit state Bc
         psi = np.einsum("ij,bj->bi", B, C)
@@ -128,3 +132,99 @@ def test_each_trial_point_is_evaluated_once(monkeypatch):
     points = np.concatenate(calls)
     assert len({p.tobytes() for p in points}) == len(points)
     assert np.array_equal(f, funcs(W)[0])
+
+
+def _reference_armijo(W, f, G, funcs, d, slope, step):
+    Wc = linesearch._retract(W + step[:, None, None] * d)
+    fc, Gc = funcs(Wc)
+    ok = (fc < f) & (fc <= f + linesearch.ARMIJO * step * slope)
+    if ok.all():
+        return Wc, fc, Gc, step, ok
+    at = ok[:, None, None]
+    return np.where(at, Wc, W), np.where(ok, fc, f), np.where(at, Gc, G), np.where(ok, step, 0.5 * step), ok
+
+
+def _reference_bfgs(W, funcs, max_iters=linesearch.POLISH_ITERS):
+    """stiefel_bfgs as it was before it carried the flat projected gradient,
+    flattening g twice per iteration and testing its masks with any/all."""
+    _project, _flat, BACKTRACKS = linesearch._project, linesearch._flat, linesearch.BACKTRACKS
+
+    def _inner(A, B):
+        return np.einsum("bi,bi->b", _flat(A), _flat(B))
+
+    W, (f, G) = W.copy(), funcs(W)
+    idx, w, fw, g = np.arange(len(f)), W, f, _project(W, G)
+    n = _flat(g).shape[1]
+    H, gamma, step, capped = np.zeros((len(f), n, n)), np.ones(len(f)), np.ones(len(f)), np.zeros(len(f), dtype=bool)
+    iters = np.full(len(f), max_iters)
+    for it in range(max_iters):
+        d = _project(w, -(H @ _flat(g)[:, :, None])[:, :, 0].view(w.dtype).reshape(w.shape))
+        slope = _inner(g, d)
+        fresh = ~(slope < 0.0)
+        if fresh.any():
+            H[fresh], d[fresh] = 0.0, -gamma[fresh, None, None] * g[fresh]
+            slope[fresh] = _inner(g[fresh], d[fresh])
+        stop = (step < 2.0 ** (1 - BACKTRACKS)) | (slope >= -linesearch.POLISH_TOL)
+        if stop.any():
+            W[idx[stop]], f[idx[stop]], iters[idx[stop]] = w[stop], fw[stop], it
+            if stop.all():
+                return W, f, iters, capped
+            run = ~stop
+            idx, w, fw, G, g, H, gamma = idx[run], w[run], fw[run], G[run], g[run], H[run], gamma[run]
+            step, d, slope, fresh = step[run], d[run], slope[run], fresh[run]
+        w, fw, G, step, took = _reference_armijo(w, fw, G, funcs, d, slope, step)
+        i = np.nonzero(~took)[0]
+        if i.size:
+            w[i], fw[i], G[i], step[i], took[i] = _reference_armijo(w[i], fw[i], G[i], funcs, d[i], slope[i], step[i])
+        P = _project(w, np.array([G, step[:, None, None] * d, g]))
+        gn, s, gp = P.reshape(3, len(w), -1).view(float)
+        g, y = P[0], gn - gp
+        step = np.where(took, 1.0, step)
+        sy, yy = np.einsum("bi,bi->b", s, y), np.einsum("bi,bi->b", y, y)
+        keep = took & (sy > TINY) & (yy > TINY)
+        rho = np.divide(1.0, sy, out=np.zeros(len(sy)), where=keep)
+        np.divide(sy, yy, out=gamma, where=keep)
+        if (keep & fresh).any():
+            H[keep & fresh] = gamma[keep & fresh, None, None] * np.eye(n)
+        u = (H @ y[:, :, None])[:, :, 0]
+        t = (0.5 * rho * (rho * np.einsum("bi,bi->b", y, u) + 1.0))[:, None] * s - rho[:, None] * u
+        H += np.array([s, t]).transpose(1, 2, 0) @ np.array([t, s]).transpose(1, 0, 2)
+    W[idx], f[idx] = w, fw
+    capped[idx] = ~(step < 2.0 ** (1 - BACKTRACKS))
+    return W, f, iters, capped
+
+
+def test_engine_is_bit_identical_to_the_reference_loop(monkeypatch):
+    # every engine call of the roof and face searches below, each run by
+    # stiefel_bfgs and by the reference loop: W, f, the iterations and the
+    # cap flags agree byte for byte
+    calls = []
+
+    def both(W, funcs, *args):
+        got = linesearch.stiefel_bfgs(W, funcs, *args)
+        want = _reference_bfgs(W, funcs, *args)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        calls.append((W.shape, W.dtype))
+        return got
+
+    monkeypatch.setattr(roof, "stiefel_bfgs", both)
+    monkeypatch.setattr(face_minimum, "stiefel_bfgs", both)
+    # the real polish at the four points of the roof_curve benchmark; -0.41
+    # prices and inserts a member
+    for seed, z in enumerate((-0.44, -0.41, 0.3, 0.92), 1):
+        roof_upper_bound(symmetric_state(z).real, m=6, restarts=32, seed=seed, max_sweeps=150)
+    polishes = [shape for shape, _ in calls if shape[0] == 32]
+    assert len(polishes) == 4
+    assert any(shape[-1] == 1 for shape, _ in calls)  # a pricing batch
+    assert any(shape == (1, 7, 3) for shape, _ in calls)  # an insertion polish
+    # short complex searches
+    g = Generator(Philox(key=np.array([65, 0], dtype=np.uint64)))
+    for k in range(20):
+        a = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
+        roof_upper_bound(a @ a.conj().T / np.trace(a @ a.conj().T).real, m=3, restarts=2, seed=k, max_sweeps=10)
+    assert calls[-1][1] == np.complex128
+    # the face search on both sides of the bifurcation at N = 6
+    for N in (6, 12):
+        brute_force_min_face(N, restarts=50 * N, seed=1)
+    assert calls[-1][0] == (600, 11, 1)

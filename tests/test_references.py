@@ -11,7 +11,13 @@ from diagmap import lambert
 from diagmap.entropy import LN2
 from diagmap.face_minimum import min_face_entropy, two_value_entropy
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
-from diagmap.symmetric_curve import _theta0_slope, lower_tangent_z, theta0_entropy, theta_transition
+from diagmap.symmetric_curve import (
+    _theta0_slope,
+    lower_tangent_z,
+    min_pure_output_entropy,
+    theta0_entropy,
+    theta_transition,
+)
 from diagmap.verify import KNEE_VALUE_REF, ONE_VS_REST_7_REF, S_ZSTAR_REF, THETA_TRANSITION_REF, ZSTAR_REF
 
 DPS = 40
@@ -124,6 +130,18 @@ def test_theta0_slope_against_mpmath():
     zs = [float(z) for z in np.linspace(-0.49, 0.99, 149) if abs(z) > 1e-3]
     worst = max(_relative_error(_theta0_slope(z), mpmath.diff(_theta0_entropy, mpmath.mpf(z))) for z in zs)
     assert worst <= 1e-12
+
+
+def test_theta0_epsilon_against_mpmath():
+    # wherever the minimizing angle is 0 (every z above the transition),
+    # epsilon is the theta = 0 entropy; measured 4.3e-16 on this grid, 5.1e-16
+    # when it was evaluated as the output entropy at angle 0 (three cosines)
+    worst = 0.0
+    for z in np.linspace(-0.5, 1.0, 20001).tolist():
+        value, theta = min_pure_output_entropy(z)
+        if theta == 0.0:
+            worst = max(worst, abs(mpmath.mpf(value) - _theta0_entropy(mpmath.mpf(z))))
+    assert worst <= 5e-16
 
 
 def _output_entropy(z, theta):

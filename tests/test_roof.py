@@ -385,7 +385,7 @@ def test_gradient_matches_finite_differences(complex_moves):
     h = 1e-6
     plus, minus = linesearch._retract(W + h * D), linesearch._retract(W - h * D)
     slope = (funcs(plus)[0] - funcs(minus)[0]) / (2.0 * h)
-    assert np.max(np.abs(slope - linesearch._inner(G, D))) < 1e-7
+    assert np.max(np.abs(slope - np.einsum("bi,bi->b", linesearch._flat(G), linesearch._flat(D)))) < 1e-7
 
 
 def test_search_reports_how_it_ended():

@@ -23,6 +23,7 @@ from diagmap.symmetric_curve import (
     REGION_ROOF,
     REGION_UPPER_LINEAR,
     UPPER_KNEE,
+    EDCurveRecord,
     _alpha_beta,
     _amplitudes,
     _orbit,
@@ -115,9 +116,9 @@ def test_theta0_entropy_values():
 
 
 def test_min_entropy_examples():
-    value, theta = min_pure_output_entropy(0.0)
-    assert value == pytest.approx(0.0, abs=1e-12)
-    assert theta == 0.0
+    # the theta = 0 state at z = 0 is (1, 0, 0); its output entropy as three
+    # cosines read 8.1e-31
+    assert min_pure_output_entropy(0.0) == (0.0, 0.0)
     value, theta = min_pure_output_entropy(5.0 / 6.0)
     assert value == pytest.approx(0.867563, abs=1e-6)
     assert theta == 0.0
@@ -144,9 +145,7 @@ def test_min_entropy_agrees_with_direct_scan():
 def test_min_entropy_matches_theta0_on_roof_region():
     zs = np.linspace(lower_tangent_z(), UPPER_KNEE, 40)
     for z in zs:
-        value, theta = min_pure_output_entropy(float(z))
-        assert theta == 0.0
-        assert value == pytest.approx(theta0_entropy(float(z)), abs=1e-10)
+        assert min_pure_output_entropy(float(z)) == (theta0_entropy(float(z)), 0.0)
 
 
 def test_theta_transition_location():
@@ -313,7 +312,7 @@ def test_entanglement_entropy_domain():
 
 def test_curve_record_regions():
     assert curve_record(-0.5).region == REGION_LOWER_LINEAR
-    assert curve_record(0.0).region == REGION_ROOF
+    assert curve_record(0.0) == EDCurveRecord(0.0, 0.0, 0.0, 0.0, REGION_ROOF)
     assert curve_record(0.9).region == REGION_UPPER_LINEAR
     rec = curve_record(-0.5)
     assert rec.ed == pytest.approx(LN2, abs=1e-9)
@@ -329,6 +328,45 @@ def test_curve_record_matches_its_parts_bit_for_bit():
     records = np.array([(r.epsilon, r.theta_min, r.ed) for r in map(curve_record, zs)])
     parts = np.array([(*min_pure_output_entropy(z), entanglement_entropy(z)) for z in zs])
     assert records.tobytes() == parts.tobytes()
+
+
+def _roof_zs():
+    zstar = lower_tangent_z()
+    g = Generator(Philox(key=np.array([29, 0], dtype=np.uint64)))
+    grid = [z for z in curve_grid().tolist() if zstar <= z <= UPPER_KNEE]
+    return [zstar, *grid, *g.uniform(zstar, UPPER_KNEE, 10_000).tolist(), UPPER_KNEE]
+
+
+def test_theta0_curvature_is_positive_on_the_roof():
+    # curve_record's roof shortcut (epsilon = E = the theta = 0 entropy)
+    # holds because theta = 0 is the minimizing angle on all of [z*, 5/6]:
+    # the curvature there is at least 0.1118, smallest at z*; a z* below
+    # the angle transition would fail here
+    zs = [*_roof_zs(), *np.linspace(lower_tangent_z(), UPPER_KNEE, 20001).tolist()]
+    assert min(_theta0_curvature(*_alpha_beta(z)) for z in zs) >= 0.1
+    assert theta_transition() < lower_tangent_z()
+
+
+def test_roof_record_is_one_theta0_entropy(monkeypatch):
+    zs = _roof_zs()
+    records = np.array([(r.epsilon, r.theta_min, r.ed) for r in map(curve_record, zs)])
+    values = np.array([min_pure_output_entropy(z)[0] for z in zs])
+    assert {curve_record(z).region for z in zs} == {REGION_ROOF}
+    assert records[:, 0].tobytes() == records[:, 2].tobytes() == values.tobytes()
+    assert records[:, 1].tobytes() == np.zeros(len(zs)).tobytes()
+    # one theta = 0 entropy per record, and no curvature
+    calls = []
+
+    def counted(name):
+        f = getattr(symmetric_curve, name)
+        return lambda *ab: calls.append(name) or f(*ab)
+
+    for name in ("_theta0_entropy", "_theta0_curvature"):
+        monkeypatch.setattr(symmetric_curve, name, counted(name))
+    for z in (lower_tangent_z(), 0.0, 0.3, UPPER_KNEE):
+        calls.clear()
+        curve_record(z)
+        assert calls == ["_theta0_entropy"]
 
 
 def test_curve_record_checks_z_and_takes_alpha_beta_once(monkeypatch):
