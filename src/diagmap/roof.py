@@ -83,16 +83,6 @@ def _eigen_factor(omega: np.ndarray):
     return vecs[:, keep] * np.sqrt(evals[keep])
 
 
-def _check_orthonormal(U: np.ndarray) -> np.ndarray:
-    """U, raising unless it is finite and column-orthonormal within 1e-10."""
-    if not np.isfinite(U).all():
-        raise ValueError("isometry has non-finite entries")
-    dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1])))
-    if not dev <= 1e-10:  # an overflow in the product reads as NaN
-        raise ValueError(f"columns are not orthonormal (deviation {dev:.3e})")
-    return U
-
-
 def _entropy_parts(T: np.ndarray):
     """The weighted output entropy of the unnormalized members, the rows of T,
     and Y = T (log rownorm^2 - log |T|^2), half its gradient in T."""
@@ -158,10 +148,10 @@ def _price(T, M, g):
     return float(h[best]), C[best, :, 0]
 
 
-def _starts(M, m, restarts, seed, extra_inits):
-    """The isometries the search starts from: the identity, restarts - 1
-    random ones, each from its stream of the seed, and the extra inits, of
-    the eigenfactor M's dtype: a real M is searched over real isometries."""
+def _starts(M, m, restarts, seed):
+    """The isometries the search starts from: the identity and restarts - 1
+    random ones, each from its stream of the seed, of the eigenfactor M's
+    dtype: a real M is searched over real isometries."""
     r = M.shape[1]
     inits = [np.eye(m, r, dtype=M.dtype)]
     for k in range(1, restarts):
@@ -170,15 +160,10 @@ def _starts(M, m, restarts, seed, extra_inits):
         if np.iscomplexobj(M):
             raw = raw + 1j * g.standard_normal((m, r))
         inits.append(np.linalg.qr(raw)[0])
-    for U in extra_inits or ():
-        U = np.asarray(U).conj()
-        if U.shape != (m, r):
-            raise ValueError(f"extra init has shape {U.shape}, expected {(m, r)}")
-        inits.append(_check_orthonormal((U if np.iscomplexobj(M) else U.real).astype(M.dtype)))
     return np.stack(inits)
 
 
-def _search(omega, m, restarts, seed, extra_inits, max_sweeps: int):
+def _search(omega, m, restarts, seed, max_sweeps: int):
     restarts = check_count("restarts", restarts)
     max_sweeps = check_count("max_sweeps", max_sweeps)
     seed = check_seed(seed)
@@ -189,7 +174,7 @@ def _search(omega, m, restarts, seed, extra_inits, max_sweeps: int):
     if not r <= m <= N * N:
         raise ValueError(f"decomposition length m={m} outside [{r}, {N * N}]")
     funcs = _polish_functions(M)
-    W, f, iters, capped = stiefel_bfgs(_starts(M, m, restarts, seed, extra_inits), funcs, max_sweeps)
+    W, f, iters, capped = stiefel_bfgs(_starts(M, m, restarts, seed), funcs, max_sweeps)
     best = int(np.argmin(f))
     w, fw, capped, sweeps, insertions, g = W[best : best + 1], f[best], capped[best], int(iters[best]), 0, None
     while not capped and insertions < INSERTIONS:
@@ -224,9 +209,7 @@ def _decomposition_from_vectors(vectors: np.ndarray) -> Decomposition:
     return Decomposition(weights=weights[keep], states=vectors[keep] / np.sqrt(weights[keep])[:, None])
 
 
-def roof_upper_bound(
-    omega, m=None, restarts: int = 40, seed: int = 0, extra_inits=None, max_sweeps: int = 200
-) -> RoofResult:
+def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = 200) -> RoofResult:
     """Upper bound on the convex roof of the diagonal output entropy.
 
     The reported value is the weighted average output entropy of an
@@ -239,16 +222,14 @@ def roof_upper_bound(
     each insertion adds one member.  max_sweeps is the engine's iterations
     per polish.
     """
-    return _search(check_density_matrix(omega), m, restarts, seed, extra_inits, max_sweeps)
+    return _search(check_density_matrix(omega), m, restarts, seed, max_sweeps)
 
 
-def real_roof_upper_bound(
-    omega, m=None, restarts: int = 40, seed: int = 0, extra_inits=None, max_sweeps: int = 200
-) -> RoofResult:
+def real_roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = 200) -> RoofResult:
     """roof_upper_bound, bit for bit, of a real (_is_real) state, for which
     an optimal decomposition of real states exists; raises ValueError for
     any other state."""
     omega = check_density_matrix(omega)
     if not _is_real(omega):
         raise ValueError("real_roof_upper_bound requires a real state")
-    return _search(omega, m, restarts, seed, extra_inits, max_sweeps)
+    return _search(omega, m, restarts, seed, max_sweeps)

@@ -12,8 +12,8 @@ cyclic orbit, or two mixed along a chord, attain the envelope.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ REGION_ROOF = "roof_equals_epsilon"
 REGION_UPPER_LINEAR = "upper_linear"
 
 
-@dataclass(frozen=True)
-class EDCurveRecord:
+class EDCurveRecord(NamedTuple):
     z: float
     epsilon: float
     theta_min: float

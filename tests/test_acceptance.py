@@ -18,7 +18,7 @@ CRITERIA = {
     "02_lower_tangency": ((verify.check_lower_tangency,), 1.0),
     "03_theta_transition": ((verify.check_theta_transition,), 10.0),
     "04_junctions": ((verify.check_junctions,), 5.0),
-    "05_face_minimum_table": ((verify.check_face_table,), 180.0),
+    "05_face_minimum_table": ((verify.check_face_table,), 35.0),
     "06_bifurcation": ((verify.check_bifurcation, verify.check_minimizer_states), 1.0),
     "07_lambert_machinery": ((verify.check_lambert, verify.check_three_root_entropy), 5.0),
     "08_oracle_agreement": (
@@ -26,9 +26,8 @@ CRITERIA = {
             verify.check_oracle_curve,
             verify.check_oracle_rank2,
             verify.check_flat_leaf,
-            verify.check_m_monotonicity,
         ),
-        300.0,
+        25.0,
     ),
     "09_decomposition_validity": ((verify.check_decompositions, verify.check_curve_hull_agreement), 10.0),
     "10_property_suites": (
@@ -37,7 +36,7 @@ CRITERIA = {
             verify.check_two_value_concavity,
             verify.check_projection_inequality,
         ),
-        120.0,
+        15.0,
     ),
 }
 

@@ -194,6 +194,16 @@ def _reference_bfgs(W, funcs, max_iters=linesearch.POLISH_ITERS):
     return W, f, iters, capped
 
 
+def _random_qutrits():
+    """20 seeded random full-rank complex qutrit states."""
+    g = Generator(Philox(key=np.array([65, 0], dtype=np.uint64)))
+    states = []
+    for _ in range(20):
+        a = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
+        states.append(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    return states
+
+
 def test_engine_is_bit_identical_to_the_reference_loop(monkeypatch):
     # every engine call of the roof and face searches below, each run by
     # stiefel_bfgs and by the reference loop: W, f, the iterations and the
@@ -219,12 +229,44 @@ def test_engine_is_bit_identical_to_the_reference_loop(monkeypatch):
     assert any(shape[-1] == 1 for shape, _ in calls)  # a pricing batch
     assert any(shape == (1, 7, 3) for shape, _ in calls)  # an insertion polish
     # short complex searches
-    g = Generator(Philox(key=np.array([65, 0], dtype=np.uint64)))
-    for k in range(20):
-        a = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
-        roof_upper_bound(a @ a.conj().T / np.trace(a @ a.conj().T).real, m=3, restarts=2, seed=k, max_sweeps=10)
+    for k, omega in enumerate(_random_qutrits()):
+        roof_upper_bound(omega, m=3, restarts=2, seed=k, max_sweeps=10)
     assert calls[-1][1] == np.complex128
     # the face search on both sides of the bifurcation at N = 6
     for N in (6, 12):
         brute_force_min_face(N, restarts=50 * N, seed=1)
     assert calls[-1][0] == (600, 11, 1)
+
+
+def test_no_row_ends_above_its_start(monkeypatch):
+    # every engine call of the searches below (polish, pricing, insertion
+    # polish and face search) ends each row at or below its start, exactly;
+    # so a search ends at or below the value of its identity start
+    engine, calls = linesearch.stiefel_bfgs, []
+
+    def checked(W, funcs, *args):
+        start = funcs(W)[0]
+        out = engine(W, funcs, *args)
+        assert np.all(out[1] <= start)
+        calls.append(W.shape)
+        return out
+
+    monkeypatch.setattr(roof, "stiefel_bfgs", checked)
+    monkeypatch.setattr(face_minimum, "stiefel_bfgs", checked)
+    # the real polish at the four points of the roof_curve benchmark, and
+    # short complex searches, each at three caps
+    points = tuple(enumerate((-0.44, -0.41, 0.3, 0.92), 1))
+    searches = [(symmetric_state(z).real, 6, 32, seed, cap) for cap in (1, 3, 150) for seed, z in points]
+    searches += [(omega, 3, 2, k, cap) for cap in (1, 3, 10) for k, omega in enumerate(_random_qutrits())]
+    for omega, m, restarts, seed, cap in searches:
+        res = roof_upper_bound(omega, m=m, restarts=restarts, seed=seed, max_sweeps=cap)
+        # the identity start is the spectral decomposition, padded with zero rows
+        spectral = roof._decomposition_from_vectors(roof._eigen_factor(omega).T)
+        assert res.value <= spectral.average_output_entropy() + 1e-12
+    assert calls.count((32, 6, 3)) == 12 and calls.count((2, 3, 3)) == 60
+    assert any(shape[-1] == 1 for shape in calls)  # a pricing batch
+    assert (1, 7, 3) in calls  # an insertion polish
+    # the face search on both sides of the bifurcation at N = 6
+    for N in (6, 12):
+        brute_force_min_face(N, restarts=50 * N, seed=1)
+    assert calls[-1] == (600, 11, 1)

@@ -216,31 +216,6 @@ def test_roof_seed_and_budget_validation(search):
         assert res.value >= entanglement_entropy(0.3) - 1e-9
 
 
-def test_roof_monotone_in_m_with_nested_starts():
-    omega = symmetric_state(-0.45).real
-    prev = real_roof_upper_bound(omega, m=3, restarts=20, seed=2)
-    for m in (4, 5, 6):
-        # an insertion can make the returned isometry longer than the m asked for
-        m = max(m, prev.isometry.shape[0] + 1)
-        pad = np.vstack(
-            [prev.isometry, np.zeros((m - prev.isometry.shape[0], prev.isometry.shape[1]))]
-        )
-        res = real_roof_upper_bound(omega, m=m, restarts=20, seed=2, extra_inits=[pad])
-        assert res.value <= prev.value + 1e-12
-        prev = res
-
-
-def test_roof_rejects_extra_inits_that_are_not_isometries():
-    # each of these once gave a bound of 0.0 or 0.0496, far below E(0.3) = 0.1986
-    omega = symmetric_state(0.3).real
-    for U in (np.zeros((3, 3)), np.full((3, 3), np.nan), 0.5 * np.eye(3)):
-        with pytest.raises(ValueError, match="orthonormal|non-finite"):
-            real_roof_upper_bound(omega, m=3, restarts=1, seed=0, extra_inits=[U])
-    for bad in (np.full((3, 3), np.inf), np.eye(3) + 1e-9):
-        with pytest.raises(ValueError, match="orthonormal|non-finite"):
-            roof_upper_bound(symmetric_state(0.3), m=3, restarts=1, seed=0, extra_inits=[bad])
-
-
 def test_real_roof_requires_real_symmetric():
     g = Generator(Philox(key=np.array([52, 0], dtype=np.uint64)))
     omega = _random_density(g)
@@ -410,7 +385,7 @@ def test_sweeps_count_the_best_restart():
     omega = symmetric_state(0.3).real
     res = real_roof_upper_bound(omega, m=6, restarts=32, max_sweeps=150, seed=1)
     M = roof._eigen_factor(omega)
-    _, f, iters, _ = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, 1, None), roof._polish_functions(M), 150)
+    _, f, iters, _ = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, 1), roof._polish_functions(M), 150)
     assert (res.insertions, res.sweeps, iters[np.argmin(f)], iters.max()) == (0, 19, 19, 27)
 
 
@@ -447,7 +422,7 @@ def _stalled_search():
     1.58e-6 above E."""
     z, seed = -0.41, 1207409298
     M = roof._eigen_factor(symmetric_state(z).real)
-    W, f, _, capped = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, seed, None), roof._polish_functions(M), 150)
+    W, f, _, capped = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, seed), roof._polish_functions(M), 150)
     best = int(np.argmin(f))
     assert not capped[best]
     assert 1.5e-6 < f[best] - entanglement_entropy(z) < 1.7e-6

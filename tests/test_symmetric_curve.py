@@ -320,6 +320,14 @@ def test_curve_record_regions():
     assert rec.ed <= rec.epsilon + 1e-9
 
 
+def test_curve_record_is_immutable():
+    rec = curve_record(0.3)
+    for field in ("z", "epsilon", "theta_min", "ed", "region"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0.0)
+    assert rec == curve_record(0.3)
+
+
 def test_curve_record_matches_its_parts_bit_for_bit():
     # curve_record shares one check and one (alpha, beta) among epsilon,
     # theta_min and E; each must be what the public functions return

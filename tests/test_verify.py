@@ -49,16 +49,15 @@ def test_check_fails_on_one_nan(monkeypatch, check, module, attr, nan_call):
     [
         ("check_flat_leaf", "roof_upper_bound", 0.0),
         ("check_projection_inequality", "roof_upper_bound", 10.0),
-        ("check_m_monotonicity", "real_roof_upper_bound", 1.0),
     ],
 )
 def test_search_check_fails_on_one_nan(monkeypatch, check, search, value):
     # a search that passes the check except for one NaN value
     calls = []
 
-    def fake_search(omega, m=3, **kwargs):
+    def fake_search(omega, **kwargs):
         calls.append(None)
-        return types.SimpleNamespace(value=np.nan if len(calls) == 2 else value, isometry=np.zeros((m, 3)))
+        return types.SimpleNamespace(value=np.nan if len(calls) == 2 else value)
 
     monkeypatch.setattr(verify, search, fake_search)
     assert not getattr(verify, check)().passed
