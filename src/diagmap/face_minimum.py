@@ -20,6 +20,7 @@ import numpy as np
 from .entropy import LN2
 from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from .linesearch import check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
+from .states import _number
 
 
 def _check_dimension(N) -> int:
@@ -107,8 +108,7 @@ class StationaryRoots:
 
 def lagrange_roots(lam: float, mu: float) -> StationaryRoots:
     """Classify the stationary amplitudes for multipliers (lam, mu)."""
-    lam = float(lam)
-    mu = float(mu)
+    lam, mu = _number(lam), _number(mu)
     if not (math.isfinite(lam) and math.isfinite(mu)):
         raise ValueError(f"multipliers must be finite, got lam={lam!r}, mu={mu!r}")
     if lam == 0.0:
@@ -135,7 +135,7 @@ def root_square_sum(zeta: float) -> float:
     common exp(mu) factor divided out; it tends to 2 as zeta -> 0 and
     increases on the domain.
     """
-    zeta = float(zeta)
+    zeta = _number(zeta)
     if not 0.0 < zeta <= -BRANCH_POINT * (1.0 + 1e-12):
         raise ValueError(f"zeta = {zeta!r} outside (0, 1/e]")
     zeta = min(zeta, -BRANCH_POINT)

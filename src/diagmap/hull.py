@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import _number
+
 
 @dataclass(frozen=True)
 class SampledCurve:
@@ -122,7 +124,7 @@ def tangent_from_point(f, x0: float, f0: float, bracket, *, df) -> float:
     unless x0, f0 and the bracket (lo, hi) are finite with lo < hi, and
     when g does not change sign on the bracket or is NaN inside it.
     """
-    x0, f0, lo, hi = float(x0), float(f0), float(bracket[0]), float(bracket[1])
+    x0, f0, lo, hi = _number(x0), _number(f0), _number(bracket[0]), _number(bracket[1])
     if not (np.isfinite([x0, f0, lo, hi]).all() and lo < hi):
         raise ValueError(f"need a finite anchor and bracket lo < hi, got ({x0!r}, {f0!r}), {bracket!r}")
 

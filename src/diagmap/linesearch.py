@@ -72,9 +72,9 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
     real coordinates of W.  With H = 0 (at the start, or once H gives no
     descent) it steps along -gamma g, and its next curvature pair (s, y)
     sets H = (s.y / y.y) I; each pair with s.y and y.y above TINY makes a
-    BFGS update.  Each iteration tries the step on a polar retraction and,
-    where that fails, its half (_armijo); a row where both fail keeps its
-    point, H and g and goes on from the halved step.  A row stops after
+    BFGS update.  Each iteration makes one try of the step on a polar
+    retraction (_armijo); a row where it fails keeps its point, H and g and
+    tries the halved step along the same direction next.  A row stops after
     BACKTRACKS failed tries in a row, or once its unit step predicts a gain
     of at most POLISH_TOL, and leaves the batch; max_iters caps the
     iterations.  No row ends above its start.  H holds n^2 floats per row.
@@ -104,11 +104,8 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
             run = ~stop
             idx, w, fw, G, g, H, gamma = idx[run], w[run], fw[run], G[run], g[run], H[run], gamma[run]
             step, d, slope, fresh = step[run], d[run], slope[run], fresh[run]
-        # the step, then its half; a row that took neither keeps w, G and g
+        # a row that fails its try keeps w, G and g, and tries the half next
         w, fw, G, step, took = _armijo(w, fw, G, funcs, d, slope, step)
-        i = np.nonzero(~took)[0]
-        if i.size:
-            w[i], fw[i], G[i], step[i], took[i] = _armijo(w[i], fw[i], G[i], funcs, d[i], slope[i], step[i])
         P = _project(w, np.array([G, step[:, None, None] * d, g]))
         gn, s, gp = P.reshape(3, len(w), -1).view(float)
         g, gf, y = P[0], gn, gn - gp
@@ -160,7 +157,7 @@ def stream_rng(seed: int, stream: int) -> Generator:
 
 
 def check_count(name: str, value) -> int:
-    """A search budget (restarts, sweeps): an integer of at least 1."""
+    """A search budget (restarts, or sweeps of one Armijo try each): an integer of at least 1."""
     value = operator.index(value)
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")

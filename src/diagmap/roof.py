@@ -55,9 +55,9 @@ INSERTIONS = 4
 @dataclass(frozen=True)
 class RoofResult:
     """A search's bound, the decomposition and isometry that attain it, and
-    how the search ended: the engine iterations of the best restart's polish
-    and of each insertion polish after it, the members inserted, and
-    whether max_sweeps stopped the best restart's last polish."""
+    how the search ended: the engine iterations (one Armijo try each) of the
+    best restart's polish and of each insertion polish after it, the members
+    inserted, and whether max_sweeps stopped the best restart's last polish."""
 
     value: float
     decomposition: Decomposition
@@ -219,8 +219,8 @@ def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweep
     above REAL_TOL is searched over complex isometries, any other as its
     real part over real ones.  m is the starting length; with m omitted it
     is rank^2 for a complex search and rank(rank+1)/2 for a real one, and
-    each insertion adds one member.  max_sweeps is the engine's iterations
-    per polish.
+    each insertion adds one member.  max_sweeps caps the engine's
+    iterations per polish, each one Armijo try.
     """
     return _search(check_density_matrix(omega), m, restarts, seed, max_sweeps)
 

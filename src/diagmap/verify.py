@@ -362,7 +362,7 @@ def check_oracle_curve() -> CheckResult:
     return CheckResult(
         f"decomposition search matches the curve at {len(_CURVE_SAMPLES)} points",
         (
-            Measure("max |search - curve|", np.max(np.abs(values - ed)), 1e-10),
+            Measure("max |search - curve|", np.max(np.abs(values - ed)), 3e-14),
             Measure("max undercut", np.max(ed - values, initial=0.0), 1e-9),
         ),
     )

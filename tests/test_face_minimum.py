@@ -202,6 +202,10 @@ def test_lagrange_roots_residuals_random():
 def test_lagrange_roots_rejects_zero_lambda():
     with pytest.raises(ValueError):
         lagrange_roots(0.0, 1.0)
+    # numeric strings, which float() would parse
+    for lam, mu in (("0.5", 1.0), (0.5, "1")):
+        with pytest.raises(TypeError):
+            lagrange_roots(lam, mu)
     # from (1.0, 1420.0) on: zeta is subnormal (its roots overflow to +-inf),
     # zeta underflows to 0, exp(-mu/2) overflows, and a normal zeta whose
     # roots overflow
@@ -247,6 +251,8 @@ def test_root_square_sum_domain():
         root_square_sum(0.0)
     with pytest.raises(ValueError):
         root_square_sum(0.5)
+    with pytest.raises(TypeError):
+        root_square_sum("0.1")
 
 
 def test_three_root_states_cost_more_than_log2():

@@ -172,11 +172,18 @@ def test_tangent_requires_sign_change():
 def test_tangent_rejects_non_finite_anchor_and_bracket(slot, bad):
     # a NaN anywhere, or an infinite bracket end, once came back as a NaN
     # tangency point, and lo = -inf bisected forever
-    args = {"x0": 0.0, "f0": -1.0, "lo": 0.5, "hi": 2.0, slot: bad}
-    with pytest.raises(ValueError, match="finite"):
-        tangent_from_point(
+    good = {"x0": 0.0, "f0": -1.0, "lo": 0.5, "hi": 2.0}
+
+    def tangent(args):
+        return tangent_from_point(
             lambda x: x * x, args["x0"], args["f0"], (args["lo"], args["hi"]), df=lambda x: 2.0 * x
         )
+
+    with pytest.raises(ValueError, match="finite"):
+        tangent({**good, slot: bad})
+    # the slot's good value as a numeric string, which float() would parse
+    with pytest.raises(TypeError):
+        tangent({**good, slot: str(good[slot])})
 
 
 def test_tangent_rejects_reversed_bracket():

@@ -105,9 +105,9 @@ def test_sphere_gradient_matches_finite_differences(basis, priced, monkeypatch):
 
 
 def test_each_trial_point_is_evaluated_once(monkeypatch):
-    # funcs runs once on the starts and once per Armijo try, first or retry,
-    # on exactly the rows tried; a row that keeps its point keeps its
-    # gradient, so no point is evaluated twice
+    # funcs runs once on the starts and once per iteration's Armijo try, on
+    # exactly the rows tried; a row that keeps its point keeps its gradient,
+    # so no point is evaluated twice
     g = Generator(Philox(key=np.array([64, 0], dtype=np.uint64)))
     C = g.standard_normal((40, 11))
     C /= np.linalg.norm(C, axis=1, keepdims=True)
@@ -126,7 +126,7 @@ def test_each_trial_point_is_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(linesearch, "_armijo", counted_armijo)
     W, f, iterations, _ = linesearch.stiefel_bfgs(C[:, :, None], counted, 30)
-    assert len(tries) > iterations.max()  # some rows retried from the halved step
+    assert len(tries) == iterations.max()  # one try per iteration
     assert len(calls) == 1 + len(tries)
     assert [len(W) for W in calls] == [len(C), *tries]
     points = np.concatenate(calls)
@@ -146,7 +146,9 @@ def _reference_armijo(W, f, G, funcs, d, slope, step):
 
 def _reference_bfgs(W, funcs, max_iters=linesearch.POLISH_ITERS):
     """stiefel_bfgs as it was before it carried the flat projected gradient,
-    flattening g twice per iteration and testing its masks with any/all."""
+    flattening g twice per iteration and testing its masks with any/all, and
+    before it made one Armijo try per iteration: a row whose first try fails
+    tries the halved step in the same iteration."""
     _project, _flat, BACKTRACKS = linesearch._project, linesearch._flat, linesearch.BACKTRACKS
 
     def _inner(A, B):
@@ -204,18 +206,39 @@ def _random_qutrits():
     return states
 
 
+def _recorded(funcs, points):
+    """funcs, recording each point it runs on."""
+
+    def run(W):
+        points.extend(w.tobytes() for w in W)
+        return funcs(W)
+
+    return run
+
+
 def test_engine_is_bit_identical_to_the_reference_loop(monkeypatch):
     # every engine call of the roof and face searches below, each run by
-    # stiefel_bfgs and by the reference loop: W, f, the iterations and the
-    # cap flags agree byte for byte
-    calls = []
+    # stiefel_bfgs and by the two-try reference loop: a failed try changes
+    # only the step, so the reference's retry is the next iteration's try.
+    # Every row that neither loop capped ends at the same W and f byte for
+    # byte, after at least the reference's iterations; where neither capped
+    # a row, both evaluate the same points
+    calls, uncapped = [], []
 
     def both(W, funcs, *args):
-        got = linesearch.stiefel_bfgs(W, funcs, *args)
-        want = _reference_bfgs(W, funcs, *args)
+        points, ref_points = [], []
+        got = linesearch.stiefel_bfgs(W, _recorded(funcs, points), *args)
+        want = _reference_bfgs(W, _recorded(funcs, ref_points), *args)
         for x, y in zip(got, want):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert x.dtype == y.dtype
+        free = ~(got[3] | want[3])
+        assert got[0][free].tobytes() == want[0][free].tobytes()
+        assert got[1][free].tobytes() == want[1][free].tobytes()
+        assert np.all(got[2] >= want[2])
+        if free.all():
+            assert sorted(points) == sorted(ref_points)
         calls.append((W.shape, W.dtype))
+        uncapped.append(free.all())
         return got
 
     monkeypatch.setattr(roof, "stiefel_bfgs", both)
@@ -236,6 +259,8 @@ def test_engine_is_bit_identical_to_the_reference_loop(monkeypatch):
     for N in (6, 12):
         brute_force_min_face(N, restarts=50 * N, seed=1)
     assert calls[-1][0] == (600, 11, 1)
+    # only the short complex searches, at a cap of 10, leave a row capped
+    assert uncapped.count(False) == 20
 
 
 def test_no_row_ends_above_its_start(monkeypatch):
