@@ -13,7 +13,7 @@ on the zero-sum unit sphere, provide an independent check.
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def two_value_entropy(N: int, n: int) -> float:
     return math.log(n) - math.log1p(-n / N) + (2.0 * n / N) * math.log((N - n) / n)
 
 
-@dataclass(frozen=True)
-class StationaryRoots:
+class StationaryRoots(NamedTuple):
     """Real solutions x of x log(x^2) = lam + mu * x.
 
     x1 always exists; x2 and x3 exist only while zeta <= 1/e and coincide

@@ -35,7 +35,8 @@ def _branch_p(x: float) -> float:
     """|p| = sqrt(2(1 + e x)) for x >= BRANCH_POINT.  1 + e x cancels near
     the branch point, so it is taken as e (x + 1/e): x - BRANCH_POINT is
     exact there and the rounding of BRANCH_POINT is added back."""
-    return math.sqrt(max(2.0 * math.e * ((x - BRANCH_POINT) + _BRANCH_POINT_ROUNDING), 0.0))
+    t = 2.0 * math.e * ((x - BRANCH_POINT) + _BRANCH_POINT_ROUNDING)
+    return math.sqrt(0.0 if 0.0 > t else t)  # max(t, 0.0), which costs more per call
 
 
 # coefficients of the expansion of W about the branch point in

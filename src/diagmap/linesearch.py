@@ -12,7 +12,6 @@ and with one column (hundreds of short rows: a BLAS call per row costs more).
 import operator
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .entropy import TINY, floored_log
 
@@ -150,9 +149,12 @@ def check_seed(seed) -> int:
     return seed
 
 
-def stream_rng(seed: int, stream: int) -> Generator:
+def stream_rng(seed: int, stream: int) -> "np.random.Generator":
     """The generator of one stream of a seed: Philox keyed by (seed, stream).
-    The seed must have passed check_seed."""
+    The seed must have passed check_seed.  numpy.random is imported here, so
+    that the CLI's commands that draw nothing never load it."""
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 

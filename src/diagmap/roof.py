@@ -30,6 +30,7 @@ The pricing minimizes h as linesearch.sphere_functions less psi^H X psi.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,11 @@ def _search(omega, m, restarts, seed, max_sweeps: int):
     restarts = check_count("restarts", restarts)
     max_sweeps = check_count("max_sweeps", max_sweeps)
     seed = check_seed(seed)
+    if m is not None:
+        try:
+            m = operator.index(m)
+        except TypeError:
+            raise TypeError(f"m must be an integer or None, got {m!r}") from None
     M = _eigen_factor(omega)
     N, r = omega.shape[0], M.shape[1]
     if m is None:

@@ -113,7 +113,9 @@ def check_z(z: float) -> float:
     z = _number(z)
     if not Z_MIN - 1e-12 <= z <= Z_MAX + 1e-12:
         raise ValueError(f"z = {z!r} outside [-1/2, 1]")
-    return min(max(z, Z_MIN), Z_MAX)
+    # min(max(z, Z_MIN), Z_MAX) as comparisons: the builtins cost more per call
+    z = Z_MIN if Z_MIN > z else z
+    return Z_MAX if Z_MAX < z else z
 
 
 def symmetric_state(z: float) -> np.ndarray:

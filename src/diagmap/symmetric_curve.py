@@ -26,6 +26,9 @@ UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 
 TRANSITION_BRACKET = (-0.45, -0.40)
 
+# _amplitudes' cos(theta -+ pi/3) at theta = 0: cos is even, so both are this double
+_COS_PI_3 = math.cos(math.pi / 3.0)
+
 REGION_LOWER_LINEAR = "lower_linear"
 REGION_ROOF = "roof_equals_epsilon"
 REGION_UPPER_LINEAR = "upper_linear"
@@ -40,7 +43,9 @@ class EDCurveRecord(NamedTuple):
 
 
 def _alpha_beta(z: float):
-    return math.sqrt(max(2.0 * z + 1.0, 0.0)), math.sqrt(max(1.0 - z, 0.0))
+    # max(x, 0.0) as a comparison: the builtin costs more per call
+    s, d = 2.0 * z + 1.0, 1.0 - z
+    return math.sqrt(0.0 if 0.0 > s else s), math.sqrt(0.0 if 0.0 > d else d)
 
 
 def _amplitudes(alpha: float, beta: float, theta: float):
@@ -91,7 +96,8 @@ def _theta_derivatives(alpha: float, beta: float, theta: float):
     third = alpha / 3.0
     slope = curvature = 0.0
     for x, dx in ((a, da), (b, db), (c, dc)):
-        log1 = math.log(max(x * x, TINY)) + 1.0
+        x2 = x * x
+        log1 = math.log(TINY if TINY > x2 else x2) + 1.0
         slope += -2.0 * x * dx * log1
         curvature += -2.0 * ((dx * dx + x * (third - x)) * log1 + 2.0 * dx * dx)
     return slope, curvature
@@ -139,8 +145,9 @@ def _theta0_curvature(alpha: float, beta: float) -> float:
     b = c = (alpha - beta)/3 with b'^2 = beta^2/3, b'' = beta/3 (b = 0 at z = 0)."""
     a = (alpha + 2.0 * beta) / 3.0
     b = (alpha - beta) / 3.0
+    b2 = b * b
     a_term = (4.0 / 3.0) * a * beta * (math.log(a * a) + 1.0)
-    b_term = (beta * beta + b * beta) / 3.0 * (math.log(max(b * b, TINY)) + 1.0) + 2.0 * beta * beta / 3.0
+    b_term = (beta * beta + b * beta) / 3.0 * (math.log(TINY if TINY > b2 else b2) + 1.0) + 2.0 * beta * beta / 3.0
     return a_term - 4.0 * b_term
 
 
@@ -218,7 +225,13 @@ def optimal_decomposition(z: float) -> Decomposition:
     _, points = _piece(check_z(z))
     weights, rows = [], []
     for w, z_end, theta, _ in points:
-        orbit = _orbit(*_amplitudes(*_alpha_beta(z_end), theta))
+        alpha, beta = _alpha_beta(z_end)
+        if theta == 0.0:
+            # _amplitudes(alpha, beta, 0.0) is (a, b, b), with no cosine to take
+            a, b = (alpha + 2.0 * beta) / 3.0, (alpha - 2.0 * beta * _COS_PI_3) / 3.0
+            orbit = [(a, b, b)] if a == b else [(a, b, b), (b, b, a), (b, a, b)]  # _orbit(a, b, b)
+        else:
+            orbit = _orbit(*_amplitudes(alpha, beta, theta))
         w /= len(orbit)
         if w > 1e-12:
             weights += [w] * len(orbit)

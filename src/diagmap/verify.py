@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator
 
 from . import face_minimum as fm
 from . import hull as hl
@@ -90,7 +89,7 @@ class CheckResult:
         return dict(name=self.name, passed=self.passed, elapsed=self.elapsed, measures=measures)
 
 
-def _random_qutrit(g: Generator) -> np.ndarray:
+def _random_qutrit(g: "np.random.Generator") -> np.ndarray:
     a = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
     omega = a @ a.conj().T
     return omega / np.trace(omega).real
@@ -173,8 +172,8 @@ def check_decompositions() -> CheckResult:
     return CheckResult(
         f"optimal decompositions on {n_grid} grid points",
         (
-            Measure("max reconstruction error", np.max(recon), 1e-9),
-            Measure("max |entropy average - E|", np.max(avg), 1e-8),
+            Measure("max reconstruction error", np.max(recon), 2e-15),
+            Measure("max |entropy average - E|", np.max(avg), 2e-15),
             Measure("missing or wrong lengths", misses, 0),
         ),
     )
@@ -206,7 +205,7 @@ def check_face_table() -> CheckResult:
         "face-minimum table, search N = 2..32",
         (
             Measure("|closed - log 2|, N = 2..6", np.max(np.abs(closed[:5] - LN2)), 1e-15),
-            Measure("max |search - closed|", np.max(np.abs(values - closed)), 1e-6),
+            Measure("max |search - closed|", np.max(np.abs(values - closed)), 1e-14),
             Measure("max undercut", np.max(closed - values, initial=0.0), 1e-9),
         ),
     )
@@ -314,7 +313,7 @@ def check_lambert() -> CheckResult:
         "Lambert branches, stationary roots, branch square sum",
         (
             Measure("max identity residual, both branches", np.max(identity), 1e-14),
-            Measure("max root residual", np.max(root_resids, initial=0.0), 1e-9),
+            Measure("max root residual", np.max(root_resids, initial=0.0), 4e-14),
             Measure("square sum not above 2 or not increasing", g_misses, 0),
         ),
     )

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import diagmap
 from diagmap import symmetric_curve, verify
 from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
@@ -336,3 +340,13 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["ed-curve", "--z-step", "abc"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # only the commands that draw random numbers import numpy.random, so
+    # ed-curve, zstar and min-output without --oracle start without it
+    src = os.path.dirname(os.path.dirname(diagmap.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, diagmap.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

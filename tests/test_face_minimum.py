@@ -158,6 +158,14 @@ def test_lagrange_roots_boundary_degeneracy():
     assert roots.x2 == pytest.approx(roots.x3, abs=1e-9)
 
 
+def test_stationary_roots_are_immutable():
+    roots = lagrange_roots(0.3, 0.1)
+    for field in ("lam", "mu", "zeta", "x1", "x2", "x3"):
+        with pytest.raises(AttributeError):
+            setattr(roots, field, 1.0)
+    assert len(roots.roots) == 3
+
+
 def test_lagrange_roots_match_direct_scan():
     lam, mu = 0.1, -2.0
     roots = lagrange_roots(lam, mu)

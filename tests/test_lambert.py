@@ -4,6 +4,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from diagmap import lambert
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
@@ -110,6 +112,22 @@ def test_w0_at_huge_arguments_against_mpmath():
         for x in [float(f"1e{k}") for k in range(300, 309)] + [sys.float_info.max]:
             ref = mpmath.lambertw(mpmath.mpf(x)).real
             assert float(abs((lambert_w0(x) - ref) / ref)) <= 1e-15, x
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(hs.one_of(hs.floats(BRANCH_POINT - 1e-15, 0.0), hs.floats()))
+@example(BRANCH_POINT)  # 1 + e x rounds below 0 here
+@example(math.nextafter(BRANCH_POINT, 0.0))
+@example(math.nextafter(BRANCH_POINT, -1.0))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(math.nan)
+def test_branch_p_is_bit_identical_to_builtin_max(x):
+    # _branch_p writes max(t, 0.0) as a comparison
+    t = 2.0 * math.e * ((x - BRANCH_POINT) + lambert._BRANCH_POINT_ROUNDING)
+    assert float.hex(lambert._branch_p(x)) == float.hex(math.sqrt(max(t, 0.0)))
 
 
 def _doubles(x, count, direction):

@@ -196,6 +196,10 @@ def test_roof_m_validation():
         roof_upper_bound(omega, m=2, restarts=3, seed=0)  # below rank
     with pytest.raises(ValueError):
         roof_upper_bound(omega, m=10, restarts=3, seed=0)  # above N^2
+    # an m that is not an integer is refused by name
+    for m in (3.0, np.float64(3.0), "3"):
+        with pytest.raises(TypeError, match="^m must be an integer"):
+            roof_upper_bound(omega, m=m, restarts=3, seed=0)
 
 
 @pytest.mark.parametrize("search", [roof_upper_bound, real_roof_upper_bound])

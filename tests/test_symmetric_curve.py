@@ -8,8 +8,11 @@ from hypothesis import strategies as hs
 from numpy.random import Generator, Philox
 
 from diagmap import symmetric_curve
+from diagmap.entropy import TINY
 from diagmap.hull import _bisect
 from diagmap.states import (
+    Z_MAX,
+    Z_MIN,
     Decomposition,
     check_pure_state,
     check_z,
@@ -648,6 +651,93 @@ def test_amplitudes_have_unit_norm_within_4_eps_on_the_curve_grid():
     for z in curve_grid().tolist():
         for theta in (0.0, math.pi / 6.0, min_pure_output_entropy(z)[1]):
             _assert_unit_amplitudes(z, theta)
+
+
+# The per-z helpers write builtin min/max as comparisons; each must give the
+# builtin form's double, sign of zero and NaN included.
+def _hex(values):
+    return tuple(float.hex(v) for v in values)
+
+
+def _outcome(f, *args):
+    # the doubles f returns, or the error it raises (log of an underflowed a * a)
+    try:
+        out = f(*args)
+    except ValueError as exc:
+        return repr(exc)
+    return _hex(out if isinstance(out, tuple) else [out])
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200, TINY, math.nan, math.inf, -math.inf]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(hs.floats(Z_MIN - 1e-12, Z_MAX + 1e-12))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(Z_MIN)
+@example(Z_MAX)
+@example(Z_MIN - 1e-12)
+@example(Z_MIN + 1e-12)
+@example(Z_MAX - 1e-12)
+@example(Z_MAX + 1e-12)
+@example(math.nextafter(Z_MIN, -1.0))
+@example(math.nextafter(Z_MAX, 2.0))
+def test_check_z_is_bit_identical_to_builtin_clamp(z):
+    assert _hex([check_z(z)]) == _hex([min(max(z, Z_MIN), Z_MAX)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(hs.one_of(hs.floats(Z_MIN - 1e-12, Z_MAX + 1e-12), hs.floats(), hs.sampled_from(_EDGES)))
+@example(Z_MIN)
+@example(Z_MAX)
+@example(Z_MIN - 1e-12)
+@example(Z_MAX + 1e-12)
+def test_alpha_beta_is_bit_identical_to_builtin_max(z):
+    want = (math.sqrt(max(2.0 * z + 1.0, 0.0)), math.sqrt(max(1.0 - z, 0.0)))
+    assert _hex(_alpha_beta(z)) == _hex(want)
+
+
+def _reference_theta_derivatives(alpha, beta, theta):
+    # _theta_derivatives with its floor written as the builtin max
+    a, b, c = _amplitudes(alpha, beta, theta)
+    da = -2.0 * beta * math.sin(theta) / 3.0
+    db = 2.0 * beta * math.sin(theta - math.pi / 3.0) / 3.0
+    dc = 2.0 * beta * math.sin(theta + math.pi / 3.0) / 3.0
+    third = alpha / 3.0
+    slope = curvature = 0.0
+    for x, dx in ((a, da), (b, db), (c, dc)):
+        log1 = math.log(max(x * x, TINY)) + 1.0
+        slope += -2.0 * x * dx * log1
+        curvature += -2.0 * ((dx * dx + x * (third - x)) * log1 + 2.0 * dx * dx)
+    return slope, curvature
+
+
+def _reference_theta0_curvature(alpha, beta):
+    # _theta0_curvature with its floor written as the builtin max
+    a = (alpha + 2.0 * beta) / 3.0
+    b = (alpha - beta) / 3.0
+    a_term = (4.0 / 3.0) * a * beta * (math.log(a * a) + 1.0)
+    b_term = (beta * beta + b * beta) / 3.0 * (math.log(max(b * b, TINY)) + 1.0) + 2.0 * beta * beta / 3.0
+    return a_term - 4.0 * b_term
+
+
+_AMPLITUDE = hs.one_of(hs.floats(0.0, math.sqrt(3.0)), hs.sampled_from(_EDGES[:7] + [math.nan]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_AMPLITUDE, _AMPLITUDE, hs.one_of(hs.floats(0.0, math.pi / 4.0), hs.sampled_from([0.0, -0.0, math.pi / 6.0])))
+@example(1.0, 1.0, 0.0)  # z = 0: b is 0 in _theta0_curvature, -7.4e-17 at theta = 0
+@example(0.0, math.sqrt(1.5), math.pi / 6.0)  # z = -1/2: c is round-off
+@example(1e-200, 0.0, 0.0)  # every x * x underflows to 0
+@example(5e-324, 5e-324, 0.0)  # subnormal amplitudes
+@example(math.nan, 1.0, 0.1)  # NaN reaches every floor
+@example(1.0, math.nan, 0.0)
+def test_tiny_floors_are_bit_identical_to_builtin_max(alpha, beta, theta):
+    assert _outcome(_theta0_curvature, alpha, beta) == _outcome(_reference_theta0_curvature, alpha, beta)
+    assert _outcome(_theta_derivatives, alpha, beta, theta) == _outcome(_reference_theta_derivatives, alpha, beta, theta)
 
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
