@@ -233,7 +233,7 @@ def optimal_decomposition(z: float) -> Decomposition:
         else:
             orbit = _orbit(*_amplitudes(alpha, beta, theta))
         w /= len(orbit)
-        if w > 1e-12:
+        if w > 0.0:
             weights += [w] * len(orbit)
             rows += orbit
     return Decomposition(weights=np.array(weights), states=np.array(rows, dtype=complex))

@@ -11,7 +11,8 @@ measurement: value < tol, or value == tol == 0, so a tolerance of 0 demands
 an exact zero and NaN fails.  A check passes when all its measurements do,
 and its report prints each value with its tolerance and margin.  This is the
 only place an acceptance check is written: the acceptance tests run every
-function in SUITES, each under one criterion.
+function in SUITES, each under one criterion.  An identity of the code, such
+as a literal read back, is pinned by a unit test, not by a check.
 """
 
 import itertools
@@ -122,15 +123,8 @@ def check_lower_tangency() -> CheckResult:
 
 
 def check_theta_transition() -> CheckResult:
-    zt = sc.theta_transition()
-    _, theta_end = sc.min_pure_output_entropy(st.Z_MIN)
-    return CheckResult(
-        "angle transition",
-        (
-            Measure("|transition - ref|", abs(zt - float(THETA_TRANSITION_REF)), 1e-15),
-            Measure("|theta_min(-1/2) - pi/6|", abs(theta_end - math.pi / 6.0), 1e-15),
-        ),
-    )
+    err = abs(sc.theta_transition() - float(THETA_TRANSITION_REF))
+    return CheckResult("angle transition", (Measure("|transition - ref|", err, 1e-15),))
 
 
 def check_junctions() -> CheckResult:
@@ -188,8 +182,8 @@ def check_curve_hull_agreement() -> CheckResult:
     return CheckResult(
         "curve equals hull of sampled minima",
         (
-            Measure("max |hull - curve|", np.max(np.abs(hull.hull_ys - ed)), 2e-4),
-            Measure("max (curve - epsilon)", np.max(ed - eps), 1e-9),
+            Measure("max |hull - curve|", np.max(np.abs(hull.hull_ys - ed)), 2e-6),
+            Measure("max (curve - epsilon)", np.max(ed - eps), 1e-15),
         ),
     )
 
@@ -206,7 +200,7 @@ def check_face_table() -> CheckResult:
         (
             Measure("|closed - log 2|, N = 2..6", np.max(np.abs(closed[:5] - LN2)), 1e-15),
             Measure("max |search - closed|", np.max(np.abs(values - closed)), 1e-14),
-            Measure("max undercut", np.max(closed - values, initial=0.0), 1e-9),
+            Measure("max undercut", np.max(closed - values, initial=0.0), 1e-14),
         ),
     )
 
@@ -306,7 +300,8 @@ def check_lambert() -> CheckResult:
         for x in roots.roots:
             root_resids.append(abs(lam + mu * x - x * math.log(x * x)))
         count += 1
-    zetas = np.linspace(inv_e / 1000.0, inv_e, 1000)
+    # three-root stationary states have e^mu g(zeta) <= 1 and entropy -mu > log 2 if g > 2
+    zetas = np.linspace(3e-4, inv_e, 1000)
     gvals = np.array([fm.root_square_sum(float(zz)) for zz in zetas])
     g_misses = np.count_nonzero(~(gvals > 2.0)) + np.count_nonzero(~(np.diff(gvals) > 0.0))
     return CheckResult(
@@ -316,30 +311,6 @@ def check_lambert() -> CheckResult:
             Measure("max root residual", np.max(root_resids, initial=0.0), 4e-14),
             Measure("square sum not above 2 or not increasing", g_misses, 0),
         ),
-    )
-
-
-def check_three_root_entropy() -> CheckResult:
-    inv_e = -BRANCH_POINT
-    g = stream_rng(23, 0)
-    checked = 0
-    violations = 0
-    while checked < 200:
-        lam = float(g.uniform(-1.5, 1.5))
-        if abs(lam) < 1e-3:
-            continue
-        mu = float(g.uniform(-3.0, 1.0))
-        zeta = 0.5 * abs(lam) * math.exp(-0.5 * mu)
-        if zeta > inv_e:
-            continue
-        # three roots exist iff exp(mu) g(zeta) <= 1; a NaN g counts as a violation
-        scaled = math.exp(mu) * fm.root_square_sum(zeta)
-        if not (scaled > 1.0 or (scaled <= 1.0 and -mu > LN2)):
-            violations += 1
-        checked += 1
-    return CheckResult(
-        "three-root solutions always exceed log 2",
-        (Measure("violations in 200 multiplier pairs", violations, 0),),
     )
 
 
@@ -362,7 +333,7 @@ def check_oracle_curve() -> CheckResult:
         f"decomposition search matches the curve at {len(_CURVE_SAMPLES)} points",
         (
             Measure("max |search - curve|", np.max(np.abs(values - ed)), 3e-14),
-            Measure("max undercut", np.max(ed - values, initial=0.0), 1e-9),
+            Measure("max undercut", np.max(ed - values, initial=0.0), 3e-14),
         ),
     )
 
@@ -402,30 +373,20 @@ def check_projection_inequality() -> CheckResult:
 
 
 def check_twirl_and_channel() -> CheckResult:
+    """The S3 twirl returns z on the symmetric family; the diagonal channel
+    never lowers a random qutrit's von Neumann entropy."""
     worst_twirl = np.max(
         [abs(st.twirl_s3(st.symmetric_state(float(z))) - float(z)) for z in np.linspace(st.Z_MIN, st.Z_MAX, 101)]
     )
-    states = [_random_qutrit(stream_rng(31, i)) for i in range(70)]
-    chan = []
-    proj = []
     drops = []
-    for omega in states:
-        d1 = st.diagonal_channel(omega)
-        d2 = st.diagonal_channel(d1)
-        chan += [np.max(np.abs(d1 - d2)), abs(np.trace(d1) - np.trace(omega))]
-        s = st.diagonal_output_entropy(omega)
-        proj += [
-            abs(s - st.diagonal_output_entropy(omega.T)),
-            abs(s - st.diagonal_output_entropy(st.real_projection(omega))),
-        ]
+    for i in range(70):
+        omega = _random_qutrit(stream_rng(31, i))
         drops.append(st.von_neumann_entropy(omega) - st.von_neumann_entropy(st.diagonal_channel(omega)))
     return CheckResult(
-        "twirl identity, channel idempotence, projection invariance",
+        "twirl identity, entropy gain of the diagonal channel",
         (
             Measure("twirl deviation at 101 points", worst_twirl, 1e-12),
-            Measure("channel idempotence and trace", np.max(chan), 0),
-            Measure("projection invariance", np.max(proj), 0),
-            Measure("measurement entropy drop", np.max(drops), 1e-9),
+            Measure("measurement entropy drop", np.max(drops), 1e-15),
         ),
     )
 
@@ -450,7 +411,6 @@ SUITES = {
         check_minimizer_states,
         check_two_value_concavity,
         check_lambert,
-        check_three_root_entropy,
     ),
     "edcurve": (
         check_curve_anchors,

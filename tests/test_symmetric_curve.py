@@ -455,6 +455,21 @@ def test_decomposition_reconstructs_and_attains_curve():
         assert abs(dec.average_output_entropy() - entanglement_entropy(float(z))) < 1e-8
 
 
+def _chord_ends_and_neighbours():
+    ends = ((Z_MIN, 1.0), (lower_tangent_z(), -1.0), (UPPER_KNEE, 2.0), (Z_MAX, 0.0))
+    return [z for end, inward in ends for z in (end + math.copysign(1e-13, inward - end), math.nextafter(end, inward))]
+
+
+@pytest.mark.parametrize("z", _chord_ends_and_neighbours())
+def test_decomposition_keeps_light_orbits_next_to_chord_ends(z):
+    # an orbit of weight 1e-13 still carries part of the mixture: dropping
+    # it puts the weight sum 1.1e-12 below 1 and the average 7.5e-13 below E
+    dec = optimal_decomposition(z)
+    assert abs(dec.weights.sum() - 1.0) <= 1e-15
+    assert abs(dec.average_output_entropy() - entanglement_entropy(z)) <= 1e-15
+    assert np.max(np.abs(dec.mixture() - symmetric_state(z))) <= 1e-15
+
+
 def test_decomposition_members_twirl_onto_orbit_parameters():
     zstar = lower_tangent_z()
     for z in (-0.48, -0.2, 0.4, 0.95):
@@ -592,7 +607,7 @@ def _reference_decomposition(z):
         amps = check_pure_state(_amplitudes(*_alpha_beta(z_end), theta))
         orbit = amps[None] if amps[0] == amps[1] == amps[2] else amps[_SHIFTS]
         w /= len(orbit)
-        if w > 1e-12:
+        if w > 0.0:
             weights += [w] * len(orbit)
             states.extend(orbit)
     return np.array(weights), states
@@ -611,8 +626,8 @@ def test_optimal_decomposition_is_bit_identical_to_reference():
 
 
 def test_optimal_decomposition_call_counts(monkeypatch):
-    # one Decomposition per call: -1/2, the double below z*, the double
-    # below 1 and 1 each drop an orbit of weight <= 1e-12
+    # one Decomposition per call, also at -1/2 and 1, where one chord end
+    # has weight 0 and its orbit is dropped
     built = []
 
     def counted_decomposition(*args, **kwargs):
