@@ -24,9 +24,7 @@ from .states import (
     StateFormatError,
     diagonal_channel,
     diagonal_output_entropy,
-    pure_to_density,
     read_density_matrix,
-    real_projection,
     symmetric_state,
     twirl_s3,
     von_neumann_entropy,
@@ -71,11 +69,9 @@ __all__ = [
     "minimizer_states",
     "optimal_decomposition",
     "pair_states_minimize",
-    "pure_to_density",
     "rank2_entanglement",
     "rank2_state",
     "read_density_matrix",
-    "real_projection",
     "real_roof_upper_bound",
     "roof_upper_bound",
     "root_square_sum",

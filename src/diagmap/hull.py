@@ -1,8 +1,8 @@
-"""Lower convex envelope of a sampled 1-D function, plus tangent location
-from an external anchor point (the two operations behind the linear pieces
-of the entanglement curve), and _bisect, the one root finder of the curve
-layer: bisection for the tangency point and the angle transition,
-safeguarded Newton steps for the minimizing angle."""
+"""Lower convex envelope of a sampled 1-D function, used by the curve-hull
+check and the benchmark; tangent location from an external anchor point,
+behind the linear pieces of the entanglement curve; and _bisect, the one
+root finder of the curve layer: bisection for the tangency point and the
+angle transition, safeguarded Newton steps for the minimizing angle."""
 
 import math
 from dataclasses import dataclass

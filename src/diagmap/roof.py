@@ -234,7 +234,9 @@ def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweep
 def real_roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = 200) -> RoofResult:
     """roof_upper_bound, bit for bit, of a real (_is_real) state, for which
     an optimal decomposition of real states exists; raises ValueError for
-    any other state."""
+    any other state.  The library calls roof_upper_bound, which searches a
+    real state the same way; this one stays as the entry point of the
+    benchmark's roof_curve workload until that moves too."""
     omega = check_density_matrix(omega)
     if not _is_real(omega):
         raise ValueError("real_roof_upper_bound requires a real state")

@@ -1,6 +1,6 @@
-"""Density matrices, pure states, the diagonal (pinching) channel and the
-two symmetry projections used throughout: transposition averaging and the
-S3 permutation twirl.
+"""Density matrices, the diagonal (pinching) channel, the S3 permutation
+twirl onto the symmetric family, decompositions into pure states and the
+state file format.
 """
 
 import math
@@ -22,19 +22,6 @@ class StateFormatError(ValueError):
     """Raised when a density-matrix file cannot be parsed or validated."""
 
 
-def check_pure_state(psi) -> np.ndarray:
-    """Return psi as a complex vector, raising unless it is normalized."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    _check_norm2(float(np.vdot(psi, psi).real))
-    return psi
-
-
-def _check_norm2(norm2: float, name: str = "pure state") -> None:
-    """Raise unless a pure state's squared norm is 1 within NORM_TOL."""
-    if not abs(norm2 - 1.0) <= NORM_TOL:
-        raise ValueError(f"{name} has squared norm {norm2!r}, not 1")
-
-
 def check_density_matrix(omega) -> np.ndarray:
     """Return omega as a complex array, raising unless it is a valid state."""
     return _checked_spectrum(omega)[0]
@@ -52,12 +39,6 @@ def _checked_spectrum(omega):
     return omega, evals
 
 
-def pure_to_density(psi) -> np.ndarray:
-    """Rank-1 projector |psi><psi| of a normalized vector."""
-    psi = check_pure_state(psi)
-    return np.outer(psi, psi.conj())
-
-
 def diagonal_channel(omega) -> np.ndarray:
     """Zero all off-diagonal entries (complete measurement in the basis)."""
     omega = check_density_matrix(omega)
@@ -73,15 +54,6 @@ def diagonal_output_entropy(omega) -> float:
 def von_neumann_entropy(omega) -> float:
     """S(omega) = -Tr omega log omega in nats."""
     return _entropy_sum(_checked_spectrum(omega)[1])
-
-
-def real_projection(omega) -> np.ndarray:
-    """Average of omega with its transpose; idempotent, fixes real states.
-
-    The transpose of a state is a state, so the average is one too.
-    """
-    omega = check_density_matrix(omega)
-    return 0.5 * (omega + omega.T)
 
 
 def twirl_s3(omega) -> float:
@@ -159,7 +131,8 @@ class Decomposition:
         """|s_jk|^2, raising unless every member is a unit vector: both readers' check."""
         sq = np.abs(self.states) ** 2
         for j, norm2 in enumerate(sq.sum(axis=1).tolist()):
-            _check_norm2(norm2, f"member {j}")
+            if not abs(norm2 - 1.0) <= NORM_TOL:
+                raise ValueError(f"member {j} has squared norm {norm2!r}, not 1")
         return sq
 
     def mixture(self) -> np.ndarray:
@@ -227,5 +200,8 @@ def read_density_matrix(path) -> np.ndarray:
 
 
 def write_density_matrix(path, omega) -> None:
+    """Write omega in the text format, raising ValueError before the file
+    is opened unless omega is a state that read_density_matrix accepts."""
+    text = format_density_matrix(check_density_matrix(omega))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_density_matrix(omega))
+        fh.write(text)

@@ -2,7 +2,7 @@
 
 Every acceptance check, with its inputs and tolerances, is written once in
 `diagmap.verify`. This file only assigns each function of `verify.SUITES` to
-one of ten criteria, runs each criterion within its time budget and prints
+one of nine criteria, runs each criterion within its time budget and prints
 one PASS/FAIL line per criterion: run `pytest -s tests/test_acceptance.py`
 to see them. `diagmap verify all` runs the same checks through the CLI.
 """
@@ -14,7 +14,6 @@ from diagmap import verify
 
 # criterion -> (checks, time budget in seconds); test_criterion_<criterion> runs it
 CRITERIA = {
-    "01_curve_anchors": ((verify.check_curve_anchors,), 0.1),
     "02_lower_tangency": ((verify.check_lower_tangency,), 0.1),
     "03_theta_transition": ((verify.check_theta_transition,), 0.1),
     "04_junctions": ((verify.check_junctions,), 0.1),
@@ -25,7 +24,6 @@ CRITERIA = {
         (
             verify.check_oracle_curve,
             verify.check_oracle_rank2,
-            verify.check_flat_leaf,
         ),
         25.0,
     ),
@@ -51,10 +49,6 @@ def _run_criterion(name):
     print(f"{'PASS' if passed else 'FAIL'} criterion {name[:2]}: {detail} [{elapsed:.3f}s]")
     assert passed, detail
     assert elapsed < budget, f"took {elapsed:.3f}s, budget {budget:g}s"
-
-
-def test_criterion_01_curve_anchors():
-    _run_criterion("01_curve_anchors")
 
 
 def test_criterion_02_lower_tangency():
@@ -97,5 +91,7 @@ def test_every_check_runs_in_exactly_one_criterion():
     in_criteria = Counter(check.__name__ for checks, _ in CRITERIA.values() for check in checks)
     in_suites = {check.__name__ for checks in verify.SUITES.values() for check in checks}
     assert in_criteria == Counter(in_suites)
+    # all([]) passes, so an emptied criterion would pass vacuously
+    assert all(checks for checks, _ in CRITERIA.values())
     # and every criterion has its test
     assert {f"test_criterion_{name}" for name in CRITERIA} <= set(globals())

@@ -9,7 +9,6 @@ from diagmap.entropy import _entropy_sum
 from diagmap.roof import real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (
     diagonal_output_entropy,
-    pure_to_density,
     symmetric_state,
     twirl_s3,
 )
@@ -28,6 +27,10 @@ def _random_density(g, n=3):
     a = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
     omega = a @ a.conj().T
     return omega / np.trace(omega).real
+
+
+def _projector(psi):
+    return np.outer(psi, np.conj(psi))
 
 
 def _decomposition(omega, U):
@@ -51,7 +54,7 @@ def test_isometry_decomposition_of_maximally_mixed():
 
 def test_isometry_decomposition_pure_state():
     psi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    omega = pure_to_density(psi)
+    omega = _projector(psi)
     u = np.array([[1.0], [0.0], [0.0]])  # length-3 decomposition of rank 1
     u = np.array([[0.6], [0.8], [0.0]])
     dec = _decomposition(omega, u / np.linalg.norm(u))
@@ -76,24 +79,29 @@ def test_roof_pure_state_is_exact():
     g = Generator(Philox(key=np.array([51, 0], dtype=np.uint64)))
     psi = g.standard_normal(3) + 1j * g.standard_normal(3)
     psi /= np.linalg.norm(psi)
-    omega = pure_to_density(psi)
+    omega = _projector(psi)
     res = roof_upper_bound(omega, m=3, restarts=5, seed=0)
     assert res.value == pytest.approx(diagonal_output_entropy(omega), abs=1e-12)
 
 
 def test_roof_left_edge_reaches_log2():
     res = roof_upper_bound(symmetric_state(-0.5), m=3, restarts=30, seed=0)
-    assert res.value == pytest.approx(LN2, abs=1e-6)
+    assert res.value == pytest.approx(LN2, abs=1e-15)  # reads 1.1e-16
 
 
 def test_roof_interior_matches_theta0_entropy():
     res = roof_upper_bound(symmetric_state(0.5), m=3, restarts=30, seed=0)
-    assert res.value == pytest.approx(theta0_entropy(0.5), abs=1e-5)
+    assert res.value == pytest.approx(theta0_entropy(0.5), abs=1e-15)  # reads 1.1e-16
 
 
 def test_roof_maximally_mixed_is_flat():
-    res = roof_upper_bound(symmetric_state(0.0), m=4, restarts=5, seed=0)
-    assert res.value <= 1e-9
+    # for a diagonal state the identity start is the spectral decomposition,
+    # of output entropy exactly 0, and no restart ends above its start
+    assert roof_upper_bound(symmetric_state(0.0), m=4, restarts=5, seed=0).value == 0.0
+    for i in range(20):
+        p = linesearch.stream_rng(37, i).uniform(0.05, 1.0, size=3)
+        p /= p.sum()
+        assert roof_upper_bound(np.diag(p).astype(complex), restarts=4, seed=37).value == 0.0
 
 
 def test_roof_value_matches_its_own_decomposition():
@@ -311,11 +319,11 @@ def test_roof_default_m_for_complex_rank2_and_rank1():
     g = Generator(Philox(key=np.array([57, 0], dtype=np.uint64)))
     psi = g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    omega = 0.7 * pure_to_density(psi[0]) + 0.3 * pure_to_density(psi[1])
+    omega = 0.7 * _projector(psi[0]) + 0.3 * _projector(psi[1])
     res = roof_upper_bound(omega, restarts=3, seed=0)
     assert res.isometry.shape == (4, 2)  # rank^2 for a complex search
     assert np.max(np.abs(res.decomposition.mixture() - omega)) < 1e-9
-    pure = pure_to_density(psi[0])
+    pure = _projector(psi[0])
     res = roof_upper_bound(pure, restarts=3, seed=0)
     assert res.isometry.shape == (1, 1)
     assert res.value == pytest.approx(diagonal_output_entropy(pure), abs=1e-12)

@@ -16,9 +16,7 @@ from diagmap.states import (
     diagonal_output_entropy,
     format_density_matrix,
     parse_density_matrix,
-    pure_to_density,
     read_density_matrix,
-    real_projection,
     symmetric_state,
     twirl_s3,
     von_neumann_entropy,
@@ -35,39 +33,8 @@ def _random_density(g, n=3):
     return omega / np.trace(omega).real
 
 
-def test_pure_to_density_basis():
-    rho = pure_to_density([1.0, 0.0, 0.0])
-    assert np.allclose(rho, np.diag([1.0, 0.0, 0.0]))
-
-
-def test_pure_to_density_pair_state():
-    psi = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    rho = pure_to_density(psi)
-    expected = np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
-    assert np.allclose(rho, expected, atol=1e-15)
-
-
-def test_pure_to_density_uniform_superposition():
-    psi = np.full(3, 1.0 / math.sqrt(3.0))
-    assert np.allclose(pure_to_density(psi), symmetric_state(1.0), atol=1e-12)
-
-
-def test_pure_to_density_is_projector():
-    g = Generator(Philox(key=np.array([8, 0], dtype=np.uint64)))
-    for _ in range(20):
-        psi = g.standard_normal(4) + 1j * g.standard_normal(4)
-        psi /= np.linalg.norm(psi)
-        rho = pure_to_density(psi)
-        assert abs(np.trace(rho) - 1.0) < 1e-12
-        assert np.max(np.abs(rho @ rho - rho)) < 1e-10
-
-
-def test_pure_to_density_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        pure_to_density([1.0, 1.0, 0.0])
-    for bad in ([math.nan, 1.0], [math.inf, 0.0]):
-        with pytest.raises(ValueError):
-            pure_to_density(bad)
+def _projector(psi):
+    return np.outer(psi, np.conj(psi))
 
 
 def test_diagonal_channel_on_symmetric_family():
@@ -89,15 +56,15 @@ def test_diagonal_channel_fixed_points_and_idempotence():
 
 def test_diagonal_channel_of_pure_state():
     psi = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    out = diagonal_channel(pure_to_density(psi))
+    out = diagonal_channel(_projector(psi))
     assert np.allclose(out, np.diag([0.5, 0.5, 0.0]), atol=1e-15)
 
 
 def test_diagonal_output_entropy_values():
     assert diagonal_output_entropy(symmetric_state(0.3)) == pytest.approx(LN3, abs=1e-12)
-    assert diagonal_output_entropy(pure_to_density([1.0, 0.0, 0.0])) == 0.0
+    assert diagonal_output_entropy(_projector([1.0, 0.0, 0.0])) == 0.0
     psi = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    assert diagonal_output_entropy(pure_to_density(psi)) == pytest.approx(LN2, abs=1e-15)
+    assert diagonal_output_entropy(_projector(psi)) == pytest.approx(LN2, abs=1e-15)
 
 
 def test_diagonal_output_entropy_projection_invariance():
@@ -106,7 +73,7 @@ def test_diagonal_output_entropy_projection_invariance():
         omega = _random_density(g)
         s = diagonal_output_entropy(omega)
         assert diagonal_output_entropy(omega.T) == s
-        assert diagonal_output_entropy(real_projection(omega)) == s
+        assert diagonal_output_entropy(0.5 * (omega + omega.T)) == s
 
 
 def test_diagonal_output_entropy_bounds_and_permutation_invariance():
@@ -125,7 +92,7 @@ def test_von_neumann_entropy_values():
     g = Generator(Philox(key=np.array([11, 0], dtype=np.uint64)))
     psi = g.standard_normal(3) + 1j * g.standard_normal(3)
     psi /= np.linalg.norm(psi)
-    assert von_neumann_entropy(pure_to_density(psi)) == pytest.approx(0.0, abs=1e-9)
+    assert von_neumann_entropy(_projector(psi)) == pytest.approx(0.0, abs=1e-9)
     assert von_neumann_entropy(np.eye(4) / 4.0) == pytest.approx(math.log(4.0), abs=1e-12)
     assert von_neumann_entropy(symmetric_state(-0.5)) == pytest.approx(LN2, abs=1e-12)
 
@@ -156,32 +123,12 @@ def test_measurement_increases_entropy():
         assert von_neumann_entropy(diagonal_channel(omega)) >= von_neumann_entropy(omega) - 1e-9
 
 
-def test_real_projection_fixes_real_states():
-    omega = symmetric_state(0.4)
-    assert np.allclose(real_projection(omega), omega, atol=0.0)
-
-
-def test_real_projection_cancels_antisymmetric_imaginary_part():
-    omega = np.eye(3, dtype=complex) / 3.0
-    omega[0, 1] += 0.1j
-    omega[1, 0] -= 0.1j
-    assert np.allclose(real_projection(omega), np.eye(3) / 3.0, atol=1e-15)
-
-
-def test_real_projection_idempotent():
-    g = Generator(Philox(key=np.array([13, 0], dtype=np.uint64)))
-    for _ in range(100):
-        omega = _random_density(g)
-        once = real_projection(omega)
-        assert np.array_equal(real_projection(once), once)
-
-
 def test_twirl_values():
     assert twirl_s3(symmetric_state(1.0)) == pytest.approx(1.0, abs=1e-12)
     assert twirl_s3(np.diag([1.0, 0.0, 0.0]).astype(complex)) == pytest.approx(0.0, abs=1e-15)
     psi = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
     # ab + ac + bc = -1/2 for this vector
-    assert twirl_s3(pure_to_density(psi)) == pytest.approx(-0.5, abs=1e-12)
+    assert twirl_s3(_projector(psi)) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_twirl_inverts_symmetric_state():
@@ -195,7 +142,7 @@ def test_twirl_of_real_pure_state_matches_cross_terms():
         v = g.standard_normal(3)
         v /= np.linalg.norm(v)
         a, b, c = v
-        assert twirl_s3(pure_to_density(v)) == pytest.approx(a * b + a * c + b * c, abs=1e-12)
+        assert twirl_s3(_projector(v)) == pytest.approx(a * b + a * c + b * c, abs=1e-12)
 
 
 def test_symmetric_state_endpoints():
@@ -365,6 +312,23 @@ def test_density_matrix_file_roundtrip(tmp_path):
     write_density_matrix(path, omega)
     again = read_density_matrix(path)
     assert np.allclose(again, omega, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        np.array([[math.nan, 0.0], [0.0, 1.0]]),
+        3.0 * np.eye(2),
+        np.full((2, 3), 1.0 / 3.0),
+    ],
+    ids=["nan", "trace-6", "2x3"],
+)
+def test_write_density_matrix_refuses_what_the_reader_rejects(tmp_path, omega):
+    # before the file is opened, so that no partial file is left behind
+    path = tmp_path / "state.txt"
+    with pytest.raises(ValueError):
+        write_density_matrix(path, omega)
+    assert not path.exists()
 
 
 def test_parse_density_matrix_accepts_plain_text():

@@ -14,10 +14,9 @@ from diagmap.states import (
     Z_MAX,
     Z_MIN,
     Decomposition,
-    check_pure_state,
+    NORM_TOL,
     check_z,
     diagonal_output_entropy,
-    pure_to_density,
     symmetric_state,
     twirl_s3,
 )
@@ -277,9 +276,10 @@ def test_lower_tangent_z_value():
 
 
 def test_entanglement_entropy_anchors():
-    assert entanglement_entropy(-0.5) == pytest.approx(LN2, abs=1e-9)
-    assert entanglement_entropy(0.0) == pytest.approx(0.0, abs=1e-9)
-    assert entanglement_entropy(1.0) == pytest.approx(LN3, abs=1e-9)
+    # exact: 1.0 * LN2 + 0.0 * s(z*), 2 eta(0) + eta(1) and 0.0 * knee + 1.0 * LN3
+    assert entanglement_entropy(-0.5) == LN2
+    assert entanglement_entropy(0.0) == 0.0
+    assert entanglement_entropy(1.0) == LN3
 
 
 def test_entanglement_entropy_continuity_at_junctions():
@@ -476,7 +476,7 @@ def test_decomposition_members_twirl_onto_orbit_parameters():
         dec = optimal_decomposition(z)
         weighted = 0.0
         for w, s in zip(dec.weights, dec.states):
-            zi = twirl_s3(pure_to_density(s))
+            zi = twirl_s3(np.outer(s, s.conj()))
             if z < zstar:
                 assert min(abs(zi - (-0.5)), abs(zi - zstar)) < 1e-9
             elif z <= UPPER_KNEE:
@@ -590,7 +590,7 @@ def test_cyclic_shifts_mix_to_the_symmetric_state():
         assert rows.shape == (3, 3)
         mixture = sum(np.outer(r, r) for r in rows) / 3.0
         assert np.max(np.abs(mixture - symmetric_state(a * b + b * c + c * a))) <= 1e-15
-        entropies = {diagonal_output_entropy(pure_to_density(r)) for r in rows}
+        entropies = {diagonal_output_entropy(np.outer(r, r)) for r in rows}
         assert len(entropies) == 1
     assert len(_orbit(*[1.0 / math.sqrt(3.0)] * 3)) == 1
 
@@ -599,12 +599,13 @@ _SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 def _reference_decomposition(z):
-    # the earlier optimal_decomposition: check_pure_state on each orbit's
-    # amplitudes, then its shifts gathered by fancy indexing
+    # the earlier optimal_decomposition: each orbit's amplitudes as a
+    # complex unit vector, then its shifts gathered by fancy indexing
     _, points = _piece(check_z(z))
     weights, states = [], []
     for w, z_end, theta, _ in points:
-        amps = check_pure_state(_amplitudes(*_alpha_beta(z_end), theta))
+        amps = np.asarray(_amplitudes(*_alpha_beta(z_end), theta), dtype=complex)
+        assert abs(np.vdot(amps, amps).real - 1.0) <= NORM_TOL, z
         orbit = amps[None] if amps[0] == amps[1] == amps[2] else amps[_SHIFTS]
         w /= len(orbit)
         if w > 0.0:

@@ -16,7 +16,6 @@ from diagmap import verify
 @pytest.mark.parametrize(
     "check, module, attr, nan_call",
     [
-        ("check_curve_anchors", sc, "entanglement_entropy", 2),
         ("check_decompositions", sc, "entanglement_entropy", 2),
         ("check_minimizer_states", st, "diagonal_output_entropy", 2),
         ("check_bifurcation", fm, "two_value_entropy", 1),
@@ -51,7 +50,6 @@ def test_check_fails_on_one_nan(monkeypatch, check, module, attr, nan_call):
 @pytest.mark.parametrize(
     "check, search, value",
     [
-        ("check_flat_leaf", "roof_upper_bound", 0.0),
         ("check_projection_inequality", "roof_upper_bound", 10.0),
     ],
 )
