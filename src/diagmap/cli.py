@@ -85,9 +85,9 @@ def cmd_ed_curve(args) -> int:
         return EXIT_USAGE
     scale = _unit_scale(args.units)
     lines = ["z,epsilon,theta_min,ed,region"]
-    for rec in map(sc.curve_record, zs.tolist()):
-        # _fmt's format, in one f-string per row
-        lines.append(f"{rec.z:.9g},{rec.epsilon * scale:.9g},{rec.theta_min:.9g},{rec.ed * scale:.9g},{rec.region}")
+    for z, epsilon, theta_min, ed, region in map(sc.curve_record, zs.tolist()):
+        # _fmt's format: %.9g writes a float as f"{x:.9g}" does, in one %-format per row
+        lines.append("%.9g,%.9g,%.9g,%.9g,%s" % (z, epsilon * scale, theta_min, ed * scale, region))
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -35,10 +35,6 @@ class HullResult:
     hull_ys: np.ndarray
 
 
-def _cross(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
 def lower_convex_hull(curve: SampledCurve) -> HullResult:
     """Largest convex function not above the samples, evaluated back on xs.
 
@@ -47,10 +43,12 @@ def lower_convex_hull(curve: SampledCurve) -> HullResult:
     """
     xs, ys = curve.xs.tolist(), curve.ys.tolist()
     stack = []
-    for i in range(len(xs)):
+    for i, (cx, cy) in enumerate(zip(xs, ys)):
         while len(stack) >= 2:
             j, k = stack[-2], stack[-1]
-            if _cross(xs[j], ys[j], xs[k], ys[k], xs[i], ys[i]) <= 0.0:
+            ax, ay, bx, by = xs[j], ys[j], xs[k], ys[k]
+            # (b - a) x (c - a) <= 0: b lies on or above the chord from a to c
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0.0:
                 stack.pop()
             else:
                 break

@@ -4,7 +4,6 @@ state file format.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,30 +98,43 @@ def symmetric_state(z: float) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """A convex mixture of pure states: sum_j weights[j] |s_j><s_j|, one
-    member s_j per row of states, of the dtype it was given."""
+    member s_j per row of states, of the dtype it was given.  Immutable:
+    assigning or deleting either attribute raises AttributeError.  Equality
+    and hashing are by identity."""
 
-    weights: np.ndarray
-    states: np.ndarray
+    __slots__ = ("weights", "states")
 
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, weights, states):
+        weights = np.asarray(weights, dtype=float)
         try:
-            states = np.asarray(self.states)
+            states = np.asarray(states)
         except ValueError:  # numpy refuses ragged rows
             raise ValueError("members have different lengths") from None
         states = states.reshape(0, 0) if states.shape == (0,) else states  # the empty mixture
         if states.ndim != 2 or len(states) != weights.size:
             raise ValueError(f"members of shape {states.shape} are not one row for each of {weights.size} weights")
-        object.__setattr__(self, "states", states)
         # one pass over Python floats: two numpy reductions cost more on a few
         # entries; NaN fails both comparisons
         for w in weights.ravel().tolist():
             if not 0.0 <= w < math.inf:
                 raise ValueError(f"weights must be finite and non-negative, got {weights!r}")
+        _set_weights(self, weights)
+        _set_states(self, states)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which checks again
+        return type(self), (self.weights, self.states)
+
+    def __repr__(self) -> str:
+        return f"Decomposition(weights={self.weights!r}, states={self.states!r})"
 
     def __len__(self) -> int:
         return self.weights.size
@@ -146,6 +158,12 @@ class Decomposition:
         for p, sq in zip(self.weights.ravel(), self._squared_moduli()):
             total += p * _entropy_sum(sq)
         return total
+
+
+# the slots' own setters, which __init__ calls because __setattr__ refuses
+# every assignment; object.__setattr__ would look each slot up by name
+_set_weights = Decomposition.weights.__set__
+_set_states = Decomposition.states.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 
 TRANSITION_BRACKET = (-0.45, -0.40)
 
+_PI_3 = math.pi / 3.0
 # _amplitudes' cos(theta -+ pi/3) at theta = 0: cos is even, so both are this double
-_COS_PI_3 = math.cos(math.pi / 3.0)
+_COS_PI_3 = math.cos(_PI_3)
 
 REGION_LOWER_LINEAR = "lower_linear"
 REGION_ROOF = "roof_equals_epsilon"
@@ -50,8 +51,8 @@ def _alpha_beta(z: float):
 
 def _amplitudes(alpha: float, beta: float, theta: float):
     a = (alpha + 2.0 * beta * math.cos(theta)) / 3.0
-    b = (alpha - 2.0 * beta * math.cos(theta - math.pi / 3.0)) / 3.0
-    c = (alpha - 2.0 * beta * math.cos(theta + math.pi / 3.0)) / 3.0
+    b = (alpha - 2.0 * beta * math.cos(theta - _PI_3)) / 3.0
+    c = (alpha - 2.0 * beta * math.cos(theta + _PI_3)) / 3.0
     return a, b, c
 
 
@@ -91,15 +92,21 @@ def _theta_derivatives(alpha: float, beta: float, theta: float):
     round-off, except at z = 0, where b = c = 0 and log b^2 is round-off."""
     a, b, c = _amplitudes(alpha, beta, theta)
     da = -2.0 * beta * math.sin(theta) / 3.0
-    db = 2.0 * beta * math.sin(theta - math.pi / 3.0) / 3.0
-    dc = 2.0 * beta * math.sin(theta + math.pi / 3.0) / 3.0
+    db = 2.0 * beta * math.sin(theta - _PI_3) / 3.0
+    dc = 2.0 * beta * math.sin(theta + _PI_3) / 3.0
     third = alpha / 3.0
-    slope = curvature = 0.0
-    for x, dx in ((a, da), (b, db), (c, dc)):
-        x2 = x * x
-        log1 = math.log(TINY if TINY > x2 else x2) + 1.0
-        slope += -2.0 * x * dx * log1
-        curvature += -2.0 * ((dx * dx + x * (third - x)) * log1 + 2.0 * dx * dx)
+    a2, b2, c2 = a * a, b * b, c * c
+    log_a = math.log(TINY if TINY > a2 else a2) + 1.0
+    log_b = math.log(TINY if TINY > b2 else b2) + 1.0
+    log_c = math.log(TINY if TINY > c2 else c2) + 1.0
+    # each sum runs from 0.0 through a, b, c, left to right, as a loop would
+    slope = 0.0 + -2.0 * a * da * log_a + -2.0 * b * db * log_b + -2.0 * c * dc * log_c
+    curvature = (
+        0.0
+        + -2.0 * ((da * da + a * (third - a)) * log_a + 2.0 * da * da)
+        + -2.0 * ((db * db + b * (third - b)) * log_b + 2.0 * db * db)
+        + -2.0 * ((dc * dc + c * (third - c)) * log_c + 2.0 * dc * dc)
+    )
     return slope, curvature
 
 

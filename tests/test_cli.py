@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -99,6 +100,23 @@ def test_ed_curve_matches_fmt_reference_rows(tmp_path, capsys, argv, grid, scale
     want = _reference_csv(symmetric_curve.curve_grid(*grid), scale)
     assert text.splitlines() == want.splitlines()
     assert text == want
+
+
+@pytest.mark.parametrize(
+    "argv, md5",
+    [
+        ([], "3f4f6cf48013d8d76cb14153e97ffa31"),
+        (["--units", "bits"], "ec76ed4c3d9a3c236d0b273a85c64355"),
+    ],
+)
+def test_ed_curve_default_csv_digest(capsys, argv, md5):
+    # the export at default arguments, byte for byte: a change to the curve
+    # layer that moves any row in its ninth digit fails here.  Taken with
+    # CPython 3.11 and glibc's libm on x86-64; another libm may round a
+    # last digit differently.
+    code, out, _ = _run(capsys, ["ed-curve", *argv])
+    assert code == EXIT_OK
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == md5
 
 
 def test_ed_curve_records_each_grid_point_once(capsys, monkeypatch):

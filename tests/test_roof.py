@@ -53,14 +53,18 @@ def test_isometry_decomposition_of_maximally_mixed():
 
 
 def test_isometry_decomposition_pure_state():
+    # length-3 decompositions of a rank-1 state: every member is psi, and
+    # only the zero-weight rows are dropped
     psi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     omega = _projector(psi)
-    u = np.array([[1.0], [0.0], [0.0]])  # length-3 decomposition of rank 1
-    u = np.array([[0.6], [0.8], [0.0]])
-    dec = _decomposition(omega, u / np.linalg.norm(u))
-    for s in dec.states:
-        overlap = abs(np.vdot(s, psi))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
+    for column, weights in (([1.0, 0.0, 0.0], [1.0]), ([0.6, 0.8, 0.0], [0.36, 0.64])):
+        u = np.array(column)[:, None]
+        dec = _decomposition(omega, u / np.linalg.norm(u))
+        assert len(dec) == len(weights)
+        assert dec.weights.tolist() == pytest.approx(weights, abs=1e-15)  # reads 1.1e-16
+        for s in dec.states:
+            overlap = abs(np.vdot(s, psi))
+            assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_isometry_decomposition_always_reconstructs():
@@ -70,9 +74,9 @@ def test_isometry_decomposition_always_reconstructs():
         raw = g.standard_normal((5, 3)) + 1j * g.standard_normal((5, 3))
         u, _ = np.linalg.qr(raw)
         dec = _decomposition(omega, u)
-        assert np.max(np.abs(dec.mixture() - omega)) < 1e-9
+        assert np.max(np.abs(dec.mixture() - omega)) < 1e-14  # reads 1.05e-15
         assert np.all(dec.weights > 0.0)
-        assert dec.weights.sum() == pytest.approx(1.0, abs=1e-10)
+        assert dec.weights.sum() == pytest.approx(1.0, abs=2e-14)  # reads 1.78e-15
 
 
 def test_roof_pure_state_is_exact():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -276,6 +278,49 @@ def test_empty_decomposition_is_accepted():
         dec = Decomposition(weights=[], states=states)
         assert len(dec) == 0 and dec.states.ndim == 2
         assert dec.average_output_entropy() == 0.0
+
+
+def _sample_decompositions():
+    # complex members, real members, 2-d weights and the empty mixture
+    members = np.array([[1.0, 1.0j, 0.0], [0.6, 0.0, 0.8j]]) / np.array([[math.sqrt(2.0)], [1.0]])
+    return [
+        Decomposition(weights=[0.25, 0.75], states=members),
+        Decomposition(weights=np.full(3, 1 / 3), states=np.eye(3)),
+        Decomposition(weights=np.array([[0.5, 0.5]]), states=np.eye(2)),
+        Decomposition(weights=[], states=[]),
+    ]
+
+
+def test_decomposition_attributes_cannot_be_assigned_or_deleted():
+    for dec in _sample_decompositions():
+        weights, states = dec.weights, dec.states
+        for name in ("weights", "states"):
+            with pytest.raises(AttributeError):
+                setattr(dec, name, np.zeros(1))
+            with pytest.raises(AttributeError):
+                delattr(dec, name)
+        assert dec.weights is weights and dec.states is states
+
+
+def test_decomposition_pickle_and_copies_keep_the_arrays():
+    for dec in _sample_decompositions():
+        for twin in (pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec), copy.copy(dec)):
+            assert type(twin) is Decomposition and len(twin) == len(dec)
+            for got, want in ((twin.weights, dec.weights), (twin.states, dec.states)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_decomposition_repr_names_both_arrays():
+    for dec in _sample_decompositions():
+        assert repr(dec) == f"Decomposition(weights={dec.weights!r}, states={dec.states!r})"
+
+
+def test_decomposition_equality_and_hash_are_by_identity():
+    dec = Decomposition(weights=[1.0], states=[[1.0, 0.0]])
+    twin = copy.deepcopy(dec)
+    assert dec == dec and dec != twin
+    assert hash(dec) == hash(dec) and len({dec, twin}) == 2
 
 
 @pytest.mark.parametrize("complex_members", [False, True])
