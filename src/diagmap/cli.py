@@ -122,16 +122,20 @@ def cmd_min_output(args) -> int:
     print(f"closed-form minimum: {_fmt(closed * scale)} {args.units}")
     print(f"winning family: {family}")
     print(f"minimizer states ({count}):")
-    # only the printed states are built: there are O(N) of length N
-    for v in itertools.islice(fm._minimizers(n), 10):
-        print("  (" + ", ".join(_fmt(x) for x in v) + ")")
-    if count > 10:
-        print(f"  ... {count - 10} more by permutation")
-    if args.oracle:
-        value, argmin = fm.brute_force_min_face(n, restarts=restarts, seed=seed)
-        print(f"search minimum ({restarts} restarts, seed {seed}): {_fmt(value * scale)} {args.units}")
-        print(f"gap to closed form: {_fmt((value - closed) * scale)}")
-        print("argmin: (" + ", ".join(_fmt(x) for x in argmin) + ")")
+    try:
+        # only the printed states are built: there are O(N) of length N
+        for v in itertools.islice(fm._minimizers(n), 10):
+            print("  (" + ", ".join(_fmt(x) for x in v) + ")")
+        if count > 10:
+            print(f"  ... {count - 10} more by permutation")
+        if args.oracle:
+            value, argmin = fm.brute_force_min_face(n, restarts=restarts, seed=seed)
+            print(f"search minimum ({restarts} restarts, seed {seed}): {_fmt(value * scale)} {args.units}")
+            print(f"gap to closed form: {_fmt((value - closed) * scale)}")
+            print("argmin: (" + ", ".join(_fmt(x) for x in argmin) + ")")
+    except MemoryError as exc:  # states of length N too long to allocate
+        print(f"error: --n {n} is too large to allocate: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -105,6 +105,8 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
             step, d, slope, fresh = step[run], d[run], slope[run], fresh[run]
         # a row that fails its try keeps w, G and g, and tries the half next
         w, fw, G, step, took = _armijo(w, fw, G, funcs, d, slope, step)
+        if it + 1 == max_iters:
+            break  # nothing below is read after the last iteration
         P = _project(w, np.array([G, step[:, None, None] * d, g]))
         gn, s, gp = P.reshape(3, len(w), -1).view(float)
         g, gf, y = P[0], gn, gn - gp

@@ -224,26 +224,57 @@ def _orbit(a: float, b: float, c: float) -> list:
     return [(a, b, c), (b, c, a), (c, a, b)]
 
 
+# the rows (a, b, b), (b, b, a), (b, a, b) of _orbit(a, b, b), as indices into (a, b)
+_THETA0_ROWS = np.array([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
+
+
+def _theta0_orbit(alpha: float, beta: float) -> np.ndarray:
+    """The theta = 0 orbit _orbit(a, b, b), (a, b, b) being
+    _amplitudes(alpha, beta, 0.0), as one complex array that owns its data:
+    (a, b) gathered by _THETA0_ROWS, or the single state (a, a, a) at z = 1."""
+    # the theta = 0 amplitudes, with no cosine to take
+    a, b = (alpha + 2.0 * beta) / 3.0, (alpha - 2.0 * beta * _COS_PI_3) / 3.0
+    if a == b:
+        return np.array(((a, b, b),), dtype=complex)
+    return np.array((a, b), dtype=complex)[_THETA0_ROWS]
+
+
+@lru_cache(maxsize=4)
+def _chord_end_orbit(z_end: float, theta: float) -> np.ndarray:
+    """The orbit of the state at (z_end, theta) that a chord mixes: the
+    theta = pi/6 orbit at -1/2 (by _orbit) or the theta = 0 orbit at z*,
+    5/6 or 1.  It does not depend on z, so each is built once, on first
+    use, and is read-only."""
+    alpha, beta = _alpha_beta(z_end)
+    if theta == 0.0:
+        orbit = _theta0_orbit(alpha, beta)
+    else:
+        orbit = np.array(_orbit(*_amplitudes(alpha, beta, theta)), dtype=complex)
+    orbit.flags.writeable = False
+    return orbit
+
+
 def optimal_decomposition(z: float) -> Decomposition:
     """A decomposition of symmetric_state(z) attaining entanglement_entropy(z):
     the cyclic orbit of each point of z's piece, sharing the point's weight.
     Inside [z*, 5/6] it is the orbit of the theta = 0 state; on the linear
-    pieces it mixes the orbits at the two chord endpoints."""
-    _, points = _piece(check_z(z))
-    weights, rows = [], []
+    pieces it mixes the two chord ends' orbits (_chord_end_orbit), copied
+    into the result by one concatenation, so that no two results share
+    memory.  Only an orbit of weight 0 is left out."""
+    region, points = _piece(check_z(z))
+    if region == REGION_ROOF:
+        ((w, z_end, _, _),) = points
+        states = _theta0_orbit(*_alpha_beta(z_end))
+        w /= len(states)
+        return Decomposition(weights=[w] * len(states), states=states)
+    weights, orbits = [], []
     for w, z_end, theta, _ in points:
-        alpha, beta = _alpha_beta(z_end)
-        if theta == 0.0:
-            # _amplitudes(alpha, beta, 0.0) is (a, b, b), with no cosine to take
-            a, b = (alpha + 2.0 * beta) / 3.0, (alpha - 2.0 * beta * _COS_PI_3) / 3.0
-            orbit = [(a, b, b)] if a == b else [(a, b, b), (b, b, a), (b, a, b)]  # _orbit(a, b, b)
-        else:
-            orbit = _orbit(*_amplitudes(alpha, beta, theta))
+        orbit = _chord_end_orbit(z_end, theta)
         w /= len(orbit)
         if w > 0.0:
             weights += [w] * len(orbit)
-            rows += orbit
-    return Decomposition(weights=np.array(weights), states=np.array(rows, dtype=complex))
+            orbits.append(orbit)
+    return Decomposition(weights=weights, states=np.concatenate(orbits))
 
 
 def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:

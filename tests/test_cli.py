@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diagmap
-from diagmap import symmetric_curve, verify
+from diagmap import face_minimum, symmetric_curve, verify
 from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
 from diagmap.states import symmetric_state, write_density_matrix
@@ -207,6 +207,33 @@ def test_min_output_memory_does_not_grow_with_the_state_count(capsys):
     assert "minimizer states (3000):" in out
     assert "  ... 2990 more by permutation" in out
     assert peak < 5e6
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+
+def test_min_output_states_too_long_to_allocate_is_usage_error(capsys, monkeypatch):
+    # at N = 10^12 each printed one-vs-rest state is np.full(N, -a); the
+    # refusal is raised here, so nothing is allocated
+    monkeypatch.setattr(np, "full", _refuse_allocation)
+    code, out, err = _run(capsys, ["min-output", "--n", str(10**12)])
+    assert code == EXIT_USAGE
+    assert err == f"error: --n {10**12} is too large to allocate: Unable to allocate 7.28 TiB for an array\n"
+    assert out.endswith("minimizer states (1000000000000):\n")
+
+
+def test_min_output_oracle_too_large_to_allocate_is_usage_error(capsys, monkeypatch):
+    # the search's starts are its first allocation, a (restarts, N - 1) draw
+    class RefusingStream:
+        standard_normal = staticmethod(_refuse_allocation)
+
+    monkeypatch.setattr(face_minimum, "stream_rng", lambda seed, stream: RefusingStream())
+    code, out, err = _run(capsys, ["min-output", "--n", "7", "--oracle"])
+    assert code == EXIT_USAGE
+    assert err.startswith("error: --n 7 is too large to allocate: Unable to allocate")
+    assert sum(line.startswith("  (") for line in out.splitlines()) == 7  # the states, then the search
+    assert "search minimum" not in out
 
 
 def test_min_output_bits(capsys):

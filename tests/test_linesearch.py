@@ -134,6 +134,35 @@ def test_each_trial_point_is_evaluated_once(monkeypatch):
     assert np.array_equal(f, funcs(W)[0])
 
 
+def test_the_last_iteration_under_the_cap_ends_after_its_try(monkeypatch):
+    # nothing after the loop reads the projected gradient, the curvature
+    # pair or H, so the iteration the cap stops makes its Armijo try and no
+    # projection after it
+    g = Generator(Philox(key=np.array([66, 0], dtype=np.uint64)))
+    C = g.standard_normal((8, 11))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    funcs = linesearch.sphere_functions(zero_sum_basis(12).T)
+    events = []
+    project, armijo = linesearch._project, linesearch._armijo
+
+    def counted_project(W, G):
+        events.append("project")
+        return project(W, G)
+
+    def counted_armijo(W, *args):
+        events.append("armijo")
+        return armijo(W, *args)
+
+    monkeypatch.setattr(linesearch, "_project", counted_project)
+    monkeypatch.setattr(linesearch, "_armijo", counted_armijo)
+    _, _, iterations, capped = linesearch.stiefel_bfgs(C[:, :, None], funcs, 3)
+    assert capped.all() and np.all(iterations == 3)
+    tries = [i for i, event in enumerate(events) if event == "armijo"]
+    assert len(tries) == 3 and tries[-1] == len(events) - 1
+    # every earlier try is followed by the projection of its curvature pair
+    assert all(events[i + 1] == "project" for i in tries[:-1])
+
+
 def _reference_armijo(W, f, G, funcs, d, slope, step):
     Wc = linesearch._retract(W + step[:, None, None] * d)
     fc, Gc = funcs(Wc)

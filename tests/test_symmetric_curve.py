@@ -646,6 +646,23 @@ def test_optimal_decomposition_call_counts(monkeypatch):
     assert len(dec) == 1 and len(_piece(1.0)[1]) == 2
 
 
+@pytest.mark.parametrize("z", [-0.47, 0.3, 0.9, -0.5, lower_tangent_z(), UPPER_KNEE, 1.0])
+def test_optimal_decomposition_hands_out_no_shared_memory(z):
+    # the chord-end orbits are built once and kept read-only: each result
+    # gets its own writable copy, so writing into one leaves the next intact
+    first, second = optimal_decomposition(z), optimal_decomposition(z)
+    for dec in (first, second):
+        assert dec.weights.flags.writeable and dec.states.flags.writeable, z
+    for a, b in itertools.product((first.weights, first.states), (second.weights, second.states)):
+        assert not np.shares_memory(a, b), z
+    want = second.weights.tobytes(), second.states.tobytes()
+    first.weights[...] = np.nan
+    first.states[...] = np.nan
+    third = optimal_decomposition(z)
+    assert (third.weights.tobytes(), third.states.tobytes()) == want, z
+    assert (second.weights.tobytes(), second.states.tobytes()) == want, z
+
+
 _EPS = np.finfo(float).eps
 
 
