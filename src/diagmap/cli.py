@@ -40,32 +40,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement entropy of the diagonal (pinching) channel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    units = argparse.ArgumentParser(add_help=False)
+    units.add_argument("--units", choices=("nats", "bits"), default="nats")
 
-    p_curve = sub.add_parser("ed-curve", help="emit the curve as CSV (z, epsilon, theta_min, ed, region)")
+    p_curve = sub.add_parser(
+        "ed-curve", parents=[units], help="emit the curve as CSV (z, epsilon, theta_min, ed, region)"
+    )
     p_curve.add_argument("--z-min", type=float, default=st.Z_MIN)
     p_curve.add_argument("--z-max", type=float, default=st.Z_MAX)
     p_curve.add_argument("--z-step", type=float, default=1e-3)
-    p_curve.add_argument("--units", choices=("nats", "bits"), default="nats")
     p_curve.add_argument("--out", metavar="FILE", default=None)
 
-    p_min = sub.add_parser("min-output", help="minimal output entropy on the zero-sum face")
+    p_min = sub.add_parser("min-output", parents=[units], help="minimal output entropy on the zero-sum face")
     p_min.add_argument("--n", type=int, required=True, help="Hilbert-space dimension N >= 2")
     p_min.add_argument("--oracle", action="store_true", help="also run the brute-force search")
     p_min.add_argument("--restarts", type=int, default=None, help="search restarts (default 50*N)")
     p_min.add_argument("--seed", type=int, default=0)
-    p_min.add_argument("--units", choices=("nats", "bits"), default="nats")
 
-    p_zstar = sub.add_parser("zstar", help="report the lower tangency point and angle transition")
-    p_zstar.add_argument("--units", choices=("nats", "bits"), default="nats")
+    sub.add_parser("zstar", parents=[units], help="report the lower tangency point and angle transition")
 
-    p_roof = sub.add_parser("roof-estimate", help="decomposition-search upper bound for a state file")
+    p_roof = sub.add_parser("roof-estimate", parents=[units], help="decomposition-search upper bound for a state file")
     p_roof.add_argument("input_path", metavar="FILE")
     p_roof.add_argument(
         "--m", type=int, default=None, help="decomposition length (default rank^2, or rank(rank+1)/2 for a real state)"
     )
     p_roof.add_argument("--restarts", type=int, default=100)
     p_roof.add_argument("--seed", type=int, default=0)
-    p_roof.add_argument("--units", choices=("nats", "bits"), default="nats")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", nargs="?", default="all", choices=SUITE_NAMES)
@@ -102,19 +102,16 @@ def cmd_ed_curve(args) -> int:
 
 
 def cmd_min_output(args) -> int:
-    if args.n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
     n = args.n
-    if args.oracle:
-        try:
+    try:
+        closed = fm.min_face_entropy(n)
+        if args.oracle:
             restarts = check_count("restarts", args.restarts if args.restarts is not None else 50 * n)
             seed = check_seed(args.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     scale = _unit_scale(args.units)
-    closed = fm.min_face_entropy(n)
     pairs = fm.pair_states_minimize(n)
     family = "pair states" if pairs else "one-vs-rest"
     count = n * (n - 1) // 2 if pairs else n

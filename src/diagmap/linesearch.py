@@ -161,7 +161,7 @@ def stream_rng(seed: int, stream: int) -> "np.random.Generator":
 
 
 def check_count(name: str, value) -> int:
-    """A search budget (restarts, or sweeps of one Armijo try each): an integer of at least 1."""
+    """A search budget (restarts, or stiefel_bfgs iterations, each one Armijo try): an integer of at least 1."""
     value = operator.index(value)
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")

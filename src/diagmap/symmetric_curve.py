@@ -215,41 +215,27 @@ def curve_record(z: float) -> EDCurveRecord:
     return EDCurveRecord(z, *_min_output_entropy(alpha, beta), _envelope(points), region)
 
 
-def _orbit(a: float, b: float, c: float) -> list:
-    """The cyclic shifts of real amplitudes (a, b, c), one tuple per state:
-    three states that mix to symmetric_state(ab + bc + ca), or the single
-    state when all three amplitudes are equal."""
+# the cyclic shifts (a, b, c), (b, c, a), (c, a, b), as indices into (a, b, c)
+_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def _orbit(a: float, b: float, c: float) -> np.ndarray:
+    """The cyclic shifts of real amplitudes (a, b, c) as one complex array
+    that owns its data, one state per row: three states that mix to
+    symmetric_state(ab + bc + ca), or the single state when all three
+    amplitudes are equal."""
     if a == b == c:
-        return [(a, b, c)]
-    return [(a, b, c), (b, c, a), (c, a, b)]
-
-
-# the rows (a, b, b), (b, b, a), (b, a, b) of _orbit(a, b, b), as indices into (a, b)
-_THETA0_ROWS = np.array([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
-
-
-def _theta0_orbit(alpha: float, beta: float) -> np.ndarray:
-    """The theta = 0 orbit _orbit(a, b, b), (a, b, b) being
-    _amplitudes(alpha, beta, 0.0), as one complex array that owns its data:
-    (a, b) gathered by _THETA0_ROWS, or the single state (a, a, a) at z = 1."""
-    # the theta = 0 amplitudes, with no cosine to take
-    a, b = (alpha + 2.0 * beta) / 3.0, (alpha - 2.0 * beta * _COS_PI_3) / 3.0
-    if a == b:
-        return np.array(((a, b, b),), dtype=complex)
-    return np.array((a, b), dtype=complex)[_THETA0_ROWS]
+        return np.array(((a, b, c),), dtype=complex)
+    return np.array((a, b, c), dtype=complex)[_SHIFTS]
 
 
 @lru_cache(maxsize=4)
 def _chord_end_orbit(z_end: float, theta: float) -> np.ndarray:
     """The orbit of the state at (z_end, theta) that a chord mixes: the
-    theta = pi/6 orbit at -1/2 (by _orbit) or the theta = 0 orbit at z*,
-    5/6 or 1.  It does not depend on z, so each is built once, on first
-    use, and is read-only."""
-    alpha, beta = _alpha_beta(z_end)
-    if theta == 0.0:
-        orbit = _theta0_orbit(alpha, beta)
-    else:
-        orbit = np.array(_orbit(*_amplitudes(alpha, beta, theta)), dtype=complex)
+    theta = pi/6 orbit at -1/2 or the theta = 0 orbit at z*, 5/6 or 1.  It
+    does not depend on z, so each is built once, on first use, and is
+    read-only."""
+    orbit = _orbit(*_amplitudes(*_alpha_beta(z_end), theta))
     orbit.flags.writeable = False
     return orbit
 
@@ -264,7 +250,10 @@ def optimal_decomposition(z: float) -> Decomposition:
     region, points = _piece(check_z(z))
     if region == REGION_ROOF:
         ((w, z_end, _, _),) = points
-        states = _theta0_orbit(*_alpha_beta(z_end))
+        alpha, beta = _alpha_beta(z_end)
+        # the theta = 0 amplitudes (a, b, b), with no cosine to take
+        a, b = (alpha + 2.0 * beta) / 3.0, (alpha - 2.0 * beta * _COS_PI_3) / 3.0
+        states = _orbit(a, b, b)
         w /= len(states)
         return Decomposition(weights=[w] * len(states), states=states)
     weights, orbits = [], []

@@ -180,9 +180,13 @@ def test_min_output_large_dimension_with_oracle(capsys):
 
 
 def test_min_output_rejects_small_n(capsys):
-    code, _, err = _run(capsys, ["min-output", "--n", "1"])
-    assert code == EXIT_USAGE
-    assert "error" in err
+    # face_minimum's own rule refuses N < 2, also with the oracle and a bad
+    # restart count, before anything is printed
+    for argv in (["--n", "1"], ["--n", "0"], ["--n", "-3"], ["--n", "1", "--oracle", "--restarts", "0"]):
+        code, out, err = _run(capsys, ["min-output", *argv])
+        assert code == EXIT_USAGE, argv
+        assert err.startswith("error:"), argv
+        assert out == "", argv
 
 
 @pytest.mark.parametrize("option", [["--seed", "-1"], ["--seed", str(2**64)], ["--restarts", "0"]])

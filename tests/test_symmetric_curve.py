@@ -567,7 +567,7 @@ def test_orbit_matches_allclose_reference_on_the_curve():
     assert {-0.5, lower_tangent_z(), UPPER_KNEE, 1.0} <= {z_end for z_end, _ in points}
     for z_end, theta in points:
         amps = _abc(z_end, theta)
-        got = np.array(_orbit(*amps.tolist()))
+        got = _orbit(*amps.tolist())
         want = _reference_orbit(amps)
         assert len(got) == len(want) == (1 if z_end == 1.0 else 3), amps
         matches = []
@@ -586,13 +586,17 @@ def test_cyclic_shifts_mix_to_the_symmetric_state():
         v = g.standard_normal(3)
         v /= np.linalg.norm(v)
         a, b, c = v.tolist()
-        rows = np.array(_orbit(a, b, c))
-        assert rows.shape == (3, 3)
+        rows = _orbit(a, b, c)
+        assert rows.dtype == np.complex128 and rows.shape == (3, 3) and rows.flags.owndata
+        assert rows.tolist() == [[a, b, c], [b, c, a], [c, a, b]]
         mixture = sum(np.outer(r, r) for r in rows) / 3.0
         assert np.max(np.abs(mixture - symmetric_state(a * b + b * c + c * a))) <= 1e-15
         entropies = {diagonal_output_entropy(np.outer(r, r)) for r in rows}
         assert len(entropies) == 1
-    assert len(_orbit(*[1.0 / math.sqrt(3.0)] * 3)) == 1
+    third = 1.0 / math.sqrt(3.0)
+    single = _orbit(third, third, third)
+    assert single.dtype == np.complex128 and single.shape == (1, 3) and single.flags.owndata
+    assert single.tolist() == [[third, third, third]]
 
 
 _SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
@@ -616,7 +620,10 @@ def _reference_decomposition(z):
 
 def test_optimal_decomposition_is_bit_identical_to_reference():
     g = Generator(Philox(key=np.array([43, 0], dtype=np.uint64)))
-    zs = [*curve_grid().tolist(), *g.uniform(-0.5, 1.0, 10_000).tolist(), -0.5, lower_tangent_z(), UPPER_KNEE, 1.0]
+    # the chord ends and their neighbours on both sides (check_z clamps the outer two)
+    ends = (-0.5, lower_tangent_z(), UPPER_KNEE, 1.0)
+    neighbours = [math.nextafter(end, to) for end in ends for to in (-1.0, 2.0)]
+    zs = [*curve_grid().tolist(), *g.uniform(-0.5, 1.0, 10_000).tolist(), *ends, *neighbours]
     for z in zs:
         dec = optimal_decomposition(z)
         weights, states = _reference_decomposition(z)
