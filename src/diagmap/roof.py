@@ -26,7 +26,9 @@ Werner, PRL 98, 110502 (2007).  While the best restart's polish converged
 and some psi prices below -PRICE_TOL, psi is inserted as a member of
 weight about EPS and the decomposition polished again, at most INSERTIONS
 times; each insertion lowers the value, to first order by EPS |h(psi)|.
-The pricing minimizes h as linesearch.sphere_functions less psi^H X psi.
+The pricing minimizes h as linesearch.sphere_functions less psi^H X psi,
+started from the members and the range projections of the pair states
+e_i + e_j and e_i - e_j.
 """
 
 import math
@@ -43,10 +45,9 @@ RANK_TOL = 1e-10
 # A state whose imaginary part is at most REAL_TOL is real: it is factored,
 # searched and rebuilt from an isometry as its real part.
 REAL_TOL = 1e-12
-# Pricing: PRICE_SCREEN random unit points of the range, their face copies
-# and the members are scored, the best PRICE_STARTS polished; a state priced
-# below -PRICE_TOL is inserted with weight about EPS, at most INSERTIONS times.
-PRICE_SCREEN = 512
+# Pricing: the range projections of the pair states and the members are
+# scored, the best PRICE_STARTS polished; a state priced below -PRICE_TOL is
+# inserted with weight about EPS, at most INSERTIONS times.
 PRICE_STARTS = 16
 PRICE_TOL = 1e-7
 EPS = 1e-3
@@ -105,35 +106,30 @@ def _polish_functions(M):
     return funcs
 
 
-def _face_copies(C, B):
-    """Each row c of C (shape (k, r)) with one entry of Bc zeroed, projected
-    back onto the range and left unnormalized: k N points near the
-    coordinate faces, where the output entropy has a log cusp and a
-    minimizer's basin can be narrow."""
-    psi = np.einsum("ij,bj->bi", B, C)
-    faces = np.repeat(psi[:, None, :], B.shape[0], axis=1)
-    faces[:, np.arange(B.shape[0]), np.arange(B.shape[0])] = 0.0
-    return np.einsum("ij,bni->bnj", B.conj(), faces).reshape(-1, B.shape[1])
+def _pair_states(N):
+    """The rows e_i + e_j and e_i - e_j for i < j, unnormalized and real for
+    any state: points with N - 2 zero entries, on the coordinate faces where
+    the output entropy has a log cusp and a stalled decomposition's missing
+    member often sits."""
+    i, j = np.triu_indices(N, 1)
+    E = np.eye(N)
+    return np.concatenate([E[i] + E[j], E[i] - E[j]])
 
 
-def _price(T, M, g):
+def _price(T, M):
     """The unit c in the range coordinates of M's eigenbasis B whose state
     Bc prices lowest against the decomposition T, and its price h.
 
     The KKT multiplier of T in the range is X_r = B^H (Y^T conj(T)) B / lam,
     Hermitian part, Y of _entropy_parts(T), lam the eigenvalues, and h is
-    sphere_functions(B) less c^H X_r c.  PRICE_SCREEN points drawn from g,
-    their _face_copies and the members are scored, and the best
-    PRICE_STARTS are polished by stiefel_bfgs."""
+    sphere_functions(B) less c^H X_r c.  The range projections of the
+    _pair_states and the members are scored, and the best PRICE_STARTS are
+    polished by stiefel_bfgs; the pricing reads no random stream."""
     scale = np.linalg.norm(M, axis=0)
     B = M / scale
     X = np.einsum("ik,ji,jl,lm->km", B.conj(), _entropy_parts(T)[1], T.conj(), B) / scale**2
     X = 0.5 * (X + X.conj().T)
-    raw = g.standard_normal((PRICE_SCREEN, B.shape[1]))
-    if np.iscomplexobj(M):
-        raw = raw + 1j * g.standard_normal(raw.shape)
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    C = np.concatenate([raw, _face_copies(raw, B), np.einsum("ij,ki->kj", B.conj(), T)])
+    C = np.concatenate([_pair_states(B.shape[0]), T]) @ B.conj()
     norm = np.linalg.norm(C, axis=1)
     C = C[norm > RANK_TOL] / norm[norm > RANK_TOL, None]
     entropy = sphere_functions(B)
@@ -151,8 +147,10 @@ def _price(T, M, g):
 
 def _starts(M, m, restarts, seed):
     """The isometries the search starts from: the identity and restarts - 1
-    random ones, each from its stream of the seed, of the eigenfactor M's
-    dtype: a real M is searched over real isometries."""
+    random ones, the k-th from stream k of the seed, of the eigenfactor M's
+    dtype: a real M is searched over real isometries.  The identity start
+    uses no stream, and nothing else draws from a roof seed: stream 0 is
+    left unread."""
     r = M.shape[1]
     inits = [np.eye(m, r, dtype=M.dtype)]
     for k in range(1, restarts):
@@ -182,11 +180,9 @@ def _search(omega, m, restarts, seed, max_sweeps: int):
     funcs = _polish_functions(M)
     W, f, iters, capped = stiefel_bfgs(_starts(M, m, restarts, seed), funcs, max_sweeps)
     best = int(np.argmin(f))
-    w, fw, capped, sweeps, insertions, g = W[best : best + 1], f[best], capped[best], int(iters[best]), 0, None
+    w, fw, capped, sweeps, insertions = W[best : best + 1], f[best], capped[best], int(iters[best]), 0
     while not capped and insertions < INSERTIONS:
-        if g is None:  # stream 0 draws no start: the first start is the identity
-            g = stream_rng(seed, 0)
-        h, c = _price(w[0] @ M.T, M, g)
+        h, c = _price(w[0] @ M.T, M)
         if not h < -PRICE_TOL:
             break
         # the member sqrt(EPS) Bc is the row sqrt(EPS) c / sqrt(lam) of W

@@ -80,7 +80,7 @@ def _sphere_problem(basis, priced, monkeypatch):
     monkeypatch.setattr(roof, "stiefel_bfgs", engine)
     raw = g.standard_normal((8, M.shape[1]))
     U = np.linalg.qr(raw + (1j * g.standard_normal(raw.shape) if basis == "complex" else 0.0))[0]
-    roof._price(U @ M.T, M, g)
+    roof._price(U @ M.T, M)
     return C, B, caught[0]
 
 

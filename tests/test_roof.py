@@ -5,7 +5,8 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap import linesearch, roof, symmetric_curve
-from diagmap.entropy import _entropy_sum
+from diagmap.entropy import _entropy_sum, eta
+from diagmap.hull import tangent_from_point
 from diagmap.roof import real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (
     diagonal_output_entropy,
@@ -453,20 +454,65 @@ def _is_pair_state(psi):
 
 
 def test_pricing_finds_the_missing_pair_state():
-    T, M, seed = _stalled_search()
+    T, M, _ = _stalled_search()
     B = M / np.linalg.norm(M, axis=0)
-    h, c = roof._price(T, M, linesearch.stream_rng(seed, 0))
+    h, c = roof._price(T, M)
     assert h <= -4e-4
     assert _is_pair_state(B @ c)
 
 
-def test_pricing_needs_face_copies(monkeypatch):
+def test_pricing_needs_the_pair_states(monkeypatch):
     # the pair state sits on a coordinate face, where the output entropy has
-    # a log cusp, and its basin is about 1e-2 wide across the face: random
-    # points alone miss it on some streams, their face copies find it on all
+    # a log cusp: the polish started from the members alone does not reach
+    # it, started from the pair states it does
     T, M, _ = _stalled_search()
-    found = [roof._price(T, M, linesearch.stream_rng(s, 0))[0] for s in range(16)]
-    monkeypatch.setattr(roof, "_face_copies", lambda C, B: np.empty((0, B.shape[1])))
-    random_only = [roof._price(T, M, linesearch.stream_rng(s, 0))[0] for s in range(16)]
-    assert max(found) <= -4e-4
-    assert max(random_only) > -1e-7
+    assert roof._price(T, M)[0] <= -4e-4
+    monkeypatch.setattr(roof, "_pair_states", lambda N: np.empty((0, N)))
+    assert roof._price(T, M)[0] > -1e-7
+
+
+def _one_vs_rest(N, z):
+    """The amplitudes (x, y) of the one-vs-rest member (x, y, ..., y) of
+    omega_N(z) = ((1 - z) I + z J)/N, and their z-slopes."""
+    alpha, beta = math.sqrt(1.0 + (N - 1) * z), math.sqrt(1.0 - z)
+    dalpha, dbeta = (N - 1) / (2.0 * alpha), -1.0 / (2.0 * beta)
+    return (
+        (alpha + (N - 1) * beta) / N,
+        (alpha - beta) / N,
+        (dalpha + (N - 1) * dbeta) / N,
+        (dalpha - dbeta) / N,
+    )
+
+
+def _sn_chord_entropy(N, z, bracket):
+    """E of omega_N(z) on its lower chord: the line from (-1/(N - 1), log 2),
+    the pair states, tangent to the one-vs-rest entropy
+    eta(x^2) + (N - 1) eta(y^2)."""
+
+    def entropy(t):
+        x, y, _, _ = _one_vs_rest(N, t)
+        return eta(x * x) + (N - 1) * eta(y * y)
+
+    def slope(t):
+        # x^2 + (N - 1) y^2 = 1, so the -1 of each eta' cancels
+        x, y, dx, dy = _one_vs_rest(N, t)
+        return -2.0 * x * dx * math.log(x * x) - 2.0 * (N - 1) * y * dy * math.log(y * y)
+
+    z0 = -1.0 / (N - 1)
+    zstar = tangent_from_point(entropy, z0, LN2, bracket, df=slope)
+    return LN2 + (entropy(zstar) - LN2) * (z - z0) / (zstar - z0), zstar
+
+
+@pytest.mark.parametrize(
+    "N, z, bracket, zstar",
+    [(4, -0.305, (-0.32, -0.29), -0.304246), (5, -0.245, (-0.249, -0.235), -0.242826)],
+)
+def test_search_reaches_the_sn_lower_chord(N, z, bracket, zstar):
+    # the chord's decomposition needs the pair states (e_i - e_j)/sqrt(2),
+    # which the polish misses and the pricing finds from its pair-state starts
+    expected, t = _sn_chord_entropy(N, z, bracket)
+    assert t == pytest.approx(zstar, abs=1e-6)
+    omega = ((1.0 - z) * np.eye(N) + z * np.ones((N, N))) / N
+    value = roof_upper_bound(omega).value
+    assert abs(value - expected) <= 1e-12
+    assert value >= expected - 3e-14

@@ -261,6 +261,26 @@ def test_theta_min_is_zero_next_to_z_equal_1():
         assert min_pure_output_entropy(z)[1] == 0.0
 
 
+def test_theta0_curvature_keeps_its_sign_next_to_z_equal_1():
+    # the curvature is about (4/sqrt(3)) beta^3 there, far below the fused
+    # form's round-off: the angle is decided from _theta0_curvature
+    def ratio(curvature, beta):
+        alpha, b = _alpha_beta(1.0 - beta * beta)
+        return curvature(alpha, b) / b**3 / (4.0 / math.sqrt(3.0))
+
+    def fused(alpha, beta):
+        return _theta_derivatives(alpha, beta, 0.0)[1]
+
+    for beta in np.geomspace(1e-6, 1e-2, 9):
+        assert abs(ratio(_theta0_curvature, beta) - 1.0) <= 1e-3, beta
+    assert abs(ratio(_theta0_curvature, 1e-7) - 1.0) <= 1e-2
+    assert ratio(fused, 1e-7) > 1000.0
+    z = 1.0
+    for _ in range(1000):
+        z = float(np.nextafter(z, 0.0))
+        assert _theta0_curvature(*_alpha_beta(z)) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # tangency point and the piecewise curve
 # ---------------------------------------------------------------------------
