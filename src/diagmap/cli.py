@@ -161,7 +161,7 @@ def cmd_roof_estimate(args) -> int:
     scale = _unit_scale(args.units)
     try:
         result = roof_upper_bound(omega, m=args.m, restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a state too large for its restarts' estimates
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"upper bound: {_fmt(result.value * scale)} {args.units}")

@@ -22,13 +22,13 @@ curve.  At a stationary decomposition {v_k} the KKT multiplier X satisfies
 X v_k = y_k, half the gradient, and every unit psi in the range of the
 state prices at h(psi) = S(D(psi)) - psi^H X psi, zero at the members:
 E >= tr(X omega) + min h, the Legendre bound of Guehne, Reimpell and
-Werner, PRL 98, 110502 (2007).  While the best restart's polish converged
-and some psi prices below -PRICE_TOL, psi is inserted as a member of
-weight about EPS and the decomposition polished again, at most INSERTIONS
-times; each insertion lowers the value, to first order by EPS |h(psi)|.
-The pricing minimizes h as linesearch.sphere_functions less psi^H X psi,
-started from the members and the range projections of the pair states
-e_i + e_j and e_i - e_j.
+Werner, PRL 98, 110502 (2007).  While the last polish converged and some
+psi prices below -PRICE_TOL, psi is inserted as a member of weight about
+EPS and the decomposition polished again; each insertion lowers the value,
+to first order by EPS |h(psi)|, and one that does not is dropped and ends
+the search.  INSERTIONS only backstops this loop.  The pricing minimizes h
+as linesearch.sphere_functions less psi^H X psi, polished from every member
+and every range projection of the pair states e_i + e_j and e_i - e_j.
 """
 
 import math
@@ -45,13 +45,11 @@ RANK_TOL = 1e-10
 # A state whose imaginary part is at most REAL_TOL is real: it is factored,
 # searched and rebuilt from an isometry as its real part.
 REAL_TOL = 1e-12
-# Pricing: the range projections of the pair states and the members are
-# scored, the best PRICE_STARTS polished; a state priced below -PRICE_TOL is
-# inserted with weight about EPS, at most INSERTIONS times.
-PRICE_STARTS = 16
+# Pricing: a state priced below -PRICE_TOL is inserted with weight about
+# EPS, until the pricing is clean; INSERTIONS only backstops that loop.
 PRICE_TOL = 1e-7
 EPS = 1e-3
-INSERTIONS = 4
+INSERTIONS = 16
 
 
 @dataclass(frozen=True)
@@ -122,9 +120,10 @@ def _price(T, M):
 
     The KKT multiplier of T in the range is X_r = B^H (Y^T conj(T)) B / lam,
     Hermitian part, Y of _entropy_parts(T), lam the eigenvalues, and h is
-    sphere_functions(B) less c^H X_r c.  The range projections of the
-    _pair_states and the members are scored, and the best PRICE_STARTS are
-    polished by stiefel_bfgs; the pricing reads no random stream."""
+    sphere_functions(B) less c^H X_r c.  Every range projection of the
+    _pair_states and every member is polished by stiefel_bfgs: a start's
+    price before the polish does not tell which basin holds the minimizer.
+    The pricing reads no random stream."""
     scale = np.linalg.norm(M, axis=0)
     B = M / scale
     X = np.einsum("ik,ji,jl,lm->km", B.conj(), _entropy_parts(T)[1], T.conj(), B) / scale**2
@@ -139,8 +138,7 @@ def _price(T, M):
         XC = np.einsum("ij,bjk->bik", X, C)
         return f - np.einsum("bik,bik->b", C.conj(), XC).real, G - 2.0 * XC
 
-    starts = C[np.argsort(funcs(C[:, :, None])[0], kind="stable")[:PRICE_STARTS]]
-    C, h, _, _ = stiefel_bfgs(starts[:, :, None], funcs)
+    C, h, _, _ = stiefel_bfgs(C[:, :, None], funcs)
     best = int(np.argmin(h))
     return float(h[best]), C[best, :, 0]
 

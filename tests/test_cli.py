@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diagmap
-from diagmap import face_minimum, symmetric_curve, verify
+from diagmap import cli, face_minimum, symmetric_curve, verify
 from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
 from diagmap.states import symmetric_state, write_density_matrix
@@ -238,6 +238,18 @@ def test_min_output_oracle_too_large_to_allocate_is_usage_error(capsys, monkeypa
     assert err.startswith("error: --n 7 is too large to allocate: Unable to allocate")
     assert sum(line.startswith("  (") for line in out.splitlines()) == 7  # the states, then the search
     assert "search minimum" not in out
+
+
+def test_roof_estimate_too_large_to_allocate_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the engine's dense estimate holds n^2 floats per restart, so a large
+    # state at many restarts may not fit; the refusal is raised here
+    path = tmp_path / "state.txt"
+    write_density_matrix(path, symmetric_state(0.3))
+    monkeypatch.setattr(cli, "roof_upper_bound", _refuse_allocation)
+    code, out, err = _run(capsys, ["roof-estimate", str(path)])
+    assert code == EXIT_USAGE
+    assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+    assert out == ""
 
 
 def test_min_output_bits(capsys):

@@ -301,6 +301,18 @@ def test_roof_upper_bounds_twirled_curve():
         assert bound >= entanglement_entropy(twirl_s3(omega)) - 1e-6
 
 
+@pytest.mark.parametrize("z", [-0.44, -0.41, 0.3, 0.9])
+def test_roof_is_covariant_on_the_curve(z):
+    # E is unchanged by a diagonal unitary and a permutation, so a complex
+    # search of D P omega(z) P^T D^H lands on the curve as the real one does
+    D = np.diag(np.exp(1j * np.array([0.0, 0.7, 1.9])))
+    P = np.roll(np.eye(3), 1, axis=0)
+    value = roof_upper_bound(D @ P @ symmetric_state(z) @ P.T @ D.conj().T).value
+    expected = entanglement_entropy(z)
+    assert abs(value - expected) <= 1e-13
+    assert value >= expected - 3e-14
+
+
 def test_roof_default_m_is_caratheodory_length_in_two_orbit_region():
     # below z* the curve needs two cyclic orbits, six states; the
     # default real length rank(rank+1)/2 = 6 reaches it in one search
@@ -505,7 +517,12 @@ def _sn_chord_entropy(N, z, bracket):
 
 @pytest.mark.parametrize(
     "N, z, bracket, zstar",
-    [(4, -0.305, (-0.32, -0.29), -0.304246), (5, -0.245, (-0.249, -0.235), -0.242826)],
+    [
+        (4, -0.305, (-0.32, -0.29), -0.304246),
+        (5, -0.245, (-0.249, -0.235), -0.242826),
+        (5, -0.248, (-0.249, -0.235), -0.242826),
+        (6, -0.1998, (-0.1999, -0.1990), -0.199452),
+    ],
 )
 def test_search_reaches_the_sn_lower_chord(N, z, bracket, zstar):
     # the chord's decomposition needs the pair states (e_i - e_j)/sqrt(2),
