@@ -42,6 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     units = argparse.ArgumentParser(add_help=False)
     units.add_argument("--units", choices=("nats", "bits"), default="nats")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--restarts", type=int, default=None, help="search restarts (default: the search's own)")
+    search.add_argument("--seed", type=int, default=None, help="search seed (default: the search's own)")
 
     p_curve = sub.add_parser(
         "ed-curve", parents=[units], help="emit the curve as CSV (z, epsilon, theta_min, ed, region)"
@@ -51,21 +54,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--z-step", type=float, default=1e-3)
     p_curve.add_argument("--out", metavar="FILE", default=None)
 
-    p_min = sub.add_parser("min-output", parents=[units], help="minimal output entropy on the zero-sum face")
+    p_min = sub.add_parser("min-output", parents=[units, search], help="minimal output entropy on the zero-sum face")
     p_min.add_argument("--n", type=int, required=True, help="Hilbert-space dimension N >= 2")
     p_min.add_argument("--oracle", action="store_true", help="also run the brute-force search")
-    p_min.add_argument("--restarts", type=int, default=None, help="search restarts (default 50*N)")
-    p_min.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("zstar", parents=[units], help="report the lower tangency point and angle transition")
 
-    p_roof = sub.add_parser("roof-estimate", parents=[units], help="decomposition-search upper bound for a state file")
+    p_roof = sub.add_parser(
+        "roof-estimate", parents=[units, search], help="decomposition-search upper bound for a state file"
+    )
     p_roof.add_argument("input_path", metavar="FILE")
     p_roof.add_argument(
         "--m", type=int, default=None, help="decomposition length (default rank^2, or rank(rank+1)/2 for a real state)"
     )
-    p_roof.add_argument("--restarts", type=int, default=100)
-    p_roof.add_argument("--seed", type=int, default=0)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", nargs="?", default="all", choices=SUITE_NAMES)
@@ -75,6 +76,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _unit_scale(units: str) -> float:
     return 1.0 / LN2 if units == "bits" else 1.0
+
+
+def _search_options(args, *names) -> dict:
+    """The search options given on the command line, restarts and seed
+    checked; an option left out is not passed, so the search's default holds."""
+    options = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if "restarts" in options:
+        check_count("restarts", options["restarts"])
+    if "seed" in options:
+        check_seed(options["seed"])
+    return options
 
 
 def cmd_ed_curve(args) -> int:
@@ -105,9 +117,7 @@ def cmd_min_output(args) -> int:
     n = args.n
     try:
         closed = fm.min_face_entropy(n)
-        if args.oracle:
-            restarts = check_count("restarts", args.restarts if args.restarts is not None else 50 * n)
-            seed = check_seed(args.seed)
+        options = _search_options(args, "restarts", "seed") if args.oracle else {}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -126,8 +136,8 @@ def cmd_min_output(args) -> int:
         if count > 10:
             print(f"  ... {count - 10} more by permutation")
         if args.oracle:
-            value, argmin = fm.brute_force_min_face(n, restarts=restarts, seed=seed)
-            print(f"search minimum ({restarts} restarts, seed {seed}): {_fmt(value * scale)} {args.units}")
+            value, argmin = fm.brute_force_min_face(n, **options)
+            print(f"search minimum: {_fmt(value * scale)} {args.units}")
             print(f"gap to closed form: {_fmt((value - closed) * scale)}")
             print("argmin: (" + ", ".join(_fmt(x) for x in argmin) + ")")
     except MemoryError as exc:  # states of length N too long to allocate
@@ -160,7 +170,7 @@ def cmd_roof_estimate(args) -> int:
         return EXIT_PARSE
     scale = _unit_scale(args.units)
     try:
-        result = roof_upper_bound(omega, m=args.m, restarts=args.restarts, seed=args.seed)
+        result = roof_upper_bound(omega, **_search_options(args, "m", "restarts", "seed"))
     except (ValueError, MemoryError) as exc:  # MemoryError: a state too large for its restarts' estimates
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,9 @@ from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from .linesearch import check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
 from .states import _number
 
+# the face search's default budget: this many restarts per dimension N
+RESTARTS_PER_N = 50
+
 
 def _check_dimension(N) -> int:
     """N as an int, raising unless it is an integer N >= 2."""
@@ -155,15 +158,16 @@ def zero_sum_basis(N: int) -> np.ndarray:
     return H
 
 
-def brute_force_min_face(N: int, restarts: int, seed: int = 0):
+def brute_force_min_face(N: int, restarts: int | None = None, seed: int = 0):
     """Minimize the output entropy over the zero-sum unit sphere from random
-    restarts, the rows of one draw of stream 0 of the seed (numpy fills them
-    in order, so restart k's start does not depend on the count), by stiefel_bfgs
-    on sphere_functions(B), B the zero_sum_basis as columns: it moves the
+    restarts, RESTARTS_PER_N * N when restarts is omitted, the rows of one
+    draw of stream 0 of the seed (numpy fills them in order, so restart k's
+    start does not depend on the count), by stiefel_bfgs on
+    sphere_functions(B), B the zero_sum_basis as columns: it moves the
     reduced (in-hyperplane) coordinates y of a = By on their unit sphere,
     so both constraints hold at every step.  Returns (value, argmin)."""
     N = _check_dimension(N)
-    restarts = check_count("restarts", restarts)
+    restarts = check_count("restarts", RESTARTS_PER_N * N if restarts is None else restarts)
     seed = check_seed(seed)
     Y = stream_rng(seed, 0).standard_normal((restarts, N - 1))
     Y /= np.sqrt(Y[:, None, :] @ Y[:, :, None])[:, 0]  # sqrt(y @ y) per row, as np.linalg.norm(y)

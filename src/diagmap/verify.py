@@ -13,7 +13,9 @@ and its report prints each value with its tolerance and margin.  This is the
 only place an acceptance check is written: the acceptance tests run every
 function in SUITES, each under one criterion.  An identity of the code, such
 as a literal read back or the value a search starts from, is pinned by a
-unit test, not by a check.
+unit test, not by a check.  The oracle checks call each search with no
+budget, seed or length, so they check what a library user gets; only the
+projection inequality, sound at any budget, sets a small one.
 """
 
 import itertools
@@ -32,12 +34,11 @@ from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from .linesearch import stream_rng
 from .roof import roof_upper_bound
 
-# z*, s(z*), the upper knee's log 3 - (log 2)/3, the one-vs-rest value
-# log 7 - (5/7) log 6 at N = 7 and the angle transition (the zero of the
-# theta-curvature at theta = 0) to 20 digits, pinned in tests/test_references.py
+# z*, s(z*), the one-vs-rest value log 7 - (5/7) log 6 at N = 7 and the
+# angle transition (the zero of the theta-curvature at theta = 0) to 20
+# digits, pinned in tests/test_references.py
 ZSTAR_REF = "-0.40794967106988114064"
 S_ZSTAR_REF = "0.47001639914469718633"
-KNEE_VALUE_REF = "0.86756322848146125492"
 ONE_VS_REST_7_REF = "0.66608195674955973310"
 THETA_TRANSITION_REF = "-0.41502277550100712185"
 
@@ -133,7 +134,6 @@ def check_junctions() -> CheckResult:
             # epsilon at the knee is the theta = 0 entropy, at which the
             # closed form joins its upper chord
             Measure("|epsilon(5/6) - knee value|", abs(eps_val - sc.UPPER_KNEE_VALUE), 1e-15),
-            Measure("|knee value - ref|", abs(sc.UPPER_KNEE_VALUE - float(KNEE_VALUE_REF)), 1e-15),
             Measure("max |chord slope - curve slope| at z*, 5/6", np.max(tangency), 1e-12),
         ),
     )
@@ -184,7 +184,7 @@ def check_curve_hull_agreement() -> CheckResult:
 
 def check_face_table() -> CheckResult:
     closed = np.array([fm.min_face_entropy(n) for n in range(2, 33)])
-    values = np.array([fm.brute_force_min_face(n, restarts=50 * n, seed=5)[0] for n in range(2, 33)])
+    values = np.array([fm.brute_force_min_face(n)[0] for n in range(2, 33)])
     return CheckResult(
         "face-minimum table, search N = 2..32",
         (
@@ -316,9 +316,7 @@ _CURVE_SAMPLES = (
 
 
 def check_oracle_curve() -> CheckResult:
-    values = np.array(
-        [roof_upper_bound(st.symmetric_state(z), m=6, restarts=200, seed=7).value for z in _CURVE_SAMPLES]
-    )
+    values = np.array([roof_upper_bound(st.symmetric_state(z)).value for z in _CURVE_SAMPLES])
     ed = np.array([sc.entanglement_entropy(z) for z in _CURVE_SAMPLES])
     return CheckResult(
         f"decomposition search matches the curve at {len(_CURVE_SAMPLES)} points",
@@ -339,8 +337,7 @@ def check_oracle_rank2() -> CheckResult:
         a, b = math.cos(phi), math.sin(phi)
         x = float(g.uniform(-0.95, 0.95)) * math.sqrt(z * (1.0 - z))
         closed = sc.rank2_entanglement(z, x, a, b)
-        res = roof_upper_bound(sc.rank2_state(z, x, a, b), m=4, restarts=80, seed=13)
-        devs.append(abs(res.value - closed))
+        devs.append(abs(roof_upper_bound(sc.rank2_state(z, x, a, b)).value - closed))
     return CheckResult(
         f"decomposition search matches the rank-2 closed form on {n_states} states",
         (Measure("max |search - closed|", np.max(devs), 5e-15),),

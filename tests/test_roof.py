@@ -515,6 +515,13 @@ def _sn_chord_entropy(N, z, bracket):
     return LN2 + (entropy(zstar) - LN2) * (z - z0) / (zstar - z0), zstar
 
 
+_CAPPED_UNPRICED = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="a capped polish is not priced; pricing within a total budget is ROADMAP item 19",
+)
+
+
 @pytest.mark.parametrize(
     "N, z, bracket, zstar",
     [
@@ -522,6 +529,11 @@ def _sn_chord_entropy(N, z, bracket):
         (5, -0.245, (-0.249, -0.235), -0.242826),
         (5, -0.248, (-0.249, -0.235), -0.242826),
         (6, -0.1998, (-0.1999, -0.1990), -0.199452),
+        # the face point, where E = log 2, and 1e-4 inside it: the best
+        # restart's polish caps at 200 iterations, and a capped polish is
+        # never priced, so these end 4.95e-3 and 2.26e-3 above E
+        pytest.param(6, -0.2, (-0.1999, -0.1990), -0.199452, marks=_CAPPED_UNPRICED),
+        pytest.param(6, -0.1999, (-0.1999, -0.1990), -0.199452, marks=_CAPPED_UNPRICED),
     ],
 )
 def test_search_reaches_the_sn_lower_chord(N, z, bracket, zstar):

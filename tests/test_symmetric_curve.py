@@ -316,18 +316,6 @@ def test_entanglement_entropy_is_lower_bound_of_epsilon():
         assert eps >= entanglement_entropy(float(z)) - 1e-9
 
 
-def test_curve_is_hull_of_sampled_minima():
-    from diagmap.hull import SampledCurve, lower_convex_hull
-
-    zs = np.linspace(-0.5, 1.0, 1351)
-    records = [curve_record(z) for z in zs]
-    eps = np.array([r.epsilon for r in records])
-    hull = lower_convex_hull(SampledCurve(xs=zs, ys=eps))
-    ed = np.array([r.ed for r in records])
-    # grid resolution limits agreement; a finer grid tightens this bound
-    assert np.max(np.abs(hull.hull_ys - ed)) < 2e-4
-
-
 def test_entanglement_entropy_domain():
     with pytest.raises(ValueError):
         entanglement_entropy(1.2)
@@ -466,13 +454,6 @@ def test_decomposition_lengths_by_region():
     assert len(optimal_decomposition(0.5 * (zstar - 0.5))) == 6
     assert len(optimal_decomposition(0.3)) == 3
     assert len(optimal_decomposition(0.9)) == 4
-
-
-def test_decomposition_reconstructs_and_attains_curve():
-    for z in np.linspace(-0.5, 1.0, 50):
-        dec = optimal_decomposition(float(z))
-        assert np.max(np.abs(dec.mixture() - symmetric_state(float(z)))) < 1e-9
-        assert abs(dec.average_output_entropy() - entanglement_entropy(float(z))) < 1e-8
 
 
 def _chord_ends_and_neighbours():

@@ -65,6 +65,26 @@ def test_search_check_fails_on_one_nan(monkeypatch, check, search, value):
     assert not getattr(verify, check)().passed
 
 
+def test_oracle_checks_run_each_search_at_its_defaults(monkeypatch):
+    # verify checks what a library user gets: each search is called with
+    # the state or dimension alone, so its module decides the budget
+    calls = []
+
+    def roof(omega):
+        calls.append("roof")
+        return types.SimpleNamespace(value=0.0)
+
+    def face(N):
+        calls.append("face")
+        return 0.0, None
+
+    monkeypatch.setattr(verify, "roof_upper_bound", roof)
+    monkeypatch.setattr(fm, "brute_force_min_face", face)
+    for check in (verify.check_oracle_curve, verify.check_oracle_rank2, verify.check_face_table):
+        check()
+    assert calls == ["roof"] * (len(verify._CURVE_SAMPLES) + 10) + ["face"] * 31
+
+
 @pytest.mark.parametrize("tol", [0, 1e-9, math.inf])
 def test_nan_fails_every_measurement(tol):
     assert not verify.Measure("x", math.nan, tol).passed
