@@ -8,26 +8,33 @@ Subcommands:
   verify         run the named verification suites (--json: one record per check)
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 input
-parse error.
+parse error, 141 (128 + SIGPIPE, as a shell reports a process that
+SIGPIPE ended) when the reader of standard output closed it early.
+
+Importing this module loads no numpy, and neither do ed-curve and zstar:
+the modules that load it (the face search, the roof search, the state
+matrices and verify) are imported inside the commands that use them.
 """
 
 import argparse
 import itertools
 import json
+import os
 import sys
 
-from . import face_minimum as fm
 from . import states as st
 from . import symmetric_curve as sc
 from .entropy import LN2
-from .linesearch import check_count, check_seed
-from .roof import roof_upper_bound
-from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+EXIT_BROKEN_PIPE = 141
+
+# the suites of verify.SUITES, after "all"; named here so that building the
+# parser does not import verify
+SUITE_NAMES = ("all", "theorem4", "edcurve", "rank2", "symmetry")
 
 
 def _fmt(x: float) -> str:
@@ -81,6 +88,8 @@ def _unit_scale(units: str) -> float:
 def _search_options(args, *names) -> dict:
     """The search options given on the command line, restarts and seed
     checked; an option left out is not passed, so the search's default holds."""
+    from .linesearch import check_count, check_seed
+
     options = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if "restarts" in options:
         check_count("restarts", options["restarts"])
@@ -91,13 +100,13 @@ def _search_options(args, *names) -> dict:
 
 def cmd_ed_curve(args) -> int:
     try:
-        zs = sc.curve_grid(args.z_min, args.z_max, args.z_step)
+        zs = sc.z_grid(args.z_min, args.z_max, args.z_step)
     except (ValueError, MemoryError) as exc:  # MemoryError: a step too fine to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     scale = _unit_scale(args.units)
     lines = ["z,epsilon,theta_min,ed,region"]
-    for z, epsilon, theta_min, ed, region in map(sc.curve_record, zs.tolist()):
+    for z, epsilon, theta_min, ed, region in map(sc.curve_record, zs):
         # _fmt's format: %.9g writes a float as f"{x:.9g}" does, in one %-format per row
         lines.append("%.9g,%.9g,%.9g,%.9g,%s" % (z, epsilon * scale, theta_min, ed * scale, region))
     text = "\n".join(lines) + "\n"
@@ -114,6 +123,8 @@ def cmd_ed_curve(args) -> int:
 
 
 def cmd_min_output(args) -> int:
+    from . import face_minimum as fm
+
     n = args.n
     try:
         closed = fm.min_face_entropy(n)
@@ -160,17 +171,19 @@ def cmd_zstar(args) -> int:
 
 
 def cmd_roof_estimate(args) -> int:
+    from . import matrices, roof
+
     try:
-        omega = st.read_density_matrix(args.input_path)
+        omega = matrices.read_density_matrix(args.input_path)
     except OSError as exc:
         print(f"error: cannot read {args.input_path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except st.StateFormatError as exc:
+    except matrices.StateFormatError as exc:
         print(f"error: {args.input_path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     scale = _unit_scale(args.units)
     try:
-        result = roof_upper_bound(omega, **_search_options(args, "m", "restarts", "seed"))
+        result = roof.roof_upper_bound(omega, **_search_options(args, "m", "restarts", "seed"))
     except (ValueError, MemoryError) as exc:  # MemoryError: a state too large for its restarts' estimates
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -185,7 +198,7 @@ def cmd_roof_estimate(args) -> int:
         amps = ", ".join(f"{v.real:.6g}{v.imag:+.6g}j" for v in s)
         print(f"  weight {_fmt(w)}: ({amps})")
     if omega.shape == (3, 3):
-        z = st.twirl_s3(omega)
+        z = matrices.twirl_s3(omega)
         ref = sc.entanglement_entropy(z)
         print(f"twirl parameter z = {_fmt(z)}")
         print(f"symmetric-family value at z: {_fmt(ref * scale)} {args.units} (lower bound for this state)")
@@ -193,6 +206,8 @@ def cmd_roof_estimate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.suite)
     failed = sum(not res.passed for res in results)
     for res in results:
@@ -213,7 +228,15 @@ def main(argv=None) -> int:
         "roof-estimate": cmd_roof_estimate,
         "verify": cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # inside the try: a reader gone before the flush is a broken pipe too
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the flush at
+        # exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
-"""Scalar entropy primitives: eta, the entropy of a spectrum, the hermitian
-check, and the floored log of every search objective.
+"""Scalar entropy primitives: eta and the constants of the closed forms.
+Importing this module loads no numpy: the array primitives (the entropy of
+a spectrum, the hermitian check and the floored log of every search
+objective) live in `matrices` and resolve here on first access.
 
 All entropies are in nats (natural logarithm).
 """
 
 import math
 
-import numpy as np
+from . import _lazy
 
 # Values in [-NEG_CLAMP, 0] are treated as exact zeros; anything more
 # negative is a hard error rather than silent rounding.
@@ -34,27 +36,4 @@ def eta(x: float) -> float:
     return -x * math.log(x)
 
 
-def floored_log(x: np.ndarray) -> np.ndarray:
-    """Elementwise log of an array, with 0 at or below TINY and at NaN: the
-    log of the squared moduli in every search objective."""
-    return np.log(x, out=np.zeros(x.shape), where=x > TINY)
-
-
-def _entropy_sum(values) -> float:
-    """Sum of eta over values clipped to [0, 1], smallest first, so the
-    result does not depend on their order."""
-    return float(sum(eta(float(x)) for x in np.sort(np.clip(values, 0.0, 1.0))))
-
-
-def check_hermitian(H) -> np.ndarray:
-    """Return H as a complex square array, raising if it is not hermitian."""
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if not np.isfinite(H).all():
-        raise ValueError("matrix has non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow to inf or NaN fails the test below
-        dev = np.max(np.abs(H - H.conj().T))
-    if not dev <= HERMITIAN_TOL:
-        raise ValueError(f"matrix is not hermitian (deviation {dev:.3e})")
-    return H
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {".matrices": ("check_hermitian", "floored_log")})

@@ -1,59 +1,15 @@
-"""Lower convex envelope of a sampled 1-D function, used by the curve-hull
-check and the benchmark; tangent location from an external anchor point,
-behind the linear pieces of the entanglement curve; and _bisect, the one
-root finder of the curve layer: bisection for the tangency point and the
-angle transition, safeguarded Newton steps for the minimizing angle."""
+"""Tangent location from an external anchor point, behind the linear pieces
+of the entanglement curve, and _bisect, the one root finder of the curve
+layer: bisection for the tangency point and the angle transition,
+safeguarded Newton steps for the minimizing angle.  Importing this module
+loads no numpy: the lower convex envelope of a sampled curve, used by the
+curve-hull check and the benchmark, lives in `curve_arrays` and resolves
+here on first access."""
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
+from . import _lazy
 from .states import _number
-
-
-@dataclass(frozen=True)
-class SampledCurve:
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 1 or xs.size < 2 or ys.shape != xs.shape:
-            raise ValueError("need at least two (x, y) samples of equal length")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise ValueError("samples must be finite")
-        if np.any(np.diff(xs) <= 0.0):
-            raise ValueError("xs must be strictly increasing")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-
-@dataclass(frozen=True)
-class HullResult:
-    hull_ys: np.ndarray
-
-
-def lower_convex_hull(curve: SampledCurve) -> HullResult:
-    """Largest convex function not above the samples, evaluated back on xs.
-
-    Vertices come from an Andrew monotone chain over the sample points;
-    between vertices the hull is linear.
-    """
-    xs, ys = curve.xs.tolist(), curve.ys.tolist()
-    stack = []
-    for i, (cx, cy) in enumerate(zip(xs, ys)):
-        while len(stack) >= 2:
-            j, k = stack[-2], stack[-1]
-            ax, ay, bx, by = xs[j], ys[j], xs[k], ys[k]
-            # (b - a) x (c - a) <= 0: b lies on or above the chord from a to c
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0.0:
-                stack.pop()
-            else:
-                break
-        stack.append(i)
-    return HullResult(hull_ys=np.interp(curve.xs, curve.xs[stack], curve.ys[stack]))
 
 
 # Newton steps may fall this many halvings behind bisection before _bisect
@@ -123,10 +79,15 @@ def tangent_from_point(f, x0: float, f0: float, bracket, *, df) -> float:
     when g does not change sign on the bracket or is NaN inside it.
     """
     x0, f0, lo, hi = _number(x0), _number(f0), _number(bracket[0]), _number(bracket[1])
-    if not (np.isfinite([x0, f0, lo, hi]).all() and lo < hi):
+    if not (all(map(math.isfinite, (x0, f0, lo, hi))) and lo < hi):
         raise ValueError(f"need a finite anchor and bracket lo < hi, got ({x0!r}, {f0!r}), {bracket!r}")
 
     def g(t: float) -> float:
         return df(t) * (t - x0) - (f(t) - f0)
 
     return _bisect(g, lo, hi)
+
+
+__getattr__, __dir__ = _lazy.lazy_names(
+    globals(), {".curve_arrays": ("HullResult", "SampledCurve", "lower_convex_hull")}
+)

@@ -13,7 +13,8 @@ import operator
 
 import numpy as np
 
-from .entropy import TINY, floored_log
+from .entropy import TINY
+from .matrices import floored_log
 
 POLISH_ITERS = 400
 # a row stops once its step predicts a gain of at most POLISH_TOL

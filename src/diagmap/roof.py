@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import floored_log
 from .linesearch import _retract, check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
-from .states import Decomposition, check_density_matrix
+from .matrices import Decomposition, check_density_matrix, floored_log
 
 RANK_TOL = 1e-10
 # A state whose imaginary part is at most REAL_TOL is real: it is factored,

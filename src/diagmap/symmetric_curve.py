@@ -9,17 +9,21 @@ envelope replaces epsilon by straight chords from the left endpoint to a
 tangency point z*, and from 5/6 to the right endpoint.  The three cyclic
 shifts of real (a, b, c) mix to the member at z = ab + bc + ca, so one
 cyclic orbit, or two mixed along a chord, attain the envelope.
+
+Importing this module loads no numpy.  The array builders (curve_grid,
+optimal_decomposition, rank2_state) live in `curve_arrays` and resolve
+here on first access.
 """
 
 import math
+from array import array
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy
 from .entropy import LN2, LN3, TINY, eta
 from .hull import _bisect, tangent_from_point
-from .states import NORM_TOL, Z_MAX, Z_MIN, Decomposition, _number, check_z
+from .states import NORM_TOL, Z_MAX, Z_MIN, _number, check_z
 
 UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
@@ -27,8 +31,6 @@ UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 TRANSITION_BRACKET = (-0.45, -0.40)
 
 _PI_3 = math.pi / 3.0
-# _amplitudes' cos(theta -+ pi/3) at theta = 0: cos is even, so both are this double
-_COS_PI_3 = math.cos(_PI_3)
 
 REGION_LOWER_LINEAR = "lower_linear"
 REGION_ROOF = "roof_equals_epsilon"
@@ -219,63 +221,11 @@ def curve_record(z: float) -> EDCurveRecord:
     return EDCurveRecord(z, *_min_output_entropy(alpha, beta), _envelope(points), region)
 
 
-# the cyclic shifts (a, b, c), (b, c, a), (c, a, b), as indices into (a, b, c)
-_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-
-
-def _orbit(a: float, b: float, c: float) -> np.ndarray:
-    """The cyclic shifts of real amplitudes (a, b, c) as one complex array
-    that owns its data, one state per row: three states that mix to
-    symmetric_state(ab + bc + ca), or the single state when all three
-    amplitudes are equal."""
-    if a == b == c:
-        return np.array(((a, b, c),), dtype=complex)
-    return np.array((a, b, c), dtype=complex)[_SHIFTS]
-
-
-@lru_cache(maxsize=4)
-def _chord_end_orbit(z_end: float, theta: float) -> np.ndarray:
-    """The orbit of the state at (z_end, theta) that a chord mixes: the
-    theta = pi/6 orbit at -1/2 or the theta = 0 orbit at z*, 5/6 or 1.  It
-    does not depend on z, so each is built once, on first use, and is
-    read-only."""
-    orbit = _orbit(*_amplitudes(*_alpha_beta(z_end), theta))
-    orbit.flags.writeable = False
-    return orbit
-
-
-def optimal_decomposition(z: float) -> Decomposition:
-    """A decomposition of symmetric_state(z) attaining entanglement_entropy(z):
-    the cyclic orbit of each point of z's piece, sharing the point's weight.
-    Inside [z*, 5/6] it is the orbit of the theta = 0 state; on the linear
-    pieces it mixes the two chord ends' orbits (_chord_end_orbit), copied
-    into the result by one concatenation, so that no two results share
-    memory.  Only an orbit of weight 0 is left out."""
-    region, points = _piece(check_z(z))
-    if region == REGION_ROOF:
-        ((w, z_end, _, _),) = points
-        alpha, beta = _alpha_beta(z_end)
-        # the theta = 0 amplitudes (a, b, b), with no cosine to take
-        a, b = (alpha + 2.0 * beta) / 3.0, (alpha - 2.0 * beta * _COS_PI_3) / 3.0
-        states = _orbit(a, b, b)
-        w /= len(states)
-        return Decomposition(weights=[w] * len(states), states=states)
-    weights, orbits = [], []
-    for w, z_end, theta, _ in points:
-        orbit = _chord_end_orbit(z_end, theta)
-        w /= len(orbit)
-        if w > 0.0:
-            weights += [w] * len(orbit)
-            orbits.append(orbit)
-    return Decomposition(weights=weights, states=np.concatenate(orbits))
-
-
-def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:
-    """The rank-<=2 state supported on the basis vector e0 and (0, a, b).
-
-    Requires |a|^2 + |b|^2 = 1, 0 <= z <= 1 and |x|^2 <= z(1-z), which
-    together make the matrix a valid density matrix.
-    """
+def _rank2_parameters(z, x, a, b):
+    """rank2_state's (z, x, a, b), checked: a, b and x as complex numbers,
+    z as a float clamped to [0, 1].  Raises unless |a|^2 + |b|^2 = 1,
+    0 <= z <= 1 and |x|^2 <= z(1-z), which together make the matrix a
+    valid density matrix."""
     a, b, x = (_number(v, complex) for v in (a, b, x))
     if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_TOL:
         raise ValueError("amplitudes must satisfy |a|^2 + |b|^2 = 1")
@@ -285,28 +235,23 @@ def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:
     z = min(max(z, 0.0), 1.0)
     if not abs(x) ** 2 <= z * (1.0 - z) + 1e-12:
         raise ValueError("|x|^2 exceeds z(1-z); matrix would not be positive")
-    omega = np.array(
-        [
-            [1.0 - z, x * a, x * b],
-            [np.conj(x) * np.conj(a), z * np.conj(a) * a, z * np.conj(a) * b],
-            [np.conj(x) * np.conj(b), z * a * np.conj(b), z * np.conj(b) * b],
-        ],
-        dtype=complex,
-    )
-    return omega
+    return z, x, a, b
 
 
 def rank2_entanglement(z: float, x: complex, a: complex, b: complex) -> float:
     """Closed-form entanglement entropy of rank2_state(z, x, a, b)."""
-    rank2_state(z, x, a, b)  # validates the preconditions
+    _rank2_parameters(z, x, a, b)  # validates the preconditions
     lam = math.sqrt(max(1.0 - 4.0 * abs(complex(x)) ** 2, 0.0))
     val = eta((1.0 + lam) / 2.0) + eta((1.0 - lam) / 2.0)
     val += z * eta(abs(complex(a)) ** 2) + z * eta(abs(complex(b)) ** 2)
     return val
 
 
-def curve_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3) -> np.ndarray:
-    """Inclusive evaluation grid used by the curve export."""
+def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3) -> array:
+    """Inclusive evaluation grid of the curve export, as an array('d'):
+    z_min + z_step*k for k = 0, 1, ..., clipped to [-1/2, 1].  The array is
+    allocated in one piece before it is filled, so a step too fine to fit
+    in memory raises MemoryError at once."""
     if not 0.0 < z_step < math.inf:
         raise ValueError(f"z_step must be positive and finite, got {z_step!r}")
     if not (z_min < z_max):
@@ -317,6 +262,14 @@ def curve_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3)
     if not math.isfinite(steps):
         raise ValueError(f"z_step = {z_step!r} is too fine for [{z_min!r}, {z_max!r}]")
     count = int(math.floor(steps)) + 1
-    zs = z_min + z_step * np.arange(count)
-    zs = np.clip(zs, Z_MIN, Z_MAX)
+    zs = array("d", [0.0]) * count
+    for k in range(count):
+        z = z_min + z_step * k
+        zs[k] = Z_MIN if Z_MIN > z else Z_MAX if Z_MAX < z else z
     return zs
+
+
+__getattr__, __dir__ = _lazy.lazy_names(
+    globals(),
+    {".curve_arrays": ("curve_grid", "optimal_decomposition", "rank2_state")},
+)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import diagmap
-from diagmap import cli, face_minimum, symmetric_curve, verify
-from diagmap.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
+from diagmap import cli, face_minimum, roof, symmetric_curve, verify
+from diagmap.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
 from diagmap.states import read_density_matrix, symmetric_state, write_density_matrix
 
@@ -154,8 +154,9 @@ def test_ed_curve_non_finite_step_is_usage_error(capsys, step):
 
 
 def test_ed_curve_step_too_fine_to_allocate_is_usage_error(capsys):
-    # 1e-12 asks for 1.5e12 grid points, which numpy refuses at once; at
-    # 5e-324 the point count overflows and curve_grid raises before allocating
+    # 1e-12 asks for 1.5e12 grid points, whose one-piece allocation fails
+    # at once; at 5e-324 the point count overflows and z_grid raises before
+    # allocating
     for step in ("1e-12", "5e-324"):
         code, out, err = _run(capsys, ["ed-curve", "--z-step", step])
         assert code == EXIT_USAGE and out == ""
@@ -263,7 +264,7 @@ def test_roof_estimate_too_large_to_allocate_is_usage_error(tmp_path, capsys, mo
     # state at many restarts may not fit; the refusal is raised here
     path = tmp_path / "state.txt"
     write_density_matrix(path, symmetric_state(0.3))
-    monkeypatch.setattr(cli, "roof_upper_bound", _refuse_allocation)
+    monkeypatch.setattr(roof, "roof_upper_bound", _refuse_allocation)
     code, out, err = _run(capsys, ["roof-estimate", str(path)])
     assert code == EXIT_USAGE
     assert err == "error: Unable to allocate 7.28 TiB for an array\n"
@@ -325,7 +326,7 @@ def test_roof_estimate_without_flags_reports_the_library_default(tmp_path, capsy
         calls.append(kwargs)
         return roof_upper_bound(omega, **kwargs)
 
-    monkeypatch.setattr(cli, "roof_upper_bound", search)
+    monkeypatch.setattr(roof, "roof_upper_bound", search)
     code, out, _ = _run(capsys, ["roof-estimate", str(path)])
     assert code == EXIT_OK
     assert calls == [{}]
@@ -432,6 +433,11 @@ def test_verify_json_records(capsys, monkeypatch):
     assert _run(capsys, ["verify", "rank2", "--json"])[0] == EXIT_OK
 
 
+def test_verify_offers_exactly_the_suites_of_verify():
+    # the parser names the suites itself, so that building it imports no verify
+    assert cli.SUITE_NAMES == ("all", *verify.SUITES)
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -444,11 +450,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == EXIT_USAGE
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # only the commands that draw random numbers import numpy.random, so
-    # ed-curve, zstar and min-output without --oracle start without it
+def test_a_closed_pipe_ends_quietly():
+    # a reader that stops after the header closes the pipe while ed-curve
+    # is still writing: no traceback, and the exit code says what happened.
+    # Without PYTHONUNBUFFERED, as by default: unbuffered text output drops
+    # the rest of a write that the closed pipe cut short, and raises nothing
     src = os.path.dirname(os.path.dirname(diagmap.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, diagmap.cli; print('numpy.random' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "diagmap.cli", "ed-curve", "--z-step", "1e-5"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert first == "z,epsilon,theta_min,ed,region\n"
+    assert (code, err) == (EXIT_BROKEN_PIPE, "")

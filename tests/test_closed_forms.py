@@ -1,0 +1,198 @@
+"""The closed-form layer stands apart: it imports only the standard library
+and other closed forms, never numpy or an oracle, so `import diagmap`,
+`ed-curve` and `zstar` run without numpy; and its entry points refuse
+what is not a finite real number."""
+
+import ast
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import diagmap
+from diagmap import entropy, hull, states, symmetric_curve
+from diagmap.cli import EXIT_OK, EXIT_USAGE, main
+from diagmap.hull import tangent_from_point
+from diagmap.symmetric_curve import curve_record, entanglement_entropy, z_grid
+
+PACKAGE = Path(diagmap.__file__).parent
+CLOSED_FORMS = ("_lazy", "entropy", "hull", "lambert", "states", "symmetric_curve")
+ORACLES = ("face_minimum", "linesearch", "roof")
+
+
+def _imported_modules(nodes):
+    """The modules that the import statements among nodes name: absolute
+    ones as written, relative ones of this package by their module name."""
+    out = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                out.append(node.module)
+            elif node.module is None:  # from . import x, y
+                out += [alias.name for alias in node.names]
+            else:
+                out.append(node.module)
+    return out
+
+
+def _lazy_sources(tree):
+    """The modules named in the lazy_names tables of a module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lazy_names":
+            out += [key.value.lstrip(".") for key in node.args[1].keys]
+    return out
+
+
+def _tree(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_forms_import_no_numpy_and_no_oracle(name):
+    tree = _tree(name)
+    named = _imported_modules(ast.walk(tree))  # also the imports inside functions
+    assert [m for m in named if m.split(".")[0] == "numpy"] == []
+    assert [m for m in named + _lazy_sources(tree) if m in ORACLES] == []
+
+
+@pytest.mark.parametrize("name", [*CLOSED_FORMS, "__init__", "cli"])
+def test_import_time_needs_only_the_standard_library_and_closed_forms(name):
+    # what runs on import: the module-level statements of the module
+    named = _imported_modules(_tree(name).body)
+    assert [m for m in named if m not in CLOSED_FORMS and m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_closed_form_commands_load_no_numpy():
+    # import diagmap and the CLI, then run ed-curve and zstar: no numpy.
+    # min-output loads numpy, but only the commands that draw random
+    # numbers import numpy.random
+    src = os.path.dirname(os.path.dirname(diagmap.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "import diagmap",
+            "import diagmap.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert diagmap.cli.main(['zstar']) == 0",
+            "    assert diagmap.cli.main(['ed-curve', '--z-step', '0.25']) == 0",
+            "    print('numpy' in sys.modules, file=sys.stderr)",
+            "    assert diagmap.cli.main(['min-output', '--n', '6']) == 0",
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)",
+        ]
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert (out.stderr, out.stdout) == ("False\n", "True False\n")
+
+
+@pytest.mark.parametrize("module", [diagmap, entropy, hull, states, symmetric_curve], ids=lambda m: m.__name__)
+def test_every_listed_name_resolves_and_is_bound_on_first_read(module):
+    # bound in the module's globals, so that no later read runs an import
+    for name in dir(module):
+        value = getattr(module, name)
+        assert vars(module)[name] is value, name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        module.no_such_name
+
+
+def test_the_benchmark_paths_still_resolve():
+    # perfbench reads these through the closed-form modules
+    for module, name in [
+        (symmetric_curve, "optimal_decomposition"),
+        (hull, "lower_convex_hull"),
+        (hull, "SampledCurve"),
+        (states, "symmetric_state"),
+        (states, "twirl_s3"),
+        (states, "diagonal_output_entropy"),
+        (states, "von_neumann_entropy"),
+    ]:
+        assert callable(getattr(module, name)), name
+    grid = symmetric_curve.curve_grid()
+    assert isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.size == 1501
+    assert grid.tolist() == z_grid().tolist()
+
+
+# ---------------------------------------------------------------------------
+# input validation
+# ---------------------------------------------------------------------------
+
+# each refused value with the exception it raises
+BAD_NUMBERS = [
+    (math.nan, ValueError),
+    (math.inf, ValueError),
+    (-math.inf, ValueError),
+    ("0.3", TypeError),
+    (b"0.3", TypeError),
+    (0.3 + 0j, TypeError),
+    (None, TypeError),
+]
+
+
+def _parabola_tangent(x0=0.0, f0=-1.0, lo=0.0, hi=3.0):
+    # the line through (0, -1) touches t^2 at t = 1
+    return tangent_from_point(lambda t: t * t, x0, f0, (lo, hi), df=lambda t: 2.0 * t)
+
+
+CLOSED_FORM_CALLS = {
+    "curve_record": curve_record,
+    "entanglement_entropy": entanglement_entropy,
+    "tangent_from_point x0": lambda v: _parabola_tangent(x0=v),
+    "tangent_from_point f0": lambda v: _parabola_tangent(f0=v),
+    "tangent_from_point lo": lambda v: _parabola_tangent(lo=v),
+    "tangent_from_point hi": lambda v: _parabola_tangent(hi=v),
+    "z_grid z_min": lambda v: z_grid(v, 1.0, 0.25),
+    "z_grid z_max": lambda v: z_grid(-0.5, v, 0.25),
+}
+
+
+@pytest.mark.parametrize("bad, error", BAD_NUMBERS, ids=repr)
+@pytest.mark.parametrize("call", CLOSED_FORM_CALLS.values(), ids=CLOSED_FORM_CALLS.keys())
+def test_closed_forms_refuse_what_is_not_a_finite_real(call, bad, error):
+    with pytest.raises(error):
+        call(bad)
+
+
+# each accepted value with the float it stands for, which gives the same result
+GOOD_NUMBERS = {
+    "curve_record": (curve_record, [(np.float64(0.3), 0.3), (0, 0.0)]),
+    "entanglement_entropy": (entanglement_entropy, [(np.float64(0.3), 0.3), (1, 1.0)]),
+    "tangent_from_point x0": (lambda v: _parabola_tangent(x0=v), [(np.float64(0.0), 0.0), (0, 0.0)]),
+    "tangent_from_point f0": (lambda v: _parabola_tangent(f0=v), [(np.float64(-1.0), -1.0), (-1, -1.0)]),
+    "tangent_from_point hi": (lambda v: _parabola_tangent(hi=v), [(np.float64(3.0), 3.0), (3, 3.0)]),
+    "z_grid z_min": (lambda v: z_grid(v, 1.0, 0.25), [(np.float64(-0.5), -0.5), (0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("call, pairs", GOOD_NUMBERS.values(), ids=GOOD_NUMBERS.keys())
+def test_closed_forms_accept_numpy_floats_and_ints(call, pairs):
+    for value, as_float in pairs:
+        assert call(value) == call(as_float), value
+
+
+@pytest.mark.parametrize("option", ["--z-min", "--z-max", "--z-step"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_ed_curve_refuses_non_finite_grid_options(capsys, option, value):
+    assert main(["ed-curve", f"{option}={value}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option", ["--z-min", "--z-max", "--z-step"])
+@pytest.mark.parametrize("value", ["abc", "1j", "0x1", ""])
+def test_ed_curve_refuses_grid_options_that_are_not_numbers(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["ed-curve", f"{option}={value}"])
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["--z-min", "0"], ["--z-max", "1"], ["--z-step", "1"]])
+def test_ed_curve_accepts_integer_grid_options(capsys, argv):
+    assert main(["ed-curve", *argv]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("z,epsilon,theta_min,ed,region\n")

@@ -5,7 +5,8 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap import linesearch, roof, symmetric_curve
-from diagmap.entropy import _entropy_sum, eta
+from diagmap.entropy import eta
+from diagmap.matrices import _entropy_sum
 from diagmap.hull import tangent_from_point
 from diagmap.roof import real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from numpy.random import Generator, Philox
 
-from diagmap.entropy import _entropy_sum
+from diagmap.matrices import _entropy_sum
 from diagmap.states import (
     Decomposition,
     StateFormatError,

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from numpy.random import Generator, Philox
 
-from diagmap import symmetric_curve
+from diagmap import curve_arrays, symmetric_curve
+from diagmap.curve_arrays import _orbit
 from diagmap.entropy import TINY
 from diagmap.hull import _bisect
 from diagmap.states import (
@@ -28,7 +29,6 @@ from diagmap.symmetric_curve import (
     EDCurveRecord,
     _alpha_beta,
     _amplitudes,
-    _orbit,
     _output_entropy,
     _piece,
     _theta0_curvature,
@@ -643,7 +643,7 @@ def test_optimal_decomposition_call_counts(monkeypatch):
         built.append(1)
         return Decomposition(*args, **kwargs)
 
-    monkeypatch.setattr(symmetric_curve, "Decomposition", counted_decomposition)
+    monkeypatch.setattr(curve_arrays, "Decomposition", counted_decomposition)
     zstar = lower_tangent_z()
     zs = [-0.5, -0.47, math.nextafter(zstar, -1.0), zstar, 0.0, 0.3, UPPER_KNEE, 0.9, math.nextafter(1.0, 0.0), 1.0]
     for z in zs:
