@@ -17,12 +17,9 @@ from .entropy import TINY
 from .matrices import floored_log
 
 POLISH_ITERS = 400
-# a row stops once its step predicts a gain of at most POLISH_TOL
+# a row stops once the step it would try predicts a gain of at most POLISH_TOL
 POLISH_TOL = 1e-15
 ARMIJO = 1e-4
-BACKTRACKS = 40
-# a row whose step fell below STEP_FLOOR has failed BACKTRACKS tries in a row
-STEP_FLOOR = 2.0 ** (1 - BACKTRACKS)
 
 
 def _project(W, G):
@@ -74,9 +71,9 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
     sets H = (s.y / y.y) I; each pair with s.y and y.y above TINY makes a
     BFGS update.  Each iteration makes one try of the step on a polar
     retraction (_armijo); a row where it fails keeps its point, H and g and
-    tries the halved step along the same direction next.  A row stops after
-    BACKTRACKS failed tries in a row, or once its unit step predicts a gain
-    of at most POLISH_TOL, and leaves the batch; max_iters caps the
+    tries the halved step along the same direction next.  A row stops once
+    the step it would try predicts a gain of at most POLISH_TOL (at once
+    where that gain is NaN), and leaves the batch; max_iters caps the
     iterations.  No row ends above its start.  H holds n^2 floats per row.
     Returns W, the values, and for each row the iterations it ran (max_iters
     for a row still running at the cap) and whether the cap stopped it."""
@@ -95,7 +92,7 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
         if np.count_nonzero(fresh):
             H[fresh], d[fresh] = 0.0, -gamma[fresh, None, None] * g[fresh]
             slope[fresh] = np.einsum("bi,bi->b", gf[fresh], _flat(d[fresh]))
-        stop = (step < STEP_FLOOR) | (slope >= -POLISH_TOL)
+        stop = ~(step * slope < -POLISH_TOL)
         stops = np.count_nonzero(stop)
         if stops:
             W[idx[stop]], f[idx[stop]], iters[idx[stop]] = w[stop], fw[stop], it
@@ -125,7 +122,8 @@ def stiefel_bfgs(W, funcs, max_iters: int = POLISH_ITERS):
         t = (0.5 * rho * (rho * np.einsum("bi,bi->b", y, u) + 1.0))[:, None] * s - rho[:, None] * u
         H += np.array([s, t]).transpose(1, 2, 0) @ np.array([t, s]).transpose(1, 0, 2)
     W[idx], f[idx] = w, fw
-    capped[idx] = ~(step < STEP_FLOOR)
+    # a row that took its last try is capped; one that failed it, if its halved step still predicts a gain
+    capped[idx] = step * slope < -POLISH_TOL
     return W, f, iters, capped
 
 

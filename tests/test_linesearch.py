@@ -53,6 +53,48 @@ def test_stiefel_bfgs_reports_the_cap_per_row():
     assert abs(f[0] - minimum) < 1e-12
 
 
+def test_a_row_stops_once_its_step_predicts_no_gain():
+    # a flat objective with a fixed gradient, |g|^2 = 1e-14 at every start,
+    # so every try fails and halves the step: a row stops once its step
+    # predicts a gain of at most POLISH_TOL, after ceil(log2(1e-14 /
+    # POLISH_TOL)) = 4 tries, not capped and at its start
+    W = np.zeros((3, 3, 1))
+    W[:, [0, 2], 0] = [[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]]
+    G = np.array([0.0, 1e-7, 0.0])[:, None]
+
+    def funcs(W):
+        return np.ones(len(W)), np.broadcast_to(G, W.shape).copy()
+
+    g = linesearch._flat(linesearch._project(W, funcs(W)[1]))
+    assert np.allclose(np.einsum("bi,bi->b", g, g), 1e-14, rtol=1e-12, atol=0.0)
+    Wb, f, iterations, capped = linesearch.stiefel_bfgs(W, funcs)
+    assert iterations.tolist() == [4, 4, 4] and not capped.any()
+    assert np.array_equal(Wb, W) and np.all(f == 1.0)
+
+
+def test_a_row_whose_objective_reads_nan_stops_at_once():
+    # a NaN value and gradient predict a NaN gain, which stops the row at
+    # iteration 0; the NaN is keyed to the point (first coordinate below 0),
+    # not to the row's place in the batch, and the other row ends as alone
+    base = linesearch.sphere_functions(zero_sum_basis(7).T)
+
+    def funcs(W):
+        f, G = base(W)
+        bad = W[:, 0, 0] < 0.0
+        return np.where(bad, np.nan, f), np.where(bad[:, None, None], np.nan, G)
+
+    g = Generator(Philox(key=np.array([67, 0], dtype=np.uint64)))
+    C = np.abs(g.standard_normal((2, 6)))
+    C[0, 0] = -C[0, 0]
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    W, f, iterations, capped = linesearch.stiefel_bfgs(C[:, :, None], funcs)
+    assert iterations[0] == 0 and not capped[0]
+    assert np.array_equal(W[0], C[0, :, None]) and np.isnan(f[0])
+    Ws, fs, its, caps = linesearch.stiefel_bfgs(C[1:, :, None], funcs)
+    assert 0 < its[0] == iterations[1] and not caps[0] and not capped[1]
+    assert W[1].tobytes() == Ws[0].tobytes() and f[1].tobytes() == fs[0].tobytes()
+
+
 def _sphere_problem(basis, priced, monkeypatch):
     """Unit starts, the basis B and funcs on V(r, 1): the face objective
     sphere_functions(B) or, priced, the h(c) = S(D(Bc)) - c^H X c that
@@ -177,8 +219,9 @@ def _reference_bfgs(W, funcs, max_iters=linesearch.POLISH_ITERS):
     """stiefel_bfgs as it was before it carried the flat projected gradient,
     flattening g twice per iteration and testing its masks with any/all, and
     before it made one Armijo try per iteration: a row whose first try fails
-    tries the halved step in the same iteration."""
-    _project, _flat, BACKTRACKS = linesearch._project, linesearch._flat, linesearch.BACKTRACKS
+    tries the halved step in the same iteration, where that step still
+    predicts a gain above POLISH_TOL."""
+    _project, _flat, POLISH_TOL = linesearch._project, linesearch._flat, linesearch.POLISH_TOL
 
     def _inner(A, B):
         return np.einsum("bi,bi->b", _flat(A), _flat(B))
@@ -195,7 +238,7 @@ def _reference_bfgs(W, funcs, max_iters=linesearch.POLISH_ITERS):
         if fresh.any():
             H[fresh], d[fresh] = 0.0, -gamma[fresh, None, None] * g[fresh]
             slope[fresh] = _inner(g[fresh], d[fresh])
-        stop = (step < 2.0 ** (1 - BACKTRACKS)) | (slope >= -linesearch.POLISH_TOL)
+        stop = ~(step * slope < -POLISH_TOL)
         if stop.any():
             W[idx[stop]], f[idx[stop]], iters[idx[stop]] = w[stop], fw[stop], it
             if stop.all():
@@ -204,7 +247,7 @@ def _reference_bfgs(W, funcs, max_iters=linesearch.POLISH_ITERS):
             idx, w, fw, G, g, H, gamma = idx[run], w[run], fw[run], G[run], g[run], H[run], gamma[run]
             step, d, slope, fresh = step[run], d[run], slope[run], fresh[run]
         w, fw, G, step, took = _reference_armijo(w, fw, G, funcs, d, slope, step)
-        i = np.nonzero(~took)[0]
+        i = np.nonzero(~took & (step * slope < -POLISH_TOL))[0]
         if i.size:
             w[i], fw[i], G[i], step[i], took[i] = _reference_armijo(w[i], fw[i], G[i], funcs, d[i], slope[i], step[i])
         P = _project(w, np.array([G, step[:, None, None] * d, g]))
@@ -221,7 +264,7 @@ def _reference_bfgs(W, funcs, max_iters=linesearch.POLISH_ITERS):
         t = (0.5 * rho * (rho * np.einsum("bi,bi->b", y, u) + 1.0))[:, None] * s - rho[:, None] * u
         H += np.array([s, t]).transpose(1, 2, 0) @ np.array([t, s]).transpose(1, 0, 2)
     W[idx], f[idx] = w, fw
-    capped[idx] = ~(step < 2.0 ** (1 - BACKTRACKS))
+    capped[idx] = step * slope < -POLISH_TOL
     return W, f, iters, capped
 
 
