@@ -1,11 +1,12 @@
 """Module attributes resolved on first access (PEP 562).
 
-The closed-form modules and the package name some functions and classes
-that live in the numpy-side modules (`matrices`, `curve_arrays`, the
-searches).  Importing a closed-form module must not import those, so each
-such name is imported only when it is first read, and then bound into the
-reading module's globals: every later read is a plain attribute lookup and
-runs no import statement.
+Two modules use this: the package, whose exports include the data layer
+(`states`), the hull, the array builders and the searches, and
+`symmetric_curve`, which names the array builders curve_grid and
+optimal_decomposition of `curve_arrays`.  Importing either must load no
+numpy, so each such name is imported only when it is first read, and then
+bound into the reading module's globals: every later read is a plain
+attribute lookup and runs no import statement.
 """
 
 import importlib

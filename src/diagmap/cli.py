@@ -12,8 +12,8 @@ parse error, 141 (128 + SIGPIPE, as a shell reports a process that
 SIGPIPE ended) when the reader of standard output closed it early.
 
 Importing this module loads no numpy, and neither do ed-curve and zstar:
-the modules that load it (the face search, the roof search, the state
-matrices and verify) are imported inside the commands that use them.
+the modules that load it (the face search, the roof search, the data
+layer `states` and verify) are imported inside the commands that use them.
 """
 
 import argparse
@@ -22,7 +22,6 @@ import json
 import os
 import sys
 
-from . import states as st
 from . import symmetric_curve as sc
 from .entropy import LN2
 
@@ -56,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser(
         "ed-curve", parents=[units], help="emit the curve as CSV (z, epsilon, theta_min, ed, region)"
     )
-    p_curve.add_argument("--z-min", type=float, default=st.Z_MIN)
-    p_curve.add_argument("--z-max", type=float, default=st.Z_MAX)
+    p_curve.add_argument("--z-min", type=float, default=sc.Z_MIN)
+    p_curve.add_argument("--z-max", type=float, default=sc.Z_MAX)
     p_curve.add_argument("--z-step", type=float, default=1e-3)
     p_curve.add_argument("--out", metavar="FILE", default=None)
 
@@ -161,7 +160,7 @@ def cmd_zstar(args) -> int:
     scale = _unit_scale(args.units)
     zstar = sc.lower_tangent_z()
     s_star = sc.theta0_entropy(zstar)
-    slope = (s_star - LN2) / (zstar - st.Z_MIN)
+    slope = (s_star - LN2) / (zstar - sc.Z_MIN)
     transition = sc.theta_transition()
     print(f"tangency point z* = {_fmt(zstar)}")
     print(f"curve value at z*: {_fmt(s_star * scale)} {args.units}")
@@ -171,14 +170,14 @@ def cmd_zstar(args) -> int:
 
 
 def cmd_roof_estimate(args) -> int:
-    from . import matrices, roof
+    from . import roof, states
 
     try:
-        omega = matrices.read_density_matrix(args.input_path)
+        omega = states.read_density_matrix(args.input_path)
     except OSError as exc:
         print(f"error: cannot read {args.input_path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except matrices.StateFormatError as exc:
+    except states.StateFormatError as exc:
         print(f"error: {args.input_path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     scale = _unit_scale(args.units)
@@ -198,7 +197,7 @@ def cmd_roof_estimate(args) -> int:
         amps = ", ".join(f"{v.real:.6g}{v.imag:+.6g}j" for v in s)
         print(f"  weight {_fmt(w)}: ({amps})")
     if omega.shape == (3, 3):
-        z = matrices.twirl_s3(omega)
+        z = states.twirl_s3(omega)
         ref = sc.entanglement_entropy(z)
         print(f"twirl parameter z = {_fmt(z)}")
         print(f"symmetric-family value at z: {_fmt(ref * scale)} {args.units} (lower bound for this state)")

@@ -1,20 +1,28 @@
 """The array side of the symmetric curve: the evaluation grid as an
-ndarray, a sampled curve and its lower convex envelope, used by the
-curve-hull check and the benchmark, the cyclic orbits and the optimal
-decompositions built from them, and the rank-2 family's matrices.  This
-module imports numpy; `symmetric_curve` and `hull`, which load no numpy,
-resolve these names on first access.
+ndarray, the cyclic orbits and the optimal decompositions built from
+them, and the rank-2 family's matrices.  This module imports numpy;
+`symmetric_curve`, which loads none, resolves curve_grid and
+optimal_decomposition on first access.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .matrices import Decomposition
-from .states import Z_MAX, Z_MIN, check_z
-from .symmetric_curve import REGION_ROOF, _PI_3, _alpha_beta, _amplitudes, _piece, _rank2_parameters, z_grid
+from .states import Decomposition
+from .symmetric_curve import (
+    REGION_ROOF,
+    Z_MAX,
+    Z_MIN,
+    _PI_3,
+    _alpha_beta,
+    _amplitudes,
+    _piece,
+    _rank2_parameters,
+    check_z,
+    z_grid,
+)
 
 # _amplitudes' cos(theta -+ pi/3) at theta = 0: cos is even, so both are this double
 _COS_PI_3 = math.cos(_PI_3)
@@ -24,50 +32,6 @@ def curve_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3)
     """Inclusive evaluation grid used by the curve export: symmetric_curve.z_grid
     as a float64 ndarray on the same memory."""
     return np.frombuffer(z_grid(z_min, z_max, z_step))
-
-
-@dataclass(frozen=True)
-class SampledCurve:
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 1 or xs.size < 2 or ys.shape != xs.shape:
-            raise ValueError("need at least two (x, y) samples of equal length")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise ValueError("samples must be finite")
-        if np.any(np.diff(xs) <= 0.0):
-            raise ValueError("xs must be strictly increasing")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-
-@dataclass(frozen=True)
-class HullResult:
-    hull_ys: np.ndarray
-
-
-def lower_convex_hull(curve: SampledCurve) -> HullResult:
-    """Largest convex function not above the samples, evaluated back on xs.
-
-    Vertices come from an Andrew monotone chain over the sample points;
-    between vertices the hull is linear.
-    """
-    xs, ys = curve.xs.tolist(), curve.ys.tolist()
-    stack = []
-    for i, (cx, cy) in enumerate(zip(xs, ys)):
-        while len(stack) >= 2:
-            j, k = stack[-2], stack[-1]
-            ax, ay, bx, by = xs[j], ys[j], xs[k], ys[k]
-            # (b - a) x (c - a) <= 0: b lies on or above the chord from a to c
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0.0:
-                stack.pop()
-            else:
-                break
-        stack.append(i)
-    return HullResult(hull_ys=np.interp(curve.xs, curve.xs[stack], curve.ys[stack]))
 
 
 # the cyclic shifts (a, b, c), (b, c, a), (c, a, b), as indices into (a, b, c)

@@ -17,10 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import LN2
+from .entropy import LN2, _number
 from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from .linesearch import check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
-from .states import _number
 
 # the face search's default budget: this many restarts per dimension N
 RESTARTS_PER_N = 50
@@ -57,7 +56,11 @@ def minimizer_states(N: int):
 
 
 def _minimizers(N: int):
-    """The states of minimizer_states(N), in its order, one at a time."""
+    """The states of minimizer_states(N), in its order, one at a time.
+    Raises MemoryError when a state of N floats has more bytes than an
+    index can count, which numpy would refuse with a ValueError."""
+    if N > sys.maxsize // 8:
+        raise MemoryError(f"a state of {N} floats has more bytes than an index can count")
     if pair_states_minimize(N):
         for j in range(N):
             for k in range(j + 1, N):

@@ -14,7 +14,7 @@ import operator
 import numpy as np
 
 from .entropy import TINY
-from .matrices import floored_log
+from .states import floored_log
 
 POLISH_ITERS = 400
 # a row stops once the step it would try predicts a gain of at most POLISH_TOL

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linesearch import _retract, check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
-from .matrices import Decomposition, check_density_matrix, floored_log
+from .states import Decomposition, check_density_matrix, floored_log
 
 RANK_TOL = 1e-10
 # A state whose imaginary part is at most REAL_TOL is real: it is factored,

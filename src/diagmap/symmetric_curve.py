@@ -10,20 +10,28 @@ tangency point z*, and from 5/6 to the right endpoint.  The three cyclic
 shifts of real (a, b, c) mix to the member at z = ab + bc + ca, so one
 cyclic orbit, or two mixed along a chord, attain the envelope.
 
-Importing this module loads no numpy.  The array builders (curve_grid,
-optimal_decomposition, rank2_state) live in `curve_arrays` and resolve
-here on first access.
+The module also holds the curve's scalar helpers: check_z, its one root
+finder _bisect, and tangent_from_point behind the lower chord.
+
+Importing this module loads no numpy.  The array builders live in
+`curve_arrays`; curve_grid and optimal_decomposition, which the benchmark
+reads here, resolve on first access.
 """
 
 import math
+import sys
 from array import array
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import _lazy
-from .entropy import LN2, LN3, TINY, eta
-from .hull import _bisect, tangent_from_point
-from .states import NORM_TOL, Z_MAX, Z_MIN, _number, check_z
+from .entropy import LN2, LN3, NORM_TOL, TINY, _number, eta
+
+Z_MIN = -0.5
+Z_MAX = 1.0
+# how far outside its range (check_z's [Z_MIN, Z_MAX], rank2_state's
+# [0, 1]) a z is still admitted, and then clamped
+Z_SLACK = 1e-12
 
 UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
@@ -35,6 +43,92 @@ _PI_3 = math.pi / 3.0
 REGION_LOWER_LINEAR = "lower_linear"
 REGION_ROOF = "roof_equals_epsilon"
 REGION_UPPER_LINEAR = "upper_linear"
+
+
+def check_z(z: float) -> float:
+    """Validate the symmetric-family parameter z in [-1/2, 1]."""
+    z = _number(z)
+    if not Z_MIN - Z_SLACK <= z <= Z_MAX + Z_SLACK:
+        raise ValueError(f"z = {z!r} outside [-1/2, 1]")
+    # min(max(z, Z_MIN), Z_MAX) as comparisons: the builtins cost more per call
+    z = Z_MIN if Z_MIN > z else z
+    return Z_MAX if Z_MAX < z else z
+
+
+# Newton steps may fall this many halvings behind bisection before _bisect
+# takes bisection steps to catch up.
+_NEWTON_GRACE = 16
+
+
+def _bisect(g, lo: float, hi: float, gdg=None) -> float:
+    """A zero of g on [lo, hi], lo < hi: an end or an iterate where g is
+    exactly zero, else, once the bracket is closed to adjacent doubles, the
+    end of it with the smaller |g|.  Raises ValueError unless g(lo) and g(hi)
+    differ in sign or one is zero (a NaN does not count), and when g is NaN
+    at an iterate.
+
+    Without gdg every step bisects.  With gdg, which maps t to the pair
+    (g(t), g'(t)) in one evaluation, the iterates are evaluated by gdg (the
+    ends still by g), and each step after the first is a Newton step from
+    the last iterate, which is an end of the bracket, safeguarded as in
+    rtsafe (Numerical Recipes section 9.4): a step that leaves the bracket,
+    or a zero or NaN derivative, bisects instead, and so does every step
+    while the bracket is wider than bisection, _NEWTON_GRACE steps behind,
+    would have left it.  A step shorter than the spacing of doubles goes to
+    the next double toward the far end instead, so that end closes in once
+    Newton has converged from one side.
+    """
+    glo, ghi = g(lo), g(hi)
+    if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: g = {glo!r}, {ghi!r}")
+    if 0.0 in (glo, ghi):  # the loop below would bisect away from a zero at lo
+        return lo if glo == 0.0 else hi
+    budget = (hi - lo) * 2.0**_NEWTON_GRACE
+    x = None  # the last iterate, where the next Newton step starts
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo if abs(glo) <= abs(ghi) else hi
+        budget *= 0.5
+        t = mid
+        if x is not None and hi - lo <= budget:
+            step = -gx / dgx if dgx else math.nan
+            nearest = math.nextafter(x, hi if x == lo else lo)
+            newton = nearest if abs(step) < abs(nearest - x) else x + step
+            if lo < newton < hi:
+                t = newton
+        if gdg is None:
+            gm = g(t)
+        else:
+            gm, dgm = gdg(t)
+        if gm == 0.0:
+            return t
+        if math.isnan(gm):
+            raise ValueError(f"g is NaN at {t!r} inside [{lo!r}, {hi!r}]")
+        if (gm < 0.0) == (glo < 0.0):
+            lo, glo = t, gm
+        else:
+            hi, ghi = t, gm
+        if gdg is not None:
+            x, gx, dgx = t, gm, dgm
+
+
+def tangent_from_point(f, x0: float, f0: float, bracket, *, df) -> float:
+    """Abscissa t where the line through (x0, f0) touches f tangentially.
+
+    Solves g(t) = f'(t) (t - x0) - (f(t) - f0) = 0, with f' given as df, by
+    _bisect on the bracket, so t is as accurate as g.  Raises ValueError
+    unless x0, f0 and the bracket (lo, hi) are finite with lo < hi, and
+    when g does not change sign on the bracket or is NaN inside it.
+    """
+    x0, f0, lo, hi = _number(x0), _number(f0), _number(bracket[0]), _number(bracket[1])
+    if not (all(map(math.isfinite, (x0, f0, lo, hi))) and lo < hi):
+        raise ValueError(f"need a finite anchor and bracket lo < hi, got ({x0!r}, {f0!r}), {bracket!r}")
+
+    def g(t: float) -> float:
+        return df(t) * (t - x0) - (f(t) - f0)
+
+    return _bisect(g, lo, hi)
 
 
 class EDCurveRecord(NamedTuple):
@@ -124,7 +218,7 @@ def min_pure_output_entropy(z: float):
     theta-curvature there (_theta0_curvature) is not negative: above
     theta_transition, where the value is theta0_entropy(z).  Below it,
     theta_min is the one sign change of the slope on (0, pi/3), found by
-    hull._bisect's Newton steps on [0, pi/4], each from one evaluation of
+    _bisect's Newton steps on [0, pi/4], each from one evaluation of
     _theta_derivatives.  At z = -1/2 it is pi/6 exactly, where the
     amplitude c is zero.  Raises ValueError when the slope keeps its sign
     on [0, pi/4].
@@ -167,7 +261,7 @@ def _theta0_curvature(alpha: float, beta: float) -> float:
 def theta_transition() -> float:
     """Largest z at which the minimizing angle departs from zero: the zero of
     the theta-curvature at theta = 0 (_theta0_curvature), located by
-    hull._bisect on TRANSITION_BRACKET.  The transition is a pitchfork:
+    _bisect on TRANSITION_BRACKET.  The transition is a pitchfork:
     below it the curvature is negative and theta_min grows like
     sqrt(z_t - z)."""
     return _bisect(lambda z: _theta0_curvature(*_alpha_beta(z)), *TRANSITION_BRACKET)
@@ -230,7 +324,7 @@ def _rank2_parameters(z, x, a, b):
     if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= NORM_TOL:
         raise ValueError("amplitudes must satisfy |a|^2 + |b|^2 = 1")
     z = _number(z)
-    if not -1e-12 <= z <= 1.0 + 1e-12:
+    if not -Z_SLACK <= z <= 1.0 + Z_SLACK:
         raise ValueError(f"z = {z!r} outside [0, 1]")
     z = min(max(z, 0.0), 1.0)
     if not abs(x) ** 2 <= z * (1.0 - z) + 1e-12:
@@ -249,9 +343,10 @@ def rank2_entanglement(z: float, x: complex, a: complex, b: complex) -> float:
 
 def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3) -> array:
     """Inclusive evaluation grid of the curve export, as an array('d'):
-    z_min + z_step*k for k = 0, 1, ..., clipped to [-1/2, 1].  The array is
-    allocated in one piece before it is filled, so a step too fine to fit
-    in memory raises MemoryError at once."""
+    z_min + z_step*k for k = 0, 1, ..., clipped to [-1/2, 1].  A step that
+    asks for more points than an index can count raises ValueError.  The
+    array is allocated in one piece before it is filled, so a step too fine
+    to fit in memory raises MemoryError at once."""
     if not 0.0 < z_step < math.inf:
         raise ValueError(f"z_step must be positive and finite, got {z_step!r}")
     if not (z_min < z_max):
@@ -259,17 +354,17 @@ def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3) -> 
     check_z(z_min)
     check_z(z_max)
     steps = (z_max - z_min) / z_step + 1e-9
-    if not math.isfinite(steps):
+    if not steps < sys.maxsize:
         raise ValueError(f"z_step = {z_step!r} is too fine for [{z_min!r}, {z_max!r}]")
     count = int(math.floor(steps)) + 1
-    zs = array("d", [0.0]) * count
+    try:
+        zs = array("d", [0.0]) * count
+    except MemoryError:  # raised without a message
+        raise MemoryError(f"z_step = {z_step!r} asks for {count} grid points, too many to allocate") from None
     for k in range(count):
         z = z_min + z_step * k
         zs[k] = Z_MIN if Z_MIN > z else Z_MAX if Z_MAX < z else z
     return zs
 
 
-__getattr__, __dir__ = _lazy.lazy_names(
-    globals(),
-    {".curve_arrays": ("curve_grid", "optimal_decomposition", "rank2_state")},
-)
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {".curve_arrays": ("curve_grid", "optimal_decomposition")})

@@ -29,6 +29,7 @@ from . import face_minimum as fm
 from . import hull as hl
 from . import states as st
 from . import symmetric_curve as sc
+from .curve_arrays import optimal_decomposition, rank2_state
 from .entropy import LN2, LN3, TINY
 from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from .linesearch import stream_rng
@@ -124,8 +125,8 @@ def check_junctions() -> CheckResult:
     zstar = sc.lower_tangent_z()
     # each chord meets the theta = 0 curve with that curve's slope
     chords = (
-        (zstar, (sc.theta0_entropy(zstar) - LN2) / (zstar - st.Z_MIN)),
-        (knee, (LN3 - sc.UPPER_KNEE_VALUE) / (st.Z_MAX - knee)),
+        (zstar, (sc.theta0_entropy(zstar) - LN2) / (zstar - sc.Z_MIN)),
+        (knee, (LN3 - sc.UPPER_KNEE_VALUE) / (sc.Z_MAX - knee)),
     )
     tangency = [abs(slope - sc._theta0_slope(z)) for z, slope in chords]
     return CheckResult(
@@ -144,15 +145,15 @@ def check_decompositions() -> CheckResult:
     recon = []
     avg = []
     lengths = set()
-    for z in np.linspace(st.Z_MIN, st.Z_MAX, n_grid):
-        dec = sc.optimal_decomposition(float(z))
+    for z in np.linspace(sc.Z_MIN, sc.Z_MAX, n_grid):
+        dec = optimal_decomposition(float(z))
         lengths.add(len(dec))
         recon.append(np.max(np.abs(dec.mixture() - st.symmetric_state(float(z)))))
         avg.append(abs(dec.average_output_entropy() - sc.entanglement_entropy(float(z))))
     # the grid meets lengths 3 and 6; one point on each linear piece: two
     # orbits (6 states) below z*, an orbit plus a pure state (4) above 5/6
-    pieces = ((0.5 * (sc.lower_tangent_z() + st.Z_MIN), 6), (0.95, 4))
-    misses = len({3, 6} - lengths) + sum(len(sc.optimal_decomposition(z)) != n for z, n in pieces)
+    pieces = ((0.5 * (sc.lower_tangent_z() + sc.Z_MIN), 6), (0.95, 4))
+    misses = len({3, 6} - lengths) + sum(len(optimal_decomposition(z)) != n for z, n in pieces)
     return CheckResult(
         f"optimal decompositions on {n_grid} grid points",
         (
@@ -164,7 +165,7 @@ def check_decompositions() -> CheckResult:
 
 
 def check_curve_hull_agreement() -> CheckResult:
-    zs = np.linspace(st.Z_MIN, st.Z_MAX, 1351)
+    zs = np.linspace(sc.Z_MIN, sc.Z_MAX, 1351)
     records = [sc.curve_record(z) for z in zs]
     eps = np.array([r.epsilon for r in records])
     hull = hl.lower_convex_hull(hl.SampledCurve(xs=zs, ys=eps))
@@ -337,7 +338,7 @@ def check_oracle_rank2() -> CheckResult:
         a, b = math.cos(phi), math.sin(phi)
         x = float(g.uniform(-0.95, 0.95)) * math.sqrt(z * (1.0 - z))
         closed = sc.rank2_entanglement(z, x, a, b)
-        devs.append(abs(roof_upper_bound(sc.rank2_state(z, x, a, b)).value - closed))
+        devs.append(abs(roof_upper_bound(rank2_state(z, x, a, b)).value - closed))
     return CheckResult(
         f"decomposition search matches the rank-2 closed form on {n_states} states",
         (Measure("max |search - closed|", np.max(devs), 5e-15),),
@@ -363,7 +364,7 @@ def check_twirl_and_channel() -> CheckResult:
     """The S3 twirl returns z on the symmetric family; the diagonal channel
     never lowers a random qutrit's von Neumann entropy."""
     worst_twirl = np.max(
-        [abs(st.twirl_s3(st.symmetric_state(float(z))) - float(z)) for z in np.linspace(st.Z_MIN, st.Z_MAX, 101)]
+        [abs(st.twirl_s3(st.symmetric_state(float(z))) - float(z)) for z in np.linspace(sc.Z_MIN, sc.Z_MAX, 101)]
     )
     drops = []
     for i in range(70):

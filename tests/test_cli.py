@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diagmap
-from diagmap import cli, face_minimum, roof, symmetric_curve, verify
+from diagmap import cli, curve_arrays, face_minimum, roof, symmetric_curve, verify
 from diagmap.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
 from diagmap.states import read_density_matrix, symmetric_state, write_density_matrix
@@ -97,7 +97,7 @@ def test_ed_curve_matches_fmt_reference_rows(tmp_path, capsys, argv, grid, scale
     code, out, err = _run(capsys, ["ed-curve", *argv, *(["--out", str(path)] if to_file else [])])
     assert code == EXIT_OK and err == ""
     text = path.read_text(encoding="utf-8") if to_file else out
-    want = _reference_csv(symmetric_curve.curve_grid(*grid), scale)
+    want = _reference_csv(curve_arrays.curve_grid(*grid), scale)
     assert text.splitlines() == want.splitlines()
     assert text == want
 
@@ -130,7 +130,7 @@ def test_ed_curve_records_each_grid_point_once(capsys, monkeypatch):
     monkeypatch.setattr(symmetric_curve, "curve_record", counted)
     code, out, _ = _run(capsys, ["ed-curve", "--z-step", "0.01"])
     assert code == EXIT_OK
-    assert zs == symmetric_curve.curve_grid(z_step=0.01).tolist()
+    assert zs == curve_arrays.curve_grid(z_step=0.01).tolist()
     assert len(out.splitlines()) == len(zs) + 1
 
 
@@ -155,12 +155,13 @@ def test_ed_curve_non_finite_step_is_usage_error(capsys, step):
 
 def test_ed_curve_step_too_fine_to_allocate_is_usage_error(capsys):
     # 1e-12 asks for 1.5e12 grid points, whose one-piece allocation fails
-    # at once; at 5e-324 the point count overflows and z_grid raises before
-    # allocating
-    for step in ("1e-12", "5e-324"):
+    # at once; at 1e-300 the point count cannot be indexed and at 5e-324 it
+    # overflows, and z_grid raises before allocating
+    for step in ("1e-12", "1e-300", "5e-324"):
         code, out, err = _run(capsys, ["ed-curve", "--z-step", step])
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.removeprefix("error: ").strip() != ""
+        assert f"z_step = {float(step)!r}" in err
 
 
 def test_min_output_small_dimension(capsys):
@@ -244,6 +245,19 @@ def test_min_output_states_too_long_to_allocate_is_usage_error(capsys, monkeypat
     assert code == EXIT_USAGE
     assert err == f"error: --n {10**12} is too large to allocate: Unable to allocate 7.28 TiB for an array\n"
     assert out.endswith("minimizer states (1000000000000):\n")
+
+
+def test_min_output_states_too_long_to_index_is_usage_error(capsys, monkeypatch):
+    # numpy refuses a state of 10^20 floats with a ValueError before it
+    # allocates; the states refuse it first, so numpy is never asked
+    monkeypatch.setattr(np, "full", _refuse_allocation)
+    code, out, err = _run(capsys, ["min-output", "--n", str(10**20)])
+    assert code == EXIT_USAGE
+    assert err == (
+        f"error: --n {10**20} is too large to allocate: "
+        f"a state of {10**20} floats has more bytes than an index can count\n"
+    )
+    assert out.endswith(f"minimizer states ({10**20}):\n")
 
 
 def test_min_output_oracle_too_large_to_allocate_is_usage_error(capsys, monkeypatch):

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 import diagmap
-from diagmap import entropy, hull, states, symmetric_curve
+from diagmap import cli, entropy, face_minimum, hull, roof, states, symmetric_curve
 from diagmap.cli import EXIT_OK, EXIT_USAGE, main
-from diagmap.hull import tangent_from_point
-from diagmap.symmetric_curve import curve_record, entanglement_entropy, z_grid
+from diagmap.symmetric_curve import curve_record, entanglement_entropy, tangent_from_point, z_grid
 
 PACKAGE = Path(diagmap.__file__).parent
-CLOSED_FORMS = ("_lazy", "entropy", "hull", "lambert", "states", "symmetric_curve")
+CLOSED_FORMS = ("_lazy", "entropy", "lambert", "symmetric_curve")
 ORACLES = ("face_minimum", "linesearch", "roof")
 
 
@@ -41,13 +40,15 @@ def _imported_modules(nodes):
     return out
 
 
+def _lazy_calls(tree):
+    """The lazy_names calls of a module."""
+    calls = (node for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return [node for node in calls if getattr(node.func, "attr", None) == "lazy_names"]
+
+
 def _lazy_sources(tree):
     """The modules named in the lazy_names tables of a module."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lazy_names":
-            out += [key.value.lstrip(".") for key in node.args[1].keys]
-    return out
+    return [key.value.lstrip(".") for node in _lazy_calls(tree) for key in node.args[1].keys]
 
 
 def _tree(name):
@@ -60,6 +61,24 @@ def test_closed_forms_import_no_numpy_and_no_oracle(name):
     named = _imported_modules(ast.walk(tree))  # also the imports inside functions
     assert [m for m in named if m.split(".")[0] == "numpy"] == []
     assert [m for m in named + _lazy_sources(tree) if m in ORACLES] == []
+
+
+def test_the_scalar_helpers_live_in_closed_form_modules():
+    # the closed forms' root finders and checks, guarded by the two tests
+    # around this one through the module that defines them
+    for fn in (symmetric_curve._bisect, tangent_from_point, symmetric_curve.check_z, entropy._number):
+        assert fn.__module__.removeprefix("diagmap.") in CLOSED_FORMS, fn.__name__
+
+
+def test_lazy_tables_stay_in_the_package_and_symmetric_curve():
+    # every other module imports each name from the module that defines it
+    assert [path.stem for path in sorted(PACKAGE.glob("*.py")) if _lazy_calls(_tree(path.stem))] == [
+        "__init__",
+        "symmetric_curve",
+    ]
+    (call,) = _lazy_calls(_tree("symmetric_curve"))
+    # the two array builders that perfbench reads there
+    assert [elt.value for names in call.args[1].values for elt in names.elts] == ["curve_grid", "optimal_decomposition"]
 
 
 @pytest.mark.parametrize("name", [*CLOSED_FORMS, "__init__", "cli"])
@@ -103,17 +122,32 @@ def test_every_listed_name_resolves_and_is_bound_on_first_read(module):
 
 
 def test_the_benchmark_paths_still_resolve():
-    # perfbench reads these through the closed-form modules
-    for module, name in [
-        (symmetric_curve, "optimal_decomposition"),
+    # every name perfbench reads, by the module it reads it from
+    defined = [
         (hull, "lower_convex_hull"),
         (hull, "SampledCurve"),
         (states, "symmetric_state"),
         (states, "twirl_s3"),
         (states, "diagonal_output_entropy"),
         (states, "von_neumann_entropy"),
+    ]
+    for module, name in [
+        *defined,
+        (face_minimum, "min_face_entropy"),
+        (face_minimum, "minimizer_states"),
+        (face_minimum, "brute_force_min_face"),
+        (face_minimum, "lagrange_roots"),
+        (roof, "roof_upper_bound"),
+        (roof, "real_roof_upper_bound"),
+        (cli, "main"),
+        (symmetric_curve, "entanglement_entropy"),
+        (symmetric_curve, "optimal_decomposition"),
+        (symmetric_curve, "curve_grid"),
     ]:
         assert callable(getattr(module, name)), name
+    # perfbench's tracer wraps a function in the module that defines it
+    for module, name in defined:
+        assert getattr(module, name).__module__ == module.__name__, name
     grid = symmetric_curve.curve_grid()
     assert isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.size == 1501
     assert grid.tolist() == z_grid().tolist()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap.entropy import TINY, check_hermitian, eta, floored_log
+from diagmap.entropy import TINY, eta
+from diagmap.states import check_hermitian, floored_log
 
 
 def test_eta_endpoints():

@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from diagmap.entropy import HERMITIAN_TOL, NEG_CLAMP, check_hermitian, eta
+from diagmap.entropy import HERMITIAN_TOL, NEG_CLAMP, eta
+from diagmap.states import check_hermitian
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 

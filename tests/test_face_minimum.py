@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -96,6 +97,14 @@ def test_minimizer_states_one_vs_rest():
     assert len(states) == 7
     a = 1.0 / math.sqrt(42.0)
     assert np.allclose(states[0], [6 * a, -a, -a, -a, -a, -a, -a], atol=1e-15)
+
+
+def test_minimizer_states_too_long_to_index_raise_memory_error(monkeypatch):
+    # numpy would refuse this length with a ValueError; the refusal comes
+    # first, so nothing is asked of numpy
+    monkeypatch.setattr(np, "full", None)
+    with pytest.raises(MemoryError, match="more bytes than an index can count"):
+        minimizer_states(sys.maxsize // 8 + 1)
 
 
 def test_minimizer_states_attain_closed_form():

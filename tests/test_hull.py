@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap.hull import _NEWTON_GRACE, HullResult, SampledCurve, _bisect, lower_convex_hull, tangent_from_point
-from diagmap.symmetric_curve import _theta0_slope, curve_grid, curve_record, theta0_entropy
+from diagmap.curve_arrays import curve_grid
+from diagmap.hull import HullResult, SampledCurve, lower_convex_hull
+from diagmap.symmetric_curve import (
+    _NEWTON_GRACE,
+    _bisect,
+    _theta0_slope,
+    curve_record,
+    tangent_from_point,
+    theta0_entropy,
+)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)

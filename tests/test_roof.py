@@ -5,11 +5,11 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap import linesearch, roof, symmetric_curve
+from diagmap.curve_arrays import rank2_state
 from diagmap.entropy import eta
-from diagmap.matrices import _entropy_sum
-from diagmap.hull import tangent_from_point
 from diagmap.roof import real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (
+    _entropy_sum,
     diagonal_output_entropy,
     symmetric_state,
     twirl_s3,
@@ -18,7 +18,7 @@ from diagmap.symmetric_curve import (
     entanglement_entropy,
     lower_tangent_z,
     rank2_entanglement,
-    rank2_state,
+    tangent_from_point,
     theta0_entropy,
 )
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from numpy.random import Generator, Philox
 
-from diagmap.matrices import _entropy_sum
 from diagmap.states import (
     Decomposition,
     StateFormatError,
+    _entropy_sum,
     check_density_matrix,
     diagonal_channel,
     diagonal_output_entropy,

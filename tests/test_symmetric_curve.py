@@ -8,15 +8,10 @@ from hypothesis import strategies as hs
 from numpy.random import Generator, Philox
 
 from diagmap import curve_arrays, symmetric_curve
-from diagmap.curve_arrays import _orbit
-from diagmap.entropy import TINY
-from diagmap.hull import _bisect
+from diagmap.curve_arrays import _orbit, curve_grid, optimal_decomposition, rank2_state
+from diagmap.entropy import NORM_TOL, TINY
 from diagmap.states import (
-    Z_MAX,
-    Z_MIN,
     Decomposition,
-    NORM_TOL,
-    check_z,
     diagonal_output_entropy,
     symmetric_state,
     twirl_s3,
@@ -26,21 +21,22 @@ from diagmap.symmetric_curve import (
     REGION_ROOF,
     REGION_UPPER_LINEAR,
     UPPER_KNEE,
+    Z_MAX,
+    Z_MIN,
     EDCurveRecord,
     _alpha_beta,
     _amplitudes,
+    _bisect,
     _output_entropy,
     _piece,
     _theta0_curvature,
     _theta_derivatives,
-    curve_grid,
+    check_z,
     curve_record,
     entanglement_entropy,
     lower_tangent_z,
     min_pure_output_entropy,
-    optimal_decomposition,
     rank2_entanglement,
-    rank2_state,
     theta0_entropy,
     theta_transition,
 )
