@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_curve.add_argument("--z-min", type=float, default=sc.Z_MIN)
     p_curve.add_argument("--z-max", type=float, default=sc.Z_MAX)
-    p_curve.add_argument("--z-step", type=float, default=1e-3)
+    p_curve.add_argument("--z-step", type=float, default=sc.Z_STEP)
     p_curve.add_argument("--out", metavar="FILE", default=None)
 
     p_min = sub.add_parser("min-output", parents=[units, search], help="minimal output entropy on the zero-sum face")
@@ -128,7 +128,7 @@ def cmd_min_output(args) -> int:
     try:
         closed = fm.min_face_entropy(n)
         options = _search_options(args, "restarts", "seed") if args.oracle else {}
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an N past the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     scale = _unit_scale(args.units)

@@ -15,6 +15,7 @@ from .symmetric_curve import (
     REGION_ROOF,
     Z_MAX,
     Z_MIN,
+    Z_STEP,
     _PI_3,
     _alpha_beta,
     _amplitudes,
@@ -28,7 +29,7 @@ from .symmetric_curve import (
 _COS_PI_3 = math.cos(_PI_3)
 
 
-def curve_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3) -> np.ndarray:
+def curve_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = Z_STEP) -> np.ndarray:
     """Inclusive evaluation grid used by the curve export: symmetric_curve.z_grid
     as a float64 ndarray on the same memory."""
     return np.frombuffer(z_grid(z_min, z_max, z_step))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linesearch import _retract, check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
+from .linesearch import POLISH_ITERS, _retract, check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
 from .states import Decomposition, check_density_matrix, floored_log
 
 RANK_TOL = 1e-10
@@ -147,16 +147,18 @@ def _starts(M, m, restarts, seed):
     random ones, the k-th from stream k of the seed, of the eigenfactor M's
     dtype: a real M is searched over real isometries.  The identity start
     uses no stream, and nothing else draws from a roof seed: stream 0 is
-    left unread."""
+    left unread.  The starts are allocated in one piece before any draw, so
+    numpy refuses a count too large to hold before a stream is read."""
     r = M.shape[1]
-    inits = [np.eye(m, r, dtype=M.dtype)]
+    inits = np.empty((restarts, m, r), dtype=M.dtype)
+    inits[0] = np.eye(m, r)
     for k in range(1, restarts):
         g = stream_rng(seed, k)
         raw = g.standard_normal((m, r))
         if np.iscomplexobj(M):
             raw = raw + 1j * g.standard_normal((m, r))
-        inits.append(np.linalg.qr(raw)[0])
-    return np.stack(inits)
+        inits[k] = np.linalg.qr(raw)[0]
+    return inits
 
 
 def _search(omega, m, restarts, seed, max_sweeps: int):
@@ -208,7 +210,7 @@ def _decomposition_from_vectors(vectors: np.ndarray) -> Decomposition:
     return Decomposition(weights=weights[keep], states=vectors[keep] / np.sqrt(weights[keep])[:, None])
 
 
-def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = 200) -> RoofResult:
+def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = POLISH_ITERS) -> RoofResult:
     """Upper bound on the convex roof of the diagonal output entropy.
 
     The reported value is the weighted average output entropy of an
@@ -219,12 +221,17 @@ def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweep
     real part over real ones.  m is the starting length; with m omitted it
     is rank^2 for a complex search and rank(rank+1)/2 for a real one, and
     each insertion adds one member.  max_sweeps caps the engine's
-    iterations per polish, each one Armijo try.
+    iterations per polish, each one Armijo try; its default is
+    linesearch.POLISH_ITERS, the budget of every polish the library runs
+    (restart, insertion, pricing and face search).  A polish that hits a
+    cap is not priced: the search ends there, with capped set.
     """
     return _search(check_density_matrix(omega), m, restarts, seed, max_sweeps)
 
 
-def real_roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = 200) -> RoofResult:
+def real_roof_upper_bound(
+    omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = POLISH_ITERS
+) -> RoofResult:
     """roof_upper_bound, bit for bit, of a real (_is_real) state, for which
     an optimal decomposition of real states exists; raises ValueError for
     any other state.  The library calls roof_upper_bound, which searches a

@@ -29,6 +29,8 @@ from .entropy import LN2, LN3, NORM_TOL, TINY, _number, eta
 
 Z_MIN = -0.5
 Z_MAX = 1.0
+# the default step of the curve export's grid (z_grid, curve_grid, ed-curve)
+Z_STEP = 1e-3
 # how far outside its range (check_z's [Z_MIN, Z_MAX], rank2_state's
 # [0, 1]) a z is still admitted, and then clamped
 Z_SLACK = 1e-12
@@ -341,7 +343,7 @@ def rank2_entanglement(z: float, x: complex, a: complex, b: complex) -> float:
     return val
 
 
-def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = 1e-3) -> array:
+def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = Z_STEP) -> array:
     """Inclusive evaluation grid of the curve export, as an array('d'):
     z_min + z_step*k for k = 0, 1, ..., clipped to [-1/2, 1].  A step that
     asks for more points than an index can count raises ValueError.  The

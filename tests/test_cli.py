@@ -258,6 +258,12 @@ def test_min_output_states_too_long_to_index_is_usage_error(capsys, monkeypatch)
         f"a state of {10**20} floats has more bytes than an index can count\n"
     )
     assert out.endswith(f"minimizer states ({10**20}):\n")
+    # from 2^1024 on, N is past the float range and the closed form's
+    # float(N) overflows, before anything is printed
+    code, out, err = _run(capsys, ["min-output", "--n", str(2**1024)])
+    assert code == EXIT_USAGE
+    assert err == "error: int too large to convert to float\n"
+    assert out == ""
 
 
 def test_min_output_oracle_too_large_to_allocate_is_usage_error(capsys, monkeypatch):
@@ -283,6 +289,24 @@ def test_roof_estimate_too_large_to_allocate_is_usage_error(tmp_path, capsys, mo
     assert code == EXIT_USAGE
     assert err == "error: Unable to allocate 7.28 TiB for an array\n"
     assert out == ""
+
+
+def test_roof_estimate_restarts_too_many_to_hold_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the starts are allocated in one piece, and numpy refuses this count
+    # before any stream is drawn
+    path = tmp_path / "state.txt"
+    write_density_matrix(path, symmetric_state(0.3))
+    draws = []
+
+    def counted(seed, k):  # a draw would fail here, rather than run until memory runs out
+        draws.append(k)
+        raise AssertionError(f"stream {k} drawn")
+
+    monkeypatch.setattr(roof, "stream_rng", counted)
+    code, out, err = _run(capsys, ["roof-estimate", str(path), "--restarts", str(10**18)])
+    assert code == EXIT_USAGE
+    assert err.startswith("error: array is too big") and err.count("\n") == 1
+    assert out == "" and draws == []
 
 
 def test_min_output_bits(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -232,6 +233,29 @@ def test_roof_seed_and_budget_validation(search):
     for seed in (0, 2**64 - 1, np.uint64(7)):
         res = search(omega, m=3, restarts=np.int64(2), seed=seed, max_sweeps=1)
         assert res.value >= entanglement_entropy(0.3) - 1e-9
+
+
+@pytest.mark.parametrize("search", [roof_upper_bound, real_roof_upper_bound])
+def test_polish_budget_defaults_to_the_engines(search):
+    # one budget for every polish the library runs at its defaults: the
+    # restarts, insertions, pricing and face search
+    assert inspect.signature(search).parameters["max_sweeps"].default is linesearch.POLISH_ITERS
+
+
+@pytest.mark.parametrize("search", [roof_upper_bound, real_roof_upper_bound])
+def test_restarts_too_many_to_hold_are_refused_before_any_draw(search, monkeypatch):
+    # the starts are allocated in one piece, so numpy refuses the count
+    # before stream 1 is read
+    draws = []
+
+    def counted(seed, k):  # a draw would fail here, rather than run until memory runs out
+        draws.append(k)
+        raise AssertionError(f"stream {k} drawn")
+
+    monkeypatch.setattr(roof, "stream_rng", counted)
+    with pytest.raises(ValueError, match="too big"):
+        search(symmetric_state(0.3), m=3, restarts=10**18)
+    assert draws == []
 
 
 def test_real_roof_requires_real_symmetric():
@@ -516,13 +540,6 @@ def _sn_chord_entropy(N, z, bracket):
     return LN2 + (entropy(zstar) - LN2) * (z - z0) / (zstar - z0), zstar
 
 
-_CAPPED_UNPRICED = pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="a capped polish is not priced; pricing within a total budget is ROADMAP item 19",
-)
-
-
 @pytest.mark.parametrize(
     "N, z, bracket, zstar",
     [
@@ -530,11 +547,11 @@ _CAPPED_UNPRICED = pytest.mark.xfail(
         (5, -0.245, (-0.249, -0.235), -0.242826),
         (5, -0.248, (-0.249, -0.235), -0.242826),
         (6, -0.1998, (-0.1999, -0.1990), -0.199452),
-        # the face point, where E = log 2, and 1e-4 inside it: the best
-        # restart's polish caps at 200 iterations, and a capped polish is
-        # never priced, so these end 4.95e-3 and 2.26e-3 above E
-        pytest.param(6, -0.2, (-0.1999, -0.1990), -0.199452, marks=_CAPPED_UNPRICED),
-        pytest.param(6, -0.1999, (-0.1999, -0.1990), -0.199452, marks=_CAPPED_UNPRICED),
+        # the face point, where E = log 2, and 1e-4 inside it: their polishes
+        # run 347 and 675 iterations with the insertions, and a polish that
+        # hits its cap is never priced
+        (6, -0.2, (-0.1999, -0.1990), -0.199452),
+        (6, -0.1999, (-0.1999, -0.1990), -0.199452),
     ],
 )
 def test_search_reaches_the_sn_lower_chord(N, z, bracket, zstar):
