@@ -2,7 +2,9 @@
 
 Closed forms for the permutation-symmetric real qutrit family and for the
 minimal output entropy on the zero-sum face in any dimension, each paired
-with an independent decomposition-search oracle.
+with an independent decomposition-search oracle.  The closed forms
+(`entropy`, `lambert`, `symmetric_curve`, `face_minimum`) load no numpy;
+the searches (`linesearch`, `roof`) and the data layer (`states`) do.
 """
 
 from . import _lazy
@@ -15,22 +17,22 @@ _EXPORTS = {
     ".entropy": ("eta",),
     ".face_minimum": (
         "StationaryRoots",
-        "brute_force_min_face",
         "lagrange_roots",
         "min_face_entropy",
-        "minimizer_states",
         "pair_states_minimize",
         "root_square_sum",
         "two_value_entropy",
     ),
     ".hull": ("HullResult", "SampledCurve", "lower_convex_hull"),
     ".lambert": ("lambert_w0", "lambert_wm1"),
+    ".linesearch": ("brute_force_min_face",),
     ".roof": ("RoofResult", "real_roof_upper_bound", "roof_upper_bound"),
     ".states": (
         "Decomposition",
         "StateFormatError",
         "diagonal_channel",
         "diagonal_output_entropy",
+        "minimizer_states",
         "read_density_matrix",
         "symmetric_state",
         "twirl_s3",

@@ -11,9 +11,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 input
 parse error, 141 (128 + SIGPIPE, as a shell reports a process that
 SIGPIPE ended) when the reader of standard output closed it early.
 
-Importing this module loads no numpy, and neither do ed-curve and zstar:
-the modules that load it (the face search, the roof search, the data
-layer `states` and verify) are imported inside the commands that use them.
+Importing this module loads no numpy, and neither do ed-curve, zstar and
+min-output without --oracle: the modules that load it (the face search in
+`linesearch`, the roof search, the data layer `states` and verify) are
+imported inside the commands, and the branches, that use them.
 """
 
 import argparse
@@ -128,7 +129,7 @@ def cmd_min_output(args) -> int:
     try:
         closed = fm.min_face_entropy(n)
         options = _search_options(args, "restarts", "seed") if args.oracle else {}
-    except (ValueError, OverflowError) as exc:  # OverflowError: an N past the float range
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     scale = _unit_scale(args.units)
@@ -146,7 +147,9 @@ def cmd_min_output(args) -> int:
         if count > 10:
             print(f"  ... {count - 10} more by permutation")
         if args.oracle:
-            value, argmin = fm.brute_force_min_face(n, **options)
+            from .linesearch import brute_force_min_face
+
+            value, argmin = brute_force_min_face(n, **options)
             print(f"search minimum: {_fmt(value * scale)} {args.units}")
             print(f"gap to closed form: {_fmt((value - closed) * scale)}")
             print("argmin: (" + ", ".join(_fmt(x) for x in argmin) + ")")

@@ -1,13 +1,15 @@
-"""Scalar entropy primitives: eta, the number check of every closed form,
-and the constants and tolerances that the closed forms and the data layer
-share.  Importing this module loads no numpy; the array primitives (the
-entropy of a spectrum, the hermitian check and the floored log of every
-search objective) live in `states`.
+"""Scalar entropy primitives: eta, the number and dimension checks of the
+closed forms, and the constants and tolerances that the closed forms and
+the data layer share.  Importing this module loads no numpy; the array
+primitives (the entropy of a spectrum, the hermitian check and the floored
+log of every search objective) live in `states`.
 
 All entropies are in nats (natural logarithm).
 """
 
 import math
+import operator
+import sys
 
 # Values in [-NEG_CLAMP, 0] are treated as exact zeros; anything more
 # negative is a hard error rather than silent rounding.
@@ -27,6 +29,19 @@ def _number(x, kind=float):
     if isinstance(x, (str, bytes)):
         raise TypeError(f"expected a number, got {x!r}")
     return kind(x)
+
+
+def _check_dimension(N) -> int:
+    """N as an int, raising unless it is an integer N >= 2 that converts to
+    a float: the closed forms compute in floats."""
+    N = operator.index(N)
+    if N < 2:
+        raise ValueError(f"need N >= 2, got {N}")
+    try:
+        float(N)
+    except OverflowError:
+        raise ValueError(f"N = {N} is past the float range (at most {sys.float_info.max!r})") from None
+    return N
 
 
 def eta(x: float) -> float:

@@ -1,13 +1,16 @@
 """Minimal output entropy of the diagonal map on the face of states
-supported orthogonally to the uniform vector.
+supported orthogonally to the uniform vector, in closed form.
 
 Real pure states on that face are unit vectors with zero component sum.
 The closed-form minimum is the lesser of log 2 (pair states) and the
 one-vs-rest value two_value_entropy(N, 1), which crosses below log 2
 between N = 6 and N = 7; a Lagrange analysis via the Lambert W function
-classifies the stationary amplitude values, and linesearch's Riemannian
-BFGS engine and unit-sphere objective (the roof's pricing runs both too),
-on the zero-sum unit sphere, provide an independent check.
+classifies the stationary amplitude values.  Importing this module loads
+no numpy, and nothing here imports the search that checks it: that oracle,
+brute_force_min_face, runs linesearch's engine on the zero-sum unit sphere
+and lives there, and the minimizing states as arrays, minimizer_states,
+live in the data layer `states`.  Both names resolve here too when first
+read (PEP 562), for the callers that look them up in this module.
 """
 
 import math
@@ -15,22 +18,9 @@ import operator
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
-from .entropy import LN2, _number
+from . import _lazy
+from .entropy import LN2, _check_dimension, _number
 from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
-from .linesearch import check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
-
-# the face search's default budget: this many restarts per dimension N
-RESTARTS_PER_N = 50
-
-
-def _check_dimension(N) -> int:
-    """N as an int, raising unless it is an integer N >= 2."""
-    N = operator.index(N)
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    return N
 
 
 def min_face_entropy(N: int) -> float:
@@ -45,35 +35,32 @@ def pair_states_minimize(N: int) -> bool:
     return min_face_entropy(N) == LN2
 
 
-def minimizer_states(N: int):
-    """All pure states attaining min_face_entropy(N).
-
-    Where pair_states_minimize(N) these are the N(N-1)/2 pair states
-    (e_j - e_k)/sqrt(2); otherwise the N placements of the large component
-    in ((N-1)a, -a, ..., -a) with a = (N(N-1))^{-1/2}.
-    """
-    return list(_minimizers(_check_dimension(N)))
-
-
 def _minimizers(N: int):
-    """The states of minimizer_states(N), in its order, one at a time.
-    Raises MemoryError when a state of N floats has more bytes than an
-    index can count, which numpy would refuse with a ValueError."""
+    """The pure states attaining min_face_entropy(N), one at a time, each a
+    tuple of N floats: where pair_states_minimize(N), the N(N-1)/2 pair
+    states (e_j - e_k)/sqrt(2); otherwise the N placements of the large
+    component in ((N-1)a, -a, ..., -a) with a = (N(N-1))^{-1/2}.  N must
+    have passed _check_dimension.  Raises MemoryError, naming N, when a
+    state of N floats has more bytes than an index can count (numpy would
+    refuse its array with a ValueError) or does not fit in memory."""
     if N > sys.maxsize // 8:
         raise MemoryError(f"a state of {N} floats has more bytes than an index can count")
-    if pair_states_minimize(N):
-        for j in range(N):
-            for k in range(j + 1, N):
-                v = np.zeros(N)
-                v[j] = 1.0 / math.sqrt(2.0)
-                v[k] = -1.0 / math.sqrt(2.0)
-                yield v
-    else:
-        a = 1.0 / math.sqrt(N * (N - 1.0))
-        for j in range(N):
-            v = np.full(N, -a)
-            v[j] = (N - 1.0) * a
-            yield v
+    try:
+        if pair_states_minimize(N):
+            for j in range(N):
+                for k in range(j + 1, N):
+                    v = [0.0] * N
+                    v[j] = 1.0 / math.sqrt(2.0)
+                    v[k] = -1.0 / math.sqrt(2.0)
+                    yield tuple(v)
+        else:
+            a = 1.0 / math.sqrt(N * (N - 1.0))
+            for j in range(N):
+                v = [-a] * N
+                v[j] = (N - 1.0) * a
+                yield tuple(v)
+    except MemoryError:  # raised without a message
+        raise MemoryError(f"a state of {N} floats does not fit in memory") from None
 
 
 def two_value_entropy(N: int, n: int) -> float:
@@ -86,6 +73,7 @@ def two_value_entropy(N: int, n: int) -> float:
     N, n = operator.index(N), operator.index(n)
     if not 1 <= n <= N - 1:
         raise ValueError(f"need 1 <= n <= N-1, got n={n}, N={N}")
+    N = _check_dimension(N)  # refuses an N past the float range
     # with n <= N/2 by the symmetry, log n - log(1 - n/N) + (2n/N) log(N/n - 1)
     # sums three non-negative terms
     n = min(n, N - n)
@@ -151,30 +139,8 @@ def root_square_sum(zeta: float) -> float:
     )
 
 
-def zero_sum_basis(N: int) -> np.ndarray:
-    """Orthonormal basis (rows) of the zero-component-sum hyperplane."""
-    H = np.zeros((N - 1, N))
-    for k in range(1, N):
-        H[k - 1, :k] = 1.0
-        H[k - 1, k] = -float(k)
-        H[k - 1] /= math.sqrt(k * (k + 1.0))
-    return H
-
-
-def brute_force_min_face(N: int, restarts: int | None = None, seed: int = 0):
-    """Minimize the output entropy over the zero-sum unit sphere from random
-    restarts, RESTARTS_PER_N * N when restarts is omitted, the rows of one
-    draw of stream 0 of the seed (numpy fills them in order, so restart k's
-    start does not depend on the count), by stiefel_bfgs on
-    sphere_functions(B), B the zero_sum_basis as columns: it moves the
-    reduced (in-hyperplane) coordinates y of a = By on their unit sphere,
-    so both constraints hold at every step.  Returns (value, argmin)."""
-    N = _check_dimension(N)
-    restarts = check_count("restarts", RESTARTS_PER_N * N if restarts is None else restarts)
-    seed = check_seed(seed)
-    Y = stream_rng(seed, 0).standard_normal((restarts, N - 1))
-    Y /= np.sqrt(Y[:, None, :] @ Y[:, :, None])[:, 0]  # sqrt(y @ y) per row, as np.linalg.norm(y)
-    B = zero_sum_basis(N).T
-    W, f, _, _ = stiefel_bfgs(Y[:, :, None], sphere_functions(B))
-    best = int(np.argmin(f))
-    return float(f[best]), B @ W[best, :, 0]
+# the two names that perfbench reads in this module, defined by the oracle
+# and the data layer
+__getattr__, __dir__ = _lazy.lazy_names(
+    globals(), {".linesearch": ("brute_force_min_face",), ".states": ("minimizer_states",)}
+)

@@ -1,7 +1,10 @@
-"""What the roof and face-minimum searches share: the Riemannian BFGS
+"""What the roof search and the face search share: the Riemannian BFGS
 engine both run (stiefel_bfgs), the unit-sphere objective both minimize
 (sphere_functions; the roof's pricing adds a quadratic term), the checks
-of their seed and budgets and their random streams.
+of their seed and budgets and their random streams; and the face search
+itself (brute_force_min_face), the oracle that checks face_minimum's
+closed form on the zero-sum unit sphere.  Of the closed forms, this module
+imports only `entropy`.
 
 Every product acts on one row at a time, so no row's path depends on its
 batch (a 2-D matmul's blocking would): stacked (3-D) matmuls with several
@@ -9,17 +12,20 @@ columns and for the inverse-Hessian products, einsums for row dot products
 and with one column (hundreds of short rows: a BLAS call per row costs more).
 """
 
+import math
 import operator
 
 import numpy as np
 
-from .entropy import TINY
+from .entropy import TINY, _check_dimension
 from .states import floored_log
 
 POLISH_ITERS = 400
 # a row stops once the step it would try predicts a gain of at most POLISH_TOL
 POLISH_TOL = 1e-15
 ARMIJO = 1e-4
+# the face search's default budget: this many restarts per dimension N
+RESTARTS_PER_N = 50
 
 
 def _project(W, G):
@@ -140,6 +146,35 @@ def sphere_functions(B):
         return (-sq * lg).sum(axis=-1), np.einsum("ij,bi->bj", B.conj(), -2.0 * psi * (lg + 1.0))[:, :, None]
 
     return funcs
+
+
+def zero_sum_basis(N: int) -> np.ndarray:
+    """Orthonormal basis (rows) of the zero-component-sum hyperplane."""
+    H = np.zeros((N - 1, N))
+    for k in range(1, N):
+        H[k - 1, :k] = 1.0
+        H[k - 1, k] = -float(k)
+        H[k - 1] /= math.sqrt(k * (k + 1.0))
+    return H
+
+
+def brute_force_min_face(N: int, restarts: int | None = None, seed: int = 0):
+    """Minimize the output entropy over the zero-sum unit sphere from random
+    restarts, RESTARTS_PER_N * N when restarts is omitted, the rows of one
+    draw of stream 0 of the seed (numpy fills them in order, so restart k's
+    start does not depend on the count), by stiefel_bfgs on
+    sphere_functions(B), B the zero_sum_basis as columns: it moves the
+    reduced (in-hyperplane) coordinates y of a = By on their unit sphere,
+    so both constraints hold at every step.  Returns (value, argmin)."""
+    N = _check_dimension(N)
+    restarts = check_count("restarts", RESTARTS_PER_N * N if restarts is None else restarts)
+    seed = check_seed(seed)
+    Y = stream_rng(seed, 0).standard_normal((restarts, N - 1))
+    Y /= np.sqrt(Y[:, None, :] @ Y[:, :, None])[:, 0]  # sqrt(y @ y) per row, as np.linalg.norm(y)
+    B = zero_sum_basis(N).T
+    W, f, _, _ = stiefel_bfgs(Y[:, :, None], sphere_functions(B))
+    best = int(np.argmin(f))
+    return float(f[best]), B @ W[best, :, 0]
 
 
 def check_seed(seed) -> int:

@@ -1,16 +1,18 @@
 """The data layer: the entropy of a spectrum, the hermitian and
 density-matrix checks with their tolerances, the diagonal (pinching)
-channel, the S3 permutation twirl onto the symmetric family,
-decompositions into pure states and the state file format.  This module
-imports numpy; the scalar checks and constants it uses live in `entropy`
-and `symmetric_curve`, which load none.
+channel, the S3 permutation twirl onto the symmetric family, the states
+that attain the zero-sum face's minimum as arrays, decompositions into
+pure states and the state file format.  This module imports numpy; the
+scalar checks and constants it uses, and the face states' values, live in
+`entropy`, `symmetric_curve` and `face_minimum`, which load none.
 """
 
 import math
 
 import numpy as np
 
-from .entropy import HERMITIAN_TOL, NORM_TOL, TINY, eta
+from .entropy import HERMITIAN_TOL, NORM_TOL, TINY, _check_dimension, eta
+from .face_minimum import _minimizers
 from .symmetric_curve import Z_MAX, Z_MIN, check_z
 
 TRACE_TOL = 1e-10
@@ -105,6 +107,13 @@ def symmetric_state(z: float) -> np.ndarray:
     m = np.full((3, 3), z / 3.0, dtype=complex)
     np.fill_diagonal(m, 1.0 / 3.0)
     return m
+
+
+def minimizer_states(N: int) -> list:
+    """All pure states attaining face_minimum.min_face_entropy(N), the
+    pair states or the one-vs-rest states of face_minimum._minimizers, in
+    its order, one float array each."""
+    return [np.array(v) for v in _minimizers(_check_dimension(N))]
 
 
 class Decomposition:

@@ -336,10 +336,10 @@ def _rank2_parameters(z, x, a, b):
 
 def rank2_entanglement(z: float, x: complex, a: complex, b: complex) -> float:
     """Closed-form entanglement entropy of rank2_state(z, x, a, b)."""
-    _rank2_parameters(z, x, a, b)  # validates the preconditions
-    lam = math.sqrt(max(1.0 - 4.0 * abs(complex(x)) ** 2, 0.0))
+    z, x, a, b = _rank2_parameters(z, x, a, b)  # z clamped to [0, 1], as rank2_state's
+    lam = math.sqrt(max(1.0 - 4.0 * abs(x) ** 2, 0.0))
     val = eta((1.0 + lam) / 2.0) + eta((1.0 - lam) / 2.0)
-    val += z * eta(abs(complex(a)) ** 2) + z * eta(abs(complex(b)) ** 2)
+    val += z * eta(abs(a) ** 2) + z * eta(abs(b) ** 2)
     return val
 
 

@@ -32,7 +32,7 @@ from . import symmetric_curve as sc
 from .curve_arrays import optimal_decomposition, rank2_state
 from .entropy import LN2, LN3, TINY
 from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
-from .linesearch import stream_rng
+from .linesearch import brute_force_min_face, stream_rng
 from .roof import roof_upper_bound
 
 # z*, s(z*), the one-vs-rest value log 7 - (5/7) log 6 at N = 7 and the
@@ -185,7 +185,7 @@ def check_curve_hull_agreement() -> CheckResult:
 
 def check_face_table() -> CheckResult:
     closed = np.array([fm.min_face_entropy(n) for n in range(2, 33)])
-    values = np.array([fm.brute_force_min_face(n)[0] for n in range(2, 33)])
+    values = np.array([brute_force_min_face(n)[0] for n in range(2, 33)])
     return CheckResult(
         "face-minimum table, search N = 2..32",
         (
@@ -222,7 +222,7 @@ def check_minimizer_states() -> CheckResult:
     resids = []
     for n in range(2, 13):
         closed = fm.min_face_entropy(n)
-        states = fm.minimizer_states(n)
+        states = st.minimizer_states(n)
         miscounts += len(states) != (n * (n - 1) // 2 if n <= 6 else n)
         for v in states:
             constraint_errs += [abs(v.sum()), abs(v @ v - 1.0)]

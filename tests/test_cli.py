@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diagmap
-from diagmap import cli, curve_arrays, face_minimum, roof, symmetric_curve, verify
+from diagmap import cli, curve_arrays, linesearch, roof, symmetric_curve, verify
 from diagmap.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
 from diagmap.states import read_density_matrix, symmetric_state, write_density_matrix
@@ -192,7 +192,7 @@ def test_min_output_passes_only_the_given_search_options(capsys, monkeypatch, fl
         calls.append((N, kwargs))
         return 0.5, np.zeros(N)
 
-    monkeypatch.setattr(face_minimum, "brute_force_min_face", search)
+    monkeypatch.setattr(linesearch, "brute_force_min_face", search)
     code, out, _ = _run(capsys, ["min-output", "--n", "7", "--oracle", *flags])
     assert code == EXIT_OK
     assert calls == [(7, options)]
@@ -237,20 +237,20 @@ def _refuse_allocation(*args, **kwargs):
     raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
 
-def test_min_output_states_too_long_to_allocate_is_usage_error(capsys, monkeypatch):
-    # at N = 10^12 each printed one-vs-rest state is np.full(N, -a); the
-    # refusal is raised here, so nothing is allocated
-    monkeypatch.setattr(np, "full", _refuse_allocation)
-    code, out, err = _run(capsys, ["min-output", "--n", str(10**12)])
+def test_min_output_states_too_long_to_allocate_is_usage_error(capsys):
+    # the longest state the index guard admits: its list of N floats asks
+    # for 8 EiB, more than any 64-bit address space holds, so the allocator
+    # refuses it before a byte is touched
+    N = sys.maxsize // 8
+    code, out, err = _run(capsys, ["min-output", "--n", str(N)])
     assert code == EXIT_USAGE
-    assert err == f"error: --n {10**12} is too large to allocate: Unable to allocate 7.28 TiB for an array\n"
-    assert out.endswith("minimizer states (1000000000000):\n")
+    assert err == f"error: --n {N} is too large to allocate: a state of {N} floats does not fit in memory\n"
+    assert out.endswith(f"minimizer states ({N}):\n")
 
 
-def test_min_output_states_too_long_to_index_is_usage_error(capsys, monkeypatch):
-    # numpy refuses a state of 10^20 floats with a ValueError before it
-    # allocates; the states refuse it first, so numpy is never asked
-    monkeypatch.setattr(np, "full", _refuse_allocation)
+def test_min_output_states_too_long_to_index_is_usage_error(capsys):
+    # a state of 10^20 floats has more bytes than an index can count: the
+    # states refuse it before any allocation is asked for
     code, out, err = _run(capsys, ["min-output", "--n", str(10**20)])
     assert code == EXIT_USAGE
     assert err == (
@@ -258,12 +258,14 @@ def test_min_output_states_too_long_to_index_is_usage_error(capsys, monkeypatch)
         f"a state of {10**20} floats has more bytes than an index can count\n"
     )
     assert out.endswith(f"minimizer states ({10**20}):\n")
-    # from 2^1024 on, N is past the float range and the closed form's
-    # float(N) overflows, before anything is printed
-    code, out, err = _run(capsys, ["min-output", "--n", str(2**1024)])
-    assert code == EXIT_USAGE
-    assert err == "error: int too large to convert to float\n"
-    assert out == ""
+    # from 2^1024 - 2^970 on, float(N) overflows: the dimension check names
+    # N and the float range before anything is printed, also with the oracle
+    for N in (2**1024 - 2**970, 2**1024):
+        for oracle in ([], ["--oracle"]):
+            code, out, err = _run(capsys, ["min-output", "--n", str(N), *oracle])
+            assert code == EXIT_USAGE
+            assert err == f"error: N = {N} is past the float range (at most 1.7976931348623157e+308)\n"
+            assert out == ""
 
 
 def test_min_output_oracle_too_large_to_allocate_is_usage_error(capsys, monkeypatch):
@@ -271,7 +273,7 @@ def test_min_output_oracle_too_large_to_allocate_is_usage_error(capsys, monkeypa
     class RefusingStream:
         standard_normal = staticmethod(_refuse_allocation)
 
-    monkeypatch.setattr(face_minimum, "stream_rng", lambda seed, stream: RefusingStream())
+    monkeypatch.setattr(linesearch, "stream_rng", lambda seed, stream: RefusingStream())
     code, out, err = _run(capsys, ["min-output", "--n", "7", "--oracle"])
     assert code == EXIT_USAGE
     assert err.startswith("error: --n 7 is too large to allocate: Unable to allocate")

@@ -1,7 +1,8 @@
 """The closed-form layer stands apart: it imports only the standard library
 and other closed forms, never numpy or an oracle, so `import diagmap`,
-`ed-curve` and `zstar` run without numpy; and its entry points refuse
-what is not a finite real number."""
+`ed-curve`, `zstar` and `min-output` run without numpy; the oracles read
+no closed form but `entropy`; and its entry points refuse what is not a
+finite real number."""
 
 import ast
 import math
@@ -19,8 +20,14 @@ from diagmap.cli import EXIT_OK, EXIT_USAGE, main
 from diagmap.symmetric_curve import curve_record, entanglement_entropy, tangent_from_point, z_grid
 
 PACKAGE = Path(diagmap.__file__).parent
-CLOSED_FORMS = ("_lazy", "entropy", "lambert", "symmetric_curve")
-ORACLES = ("face_minimum", "linesearch", "roof")
+CLOSED_FORMS = ("_lazy", "entropy", "face_minimum", "lambert", "symmetric_curve")
+ORACLES = ("linesearch", "roof")
+# the lazy tables of the closed forms: the names that perfbench reads there,
+# each resolved from the module that defines it
+LAZY_TABLES = {
+    "face_minimum": {".linesearch": ["brute_force_min_face"], ".states": ["minimizer_states"]},
+    "symmetric_curve": {".curve_arrays": ["curve_grid", "optimal_decomposition"]},
+}
 
 
 def _imported_modules(nodes):
@@ -46,9 +53,10 @@ def _lazy_calls(tree):
     return [node for node in calls if getattr(node.func, "attr", None) == "lazy_names"]
 
 
-def _lazy_sources(tree):
-    """The modules named in the lazy_names tables of a module."""
-    return [key.value.lstrip(".") for node in _lazy_calls(tree) for key in node.args[1].keys]
+def _lazy_table(tree):
+    """The lazy_names table of a module, as {source module: [names]}."""
+    (call,) = _lazy_calls(tree)
+    return {key.value: [elt.value for elt in names.elts] for key, names in zip(call.args[1].keys, call.args[1].values)}
 
 
 def _tree(name):
@@ -60,25 +68,39 @@ def test_closed_forms_import_no_numpy_and_no_oracle(name):
     tree = _tree(name)
     named = _imported_modules(ast.walk(tree))  # also the imports inside functions
     assert [m for m in named if m.split(".")[0] == "numpy"] == []
-    assert [m for m in named + _lazy_sources(tree) if m in ORACLES] == []
+    assert [m for m in named if m in ORACLES] == []
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracles_import_no_closed_form_but_entropy(name):
+    # the searches read the scalar checks and constants of entropy, and no
+    # closed form that they check
+    named = _imported_modules(ast.walk(_tree(name)))
+    assert [m for m in named if m in CLOSED_FORMS and m != "entropy"] == []
 
 
 def test_the_scalar_helpers_live_in_closed_form_modules():
     # the closed forms' root finders and checks, guarded by the two tests
     # around this one through the module that defines them
-    for fn in (symmetric_curve._bisect, tangent_from_point, symmetric_curve.check_z, entropy._number):
+    for fn in (
+        symmetric_curve._bisect,
+        tangent_from_point,
+        symmetric_curve.check_z,
+        entropy._number,
+        entropy._check_dimension,
+    ):
         assert fn.__module__.removeprefix("diagmap.") in CLOSED_FORMS, fn.__name__
 
 
-def test_lazy_tables_stay_in_the_package_and_symmetric_curve():
+def test_lazy_tables_stay_in_the_package_and_the_closed_forms_perfbench_reads():
     # every other module imports each name from the module that defines it
     assert [path.stem for path in sorted(PACKAGE.glob("*.py")) if _lazy_calls(_tree(path.stem))] == [
         "__init__",
-        "symmetric_curve",
+        *LAZY_TABLES,
     ]
-    (call,) = _lazy_calls(_tree("symmetric_curve"))
-    # the two array builders that perfbench reads there
-    assert [elt.value for names in call.args[1].values for elt in names.elts] == ["curve_grid", "optimal_decomposition"]
+    # a closed form's table holds exactly the names that perfbench reads there
+    for name, table in LAZY_TABLES.items():
+        assert _lazy_table(_tree(name)) == table, name
 
 
 @pytest.mark.parametrize("name", [*CLOSED_FORMS, "__init__", "cli"])
@@ -89,9 +111,9 @@ def test_import_time_needs_only_the_standard_library_and_closed_forms(name):
 
 
 def test_closed_form_commands_load_no_numpy():
-    # import diagmap and the CLI, then run ed-curve and zstar: no numpy.
-    # min-output loads numpy, but only the commands that draw random
-    # numbers import numpy.random
+    # import diagmap and the CLI, then run ed-curve, zstar and min-output on
+    # both sides of the bifurcation: no numpy.  The face search, min-output
+    # --oracle, loads numpy and numpy.random
     src = os.path.dirname(os.path.dirname(diagmap.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "\n".join(
@@ -102,16 +124,20 @@ def test_closed_form_commands_load_no_numpy():
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert diagmap.cli.main(['zstar']) == 0",
             "    assert diagmap.cli.main(['ed-curve', '--z-step', '0.25']) == 0",
-            "    print('numpy' in sys.modules, file=sys.stderr)",
             "    assert diagmap.cli.main(['min-output', '--n', '6']) == 0",
+            "    assert diagmap.cli.main(['min-output', '--n', '7']) == 0",
+            "    print('numpy' in sys.modules, file=sys.stderr)",
+            "    assert diagmap.cli.main(['min-output', '--n', '7', '--oracle']) == 0",
             "print('numpy' in sys.modules, 'numpy.random' in sys.modules)",
         ]
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert (out.stderr, out.stdout) == ("False\n", "True False\n")
+    assert (out.stderr, out.stdout) == ("False\n", "True True\n")
 
 
-@pytest.mark.parametrize("module", [diagmap, entropy, hull, states, symmetric_curve], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [diagmap, entropy, face_minimum, hull, states, symmetric_curve], ids=lambda m: m.__name__
+)
 def test_every_listed_name_resolves_and_is_bound_on_first_read(module):
     # bound in the module's globals, so that no later read runs an import
     for name in dir(module):

@@ -8,16 +8,14 @@ from numpy.random import Generator, Philox
 
 from diagmap import face_minimum, linesearch
 from diagmap.face_minimum import (
-    RESTARTS_PER_N,
-    brute_force_min_face,
     lagrange_roots,
     min_face_entropy,
-    minimizer_states,
     pair_states_minimize,
     root_square_sum,
     two_value_entropy,
-    zero_sum_basis,
 )
+from diagmap.linesearch import RESTARTS_PER_N, brute_force_min_face, zero_sum_basis
+from diagmap.states import minimizer_states
 
 LN2 = math.log(2.0)
 INV_E = math.exp(-1.0)
@@ -99,12 +97,40 @@ def test_minimizer_states_one_vs_rest():
     assert np.allclose(states[0], [6 * a, -a, -a, -a, -a, -a, -a], atol=1e-15)
 
 
-def test_minimizer_states_too_long_to_index_raise_memory_error(monkeypatch):
+def test_minimizer_states_too_long_to_index_raise_memory_error():
     # numpy would refuse this length with a ValueError; the refusal comes
-    # first, so nothing is asked of numpy
-    monkeypatch.setattr(np, "full", None)
+    # before any allocation is asked for
     with pytest.raises(MemoryError, match="more bytes than an index can count"):
         minimizer_states(sys.maxsize // 8 + 1)
+    # the longest state the guard admits asks for 8 EiB, more than any
+    # 64-bit address space holds, so the allocator refuses it at once, with
+    # a MemoryError that names nothing; the states name N
+    N = sys.maxsize // 8
+    with pytest.raises(MemoryError, match=f"^a state of {N} floats does not fit in memory$"):
+        minimizer_states(N)
+
+
+def test_minimizers_are_the_closed_form_states_as_float_tuples():
+    # the closed form yields tuples of Python floats, with the values of
+    # the data layer's arrays
+    for n in range(2, 13):
+        got = list(face_minimum._minimizers(n))
+        assert all(type(v) is tuple and all(type(x) is float for x in v) for v in got)
+        assert [np.array(v).tobytes() for v in got] == [v.tobytes() for v in minimizer_states(n)]
+
+
+def test_dimension_past_the_float_range_names_n():
+    # float(N) overflows from 2^1024 - 2^970 on; just below, N rounds to the
+    # largest float and the closed form is computed
+    for N in (2**1024 - 2**970, 2**1024):
+        message = rf"^N = {N} is past the float range \(at most 1.7976931348623157e\+308\)$"
+        for fn in (min_face_entropy, pair_states_minimize, minimizer_states, lambda n: two_value_entropy(n, 1)):
+            with pytest.raises(ValueError, match=message):
+                fn(N)
+    assert 0.0 < min_face_entropy(2**1024 - 2**970 - 1) < 1e-305
+    # two_value_entropy keeps its own message for n outside 1..N-1
+    with pytest.raises(ValueError, match="need 1 <= n <= N-1"):
+        two_value_entropy(2**1024, 0)
 
 
 def test_minimizer_states_attain_closed_form():
@@ -354,13 +380,13 @@ def test_qubit_search_stops_at_once_without_warnings(monkeypatch):
     # for N = 2 the zero-sum unit sphere is two points: the engine finds a
     # zero tangent gradient and stops at iteration 0
     runs = []
-    engine = face_minimum.stiefel_bfgs
+    engine = linesearch.stiefel_bfgs
 
     def recorded(*args):
         runs.append(engine(*args))
         return runs[-1]
 
-    monkeypatch.setattr(face_minimum, "stiefel_bfgs", recorded)
+    monkeypatch.setattr(linesearch, "stiefel_bfgs", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, argmin = brute_force_min_face(2, restarts=5, seed=3)
@@ -383,9 +409,10 @@ def _face_search_draws(monkeypatch, N, restarts, seed):
         streams.append(args)
         return rng(*args)
 
-    monkeypatch.setattr(face_minimum, "stiefel_bfgs", recorded)
-    monkeypatch.setattr(face_minimum, "stream_rng", counted)
-    brute_force_min_face(N, restarts, seed)
+    with monkeypatch.context() as patched:  # undone on return: the next call records the originals
+        patched.setattr(linesearch, "stiefel_bfgs", recorded)
+        patched.setattr(linesearch, "stream_rng", counted)
+        brute_force_min_face(N, restarts, seed)
     (Y,) = starts
     return Y, streams
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap import face_minimum, linesearch, roof
+from diagmap import linesearch, roof
 from diagmap.entropy import TINY
-from diagmap.face_minimum import brute_force_min_face, zero_sum_basis
+from diagmap.linesearch import brute_force_min_face, zero_sum_basis
 from diagmap.roof import roof_upper_bound
 from diagmap.states import symmetric_state
 
@@ -295,11 +295,11 @@ def test_engine_is_bit_identical_to_the_reference_loop(monkeypatch):
     # Every row that neither loop capped ends at the same W and f byte for
     # byte, after at least the reference's iterations; where neither capped
     # a row, both evaluate the same points
-    calls, uncapped = [], []
+    engine, calls, uncapped = linesearch.stiefel_bfgs, [], []
 
     def both(W, funcs, *args):
         points, ref_points = [], []
-        got = linesearch.stiefel_bfgs(W, _recorded(funcs, points), *args)
+        got = engine(W, _recorded(funcs, points), *args)
         want = _reference_bfgs(W, _recorded(funcs, ref_points), *args)
         for x, y in zip(got, want):
             assert x.dtype == y.dtype
@@ -314,7 +314,7 @@ def test_engine_is_bit_identical_to_the_reference_loop(monkeypatch):
         return got
 
     monkeypatch.setattr(roof, "stiefel_bfgs", both)
-    monkeypatch.setattr(face_minimum, "stiefel_bfgs", both)
+    monkeypatch.setattr(linesearch, "stiefel_bfgs", both)
     # the real polish at the four points of the roof_curve benchmark; -0.41
     # prices and inserts a member
     for seed, z in enumerate((-0.44, -0.41, 0.3, 0.92), 1):
@@ -349,7 +349,7 @@ def test_no_row_ends_above_its_start(monkeypatch):
         return out
 
     monkeypatch.setattr(roof, "stiefel_bfgs", checked)
-    monkeypatch.setattr(face_minimum, "stiefel_bfgs", checked)
+    monkeypatch.setattr(linesearch, "stiefel_bfgs", checked)
     # the real polish at the four points of the roof_curve benchmark, and
     # short complex searches, each at three caps
     points = tuple(enumerate((-0.44, -0.41, 0.3, 0.92), 1))

@@ -496,6 +496,15 @@ def test_rank2_no_coherence_cases():
     assert rank2_entanglement(0.0, 0.0, 0.6, 0.8) == 0.0
 
 
+def test_rank2_entanglement_clamps_z_as_rank2_state_does():
+    # z within Z_SLACK outside [0, 1] is the state at the end, so the value
+    # is the end's: never negative below 0, and the z = 1 value above 1
+    for a, b in ((0.6, 0.8), (1.0, 0.0), (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))):
+        assert rank2_entanglement(1.0 + 5e-13, 0.0, a, b) == rank2_entanglement(1.0, 0.0, a, b)
+        assert rank2_entanglement(-5e-13, 0.0, a, b) == rank2_entanglement(0.0, 0.0, a, b) == 0.0
+    assert np.array_equal(rank2_state(1.0 + 5e-13, 0.0, 0.6, 0.8), rank2_state(1.0, 0.0, 0.6, 0.8))
+
+
 def test_rank2_pure_case_matches_output_entropy():
     g = Generator(Philox(key=np.array([32, 0], dtype=np.uint64)))
     for _ in range(10):

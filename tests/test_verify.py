@@ -79,7 +79,7 @@ def test_oracle_checks_run_each_search_at_its_defaults(monkeypatch):
         return 0.0, None
 
     monkeypatch.setattr(verify, "roof_upper_bound", roof)
-    monkeypatch.setattr(fm, "brute_force_min_face", face)
+    monkeypatch.setattr(verify, "brute_force_min_face", face)
     for check in (verify.check_oracle_curve, verify.check_oracle_rank2, verify.check_face_table):
         check()
     assert calls == ["roof"] * (len(verify._CURVE_SAMPLES) + 10) + ["face"] * 31
