@@ -11,15 +11,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 input
 parse error, 141 (128 + SIGPIPE, as a shell reports a process that
 SIGPIPE ended) when the reader of standard output closed it early.
 
-Importing this module loads no numpy, and neither do ed-curve, zstar and
-min-output without --oracle: the modules that load it (the face search in
-`linesearch`, the roof search, the data layer `states` and verify) are
-imported inside the commands, and the branches, that use them.
+Importing this module loads neither numpy nor json, and ed-curve, zstar and
+min-output without --oracle load no numpy: the modules that load it (the
+face search in `linesearch`, the roof search, the data layer `states` and
+verify) are imported inside the commands, and the branches, that use them.
+Only verify --json loads json.
 """
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
@@ -128,7 +128,12 @@ def cmd_min_output(args) -> int:
     n = args.n
     try:
         closed = fm.min_face_entropy(n)
-        options = _search_options(args, "restarts", "seed") if args.oracle else {}
+        if args.oracle:
+            options = _search_options(args, "restarts", "seed")
+        else:  # the search options steer only the search
+            for name in ("restarts", "seed"):
+                if getattr(args, name) is not None:
+                    raise ValueError(f"--{name} needs --oracle")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -212,10 +217,15 @@ def cmd_verify(args) -> int:
 
     results = run_suite(args.suite)
     failed = sum(not res.passed for res in results)
-    for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        print(json.dumps(res.record()) if args.json else f"{tag}  {res.name}: {res.detail}")
-    if not args.json:
+    if args.json:
+        import json  # only verify --json writes JSON
+
+        for res in results:
+            print(json.dumps(res.record()))
+    else:
+        for res in results:
+            tag = "PASS" if res.passed else "FAIL"
+            print(f"{tag}  {res.name}: {res.detail}")
         print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 

@@ -154,10 +154,10 @@ def _starts(M, m, restarts, seed):
     inits[0] = np.eye(m, r)
     for k in range(1, restarts):
         g = stream_rng(seed, k)
-        raw = g.standard_normal((m, r))
+        inits[k] = g.standard_normal((m, r))
         if np.iscomplexobj(M):
-            raw = raw + 1j * g.standard_normal((m, r))
-        inits[k] = np.linalg.qr(raw)[0]
+            inits[k] += 1j * g.standard_normal((m, r))
+    inits[1:] = np.linalg.qr(inits[1:])[0]  # one call orthonormalizes every random start
     return inits
 
 

@@ -15,12 +15,12 @@ finder _bisect, and tangent_from_point behind the lower chord.
 
 Importing this module loads no numpy.  The array builders live in
 `curve_arrays`; curve_grid and optimal_decomposition, which the benchmark
-reads here, resolve on first access.
+reads here, resolve on first access.  The standard library's array loads
+only when z_grid builds a grid.
 """
 
 import math
 import sys
-from array import array
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -343,7 +343,7 @@ def rank2_entanglement(z: float, x: complex, a: complex, b: complex) -> float:
     return val
 
 
-def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = Z_STEP) -> array:
+def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = Z_STEP) -> "array":
     """Inclusive evaluation grid of the curve export, as an array('d'):
     z_min + z_step*k for k = 0, 1, ..., clipped to [-1/2, 1].  A step that
     asks for more points than an index can count raises ValueError.  The
@@ -359,6 +359,8 @@ def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = Z_STEP) -
     if not steps < sys.maxsize:
         raise ValueError(f"z_step = {z_step!r} is too fine for [{z_min!r}, {z_max!r}]")
     count = int(math.floor(steps)) + 1
+    from array import array
+
     try:
         zs = array("d", [0.0]) * count
     except MemoryError:  # raised without a message

@@ -209,12 +209,27 @@ def test_min_output_rejects_small_n(capsys):
         assert out == "", argv
 
 
-@pytest.mark.parametrize("option", [["--seed", "-1"], ["--seed", str(2**64)], ["--restarts", "0"]])
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--oracle", "--seed", "-1"],
+        ["--oracle", "--seed", str(2**64)],
+        ["--oracle", "--restarts", "0"],
+        # without --oracle there is no search to steer, so even a valid value is refused
+        ["--restarts", "80"],
+        ["--restarts", "-5"],
+        ["--seed", "1"],
+        ["--seed", "-1"],
+        ["--restarts", "-5", "--seed", "-1"],
+    ],
+)
 def test_min_output_oracle_rejects_bad_seed_or_restarts(capsys, option):
-    code, out, err = _run(capsys, ["min-output", "--n", "5", "--oracle", *option])
+    code, out, err = _run(capsys, ["min-output", "--n", "5", *option])
     assert code == EXIT_USAGE
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert out == ""
+    if "--oracle" not in option:
+        assert err == f"error: {option[0]} needs --oracle\n"
 
 
 def test_min_output_memory_does_not_grow_with_the_state_count(capsys):

@@ -111,9 +111,11 @@ def test_import_time_needs_only_the_standard_library_and_closed_forms(name):
 
 
 def test_closed_form_commands_load_no_numpy():
-    # import diagmap and the CLI, then run ed-curve, zstar and min-output on
-    # both sides of the bifurcation: no numpy.  The face search, min-output
-    # --oracle, loads numpy and numpy.random
+    # import diagmap and the CLI, then run zstar and min-output on both sides
+    # of the bifurcation: none of numpy, json and array.  ed-curve loads
+    # array for its grid and still no numpy or json; the face search,
+    # min-output --oracle, loads numpy and numpy.random.  Only verify --json
+    # loads json (test_verify_json_records covers its output)
     src = os.path.dirname(os.path.dirname(diagmap.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "\n".join(
@@ -121,18 +123,24 @@ def test_closed_form_commands_load_no_numpy():
             "import contextlib, io, sys",
             "import diagmap",
             "import diagmap.cli",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            "    assert diagmap.cli.main(['zstar']) == 0",
-            "    assert diagmap.cli.main(['ed-curve', '--z-step', '0.25']) == 0",
-            "    assert diagmap.cli.main(['min-output', '--n', '6']) == 0",
-            "    assert diagmap.cli.main(['min-output', '--n', '7']) == 0",
-            "    print('numpy' in sys.modules, file=sys.stderr)",
-            "    assert diagmap.cli.main(['min-output', '--n', '7', '--oracle']) == 0",
-            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)",
+            "def loaded():",
+            "    print(*(m for m in ('numpy', 'numpy.random', 'json', 'array') if m in sys.modules), sep=',')",
+            "def run(*argv):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert diagmap.cli.main(list(argv)) == 0",
+            "    loaded()",
+            "loaded()",
+            "run('zstar')",
+            "run('min-output', '--n', '6')",
+            "run('min-output', '--n', '7')",
+            "run('ed-curve', '--z-step', '0.25')",
+            "run('min-output', '--n', '7', '--oracle')",
         ]
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert (out.stderr, out.stdout) == ("False\n", "True True\n")
+    *closed_forms, oracle = out.stdout.splitlines()
+    assert closed_forms == ["", "", "", "", "array"]
+    assert {"numpy", "numpy.random"} <= set(oracle.split(","))
 
 
 @pytest.mark.parametrize(
