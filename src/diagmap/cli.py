@@ -49,9 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     units = argparse.ArgumentParser(add_help=False)
     units.add_argument("--units", choices=("nats", "bits"), default="nats")
-    search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--restarts", type=int, default=None, help="search restarts (default: the search's own)")
-    search.add_argument("--seed", type=int, default=None, help="search seed (default: the search's own)")
 
     p_curve = sub.add_parser(
         "ed-curve", parents=[units], help="emit the curve as CSV (z, epsilon, theta_min, ed, region)"
@@ -61,19 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--z-step", type=float, default=sc.Z_STEP)
     p_curve.add_argument("--out", metavar="FILE", default=None)
 
-    p_min = sub.add_parser("min-output", parents=[units, search], help="minimal output entropy on the zero-sum face")
+    p_min = sub.add_parser("min-output", parents=[units], help="minimal output entropy on the zero-sum face")
     p_min.add_argument("--n", type=int, required=True, help="Hilbert-space dimension N >= 2")
     p_min.add_argument("--oracle", action="store_true", help="also run the brute-force search")
 
     sub.add_parser("zstar", parents=[units], help="report the lower tangency point and angle transition")
 
     p_roof = sub.add_parser(
-        "roof-estimate", parents=[units, search], help="decomposition-search upper bound for a state file"
+        "roof-estimate", parents=[units], help="decomposition-search upper bound for a state file"
     )
     p_roof.add_argument("input_path", metavar="FILE")
-    p_roof.add_argument(
-        "--m", type=int, default=None, help="decomposition length (default rank^2, or rank(rank+1)/2 for a real state)"
-    )
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", nargs="?", default="all", choices=SUITE_NAMES)
@@ -83,19 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _unit_scale(units: str) -> float:
     return 1.0 / LN2 if units == "bits" else 1.0
-
-
-def _search_options(args, *names) -> dict:
-    """The search options given on the command line, restarts and seed
-    checked; an option left out is not passed, so the search's default holds."""
-    from .linesearch import check_count, check_seed
-
-    options = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    if "restarts" in options:
-        check_count("restarts", options["restarts"])
-    if "seed" in options:
-        check_seed(options["seed"])
-    return options
 
 
 def cmd_ed_curve(args) -> int:
@@ -128,12 +109,6 @@ def cmd_min_output(args) -> int:
     n = args.n
     try:
         closed = fm.min_face_entropy(n)
-        if args.oracle:
-            options = _search_options(args, "restarts", "seed")
-        else:  # the search options steer only the search
-            for name in ("restarts", "seed"):
-                if getattr(args, name) is not None:
-                    raise ValueError(f"--{name} needs --oracle")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -154,7 +129,7 @@ def cmd_min_output(args) -> int:
         if args.oracle:
             from .linesearch import brute_force_min_face
 
-            value, argmin = brute_force_min_face(n, **options)
+            value, argmin = brute_force_min_face(n)
             print(f"search minimum: {_fmt(value * scale)} {args.units}")
             print(f"gap to closed form: {_fmt((value - closed) * scale)}")
             print("argmin: (" + ", ".join(_fmt(x) for x in argmin) + ")")
@@ -190,8 +165,8 @@ def cmd_roof_estimate(args) -> int:
         return EXIT_PARSE
     scale = _unit_scale(args.units)
     try:
-        result = roof.roof_upper_bound(omega, **_search_options(args, "m", "restarts", "seed"))
-    except (ValueError, MemoryError) as exc:  # MemoryError: a state too large for its restarts' estimates
+        result = roof.roof_upper_bound(omega)
+    except (ValueError, MemoryError) as exc:  # MemoryError: a state too large for the search's dense estimates
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"upper bound: {_fmt(result.value * scale)} {args.units}")
