@@ -4,7 +4,8 @@ Closed forms for the permutation-symmetric real qutrit family and for the
 minimal output entropy on the zero-sum face in any dimension, each paired
 with an independent decomposition-search oracle.  The closed forms
 (`entropy`, `lambert`, `symmetric_curve`, `face_minimum`) load no numpy;
-the searches (`linesearch`, `roof`) and the data layer (`states`) do.
+the searches (`linesearch`, `roof`) and the data layer (`states`, which
+builds both closed forms' states as arrays) do.
 """
 
 from . import _lazy
@@ -13,7 +14,6 @@ from . import _lazy
 # when it is first read (PEP 562), so `import diagmap` loads no numpy until
 # an oracle or data name is used.
 _EXPORTS = {
-    ".curve_arrays": ("optimal_decomposition", "rank2_state"),
     ".entropy": ("eta",),
     ".face_minimum": (
         "StationaryRoots",
@@ -33,6 +33,8 @@ _EXPORTS = {
         "diagonal_channel",
         "diagonal_output_entropy",
         "minimizer_states",
+        "optimal_decomposition",
+        "rank2_state",
         "read_density_matrix",
         "symmetric_state",
         "twirl_s3",

@@ -1,12 +1,14 @@
 """Module attributes resolved on first access (PEP 562).
 
-Two modules use this: the package, whose exports include the data layer
-(`states`), the hull, the array builders and the searches, and
-`symmetric_curve`, which names the array builders curve_grid and
-optimal_decomposition of `curve_arrays`.  Importing either must load no
-numpy, so each such name is imported only when it is first read, and then
-bound into the reading module's globals: every later read is a plain
-attribute lookup and runs no import statement.
+Three modules use this: the package, whose exports include the data
+layer (`states`), the hull and the searches, and two closed forms, which
+name what perfbench reads there: `symmetric_curve` names curve_grid and
+optimal_decomposition, and `face_minimum` minimizer_states, all three
+array builders of `states`, and brute_force_min_face of `linesearch`.
+Importing any of them must load no numpy, so each such name is imported
+only when it is first read, and then bound into the reading module's
+globals: every later read is a plain attribute lookup and runs no import
+statement.
 """
 
 import importlib

@@ -161,7 +161,31 @@ def _starts(M, m, restarts, seed):
     return inits
 
 
-def _search(omega, m, restarts, seed, max_sweeps: int):
+def _decomposition_from_vectors(vectors: np.ndarray) -> Decomposition:
+    # only members of zero weight are dropped: any other, however light,
+    # carries part of the mixture and of its average entropy
+    weights = np.einsum("ij,ij->i", vectors, vectors.conj()).real
+    keep = weights > 0.0
+    return Decomposition(weights=weights[keep], states=vectors[keep] / np.sqrt(weights[keep])[:, None])
+
+
+def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = POLISH_ITERS) -> RoofResult:
+    """Upper bound on the convex roof of the diagonal output entropy.
+
+    The reported value is the weighted average output entropy of an
+    explicit decomposition, so it is a valid upper bound regardless of how
+    well the search converged or how long the decomposition grew; it is
+    deterministic given (m, restarts, seed).  A state with an imaginary part
+    above REAL_TOL is searched over complex isometries, any other as its
+    real part over real ones.  m is the starting length; with m omitted it
+    is rank^2 for a complex search and rank(rank+1)/2 for a real one, and
+    each insertion adds one member.  max_sweeps caps the engine's
+    iterations per polish, each one Armijo try; its default is
+    linesearch.POLISH_ITERS, the budget of every polish the library runs
+    (restart, insertion, pricing and face search).  A polish that hits a
+    cap is not priced: the search ends there, with capped set.
+    """
+    omega = check_density_matrix(omega)
     restarts = check_count("restarts", restarts)
     max_sweeps = check_count("max_sweeps", max_sweeps)
     seed = check_seed(seed)
@@ -202,33 +226,6 @@ def _search(omega, m, restarts, seed, max_sweeps: int):
     )
 
 
-def _decomposition_from_vectors(vectors: np.ndarray) -> Decomposition:
-    # only members of zero weight are dropped: any other, however light,
-    # carries part of the mixture and of its average entropy
-    weights = np.einsum("ij,ij->i", vectors, vectors.conj()).real
-    keep = weights > 0.0
-    return Decomposition(weights=weights[keep], states=vectors[keep] / np.sqrt(weights[keep])[:, None])
-
-
-def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = POLISH_ITERS) -> RoofResult:
-    """Upper bound on the convex roof of the diagonal output entropy.
-
-    The reported value is the weighted average output entropy of an
-    explicit decomposition, so it is a valid upper bound regardless of how
-    well the search converged or how long the decomposition grew; it is
-    deterministic given (m, restarts, seed).  A state with an imaginary part
-    above REAL_TOL is searched over complex isometries, any other as its
-    real part over real ones.  m is the starting length; with m omitted it
-    is rank^2 for a complex search and rank(rank+1)/2 for a real one, and
-    each insertion adds one member.  max_sweeps caps the engine's
-    iterations per polish, each one Armijo try; its default is
-    linesearch.POLISH_ITERS, the budget of every polish the library runs
-    (restart, insertion, pricing and face search).  A polish that hits a
-    cap is not priced: the search ends there, with capped set.
-    """
-    return _search(check_density_matrix(omega), m, restarts, seed, max_sweeps)
-
-
 def real_roof_upper_bound(
     omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = POLISH_ITERS
 ) -> RoofResult:
@@ -237,7 +234,6 @@ def real_roof_upper_bound(
     any other state.  The library calls roof_upper_bound, which searches a
     real state the same way; this one stays as the entry point of the
     benchmark's roof_curve workload until that moves too."""
-    omega = check_density_matrix(omega)
-    if not _is_real(omega):
+    if not _is_real(check_density_matrix(omega)):
         raise ValueError("real_roof_upper_bound requires a real state")
-    return _search(omega, m, restarts, seed, max_sweeps)
+    return roof_upper_bound(omega, m, restarts, seed, max_sweeps)

@@ -1,19 +1,34 @@
 """The data layer: the entropy of a spectrum, the hermitian and
 density-matrix checks with their tolerances, the diagonal (pinching)
-channel, the S3 permutation twirl onto the symmetric family, the states
-that attain the zero-sum face's minimum as arrays, decompositions into
-pure states and the state file format.  This module imports numpy; the
-scalar checks and constants it uses, and the face states' values, live in
-`entropy`, `symmetric_curve` and `face_minimum`, which load none.
+channel, the S3 permutation twirl onto the symmetric family, the states of
+both closed forms as arrays (the symmetric curve's grid, cyclic orbits,
+optimal decompositions and rank-2 states, and the states that attain the
+zero-sum face's minimum), decompositions into pure states and the state
+file format.  This module imports numpy; the scalar checks and constants
+it uses, and the values the states are built from, live in `entropy`,
+`symmetric_curve` and `face_minimum`, which load none.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .entropy import HERMITIAN_TOL, NORM_TOL, TINY, _check_dimension, eta
 from .face_minimum import _minimizers
-from .symmetric_curve import Z_MAX, Z_MIN, check_z
+from .symmetric_curve import (
+    REGION_ROOF,
+    Z_MAX,
+    Z_MIN,
+    Z_STEP,
+    _PI_3,
+    _alpha_beta,
+    _amplitudes,
+    _piece,
+    _rank2_parameters,
+    check_z,
+    z_grid,
+)
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -100,22 +115,6 @@ def twirl_s3(omega) -> float:
     return z
 
 
-def symmetric_state(z: float) -> np.ndarray:
-    """The permutation-symmetric real 3x3 state with diagonal 1/3 and
-    off-diagonal z/3."""
-    z = check_z(z)
-    m = np.full((3, 3), z / 3.0, dtype=complex)
-    np.fill_diagonal(m, 1.0 / 3.0)
-    return m
-
-
-def minimizer_states(N: int) -> list:
-    """All pure states attaining face_minimum.min_face_entropy(N), the
-    pair states or the one-vs-rest states of face_minimum._minimizers, in
-    its order, one float array each."""
-    return [np.array(v) for v in _minimizers(_check_dimension(N))]
-
-
 class Decomposition:
     """A convex mixture of pure states: sum_j weights[j] |s_j><s_j|, one
     member s_j per row of states, of the dtype it was given.  Immutable:
@@ -182,6 +181,108 @@ class Decomposition:
 # every assignment; object.__setattr__ would look each slot up by name
 _set_weights = Decomposition.weights.__set__
 _set_states = Decomposition.states.__set__
+
+
+# ---------------------------------------------------------------------------
+# The closed forms' states as arrays: the symmetric family and its curve,
+# then the face minimizers.  They follow Decomposition, which
+# optimal_decomposition's return annotation names when it is defined.
+# ---------------------------------------------------------------------------
+
+def symmetric_state(z: float) -> np.ndarray:
+    """The permutation-symmetric real 3x3 state with diagonal 1/3 and
+    off-diagonal z/3."""
+    z = check_z(z)
+    m = np.full((3, 3), z / 3.0, dtype=complex)
+    np.fill_diagonal(m, 1.0 / 3.0)
+    return m
+
+
+# _amplitudes' cos(theta -+ pi/3) at theta = 0: cos is even, so both are this double
+_COS_PI_3 = math.cos(_PI_3)
+
+
+def curve_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = Z_STEP) -> np.ndarray:
+    """Inclusive evaluation grid used by the curve export: symmetric_curve.z_grid
+    as a float64 ndarray on the same memory."""
+    return np.frombuffer(z_grid(z_min, z_max, z_step))
+
+
+# the cyclic shifts (a, b, c), (b, c, a), (c, a, b), as indices into (a, b, c)
+_SHIFTS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def _orbit(a: float, b: float, c: float) -> np.ndarray:
+    """The cyclic shifts of real amplitudes (a, b, c) as one complex array
+    that owns its data, one state per row: three states that mix to
+    symmetric_state(ab + bc + ca), or the single state when all three
+    amplitudes are equal."""
+    if a == b == c:
+        return np.array(((a, b, c),), dtype=complex)
+    return np.array((a, b, c), dtype=complex)[_SHIFTS]
+
+
+@lru_cache(maxsize=4)
+def _chord_end_orbit(z_end: float, theta: float) -> np.ndarray:
+    """The orbit of the state at (z_end, theta) that a chord mixes: the
+    theta = pi/6 orbit at -1/2 or the theta = 0 orbit at z*, 5/6 or 1.  It
+    does not depend on z, so each is built once, on first use, and is
+    read-only."""
+    orbit = _orbit(*_amplitudes(*_alpha_beta(z_end), theta))
+    orbit.flags.writeable = False
+    return orbit
+
+
+def optimal_decomposition(z: float) -> Decomposition:
+    """A decomposition of symmetric_state(z) attaining entanglement_entropy(z):
+    the cyclic orbit of each point of z's piece, sharing the point's weight.
+    Inside [z*, 5/6] it is the orbit of the theta = 0 state; on the linear
+    pieces it mixes the two chord ends' orbits (_chord_end_orbit), copied
+    into the result by one concatenation, so that no two results share
+    memory.  Only an orbit of weight 0 is left out."""
+    region, points = _piece(check_z(z))
+    if region == REGION_ROOF:
+        ((w, z_end, _, _),) = points
+        alpha, beta = _alpha_beta(z_end)
+        # the theta = 0 amplitudes (a, b, b), with no cosine to take
+        a, b = (alpha + 2.0 * beta) / 3.0, (alpha - 2.0 * beta * _COS_PI_3) / 3.0
+        states = _orbit(a, b, b)
+        w /= len(states)
+        return Decomposition(weights=[w] * len(states), states=states)
+    weights, orbits = [], []
+    for w, z_end, theta, _ in points:
+        orbit = _chord_end_orbit(z_end, theta)
+        w /= len(orbit)
+        if w > 0.0:
+            weights += [w] * len(orbit)
+            orbits.append(orbit)
+    return Decomposition(weights=weights, states=np.concatenate(orbits))
+
+
+def rank2_state(z: float, x: complex, a: complex, b: complex) -> np.ndarray:
+    """The rank-<=2 state supported on the basis vector e0 and (0, a, b).
+
+    Requires |a|^2 + |b|^2 = 1, 0 <= z <= 1 and |x|^2 <= z(1-z), which
+    together make the matrix a valid density matrix
+    (symmetric_curve._rank2_parameters checks them).
+    """
+    z, x, a, b = _rank2_parameters(z, x, a, b)
+    omega = np.array(
+        [
+            [1.0 - z, x * a, x * b],
+            [np.conj(x) * np.conj(a), z * np.conj(a) * a, z * np.conj(a) * b],
+            [np.conj(x) * np.conj(b), z * a * np.conj(b), z * np.conj(b) * b],
+        ],
+        dtype=complex,
+    )
+    return omega
+
+
+def minimizer_states(N: int) -> list:
+    """All pure states attaining face_minimum.min_face_entropy(N), the
+    pair states or the one-vs-rest states of face_minimum._minimizers, in
+    its order, one float array each."""
+    return [np.array(v) for v in _minimizers(_check_dimension(N))]
 
 
 # ---------------------------------------------------------------------------

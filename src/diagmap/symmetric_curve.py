@@ -13,10 +13,10 @@ cyclic orbit, or two mixed along a chord, attain the envelope.
 The module also holds the curve's scalar helpers: check_z, its one root
 finder _bisect, and tangent_from_point behind the lower chord.
 
-Importing this module loads no numpy.  The array builders live in
-`curve_arrays`; curve_grid and optimal_decomposition, which the benchmark
-reads here, resolve on first access.  The standard library's array loads
-only when z_grid builds a grid.
+Importing this module loads no numpy.  The array builders live in the
+data layer, `states`; curve_grid and optimal_decomposition, which the
+benchmark reads here, resolve on first access.  The standard library's
+array loads only when z_grid builds a grid.
 """
 
 import math
@@ -371,4 +371,4 @@ def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = Z_STEP) -
     return zs
 
 
-__getattr__, __dir__ = _lazy.lazy_names(globals(), {".curve_arrays": ("curve_grid", "optimal_decomposition")})
+__getattr__, __dir__ = _lazy.lazy_names(globals(), {".states": ("curve_grid", "optimal_decomposition")})

@@ -29,7 +29,6 @@ from . import face_minimum as fm
 from . import hull as hl
 from . import states as st
 from . import symmetric_curve as sc
-from .curve_arrays import optimal_decomposition, rank2_state
 from .entropy import LN2, LN3, TINY
 from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from .linesearch import brute_force_min_face, stream_rng
@@ -146,14 +145,14 @@ def check_decompositions() -> CheckResult:
     avg = []
     lengths = set()
     for z in np.linspace(sc.Z_MIN, sc.Z_MAX, n_grid):
-        dec = optimal_decomposition(float(z))
+        dec = st.optimal_decomposition(float(z))
         lengths.add(len(dec))
         recon.append(np.max(np.abs(dec.mixture() - st.symmetric_state(float(z)))))
         avg.append(abs(dec.average_output_entropy() - sc.entanglement_entropy(float(z))))
     # the grid meets lengths 3 and 6; one point on each linear piece: two
     # orbits (6 states) below z*, an orbit plus a pure state (4) above 5/6
     pieces = ((0.5 * (sc.lower_tangent_z() + sc.Z_MIN), 6), (0.95, 4))
-    misses = len({3, 6} - lengths) + sum(len(optimal_decomposition(z)) != n for z, n in pieces)
+    misses = len({3, 6} - lengths) + sum(len(st.optimal_decomposition(z)) != n for z, n in pieces)
     return CheckResult(
         f"optimal decompositions on {n_grid} grid points",
         (
@@ -338,7 +337,7 @@ def check_oracle_rank2() -> CheckResult:
         a, b = math.cos(phi), math.sin(phi)
         x = float(g.uniform(-0.95, 0.95)) * math.sqrt(z * (1.0 - z))
         closed = sc.rank2_entanglement(z, x, a, b)
-        devs.append(abs(roof_upper_bound(rank2_state(z, x, a, b)).value - closed))
+        devs.append(abs(roof_upper_bound(st.rank2_state(z, x, a, b)).value - closed))
     return CheckResult(
         f"decomposition search matches the rank-2 closed form on {n_states} states",
         (Measure("max |search - closed|", np.max(devs), 5e-15),),

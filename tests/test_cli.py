@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import diagmap
-from diagmap import cli, curve_arrays, linesearch, roof, symmetric_curve, verify
+from diagmap import cli, linesearch, roof, symmetric_curve, verify
 from diagmap.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
-from diagmap.states import read_density_matrix, symmetric_state, write_density_matrix
+from diagmap.states import curve_grid, read_density_matrix, symmetric_state, write_density_matrix
 
 LN2 = math.log(2.0)
 
@@ -97,7 +97,7 @@ def test_ed_curve_matches_fmt_reference_rows(tmp_path, capsys, argv, grid, scale
     code, out, err = _run(capsys, ["ed-curve", *argv, *(["--out", str(path)] if to_file else [])])
     assert code == EXIT_OK and err == ""
     text = path.read_text(encoding="utf-8") if to_file else out
-    want = _reference_csv(curve_arrays.curve_grid(*grid), scale)
+    want = _reference_csv(curve_grid(*grid), scale)
     assert text.splitlines() == want.splitlines()
     assert text == want
 
@@ -130,7 +130,7 @@ def test_ed_curve_records_each_grid_point_once(capsys, monkeypatch):
     monkeypatch.setattr(symmetric_curve, "curve_record", counted)
     code, out, _ = _run(capsys, ["ed-curve", "--z-step", "0.01"])
     assert code == EXIT_OK
-    assert zs == curve_arrays.curve_grid(z_step=0.01).tolist()
+    assert zs == curve_grid(z_step=0.01).tolist()
     assert len(out.splitlines()) == len(zs) + 1
 
 
@@ -314,21 +314,9 @@ def test_roof_estimate_on_symmetric_state(tmp_path, capsys):
     assert "twirl parameter z = -0.5" in out
 
 
-def test_roof_estimate_reports_how_the_search_ended(tmp_path, capsys):
-    path = tmp_path / "state.txt"
-    write_density_matrix(path, symmetric_state(-0.41))
-    code, out, _ = _run(capsys, ["roof-estimate", str(path)])
-    assert code == EXIT_OK
-    lines = [ln for ln in out.splitlines() if ln.startswith("search:")]
-    res = roof_upper_bound(read_density_matrix(path))
-    capped = "yes" if res.capped else "no"
-    assert lines == [f"search: {res.sweeps} sweeps, {res.insertions} insertions, capped: {capped}"]
-    assert res.insertions > 0
-
-
 def test_roof_estimate_without_flags_reports_the_library_default(tmp_path, capsys, monkeypatch):
     # the roof search decides its own length, budget and seed, and the
-    # report is that of roof_upper_bound(omega)
+    # report, with how the search ended, is that of roof_upper_bound(omega)
     path = tmp_path / "state.txt"
     write_density_matrix(path, symmetric_state(-0.41))
     calls = []
@@ -343,10 +331,13 @@ def test_roof_estimate_without_flags_reports_the_library_default(tmp_path, capsy
     assert calls == [{}]
     res = roof_upper_bound(read_density_matrix(path))
     capped = "yes" if res.capped else "no"
-    assert out.splitlines()[:2] == [
+    lines = out.splitlines()
+    assert lines[:2] == [
         f"upper bound: {_fmt(res.value)} nats",
         f"search: {res.sweeps} sweeps, {res.insertions} insertions, capped: {capped}",
     ]
+    assert [ln for ln in lines if ln.startswith("search:")] == lines[1:2]
+    assert res.insertions > 0
 
 
 def test_roof_estimate_on_basis_state(tmp_path, capsys):

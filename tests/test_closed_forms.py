@@ -22,11 +22,14 @@ from diagmap.symmetric_curve import curve_record, entanglement_entropy, tangent_
 PACKAGE = Path(diagmap.__file__).parent
 CLOSED_FORMS = ("_lazy", "entropy", "face_minimum", "lambert", "symmetric_curve")
 ORACLES = ("linesearch", "roof")
+# the data layer, which builds every closed form's states as arrays, the
+# sampled hull, and the entry points
+OTHERS = ("__init__", "cli", "hull", "states", "verify")
 # the lazy tables of the closed forms: the names that perfbench reads there,
 # each resolved from the module that defines it
 LAZY_TABLES = {
     "face_minimum": {".linesearch": ["brute_force_min_face"], ".states": ["minimizer_states"]},
-    "symmetric_curve": {".curve_arrays": ["curve_grid", "optimal_decomposition"]},
+    "symmetric_curve": {".states": ["curve_grid", "optimal_decomposition"]},
 }
 
 
@@ -61,6 +64,10 @@ def _lazy_table(tree):
 
 def _tree(name):
     return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def test_every_module_is_in_a_layer():
+    assert sorted(path.stem for path in PACKAGE.glob("*.py")) == sorted([*CLOSED_FORMS, *ORACLES, *OTHERS])
 
 
 @pytest.mark.parametrize("name", CLOSED_FORMS)
@@ -182,6 +189,11 @@ def test_the_benchmark_paths_still_resolve():
     # perfbench's tracer wraps a function in the module that defines it
     for module, name in defined:
         assert getattr(module, name).__module__ == module.__name__, name
+    # the curve's array builders that perfbench reads in symmetric_curve are
+    # the data layer's
+    for name in ("curve_grid", "optimal_decomposition"):
+        assert getattr(symmetric_curve, name) is getattr(states, name), name
+        assert getattr(states, name).__module__ == states.__name__, name
     grid = symmetric_curve.curve_grid()
     assert isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.size == 1501
     assert grid.tolist() == z_grid().tolist()

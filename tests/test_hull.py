@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from diagmap.curve_arrays import curve_grid
 from diagmap.hull import HullResult, SampledCurve, lower_convex_hull
+from diagmap.states import curve_grid
 from diagmap.symmetric_curve import (
     _NEWTON_GRACE,
     _bisect,

@@ -6,12 +6,12 @@ import pytest
 from numpy.random import Generator, Philox
 
 from diagmap import linesearch, roof, symmetric_curve
-from diagmap.curve_arrays import rank2_state
 from diagmap.entropy import eta
 from diagmap.roof import real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (
     _entropy_sum,
     diagonal_output_entropy,
+    rank2_state,
     symmetric_state,
     twirl_s3,
 )

@@ -7,12 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from numpy.random import Generator, Philox
 
-from diagmap import curve_arrays, symmetric_curve
-from diagmap.curve_arrays import _orbit, curve_grid, optimal_decomposition, rank2_state
+from diagmap import states, symmetric_curve
 from diagmap.entropy import NORM_TOL, TINY
 from diagmap.states import (
     Decomposition,
+    _orbit,
+    curve_grid,
     diagonal_output_entropy,
+    optimal_decomposition,
+    rank2_state,
     symmetric_state,
     twirl_s3,
 )
@@ -648,7 +651,7 @@ def test_optimal_decomposition_call_counts(monkeypatch):
         built.append(1)
         return Decomposition(*args, **kwargs)
 
-    monkeypatch.setattr(curve_arrays, "Decomposition", counted_decomposition)
+    monkeypatch.setattr(states, "Decomposition", counted_decomposition)
     zstar = lower_tangent_z()
     zs = [-0.5, -0.47, math.nextafter(zstar, -1.0), zstar, 0.0, 0.3, UPPER_KNEE, 0.9, math.nextafter(1.0, 0.0), 1.0]
     for z in zs:
