@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import diagmap
 from diagmap import cli, linesearch, roof, symmetric_curve, verify
 from diagmap.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY_FAILED, _fmt, main
 from diagmap.roof import roof_upper_bound
-from diagmap.states import curve_grid, read_density_matrix, symmetric_state, write_density_matrix
+from diagmap.states import curve_grid, symmetric_state, write_density_matrix
 
 LN2 = math.log(2.0)
 
@@ -314,30 +315,43 @@ def test_roof_estimate_on_symmetric_state(tmp_path, capsys):
     assert "twirl parameter z = -0.5" in out
 
 
+def test_roof_estimate_reports_how_the_search_ended(tmp_path, capsys):
+    # one "search:" line, right under the bound; at omega(-0.41) the
+    # default search inserts at least one point
+    path = tmp_path / "state.txt"
+    write_density_matrix(path, symmetric_state(-0.41))
+    code, out, _ = _run(capsys, ["roof-estimate", str(path)])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [ln for ln in lines if ln.startswith("search:")] == lines[1:2]
+    match = re.fullmatch(r"search: (\d+) sweeps, (\d+) insertions, capped: (yes|no)", lines[1])
+    assert match is not None
+    assert int(match.group(2)) > 0
+
+
 def test_roof_estimate_without_flags_reports_the_library_default(tmp_path, capsys, monkeypatch):
     # the roof search decides its own length, budget and seed, and the
-    # report, with how the search ended, is that of roof_upper_bound(omega)
+    # report is that of the one roof_upper_bound(omega) the CLI makes
     path = tmp_path / "state.txt"
     write_density_matrix(path, symmetric_state(-0.41))
     calls = []
+    results = []
 
     def search(omega, **kwargs):
         calls.append(kwargs)
-        return roof_upper_bound(omega, **kwargs)
+        results.append(roof_upper_bound(omega, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(roof, "roof_upper_bound", search)
     code, out, _ = _run(capsys, ["roof-estimate", str(path)])
     assert code == EXIT_OK
     assert calls == [{}]
-    res = roof_upper_bound(read_density_matrix(path))
+    (res,) = results
     capped = "yes" if res.capped else "no"
-    lines = out.splitlines()
-    assert lines[:2] == [
+    assert out.splitlines()[:2] == [
         f"upper bound: {_fmt(res.value)} nats",
         f"search: {res.sweeps} sweeps, {res.insertions} insertions, capped: {capped}",
     ]
-    assert [ln for ln in lines if ln.startswith("search:")] == lines[1:2]
-    assert res.insertions > 0
 
 
 def test_roof_estimate_on_basis_state(tmp_path, capsys):
