@@ -23,7 +23,6 @@ _EXPORTS = {
         "root_square_sum",
         "two_value_entropy",
     ),
-    ".hull": ("HullResult", "SampledCurve", "lower_convex_hull"),
     ".lambert": ("lambert_w0", "lambert_wm1"),
     ".linesearch": ("brute_force_min_face",),
     ".roof": ("RoofResult", "real_roof_upper_bound", "roof_upper_bound"),

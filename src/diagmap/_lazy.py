@@ -1,7 +1,7 @@
 """Module attributes resolved on first access (PEP 562).
 
 Three modules use this: the package, whose exports include the data
-layer (`states`), the hull and the searches, and two closed forms, which
+layer (`states`) and the searches, and two closed forms, which
 name what perfbench reads there: `symmetric_curve` names curve_grid and
 optimal_decomposition, and `face_minimum` minimizer_states, all three
 array builders of `states`, and brute_force_min_face of `linesearch`.

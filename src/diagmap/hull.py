@@ -1,7 +1,7 @@
-"""The lower convex envelope of a sampled curve, used by the curve-hull
-check and the benchmark: SampledCurve holds the samples, and
-lower_convex_hull evaluates their envelope back on the sample abscissae.
-This module imports numpy.
+"""The lower convex envelope of a sampled curve, read by the benchmark
+alone (perfbench's curve_export); no module of the package imports it.
+SampledCurve holds the samples, and lower_convex_hull evaluates their
+envelope back on the sample abscissae.  This module imports numpy.
 """
 
 from dataclasses import dataclass

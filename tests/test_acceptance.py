@@ -16,7 +16,7 @@ from diagmap import verify
 CRITERIA = {
     "02_lower_tangency": ((verify.check_lower_tangency,), 0.1),
     "03_theta_transition": ((verify.check_theta_transition,), 0.1),
-    "04_junctions": ((verify.check_junctions,), 0.1),
+    "04_junctions": ((verify.check_convex_envelope,), 0.1),
     "05_face_minimum_table": ((verify.check_face_table,), 35.0),
     "06_bifurcation": ((verify.check_bifurcation, verify.check_minimizer_states), 0.2),
     "07_lambert_machinery": ((verify.check_lambert,), 0.3),
@@ -27,7 +27,7 @@ CRITERIA = {
         ),
         25.0,
     ),
-    "09_decomposition_validity": ((verify.check_decompositions, verify.check_curve_hull_agreement), 0.25),
+    "09_decomposition_validity": ((verify.check_decompositions,), 0.25),
     "10_property_suites": (
         (
             verify.check_twirl_and_channel,

@@ -400,8 +400,8 @@ def test_roof_estimate_rejects_non_utf8_file(tmp_path, capsys):
 def test_verify_suite_passes(capsys):
     code, out, _ = _run(capsys, ["verify", "edcurve"])
     assert code == EXIT_OK
-    assert out.count("PASS  ") == 5
-    assert out.splitlines()[-1] == "5/5 checks passed"
+    assert out.count("PASS  ") == 4
+    assert out.splitlines()[-1] == "4/4 checks passed"
 
 
 def test_verify_reports_a_failing_check(capsys, monkeypatch):

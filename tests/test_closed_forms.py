@@ -23,7 +23,7 @@ PACKAGE = Path(diagmap.__file__).parent
 CLOSED_FORMS = ("_lazy", "entropy", "face_minimum", "lambert", "symmetric_curve")
 ORACLES = ("linesearch", "roof")
 # the data layer, which builds every closed form's states as arrays, the
-# sampled hull, and the entry points
+# sampled hull, which only the benchmark reads, and the entry points
 OTHERS = ("__init__", "cli", "hull", "states", "verify")
 # the lazy tables of the closed forms: the names that perfbench reads there,
 # each resolved from the module that defines it
@@ -84,6 +84,14 @@ def test_oracles_import_no_closed_form_but_entropy(name):
     # closed form that they check
     named = _imported_modules(ast.walk(_tree(name)))
     assert [m for m in named if m in CLOSED_FORMS and m != "entropy"] == []
+
+
+def test_no_module_of_the_package_imports_the_hull():
+    # the envelope check needs no sampled hull: only the benchmark reads it
+    for path in sorted(PACKAGE.glob("*.py")):
+        named = _imported_modules(ast.walk(_tree(path.stem)))  # also the imports inside functions
+        assert [m for m in named if m.removeprefix("diagmap.") == "hull"] == [], path.stem
+    assert ".hull" not in diagmap._EXPORTS
 
 
 def test_the_scalar_helpers_live_in_closed_form_modules():

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,17 +6,7 @@ from numpy.random import Generator, Philox
 
 from diagmap.hull import HullResult, SampledCurve, lower_convex_hull
 from diagmap.states import curve_grid
-from diagmap.symmetric_curve import (
-    _NEWTON_GRACE,
-    _bisect,
-    _theta0_slope,
-    curve_record,
-    tangent_from_point,
-    theta0_entropy,
-)
-
-LN2 = math.log(2.0)
-LN3 = math.log(3.0)
+from diagmap.symmetric_curve import curve_record
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -147,177 +136,6 @@ def test_sampled_curve_validation():
         SampledCurve(xs=np.array([0.0, 0.0]), ys=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         SampledCurve(xs=np.array([0.0, 1.0]), ys=np.array([1.0]))
-
-
-def test_tangent_on_parabola():
-    # from (0, -1) the tangent to x^2 touches at t = 1 (line y = 2x - 1)
-    t = tangent_from_point(lambda x: x * x, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
-    assert t == pytest.approx(1.0, abs=1e-9)
-
-
-def test_tangent_reproduces_curve_junctions():
-    t_low = tangent_from_point(theta0_entropy, -0.5, LN2, (-0.45, -0.3), df=_theta0_slope)
-    assert t_low == pytest.approx(-0.4079496711, abs=1e-6)
-    t_high = tangent_from_point(theta0_entropy, 1.0, LN3, (0.7, 0.95), df=_theta0_slope)
-    assert t_high == pytest.approx(5.0 / 6.0, abs=1e-6)
-
-
-def test_tangent_slope_consistency():
-    t = tangent_from_point(lambda x: x * x, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
-    h = 1e-6 * (1.0 + abs(t))
-    slope_curve = ((t + h) ** 2 - (t - h) ** 2) / (2.0 * h)
-    slope_line = (t * t - (-1.0)) / (t - 0.0)
-    assert slope_curve == pytest.approx(slope_line, abs=1e-6)
-
-
-def test_tangent_requires_sign_change():
-    with pytest.raises(ValueError):
-        tangent_from_point(lambda x: x * x, 0.0, -1.0, (2.0, 3.0), df=lambda x: 2.0 * x)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("slot", ["x0", "f0", "lo", "hi"])
-def test_tangent_rejects_non_finite_anchor_and_bracket(slot, bad):
-    # a NaN anywhere, or an infinite bracket end, once came back as a NaN
-    # tangency point, and lo = -inf bisected forever
-    good = {"x0": 0.0, "f0": -1.0, "lo": 0.5, "hi": 2.0}
-
-    def tangent(args):
-        return tangent_from_point(
-            lambda x: x * x, args["x0"], args["f0"], (args["lo"], args["hi"]), df=lambda x: 2.0 * x
-        )
-
-    with pytest.raises(ValueError, match="finite"):
-        tangent({**good, slot: bad})
-    # the slot's good value as a numeric string, which float() would parse
-    with pytest.raises(TypeError):
-        tangent({**good, slot: str(good[slot])})
-
-
-def test_tangent_rejects_reversed_bracket():
-    with pytest.raises(ValueError, match="lo < hi"):
-        tangent_from_point(lambda x: x * x, 0.0, -1.0, (2.0, 0.5), df=lambda x: 2.0 * x)
-
-
-def test_tangent_rejects_a_nan_tangency_condition():
-    # a function that is NaN at an end of the bracket gives no sign change
-    with pytest.raises(ValueError, match="sign change"):
-        tangent_from_point(lambda x: math.nan if x > 1.5 else x * x, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
-
-
-def test_tangent_rejects_a_nan_inside_the_bracket():
-    # a NaN of g at a midpoint once counted as a sign change, and the
-    # bisection returned 0.9000000000000001, where g = -0.38
-    def f(x):
-        return math.nan if 0.9 < x < 1.1 else x * x
-
-    with pytest.raises(ValueError, match="NaN"):
-        tangent_from_point(f, 0.0, -1.0, (0.5, 2.0), df=lambda x: 2.0 * x)
-
-
-def _counted(g):
-    """g, and the list of points it is evaluated at; past 1000 points it
-    raises, so a root finder that crawls fails instead of hanging."""
-    points = []
-
-    def counted(x):
-        points.append(x)
-        assert len(points) <= 1000
-        return g(x)
-
-    return counted, points
-
-
-def _fused(g, dg):
-    """The fused evaluation t -> (g(t), g'(t)) that _bisect takes, with the
-    derivative dg given as a function or a constant."""
-    return lambda x: (g(x), dg(x) if callable(dg) else dg)
-
-
-@pytest.mark.parametrize("root", [Fraction(1, 3), Fraction(1, 10), Fraction(-7, 9)])
-def test_bisect_returns_the_nearest_double(root):
-    # g exact up to one rounding: the root lies between adjacent doubles, and
-    # the one returned is the nearer (below 1/3 and -7/9, above 1/10), by
-    # bisection and by Newton steps alike
-    def up(x):
-        return float(Fraction(x) - root)
-
-    def down(x):
-        return float(root - Fraction(x))
-
-    for up_gdg, down_gdg in ((None, None), (_fused(up, 1.0), _fused(down, -1.0))):
-        assert _bisect(up, -1.0, 1.0, up_gdg) == float(root)
-        assert _bisect(down, -1.0, 1.0, down_gdg) == float(root)
-
-
-def test_bisect_stops_at_an_exact_zero():
-    # at an iterate, and at either end, which is returned as it is, not
-    # bisected away from
-    for g, zero in ((lambda x: x - 0.5, 0.5), (lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)):
-        assert _bisect(g, 0.0, 1.0) == zero
-        assert _bisect(g, 0.0, 1.0, _fused(g, 1.0)) == zero
-
-
-def test_newton_step_stops_at_an_exact_zero():
-    # the midpoint 1/2 misses the root; the Newton step from it lands on it.
-    # g is evaluated at the ends only, and each iterate once, by gdg
-    g, points = _counted(lambda x: x - 0.25)
-    gdg, iterates = _counted(_fused(lambda x: x - 0.25, 1.0))
-    assert _bisect(g, 0.0, 1.0, gdg) == 0.25
-    assert points == [0.0, 1.0]
-    assert iterates == [0.5, 0.25]
-
-
-def test_newton_closes_the_bracket_in_few_steps():
-    # the Newton steps converge from one side of sqrt(2); a step to the next
-    # double then closes the far end to adjacent doubles around it
-    g, points = _counted(lambda x: float(Fraction(x) ** 2 - 2))
-    assert _bisect(g, 1.0, 2.0, _fused(g, lambda x: 2.0 * x)) == math.sqrt(2.0)
-    assert len(points) <= 10
-    g, plain = _counted(lambda x: float(Fraction(x) ** 2 - 2))
-    assert _bisect(g, 1.0, 2.0) == math.sqrt(2.0)
-    assert len(plain) >= 50
-
-
-@pytest.mark.parametrize("slope", [0.0, math.nan, -1e-9], ids=["zero", "nan", "outward"])
-def test_newton_falls_back_to_bisection(slope):
-    # a zero or NaN derivative, and one whose Newton steps leave the bracket,
-    # give bisection's evaluation points exactly
-    root = Fraction(1, 3)
-    g, points = _counted(lambda x: float(Fraction(x) - root))
-    assert _bisect(g, -1.0, 1.0, _fused(g, slope)) == float(root)
-    g, plain = _counted(lambda x: float(Fraction(x) - root))
-    _bisect(g, -1.0, 1.0)
-    assert points == plain
-
-
-def test_newton_falls_behind_bisection_by_at_most_the_grace():
-    # a derivative 1e30 times too steep makes the Newton steps from the
-    # midpoint 0 crawl by 3.3e-31; bisection takes over once the bracket is
-    # wider than bisection, _NEWTON_GRACE steps behind, would have left it
-    root = Fraction(1, 3)
-    g, points = _counted(lambda x: float(Fraction(x) - root))
-    assert _bisect(g, -1.0, 1.0, _fused(g, 1e30)) == float(root)
-    g, plain = _counted(lambda x: float(Fraction(x) - root))
-    _bisect(g, -1.0, 1.0)
-    assert len(points) <= len(plain) + _NEWTON_GRACE + 1
-
-
-def test_bisect_raises_as_before_with_a_derivative():
-    for g, match in (
-        (lambda x: x + 1.0, "sign change"),
-        (lambda x: math.nan if x == 1.0 else x - 0.5, "sign change"),
-        # a NaN at the Newton iterate 0.35, reached from the midpoint 0.5
-        (lambda x: math.nan if 0.3 < x < 0.4 else x - 0.35, "NaN"),
-    ):
-        with pytest.raises(ValueError, match=match):
-            _bisect(g, 0.0, 1.0, _fused(g, 1.0))
-
-
-def test_tangent_at_an_end_of_the_bracket():
-    # g(t) = t^2 - 1 is zero at the lower end
-    assert tangent_from_point(lambda x: x * x, 0.0, -1.0, (1.0, 2.0), df=lambda x: 2.0 * x) == 1.0
-    assert tangent_from_point(lambda x: x * x, 0.0, -1.0, (0.5, 1.0), df=lambda x: 2.0 * x) == 1.0
 
 
 def test_hull_result_shape():

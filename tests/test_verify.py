@@ -17,6 +17,9 @@ from diagmap import verify
     "check, module, attr, nan_call",
     [
         ("check_decompositions", sc, "entanglement_entropy", 2),
+        ("check_convex_envelope", sc, "min_pure_output_entropy", 2),
+        # the third call is the first of the slope order on [z*, 5/6]
+        ("check_convex_envelope", sc, "_theta0_slope", 3),
         ("check_minimizer_states", st, "diagonal_output_entropy", 2),
         ("check_bifurcation", fm, "two_value_entropy", 1),
         ("check_bifurcation", fm, "two_value_entropy", 2),
@@ -30,13 +33,17 @@ from diagmap import verify
     ],
 )
 def test_check_fails_on_one_nan(monkeypatch, check, module, attr, nan_call):
+    sc.lower_tangent_z()  # cached from the true curve, so only the check reads the patch
     fn = getattr(module, attr)
     calls = []
 
     def with_nan(*args, **kwargs):
         calls.append(None)
         out = fn(*args, **kwargs)
-        return out * np.nan if len(calls) == nan_call else out
+        if len(calls) != nan_call:
+            return out
+        # min_pure_output_entropy returns (value, angle)
+        return (out[0] * np.nan, *out[1:]) if isinstance(out, tuple) else out * np.nan
 
     monkeypatch.setattr(module, attr, with_nan)
     if attr == "diagonal_channel":
@@ -117,12 +124,29 @@ def test_detail_prints_each_measurement_once():
 
 
 def test_junction_check_reads_the_tangency(monkeypatch):
-    # a chord end 1e-9 off z* keeps every junction value within its
-    # tolerance; only the slope mismatch, about 1e-9 |s''|, shows it
+    # a chord end 1e-9 off z* keeps every chord end on epsilon and E below
+    # it; only the slope mismatch, about 1e-9 |s''|, shows it
     zstar = sc.lower_tangent_z()
     sc.entanglement_entropy(0.0)  # fills the curve's cache from the true z*
     monkeypatch.setattr(sc, "lower_tangent_z", lambda: zstar + 1e-9)
-    assert not verify.check_junctions().passed
+    res = verify.check_convex_envelope()
+    assert [m.passed for m in res.measures] == [True, True, False, True]
+
+
+def test_envelope_check_sees_what_the_sampled_hull_could_not(monkeypatch):
+    # a sampled hull within 2e-6 of E sees neither a knee value 1e-13 off
+    # nor a slope that dips at one grid point, as at a concave kink
+    sc.lower_tangent_z()  # cached from the true curve
+    monkeypatch.setattr(sc, "UPPER_KNEE_VALUE", sc.UPPER_KNEE_VALUE + 1e-13)
+    knee_end = verify.check_convex_envelope().measures[1]
+    assert not knee_end.passed and knee_end.value > 9e-14
+    monkeypatch.undo()
+    # the grid's step is 1/900, so one grid point lies within 5e-4 of 0.3
+    slope = sc._theta0_slope
+    monkeypatch.setattr(sc, "_theta0_slope", lambda z: slope(z) - (1e-2 if abs(z - 0.3) < 5e-4 else 0.0))
+    res = verify.check_convex_envelope()
+    assert [m.passed for m in res.measures] == [True, True, True, False]
+    assert res.measures[3].value == 1
 
 
 def test_two_value_check_reads_the_formula(monkeypatch):
