@@ -1,11 +1,11 @@
 """Entanglement entropy of the diagonal (pinching) channel.
 
-Closed forms for the permutation-symmetric real qutrit family and for the
-minimal output entropy on the zero-sum face in any dimension, each paired
-with an independent decomposition-search oracle.  The closed forms
-(`entropy`, `lambert`, `symmetric_curve`, `face_minimum`) load no numpy;
-the searches (`linesearch`, `roof`) and the data layer (`states`, which
-builds both closed forms' states as arrays) do.
+Closed forms for the permutation-symmetric real qutrit family and, in any
+dimension, for its one-vs-rest states and the minimal output entropy on
+the zero-sum face, each paired with an independent decomposition-search
+oracle.  The closed forms (`entropy`, `lambert`, `symmetric_curve`,
+`face_minimum`) load no numpy; the searches (`linesearch`, `roof`) and the
+data layer (`states`, which builds both closed forms' states as arrays) do.
 """
 
 from . import _lazy
@@ -46,9 +46,9 @@ _EXPORTS = {
         "entanglement_entropy",
         "lower_tangent_z",
         "min_pure_output_entropy",
+        "one_vs_rest_entropy",
         "rank2_entanglement",
         "tangent_from_point",
-        "theta0_entropy",
         "theta_transition",
     ),
 }

@@ -142,7 +142,7 @@ def cmd_min_output(args) -> int:
 def cmd_zstar(args) -> int:
     scale = _unit_scale(args.units)
     zstar = sc.lower_tangent_z()
-    s_star = sc.theta0_entropy(zstar)
+    s_star = sc.one_vs_rest_entropy(zstar, 3)
     slope = (s_star - LN2) / (zstar - sc.Z_MIN)
     transition = sc.theta_transition()
     print(f"tangency point z* = {_fmt(zstar)}")

@@ -8,7 +8,10 @@ epsilon(z), whose lower convex envelope is the entanglement entropy.  The
 envelope replaces epsilon by straight chords from the left endpoint to a
 tangency point z*, and from 5/6 to the right endpoint.  The three cyclic
 shifts of real (a, b, c) mix to the member at z = ab + bc + ca, so one
-cyclic orbit, or two mixed along a chord, attain the envelope.
+cyclic orbit, or two mixed along a chord, attain the envelope.  The
+theta = 0 state is the one-vs-rest state (x, y, y): one_vs_rest_entropy(z,
+N) is its output entropy in any dimension N, where the N permutations of
+(x, y, ..., y) mix to omega_N(z) = ((1 - z) I + z J)/N, z in [-1/(N-1), 1].
 
 The module also holds the curve's scalar helpers: check_z, its one root
 finder _bisect, and tangent_from_point behind the lower chord.
@@ -21,17 +24,17 @@ array loads only when z_grid builds a grid.
 
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from . import _lazy
-from .entropy import LN2, LN3, NORM_TOL, TINY, _number, eta
+from .entropy import LN2, LN3, NORM_TOL, TINY, _check_dimension, _number, eta
 
 Z_MIN = -0.5
 Z_MAX = 1.0
 # the default step of the curve export's grid (z_grid, curve_grid, ed-curve)
 Z_STEP = 1e-3
-# how far outside its range (check_z's [Z_MIN, Z_MAX], rank2_state's
+# how far outside its range (check_z's [-1/(N-1), Z_MAX], rank2_state's
 # [0, 1]) a z is still admitted, and then clamped
 Z_SLACK = 1e-12
 
@@ -39,6 +42,7 @@ UPPER_KNEE = 5.0 / 6.0
 UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 
 TRANSITION_BRACKET = (-0.45, -0.40)
+LOWER_TANGENT_BRACKET = (-0.45, -0.30)
 
 _PI_3 = math.pi / 3.0
 
@@ -47,13 +51,14 @@ REGION_ROOF = "roof_equals_epsilon"
 REGION_UPPER_LINEAR = "upper_linear"
 
 
-def check_z(z: float) -> float:
-    """Validate the symmetric-family parameter z in [-1/2, 1]."""
+def check_z(z: float, N: int = 3) -> float:
+    """Validate z in [-1/(N-1), 1], [Z_MIN, Z_MAX] at N = 3, for a checked N."""
     z = _number(z)
-    if not Z_MIN - Z_SLACK <= z <= Z_MAX + Z_SLACK:
-        raise ValueError(f"z = {z!r} outside [-1/2, 1]")
-    # min(max(z, Z_MIN), Z_MAX) as comparisons: the builtins cost more per call
-    z = Z_MIN if Z_MIN > z else z
+    lo = -1.0 / (N - 1)
+    if not lo - Z_SLACK <= z <= Z_MAX + Z_SLACK:
+        raise ValueError(f"z = {z!r} outside [-1/{N - 1}, 1]")
+    # min(max(z, lo), Z_MAX) as comparisons: the builtins cost more per call
+    z = lo if lo > z else z
     return Z_MAX if Z_MAX < z else z
 
 
@@ -141,9 +146,9 @@ class EDCurveRecord(NamedTuple):
     region: str
 
 
-def _alpha_beta(z: float):
+def _alpha_beta(z: float, N: int = 3):
     # max(x, 0.0) as a comparison: the builtin costs more per call
-    s, d = 2.0 * z + 1.0, 1.0 - z
+    s, d = (N - 1) * z + 1.0, 1.0 - z
     return math.sqrt(0.0 if 0.0 > s else s), math.sqrt(0.0 if 0.0 > d else d)
 
 
@@ -154,25 +159,29 @@ def _amplitudes(alpha: float, beta: float, theta: float):
     return a, b, c
 
 
-def theta0_entropy(z: float) -> float:
-    """Diagonal output entropy of the theta = 0 state:
-    2*eta((alpha-beta)^2/9) + eta((alpha+2*beta)^2/9)."""
-    return _theta0_entropy(*_alpha_beta(check_z(z)))
+def one_vs_rest_entropy(z: float, N: int) -> float:
+    """Output entropy of the one-vs-rest state of omega_N(z), z in [-1/(N-1), 1]:
+    x = (alpha + (N-1) beta)/N once and y = (alpha - beta)/N N-1 times, with
+    alpha = sqrt(1 + (N-1) z) and beta = sqrt(1 - z).  For z >= 0 it is
+    Terhal and Vollbrecht's isotropic-state minimizer (PRL 85, 2625 (2000))."""
+    N = _check_dimension(N)
+    return _one_vs_rest_entropy(*_alpha_beta(check_z(z, N), N), N)
 
 
-def _theta0_entropy(alpha: float, beta: float) -> float:
-    return 2.0 * eta((alpha - beta) ** 2 / 9.0) + eta((alpha + 2.0 * beta) ** 2 / 9.0)
+def _one_vs_rest_entropy(alpha: float, beta: float, N: int) -> float:
+    # squares over N^2: the squares of x and y themselves round differently
+    return (N - 1) * eta((alpha - beta) ** 2 / N**2) + eta((alpha + (N - 1) * beta) ** 2 / N**2)
 
 
-def _theta0_slope(z: float) -> float:
-    """d theta0_entropy / dz for z in (-1/2, 1) other than 0.  With
-    u = (alpha-beta)^2/9 and v = (alpha+2 beta)^2/9, 2u + v = 1, so the
-    slope is 2 u' log(v/u) with u' = 2 (alpha-beta)(1/alpha + 1/(2 beta))/9."""
-    alpha, beta = _alpha_beta(z)
-    u = (alpha - beta) ** 2 / 9.0
-    v = (alpha + 2.0 * beta) ** 2 / 9.0
-    du = 2.0 * (alpha - beta) * (1.0 / alpha + 0.5 / beta) / 9.0
-    return 2.0 * du * math.log(v / u)
+def _one_vs_rest_slope(z: float, N: int) -> float:
+    """d one_vs_rest_entropy / dz for z in (-1/(N-1), 1) other than 0: with
+    u = (alpha-beta)^2/N^2 and v = (alpha+(N-1) beta)^2/N^2, (N-1) u + v = 1,
+    so it is (N-1) u' log(v/u), u' = 2 (alpha-beta)((N-1)/(2 alpha) + 1/(2 beta))/N^2."""
+    alpha, beta = _alpha_beta(z, N)
+    u = (alpha - beta) ** 2 / N**2
+    v = (alpha + (N - 1) * beta) ** 2 / N**2
+    du = 2.0 * (alpha - beta) * (0.5 * (N - 1) / alpha + 0.5 / beta) / N**2
+    return (N - 1) * du * math.log(v / u)
 
 
 def _output_entropy(alpha: float, beta: float, theta: float) -> float:
@@ -218,7 +227,7 @@ def min_pure_output_entropy(z: float):
 
     theta = 0 is stationary, and it is the minimum wherever the
     theta-curvature there (_theta0_curvature) is not negative: above
-    theta_transition, where the value is theta0_entropy(z).  Below it,
+    theta_transition, where the value is one_vs_rest_entropy(z, 3).  Below it,
     theta_min is the one sign change of the slope on (0, pi/3), found by
     _bisect's Newton steps on [0, pi/4], each from one evaluation of
     _theta_derivatives.  At z = -1/2 it is pi/6 exactly, where the
@@ -237,7 +246,7 @@ def _min_output_entropy(alpha: float, beta: float):
         return LN2, math.pi / 6.0
     k = _theta0_curvature(alpha, beta)
     if not k < 0.0:
-        return _theta0_entropy(alpha, beta), 0.0
+        return _one_vs_rest_entropy(alpha, beta, 3), 0.0
     theta = _bisect(
         lambda t: k if t == 0.0 else _theta_derivatives(alpha, beta, t)[0],
         0.0,
@@ -272,15 +281,16 @@ def theta_transition() -> float:
 @lru_cache(maxsize=1)
 def lower_tangent_z() -> float:
     """Tangency abscissa z* of the chord anchored at (-1/2, log 2) against
-    the theta = 0 entropy curve."""
-    return tangent_from_point(theta0_entropy, Z_MIN, LN2, (-0.45, -0.30), df=_theta0_slope)
+    the theta = 0 entropy curve, one_vs_rest_entropy at N = 3."""
+    f, df = partial(one_vs_rest_entropy, N=3), partial(_one_vs_rest_slope, N=3)
+    return tangent_from_point(f, Z_MIN, LN2, LOWER_TANGENT_BRACKET, df=df)
 
 
 def _piece(z: float):
     """The curve's piece at a checked z as (region, points): it mixes the
     orbits of the states at (z_end, theta) of its points (weight, z_end,
     theta, value), with weights summing to 1 and output entropies value.
-    A value None is theta0_entropy(z_end), left to _envelope, so that
+    A value None is one_vs_rest_entropy(z_end, 3), left to _envelope, so that
     optimal_decomposition does not evaluate it."""
     zstar = lower_tangent_z()
     if z < zstar:
@@ -294,7 +304,7 @@ def _piece(z: float):
 
 def _envelope(points) -> float:
     """The weighted output entropy of a piece's points."""
-    return sum(w * (_theta0_entropy(*_alpha_beta(z_end)) if v is None else v) for w, z_end, _, v in points)
+    return sum(w * (_one_vs_rest_entropy(*_alpha_beta(z_end), 3) if v is None else v) for w, z_end, _, v in points)
 
 
 def entanglement_entropy(z: float) -> float:
@@ -312,7 +322,7 @@ def curve_record(z: float) -> EDCurveRecord:
     alpha, beta = _alpha_beta(z)
     region, points = _piece(z)
     if region == REGION_ROOF:
-        value = _theta0_entropy(alpha, beta)
+        value = _one_vs_rest_entropy(alpha, beta, 3)
         return EDCurveRecord(z, value, 0.0, value, region)
     return EDCurveRecord(z, *_min_output_entropy(alpha, beta), _envelope(points), region)
 

@@ -107,7 +107,7 @@ def check_lower_tangency() -> CheckResult:
         "lower tangency point",
         (
             Measure("|z* - ref|", abs(zstar - float(ZSTAR_REF)), 1e-15),
-            Measure("|s(z*) - ref|", abs(sc.theta0_entropy(zstar) - float(S_ZSTAR_REF)), 1e-15),
+            Measure("|s(z*) - ref|", abs(sc.one_vs_rest_entropy(zstar, 3) - float(S_ZSTAR_REF)), 1e-15),
         ),
     )
 
@@ -137,10 +137,10 @@ def check_convex_envelope() -> CheckResult:
     ends = [abs(v - sc.min_pure_output_entropy(z)[0]) for chord in chords for z, v in chord]
     # the chords meet the curve at z* and 5/6
     slopes = [(y1 - y0) / (z1 - z0) for (z0, y0), (z1, y1) in chords]
-    tangency = [abs(m - sc._theta0_slope(z)) for m, z in zip(slopes, (zstar, knee))]
+    tangency = [abs(m - sc._one_vs_rest_slope(z, 3)) for m, z in zip(slopes, (zstar, knee))]
     # the slope formula is 0 log 0 at z = 0, where the slope passes through
     # 0; between neighbours it rises by 2.0e-4 at least, far above rise
-    curve_slopes = [sc._theta0_slope(z) for z in zs if zstar <= z <= knee and z != 0.0]
+    curve_slopes = [sc._one_vs_rest_slope(z, 3) for z in zs if zstar <= z <= knee and z != 0.0]
     rise = 1e-6
     slow = np.count_nonzero(~(np.diff(curve_slopes) > rise))  # a NaN counts
     return CheckResult(

@@ -17,7 +17,7 @@ import pytest
 import diagmap
 from diagmap import cli, entropy, face_minimum, hull, roof, states, symmetric_curve
 from diagmap.cli import EXIT_OK, EXIT_USAGE, main
-from diagmap.symmetric_curve import curve_record, entanglement_entropy, tangent_from_point, z_grid
+from diagmap.symmetric_curve import curve_record, entanglement_entropy, one_vs_rest_entropy, tangent_from_point, z_grid
 
 PACKAGE = Path(diagmap.__file__).parent
 CLOSED_FORMS = ("_lazy", "entropy", "face_minimum", "lambert", "symmetric_curve")
@@ -231,6 +231,7 @@ def _parabola_tangent(x0=0.0, f0=-1.0, lo=0.0, hi=3.0):
 CLOSED_FORM_CALLS = {
     "curve_record": curve_record,
     "entanglement_entropy": entanglement_entropy,
+    "one_vs_rest_entropy": lambda v: one_vs_rest_entropy(v, 4),
     "tangent_from_point x0": lambda v: _parabola_tangent(x0=v),
     "tangent_from_point f0": lambda v: _parabola_tangent(f0=v),
     "tangent_from_point lo": lambda v: _parabola_tangent(lo=v),
@@ -251,6 +252,8 @@ def test_closed_forms_refuse_what_is_not_a_finite_real(call, bad, error):
 GOOD_NUMBERS = {
     "curve_record": (curve_record, [(np.float64(0.3), 0.3), (0, 0.0)]),
     "entanglement_entropy": (entanglement_entropy, [(np.float64(0.3), 0.3), (1, 1.0)]),
+    "one_vs_rest_entropy": (lambda v: one_vs_rest_entropy(v, 4), [(np.float64(-0.3), -0.3), (1, 1.0)]),
+    "one_vs_rest_entropy N": (lambda v: one_vs_rest_entropy(-0.3, v), [(np.int64(4), 4)]),
     "tangent_from_point x0": (lambda v: _parabola_tangent(x0=v), [(np.float64(0.0), 0.0), (0, 0.0)]),
     "tangent_from_point f0": (lambda v: _parabola_tangent(f0=v), [(np.float64(-1.0), -1.0), (-1, -1.0)]),
     "tangent_from_point hi": (lambda v: _parabola_tangent(hi=v), [(np.float64(3.0), 3.0), (3, 3.0)]),
@@ -262,6 +265,13 @@ GOOD_NUMBERS = {
 def test_closed_forms_accept_numpy_floats_and_ints(call, pairs):
     for value, as_float in pairs:
         assert call(value) == call(as_float), value
+
+
+def test_one_vs_rest_entropy_refuses_z_outside_its_range_and_n_below_2():
+    over = 2.0 * symmetric_curve.Z_SLACK  # beyond the slack admitted outside [-1/(N - 1), 1]
+    for z, N in ((-1.0 / 3.0 - over, 4), (1.0 + over, 2), (0.0, 1), (0.0, -4)):
+        with pytest.raises(ValueError):
+            one_vs_rest_entropy(z, N)
 
 
 @pytest.mark.parametrize("option", ["--z-min", "--z-max", "--z-step"])

@@ -2,6 +2,7 @@
 mpmath at 40 significant digits."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -13,10 +14,10 @@ from diagmap.face_minimum import min_face_entropy, two_value_entropy
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from diagmap.symmetric_curve import (
     UPPER_KNEE_VALUE,
-    _theta0_slope,
+    _one_vs_rest_slope,
     lower_tangent_z,
     min_pure_output_entropy,
-    theta0_entropy,
+    one_vs_rest_entropy,
     theta_transition,
 )
 from diagmap.verify import ONE_VS_REST_7_REF, S_ZSTAR_REF, THETA_TRANSITION_REF, ZSTAR_REF
@@ -86,27 +87,23 @@ def test_face_closed_forms_at_large_n_against_mpmath(n):
     assert _relative_error(two_value_entropy(n, n - 1), ref) <= 1e-15
 
 
-def _theta0_entropy(z):
-    alpha = mpmath.sqrt(2 * z + 1)
-    beta = mpmath.sqrt(1 - z)
-
-    def eta(x):
-        return -x * mpmath.log(x)
-
-    return 2 * eta((alpha - beta) ** 2 / 9) + eta((alpha + 2 * beta) ** 2 / 9)
+def _one_vs_rest_entropy(z, N=3):
+    alpha, beta = mpmath.sqrt(1 + (N - 1) * z), mpmath.sqrt(1 - z)
+    u, v = (alpha - beta) ** 2 / N**2, (alpha + (N - 1) * beta) ** 2 / N**2
+    return -(N - 1) * u * mpmath.log(u) - v * mpmath.log(v)
 
 
 def test_zstar_reference_value():
     # tangency: s'(t) (t + 1/2) = s(t) - log 2
     def g(t):
-        return mpmath.diff(_theta0_entropy, t) * (t + mpmath.mpf(1) / 2) - (_theta0_entropy(t) - mpmath.log(2))
+        return mpmath.diff(_one_vs_rest_entropy, t) * (t + 0.5) - (_one_vs_rest_entropy(t) - mpmath.log(2))
 
     zstar = mpmath.findroot(g, mpmath.mpf(ZSTAR_REF))
     assert abs(zstar - mpmath.mpf(ZSTAR_REF)) < REF_TOL
 
 
 def test_lower_tangent_z_against_mpmath():
-    # the analytic slope of theta0_entropy puts z* within 2.6e-17 of the
+    # the analytic slope of the theta = 0 entropy puts z* within 2.6e-17 of the
     # reference (central differences left it 1.03e-11 off)
     assert abs(mpmath.mpf(lower_tangent_z()) - mpmath.mpf(ZSTAR_REF)) <= 1e-16
 
@@ -114,9 +111,9 @@ def test_lower_tangent_z_against_mpmath():
 def test_curve_value_at_zstar_reference():
     # ZSTAR_REF is 3.7e-22 from z* and s' = -2.42 there, so with the 2.7e-21
     # rounding of S_ZSTAR_REF the two differ by 3.6e-21
-    assert abs(_theta0_entropy(mpmath.mpf(ZSTAR_REF)) - mpmath.mpf(S_ZSTAR_REF)) < REF_TOL
+    assert abs(_one_vs_rest_entropy(mpmath.mpf(ZSTAR_REF)) - mpmath.mpf(S_ZSTAR_REF)) < REF_TOL
     # measured 1.8e-16
-    assert abs(mpmath.mpf(theta0_entropy(lower_tangent_z())) - mpmath.mpf(S_ZSTAR_REF)) <= 5e-16
+    assert abs(mpmath.mpf(one_vs_rest_entropy(lower_tangent_z(), 3)) - mpmath.mpf(S_ZSTAR_REF)) <= 5e-16
 
 
 def test_knee_value_reference():
@@ -128,9 +125,11 @@ def test_one_vs_rest_7_reference():
     assert abs(mpmath.log(7) - mpmath.mpf(5) / 7 * mpmath.log(6) - mpmath.mpf(ONE_VS_REST_7_REF)) < REF_TOL
 
 
-def test_theta0_slope_against_mpmath():
-    zs = [float(z) for z in np.linspace(-0.49, 0.99, 149) if abs(z) > 1e-3]
-    worst = max(_relative_error(_theta0_slope(z), mpmath.diff(_theta0_entropy, mpmath.mpf(z))) for z in zs)
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_theta0_slope_against_mpmath(N):
+    zs = [float(z) for z in np.linspace(0.01 - 1.0 / (N - 1), 0.99, 149) if abs(z) > 1e-3]
+    s = partial(_one_vs_rest_entropy, N=N)
+    worst = max(_relative_error(_one_vs_rest_slope(z, N), mpmath.diff(s, mpmath.mpf(z))) for z in zs)
     assert worst <= 1e-12
 
 
@@ -142,7 +141,7 @@ def test_theta0_epsilon_against_mpmath():
     for z in np.linspace(-0.5, 1.0, 20001).tolist():
         value, theta = min_pure_output_entropy(z)
         if theta == 0.0:
-            worst = max(worst, abs(mpmath.mpf(value) - _theta0_entropy(mpmath.mpf(z))))
+            worst = max(worst, abs(mpmath.mpf(value) - _one_vs_rest_entropy(mpmath.mpf(z))))
     assert worst <= 5e-16
 
 

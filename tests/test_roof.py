@@ -1,12 +1,12 @@
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
 from diagmap import linesearch, roof, symmetric_curve
-from diagmap.entropy import eta
 from diagmap.roof import real_roof_upper_bound, roof_upper_bound
 from diagmap.states import (
     _entropy_sum,
@@ -16,11 +16,12 @@ from diagmap.states import (
     twirl_s3,
 )
 from diagmap.symmetric_curve import (
+    _one_vs_rest_slope,
     entanglement_entropy,
     lower_tangent_z,
+    one_vs_rest_entropy,
     rank2_entanglement,
     tangent_from_point,
-    theta0_entropy,
 )
 
 LN2 = math.log(2.0)
@@ -98,7 +99,7 @@ def test_roof_left_edge_reaches_log2():
 
 def test_roof_interior_matches_theta0_entropy():
     res = roof_upper_bound(symmetric_state(0.5), m=3, restarts=30, seed=0)
-    assert res.value == pytest.approx(theta0_entropy(0.5), abs=1e-15)  # reads 1.1e-16
+    assert res.value == pytest.approx(one_vs_rest_entropy(0.5, 3), abs=1e-15)  # reads 1.1e-16
 
 
 def test_roof_maximally_mixed_is_flat():
@@ -508,38 +509,6 @@ def test_pricing_needs_the_pair_states(monkeypatch):
     assert roof._price(T, M)[0] > -1e-7
 
 
-def _one_vs_rest(N, z):
-    """The amplitudes (x, y) of the one-vs-rest member (x, y, ..., y) of
-    omega_N(z) = ((1 - z) I + z J)/N, and their z-slopes."""
-    alpha, beta = math.sqrt(1.0 + (N - 1) * z), math.sqrt(1.0 - z)
-    dalpha, dbeta = (N - 1) / (2.0 * alpha), -1.0 / (2.0 * beta)
-    return (
-        (alpha + (N - 1) * beta) / N,
-        (alpha - beta) / N,
-        (dalpha + (N - 1) * dbeta) / N,
-        (dalpha - dbeta) / N,
-    )
-
-
-def _sn_chord_entropy(N, z, bracket):
-    """E of omega_N(z) on its lower chord: the line from (-1/(N - 1), log 2),
-    the pair states, tangent to the one-vs-rest entropy
-    eta(x^2) + (N - 1) eta(y^2)."""
-
-    def entropy(t):
-        x, y, _, _ = _one_vs_rest(N, t)
-        return eta(x * x) + (N - 1) * eta(y * y)
-
-    def slope(t):
-        # x^2 + (N - 1) y^2 = 1, so the -1 of each eta' cancels
-        x, y, dx, dy = _one_vs_rest(N, t)
-        return -2.0 * x * dx * math.log(x * x) - 2.0 * (N - 1) * y * dy * math.log(y * y)
-
-    z0 = -1.0 / (N - 1)
-    zstar = tangent_from_point(entropy, z0, LN2, bracket, df=slope)
-    return LN2 + (entropy(zstar) - LN2) * (z - z0) / (zstar - z0), zstar
-
-
 @pytest.mark.parametrize(
     "N, z, bracket, zstar",
     [
@@ -555,10 +524,13 @@ def _sn_chord_entropy(N, z, bracket):
     ],
 )
 def test_search_reaches_the_sn_lower_chord(N, z, bracket, zstar):
-    # the chord's decomposition needs the pair states (e_i - e_j)/sqrt(2),
+    # E on the lower chord from (-1/(N - 1), log 2), tangent to the one-vs-rest
+    # entropy.  Its decomposition needs the pair states (e_i - e_j)/sqrt(2),
     # which the polish misses and the pricing finds from its pair-state starts
-    expected, t = _sn_chord_entropy(N, z, bracket)
+    z0 = -1.0 / (N - 1)
+    t = tangent_from_point(partial(one_vs_rest_entropy, N=N), z0, LN2, bracket, df=partial(_one_vs_rest_slope, N=N))
     assert t == pytest.approx(zstar, abs=1e-6)
+    expected = LN2 + (one_vs_rest_entropy(t, N) - LN2) * (z - z0) / (t - z0)
     omega = ((1.0 - z) * np.eye(N) + z * np.ones((N, N))) / N
     value = roof_upper_bound(omega).value
     assert abs(value - expected) <= 1e-12

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from numpy.random import Generator, Philox
 
-from diagmap import states, symmetric_curve
-from diagmap.entropy import NORM_TOL, TINY
+from diagmap import face_minimum, states, symmetric_curve
+from diagmap.entropy import NORM_TOL, TINY, eta
 from diagmap.states import (
     Decomposition,
     _orbit,
@@ -21,6 +22,7 @@ from diagmap.states import (
     twirl_s3,
 )
 from diagmap.symmetric_curve import (
+    LOWER_TANGENT_BRACKET,
     REGION_LOWER_LINEAR,
     REGION_ROOF,
     REGION_UPPER_LINEAR,
@@ -32,19 +34,19 @@ from diagmap.symmetric_curve import (
     _alpha_beta,
     _amplitudes,
     _bisect,
+    _one_vs_rest_slope,
     _output_entropy,
     _piece,
     _theta0_curvature,
-    _theta0_slope,
     _theta_derivatives,
     check_z,
     curve_record,
     entanglement_entropy,
     lower_tangent_z,
     min_pure_output_entropy,
+    one_vs_rest_entropy,
     rank2_entanglement,
     tangent_from_point,
-    theta0_entropy,
     theta_transition,
 )
 
@@ -95,7 +97,7 @@ def test_abc_constraints_hold_everywhere():
         symmetric_state,
         optimal_decomposition,
         min_pure_output_entropy,
-        lambda text: theta0_entropy(text),
+        lambda text: one_vs_rest_entropy(text, 3),
         lambda text: rank2_state(text, 0.1, 1.0, 0.0),
         lambda text: rank2_state(0.5, text, 1.0, 0.0),
         lambda text: rank2_state(0.5, 0.1, text, 0.0),
@@ -114,10 +116,29 @@ def test_curve_layer_rejects_text_input(call, text):
 # ---------------------------------------------------------------------------
 
 def test_theta0_entropy_values():
-    assert theta0_entropy(1.0) == pytest.approx(LN3, abs=1e-15)
-    assert theta0_entropy(0.0) == 0.0
-    assert theta0_entropy(lower_tangent_z()) == pytest.approx(0.470016, abs=1e-5)
-    assert theta0_entropy(UPPER_KNEE) == pytest.approx(LN3 - LN2 / 3.0, abs=1e-14)
+    assert one_vs_rest_entropy(1.0, 3) == pytest.approx(LN3, abs=1e-15)
+    assert one_vs_rest_entropy(0.0, 3) == 0.0
+    assert one_vs_rest_entropy(UPPER_KNEE, 3) == pytest.approx(LN3 - LN2 / 3.0, abs=1e-14)
+
+
+def test_one_vs_rest_entropy_against_published_forms():
+    # Terhal and Vollbrecht's isotropic-state minimizer for z >= 0 (PRL 85,
+    # 2625 (2000)): h(gamma) + (1 - gamma) log(N - 1) with F = (1 + (N - 1) z)/N
+    # and sqrt(gamma) = (sqrt(F) + sqrt((N - 1)(1 - F)))/sqrt(N).  1 - gamma is
+    # taken apart: 1.0 - gamma cancels next to z = 0, 1.3e-14 off at N = 22
+    worst = 0.0
+    for N, z in itertools.product(range(3, 33), np.linspace(0.0, 1.0, 201).tolist()):
+        F = (1.0 + (N - 1) * z) / N
+        gamma = (math.sqrt(F) + math.sqrt((N - 1) * (1.0 - F))) ** 2 / N
+        rest = (math.sqrt((N - 1) * F) - math.sqrt(1.0 - F)) ** 2 / N
+        worst = max(worst, abs(one_vs_rest_entropy(z, N) - eta(gamma) - eta(rest) - rest * math.log(N - 1)))
+    assert worst <= 1e-14  # reads 1.8e-15
+    # at z = -1/(N - 1), the face's one-vs-rest stationary state; reads 3.3e-16
+    face = [one_vs_rest_entropy(-1.0 / (N - 1), N) - face_minimum.two_value_entropy(N, 1) for N in range(3, 33)]
+    assert max(map(abs, face)) <= 1e-15
+    # at N = 2, the qubit coherence of formation h((1 + sqrt(1 - z^2))/2); reads 1.1e-15
+    ps = [(z, (1.0 + math.sqrt(1.0 - z * z)) / 2.0) for z in np.linspace(-1.0, 1.0, 2001).tolist()]
+    assert max(abs(one_vs_rest_entropy(z, 2) - eta(p) - eta(1.0 - p)) for z, p in ps) <= 2e-15
 
 
 def test_min_entropy_examples():
@@ -145,12 +166,6 @@ def test_min_entropy_agrees_with_direct_scan():
         p = amps * amps
         best = np.min(-np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=0))
         assert value <= best + 1e-15
-
-
-def test_min_entropy_matches_theta0_on_roof_region():
-    zs = np.linspace(lower_tangent_z(), UPPER_KNEE, 40)
-    for z in zs:
-        assert min_pure_output_entropy(float(z)) == (theta0_entropy(float(z)), 0.0)
 
 
 def test_theta_transition_location():
@@ -288,16 +303,6 @@ def test_theta0_curvature_keeps_its_sign_next_to_z_equal_1():
 # tangency point and the piecewise curve
 # ---------------------------------------------------------------------------
 
-def test_lower_tangent_z_value():
-    zstar = lower_tangent_z()
-    assert zstar == pytest.approx(-0.4079496711, abs=1e-6)
-    # the chord through (-1/2, log 2) is tangent: slopes agree at z*
-    h = 1e-6 * (1.0 + abs(zstar))
-    slope_curve = (theta0_entropy(zstar + h) - theta0_entropy(zstar - h)) / (2.0 * h)
-    slope_chord = (theta0_entropy(zstar) - LN2) / (zstar + 0.5)
-    assert slope_curve == pytest.approx(slope_chord, abs=1e-5)
-
-
 def test_entanglement_entropy_anchors():
     # exact: 1.0 * LN2 + 0.0 * s(z*), 2 eta(0) + eta(1) and 0.0 * knee + 1.0 * LN3
     assert entanglement_entropy(-0.5) == LN2
@@ -372,10 +377,11 @@ def test_theta0_curvature_is_positive_on_the_roof():
 def test_roof_record_is_one_theta0_entropy(monkeypatch):
     zs = _roof_zs()
     records = np.array([(r.epsilon, r.theta_min, r.ed) for r in map(curve_record, zs)])
-    values = np.array([min_pure_output_entropy(z)[0] for z in zs])
+    values = np.array([one_vs_rest_entropy(z, 3) for z in zs])
     assert {curve_record(z).region for z in zs} == {REGION_ROOF}
     assert records[:, 0].tobytes() == records[:, 2].tobytes() == values.tobytes()
     assert records[:, 1].tobytes() == np.zeros(len(zs)).tobytes()
+    assert all(min_pure_output_entropy(z) == (v, 0.0) for z, v in zip(zs, values.tolist()))
     # one theta = 0 entropy per record, and no curvature
     calls = []
 
@@ -383,12 +389,12 @@ def test_roof_record_is_one_theta0_entropy(monkeypatch):
         f = getattr(symmetric_curve, name)
         return lambda *ab: calls.append(name) or f(*ab)
 
-    for name in ("_theta0_entropy", "_theta0_curvature"):
+    for name in ("_one_vs_rest_entropy", "_theta0_curvature"):
         monkeypatch.setattr(symmetric_curve, name, counted(name))
     for z in (lower_tangent_z(), 0.0, 0.3, UPPER_KNEE):
         calls.clear()
         curve_record(z)
-        assert calls == ["_theta0_entropy"]
+        assert calls == ["_one_vs_rest_entropy"]
 
 
 def test_curve_record_checks_z_and_takes_alpha_beta_once(monkeypatch):
@@ -885,9 +891,11 @@ def test_tangent_on_parabola():
 
 
 def test_tangent_reproduces_curve_junctions():
-    t_low = tangent_from_point(theta0_entropy, -0.5, LN2, (-0.45, -0.3), df=_theta0_slope)
-    assert t_low == pytest.approx(-0.4079496711, abs=1e-6)
-    t_high = tangent_from_point(theta0_entropy, 1.0, LN3, (0.7, 0.95), df=_theta0_slope)
+    s, ds = partial(one_vs_rest_entropy, N=3), partial(_one_vs_rest_slope, N=3)
+    t_low = tangent_from_point(s, -0.5, LN2, LOWER_TANGENT_BRACKET, df=ds)
+    assert t_low == lower_tangent_z() == pytest.approx(-0.4079496711, abs=1e-6)
+    assert ds(t_low) == pytest.approx((s(t_low) - LN2) / (t_low + 0.5), abs=1e-14)
+    t_high = tangent_from_point(s, 1.0, LN3, (0.7, 0.95), df=ds)
     assert t_high == pytest.approx(5.0 / 6.0, abs=1e-6)
 
 

@@ -19,7 +19,7 @@ from diagmap import verify
         ("check_decompositions", sc, "entanglement_entropy", 2),
         ("check_convex_envelope", sc, "min_pure_output_entropy", 2),
         # the third call is the first of the slope order on [z*, 5/6]
-        ("check_convex_envelope", sc, "_theta0_slope", 3),
+        ("check_convex_envelope", sc, "_one_vs_rest_slope", 3),
         ("check_minimizer_states", st, "diagonal_output_entropy", 2),
         ("check_bifurcation", fm, "two_value_entropy", 1),
         ("check_bifurcation", fm, "two_value_entropy", 2),
@@ -142,8 +142,8 @@ def test_envelope_check_sees_what_the_sampled_hull_could_not(monkeypatch):
     assert not knee_end.passed and knee_end.value > 9e-14
     monkeypatch.undo()
     # the grid's step is 1/900, so one grid point lies within 5e-4 of 0.3
-    slope = sc._theta0_slope
-    monkeypatch.setattr(sc, "_theta0_slope", lambda z: slope(z) - (1e-2 if abs(z - 0.3) < 5e-4 else 0.0))
+    slope = sc._one_vs_rest_slope
+    monkeypatch.setattr(sc, "_one_vs_rest_slope", lambda z, N: slope(z, N) - (1e-2 if abs(z - 0.3) < 5e-4 else 0.0))
     res = verify.check_convex_envelope()
     assert [m.passed for m in res.measures] == [True, True, True, False]
     assert res.measures[3].value == 1
