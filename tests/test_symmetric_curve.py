@@ -168,6 +168,11 @@ def test_min_entropy_agrees_with_direct_scan():
         assert value <= best + 1e-15
 
 
+def test_min_entropy_matches_theta0_on_roof_region():
+    for z in _roof_zs():
+        assert min_pure_output_entropy(z) == (one_vs_rest_entropy(z, 3), 0.0)
+
+
 def test_theta_transition_location():
     zt = theta_transition()
     assert zt == pytest.approx(-0.4150234, abs=1e-4)
@@ -303,6 +308,15 @@ def test_theta0_curvature_keeps_its_sign_next_to_z_equal_1():
 # tangency point and the piecewise curve
 # ---------------------------------------------------------------------------
 
+def test_lower_tangent_z_value():
+    zstar = lower_tangent_z()
+    assert zstar == pytest.approx(-0.4079496711, abs=1e-6)
+    assert one_vs_rest_entropy(zstar, 3) == pytest.approx(0.470016, abs=1e-5)
+    # the chord through (-1/2, log 2) is tangent: slopes agree at z*
+    slope_chord = (one_vs_rest_entropy(zstar, 3) - LN2) / (zstar + 0.5)
+    assert _one_vs_rest_slope(zstar, 3) == pytest.approx(slope_chord, abs=1e-14)
+
+
 def test_entanglement_entropy_anchors():
     # exact: 1.0 * LN2 + 0.0 * s(z*), 2 eta(0) + eta(1) and 0.0 * knee + 1.0 * LN3
     assert entanglement_entropy(-0.5) == LN2
@@ -381,7 +395,6 @@ def test_roof_record_is_one_theta0_entropy(monkeypatch):
     assert {curve_record(z).region for z in zs} == {REGION_ROOF}
     assert records[:, 0].tobytes() == records[:, 2].tobytes() == values.tobytes()
     assert records[:, 1].tobytes() == np.zeros(len(zs)).tobytes()
-    assert all(min_pure_output_entropy(z) == (v, 0.0) for z, v in zip(zs, values.tolist()))
     # one theta = 0 entropy per record, and no curvature
     calls = []
 
@@ -893,8 +906,7 @@ def test_tangent_on_parabola():
 def test_tangent_reproduces_curve_junctions():
     s, ds = partial(one_vs_rest_entropy, N=3), partial(_one_vs_rest_slope, N=3)
     t_low = tangent_from_point(s, -0.5, LN2, LOWER_TANGENT_BRACKET, df=ds)
-    assert t_low == lower_tangent_z() == pytest.approx(-0.4079496711, abs=1e-6)
-    assert ds(t_low) == pytest.approx((s(t_low) - LN2) / (t_low + 0.5), abs=1e-14)
+    assert t_low == lower_tangent_z()
     t_high = tangent_from_point(s, 1.0, LN3, (0.7, 0.95), df=ds)
     assert t_high == pytest.approx(5.0 / 6.0, abs=1e-6)
 
