@@ -21,7 +21,6 @@ from .symmetric_curve import (
     Z_MAX,
     Z_MIN,
     Z_STEP,
-    _PI_3,
     _alpha_beta,
     _amplitudes,
     _piece,
@@ -198,10 +197,6 @@ def symmetric_state(z: float) -> np.ndarray:
     return m
 
 
-# _amplitudes' cos(theta -+ pi/3) at theta = 0: cos is even, so both are this double
-_COS_PI_3 = math.cos(_PI_3)
-
-
 def curve_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = Z_STEP) -> np.ndarray:
     """Inclusive evaluation grid used by the curve export: symmetric_curve.z_grid
     as a float64 ndarray on the same memory."""
@@ -245,7 +240,7 @@ def optimal_decomposition(z: float) -> Decomposition:
         ((w, z_end, _, _),) = points
         alpha, beta = _alpha_beta(z_end)
         # the theta = 0 amplitudes (a, b, b), with no cosine to take
-        a, b = (alpha + 2.0 * beta) / 3.0, (alpha - 2.0 * beta * _COS_PI_3) / 3.0
+        a, b = (alpha + 2.0 * beta) / 3.0, (alpha - beta) / 3.0
         states = _orbit(a, b, b)
         w /= len(states)
         return Decomposition(weights=[w] * len(states), states=states)

@@ -13,8 +13,9 @@ theta = 0 state is the one-vs-rest state (x, y, y): one_vs_rest_entropy(z,
 N) is its output entropy in any dimension N, where the N permutations of
 (x, y, ..., y) mix to omega_N(z) = ((1 - z) I + z J)/N, z in [-1/(N-1), 1].
 
-The module also holds the curve's scalar helpers: check_z, its one root
-finder _bisect, and tangent_from_point behind the lower chord.
+The module also holds the curve's scalar helpers: check_z, the bisection
+_bisect behind z* and the angle transition, and tangent_from_point behind
+the lower chord.
 
 Importing this module loads no numpy.  The array builders live in the
 data layer, `states`; curve_grid and optimal_decomposition, which the
@@ -44,7 +45,12 @@ UPPER_KNEE_VALUE = LN3 - LN2 / 3.0
 TRANSITION_BRACKET = (-0.45, -0.40)
 LOWER_TANGENT_BRACKET = (-0.45, -0.30)
 
-_PI_3 = math.pi / 3.0
+_SQRT3 = math.sqrt(3.0)
+# the round-off of the theta-slope, relative to the sum of its terms'
+# magnitudes (_theta_derivatives' third value): measured at most 3.6 eps
+_SLOPE_ROUNDOFF = 8.0 * sys.float_info.epsilon
+# the angle solve's bracket, [0, pi/4], in u = theta^2
+_U_MAX = (math.pi / 4.0) ** 2
 
 REGION_LOWER_LINEAR = "lower_linear"
 REGION_ROOF = "roof_equals_epsilon"
@@ -62,62 +68,30 @@ def check_z(z: float, N: int = 3) -> float:
     return Z_MAX if Z_MAX < z else z
 
 
-# Newton steps may fall this many halvings behind bisection before _bisect
-# takes bisection steps to catch up.
-_NEWTON_GRACE = 16
-
-
-def _bisect(g, lo: float, hi: float, gdg=None) -> float:
-    """A zero of g on [lo, hi], lo < hi: an end or an iterate where g is
-    exactly zero, else, once the bracket is closed to adjacent doubles, the
-    end of it with the smaller |g|.  Raises ValueError unless g(lo) and g(hi)
-    differ in sign or one is zero (a NaN does not count), and when g is NaN
-    at an iterate.
-
-    Without gdg every step bisects.  With gdg, which maps t to the pair
-    (g(t), g'(t)) in one evaluation, the iterates are evaluated by gdg (the
-    ends still by g), and each step after the first is a Newton step from
-    the last iterate, which is an end of the bracket, safeguarded as in
-    rtsafe (Numerical Recipes section 9.4): a step that leaves the bracket,
-    or a zero or NaN derivative, bisects instead, and so does every step
-    while the bracket is wider than bisection, _NEWTON_GRACE steps behind,
-    would have left it.  A step shorter than the spacing of doubles goes to
-    the next double toward the far end instead, so that end closes in once
-    Newton has converged from one side.
-    """
+def _bisect(g, lo: float, hi: float) -> float:
+    """A zero of g on [lo, hi], lo < hi, by bisection: an end or a midpoint
+    where g is exactly zero, else, once the bracket is closed to adjacent
+    doubles, the end of it with the smaller |g|.  Raises ValueError unless
+    g(lo) and g(hi) differ in sign or one is zero (a NaN does not count),
+    and when g is NaN at a midpoint."""
     glo, ghi = g(lo), g(hi)
     if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
         raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: g = {glo!r}, {ghi!r}")
     if 0.0 in (glo, ghi):  # the loop below would bisect away from a zero at lo
         return lo if glo == 0.0 else hi
-    budget = (hi - lo) * 2.0**_NEWTON_GRACE
-    x = None  # the last iterate, where the next Newton step starts
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return lo if abs(glo) <= abs(ghi) else hi
-        budget *= 0.5
-        t = mid
-        if x is not None and hi - lo <= budget:
-            step = -gx / dgx if dgx else math.nan
-            nearest = math.nextafter(x, hi if x == lo else lo)
-            newton = nearest if abs(step) < abs(nearest - x) else x + step
-            if lo < newton < hi:
-                t = newton
-        if gdg is None:
-            gm = g(t)
-        else:
-            gm, dgm = gdg(t)
+        gm = g(mid)
         if gm == 0.0:
-            return t
+            return mid
         if math.isnan(gm):
-            raise ValueError(f"g is NaN at {t!r} inside [{lo!r}, {hi!r}]")
+            raise ValueError(f"g is NaN at {mid!r} inside [{lo!r}, {hi!r}]")
         if (gm < 0.0) == (glo < 0.0):
-            lo, glo = t, gm
+            lo, glo = mid, gm
         else:
-            hi, ghi = t, gm
-        if gdg is not None:
-            x, gx, dgx = t, gm, dgm
+            hi, ghi = mid, gm
 
 
 def tangent_from_point(f, x0: float, f0: float, bracket, *, df) -> float:
@@ -152,20 +126,35 @@ def _alpha_beta(z: float, N: int = 3):
     return math.sqrt(0.0 if 0.0 > s else s), math.sqrt(0.0 if 0.0 > d else d)
 
 
+def _amplitude_parts(alpha: float, x: float, y: float):
+    """(a, m, d) of the state (a, b, c) = (a, m - d, m + d) at the angle
+    theta, from x = beta cos theta and y = beta sin theta:
+    a = (alpha + 2x)/3, m = (alpha - x)/3 and d = sqrt(3) y/3."""
+    return (alpha + 2.0 * x) / 3.0, (alpha - x) / 3.0, _SQRT3 * y / 3.0
+
+
 def _amplitudes(alpha: float, beta: float, theta: float):
-    a = (alpha + 2.0 * beta * math.cos(theta)) / 3.0
-    b = (alpha - 2.0 * beta * math.cos(theta - _PI_3)) / 3.0
-    c = (alpha - 2.0 * beta * math.cos(theta + _PI_3)) / 3.0
-    return a, b, c
+    """The state (a, b, c) at the angle theta."""
+    a, m, d = _amplitude_parts(alpha, beta * math.cos(theta), beta * math.sin(theta))
+    return a, m - d, m + d
 
 
 def one_vs_rest_entropy(z: float, N: int) -> float:
     """Output entropy of the one-vs-rest state of omega_N(z), z in [-1/(N-1), 1]:
     x = (alpha + (N-1) beta)/N once and y = (alpha - beta)/N N-1 times, with
     alpha = sqrt(1 + (N-1) z) and beta = sqrt(1 - z).  For z >= 0 it is
-    Terhal and Vollbrecht's isotropic-state minimizer (PRL 85, 2625 (2000))."""
+    Terhal and Vollbrecht's isotropic-state minimizer (PRL 85, 2625 (2000)).
+    Raises ValueError for an N whose square passes the float range."""
     N = _check_dimension(N)
-    return _one_vs_rest_entropy(*_alpha_beta(check_z(z, N), N), N)
+    try:
+        float(N * N)
+    except OverflowError:
+        raise ValueError(f"N = {N} is too large: N^2 passes the float range") from None
+    z = check_z(z, N)
+    alpha, beta = _alpha_beta(z, N)
+    # at check_z's lower end, the face point, alpha is 0, but (N-1) z + 1
+    # rounds to 1.1e-16 for some N, where fl(-1/(N-1)) lies above it
+    return _one_vs_rest_entropy(0.0 if z == -1.0 / (N - 1) else alpha, beta, N)
 
 
 def _one_vs_rest_entropy(alpha: float, beta: float, N: int) -> float:
@@ -190,35 +179,39 @@ def _output_entropy(alpha: float, beta: float, theta: float) -> float:
 
 
 def _theta_derivatives(alpha: float, beta: float, theta: float):
-    """The first two theta-derivatives of _output_entropy, as (slope,
-    curvature).  An amplitude x adds -2 x x' (log x^2 + 1) to the slope and
-    -2 ((x'^2 + x x'') (log x^2 + 1) + 2 x'^2) to the curvature, with
-    a' = -2 beta sin(theta)/3, b', c' = 2 beta sin(theta -+ pi/3)/3 and
-    x'' = alpha/3 - x.  At theta = 0, b = c and b' = -c', so the slope is
-    exactly zero there, and the curvature is _theta0_curvature up to
-    round-off, with two exceptions.  At z = 0, b = c = 0 and log b^2 is
-    round-off.  Next to z = 1 the curvature is about (4/sqrt(3)) beta^3,
-    below the absolute round-off of this fused sum, about 1e-17: at
-    z = 1 - 1e-14 it reads 1.26e-17 against 2.32e-21.  So the angle at
-    theta = 0 is decided by _theta0_curvature, which keeps its sign there."""
-    a, b, c = _amplitudes(alpha, beta, theta)
-    da = -2.0 * beta * math.sin(theta) / 3.0
-    db = 2.0 * beta * math.sin(theta - _PI_3) / 3.0
-    dc = 2.0 * beta * math.sin(theta + _PI_3) / 3.0
-    third = alpha / 3.0
+    """The first two theta-derivatives of _output_entropy, in pair form, as
+    (slope, curvature, scale).  The amplitudes are linear in (alpha, x, y),
+    and d/dtheta takes (x, y) to (-y, x), so the parts' derivatives are
+    _amplitude_parts(0, -y, x) and (0, -x, -y).  The slope is
+    -2 a a' (log a^2 + 1) - 4 (P (L + 1) + l Q) with P = m m' + d d',
+    Q = m d' + d m', L = log|bc| and l = log|c/b| = 2 atanh(d/m), so each
+    term is O(theta), and the curvature is its derivative,
+    -2 ((a'^2 + a a'') (log a^2 + 1) + 2 a'^2)
+    - 4 (P' (L + 1) + 2 (m'^2 + d'^2) + l Q'), where P L' + l' Q = 2 (m'^2 + d'^2).
+    At theta = 0 the slope is exactly zero, and each curvature term is
+    O(beta): next to z = 1, where the curvature is about (4/sqrt(3)) beta^3,
+    it keeps its sign.  Squares of amplitudes are floored at TINY in the
+    logs.  The third value is the sum of the slope terms' magnitudes, the
+    scale of the slope's round-off."""
+    x, y = beta * math.cos(theta), beta * math.sin(theta)
+    a, m, d = _amplitude_parts(alpha, x, y)
+    da, dm, dd = _amplitude_parts(0.0, -y, x)
+    dda, ddm, ddd = _amplitude_parts(0.0, -x, -y)
+    b, c = m - d, m + d
     a2, b2, c2 = a * a, b * b, c * c
     log_a = math.log(TINY if TINY > a2 else a2) + 1.0
-    log_b = math.log(TINY if TINY > b2 else b2) + 1.0
-    log_c = math.log(TINY if TINY > c2 else c2) + 1.0
-    # each sum runs from 0.0 through a, b, c, left to right, as a loop would
-    slope = 0.0 + -2.0 * a * da * log_a + -2.0 * b * db * log_b + -2.0 * c * dc * log_c
-    curvature = (
-        0.0
-        + -2.0 * ((da * da + a * (third - a)) * log_a + 2.0 * da * da)
-        + -2.0 * ((db * db + b * (third - b)) * log_b + 2.0 * db * db)
-        + -2.0 * ((dc * dc + c * (third - c)) * log_c + 2.0 * dc * dc)
+    log_b = math.log(TINY if TINY > b2 else b2)
+    log_c = math.log(TINY if TINY > c2 else c2)
+    log_bc = 0.5 * (log_b + log_c) + 1.0
+    # log|c/b|, without the cancellation of the two logs where b and c are close
+    ell = 2.0 * math.atanh(d / m) if abs(d) < 0.5 * abs(m) else 0.5 * (log_c - log_b)
+    p, q = m * dm + d * dd, m * dd + d * dm
+    dp, dq = dm * dm + m * ddm + dd * dd + d * ddd, 2.0 * dm * dd + m * ddd + d * ddm
+    ta, tp, tq = -2.0 * a * da * log_a, -4.0 * p * log_bc, -4.0 * ell * q
+    curvature = -2.0 * ((da * da + a * dda) * log_a + 2.0 * da * da) - 4.0 * (
+        dp * log_bc + 2.0 * (dm * dm + dd * dd) + ell * dq
     )
-    return slope, curvature
+    return ta + tp + tq, curvature, abs(ta) + abs(tp) + abs(tq)
 
 
 def min_pure_output_entropy(z: float):
@@ -226,13 +219,14 @@ def min_pure_output_entropy(z: float):
     theta_min) with theta_min in [0, pi/6].
 
     theta = 0 is stationary, and it is the minimum wherever the
-    theta-curvature there (_theta0_curvature) is not negative: above
-    theta_transition, where the value is one_vs_rest_entropy(z, 3).  Below it,
-    theta_min is the one sign change of the slope on (0, pi/3), found by
-    _bisect's Newton steps on [0, pi/4], each from one evaluation of
-    _theta_derivatives.  At z = -1/2 it is pi/6 exactly, where the
-    amplitude c is zero.  Raises ValueError when the slope keeps its sign
-    on [0, pi/4].
+    theta-curvature there (_theta_derivatives at theta = 0) is not
+    negative: above theta_transition, where the value is
+    one_vs_rest_entropy(z, 3).  Below it, theta_min is the one sign change
+    of the slope on (0, pi/3), found on [0, pi/4] by safeguarded Newton
+    steps on slope/theta in u = theta^2, each from one evaluation of
+    _theta_derivatives, until the slope is round-off.  At z = -1/2 it is
+    pi/6 exactly, where the amplitude c is zero.  Raises ValueError when
+    the slope keeps its sign on [0, pi/4] or is NaN.
     """
     return _min_output_entropy(*_alpha_beta(check_z(z)))
 
@@ -244,38 +238,47 @@ def _min_output_entropy(alpha: float, beta: float):
     if alpha == 0.0:
         # z = -1/2: c = 0 at theta = pi/6, and (a, b) = (1, -1)/sqrt(2)
         return LN2, math.pi / 6.0
-    k = _theta0_curvature(alpha, beta)
+    k = _theta_derivatives(alpha, beta, 0.0)[1]
     if not k < 0.0:
         return _one_vs_rest_entropy(alpha, beta, 3), 0.0
-    theta = _bisect(
-        lambda t: k if t == 0.0 else _theta_derivatives(alpha, beta, t)[0],
-        0.0,
-        math.pi / 4.0,
-        lambda t: _theta_derivatives(alpha, beta, t),
-    )
-    return _output_entropy(alpha, beta, theta), theta
-
-
-def _theta0_curvature(alpha: float, beta: float) -> float:
-    """d^2/dtheta^2 of the output entropy at theta = 0.  An amplitude x adds
-    -2 ((x'^2 + x x'') (log x^2 + 1) + 2 x'^2); at theta = 0,
-    a = (alpha + 2 beta)/3 with a' = 0, a'' = -2 beta/3, and
-    b = c = (alpha - beta)/3 with b'^2 = beta^2/3, b'' = beta/3 (b = 0 at z = 0)."""
-    a = (alpha + 2.0 * beta) / 3.0
-    b = (alpha - beta) / 3.0
-    b2 = b * b
-    a_term = (4.0 / 3.0) * a * beta * (math.log(a * a) + 1.0)
-    b_term = (beta * beta + b * beta) / 3.0 * (math.log(TINY if TINY > b2 else b2) + 1.0) + 2.0 * beta * beta / 3.0
-    return a_term - 4.0 * b_term
+    # Newton steps on g(u) = slope/theta in u = theta^2, which the pitchfork
+    # makes nearly linear, with g(0) = k < 0, from the bracket's middle in
+    # theta.  A step that leaves the bracket [lo, hi], or has a zero or NaN
+    # derivative, bisects instead
+    lo, hi = 0.0, _U_MAX
+    u = (math.pi / 8.0) ** 2
+    while True:
+        theta = math.sqrt(u)
+        slope, curvature, scale = _theta_derivatives(alpha, beta, theta)
+        if math.isnan(slope):
+            raise ValueError(f"theta-slope is NaN at theta = {theta!r}")
+        g = slope / theta
+        if g < 0.0:
+            lo = u
+        else:
+            hi = u
+        dg = (curvature - g) / (2.0 * u)  # d/du (slope/theta)
+        u = u - g / dg if dg else math.nan
+        if abs(slope) <= _SLOPE_ROUNDOFF * scale:
+            # the slope is round-off: take the last step unevaluated
+            if lo <= u <= hi:
+                theta = math.sqrt(u)
+            return _output_entropy(alpha, beta, theta), theta
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+            if u in (lo, hi):  # the bracket is closed
+                if hi == _U_MAX:
+                    raise ValueError(f"the theta-slope keeps its sign on [0, pi/4] at alpha, beta = {alpha!r}, {beta!r}")
+                return _output_entropy(alpha, beta, theta), theta
 
 
 def theta_transition() -> float:
     """Largest z at which the minimizing angle departs from zero: the zero of
-    the theta-curvature at theta = 0 (_theta0_curvature), located by
+    the theta-curvature at theta = 0 (_theta_derivatives), located by
     _bisect on TRANSITION_BRACKET.  The transition is a pitchfork:
     below it the curvature is negative and theta_min grows like
     sqrt(z_t - z)."""
-    return _bisect(lambda z: _theta0_curvature(*_alpha_beta(z)), *TRANSITION_BRACKET)
+    return _bisect(lambda z: _theta_derivatives(*_alpha_beta(z), 0.0)[1], *TRANSITION_BRACKET)
 
 
 @lru_cache(maxsize=1)

@@ -274,6 +274,14 @@ def test_one_vs_rest_entropy_refuses_z_outside_its_range_and_n_below_2():
             one_vs_rest_entropy(z, N)
 
 
+def test_one_vs_rest_entropy_refuses_an_n_whose_square_is_past_the_float_range():
+    # 10**155 converts to a float, but its square once raised a bare OverflowError
+    for N in (10**155, 2**512):
+        with pytest.raises(ValueError, match=f"N = {N} "):
+            one_vs_rest_entropy(0.0, N)
+    assert one_vs_rest_entropy(0.0, 10**154) == 0.0
+
+
 @pytest.mark.parametrize("option", ["--z-min", "--z-max", "--z-step"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_ed_curve_refuses_non_finite_grid_options(capsys, option, value):

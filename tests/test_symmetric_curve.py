@@ -29,7 +29,6 @@ from diagmap.symmetric_curve import (
     UPPER_KNEE,
     Z_MAX,
     Z_MIN,
-    _NEWTON_GRACE,
     EDCurveRecord,
     _alpha_beta,
     _amplitudes,
@@ -37,7 +36,6 @@ from diagmap.symmetric_curve import (
     _one_vs_rest_slope,
     _output_entropy,
     _piece,
-    _theta0_curvature,
     _theta_derivatives,
     check_z,
     curve_record,
@@ -64,7 +62,7 @@ def _abc(z, theta):
 
 
 def test_abc_at_origin():
-    # z = 0, theta = 0: alpha = beta = 1, cos(+-pi/3) = 1/2 gives (1, 0, 0)
+    # z = 0, theta = 0: alpha = beta = 1 gives a = 1 and b = c = (alpha - beta)/3 = 0
     assert np.allclose(_abc(0.0, 0.0), [1.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -133,8 +131,10 @@ def test_one_vs_rest_entropy_against_published_forms():
         rest = (math.sqrt((N - 1) * F) - math.sqrt(1.0 - F)) ** 2 / N
         worst = max(worst, abs(one_vs_rest_entropy(z, N) - eta(gamma) - eta(rest) - rest * math.log(N - 1)))
     assert worst <= 1e-14  # reads 1.8e-15
-    # at z = -1/(N - 1), the face's one-vs-rest stationary state; reads 3.3e-16
-    face = [one_vs_rest_entropy(-1.0 / (N - 1), N) - face_minimum.two_value_entropy(N, 1) for N in range(3, 33)]
+    # at z = -1/(N - 1), the face's one-vs-rest stationary state; reads
+    # 5.6e-16.  fl(-1/(N - 1)) lies above the face point for some N, where
+    # (N - 1) z + 1 rounded to 1.1e-16 and the value read up to 3.2e-9 off
+    face = [one_vs_rest_entropy(-1.0 / (N - 1), N) - face_minimum.two_value_entropy(N, 1) for N in range(2, 400)]
     assert max(map(abs, face)) <= 1e-15
     # at N = 2, the qubit coherence of formation h((1 + sqrt(1 - z^2))/2); reads 1.1e-15
     ps = [(z, (1.0 + math.sqrt(1.0 - z * z)) / 2.0) for z in np.linspace(-1.0, 1.0, 2001).tolist()]
@@ -219,60 +219,74 @@ def test_theta_curvature_matches_finite_differences():
         h = 1e-6
         fd = (_theta_slope(alpha, beta, theta + h) - _theta_slope(alpha, beta, theta - h)) / (2.0 * h)
         assert _theta_derivatives(alpha, beta, theta)[1] == pytest.approx(fd, abs=1e-6)
-    # at theta = 0 it is the curvature that decides the angle; z = 0, where
-    # b = c = 0 and log b^2 is round-off, is left out
+    # at theta = 0 it is the curvature that decides the angle, against its
+    # explicit form there (a' = 0, a'' = -2 beta/3, b = c = (alpha - beta)/3,
+    # b'^2 = beta^2/3, b'' = beta/3); z = 0, where b = c = 0 and log b^2 is
+    # round-off, is left out
     for z in np.linspace(-0.5, 1.0, 301):
         if z != 0.0:
             alpha, beta = _alpha_beta(float(z))
-            curvature = _theta_derivatives(alpha, beta, 0.0)[1]
-            assert curvature == pytest.approx(_theta0_curvature(alpha, beta), rel=1e-13, abs=1e-13)
+            a, b = (alpha + 2.0 * beta) / 3.0, (alpha - beta) / 3.0
+            explicit = (4.0 / 3.0) * a * beta * (math.log(a * a) + 1.0) - 4.0 * (
+                (beta * beta + b * beta) / 3.0 * (math.log(b * b) + 1.0) + 2.0 * beta * beta / 3.0
+            )
+            assert _theta_derivatives(alpha, beta, 0.0)[1] == pytest.approx(explicit, rel=1e-13, abs=1e-13)
 
 
-def _bisection_min_entropy(z):
+def _bisection_min_entropy(z, derivatives=_theta_derivatives):
     """min_pure_output_entropy below the transition with the angle found by
     plain bisection on the slope, the reference for the Newton steps."""
     alpha, beta = _alpha_beta(z)
-    k = _theta0_curvature(alpha, beta)
-    theta = _bisect(lambda t: k if t == 0.0 else _theta_slope(alpha, beta, t), 0.0, math.pi / 4.0)
+    k = derivatives(alpha, beta, 0.0)[1]
+    theta = _bisect(lambda t: k if t == 0.0 else derivatives(alpha, beta, t)[0], 0.0, math.pi / 4.0)
     return _output_entropy(alpha, beta, theta), theta
 
 
 def test_min_entropy_matches_the_bisection_reference_below_the_transition():
+    # epsilon, stationary in theta, within 1e-15 (reads 5.6e-16); the angle
+    # within 1e-5, for bisection loses the angle next to z_t
     zt = theta_transition()
-    for z in np.linspace(-0.5, zt, 2001)[:-1]:
-        value, theta = min_pure_output_entropy(float(z))
-        ref_value, ref_theta = _bisection_min_entropy(float(z))
+    g = Generator(Philox(key=np.array([54, 0], dtype=np.uint64)))
+    for z in [*g.uniform(-0.5, zt, 20_000).tolist(), math.nextafter(-0.5, 0.0), math.nextafter(zt, -1.0)]:
+        value, theta = min_pure_output_entropy(z)
+        ref_value, ref_theta = _bisection_min_entropy(z)
         assert abs(value - ref_value) <= 1e-15, z
         assert abs(theta - ref_theta) <= 1e-5, z
 
 
 def test_newton_angle_takes_few_slope_evaluations(monkeypatch):
     # bisection on [0, pi/4] takes about 54 slope evaluations per z; the
-    # Newton steps take at most 12 evaluations of _theta_derivatives (the
-    # slope at pi/4 included) on average, and never more than it.  z = -1/2
-    # takes none: its angle is pi/6 exactly
+    # Newton steps take at most 9 evaluations of _theta_derivatives (the
+    # curvature at theta = 0 included) on average (reads 7.0), and never
+    # more than it.  z = -1/2 takes none: its angle is pi/6 exactly
     calls = [0]
 
     def counted(alpha, beta, theta):
         calls[0] += 1
         return _theta_derivatives(alpha, beta, theta)
 
+    zt = theta_transition()
     monkeypatch.setattr(symmetric_curve, "_theta_derivatives", counted)
-    zs = [float(z) for z in curve_grid() if z < theta_transition()]
+    zs = [float(z) for z in curve_grid() if z < zt]
     assert len(zs) == 85
     newton, plain = [], []
     for z in zs:
         calls[0] = 0
         min_pure_output_entropy(z)
         newton.append(calls[0])
-        alpha, beta = _alpha_beta(z)
-        k = _theta0_curvature(alpha, beta)
         calls[0] = 0
-        _bisect(lambda t: k if t == 0.0 else counted(alpha, beta, t)[0], 0.0, math.pi / 4.0)
+        _bisection_min_entropy(z, counted)
         plain.append(calls[0])
     assert newton[0] == 0 and min(newton[1:]) >= 2
-    assert np.mean(newton) <= 12.0
+    assert np.mean(newton) <= 9.0
     assert all(n <= p for n, p in zip(newton, plain))
+    # next to the transition, where g = slope/theta is nearly linear in
+    # theta^2: at most 16 (reads 8), where Newton steps on the slope in
+    # theta took 11 to 34
+    for k in range(2, 13):
+        calls[0] = 0
+        assert min_pure_output_entropy(zt - 10.0**-k)[1] > 0.0
+        assert calls[0] <= 16, k
 
 
 def test_theta_min_is_zero_next_to_z_equal_1():
@@ -284,24 +298,25 @@ def test_theta_min_is_zero_next_to_z_equal_1():
         assert min_pure_output_entropy(z)[1] == 0.0
 
 
-def test_theta0_curvature_keeps_its_sign_next_to_z_equal_1():
-    # the curvature is about (4/sqrt(3)) beta^3 there, far below the fused
-    # form's round-off: the angle is decided from _theta0_curvature
-    def ratio(curvature, beta):
-        alpha, b = _alpha_beta(1.0 - beta * beta)
-        return curvature(alpha, b) / b**3 / (4.0 / math.sqrt(3.0))
+def _theta0_curvature(z):
+    return _theta_derivatives(*_alpha_beta(z), 0.0)[1]
 
-    def fused(alpha, beta):
-        return _theta_derivatives(alpha, beta, 0.0)[1]
+
+def test_theta0_curvature_keeps_its_sign_next_to_z_equal_1():
+    # the curvature is about (4/sqrt(3)) beta^3 there; each of its terms is
+    # O(beta), so its round-off is about eps beta (the fused sum of the
+    # per-amplitude terms read 1000 times the curvature at beta = 1e-7)
+    def ratio(beta):
+        z = 1.0 - beta * beta
+        return _theta0_curvature(z) / _alpha_beta(z)[1] ** 3 / (4.0 / math.sqrt(3.0))
 
     for beta in np.geomspace(1e-6, 1e-2, 9):
-        assert abs(ratio(_theta0_curvature, beta) - 1.0) <= 1e-3, beta
-    assert abs(ratio(_theta0_curvature, 1e-7) - 1.0) <= 1e-2
-    assert ratio(fused, 1e-7) > 1000.0
+        assert abs(ratio(beta) - 1.0) <= 1e-3, beta  # reads 6.7e-5 at 1e-6
+    assert abs(ratio(1e-7) - 1.0) <= 1e-2  # reads 7.7e-3
     z = 1.0
     for _ in range(1000):
         z = float(np.nextafter(z, 0.0))
-        assert _theta0_curvature(*_alpha_beta(z)) > 0.0
+        assert _theta0_curvature(z) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +399,7 @@ def test_theta0_curvature_is_positive_on_the_roof():
     # the curvature there is at least 0.1118, smallest at z*; a z* below
     # the angle transition would fail here
     zs = [*_roof_zs(), *np.linspace(lower_tangent_z(), UPPER_KNEE, 20001).tolist()]
-    assert min(_theta0_curvature(*_alpha_beta(z)) for z in zs) >= 0.1
+    assert min(map(_theta0_curvature, zs)) >= 0.1
     assert theta_transition() < lower_tangent_z()
 
 
@@ -395,14 +410,14 @@ def test_roof_record_is_one_theta0_entropy(monkeypatch):
     assert {curve_record(z).region for z in zs} == {REGION_ROOF}
     assert records[:, 0].tobytes() == records[:, 2].tobytes() == values.tobytes()
     assert records[:, 1].tobytes() == np.zeros(len(zs)).tobytes()
-    # one theta = 0 entropy per record, and no curvature
+    # one theta = 0 entropy per record, and no angle derivative
     calls = []
 
     def counted(name):
         f = getattr(symmetric_curve, name)
-        return lambda *ab: calls.append(name) or f(*ab)
+        return lambda *args: calls.append(name) or f(*args)
 
-    for name in ("_one_vs_rest_entropy", "_theta0_curvature"):
+    for name in ("_one_vs_rest_entropy", "_theta_derivatives"):
         monkeypatch.setattr(symmetric_curve, name, counted(name))
     for z in (lower_tangent_z(), 0.0, 0.3, UPPER_KNEE):
         calls.clear()
@@ -774,26 +789,21 @@ def test_alpha_beta_is_bit_identical_to_builtin_max(z):
 
 def _reference_theta_derivatives(alpha, beta, theta):
     # _theta_derivatives with its floor written as the builtin max
-    a, b, c = _amplitudes(alpha, beta, theta)
-    da = -2.0 * beta * math.sin(theta) / 3.0
-    db = 2.0 * beta * math.sin(theta - math.pi / 3.0) / 3.0
-    dc = 2.0 * beta * math.sin(theta + math.pi / 3.0) / 3.0
-    third = alpha / 3.0
-    slope = curvature = 0.0
-    for x, dx in ((a, da), (b, db), (c, dc)):
-        log1 = math.log(max(x * x, TINY)) + 1.0
-        slope += -2.0 * x * dx * log1
-        curvature += -2.0 * ((dx * dx + x * (third - x)) * log1 + 2.0 * dx * dx)
-    return slope, curvature
-
-
-def _reference_theta0_curvature(alpha, beta):
-    # _theta0_curvature with its floor written as the builtin max
-    a = (alpha + 2.0 * beta) / 3.0
-    b = (alpha - beta) / 3.0
-    a_term = (4.0 / 3.0) * a * beta * (math.log(a * a) + 1.0)
-    b_term = (beta * beta + b * beta) / 3.0 * (math.log(max(b * b, TINY)) + 1.0) + 2.0 * beta * beta / 3.0
-    return a_term - 4.0 * b_term
+    x, y = beta * math.cos(theta), beta * math.sin(theta)
+    a, m, d = symmetric_curve._amplitude_parts(alpha, x, y)
+    da, dm, dd = symmetric_curve._amplitude_parts(0.0, -y, x)
+    dda, ddm, ddd = symmetric_curve._amplitude_parts(0.0, -x, -y)
+    log_a, log_b, log_c = (math.log(max(v * v, TINY)) for v in (a, m - d, m + d))
+    log_a += 1.0
+    log_bc = 0.5 * (log_b + log_c) + 1.0
+    ell = 2.0 * math.atanh(d / m) if abs(d) < 0.5 * abs(m) else 0.5 * (log_c - log_b)
+    p, q = m * dm + d * dd, m * dd + d * dm
+    dp, dq = dm * dm + m * ddm + dd * dd + d * ddd, 2.0 * dm * dd + m * ddd + d * ddm
+    terms = (-2.0 * a * da * log_a, -4.0 * p * log_bc, -4.0 * ell * q)
+    curvature = -2.0 * ((da * da + a * dda) * log_a + 2.0 * da * da) - 4.0 * (
+        dp * log_bc + 2.0 * (dm * dm + dd * dd) + ell * dq
+    )
+    return terms[0] + terms[1] + terms[2], curvature, sum(map(abs, terms))
 
 
 _AMPLITUDE = hs.one_of(hs.floats(0.0, math.sqrt(3.0)), hs.sampled_from(_EDGES[:7] + [math.nan]))
@@ -801,14 +811,13 @@ _AMPLITUDE = hs.one_of(hs.floats(0.0, math.sqrt(3.0)), hs.sampled_from(_EDGES[:7
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)
 @given(_AMPLITUDE, _AMPLITUDE, hs.one_of(hs.floats(0.0, math.pi / 4.0), hs.sampled_from([0.0, -0.0, math.pi / 6.0])))
-@example(1.0, 1.0, 0.0)  # z = 0: b is 0 in _theta0_curvature, -7.4e-17 at theta = 0
+@example(1.0, 1.0, 0.0)  # z = 0: b = c = 0 at theta = 0
 @example(0.0, math.sqrt(1.5), math.pi / 6.0)  # z = -1/2: c is round-off
 @example(1e-200, 0.0, 0.0)  # every x * x underflows to 0
 @example(5e-324, 5e-324, 0.0)  # subnormal amplitudes
 @example(math.nan, 1.0, 0.1)  # NaN reaches every floor
 @example(1.0, math.nan, 0.0)
 def test_tiny_floors_are_bit_identical_to_builtin_max(alpha, beta, theta):
-    assert _outcome(_theta0_curvature, alpha, beta) == _outcome(_reference_theta0_curvature, alpha, beta)
     assert _outcome(_theta_derivatives, alpha, beta, theta) == _outcome(_reference_theta_derivatives, alpha, beta, theta)
 
 
@@ -977,26 +986,12 @@ def _counted(g):
     return counted, points
 
 
-def _fused(g, dg):
-    """The fused evaluation t -> (g(t), g'(t)) that _bisect takes, with the
-    derivative dg given as a function or a constant."""
-    return lambda x: (g(x), dg(x) if callable(dg) else dg)
-
-
 @pytest.mark.parametrize("root", [Fraction(1, 3), Fraction(1, 10), Fraction(-7, 9)])
 def test_bisect_returns_the_nearest_double(root):
     # g exact up to one rounding: the root lies between adjacent doubles, and
-    # the one returned is the nearer (below 1/3 and -7/9, above 1/10), by
-    # bisection and by Newton steps alike
-    def up(x):
-        return float(Fraction(x) - root)
-
-    def down(x):
-        return float(root - Fraction(x))
-
-    for up_gdg, down_gdg in ((None, None), (_fused(up, 1.0), _fused(down, -1.0))):
-        assert _bisect(up, -1.0, 1.0, up_gdg) == float(root)
-        assert _bisect(down, -1.0, 1.0, down_gdg) == float(root)
+    # the one returned is the nearer (below 1/3 and -7/9, above 1/10)
+    assert _bisect(lambda x: float(Fraction(x) - root), -1.0, 1.0) == float(root)
+    assert _bisect(lambda x: float(root - Fraction(x)), -1.0, 1.0) == float(root)
 
 
 def test_bisect_stops_at_an_exact_zero():
@@ -1004,63 +999,78 @@ def test_bisect_stops_at_an_exact_zero():
     # bisected away from
     for g, zero in ((lambda x: x - 0.5, 0.5), (lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)):
         assert _bisect(g, 0.0, 1.0) == zero
-        assert _bisect(g, 0.0, 1.0, _fused(g, 1.0)) == zero
 
 
-def test_newton_step_stops_at_an_exact_zero():
-    # the midpoint 1/2 misses the root; the Newton step from it lands on it.
-    # g is evaluated at the ends only, and each iterate once, by gdg
-    g, points = _counted(lambda x: x - 0.25)
-    gdg, iterates = _counted(_fused(lambda x: x - 0.25, 1.0))
-    assert _bisect(g, 0.0, 1.0, gdg) == 0.25
-    assert points == [0.0, 1.0]
-    assert iterates == [0.5, 0.25]
+# The angle solve of min_pure_output_entropy on model derivatives: the slope
+# theta (theta^2 - U_ROOT), so that g = slope/theta = u - U_ROOT in
+# u = theta^2, with the curvature at theta = 0 negative.
+U_ROOT = 0.03
+_Z = -0.45
 
 
-def test_newton_closes_the_bracket_in_few_steps():
-    # the Newton steps converge from one side of sqrt(2); a step to the next
-    # double then closes the far end to adjacent doubles around it
-    g, points = _counted(lambda x: float(Fraction(x) ** 2 - 2))
-    assert _bisect(g, 1.0, 2.0, _fused(g, lambda x: 2.0 * x)) == math.sqrt(2.0)
-    assert len(points) <= 10
-    g, plain = _counted(lambda x: float(Fraction(x) ** 2 - 2))
-    assert _bisect(g, 1.0, 2.0) == math.sqrt(2.0)
-    assert len(plain) >= 50
+def _angle_solve(monkeypatch, derivatives):
+    """theta_min of _min_output_entropy at _Z with _theta_derivatives
+    replaced by derivatives(theta) for theta > 0, and the angles it was
+    called at; past 1000 calls it fails instead of hanging."""
+    thetas = []
+
+    def model(alpha, beta, theta):
+        if theta == 0.0:
+            return 0.0, -U_ROOT, 0.0
+        thetas.append(theta)
+        assert len(thetas) <= 1000
+        return derivatives(theta)
+
+    monkeypatch.setattr(symmetric_curve, "_theta_derivatives", model)
+    return symmetric_curve._min_output_entropy(*_alpha_beta(_Z))[1], thetas
 
 
-@pytest.mark.parametrize("slope", [0.0, math.nan, -1e-9], ids=["zero", "nan", "outward"])
-def test_newton_falls_back_to_bisection(slope):
-    # a zero or NaN derivative, and one whose Newton steps leave the bracket,
-    # give bisection's evaluation points exactly
-    root = Fraction(1, 3)
-    g, points = _counted(lambda x: float(Fraction(x) - root))
-    assert _bisect(g, -1.0, 1.0, _fused(g, slope)) == float(root)
-    g, plain = _counted(lambda x: float(Fraction(x) - root))
-    _bisect(g, -1.0, 1.0)
-    assert points == plain
+def _model_slope(theta):
+    return theta * (theta * theta - U_ROOT)
 
 
-def test_newton_falls_behind_bisection_by_at_most_the_grace():
-    # a derivative 1e30 times too steep makes the Newton steps from the
-    # midpoint 0 crawl by 3.3e-31; bisection takes over once the bracket is
-    # wider than bisection, _NEWTON_GRACE steps behind, would have left it
-    root = Fraction(1, 3)
-    g, points = _counted(lambda x: float(Fraction(x) - root))
-    assert _bisect(g, -1.0, 1.0, _fused(g, 1e30)) == float(root)
-    g, plain = _counted(lambda x: float(Fraction(x) - root))
-    _bisect(g, -1.0, 1.0)
-    assert len(points) <= len(plain) + _NEWTON_GRACE + 1
+def test_newton_step_stops_at_an_exact_zero(monkeypatch):
+    # a zero slope stops the solve at once, with no round-off allowance
+    # (scale 0): here at the second iterate, where the model is set to 0
+    calls = []
+
+    def derivatives(theta):
+        calls.append(theta)
+        return (0.0 if len(calls) == 2 else _model_slope(theta)), 3.0 * theta * theta - U_ROOT, 0.0
+
+    theta, thetas = _angle_solve(monkeypatch, derivatives)
+    assert len(thetas) == 2 and theta == thetas[1]
 
 
-def test_bisect_raises_as_before_with_a_derivative():
-    for g, match in (
-        (lambda x: x + 1.0, "sign change"),
-        (lambda x: math.nan if x == 1.0 else x - 0.5, "sign change"),
-        # a NaN at the Newton iterate 0.35, reached from the midpoint 0.5
-        (lambda x: math.nan if 0.3 < x < 0.4 else x - 0.35, "NaN"),
+@pytest.mark.parametrize("kind", ["zero", "nan", "outward"])
+def test_newton_falls_back_to_bisection(monkeypatch, kind):
+    # a zero or NaN derivative of g, and one whose Newton steps leave the
+    # bracket, give bisection's points in u = theta^2 after the first, until
+    # the bracket [0, (pi/4)^2] is closed around the root
+    def derivatives(theta):
+        slope = _model_slope(theta)
+        g = slope / theta  # as the solve takes it, so that "zero" is exact
+        curvature = {"zero": g, "nan": math.nan, "outward": g - 2e-9 * theta * theta}[kind]
+        return slope, curvature, 0.0
+
+    theta, thetas = _angle_solve(monkeypatch, derivatives)
+    lo, hi, u = 0.0, (math.pi / 4.0) ** 2, (math.pi / 8.0) ** 2
+    for t in thetas:
+        assert t == math.sqrt(u)
+        lo, hi = (u, hi) if _model_slope(t) < 0.0 else (lo, u)
+        u = 0.5 * (lo + hi)
+    assert u in (lo, hi) and len(thetas) >= 50
+    assert abs(theta * theta - U_ROOT) <= 1e-16
+
+
+def test_angle_solve_raises_on_a_nan_slope_or_no_sign_change(monkeypatch):
+    # a NaN slope at an iterate, and a slope negative on all of (0, pi/4]
+    for derivatives, match in (
+        (lambda theta: (math.nan, 1.0, 0.0), "NaN"),
+        (lambda theta: (-theta, -1.0, 0.0), "keeps its sign"),
     ):
         with pytest.raises(ValueError, match=match):
-            _bisect(g, 0.0, 1.0, _fused(g, 1.0))
+            _angle_solve(monkeypatch, derivatives)
 
 
 def test_tangent_at_an_end_of_the_bracket():
