@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     ".lambert": ("lambert_w0", "lambert_wm1"),
     ".linesearch": ("brute_force_min_face",),
-    ".roof": ("RoofResult", "real_roof_upper_bound", "roof_upper_bound"),
+    ".roof": ("RoofResult", "roof_upper_bound"),
     ".states": (
         "Decomposition",
         "StateFormatError",

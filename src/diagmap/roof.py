@@ -226,14 +226,6 @@ def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweep
     )
 
 
-def real_roof_upper_bound(
-    omega, m=None, restarts: int = 40, seed: int = 0, max_sweeps: int = POLISH_ITERS
-) -> RoofResult:
-    """roof_upper_bound, bit for bit, of a real (_is_real) state, for which
-    an optimal decomposition of real states exists; raises ValueError for
-    any other state.  The library calls roof_upper_bound, which searches a
-    real state the same way; this one stays as the entry point of the
-    benchmark's roof_curve workload until that moves too."""
-    if not _is_real(check_density_matrix(omega)):
-        raise ValueError("real_roof_upper_bound requires a real state")
-    return roof_upper_bound(omega, m, restarts, seed, max_sweeps)
+# perfbench's RoofCurve workload calls the search by this name until ROADMAP
+# item 4a moves it to roof_upper_bound
+real_roof_upper_bound = roof_upper_bound

@@ -243,10 +243,15 @@ def _min_output_entropy(alpha: float, beta: float):
         return _one_vs_rest_entropy(alpha, beta, 3), 0.0
     # Newton steps on g(u) = slope/theta in u = theta^2, which the pitchfork
     # makes nearly linear, with g(0) = k < 0, from the bracket's middle in
-    # theta.  A step that leaves the bracket [lo, hi], or has a zero or NaN
+    # theta, or for alpha < 0.3 (z below about -0.455) from next to theta_min.
+    # As z -> -1/2, theta_min tends to pi/6, where c = 0 and the slope has a
+    # c log c^2 term, so steps from afar close on it only linearly; the
+    # start takes (pi/6 - theta_min) beta/alpha as 0.7, which measures 0.54
+    # at z = -1/2 + 1e-15, 0.76 at -1/2 + 1e-2 and 0.95 at alpha = 0.3.  A
+    # step that leaves the bracket [lo, hi], or has a zero or NaN
     # derivative, bisects instead
     lo, hi = 0.0, _U_MAX
-    u = (math.pi / 8.0) ** 2
+    u = (math.pi / 6.0 - 0.7 * alpha / beta) ** 2 if alpha < 0.3 else (math.pi / 8.0) ** 2
     while True:
         theta = math.sqrt(u)
         slope, curvature, scale = _theta_derivatives(alpha, beta, theta)

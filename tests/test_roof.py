@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+import diagmap
 from diagmap import linesearch, roof, symmetric_curve
-from diagmap.roof import real_roof_upper_bound, roof_upper_bound
+from diagmap.roof import roof_upper_bound
 from diagmap.states import (
     _entropy_sum,
     diagonal_output_entropy,
@@ -129,8 +130,10 @@ def test_roof_isometry_reproduces_decomposition(z):
     else:
         omega = symmetric_state(z)
     res = roof_upper_bound(omega, m=6, restarts=10, seed=5)
+    assert np.iscomplexobj(res.isometry) == (z is None)
     dec = _decomposition(omega, res.isometry)
-    assert dec.average_output_entropy() == pytest.approx(res.value, abs=1e-12)
+    assert np.array_equal(dec.weights, res.decomposition.weights)
+    assert np.array_equal(dec.states, res.decomposition.states)
 
 
 def _reference_members(vectors):
@@ -181,11 +184,10 @@ def test_near_real_state_round_trips(z):
     omega = symmetric_state(z).astype(complex)
     omega[0, 1] += 1e-13j
     omega[1, 0] -= 1e-13j
-    for search in (real_roof_upper_bound, roof_upper_bound):
-        res = search(omega, m=6, restarts=10, seed=7)
-        assert not np.iscomplexobj(res.isometry)
-        dec = _decomposition(omega, res.isometry)
-        assert dec.average_output_entropy() == pytest.approx(res.value, abs=1e-12)
+    res = roof_upper_bound(omega, m=6, restarts=10, seed=7)
+    assert not np.iscomplexobj(res.isometry)
+    dec = _decomposition(omega, res.isometry)
+    assert dec.average_output_entropy() == pytest.approx(res.value, abs=1e-12)
 
 
 @pytest.mark.parametrize("z", [0.75, 0.87])
@@ -193,7 +195,7 @@ def test_roof_keeps_light_members(z):
     # members far below 1e-12 in weight still carry part of the mixture, and
     # without them the value can read below the roof it bounds
     omega = symmetric_state(z)
-    res = real_roof_upper_bound(omega.real, m=6, restarts=200, seed=7)
+    res = roof_upper_bound(omega.real, m=6, restarts=200, seed=7)
     assert np.max(np.abs(res.decomposition.mixture() - omega)) < 1e-14
     assert res.value >= entanglement_entropy(z) - 1e-14
 
@@ -218,7 +220,7 @@ def test_roof_m_validation():
             roof_upper_bound(omega, m=m, restarts=3, seed=0)
 
 
-@pytest.mark.parametrize("search", [roof_upper_bound, real_roof_upper_bound])
+@pytest.mark.parametrize("search", [roof_upper_bound])
 def test_roof_seed_and_budget_validation(search):
     omega = symmetric_state(0.3)
     for seed in (-1, 2**64):
@@ -236,14 +238,14 @@ def test_roof_seed_and_budget_validation(search):
         assert res.value >= entanglement_entropy(0.3) - 1e-9
 
 
-@pytest.mark.parametrize("search", [roof_upper_bound, real_roof_upper_bound])
+@pytest.mark.parametrize("search", [roof_upper_bound])
 def test_polish_budget_defaults_to_the_engines(search):
     # one budget for every polish the library runs at its defaults: the
     # restarts, insertions, pricing and face search
     assert inspect.signature(search).parameters["max_sweeps"].default is linesearch.POLISH_ITERS
 
 
-@pytest.mark.parametrize("search", [roof_upper_bound, real_roof_upper_bound])
+@pytest.mark.parametrize("search", [roof_upper_bound])
 def test_restarts_too_many_to_hold_are_refused_before_any_draw(search, monkeypatch):
     # the starts are allocated in one piece, so numpy refuses the count
     # before stream 1 is read
@@ -259,29 +261,19 @@ def test_restarts_too_many_to_hold_are_refused_before_any_draw(search, monkeypat
     assert draws == []
 
 
-def test_real_roof_requires_real_symmetric():
-    g = Generator(Philox(key=np.array([52, 0], dtype=np.uint64)))
-    omega = _random_density(g)
-    with pytest.raises(ValueError, match="real state"):
-        real_roof_upper_bound(omega)
-
-
-def test_real_roof_accepts_every_state_searched_as_real():
-    # the imaginary parts pass _is_real, but omega - omega^T reaches 1.8e-12:
-    # a state that roof_upper_bound searches as real is one real_roof_upper_bound
-    # accepts, with the same result bit for bit
-    omega = symmetric_state(0.3)
-    omega[0, 1] += 0.9e-12j
-    omega[1, 0] -= 0.9e-12j
-    real, generic = (search(omega, m=6, restarts=8, seed=3) for search in (real_roof_upper_bound, roof_upper_bound))
-    assert real.value == generic.value
-    assert np.array_equal(real.isometry, generic.isometry) and not np.iscomplexobj(real.isometry)
-    assert (real.sweeps, real.insertions, real.capped) == (generic.sweeps, generic.insertions, generic.capped)
+def test_benchmark_entry_point_is_the_roof_search():
+    # perfbench's roof_curve calls roof.real_roof_upper_bound: it is the one
+    # search under a second name, so a traced run wraps one function once,
+    # and it is not part of the package's public names
+    assert roof.real_roof_upper_bound is roof.roof_upper_bound
+    assert "real_roof_upper_bound" not in diagmap.__all__
+    with pytest.raises(AttributeError):
+        diagmap.real_roof_upper_bound
 
 
 def test_real_roof_matches_curve_on_sample():
     for z in (-0.5, 0.0, 0.35, 0.9):
-        res = real_roof_upper_bound(symmetric_state(z).real, m=6, restarts=60, seed=4)
+        res = roof_upper_bound(symmetric_state(z).real, m=6, restarts=60, seed=4)
         assert res.value == pytest.approx(entanglement_entropy(z), abs=1e-10)
         assert res.value >= entanglement_entropy(z) - 1e-9
 
@@ -289,7 +281,7 @@ def test_real_roof_matches_curve_on_sample():
 def test_real_roof_two_orbit_region():
     zstar = lower_tangent_z()
     z = 0.5 * (zstar - 0.5)
-    res = real_roof_upper_bound(symmetric_state(z).real, m=6, restarts=150, seed=11)
+    res = roof_upper_bound(symmetric_state(z).real, m=6, restarts=150, seed=11)
     assert res.value == pytest.approx(entanglement_entropy(z), abs=1e-10)
 
 
@@ -300,7 +292,7 @@ def test_real_roof_next_to_tangency_point():
     omega = symmetric_state(z).real
     insertions = []
     for seed in range(1001, 1011):
-        res = real_roof_upper_bound(omega, m=6, restarts=32, max_sweeps=150, seed=seed)
+        res = roof_upper_bound(omega, m=6, restarts=32, max_sweeps=150, seed=seed)
         assert abs(res.value - entanglement_entropy(z)) <= 1e-12, seed
         assert not res.capped
         insertions.append(res.insertions)
@@ -315,7 +307,7 @@ def test_real_roof_matches_rank2_closed_form():
         a, b = math.cos(phi), math.sin(phi)
         x = float(g.uniform(-0.9, 0.9)) * math.sqrt(z * (1.0 - z))
         omega = rank2_state(z, x, a, b).real
-        res = real_roof_upper_bound(omega, m=4, restarts=60, seed=6)
+        res = roof_upper_bound(omega, m=4, restarts=60, seed=6)
         assert res.value == pytest.approx(rank2_entanglement(z, x, a, b), abs=1e-5)
 
 
@@ -419,17 +411,17 @@ def test_gradient_matches_finite_differences(complex_moves):
 
 
 def test_search_reports_how_it_ended():
-    fast = real_roof_upper_bound(symmetric_state(0.3).real, m=6, restarts=32, max_sweeps=150, seed=1)
+    fast = roof_upper_bound(symmetric_state(0.3).real, m=6, restarts=32, max_sweeps=150, seed=1)
     assert fast.insertions == 0 and not fast.capped and 1 < fast.sweeps < 150
-    slow = real_roof_upper_bound(symmetric_state(-0.41).real, m=6, restarts=32, max_sweeps=150, seed=1)
+    slow = roof_upper_bound(symmetric_state(-0.41).real, m=6, restarts=32, max_sweeps=150, seed=1)
     assert slow.insertions >= 1 and not slow.capped
     assert slow.isometry.shape == (6 + slow.insertions, 3)
-    cut = real_roof_upper_bound(symmetric_state(0.3).real, m=6, restarts=4, max_sweeps=1, seed=1)
+    cut = roof_upper_bound(symmetric_state(0.3).real, m=6, restarts=4, max_sweeps=1, seed=1)
     assert cut.capped and cut.sweeps == 1 and cut.insertions == 0
 
 
 def test_polish_cap_is_reported():
-    res = real_roof_upper_bound(symmetric_state(-0.41).real, m=6, restarts=32, max_sweeps=3, seed=1)
+    res = roof_upper_bound(symmetric_state(-0.41).real, m=6, restarts=32, max_sweeps=3, seed=1)
     assert res.sweeps == 3 and res.capped and res.insertions == 0
     assert res.value >= entanglement_entropy(-0.41) - 1e-12
 
@@ -438,7 +430,7 @@ def test_sweeps_count_the_best_restart():
     # the batch runs 29 iterations, until its slowest restart stops; the
     # restart that gives the value stops at 19
     omega = symmetric_state(0.3).real
-    res = real_roof_upper_bound(omega, m=6, restarts=32, max_sweeps=150, seed=1)
+    res = roof_upper_bound(omega, m=6, restarts=32, max_sweeps=150, seed=1)
     M = roof._eigen_factor(omega)
     _, f, iters, _ = linesearch.stiefel_bfgs(roof._starts(M, 6, 32, 1), roof._polish_functions(M), 150)
     assert (res.insertions, res.sweeps, iters[np.argmin(f)], iters.max()) == (0, 19, 19, 29)
@@ -454,7 +446,7 @@ def test_sweeps_add_each_insertion_polish(monkeypatch):
         return out
 
     monkeypatch.setattr(roof, "stiefel_bfgs", recorded)
-    res = real_roof_upper_bound(symmetric_state(-0.41).real, m=6, restarts=32, max_sweeps=150, seed=1)
+    res = roof_upper_bound(symmetric_state(-0.41).real, m=6, restarts=32, max_sweeps=150, seed=1)
     (_, f, iters, _), *inserted = polishes
     # a polish whose insertion is dropped counts too
     assert res.insertions >= 1 and len(inserted) >= res.insertions
@@ -466,7 +458,7 @@ def test_capped_reports_the_best_restart():
     # flag for the whole batch said capped and the search stopped 5.25e-6
     # above E without pricing
     z = -0.41
-    res = real_roof_upper_bound(symmetric_state(z).real, m=6, restarts=32, max_sweeps=150, seed=138)
+    res = roof_upper_bound(symmetric_state(z).real, m=6, restarts=32, max_sweeps=150, seed=138)
     assert not res.capped
     assert abs(res.value - entanglement_entropy(z)) <= 1e-12
 
