@@ -24,17 +24,35 @@ LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
+def _refuse_bool(x) -> None:
+    """Raise TypeError on a Python or numpy bool, which float() and
+    operator.index() take as 0 or 1.  numpy is looked up, not imported: a
+    value can be a numpy bool only once numpy is loaded."""
+    numpy = sys.modules.get("numpy")
+    if isinstance(x, bool) or (numpy is not None and isinstance(x, numpy.bool_)):
+        raise TypeError(f"expected a number, got the bool {x!r}")
+
+
 def _number(x, kind=float):
-    """kind(x), refusing the str and bytes that float() and complex() parse."""
-    if isinstance(x, (str, bytes)):
-        raise TypeError(f"expected a number, got {x!r}")
+    """kind(x), refusing the str and bytes that float() and complex() parse
+    and the bools they take as 0 or 1."""
+    if not isinstance(x, float):  # a float, numpy's float64 too, is no str, bytes or bool
+        if isinstance(x, (str, bytes)):
+            raise TypeError(f"expected a number, got {x!r}")
+        _refuse_bool(x)
     return kind(x)
+
+
+def _integer(x) -> int:
+    """operator.index(x), refusing the bools it takes as 0 or 1."""
+    _refuse_bool(x)
+    return operator.index(x)
 
 
 def _check_dimension(N) -> int:
     """N as an int, raising unless it is an integer N >= 2 that converts to
     a float: the closed forms compute in floats."""
-    N = operator.index(N)
+    N = _integer(N)
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     try:

@@ -14,12 +14,11 @@ read (PEP 562), for the callers that look them up in this module.
 """
 
 import math
-import operator
 import sys
 from typing import NamedTuple
 
 from . import _lazy
-from .entropy import LN2, _check_dimension, _number
+from .entropy import LN2, _check_dimension, _integer, _number
 from .lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 
 
@@ -70,7 +69,7 @@ def two_value_entropy(N: int, n: int) -> float:
     Symmetric under n <-> N-n and concave in n, so its minimum over n sits
     at the edges n = 1 and n = N-1.
     """
-    N, n = operator.index(N), operator.index(n)
+    N, n = _integer(N), _integer(n)
     if not 1 <= n <= N - 1:
         raise ValueError(f"need 1 <= n <= N-1, got n={n}, N={N}")
     N = _check_dimension(N)  # refuses an N past the float range

@@ -13,11 +13,10 @@ and with one column (hundreds of short rows: a BLAS call per row costs more).
 """
 
 import math
-import operator
 
 import numpy as np
 
-from .entropy import TINY, _check_dimension
+from .entropy import TINY, _check_dimension, _integer
 from .states import floored_log
 
 POLISH_ITERS = 400
@@ -179,7 +178,7 @@ def brute_force_min_face(N: int, restarts: int | None = None, seed: int = 0):
 
 def check_seed(seed) -> int:
     """An integer seed in [0, 2^64), the range of a Philox key word."""
-    seed = operator.index(seed)
+    seed = _integer(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
     return seed
@@ -196,7 +195,7 @@ def stream_rng(seed: int, stream: int) -> "np.random.Generator":
 
 def check_count(name: str, value) -> int:
     """A search budget (restarts, or stiefel_bfgs iterations, each one Armijo try): an integer of at least 1."""
-    value = operator.index(value)
+    value = _integer(value)
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
     return value

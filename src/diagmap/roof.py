@@ -32,11 +32,11 @@ and every range projection of the pair states e_i + e_j and e_i - e_j.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import _integer
 from .linesearch import POLISH_ITERS, _retract, check_count, check_seed, sphere_functions, stiefel_bfgs, stream_rng
 from .states import Decomposition, check_density_matrix, floored_log
 
@@ -191,7 +191,7 @@ def roof_upper_bound(omega, m=None, restarts: int = 40, seed: int = 0, max_sweep
     seed = check_seed(seed)
     if m is not None:
         try:
-            m = operator.index(m)
+            m = _integer(m)
         except TypeError:
             raise TypeError(f"m must be an integer or None, got {m!r}") from None
     M = _eigen_factor(omega)

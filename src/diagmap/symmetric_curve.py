@@ -369,10 +369,10 @@ def z_grid(z_min: float = Z_MIN, z_max: float = Z_MAX, z_step: float = Z_STEP) -
     to fit in memory raises MemoryError at once."""
     if not 0.0 < z_step < math.inf:
         raise ValueError(f"z_step must be positive and finite, got {z_step!r}")
-    if not (z_min < z_max):
-        raise ValueError("need z_min < z_max")
     check_z(z_min)
     check_z(z_max)
+    if not (z_min < z_max):
+        raise ValueError("need z_min < z_max")
     steps = (z_max - z_min) / z_step + 1e-9
     if not steps < sys.maxsize:
         raise ValueError(f"z_step = {z_step!r} is too fine for [{z_min!r}, {z_max!r}]")

@@ -3,19 +3,21 @@
 Each check pins one acceptance-level claim: the tangency point and
 convex envelope of the entanglement curve, the face-minimum table and its
 bifurcation, the Lambert-W machinery, oracle/closed-form agreement, and the
-structural property suites.  A check only computes numbers: it returns a
-CheckResult holding one Measure (label, measured value, tolerance) for each
-quantity it bounds, and a boolean condition enters as a count of its
-violations with tolerance 0.  One rule, Measure.passed, decides every
-measurement: value < tol, or value == tol == 0, so a tolerance of 0 demands
-an exact zero and NaN fails.  A check passes when all its measurements do,
-and its report prints each value with its tolerance and margin.  This is the
-only place an acceptance check is written: the acceptance tests run every
-function in SUITES, each under one criterion.  An identity of the code, such
-as a literal read back or the value a search starts from, is pinned by a
-unit test, not by a check.  The oracle checks call each search with no
-budget, seed or length, so they check what a library user gets; only the
-projection inequality, sound at any budget, sets a small one.
+projection inequality of the symmetry reduction.  A check only computes
+numbers: it returns a CheckResult holding one Measure (label, measured
+value, tolerance) for each quantity it bounds, and a boolean condition
+enters as a count of its violations with tolerance 0.  One rule,
+Measure.passed, decides every measurement: value < tol, or value == tol ==
+0, so a tolerance of 0 demands an exact zero and NaN fails.  A check passes
+when all its measurements do, and its report prints each value with its
+tolerance and margin.  This is the only place an acceptance check is
+written: the acceptance tests run every function in SUITES, each under one
+criterion.  An identity of the code, such as a literal read back or the
+value a search starts from, is pinned by a unit test, not by a check, and
+so is a theorem about every state, such as the entropy gain of the
+diagonal channel.  The oracle checks call each search with no budget, seed
+or length, so they check what a library user gets; only the projection
+inequality, sound at any budget, sets a small one.
 """
 
 import itertools
@@ -148,7 +150,7 @@ def check_convex_envelope() -> CheckResult:
         (
             Measure(f"max (E - epsilon) on {len(zs)} points", np.max(over), 1e-15),
             Measure("max |chord end - epsilon| at -1/2, z*, 5/6, 1", np.max(ends), 1e-15),
-            Measure("max |chord slope - curve slope| at z*, 5/6", np.max(tangency), 1e-12),
+            Measure("max |chord slope - curve slope| at z*, 5/6", np.max(tangency), 2e-14),
             Measure(f"slope rises below {rise:g} on [z*, 5/6]", slow, 0),
         ),
     )
@@ -216,7 +218,6 @@ def check_bifurcation() -> CheckResult:
 
 def check_minimizer_states() -> CheckResult:
     miscounts = 0
-    constraint_errs = []
     entropy_errs = []
     resids = []
     for n in range(2, 13):
@@ -224,7 +225,6 @@ def check_minimizer_states() -> CheckResult:
         states = st.minimizer_states(n)
         miscounts += len(states) != (n * (n - 1) // 2 if n <= 6 else n)
         for v in states:
-            constraint_errs += [abs(v.sum()), abs(v @ v - 1.0)]
             entropy_errs.append(abs(st.diagonal_output_entropy(np.outer(v, v)) - closed))
             # stationarity: x log x^2 = lam + mu x for some multipliers
             rhs = np.where(np.abs(v) > 0, v * np.log(np.maximum(v * v, TINY)), 0.0)
@@ -235,8 +235,7 @@ def check_minimizer_states() -> CheckResult:
         "minimizer states: entropy and stationarity",
         (
             Measure("state-count mismatches", miscounts, 0),
-            Measure("max |sum|, |norm^2 - 1|", np.max(constraint_errs), 1e-12),
-            Measure("max entropy deviation", np.max(entropy_errs), 1e-12),
+            Measure("max entropy deviation", np.max(entropy_errs), 1e-14),
             Measure("max stationarity residual", np.max(resids), 1e-14),
         ),
     )
@@ -359,25 +358,6 @@ def check_projection_inequality() -> CheckResult:
     )
 
 
-def check_twirl_and_channel() -> CheckResult:
-    """The S3 twirl returns z on the symmetric family; the diagonal channel
-    never lowers a random qutrit's von Neumann entropy."""
-    worst_twirl = np.max(
-        [abs(st.twirl_s3(st.symmetric_state(float(z))) - float(z)) for z in np.linspace(sc.Z_MIN, sc.Z_MAX, 101)]
-    )
-    drops = []
-    for i in range(70):
-        omega = _random_qutrit(stream_rng(31, i))
-        drops.append(st.von_neumann_entropy(omega) - st.von_neumann_entropy(st.diagonal_channel(omega)))
-    return CheckResult(
-        "twirl identity, entropy gain of the diagonal channel",
-        (
-            Measure("twirl deviation at 101 points", worst_twirl, 1e-12),
-            Measure("measurement entropy drop", np.max(drops), 1e-15),
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -401,7 +381,6 @@ SUITES = {
         check_oracle_rank2,
     ),
     "symmetry": (
-        check_twirl_and_channel,
         check_projection_inequality,
     ),
 }

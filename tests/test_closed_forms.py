@@ -220,6 +220,9 @@ BAD_NUMBERS = [
     (b"0.3", TypeError),
     (0.3 + 0j, TypeError),
     (None, TypeError),
+    # float() takes a bool as 0 or 1
+    (True, TypeError),
+    (np.True_, TypeError),
 ]
 
 

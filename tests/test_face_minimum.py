@@ -49,8 +49,9 @@ def test_closed_form_vanishes_at_large_n():
 def test_closed_form_domain():
     with pytest.raises(ValueError):
         min_face_entropy(1)
-    with pytest.raises(TypeError):
-        min_face_entropy(7.5)
+    for bad in (7.5, True, np.True_):
+        with pytest.raises(TypeError):
+            min_face_entropy(bad)
     assert min_face_entropy(np.int64(7)) == min_face_entropy(7)
     for fn in (minimizer_states, lambda n: brute_force_min_face(n, restarts=1)):
         with pytest.raises(ValueError):
@@ -166,6 +167,9 @@ def test_two_value_entropy_domain():
         two_value_entropy(7.5, 2)
     with pytest.raises(TypeError):
         two_value_entropy(7, 2.5)
+    for n in (True, np.True_):
+        with pytest.raises(TypeError):
+            two_value_entropy(5, n)
 
 
 def test_lagrange_roots_single_root_regime():
@@ -234,8 +238,8 @@ def test_lagrange_roots_residuals_random():
 def test_lagrange_roots_rejects_zero_lambda():
     with pytest.raises(ValueError):
         lagrange_roots(0.0, 1.0)
-    # numeric strings, which float() would parse
-    for lam, mu in (("0.5", 1.0), (0.5, "1")):
+    # numeric strings, which float() would parse, and bools, which it takes as 0 or 1
+    for lam, mu in (("0.5", 1.0), (0.5, "1"), (True, 0.0), (0.5, np.True_)):
         with pytest.raises(TypeError):
             lagrange_roots(lam, mu)
     # from (1.0, 1420.0) on: zeta is subnormal (its roots overflow to +-inf),
@@ -465,6 +469,10 @@ def test_brute_force_seed_and_budget_validation():
         brute_force_min_face(4, restarts=2, seed=1.5)
     with pytest.raises(TypeError):
         brute_force_min_face(4, restarts=2.0)
+    # operator.index() takes a bool as 0 or 1
+    for bad in ({"seed": True}, {"seed": np.True_}, {"restarts": True}, {"restarts": np.True_}):
+        with pytest.raises(TypeError):
+            brute_force_min_face(4, **{"restarts": 2, **bad})
     for seed in (2**64 - 1, np.uint64(7)):
         value, _ = brute_force_min_face(4, restarts=2, seed=seed)
         assert value >= min_face_entropy(4) - 1e-9

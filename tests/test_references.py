@@ -13,6 +13,7 @@ from diagmap.entropy import LN2
 from diagmap.face_minimum import min_face_entropy, two_value_entropy
 from diagmap.lambert import BRANCH_POINT, lambert_w0, lambert_wm1
 from diagmap.symmetric_curve import (
+    UPPER_KNEE,
     UPPER_KNEE_VALUE,
     _one_vs_rest_slope,
     curve_grid,
@@ -134,12 +135,19 @@ def test_theta0_slope_against_mpmath(N):
     assert worst <= 1e-12
 
 
+def _off_grid_z():
+    # z off the grids of the tests below: the junctions z* and 5/6, points
+    # around the angle transition and two coarse grids
+    zs = [lower_tangent_z(), UPPER_KNEE, 0.0, -0.41, -0.4150234]
+    return zs + np.linspace(-0.45, -0.40, 15).tolist() + np.linspace(-0.5, 1.0, 26).tolist()
+
+
 def test_theta0_epsilon_against_mpmath():
     # wherever the minimizing angle is 0 (every z above the transition),
-    # epsilon is the theta = 0 entropy; measured 4.3e-16 on this grid, 5.1e-16
+    # epsilon is the theta = 0 entropy; measured 4.3e-16 on these points, 5.1e-16
     # when it was evaluated as the output entropy at angle 0 (three cosines)
     worst = 0.0
-    for z in np.linspace(-0.5, 1.0, 20001).tolist():
+    for z in np.linspace(-0.5, 1.0, 20001).tolist() + curve_grid().tolist() + _off_grid_z():
         value, theta = min_pure_output_entropy(z)
         if theta == 0.0:
             worst = max(worst, abs(mpmath.mpf(value) - _one_vs_rest_entropy(mpmath.mpf(z))))
@@ -192,7 +200,7 @@ def test_theta_min_against_mpmath():
     # theta read 2.5e4 times it (1.1, relative) at z_t - 1e-12
     eps = np.finfo(float).eps
     zt = float(THETA_TRANSITION_REF)
-    zs = [zt - 10.0**-k for k in range(2, 13)] + [z for z in curve_grid().tolist() if -0.5 < z < zt]
+    zs = [zt - 10.0**-k for k in range(2, 13)] + [z for z in curve_grid().tolist() + _off_grid_z() if -0.5 < z < zt]
     with mpmath.workdps(50):
         for z in zs:
             theta = min_pure_output_entropy(z)[1]

@@ -215,7 +215,7 @@ def test_roof_m_validation():
     with pytest.raises(ValueError):
         roof_upper_bound(omega, m=10, restarts=3, seed=0)  # above N^2
     # an m that is not an integer is refused by name
-    for m in (3.0, np.float64(3.0), "3"):
+    for m in (3.0, np.float64(3.0), "3", True, np.True_):
         with pytest.raises(TypeError, match="^m must be an integer"):
             roof_upper_bound(omega, m=m, restarts=3, seed=0)
 
@@ -229,7 +229,9 @@ def test_roof_seed_and_budget_validation(search):
     for budget in ({"restarts": 0}, {"restarts": -3}, {"max_sweeps": 0}, {"max_sweeps": -5}):
         with pytest.raises(ValueError, match=next(iter(budget))):
             search(omega, m=3, **{"restarts": 2, **budget})
-    for bad in ({"seed": 1.5}, {"restarts": 2.0}, {"max_sweeps": 1.5}):
+    # operator.index() takes a bool as 0 or 1
+    bools = ({"seed": True}, {"seed": np.True_}, {"restarts": True}, {"max_sweeps": True}, {"max_sweeps": np.True_})
+    for bad in ({"seed": 1.5}, {"restarts": 2.0}, {"max_sweeps": 1.5}, *bools):
         with pytest.raises(TypeError):
             search(omega, m=3, **{"restarts": 2, **bad})
     # the ends of the ranges and numpy integers are accepted

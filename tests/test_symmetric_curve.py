@@ -828,87 +828,6 @@ def test_tiny_floors_are_bit_identical_to_builtin_max(alpha, beta, theta):
     assert _outcome(_theta_derivatives, alpha, beta, theta) == _outcome(_reference_theta_derivatives, alpha, beta, theta)
 
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _reference_min_entropy(z):
-    # an earlier min_pure_output_entropy: golden section on the best scan
-    # bracket, with its round-off guards
-    def amplitudes(z, theta):
-        alpha = math.sqrt(max(2.0 * z + 1.0, 0.0))
-        beta = math.sqrt(max(1.0 - z, 0.0))
-        return (
-            (alpha + 2.0 * beta * math.cos(theta)) / 3.0,
-            (alpha - 2.0 * beta * math.cos(theta - math.pi / 3.0)) / 3.0,
-            (alpha - 2.0 * beta * math.cos(theta + math.pi / 3.0)) / 3.0,
-        )
-
-    def entropy_at(z, theta):
-        out = 0.0
-        for v in (c * c for c in amplitudes(z, theta)):
-            if v > 1e-300:
-                out -= v * math.log(v)
-        return out
-
-    period = math.pi / 3.0
-    alpha = math.sqrt(max(2.0 * z + 1.0, 0.0))
-    beta = math.sqrt(max(1.0 - z, 0.0))
-    if beta == 0.0:
-        return LN3, 0.0
-    grid = np.linspace(0.0, period, 256)
-    ca = (alpha + 2.0 * beta * np.cos(grid)) / 3.0
-    cb = (alpha - 2.0 * beta * np.cos(grid - math.pi / 3.0)) / 3.0
-    cc = (alpha - 2.0 * beta * np.cos(grid + math.pi / 3.0)) / 3.0
-    vals = np.zeros_like(grid)
-    for comp in (ca, cb, cc):
-        sq = comp * comp
-        pos = sq > 1e-300
-        vals[pos] -= sq[pos] * np.log(sq[pos])
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, 255)]
-    c = hi - INVPHI * (hi - lo)
-    d = lo + INVPHI * (hi - lo)
-    fc = entropy_at(z, c)
-    fd = entropy_at(z, d)
-    while hi - lo > 1e-12:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - INVPHI * (hi - lo)
-            fc = entropy_at(z, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + INVPHI * (hi - lo)
-            fd = entropy_at(z, d)
-    theta = float(0.5 * (lo + hi))
-    value = entropy_at(z, theta)
-    value0 = entropy_at(z, 0.0)
-    if value0 <= value + 1e-13:
-        return value0, 0.0
-    if theta < 1e-9:
-        theta = 0.0
-    elif theta > period / 2.0:
-        mirror = period - theta
-        if entropy_at(z, mirror) <= value + 1e-12:
-            theta = mirror
-    return value, theta
-
-
-def test_min_entropy_not_above_the_golden_section_reference():
-    # the root of the slope is never worse than golden section, and
-    # finds the same angle wherever the reference finds one off zero
-    zs = [-0.5, -0.45, -0.40, lower_tangent_z(), UPPER_KNEE, 1.0, 0.0, -0.41, -0.4150234]
-    zs += [float(z) for z in np.linspace(-0.45, -0.40, 15)]
-    zs += [float(z) for z in np.linspace(-0.5, 1.0, 26)]
-    zs += [float(z) for z in curve_grid()]
-    for z in zs:
-        value, theta = min_pure_output_entropy(z)
-        ref_value, ref_theta = _reference_min_entropy(z)
-        assert value <= ref_value + 1e-15, z
-        if ref_theta > 0.0:
-            assert abs(theta - ref_theta) <= 1e-5, z
-
-
 # ---------------------------------------------------------------------------
 # root finders: tangent_from_point and _bisect
 # ---------------------------------------------------------------------------

@@ -27,9 +27,6 @@ from diagmap import verify
         ("check_two_value_concavity", fm, "two_value_entropy", 4),
         ("check_lambert", verify, "lambert_w0", 2),
         ("check_lambert", fm, "root_square_sum", 2),
-        ("check_twirl_and_channel", st, "twirl_s3", 2),
-        ("check_twirl_and_channel", st, "diagonal_channel", 2),
-        ("check_twirl_and_channel", st, "von_neumann_entropy", 2),
     ],
 )
 def test_check_fails_on_one_nan(monkeypatch, check, module, attr, nan_call):
@@ -46,12 +43,7 @@ def test_check_fails_on_one_nan(monkeypatch, check, module, attr, nan_call):
         return (out[0] * np.nan, *out[1:]) if isinstance(out, tuple) else out * np.nan
 
     monkeypatch.setattr(module, attr, with_nan)
-    if attr == "diagonal_channel":
-        # a NaN state reaches von_neumann_entropy, whose state check raises
-        with pytest.raises(ValueError, match="non-finite"):
-            getattr(verify, check)()
-    else:
-        assert not getattr(verify, check)().passed
+    assert not getattr(verify, check)().passed
 
 
 @pytest.mark.parametrize(
